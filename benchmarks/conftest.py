@@ -3,7 +3,8 @@
 Benchmarks run at a reduced default scale so the whole suite finishes on a
 laptop; set ``REPRO_BENCH_SCALE`` (float, default 1.0) to scale workload
 sizes up toward the paper's parameters.  Every benchmark prints the
-table/series its figure reports; EXPERIMENTS.md records paper-vs-measured.
+table/series its figure reports, next to the paper's number where the
+figure has one.
 
 Benchmarks additionally leave ``BENCH_<name>.json`` perf records behind
 via :func:`bench_record` (re-exported from :mod:`repro.obs.bench`) — CI

@@ -157,7 +157,8 @@ def test_a3_shuffle_strategies(benchmark):
         clock.reset()
         store.stats.reset()
         for i in order:
-            fresh_engine.read_sample(i, prefer_full=True)
+            # a streaming single-row read: the plan path fetches whole
+            fresh_engine.execute_plan(fresh_engine.plan_reads([i]))
         rows.append({
             "strategy": name,
             "quality": round(shuffle_quality(order), 2),
@@ -256,7 +257,7 @@ def test_a5_rechunk(benchmark, rng):
         fresh = ChunkEngine("x", store, VersionState())
         store.stats.reset()
         for i in range(n):
-            fresh.read_sample(i, prefer_full=True)
+            fresh.execute_plan(fresh.plan_reads([i]))  # whole chunks
         return store.stats.get_requests
 
     gets_before = epoch_gets(engine)

@@ -9,33 +9,40 @@ One engine owns everything between a tensor's public API and raw storage:
 - version-aware chunk resolution: reads walk the commit chain and take the
   first commit whose chunk_set contains the chunk (§4.2), writes
   copy-on-write chunks owned by ancestor commits;
-- partial (ranged) reads of single samples out of big chunks, with a
-  decoded-chunk LRU buffer ("maintaining a buffer cache of fetched and
+- a decoded-chunk LRU buffer ("maintaining a buffer cache of fetched and
   unutilized data", §3.5);
 - the on-the-fly :meth:`rechunk` layout optimiser;
 - sparse out-of-bounds assignment via padding (strict mode off).
 
-The ReadPlan layer
-------------------
+The one read path
+-----------------
 Chunks exist so that one fetch + one decompress amortizes over many
-samples (§3.4–3.5), so every multi-row consumer goes through a shared
-batched read path instead of N independent :meth:`read_sample` calls:
+samples (§3.4–3.5), so every read — one row or a million — is the same
+three steps, plan -> fetch -> slice:
 
 - :meth:`plan_reads` turns a list of sample indices into a
   :class:`ReadPlan`: rows are resolved through :class:`ChunkIdEncoder`
   (version-aware — each chunk's storage key is resolved against the
   commit chain exactly once) and grouped by owning chunk, with tiled
   samples, sequence samples, and sparse padding handled in the plan;
-- :meth:`read_batch` executes a plan: every missing chunk is fetched in
-  one :meth:`~repro.storage.provider.StorageProvider.get_many` call,
-  decompressed once into the decoded-chunk cache, and all requested
-  samples are sliced out of the decoded buffers;
-- :meth:`read_shapes_batch` answers bulk shape lookups from one header
-  (or cached chunk) per chunk instead of per-row metadata reads.
+- :meth:`FusedReadPlan._fetch_all` is the only routine that fetches
+  missing chunks — one ``get_many`` for the plans of every tensor in a
+  request (one per tensor under ``read_pipeline(enabled=False)``) — and
+  each is decompressed once into the decoded-chunk cache;
+- :meth:`_item_value` is the only slicer: plan item + fetched chunks ->
+  the sample's value.
 
-``Dataset.read_rows``, the dataloader's group fetch, TQL's column scans,
-and the Tensor Streaming Server's ``read_batch`` op all ride this one
-path, so a full-column scan costs one storage GET per chunk.  The
+The entry point, not a flag, decides the *fetch strategy*.  One-row
+entry points — :meth:`read_sample`, a one-row :meth:`read_batch`,
+``Tensor[i].numpy()`` — may take §3.5's *ranged* strategy
+(:meth:`_fetch_ranged`: header probe + the sample's byte range, never
+cached).  Every multi-row or multi-tensor entry point — :meth:`plan_reads`
++ :meth:`execute_plan`, :class:`FusedReadPlan`, ``Dataset.read_rows`` and
+so the dataloader, TQL's column scans and the Tensor Streaming Server's
+``read_batch`` op — fetches whole chunks: a full-column scan costs one
+storage GET per chunk, and a single row that should stream is spelled
+``execute_plan(plan_reads([i]))``.  :meth:`read_shapes_batch` answers
+shape lookups from one header (or cached chunk) per chunk; the
 ``chunk_cache_hits`` / ``chunk_cache_misses`` counters make the batching
 observable from loader stats and per-tenant serve stats.
 """
@@ -122,11 +129,11 @@ def write_pipeline(enabled=None, workers=None, watermark_chunks=None):
 #: Read-pipeline knobs (process-global, the read mirror of
 #: ``_WRITE_PIPELINE``): ``enabled`` dispatches per-chunk decode and
 #: per-sample slicing work of a :class:`ReadPlan` to the shared decode
-#: pool (numpy/lz4/jpeg decode releases the GIL) and lets consumers fuse
-#: the per-tensor plans of one request into a single
+#: pool (numpy/lz4/jpeg decode releases the GIL) and fetches the misses
+#: of all per-tensor plans of one request in a single
 #: :meth:`~repro.storage.provider.StorageProvider.get_many`
-#: (:class:`FusedReadPlan`); disabled restores the serial
-#: one-plan-per-tensor execution exactly (the benchmark ablation).
+#: (:meth:`FusedReadPlan._fetch_all`); disabled restores the serial
+#: one-``get_many``-per-tensor execution exactly (the benchmark ablation).
 #: ``workers`` bounds the process-global decode pool.
 _READ_PIPELINE = {
     "enabled": True,
@@ -155,7 +162,8 @@ def read_pipeline(enabled=None, workers=None):
     try:
         yield
     finally:
-        _READ_PIPELINE.clear()
+        # in place, never via clear(): readers on other threads must not
+        # find a key missing mid-restore
         _READ_PIPELINE.update(prev)
 
 
@@ -166,13 +174,13 @@ def read_pipeline_enabled() -> bool:
 
 def _decode_pool() -> ThreadPoolExecutor:
     """The process-global decode pool, resized lazily when the configured
-    worker count changes (old pools drain in the background)."""
+    worker count changes.  A superseded pool is dropped, never shut down:
+    another thread may already hold it and be about to ``submit``; its
+    idle workers exit once the last reference is gone."""
     global _DECODE_POOL, _DECODE_POOL_WORKERS
     workers = max(1, int(_READ_PIPELINE["workers"]))
     with _DECODE_POOL_LOCK:
         if _DECODE_POOL is None or _DECODE_POOL_WORKERS != workers:
-            if _DECODE_POOL is not None:
-                _DECODE_POOL.shutdown(wait=False)
             _DECODE_POOL = ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix=_DECODE_THREAD_PREFIX
             )
@@ -654,10 +662,6 @@ class ChunkEngine:
     def chunk_cache_misses(self) -> int:
         return self._c_misses.value
 
-    def _count_partial_read(self) -> None:
-        self._c_partial.inc()
-        self._m_partial.inc()
-
     def _decode_chunk(self, blob: bytes, name: str) -> Chunk:
         """Parse *blob* into a Chunk, charging decode accounting."""
         t0 = time.perf_counter()
@@ -741,7 +745,7 @@ class ChunkEngine:
         self._cache_put(key, chunk)
         return chunk
 
-    def _load_header(self, chunk_name: str) -> Tuple[str, ChunkHeader]:
+    def _load_header(self, chunk_name: str) -> ChunkHeader:
         key = self._chunk_storage_key(chunk_name)
         header = self._header_cache.get(key)
         if header is None:
@@ -752,7 +756,7 @@ class ChunkEngine:
             header = Chunk.parse_header(prefix[:hlen])
             with self._lock:
                 self._header_cache[key] = header
-        return key, header
+        return header
 
     # ------------------------------------------------------------------ #
     # chunk statistics sidecar (predicate pushdown input)
@@ -1455,58 +1459,6 @@ class ChunkEngine:
     # reads
     # ------------------------------------------------------------------ #
 
-    def _can_partial_read(self, header: ChunkHeader) -> bool:
-        return (
-            self.meta.sample_compression is not None
-            and not header.is_chunk_compressed
-            and not self.meta.is_link
-        )
-
-    def _read_flat_bytes(
-        self, index: int, prefer_full: bool = False
-    ) -> Tuple[bytes, Tuple[int, ...]]:
-        """Raw payload + stored shape of flat sample *index*.
-
-        Two read strategies (§3.5's "range-based requests to access
-        sub-elements inside chunks" vs whole-chunk streaming):
-
-        - *partial*: header probe + exact sample byte range — right for
-          sparse random access (one sample of an 8 MB chunk);
-        - *full*: fetch and cache the decoded chunk — right for streaming
-          (the loader consumes neighbours next), set via ``prefer_full``.
-
-        Partial is only chosen when the sample is a small fraction of the
-        chunk; otherwise the full fetch costs about the same and caches.
-        """
-        chunk_id, local = self.enc.translate(index)
-        name = ChunkIdEncoder.name_from_id(chunk_id)
-        mem = self._mem_chunk(name)
-        if mem is not None:
-            return mem.read_bytes(local), mem.read_shape(local)
-        key = self._chunk_storage_key(name)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached.read_bytes(local), cached.read_shape(local)
-        if (
-            not prefer_full
-            and self.meta.sample_compression
-            and not self.meta.chunk_compression
-        ):
-            key, header = self._load_header(name)
-            if self._can_partial_read(header):
-                start, end = header.sample_range(local)
-                chunk_data_len = (
-                    int(header.byte_positions[-1][1])
-                    if len(header.byte_positions)
-                    else 0
-                )
-                if (end - start) * 4 < chunk_data_len:
-                    raw = self.storage.get_bytes(key, start, end)
-                    self._count_partial_read()
-                    return raw, header.sample_shape(local)
-        chunk = self._load_chunk(name)
-        return chunk.read_bytes(local), chunk.read_shape(local)
-
     def empty_sample(self) -> np.ndarray:
         """The padding value: zero-size at the tensor's rank (a 0 scalar
         for rank-0 tensors, where zero-size is unrepresentable)."""
@@ -1516,32 +1468,11 @@ class ChunkEngine:
             return np.zeros((0,), dtype=dtype)
         return np.zeros((0,) * len(si.lower), dtype=dtype)
 
-    def _read_flat(self, index: int, prefer_full: bool = False) -> np.ndarray:
-        if self.pad_enc.is_padded(index):
-            return self.empty_sample()
-        if index in self.tile_enc:
-            return self._read_tiled(index)
-        raw, shape = self._read_flat_bytes(index, prefer_full=prefer_full)
-        return self._deserialize_sample(raw, shape)
-
-    def _read_tiled(self, index: int) -> np.ndarray:
-        sample_shape, tile_shape = self.tile_enc.layout(index)
-        chunk_ids = self.enc.tile_chunk_ids(index)
-        tiles = []
-        for cid in chunk_ids:
-            chunk = self._load_chunk(ChunkIdEncoder.name_from_id(cid))
-            tiles.append(
-                self._deserialize_sample(chunk.read_bytes(0), chunk.read_shape(0))
-            )
-        return tiling.join(
-            tiles, sample_shape, tile_shape, np.dtype(self.meta.dtype)
-        )
-
     def read_tiled_region(self, index: int, region: Sequence[slice]) -> np.ndarray:
         """Read only the tiles of sample *index* intersecting *region*,
         then crop — the visualizer's viewport streaming path."""
         if index not in self.tile_enc:
-            return self._read_flat(index)[tuple(region)]
+            return self.read_sample(index)[tuple(region)]
         sample_shape, tile_shape = self.tile_enc.layout(index)
         chunk_ids = self.enc.tile_chunk_ids(index)
         hits = tiling.tiles_for_region(region, sample_shape, tile_shape)
@@ -1557,11 +1488,15 @@ class ChunkEngine:
         out = np.zeros(
             [max(0, b - a) for a, b in zip(starts, stops)], dtype=dtype
         )
-        for flat, gidx in hits:
-            chunk = self._load_chunk(ChunkIdEncoder.name_from_id(chunk_ids[flat]))
-            tile = self._deserialize_sample(
-                chunk.read_bytes(0), chunk.read_shape(0)
-            )
+        # each intersecting tile is the one sample of its own chunk: one
+        # plan over them, so they arrive in one fetch and decode in parallel
+        plan = ReadPlan(self.tensor)
+        with self._lock:
+            for pos, (flat, _gidx) in enumerate(hits):
+                name = ChunkIdEncoder.name_from_id(chunk_ids[flat])
+                plan.items.append(("sample", name, 0))
+                self._plan_note_chunk(plan, name, pos, 0)
+        for (_flat, gidx), tile in zip(hits, self.execute_plan(plan)):
             tile_region = tiling.tile_slices(gidx, tile_shape, sample_shape)
             # intersection of tile extent and requested region
             dst = []
@@ -1577,107 +1512,8 @@ class ChunkEngine:
                 out[tuple(dst)] = tile[tuple(src)]
         return out
 
-    def _read_sequence(self, index: int, aslist: bool = False):
-        start, end = self.seq_enc.item_range(index)
-        items = [self._read_flat(i) for i in range(start, end)]
-        if aslist:
-            return items
-        if not items:
-            # empty span: zero rows of the tensor's dtype, never a bare
-            # list / float64 default (must match execute_plan exactly)
-            return self._empty_seq_stack()
-        shapes = {item.shape for item in items}
-        if len(shapes) == 1:
-            return np.stack(items)
-        return items
-
-    def read_sample(self, index: int, aslist: bool = False,
-                    prefer_full: bool = False):
-        n = self.num_samples
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise SampleIndexError(
-                f"index {index} out of range for tensor {self.tensor!r} "
-                f"of length {n}"
-            )
-        if self.meta.is_sequence:
-            return self._read_sequence(index, aslist=aslist)
-        return self._read_flat(index, prefer_full=prefer_full)
-
-    def read_raw(self, index: int, prefer_full: bool = False) -> bytes:
-        """Stored payload bytes of one flat sample.
-
-        This is the *per-sample* read path: random access may use a
-        ranged request for just this sample's bytes (§3.5).  Multi-row
-        consumers should use :meth:`read_batch` with ``decode=False``,
-        which costs one fetch per chunk instead of one per sample.
-        """
-        n = self.num_samples
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise SampleIndexError(
-                f"index {index} out of range for tensor {self.tensor!r} "
-                f"of length {n}"
-            )
-        if self.meta.is_sequence:
-            raise FormatError(
-                "sequence samples have no single payload; read items via "
-                "read_batch(decode=False)"
-            )
-        raw, _shape = self._read_flat_bytes(index, prefer_full=prefer_full)
-        return raw
-
-    def read_shape(self, index: int) -> Tuple[int, ...]:
-        """Sample shape without decoding payloads where possible."""
-        if self.meta.is_sequence:
-            start, end = self.seq_enc.item_range(index)
-            if start == end:
-                return (0,)
-            first = self._read_flat_shape(start)
-            return (end - start, *first)
-        return self._read_flat_shape(index)
-
-    def _read_flat_shape(self, index: int) -> Tuple[int, ...]:
-        if self.pad_enc.is_padded(index):
-            return tuple(self.empty_sample().shape)
-        if index in self.tile_enc:
-            return self.tile_enc.layout(index)[0]
-        if self.meta.is_link:
-            return tuple(self._read_flat(index).shape)
-        chunk_id, local = self.enc.translate(index)
-        name = ChunkIdEncoder.name_from_id(chunk_id)
-        mem = self._mem_chunk(name)
-        if mem is not None:
-            shape = mem.read_shape(local)
-        else:
-            key = self._chunk_storage_key(name)
-            cached = self._cache_get(key)
-            if cached is not None:
-                shape = cached.read_shape(local)
-            else:
-                key, header = self._load_header(name)
-                shape = header.sample_shape(local)
-        if self.meta.sample_compression:
-            # chunk stores the *array* shape alongside; it is authoritative
-            return shape
-        return shape
-
-    def numpy(self, indices: Sequence[int], aslist: bool = False):
-        samples = [self.read_sample(i) for i in indices]
-        if aslist:
-            return samples
-        shapes = {s.shape if isinstance(s, np.ndarray) else None for s in samples}
-        if None not in shapes and len(shapes) == 1 and samples:
-            return np.stack(samples)
-        if not samples:
-            dtype = np.dtype(self.meta.dtype or "float64")
-            return np.empty((0,), dtype=dtype)
-        return samples
-
     # ------------------------------------------------------------------ #
-    # batched reads (the ReadPlan layer)
+    # the ReadPlan layer: plan -> fetch -> slice
     # ------------------------------------------------------------------ #
 
     def _normalize_rows(self, rows: Sequence[int]) -> List[int]:
@@ -1828,17 +1664,6 @@ class ChunkEngine:
             self._cache_put(key, chunk)
             chunks[name] = chunk
 
-    def _fetch_plan_chunks(self, plan: ReadPlan) -> Dict[str, Chunk]:
-        """Every chunk the plan touches, fetching all misses in one
-        :meth:`StorageProvider.get_many` call."""
-        chunks, to_fetch = self._plan_resident_chunks(plan)
-        if to_fetch:
-            with _tracing.span("engine.fetch_chunks", tensor=self.tensor,
-                               chunks=len(to_fetch)):
-                blobs = self.storage.get_many(list(to_fetch))
-            self._absorb_fetched(to_fetch, blobs, chunks)
-        return chunks
-
     def _item_value(self, spec: Tuple, chunks: Dict[str, Chunk],
                     decode: bool):
         kind = spec[0]
@@ -1929,28 +1754,23 @@ class ChunkEngine:
         self._m_parallel_chunks.inc(len(by_chunk))
         return values
 
-    def _empty_seq_stack(self) -> np.ndarray:
-        """What an empty sequence span stacks to: zero rows of the
-        tensor's own dtype (never numpy's float64 default)."""
-        return np.empty((0,), dtype=np.dtype(self.meta.dtype or "float64"))
-
     def execute_plan(self, plan: ReadPlan, aslist: bool = False,
                      decode: bool = True,
                      _chunks: Optional[Dict[str, Chunk]] = None) -> List:
-        """Run *plan*: fetch missing chunks once, decompress once, slice
-        every requested sample out of the decoded buffers.
+        """Run *plan*: fetch missing chunks whole, once, decompress once,
+        slice every requested sample out of the decoded buffers.
 
         Returns one value per planned row, in request order.  With
         ``decode=False`` values are raw stored payloads (``bytes``) —
-        sequence rows become lists of payloads.  ``_chunks`` lets a
-        :class:`FusedReadPlan` inject chunks it already fetched in a
-        cross-tensor batch.
+        sequence rows become lists of payloads.  ``_chunks`` injects
+        chunks the caller already fetched: a :class:`FusedReadPlan`'s
+        cross-tensor batch, or a one-row read's ranged fetch.
         """
         with _tracing.span("engine.execute_plan", tensor=self.tensor,
                            rows=len(plan.rows), chunks=plan.num_chunks):
             chunks = (
                 _chunks if _chunks is not None
-                else self._fetch_plan_chunks(plan)
+                else FusedReadPlan().add(self, plan)._fetch_all()[0]
             )
             values = self._plan_item_values(plan, chunks, decode)
         if plan.seq_spans is None:
@@ -1962,7 +1782,11 @@ class ChunkEngine:
                 out.append(items)
                 continue
             if not items:
-                out.append(self._empty_seq_stack())
+                # an empty span stacks to zero rows of the tensor's own
+                # dtype, never numpy's float64 default
+                out.append(np.empty(
+                    (0,), dtype=np.dtype(self.meta.dtype or "float64")
+                ))
                 continue
             shapes = {item.shape for item in items}
             if len(shapes) == 1:
@@ -1971,23 +1795,77 @@ class ChunkEngine:
                 out.append(items)
         return out
 
+    def _fetch_ranged(self, plan: ReadPlan) -> Optional[Dict[str, Chunk]]:
+        """The §3.5 *ranged* fetch strategy of the one-row entry points: a
+        header probe plus the sample's exact byte range instead of the
+        whole chunk — right for sparse random access (one sample of an
+        8 MB chunk), wrong for streaming, where neighbours are consumed
+        next and the decoded chunk should cache.
+
+        Taken for one cold ``sample`` item of a sample-compressed, not
+        chunk-compressed, non-link tensor when the sample is under a
+        quarter of the chunk's data (above that the whole fetch costs
+        about the same and caches).  The bytes come back as a one-sample
+        stand-in chunk, never cached, and the plan's item is re-pointed at
+        its local index 0 so the one slicer :meth:`_item_value` serves it.
+        Returns ``None`` when the strategy does not apply.
+        """
+        if (
+            len(plan.items) != 1
+            or plan.items[0][0] != "sample"
+            or not plan.chunk_keys
+            or not self.meta.sample_compression
+            or self.meta.chunk_compression
+            or self.meta.is_link
+        ):
+            return None
+        _kind, name, local = plan.items[0]
+        key = plan.chunk_keys[name]
+        if self._cache_peek(key) is not None:
+            return None
+        header = self._load_header(name)
+        start, end = header.sample_range(local)
+        if (
+            header.is_chunk_compressed
+            or (end - start) * 4 >= int(header.byte_positions[-1][1])
+        ):
+            return None
+        raw = self.storage.get_bytes(key, start, end)
+        standin = Chunk(dtype=header.dtype, name=name)
+        standin.append(raw, header.sample_shape(local))
+        # a ranged read is a decoded-chunk cache miss that fetched no chunk
+        for counter in (self._c_partial, self._m_partial,
+                        self._c_misses, self._m_misses):
+            counter.inc()
+        plan.items[0] = ("sample", name, 0)
+        return {name: standin}
+
     def read_batch(self, rows: Sequence[int], aslist: bool = False,
                    decode: bool = True) -> List:
-        """Batched :meth:`read_sample`: one fetch + one decompress per
-        chunk, shared by the dataloader, TQL scans, and serving.
+        """Values of *rows* through one :class:`ReadPlan`: one fetch + one
+        decompress per chunk, however many of the rows it holds.
 
-        A single non-sequence row keeps the §3.5 sparse random-access
-        behaviour (header probe + ranged sample read where profitable)
-        instead of forcing a full chunk fetch into the cache.
+        A one-row call is the random-access entry point and may take the
+        ranged strategy (:meth:`_fetch_ranged`) instead of pulling a
+        whole chunk into the cache for a single sample.
         """
-        rows = list(rows)
-        if len(rows) == 1 and not self.meta.is_sequence:
-            if decode:
-                return [self.read_sample(rows[0])]
-            return [self.read_raw(rows[0])]
-        return self.execute_plan(
-            self.plan_reads(rows), aslist=aslist, decode=decode
-        )
+        plan = self.plan_reads(rows)
+        return self.execute_plan(plan, aslist=aslist, decode=decode,
+                                 _chunks=self._fetch_ranged(plan))
+
+    def read_sample(self, index: int, aslist: bool = False):
+        """One row — a one-row :meth:`read_batch`."""
+        return self.read_batch([index], aslist=aslist)[0]
+
+    def read_items(self, indices: Sequence[int], decode: bool = True) -> List:
+        """Values of *flat* items: rows of a plain tensor, single items
+        of a sequence tensor (one frame without decoding its whole row).
+        Same plan path and one-item ranged rule as :meth:`read_batch`."""
+        plan = ReadPlan(self.tensor)
+        with self._lock:
+            self._plan_flat_items(plan, indices)
+        return self.execute_plan(plan, decode=decode,
+                                 _chunks=self._fetch_ranged(plan))
 
     def plan_residency(self, plan: ReadPlan) -> Tuple[int, int]:
         """Side-effect-free ``(hits, misses)`` peek for *plan* right now.
@@ -2004,13 +1882,22 @@ class ChunkEngine:
         hits = resident + len(plan.active_chunks)
         return hits, len(plan.chunk_keys) - resident
 
+    def read_shape(self, index: int) -> Tuple[int, ...]:
+        """Sample shape without decoding payloads where possible."""
+        return self.read_shapes_batch([index])[0]
+
     def read_shapes_batch(self, rows: Sequence[int]) -> List[Tuple[int, ...]]:
         """Per-sample shapes for many rows: at most one header fetch per
         chunk (reusing decoded chunks when resident) instead of per-row
         metadata reads — what keeps smart scheduling O(chunks)."""
-        if self.meta.is_sequence or self.meta.is_link:
-            return [self.read_shape(i) for i in rows]
         indices = self._normalize_rows(rows)
+        if not self.meta.is_sequence:
+            return self._flat_shapes(indices)
+        spans = [self.seq_enc.item_range(i) for i in indices]
+        firsts = iter(self._flat_shapes([s for s, e in spans if e > s]))
+        return [(e - s, *next(firsts)) if e > s else (0,) for s, e in spans]
+
+    def _flat_shapes(self, indices: Sequence[int]) -> List[Tuple[int, ...]]:
         out: List[Tuple[int, ...]] = []
         shape_src: Dict[str, object] = {}  # chunk name -> Chunk | ChunkHeader
         for idx in indices:
@@ -2020,6 +1907,9 @@ class ChunkEngine:
             if idx in self.tile_enc:
                 out.append(self.tile_enc.layout(idx)[0])
                 continue
+            if self.meta.is_link:  # the stored shape is the pointer's
+                out.append(tuple(self.read_items([idx])[0].shape))
+                continue
             chunk_id, local = self.enc.translate(idx)
             name = ChunkIdEncoder.name_from_id(chunk_id)
             src = shape_src.get(name)
@@ -2028,7 +1918,7 @@ class ChunkEngine:
                 if src is None:
                     src = self._cache_peek(self._chunk_storage_key(name))
                     if src is None:
-                        _key, src = self._load_header(name)
+                        src = self._load_header(name)
                 shape_src[name] = src
             if isinstance(src, Chunk):
                 out.append(src.read_shape(local))
@@ -2104,10 +1994,11 @@ class ChunkEngine:
         """Sparse support: grow with empty padded samples up to *length*."""
         while self.num_samples < length:
             idx = self.num_samples
-            self._append_flat(
-                self.empty_sample() if not self.meta.is_text else ""
-            )
+            self._append_flat(self._pad_value())
             self.pad_enc.pad(idx)
+
+    def _pad_value(self):
+        return "" if self.meta.is_text else self.empty_sample()
 
     # ------------------------------------------------------------------ #
     # layout optimisation
@@ -2122,23 +2013,16 @@ class ChunkEngine:
         left untouched (immutable history); only the current commit's view
         is rewritten.
         """
-        if self.meta.is_sequence:
-            payloads = []
-            for i in range(self.seq_enc.num_samples):
-                start, end = self.seq_enc.item_range(i)
-                payloads.extend(
-                    self._read_flat_bytes(j) for j in range(start, end)
-                )
-        else:
-            payloads = []
-            for i in range(self.enc.num_samples):
-                if i in self.tile_enc:
-                    payloads.append(None)  # placeholder, re-tile below
-                else:
-                    payloads.append(self._read_flat_bytes(i))
+        # one plan over every flat item, fetched as whole chunks in one
+        # batch: payloads are copied chunk to chunk below (raw bytes +
+        # stored shape), never decoded — and never probed sample by sample
+        plan = ReadPlan(self.tensor)
+        with self._lock:
+            self._plan_flat_items(plan, range(self.enc.num_samples))
+        chunks = FusedReadPlan().add(self, plan)._fetch_all()[0]
 
-        # unwritten in-memory chunks (active + upload buffer) have been
-        # fully read above; the rewrite below re-emits every surviving
+        # unwritten in-memory chunks (active + upload buffer) are held by
+        # *chunks* above; the rewrite below re-emits every surviving
         # sample into fresh chunks
         self._active_chunk = None
         self._pending_chunks.clear()
@@ -2154,10 +2038,10 @@ class ChunkEngine:
                 self._write_chunk(active)
             active = None
 
-        for i, payload in enumerate(payloads):
-            if payload is None:  # tiled sample: re-append as tiles
+        for i, spec in enumerate(plan.items):
+            if spec[0] == "tiled":  # re-append as tiles
                 finish_active()
-                arr = self._read_tiled(i)
+                arr = self._item_value(spec, chunks, True)
                 tile_shape = tiling.choose_tile_shape(
                     arr.shape, arr.dtype.itemsize, self.meta.max_chunk_size
                 )
@@ -2176,7 +2060,12 @@ class ChunkEngine:
                 new_enc.register_tiled_sample(ids)
                 new_tiles.register(i, arr.shape, tile_shape)
                 continue
-            raw, shape = payload
+            if spec[0] == "pad":  # re-emitted exactly as pad_to wrote it
+                raw, shape, _arr = self._serialize_sample(self._pad_value())
+            else:
+                _kind, name, local = spec
+                raw, shape = (chunks[name].read_bytes(local),
+                              chunks[name].read_shape(local))
             if active is None or not active.can_fit(
                 len(raw), self.meta.max_chunk_size
             ):
@@ -2190,10 +2079,8 @@ class ChunkEngine:
             new_enc.register_samples(1)
         finish_active()
 
-        if self.meta.is_sequence:
-            # rebuild flat encoder only; sequence ranges unchanged
-            pass
-        # delete replaced chunks owned by this commit
+        # delete replaced chunks owned by this commit (sequence tensors:
+        # only the flat encoder is rebuilt, item ranges are unchanged)
         for name in old_owned - self.chunk_set:
             key = K.chunk_key(self.commit_id, self.tensor, name)
             try:
@@ -2239,7 +2126,7 @@ class ChunkEngine:
                 approx = len(mem.data)
             else:
                 try:
-                    key, header = self._load_header(name)
+                    header = self._load_header(name)
                 except KeyError:
                     continue
                 approx = (
@@ -2293,27 +2180,31 @@ class FusedReadPlan:
         )
 
     def _fetch_all(self) -> List[Dict[str, Chunk]]:
-        """Resident chunks per part, with every miss across all parts
-        fetched in one ``get_many`` per distinct storage provider."""
+        """Resident chunks per part, every miss fetched and decoded — the
+        one routine through which missing chunks reach memory.  With the
+        read pipeline on, the misses of all parts go out in one
+        ``get_many`` per distinct storage provider; with it off (the
+        ablation) each part pays its own ``get_many``."""
+        fuse = read_pipeline_enabled()
         resident: List[Dict[str, Chunk]] = []
         part_fetches: List[Dict[str, str]] = []  # per part: key -> name
-        by_storage: Dict[int, Tuple[StorageProvider, Set[str]]] = {}
-        for engine, plan in self.parts:
+        batches: Dict[int, Tuple[StorageProvider, Set[str]]] = {}
+        for pos, (engine, plan) in enumerate(self.parts):
             chunks, to_fetch = engine._plan_resident_chunks(plan)
             resident.append(chunks)
             part_fetches.append(to_fetch)
             if to_fetch:
-                sid = id(engine.storage)
-                if sid not in by_storage:
-                    by_storage[sid] = (engine.storage, set())
-                by_storage[sid][1].update(to_fetch)
-        if by_storage:
+                batch = id(engine.storage) if fuse else pos
+                batches.setdefault(batch, (engine.storage, set()))[1].update(
+                    to_fetch
+                )
+        if batches:
             blobs: Dict[str, bytes] = {}
             with _tracing.span(
-                "engine.fused_fetch", tensors=len(self.parts),
-                chunks=sum(len(keys) for _s, keys in by_storage.values()),
+                "engine.fetch_chunks", tensors=len(self.parts),
+                chunks=sum(len(keys) for _s, keys in batches.values()),
             ):
-                for storage, want in by_storage.values():
+                for storage, want in batches.values():
                     blobs.update(storage.get_many(sorted(want)))
             for (engine, _plan), chunks, to_fetch in zip(
                 self.parts, resident, part_fetches

@@ -18,7 +18,6 @@ from repro.core.chunk_engine import (
     ChunkEngine,
     FusedReadPlan,
     _WRITE_PIPELINE,
-    read_pipeline_enabled,
 )
 from repro.core.htypes import UNSPECIFIED
 from repro.core.index import Index
@@ -585,11 +584,18 @@ class Dataset:
     ) -> Dict[str, List]:
         """Batched read of many rows across tensors: ``{name: [value, ...]}``.
 
-        One :class:`~repro.core.chunk_engine.ReadPlan` per tensor — every
-        chunk is fetched and decompressed once no matter how many of the
-        requested rows it holds.  This is the read path shared by the
-        dataloader's worker groups, TQL column scans, and the streaming
-        server's ``read_batch`` op.
+        One :class:`~repro.core.chunk_engine.ReadPlan` per tensor, fused
+        into one :class:`~repro.core.chunk_engine.FusedReadPlan`: every
+        chunk is fetched whole and decompressed once no matter how many of
+        the requested rows it holds, and the misses of all tensors reach
+        storage in ONE ``get_many`` — a worker group touching
+        images+labels+boxes pays one round trip, not three (one per tensor
+        under ``read_pipeline(enabled=False)``).  This is the streaming
+        entry point — the dataloader's worker groups call it, TQL scan
+        windows and the streaming server's ``read_batch`` op build the
+        same fused plan — so even a single row pulls its whole chunk into
+        the cache; sparse random access that should stay a ranged read
+        goes through ``ds.tensor[i].numpy()``.
 
         ``rows`` are positions of this view by default; ``physical=True``
         treats them as raw sample indices of the underlying tensors (what
@@ -618,22 +624,10 @@ class Dataset:
                     base = bases[length] = self.index.row_sequence(length)
                 engine_rows = [base[int(r)] for r in row_list]
             resolved.append((name, engine, engine_rows))
-        if read_pipeline_enabled() and len(resolved) > 1 and len(row_list) > 1:
-            # cross-tensor fusion: merge every tensor's plan misses into
-            # ONE storage get_many — a worker group touching
-            # images+labels+boxes pays one round trip, not three
-            fused = FusedReadPlan()
-            for _name, engine, engine_rows in resolved:
-                fused.add(engine, engine.plan_reads(engine_rows))
-            columns = fused.execute(decode=decode, aslist=aslist)
-        else:
-            # serial ablation (read_pipeline(enabled=False)) and the
-            # single-tensor / single-row cases, incl. the §3.5 partial
-            # single-sample path inside read_batch
-            columns = [
-                engine.read_batch(engine_rows, aslist=aslist, decode=decode)
-                for _name, engine, engine_rows in resolved
-            ]
+        fused = FusedReadPlan()
+        for _name, engine, engine_rows in resolved:
+            fused.add(engine, engine.plan_reads(engine_rows))
+        columns = fused.execute(decode=decode, aslist=aslist)
         for (name, _engine, _rows), values in zip(resolved, columns):
             if not physical and decode and self.index.sub_entries:
                 # view semantics match Tensor.numpy: sample sub-indexing
@@ -785,10 +779,11 @@ class Dataset:
                     and not engine.meta.is_sequence
                     and not engine.meta.is_link
                     and src_row not in engine.tile_enc
+                    and not engine.pad_enc.is_padded(src_row)
                 ):
                     # matching codecs: copy the encoded payload verbatim —
                     # no decode/re-encode generation loss for lossy codecs
-                    raw, _shape = engine._read_flat_bytes(src_row)
+                    raw = engine.read_batch([src_row], decode=False)[0]
                     value = Sample(buffer=raw, compression=sc)
                 elif engine.meta.is_sequence:
                     value = engine.read_sample(src_row, aslist=True)

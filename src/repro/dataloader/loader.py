@@ -1,9 +1,14 @@
 """DeepLakeLoader: the streaming dataloader of §4.6.
 
 Pipeline per group: order plan -> prefetch workers (one
-:class:`~repro.core.chunk_engine.ReadPlan` per worker group: fetch each
-chunk once, decompress once, slice all samples; codecs release the GIL)
--> user transform -> collate -> framework handover.  Statistics record
+``Dataset.read_rows`` per worker group, whatever its size: one
+:class:`~repro.core.chunk_engine.ReadPlan` per tensor fused into one
+storage round trip, each chunk fetched whole, decompressed once, all
+samples sliced; codecs release the GIL) -> user transform -> collate ->
+framework handover.  The loader streams, so it never takes the ranged
+single-sample fetch: even ``batch_size=1`` costs one GET per chunk, its
+neighbours are consumed next and served from the decoded chunk.
+Statistics record
 wall time spent waiting on data vs total so benchmarks can report loader
 stall (the complement of GPU utilization in the training sims), plus the
 decoded-chunk cache hit/miss counts that make chunk-granular batching
@@ -29,7 +34,7 @@ from repro.dataloader.prefetch import (
     group_indices,
     prefetched,
 )
-from repro.exceptions import DataLoaderError
+from repro.exceptions import DataLoaderError, FormatError, StorageError
 from repro.integrations.frameworks import to_backend
 from repro.obs import metrics as _metrics
 
@@ -111,7 +116,6 @@ class DeepLakeLoader:
         seed: Optional[int] = None,
         distributed: Optional[Tuple[int, int]] = None,  # (rank, world)
         decode: bool = True,
-        batched: bool = True,
     ):
         self.dataset = dataset
         self.batch_size = int(batch_size)
@@ -135,9 +139,6 @@ class DeepLakeLoader:
         self.seed = seed
         self.distributed = distributed
         self.decode = decode
-        #: ``False`` falls back to one read_sample per row — kept for the
-        #: batched-vs-per-sample benchmark and as an escape hatch
-        self.batched = batched
         self.stats = LoaderStats()
         ds_label = str(getattr(dataset, "path", "") or "dataset")
         self._h_batch = _metrics.histogram(
@@ -204,22 +205,6 @@ class DeepLakeLoader:
             rows = shard_for_rank(rows, rank, world)
         return rows
 
-    def _fetch(self, row: int) -> Dict:
-        """Per-sample fallback path (``batched=False``)."""
-        ds = self.dataset
-        out: Dict[str, object] = {}
-        for short, name in zip(self.tensor_names, self._qualified()):
-            engine = ds._engine(name)
-            if self.decode:
-                # streaming prefers whole-chunk fetches: neighbours are
-                # consumed next and the decoded chunk caches
-                value = engine.read_sample(row, prefer_full=True)
-            else:
-                raw = engine.read_raw(row)
-                value = np.frombuffer(raw, dtype=np.uint8)
-            out[short] = value
-        return self._transformed(out)
-
     def _transformed(self, sample: Dict) -> Dict:
         if self.transform is not None:
             t0 = time.perf_counter()
@@ -252,7 +237,7 @@ class DeepLakeLoader:
             shapes = engine.read_shapes_batch(lead_rows)
             for row, shape in zip(lead_rows, shapes):
                 memo[row] = float(np.prod(shape)) if shape else 0.0
-        except Exception:  # noqa: BLE001 - priority is best-effort
+        except (StorageError, FormatError):  # priority is best-effort
             memo.clear()
 
         def priority(group: Tuple[int, ...]) -> float:
@@ -271,15 +256,13 @@ class DeepLakeLoader:
     def _fetch_group(self, rows: Tuple[int, ...]) -> List[Dict]:
         """Fetch one worker group of samples.
 
-        The batched path issues a single ReadPlan for the whole group:
-        every chunk the group touches is fetched and decompressed exactly
-        once, then all samples are sliced out — instead of ``len(rows)``
-        independent per-sample reads.
+        One ``read_rows`` for the whole group: every chunk the group
+        touches is fetched and decompressed exactly once, then all
+        samples are sliced out — instead of ``len(rows)`` independent
+        per-sample reads.  Single-row groups (``batch_size=1`` / a tight
+        memory budget) take the same call and so still stream whole
+        chunks into the cache.
         """
-        if not self.batched or len(rows) == 1:
-            # single-row groups (batch_size=1 / tight memory budget) keep
-            # the streaming per-sample path: whole-chunk fetch + cache
-            return [self._fetch(row) for row in rows]
         columns = self.dataset.read_rows(
             rows, self.tensor_names, decode=self.decode, physical=True
         )

@@ -108,16 +108,7 @@ class RemoteStorageProvider(StorageProvider):
         once, through its shared cache) and ships every sample back in a
         single response — the sample-level analogue of :meth:`get_many`.
         """
-        resp = self._request(
-            "read_batch", tensor=tensor,
-            rows=tuple(int(r) for r in rows),
-        )
-        out = []
-        for dtype, shape, payload in resp.samples:
-            self.stats.record_get(len(payload))
-            arr = np.frombuffer(payload, dtype=np.dtype(dtype))
-            out.append(arr.reshape(tuple(shape)).copy())
-        return out
+        return self.read_columns([tensor], rows)[tensor]
 
     def read_columns(
         self, tensors: Sequence[str], rows: Sequence[int]

@@ -48,10 +48,8 @@ class Request:
     #: put_many — install order is preserved server-side, so a batch of
     #: class-ordered keys keeps its crash-consistency guarantee remotely
     blobs: Dict[str, bytes] = field(default_factory=dict)
-    tensor: str = ""                    # read_batch
-    #: read_batch over several columns at once: the server fuses the
-    #: per-tensor plans into one backend ``get_many`` and answers on
-    #: :attr:`Response.columns`.  Empty = legacy single-tensor form.
+    #: read_batch columns: the server fuses the per-tensor plans into one
+    #: backend ``get_many`` and answers on :attr:`Response.columns`
     tensors: Tuple[str, ...] = ()
     rows: Tuple[int, ...] = ()          # read_batch
     #: W3C-trace-context-style propagation: when set, the server records
@@ -70,7 +68,6 @@ class Request:
             + sum(len(k) for k in self.keys)
             + len(self.payload)
             + sum(len(k) + len(v) for k, v in self.blobs.items())
-            + len(self.tensor)
             + sum(len(t) for t in self.tensors)
             + 8 * len(self.rows)
             + len(self.trace_id)
@@ -86,9 +83,7 @@ class Response:
     data: bytes = b""                             # get
     blobs: Dict[str, bytes] = field(default_factory=dict)  # get_many
     keys: Tuple[str, ...] = ()                    # keys
-    #: read_batch: one (dtype, shape, payload) triple per requested row
-    samples: Tuple[Tuple[str, Tuple[int, ...], bytes], ...] = ()
-    #: fused read_batch: tensor → tuple of per-row triples
+    #: read_batch: tensor → one (dtype, shape, payload) triple per row
     columns: Dict[str, Tuple[Tuple[str, Tuple[int, ...], bytes], ...]] = (
         field(default_factory=dict)
     )
@@ -105,10 +100,6 @@ class Response:
             n += len(repr(self.trace))
         n += sum(len(k) + len(v) for k, v in self.blobs.items())
         n += sum(len(k) for k in self.keys)
-        n += sum(
-            len(dtype) + 4 * len(shape) + len(payload)
-            for dtype, shape, payload in self.samples
-        )
         for name, triples in self.columns.items():
             n += len(name)
             n += sum(

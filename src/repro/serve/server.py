@@ -23,8 +23,10 @@ behind a shared front door):
   :class:`~repro.exceptions.AdmissionError` rather than queueing without
   bound.
 - **Sample batching** — the ``read_batch`` op serves whole decoded
-  samples: the server opens the hosted dataset once, plans the request
-  through :meth:`~repro.core.chunk_engine.ChunkEngine.read_batch`
+  samples: the server opens the hosted dataset once, plans every
+  requested tensor through
+  :meth:`~repro.core.chunk_engine.ChunkEngine.plan_reads` and executes
+  the plans as one :class:`~repro.core.chunk_engine.FusedReadPlan`
   (one fetch + one decompress per chunk, reading through the shared
   cache), and ships all rows back in a single response — so a remote
   client gets chunk-granular amortization over the wire instead of one
@@ -552,20 +554,18 @@ class DatasetServer:
         The hosted dataset is read through the shared chunk cache, so the
         ReadPlan's chunk fetches land once per chunk server-wide; the
         engine's decoded-chunk hit/miss delta is surfaced per tenant.
-        When the request names several tensors, their plans are fused so
-        every column's misses reach the backend in ONE ``get_many``; each
-        request also feeds the per-tenant stride tracker that drives
-        server-push prefetch of the next sequential window.
+        The tensors' plans are fused so every column's misses reach the
+        backend in ONE ``get_many`` (one per tensor under
+        ``read_pipeline(enabled=False)``); each request also feeds the
+        per-tenant stride tracker that drives server-push prefetch of the
+        next sequential window.
         """
         import numpy as np
 
-        from repro.core.chunk_engine import (
-            FusedReadPlan,
-            read_pipeline_enabled,
-        )
+        from repro.core.chunk_engine import FusedReadPlan
 
         ds = self._served_dataset(req.dataset)
-        names = tuple(req.tensors) or (req.tensor,)
+        names = tuple(req.tensors)
         rows = list(req.rows)
         # always plan + execute (even for one row): serving wants chunks
         # resident in the shared cache for the tenants that come next,
@@ -580,15 +580,10 @@ class DatasetServer:
             hits += h
             misses += m
             plans.append((name, engine, plan))
-        if read_pipeline_enabled() and len(plans) > 1:
-            fused = FusedReadPlan()
-            for _name, engine, plan in plans:
-                fused.add(engine, plan)
-            column_values = fused.execute()
-        else:
-            column_values = [
-                engine.execute_plan(plan) for _name, engine, plan in plans
-            ]
+        fused = FusedReadPlan()
+        for _name, engine, plan in plans:
+            fused.add(engine, plan)
+        column_values = fused.execute()
         columns = {}
         for (name, _engine, _plan), values in zip(plans, column_values):
             triples = []
@@ -610,9 +605,7 @@ class DatasetServer:
         tenant.inc("chunk_cache_misses", misses)
         self._note_read_window(req.tenant, req.dataset, names, rows,
                                plans, ds)
-        if req.tensors:
-            return Response(columns=columns)
-        return Response(samples=columns[names[0]])
+        return Response(columns=columns)
 
     # -- server-push prefetch ---------------------------------------------
 

@@ -34,11 +34,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.chunk_engine import (
-    PRUNED,
-    FusedReadPlan,
-    read_pipeline_enabled,
-)
+from repro.core.chunk_engine import PRUNED, FusedReadPlan
 from repro.exceptions import FormatError, StorageError
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
@@ -146,57 +142,37 @@ class Executor:
 
     def _prefetch_columns(self, tensors: List[str], rows: List[int],
                           bounds: Optional[dict] = None) -> None:
-        """One ReadPlan per column for this batch of rows: each chunk is
-        fetched and decompressed once, then cells come from memory.
+        """One ReadPlan per column for this batch of rows, fused into ONE
+        storage ``get_many`` across all of them: each chunk is fetched and
+        decompressed once, then cells come from memory.
 
         *bounds* (tensor -> interval list) enables statistics pushdown:
         chunks that cannot satisfy the WHERE predicate are skipped with
         zero GETs and their rows cached as the :data:`PRUNED` sentinel.
-        Only storage/decode failures degrade to per-row reads (counted
-        in ``tql.prefetch_fallbacks``); programming errors propagate.
+        Only a storage/decode failure degrades the window to per-row
+        reads (counted in ``tql.prefetch_fallbacks``) — one-row plans on
+        the same path, so a transient failure is simply retried and a
+        persistent one surfaces on the tensor and row that own it;
+        programming errors propagate.
         """
         with _tracing.span("tql.prefetch_columns", tensors=len(tensors),
                            rows=len(rows)):
-            if (
-                read_pipeline_enabled()
-                and len(tensors) > 1
-                and self._prefetch_fused(tensors, rows, bounds)
-            ):
-                return
-            for tensor in tensors:
-                engine = self.ds._engine(tensor)
-                tensor_bounds = bounds.get(tensor) if bounds else None
-                try:
+            fused = FusedReadPlan()
+            plans = []
+            try:
+                for tensor in tensors:
+                    engine = self.ds._engine(tensor)
+                    tensor_bounds = bounds.get(tensor) if bounds else None
                     plan = engine.plan_reads(rows, bounds=tensor_bounds)
-                    values = engine.execute_plan(plan)
-                except (StorageError, FormatError):
-                    self.prefetch_fallbacks += 1
-                    self._m_prefetch_fallbacks.inc()
-                    continue
+                    fused.add(engine, plan)
+                    plans.append((tensor, plan))
+                columns = fused.execute()
+            except (StorageError, FormatError):
+                self.prefetch_fallbacks += 1
+                self._m_prefetch_fallbacks.inc()
+                return
+            for (tensor, plan), values in zip(plans, columns):
                 self._absorb_scan(tensor, plan, rows, values)
-
-    def _prefetch_fused(self, tensors: List[str], rows: List[int],
-                        bounds: Optional[dict]) -> bool:
-        """Fused scan window: one plan per column merged into ONE storage
-        ``get_many`` across all of them (chunk-stats pushdown still
-        applies per column).  Returns False on storage/decode failure so
-        the caller degrades to the per-column loop, whose per-tensor
-        fallback semantics then decide row-level behaviour."""
-        fused = FusedReadPlan()
-        plans = []
-        try:
-            for tensor in tensors:
-                engine = self.ds._engine(tensor)
-                tensor_bounds = bounds.get(tensor) if bounds else None
-                plan = engine.plan_reads(rows, bounds=tensor_bounds)
-                fused.add(engine, plan)
-                plans.append((tensor, plan))
-            columns = fused.execute()
-        except (StorageError, FormatError):
-            return False
-        for (tensor, plan), values in zip(plans, columns):
-            self._absorb_scan(tensor, plan, rows, values)
-        return True
 
     def _absorb_scan(self, tensor: str, plan, rows: List[int],
                      values: List) -> None:

@@ -279,7 +279,7 @@ class Visualizer:
         engine = self.ds._engine(name)
         meta = engine.meta
         if meta.htype == "video" and meta.sample_compression == "mp4":
-            raw, _shape = engine._read_flat_bytes(index)
+            raw = engine.read_batch([index], decode=False)[0]
             codec = get_codec("mp4")
             self._emit(
                 "seek", tensor=layer_name, frame=t,
@@ -292,7 +292,7 @@ class Visualizer:
             if not 0 <= t < end - start:
                 raise VisualizerError(f"frame {t} out of range")
             self._emit("seek", tensor=layer_name, frame=t)
-            return engine._read_flat(start + t)
+            return engine.read_items([start + t])[0]
         raise VisualizerError(f"{layer_name!r} is not playable")
 
 

@@ -98,10 +98,11 @@ class TestPartialReads:
     def test_prefer_full_caches_whole_chunk(self, rng):
         engine, storage = self.make_jpeg_engine(rng)
         fresh = ChunkEngine("t", storage, VersionState())
-        _ = fresh.read_sample(3, prefer_full=True)
+        # a single row that should stream: the plan path fetches whole
+        _ = fresh.execute_plan(fresh.plan_reads([3]))
         assert fresh.partial_reads == 0
         storage.stats.reset()
-        _ = fresh.read_sample(4, prefer_full=True)  # same chunk: cached
+        _ = fresh.execute_plan(fresh.plan_reads([4]))  # same chunk: cached
         assert storage.stats.get_requests == 0
 
     def test_chunk_compressed_never_partial(self):
@@ -261,6 +262,68 @@ class TestRechunk:
         engine.rechunk()
         assert np.array_equal(engine.read_sample(1), big)
         assert engine.tile_enc.num_tiled == 1
+
+    @pytest.mark.parametrize("layout", ["flat", "tiled", "sequence", "padded"])
+    def test_cold_rechunk_fetches_whole_chunks_and_round_trips(self, rng,
+                                                               layout):
+        """rechunk() reads through one plan: a cold sample-compressed
+        tensor costs one GET per chunk, not a header probe plus a ranged
+        GET per sample, and every sample survives byte for byte."""
+        from repro.compression import compress_array, decompress_array
+        from repro.workloads import smooth_image
+
+        if layout == "flat":
+            engine, storage = make_engine(
+                htype="image", sample_compression="jpeg",
+                max_chunk_size=1 << 20,
+            )
+            values = [smooth_image(rng, 24, 24) for _ in range(200)]
+            model = [
+                decompress_array(compress_array(v, "jpeg"), "jpeg")
+                for v in values
+            ]
+        elif layout == "tiled":
+            engine, storage = make_engine(dtype="uint8", max_chunk_size=4096)
+            values = [
+                rng.integers(0, 255, (8, 8, 3), dtype=np.uint8),
+                rng.integers(0, 255, (100, 100, 3), dtype=np.uint8),
+                rng.integers(0, 255, (9, 9, 3), dtype=np.uint8),
+            ]
+            model = values
+        elif layout == "sequence":
+            engine, storage = make_engine(
+                htype="sequence[generic]", dtype="int32", max_chunk_size=256
+            )
+            values = [
+                [np.arange(i, i + 5, dtype=np.int32)] * (i % 4)
+                for i in range(30)
+            ]
+            model = values
+        else:
+            engine, storage = make_engine(dtype="float64", max_chunk_size=256)
+            values = [np.full(3, float(i)) for i in range(20)]
+            model = values + [np.zeros((0,))] * 5
+        engine.extend(values)
+        if layout == "padded":
+            engine.pad_to(25)
+        engine.flush()
+        rows = list(range(engine.num_samples))
+        raw_before = engine.read_batch(rows, decode=False)
+
+        cold = ChunkEngine("t", storage, VersionState())
+        n_chunks = len({name for name, _s, _e in cold.chunk_layout()})
+        storage.stats.reset()
+        cold.rechunk()
+        assert storage.stats.get_requests <= n_chunks + 2
+
+        after = ChunkEngine("t", storage, VersionState())
+        assert after.read_batch(rows, decode=False) == raw_before
+        for got, want in zip(after.read_batch(rows, aslist=True), model):
+            if isinstance(want, list):
+                assert len(got) == len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            else:
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestTextJson:

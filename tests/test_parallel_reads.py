@@ -1,9 +1,11 @@
 """Parallel plan execution, cross-tensor fusion, and server-push prefetch:
-byte-identity of the decode pool against serial execution across every
-compression/layout, fused-plan round-trip accounting, exception
+byte-identity of the decode pool and of serial execution with the
+appended values across every compression/layout, fused-plan round-trip
+accounting, exception
 propagation from decode workers, coordinated multi-tensor flush, and the
 serving tier's sequential-stride prefetcher."""
 
+import sys
 import threading
 
 import numpy as np
@@ -13,6 +15,7 @@ import repro
 from repro.core.chunk_engine import (
     ChunkEngine,
     FusedReadPlan,
+    _decode_pool,
     _read_parallelism,
     read_pipeline,
     read_pipeline_enabled,
@@ -58,74 +61,85 @@ def assert_identical(parallel, serial):
 
 
 class TestParallelByteIdentity:
-    """The decode pool must be invisible except for speed."""
+    """The decode pool must be invisible except for speed: parallel and
+    serial execution both read back exactly what was appended."""
 
-    def check(self, storage, rows, **kwargs):
+    def check(self, storage, rows, model, **kwargs):
+        """*model*: the expected value per stored row (``model[row]``)."""
+        want = [model[row] for row in rows]
         with read_pipeline(enabled=False):
             serial = fresh_reader(storage).read_batch(rows, **kwargs)
         with read_pipeline(enabled=True, workers=4):
             parallel = fresh_reader(storage).read_batch(rows, **kwargs)
-        assert_identical(parallel, serial)
+        assert_identical(serial, want)
+        assert_identical(parallel, want)
 
     def test_uncompressed_many_chunks_randomized(self, rng):
         engine, storage = make_engine(dtype="int64", max_chunk_size=256)
-        for i in range(80):
-            engine.append(np.arange(i, i + 4, dtype=np.int64))
+        model = [np.arange(i, i + 4, dtype=np.int64) for i in range(80)]
+        engine.extend(model)
         engine.flush()
         rows = rng.permutation(80).tolist() + [3, 3, -1]
-        self.check(storage, rows)
+        self.check(storage, rows, model)
 
     def test_jpeg_sample_compression(self, rng):
+        from repro.compression import compress_array, decompress_array
+
         engine, storage = make_engine(
             htype="image", dtype="uint8", sample_compression="jpeg",
             max_chunk_size=16384,
         )
-        for i in range(12):
-            engine.append(smooth_image(rng, 40 + (i % 3) * 8, 40, 3))
+        images = [smooth_image(rng, 40 + (i % 3) * 8, 40, 3)
+                  for i in range(12)]
+        engine.extend(images)
         engine.flush()
-        rows = rng.permutation(12).tolist()
-        self.check(storage, rows)
+        model = [decompress_array(compress_array(im, "jpeg"), "jpeg")
+                 for im in images]
+        self.check(storage, rng.permutation(12).tolist(), model)
 
     def test_lz4_chunk_compression(self, rng):
         engine, storage = make_engine(
             dtype="float32", chunk_compression="lz4", max_chunk_size=2048,
         )
-        for i in range(48):
-            engine.append(rng.random(64).astype(np.float32))
+        model = [rng.random(64).astype(np.float32) for _ in range(48)]
+        engine.extend(model)
         engine.flush()
-        rows = rng.permutation(48).tolist()
-        self.check(storage, rows)
+        self.check(storage, rng.permutation(48).tolist(), model)
 
     def test_tiled_samples(self, rng):
         engine, storage = make_engine(dtype="uint8", max_chunk_size=4096)
-        engine.append(rng.integers(0, 255, (128, 96, 3), dtype=np.uint8))
-        engine.append(rng.integers(0, 255, (64, 64, 3), dtype=np.uint8))
+        model = [rng.integers(0, 255, (128, 96, 3), dtype=np.uint8),
+                 rng.integers(0, 255, (64, 64, 3), dtype=np.uint8)]
+        engine.extend(model)
         engine.flush()
-        self.check(storage, [1, 0, 1])
+        self.check(storage, [1, 0, 1], model)
 
     def test_sequence_rows(self):
         engine, storage = make_engine(
             htype="sequence[generic]", dtype="int64", max_chunk_size=512,
         )
-        for i in range(10):
-            engine.append([np.arange(i, i + 3, dtype=np.int64)] * (1 + i % 3))
+        rows = [[np.arange(i, i + 3, dtype=np.int64)] * (1 + i % 3)
+                for i in range(10)]
+        engine.extend(rows)
         engine.flush()
-        self.check(storage, [9, 0, 4, 4, 7])
-        self.check(storage, [2, 8, 1], aslist=True)
+        self.check(storage, [9, 0, 4, 4, 7], [np.stack(r) for r in rows])
+        self.check(storage, [2, 8, 1], rows, aslist=True)
 
     def test_padded_rows(self):
         engine, storage = make_engine(dtype="float64")
         engine.append(np.ones(3))
         engine.pad_to(6)
         engine.flush()
-        self.check(storage, [0, 3, 5, 0])
+        self.check(storage, [0, 3, 5, 0],
+                   [np.ones(3)] + [np.zeros((0,))] * 5)
 
     def test_raw_mode(self):
         engine, storage = make_engine(dtype="int64", max_chunk_size=256)
-        for i in range(30):
-            engine.append(np.arange(i, i + 4, dtype=np.int64))
+        values = [np.arange(i, i + 4, dtype=np.int64) for i in range(30)]
+        engine.extend(values)
         engine.flush()
-        self.check(storage, [3, 12, 29, 0], decode=False)
+        self.check(storage, [3, 12, 29, 0], [v.tobytes() for v in values],
+                   decode=False)
 
 
 class TestReadPipelineAblation:
@@ -163,6 +177,51 @@ class TestReadPipelineAblation:
         t.start()
         t.join()
         assert seen["p"] == 1
+
+    def test_pool_resize_never_strands_a_reader(self, rng):
+        """Resizing the decode pool while another thread is mid-read must
+        not shut the pool that reader already holds out from under it."""
+        engine, storage = make_engine(
+            dtype="float32", chunk_compression="lz4", max_chunk_size=2048,
+        )
+        engine.extend([rng.random(64).astype(np.float32) for _ in range(400)])
+        engine.flush()
+        rows = list(range(400))
+        want = engine.read_batch(rows)
+        stop = threading.Event()
+        errors = []
+
+        def resize():
+            workers = 2
+            while not stop.is_set():
+                with read_pipeline(workers=workers):
+                    _decode_pool()
+                workers = 5 - workers  # 2 <-> 3
+
+        def read():
+            try:
+                for _ in range(20):
+                    got = fresh_reader(storage).read_batch(rows)
+                    assert_identical(got, want)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        resizer = threading.Thread(target=resize)
+        reader = threading.Thread(target=read)
+        try:
+            with read_pipeline(enabled=True):
+                resizer.start()
+                reader.start()
+                reader.join(timeout=60)
+                stop.set()
+                resizer.join(timeout=10)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive() and not resizer.is_alive()
+        assert not errors, errors
 
 
 class TestEmptySequenceDtype:
@@ -228,6 +287,38 @@ class TestFusedPlanAccounting:
         )
         assert batches == 3  # the PR 2 one-get_many-per-tensor path
 
+    @pytest.mark.parametrize("consumer", ["serve", "tql"])
+    @pytest.mark.parametrize("enabled, round_trips", [(True, 1), (False, 3)])
+    def test_consumers_share_the_fetch_routine(self, consumer, enabled,
+                                               round_trips):
+        """The fused/serial switch lives in the one fetch routine, so a
+        served read_batch and a TQL scan window show the same 1-vs-3."""
+        store = make_object_store("s3", bucket=f"fused-{consumer}-{enabled}")
+        self._dataset(store)
+        if consumer == "serve":
+            server = DatasetServer(f"fused-{enabled}", cache_bytes=0)
+            client = server.add_dataset("d", store).connect("d", tenant="t")
+            cold = server._served_dataset("d")
+
+            def read():
+                client.read_columns(["a", "b", "c"], list(range(24)))
+        else:
+            cold = repro.Dataset(store, read_only=True)
+
+            def read():
+                cold.query("select * where b >= 0 and MEAN(a) >= 0 "
+                           "and MEAN(c) >= 0")
+        for name in ("a", "b", "c"):
+            cold._engine(name)
+        before = dict(store.requests_by_op)
+        with read_pipeline(enabled=enabled):
+            read()
+        after = store.requests_by_op
+        assert after.get("download_batch", 0) - before.get(
+            "download_batch", 0
+        ) == round_trips
+        assert after.get("download", 0) == before.get("download", 0)
+
     def test_fused_values_match_per_tensor_reads(self, rng):
         store = MemoryProvider("fused-eq")
         ds = self._dataset(store)
@@ -235,8 +326,14 @@ class TestFusedPlanAccounting:
         fused = ds.read_rows(rows, ["a", "b", "c"])
         with read_pipeline(enabled=False):
             serial = ds.read_rows(rows, ["a", "b", "c"])
+        model = {
+            "a": [np.full((16, 16), i % 250, dtype=np.uint8) for i in rows],
+            "b": [np.array(i, dtype=np.int64) for i in rows],
+            "c": [np.full(32, i, dtype=np.float32) for i in rows],
+        }
         for name in ("a", "b", "c"):
-            assert_identical(fused[name], serial[name])
+            assert_identical(fused[name], model[name])
+            assert_identical(serial[name], model[name])
 
     def test_duplicate_tensor_names_share_chunks(self):
         store = MemoryProvider("fused-dup")
@@ -426,10 +523,14 @@ class TestServePushPrefetch:
         server, client, w = self._served("push-identity", n=64)
         rows = list(range(10, 30))
         cols = client.read_columns(["images", "labels"], rows)
-        imgs = client.read_batch("images", rows)
-        labs = client.read_batch("labels", rows)
+        imgs = [np.full((32, 32), i % 250, dtype=np.uint8) for i in rows]
+        # a scalar sample crosses the wire as one element
+        labs = [np.array([i], dtype=np.int64) for i in rows]
         assert_identical(cols["images"], imgs)
         assert_identical(cols["labels"], labs)
+        # the single-tensor client call is the one-column form of the same
+        assert_identical(client.read_batch("images", rows), imgs)
+        assert_identical(client.read_batch("labels", rows), labs)
 
     def test_stats_snapshot_reports_prefetch(self):
         server, client, w = self._served("push-snap", n=64)

@@ -1,11 +1,13 @@
-"""The ReadPlan layer: plan_reads grouping, read_batch identity with
-per-row read_sample, batched shapes, cache counters, get_many providers,
-Dataset.read_rows, and the consumers riding the batch path."""
+"""The ReadPlan layer: plan_reads grouping, read identity with a
+list-of-arrays model of what was appended (one row and many rows through
+the same assertions), batched shapes, cache counters, get_many providers,
+Dataset.read_rows, and the consumers riding the plan path."""
 
 import numpy as np
 import pytest
 
 import repro
+from repro.compression import compress_array, decompress_array
 from repro.core.chunk_engine import ChunkEngine
 from repro.core.meta import TensorMeta
 from repro.core.version_state import VersionState
@@ -74,25 +76,136 @@ class TestPlanReads:
         assert plan.num_items == 5
 
 
-class TestReadBatchIdentity:
-    def assert_matches(self, engine, rows, **kwargs):
-        batch = engine.read_batch(rows, **kwargs)
-        for value, row in zip(batch, rows):
-            ref = engine.read_sample(row, **kwargs)
-            if isinstance(ref, list):
-                assert isinstance(value, list) and len(value) == len(ref)
-                for a, b in zip(value, ref):
-                    assert np.array_equal(a, b)
-            else:
-                assert np.array_equal(value, ref)
+def jpeg_roundtrip(image):
+    """What a lossy-JPEG tensor must read back for an appended *image*."""
+    return decompress_array(compress_array(image, "jpeg"), "jpeg")
 
+
+def assert_reads_match_model(engine, rows, model, aslist=False):
+    """``read_batch(rows)`` — and, for one row, ``read_sample`` — against
+    *model*: the appended values, ``model[i]`` an array or, for a sequence
+    row, the list of its item arrays.  Dtypes must match too."""
+    reads = [engine.read_batch(rows, aslist=aslist)]
+    if len(rows) == 1:
+        reads.append([engine.read_sample(rows[0], aslist=aslist)])
+    for values in reads:
+        assert len(values) == len(rows)
+        for value, row in zip(values, rows):
+            want = model[row]
+            if not isinstance(want, list):
+                assert value.dtype == want.dtype
+                assert np.array_equal(value, want)
+            elif aslist:
+                assert isinstance(value, list) and len(value) == len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(value, want))
+            elif want:  # uniform items stack
+                assert np.array_equal(value, np.stack(want))
+            else:  # empty span: zero rows of the tensor's own dtype
+                assert value.shape == (0,)
+                assert value.dtype == np.dtype(engine.meta.dtype)
+
+
+LAYOUTS = ["uncompressed", "lz4_chunk", "jpeg_sample", "tiled", "sequence",
+           "padded", "pending"]
+
+
+def build_layout(layout, rng):
+    """-> (cold reader, model) for one storage layout of the matrix."""
+    from repro.workloads import smooth_image
+
+    meta = {
+        "uncompressed": dict(dtype="int64", max_chunk_size=256),
+        "lz4_chunk": dict(dtype="float32", chunk_compression="lz4",
+                          max_chunk_size=2048),
+        "jpeg_sample": dict(htype="image", sample_compression="jpeg",
+                            max_chunk_size=1 << 20),
+        "tiled": dict(dtype="uint8", max_chunk_size=4096),
+        "sequence": dict(htype="sequence[generic]", dtype="int32",
+                         max_chunk_size=256),
+        "padded": dict(dtype="float64", max_chunk_size=256),
+        "pending": dict(dtype="int64", max_chunk_size=256),
+    }[layout]
+    engine, storage = make_engine(**meta)
+    if layout in ("uncompressed", "pending"):
+        values = [np.arange(i, i + 4, dtype=np.int64) for i in range(30)]
+    elif layout == "lz4_chunk":
+        values = [rng.random(64).astype(np.float32) for _ in range(30)]
+    elif layout == "jpeg_sample":
+        values = [smooth_image(rng, 40, 40) for _ in range(12)]
+    elif layout == "tiled":
+        values = [rng.integers(0, 255, shape, dtype=np.uint8)
+                  for shape in [(4, 4, 3), (128, 96, 3), (6, 6, 3)]]
+    elif layout == "sequence":
+        values = [[np.arange(i, i + 3, dtype=np.int32)] * (i % 4)
+                  for i in range(12)]  # rows 0, 4, 8 are empty spans
+    else:
+        values = [np.full(3, float(i)) for i in range(6)]
+    engine.extend(values)
+    model = list(values)
+    if layout == "jpeg_sample":
+        model = [jpeg_roundtrip(v) for v in values]
+    if layout == "padded":
+        engine.pad_to(10)
+        model += [np.zeros((0,))] * 4
+    if layout == "pending":  # unflushed: active + upload-buffer chunks
+        assert engine._active_chunk is not None and engine._pending_chunks
+        return engine, model
+    engine.flush()
+    return fresh_reader(storage), model
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+class TestReadsMatchModel:
+    """Every layout x {one row, many rows, repeated and negative rows}:
+    single-row and multi-row reads pass through the same assertions."""
+
+    def test_one_row_at_a_time(self, rng, layout):
+        engine, model = build_layout(layout, rng)
+        for row in range(len(model)):  # first touch cold, then warm
+            assert_reads_match_model(engine, [row], model)
+            assert_reads_match_model(engine, [row], model, aslist=True)
+
+    def test_many_rows(self, rng, layout):
+        engine, model = build_layout(layout, rng)
+        rows = rng.permutation(len(model)).tolist()
+        assert_reads_match_model(engine, rows, model)
+        assert_reads_match_model(engine, rows, model, aslist=True)
+
+    def test_repeated_and_negative_rows(self, rng, layout):
+        engine, model = build_layout(layout, rng)
+        assert_reads_match_model(engine, [2, 2, -1, 0, -2, 1, -1], model)
+
+    def test_one_cold_row_through_every_entry_point(self, layout):
+        """Ranged (read_sample / one-row read_batch) and whole-chunk
+        (plan + execute) single-row reads agree with the model."""
+
+        def cold():
+            return build_layout(layout, np.random.default_rng(7))
+
+        _engine, model = cold()
+        for row in (1, len(model) - 1):
+            assert_reads_match_model(cold()[0], [row], model)
+            engine = cold()[0]
+            got = engine.execute_plan(engine.plan_reads([row]), aslist=True)
+            want = model[row]
+            if isinstance(want, list):
+                assert len(got[0]) == len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(got[0], want))
+            else:
+                assert np.array_equal(got[0], want)
+
+
+class TestReadBatchIdentity:
     def test_uncompressed_across_chunk_boundaries(self):
         engine, storage = make_engine(dtype="int64", max_chunk_size=256)
-        for i in range(60):
-            engine.append(np.arange(i, i + 4, dtype=np.int64))
+        model = [np.arange(i, i + 4, dtype=np.int64) for i in range(60)]
+        for value in model:
+            engine.append(value)
         engine.flush()
         assert engine.enc.num_chunks > 1
-        self.assert_matches(fresh_reader(storage), [0, 17, 59, 30, 17])
+        assert_reads_match_model(
+            fresh_reader(storage), [0, 17, 59, 30, 17], model
+        )
 
     def test_sample_compressed_jpeg(self, rng):
         from repro.workloads import smooth_image
@@ -100,50 +213,59 @@ class TestReadBatchIdentity:
         engine, storage = make_engine(
             htype="image", sample_compression="jpeg", max_chunk_size=1 << 20
         )
-        for _ in range(12):
-            engine.append(smooth_image(rng, 40, 40))
+        images = [smooth_image(rng, 40, 40) for _ in range(12)]
+        for image in images:
+            engine.append(image)
         engine.flush()
-        self.assert_matches(fresh_reader(storage), list(range(12)))
+        assert_reads_match_model(
+            fresh_reader(storage), list(range(12)),
+            [jpeg_roundtrip(image) for image in images],
+        )
 
     def test_chunk_compressed_lz4(self):
         engine, storage = make_engine(dtype="int64", chunk_compression="lz4")
-        engine.extend([np.arange(100, dtype=np.int64)] * 20)
+        model = [np.arange(i, i + 100, dtype=np.int64) for i in range(20)]
+        engine.extend(model)
         engine.flush()
-        self.assert_matches(fresh_reader(storage), [19, 0, 7])
+        assert_reads_match_model(fresh_reader(storage), [19, 0, 7], model)
 
     def test_tiled_and_flat_mix(self, rng):
         engine, storage = make_engine(dtype="uint8", max_chunk_size=4096)
-        engine.append(np.zeros((4, 4, 3), dtype=np.uint8))
-        engine.append(rng.integers(0, 255, (128, 96, 3), dtype=np.uint8))
+        model = [np.zeros((4, 4, 3), dtype=np.uint8),
+                 rng.integers(0, 255, (128, 96, 3), dtype=np.uint8)]
+        for value in model:
+            engine.append(value)
         engine.flush()
         assert engine.tile_enc.num_tiled == 1
-        fresh = fresh_reader(storage)
-        batch = fresh.read_batch([1, 0])
-        assert np.array_equal(batch[0], engine.read_sample(1))
-        assert np.array_equal(batch[1], engine.read_sample(0))
+        assert_reads_match_model(fresh_reader(storage), [1, 0], model)
 
     def test_sequences_stack_and_aslist(self):
         engine, storage = make_engine(htype="sequence[generic]", dtype="int64")
-        engine.append([np.arange(3, dtype=np.int64)] * 2)
-        engine.append([np.arange(3, dtype=np.int64)] * 4)
+        model = [[np.arange(3, dtype=np.int64)] * 2,
+                 [np.arange(3, dtype=np.int64)] * 4]
+        for value in model:
+            engine.append(value)
         engine.flush()
         fresh = fresh_reader(storage)
-        self.assert_matches(fresh, [1, 0])
-        self.assert_matches(fresh, [1, 0], aslist=True)
+        assert_reads_match_model(fresh, [1, 0], model)
+        assert_reads_match_model(fresh, [1, 0], model, aslist=True)
 
     def test_padded_rows(self):
         engine, storage = make_engine(dtype="float64")
         engine.append(np.ones(3))
         engine.pad_to(5)
         engine.flush()
-        self.assert_matches(fresh_reader(storage), [0, 3, 4])
+        model = [np.ones(3)] + [np.zeros((0,))] * 4
+        assert_reads_match_model(fresh_reader(storage), [0, 3, 4], model)
 
     def test_text(self):
         engine, storage = make_engine(htype="text")
-        for word in ["alpha", "beta", "gamma"]:
+        words = ["alpha", "beta", "gamma"]
+        for word in words:
             engine.append(word)
         engine.flush()
-        self.assert_matches(fresh_reader(storage), [2, 0, 1])
+        model = [np.frombuffer(w.encode(), dtype=np.uint8) for w in words]
+        assert_reads_match_model(fresh_reader(storage), [2, 0, 1], model)
 
     def test_raw_mode_matches_stored_payload(self):
         engine, storage = make_engine(dtype="int64", max_chunk_size=256)
@@ -154,6 +276,8 @@ class TestReadBatchIdentity:
         raws = fresh.read_batch([3, 12], decode=False)
         assert raws[0] == np.arange(3, 7, dtype=np.int64).tobytes()
         assert raws[1] == np.arange(12, 16, dtype=np.int64).tobytes()
+        # one row takes the same path and returns the same payload
+        assert fresh_reader(storage).read_batch([12], decode=False) == raws[1:]
 
 
 class TestCopyOnWriteAcrossCommits:
@@ -172,10 +296,10 @@ class TestCopyOnWriteAcrossCommits:
 
         engine = ds._engine("x")
         rows = [0, 5, 19, 25, 29]
-        batch = engine.read_batch(rows)
-        for value, row in zip(batch, rows):
-            assert np.array_equal(value, engine.read_sample(row))
-        assert batch[0][0] == 111  # updated value at head
+        model = [np.full((4,), i, dtype=np.int64) for i in range(30)]
+        model[0] = np.full((4,), 111, dtype=np.int64)  # updated at head
+        assert_reads_match_model(engine, rows, model)
+        assert_reads_match_model(engine, [0], model)
         # time travel still sees the pre-COW bytes
         old = ds._at_commit(first)
         assert old._engine("x").read_batch([0])[0][0] == 0
@@ -216,13 +340,13 @@ class TestCacheCounters:
         engine, storage = make_engine(
             htype="image", sample_compression="jpeg", max_chunk_size=1 << 20
         )
-        for _ in range(30):
-            engine.append(smooth_image(rng, 40, 40))
+        images = [smooth_image(rng, 40, 40) for _ in range(30)]
+        engine.extend(images)
         engine.flush()
         fresh = fresh_reader(storage)
         storage.stats.reset()
         batch = fresh.read_batch([17])
-        assert np.array_equal(batch[0], engine.read_sample(17))
+        assert np.array_equal(batch[0], jpeg_roundtrip(images[17]))
         # sparse random access must stay a ranged read, not a full chunk
         assert fresh.partial_reads == 1
         assert fresh.full_chunk_reads == 0
@@ -354,17 +478,23 @@ class TestDatasetReadRows:
 
 class TestConsumersMatchPerSamplePath:
     def test_loader_batched_equals_per_sample(self, image_ds):
+        """Every loader sample is some row's ``ds.images[i].numpy()`` with
+        that row's label, and each row is delivered exactly once."""
         from repro.dataloader import DeepLakeLoader
 
-        batched = list(DeepLakeLoader(image_ds, batch_size=5, seed=3,
-                                      shuffle=True))
-        single = list(DeepLakeLoader(image_ds, batch_size=5, seed=3,
-                                     shuffle=True, batched=False))
-        assert len(batched) == len(single)
-        for a, b in zip(batched, single):
-            assert np.array_equal(a["labels"], b["labels"])
-            for x, y in zip(a["images"], b["images"]):
-                assert np.array_equal(x, y)
+        row_of = {
+            image_ds.images[i].numpy().tobytes(): i for i in range(24)
+        }
+        assert len(row_of) == 24
+        seen = []
+        for batch in DeepLakeLoader(image_ds, batch_size=5, seed=3,
+                                    shuffle=True):
+            for image, label in zip(batch["images"], batch["labels"]):
+                row = row_of[image.tobytes()]
+                assert image.shape == image_ds.images[row].numpy().shape
+                assert np.array_equal(label, image_ds.labels[row].numpy())
+                seen.append(row)
+        assert sorted(seen) == list(range(24))
 
     def test_loader_stats_expose_chunk_cache_counters(self, image_ds):
         from repro.dataloader import DeepLakeLoader
@@ -390,7 +520,7 @@ class TestConsumersMatchPerSamplePath:
         loader = DeepLakeLoader(cold, batch_size=1, tensors=["images"])
         n = sum(1 for _ in loader)
         assert n == 24
-        # single-row groups must keep prefer_full streaming: one GET per
+        # single-row groups must keep streaming whole chunks: one GET per
         # chunk, not a header probe + ranged GET per sample
         assert image_ds.storage.stats.get_requests == engine.enc.num_chunks
 

@@ -215,14 +215,22 @@ class TestCounters:
         from repro.exceptions import StorageError
 
         q = "SELECT * WHERE score > 0"
-        ex = _executor(kds, q)
-        engine = kds._engine("score")
+        kds.flush()
+        cold = repro.load(kds.storage)  # chunks must come from storage
+        ex = _executor(cold, q)
+        storage = cold._engine("score").storage
+        get_many = storage.get_many
+        outages = []
 
-        def boom(rows, bounds=None):
-            raise StorageError("simulated outage")
+        def flaky(keys):
+            if not outages:  # the first batched fetch fails, then recovers
+                outages.append(list(keys))
+                raise StorageError("simulated outage")
+            return get_many(keys)
 
-        monkeypatch.setattr(engine, "plan_reads", boom)
+        monkeypatch.setattr(storage, "get_many", flaky)
         out = ex.run(q)
+        assert outages
         assert len(out) == 19
         assert ex.prefetch_fallbacks > 0
         assert ex.cells_fetched > 0  # degraded to per-row reads
