@@ -1,10 +1,10 @@
-"""Fig 7-style: parallel plan execution + cross-tensor fusion on the read
-path.
+"""Fig 7-style: cross-tensor fusion on the read path.
 
 PR 2 made reads chunk-granular (one ``get_many`` per tensor per worker
 group); this benchmark pins down the next multiple: fusing every tensor's
-plan into ONE backend round trip per group and decoding chunks on the
-shared pool.  A loader streaming (images, labels, boxes) must
+plan into ONE backend round trip per group.  The per-tensor yardstick is
+built here — a dataset wrapper whose ``read_rows`` calls the real one once
+per tensor.  A loader streaming (images, labels, boxes) must
 
 - beat the per-tensor batched path by >= 1.5x samples/s on simulated S3,
 - pay one ``download_batch`` per worker group instead of one per tensor,
@@ -19,7 +19,6 @@ import time
 import numpy as np
 
 import repro
-from repro.core.chunk_engine import read_pipeline
 from repro.dataloader import DeepLakeLoader
 from repro.serve.server import DatasetServer
 from repro.sim.clock import SimClock
@@ -29,6 +28,23 @@ from repro.storage.object_store import make_object_store
 from conftest import bench_record, print_table, scaled
 
 TENSORS = ["images", "labels", "boxes"]
+
+
+class PerTensorReads:
+    """The per-tensor yardstick: a dataset whose ``read_rows`` pays one
+    call, and so one ``get_many``, per tensor (the PR 2 path)."""
+
+    def __init__(self, ds):
+        self._ds = ds
+
+    def __getattr__(self, name):
+        return getattr(self._ds, name)
+
+    def read_rows(self, rows, tensors, **kwargs):
+        out = {}
+        for name in tensors:
+            out.update(self._ds.read_rows(rows, [name], **kwargs))
+        return out
 
 
 def _multi_tensor_dataset(storage, rng, n, chunk_size=16 * 1024):
@@ -81,10 +97,8 @@ class TestFusedParallelLoader:
         store = make_object_store("s3", clock=clock)
         _multi_tensor_dataset(store, rng, n)
 
-        # fresh datasets per run: cold engine caches, same backing bytes.
-        # Ablation = the PR 2 path: one get_many per tensor, serial decode
-        with read_pipeline(enabled=False):
-            batched_rate, _ = self._epoch_rate(repro.load(store))
+        # fresh datasets per run: cold engine caches, same backing bytes
+        batched_rate, _ = self._epoch_rate(PerTensorReads(repro.load(store)))
         fused_rate, stats = self._epoch_rate(repro.load(store))
         speedup = fused_rate / batched_rate
 
@@ -94,42 +108,40 @@ class TestFusedParallelLoader:
         _multi_tensor_dataset(rt_store, rng, n)
         group = list(range(16))
 
-        def group_round_trips(enabled):
+        def group_round_trips(wrap):
             cold = repro.load(rt_store)
             for name in TENSORS:  # open engines: meta/encoders read here
                 cold._engine(cold._qualify(name))
             before = dict(rt_store.requests_by_op)
-            with read_pipeline(enabled=enabled):
-                cold.read_rows(group, TENSORS)
+            wrap(cold).read_rows(group, TENSORS)
             return (
                 rt_store.requests_by_op.get("download_batch", 0)
                 - before.get("download_batch", 0)
             )
 
-        batched_trips = group_round_trips(False)
-        fused_trips = group_round_trips(True)
+        batched_trips = group_round_trips(PerTensorReads)
+        fused_trips = group_round_trips(lambda ds: ds)
 
         print_table(
-            "Fused + parallel vs per-tensor batched loader (simulated S3)",
+            "Fused vs per-tensor batched loader (simulated S3)",
             [
                 {"path": "per-tensor batched (PR 2)", "samples": n,
                  "samples_per_s": round(batched_rate, 1),
                  "group_round_trips": batched_trips},
-                {"path": "fused + parallel", "samples": n,
+                {"path": "fused", "samples": n,
                  "samples_per_s": round(fused_rate, 1),
                  "group_round_trips": fused_trips,
                  "speedup": f"{speedup:.2f}x",
                  "chunk_cache_misses": stats.chunk_cache_misses},
             ],
-            note="3 tensors per group: fusion folds 3 round trips into 1; "
-                 "the decode pool overlaps decompression",
+            note="3 tensors per group: fusion folds 3 round trips into 1",
         )
         assert fused_trips == 1, (
             f"fused worker group paid {fused_trips} round trips"
         )
         assert batched_trips == len(TENSORS)
         assert speedup >= 1.5, (
-            f"fused+parallel loader only {speedup:.2f}x over batched path"
+            f"fused loader only {speedup:.2f}x over batched path"
         )
 
         latency = store.latency_percentiles("download_batch")
@@ -176,8 +188,9 @@ class TestServerPushPrefetchHitRate:
                 "prefetch_wasted": server.prefetch_wasted,
                 "hit_rate": f"{hits / issued:.0%}" if issued else "n/a",
             }],
-            note="speculative fused plans run on the decode pool into the "
-                 "shared cache; sequential windows claim them as hits",
+            note="speculative fused plans run on the server's prefetch "
+                 "threads into the shared cache; sequential windows claim "
+                 "them as hits",
         )
         assert issued > 0
         assert server.prefetch_wasted == 0

@@ -22,7 +22,6 @@ from repro.api import connect, copy, dataset, delete, empty, exists, load
 # is the class
 import repro.serve  # noqa: E402,F401
 import repro.obs  # noqa: E402,F401
-from repro.core.chunk_engine import read_pipeline, write_pipeline
 from repro.core.dataset import Dataset
 from repro.core.tensor import Tensor
 from repro.core.sample import LinkedSample, Sample, link, read
@@ -49,7 +48,5 @@ __all__ = [
     "Sample",
     "LinkedSample",
     "DeepLakeError",
-    "read_pipeline",
-    "write_pipeline",
     "__version__",
 ]

@@ -27,8 +27,7 @@ three steps, plan -> fetch -> slice:
   samples, sequence samples, and sparse padding handled in the plan;
 - :meth:`FusedReadPlan._fetch_all` is the only routine that fetches
   missing chunks — one ``get_many`` for the plans of every tensor in a
-  request (one per tensor under ``read_pipeline(enabled=False)``) — and
-  each is decompressed once into the decoded-chunk cache;
+  request — and each is decompressed once into the decoded-chunk cache;
 - :meth:`_item_value` is the only slicer: plan item + fetched chunks ->
   the sample's value.
 
@@ -45,6 +44,24 @@ storage GET per chunk, and a single row that should stream is spelled
 shape lookups from one header (or cached chunk) per chunk; the
 ``chunk_cache_hits`` / ``chunk_cache_misses`` counters make the batching
 observable from loader stats and per-tenant serve stats.
+
+The one write path
+------------------
+Chunks fill in memory, then upload (§3.4–3.5): a finalized chunk — and a
+stored chunk modified by :meth:`update` or rewritten by :meth:`rechunk` —
+joins ``_pending_chunks``, and :meth:`_serialize_pending` turns the buffer
+into the ``set_many`` batch that is the only way a chunk reaches storage:
+when a commit or update leaves ``_WATERMARK_CHUNKS`` chunks buffered, and
+at :meth:`flush` (chunks, then encoders, then meta).
+
+Where parallelism lives
+-----------------------
+The engine runs on its caller's thread.  Parallelism belongs to the
+layers that take a user-sized worker count — the dataloader, the serve
+transport and ``Pipeline.eval`` — whose worker threads call in here.  The
+one exception is chosen by the code, not by a knob: staging a batch for a
+sample-compressed tensor maps the codec calls over :func:`_encode_pool`
+(:meth:`ChunkEngine._stage_payloads`).
 """
 
 from __future__ import annotations
@@ -54,7 +71,6 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -91,116 +107,26 @@ from repro.util.json_util import json_dumps, json_loads
 _HEADER_PROBE = 4096  # first ranged request size when reading chunk headers
 _CHUNK_CACHE_BYTES = 64 * 1024 * 1024
 
-#: Write-pipeline knobs (process-global, mirroring the ReadPlan layer):
-#: ``enabled`` buffers finalized chunks in memory and uploads them in
-#: batched :meth:`~repro.storage.provider.StorageProvider.set_many` calls
-#: (one request overhead per batch on object storage) with flush ordering
-#: chunks -> encoders -> meta; disabled is the pre-pipeline serial path
-#: (one PUT per chunk at finalize time, individual bookkeeping writes) kept
-#: as the benchmark ablation.  ``workers`` bounds the serialization /
-#: compression thread pool; ``watermark_chunks`` is how many finalized
-#: chunks may accumulate before a commit triggers a background-free upload
-#: batch, bounding write-buffer memory to ~watermark * max_chunk_size.
-_WRITE_PIPELINE = {"enabled": True, "workers": 4, "watermark_chunks": 8}
+#: Finalized chunks a tensor may buffer before a commit or update uploads
+#: them as one batch: bounds write-buffer memory to ~8 * max_chunk_size.
+_WATERMARK_CHUNKS = 8
+
+_ENCODE_POOL: Optional[ThreadPoolExecutor] = None
+_ENCODE_POOL_LOCK = threading.Lock()
 
 
-@contextmanager
-def write_pipeline(enabled=None, workers=None, watermark_chunks=None):
-    """Temporarily reconfigure the write pipeline (tests / ablations).
-
-    ``with write_pipeline(enabled=False): ...`` restores the serial
-    one-PUT-per-chunk write path; ``workers=1`` keeps batching but drops
-    parallel serialization.
-    """
-    prev = dict(_WRITE_PIPELINE)
-    if enabled is not None:
-        _WRITE_PIPELINE["enabled"] = bool(enabled)
-    if workers is not None:
-        _WRITE_PIPELINE["workers"] = max(1, int(workers))
-    if watermark_chunks is not None:
-        _WRITE_PIPELINE["watermark_chunks"] = max(1, int(watermark_chunks))
-    try:
-        yield
-    finally:
-        _WRITE_PIPELINE.clear()
-        _WRITE_PIPELINE.update(prev)
-
-
-#: Read-pipeline knobs (process-global, the read mirror of
-#: ``_WRITE_PIPELINE``): ``enabled`` dispatches per-chunk decode and
-#: per-sample slicing work of a :class:`ReadPlan` to the shared decode
-#: pool (numpy/lz4/jpeg decode releases the GIL) and fetches the misses
-#: of all per-tensor plans of one request in a single
-#: :meth:`~repro.storage.provider.StorageProvider.get_many`
-#: (:meth:`FusedReadPlan._fetch_all`); disabled restores the serial
-#: one-``get_many``-per-tensor execution exactly (the benchmark ablation).
-#: ``workers`` bounds the process-global decode pool.
-_READ_PIPELINE = {
-    "enabled": True,
-    "workers": max(2, min(8, os.cpu_count() or 4)),
-}
-
-_DECODE_POOL: Optional[ThreadPoolExecutor] = None
-_DECODE_POOL_WORKERS = 0
-_DECODE_POOL_LOCK = threading.Lock()
-_DECODE_THREAD_PREFIX = "decode-pool"
-
-
-@contextmanager
-def read_pipeline(enabled=None, workers=None):
-    """Temporarily reconfigure the read pipeline (tests / ablations).
-
-    ``with read_pipeline(enabled=False): ...`` restores the serial read
-    path: plans execute on the calling thread and every tensor issues its
-    own ``get_many``; ``workers=N`` resizes the shared decode pool.
-    """
-    prev = dict(_READ_PIPELINE)
-    if enabled is not None:
-        _READ_PIPELINE["enabled"] = bool(enabled)
-    if workers is not None:
-        _READ_PIPELINE["workers"] = max(1, int(workers))
-    try:
-        yield
-    finally:
-        # in place, never via clear(): readers on other threads must not
-        # find a key missing mid-restore
-        _READ_PIPELINE.update(prev)
-
-
-def read_pipeline_enabled() -> bool:
-    """Whether parallel plan execution / cross-tensor fusion is on."""
-    return bool(_READ_PIPELINE["enabled"])
-
-
-def _decode_pool() -> ThreadPoolExecutor:
-    """The process-global decode pool, resized lazily when the configured
-    worker count changes.  A superseded pool is dropped, never shut down:
-    another thread may already hold it and be about to ``submit``; its
-    idle workers exit once the last reference is gone."""
-    global _DECODE_POOL, _DECODE_POOL_WORKERS
-    workers = max(1, int(_READ_PIPELINE["workers"]))
-    with _DECODE_POOL_LOCK:
-        if _DECODE_POOL is None or _DECODE_POOL_WORKERS != workers:
-            _DECODE_POOL = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix=_DECODE_THREAD_PREFIX
+def _encode_pool() -> ThreadPoolExecutor:
+    """The process-wide pool for sample-codec encodes during staging
+    (jpeg/png/lz4 encoders release the GIL), created on first use.  Its
+    tasks never submit to it, so callers on any thread may block on it."""
+    global _ENCODE_POOL
+    with _ENCODE_POOL_LOCK:
+        if _ENCODE_POOL is None:
+            _ENCODE_POOL = ThreadPoolExecutor(
+                max_workers=min(4, os.cpu_count() or 1),
+                thread_name_prefix="sample-encode",
             )
-            _DECODE_POOL_WORKERS = workers
-        return _DECODE_POOL
-
-
-def _read_parallelism() -> int:
-    """Usable decode-pool fan-out for the current calling context.
-
-    Work already running *on* a decode-pool thread (e.g. a server-push
-    prefetch executing a fused plan) must not block on nested pool
-    submissions — with every worker waiting on sub-tasks the pool would
-    deadlock — so nested calls run serially on the worker itself.
-    """
-    if not _READ_PIPELINE["enabled"]:
-        return 1
-    if threading.current_thread().name.startswith(_DECODE_THREAD_PREFIX):
-        return 1
-    return max(1, int(_READ_PIPELINE["workers"]))
+        return _ENCODE_POOL
 
 
 class _PrunedCell:
@@ -321,7 +247,7 @@ class WritePlan:
 
     Staging (:meth:`ChunkEngine.stage_appends`) runs every fallible step —
     coercion, validation, sample compression — *without touching engine
-    state*, fanning the serialization work out over a thread pool.
+    state*.
     Committing (:meth:`ChunkEngine.commit_appends`) then only moves
     already-serialized payloads into chunks and registers them, under the
     engine lock, with a cheap truncation snapshot so a failure anywhere in
@@ -433,21 +359,13 @@ class ChunkEngine:
         self._h_flush_batch = reg.histogram(
             "chunk_engine.flush_batch_chunks", tensor=tensor
         )
-        # read-pipeline accounting: wall time a plan spent fanned out on
-        # the shared decode pool, and how many chunks were decoded/sliced
-        # there instead of on the calling thread
-        self._h_decode_pool = reg.histogram(
-            "engine.decode_pool_seconds", tensor=tensor
-        )
-        self._m_parallel_chunks = reg.counter(
-            "engine.parallel_chunks", tensor=tensor
-        )
 
         # write-back chunk being filled by appends (not yet in storage)
         self._active_chunk: Optional[Chunk] = None
-        # finalized chunks buffered for a batched upload (write pipeline);
-        # authoritative until _flush_pending hands them to storage — every
-        # read path consults _mem_chunk() so buffered data stays readable
+        # finalized, updated and rechunked chunks buffered for a batched
+        # upload; authoritative until _serialize_pending hands them to
+        # storage — every read path consults _mem_chunk() so buffered data
+        # stays readable
         self._pending_chunks: "OrderedDict[str, Chunk]" = OrderedDict()
 
         if meta is not None:
@@ -560,24 +478,13 @@ class ChunkEngine:
         Durability order is chunk payloads, then encoders, then
         meta/bookkeeping: a crash between stages strands at worst
         unreferenced chunk blobs (garbage), never an encoder or meta file
-        pointing at a chunk that was never uploaded.  With the write
-        pipeline enabled each stage goes down as one batched ``set_many``;
-        disabled, the pre-pipeline individual writes are kept (the serial
-        benchmark ablation), with the same ordering guarantee.
+        pointing at a chunk that was never uploaded.  Each stage goes down
+        as one batched ``set_many``.
         """
         with self._lock:
-            self._finalize_active()
-            self._flush_pending()
-            if not self._dirty:
-                return
-            if _WRITE_PIPELINE["enabled"]:
-                self.storage.set_many(self._encoder_items())
-                self.storage.set_many(self._meta_items())
-            else:
-                for items in (self._encoder_items(), self._meta_items()):
-                    for key, value in items.items():
-                        self.storage[key] = value
-            self._dirty = False
+            for items in self.drain_flush_items():
+                if items:
+                    self.storage.set_many(items)
 
     def reload(self) -> None:
         """Drop in-memory state and reread from storage (after checkout)."""
@@ -1004,66 +911,38 @@ class ChunkEngine:
         return self.seq_enc.num_samples if self.meta.is_sequence else self.enc.num_samples
 
     def _finalize_active(self) -> None:
-        """Close the in-memory active chunk (if any): buffered for a
-        batched upload when the write pipeline is on, written through
-        immediately when off."""
+        """Close the in-memory active chunk (if any) into the upload
+        buffer."""
         chunk = self._active_chunk
         if chunk is not None and chunk.num_samples:
-            self._emit_chunk(chunk)
+            self._pending_chunks[chunk.name] = chunk
         self._active_chunk = None
 
-    def _emit_chunk(self, chunk: Chunk) -> None:
-        """Route one finalized chunk to the write buffer or to storage."""
-        if _WRITE_PIPELINE["enabled"]:
+    def _buffer_modified(self, chunk: Chunk) -> None:
+        """A chunk modified in place joins the upload buffer a finalized
+        chunk does (the active chunk gets there when it is finalized)."""
+        if chunk is not self._active_chunk:
             self._pending_chunks[chunk.name] = chunk
-        else:
-            self._write_chunk(chunk)
 
-    def _flush_pending(self) -> None:
-        """Upload every buffered chunk in one batched ``set_many``.
-
-        Serialization (+ chunk compression) fans out over a thread pool;
-        the upload itself is a single batch, which on object storage costs
-        one request's fixed overhead instead of one per chunk.  Runs
-        before any encoder/meta write (see :meth:`flush`) and after a
-        commit crosses the watermark — never mid-commit, so a rolled-back
-        batch can still retract its buffered chunks.
-        """
-        if not self._pending_chunks:
-            return
+    def _serialize_pending(self) -> Dict[str, bytes]:
+        """Drain the upload buffer into upload-ready ``{key: blob}`` items,
+        charging the flush counters and priming the decoded-chunk cache.
+        The caller *must* ``set_many`` the result before any encoder or
+        meta write: :meth:`_maybe_flush_pending` at the watermark, or a
+        flush (``Dataset.flush`` merges many engines' items into one batch
+        per key class).  Never runs mid-commit, so a rolled-back batch can
+        still retract its buffered chunks."""
         pending = list(self._pending_chunks.values())
         self._pending_chunks.clear()
-        with _tracing.span("engine.flush_chunks", tensor=self.tensor,
-                           chunks=len(pending)) as sp:
-            items = self._serialize_pending(pending)
-            self.storage.set_many(items)
-            sp.set(nbytes=sum(len(b) for b in items.values()))
-
-    def _serialize_pending(self, pending: List[Chunk]) -> Dict[str, bytes]:
-        """Serialize finalized chunks into upload-ready ``{key: blob}``
-        items (compression fanned out over a thread pool), charging the
-        flush counters and priming the decoded-chunk cache — everything
-        :meth:`_flush_pending` does short of the ``set_many`` itself, so
-        a coordinating caller (``Dataset.flush``) can merge many engines'
-        items into one batch per key class."""
-        cc = self.meta.chunk_compression
-        workers = int(_WRITE_PIPELINE["workers"])
-        if workers > 1 and len(pending) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(workers, len(pending)),
-                thread_name_prefix="chunk-serialize",
-            ) as pool:
-                blobs = list(pool.map(lambda c: c.tobytes(cc), pending))
-        else:
-            blobs = [chunk.tobytes(cc) for chunk in pending]
         items: Dict[str, bytes] = {}
-        for chunk, blob in zip(pending, blobs):
-            items[K.chunk_key(self.commit_id, self.tensor, chunk.name)] = blob
-        self._m_chunks_flushed.inc(len(pending))
-        self._h_flush_batch.observe(len(pending))
-        for chunk, key in zip(pending, items):
+        for chunk in pending:
+            key = K.chunk_key(self.commit_id, self.tensor, chunk.name)
+            items[key] = chunk.tobytes(self.meta.chunk_compression)
             self._header_cache.pop(key, None)
             self._cache_put(key, chunk)
+        if pending:
+            self._m_chunks_flushed.inc(len(pending))
+            self._h_flush_batch.observe(len(pending))
         return items
 
     def drain_flush_items(
@@ -1078,19 +957,23 @@ class ChunkEngine:
         instead of one per engine."""
         with self._lock:
             self._finalize_active()
-            chunk_items: Dict[str, bytes] = {}
-            if self._pending_chunks:
-                pending = list(self._pending_chunks.values())
-                self._pending_chunks.clear()
-                chunk_items = self._serialize_pending(pending)
+            chunk_items = self._serialize_pending()
             if not self._dirty:
                 return chunk_items, {}, {}
             self._dirty = False
             return chunk_items, self._encoder_items(), self._meta_items()
 
     def _maybe_flush_pending(self) -> None:
-        if len(self._pending_chunks) >= _WRITE_PIPELINE["watermark_chunks"]:
-            self._flush_pending()
+        """Upload the buffer as one ``set_many`` once it holds
+        ``_WATERMARK_CHUNKS`` chunks — on object storage one request's
+        fixed overhead per batch instead of one per chunk."""
+        if len(self._pending_chunks) < _WATERMARK_CHUNKS:
+            return
+        with _tracing.span("engine.flush_chunks", tensor=self.tensor,
+                           chunks=len(self._pending_chunks)) as sp:
+            items = self._serialize_pending()
+            self.storage.set_many(items)
+            sp.set(nbytes=sum(len(b) for b in items.values()))
 
     def _get_active_chunk(self, nbytes: int) -> Chunk:
         """Chunk that will receive the next sample (resumed or fresh).
@@ -1138,19 +1021,11 @@ class ChunkEngine:
     def _own_chunk(self, chunk: Chunk) -> None:
         """Copy-on-write: claim an ancestor's chunk for the current commit."""
         self.chunk_set.add(chunk.name)
-        # the blob will be (re)written by _write_chunk under the current
-        # commit's key; drop stale cache entries pointing at the ancestor
+        # the blob will be (re)uploaded under the current commit's key;
+        # drop stale cache entries pointing at the ancestor
         self._header_cache.pop(
             K.chunk_key(self.commit_id, self.tensor, chunk.name), None
         )
-
-    def _write_chunk(self, chunk: Chunk) -> None:
-        key = K.chunk_key(self.commit_id, self.tensor, chunk.name)
-        self.storage[key] = chunk.tobytes(self.meta.chunk_compression)
-        # a direct write supersedes any buffered copy of the same chunk
-        self._pending_chunks.pop(chunk.name, None)
-        self._header_cache.pop(key, None)
-        self._cache_put(key, chunk)
 
     def _commit_flat(
         self, value, raw, shape, arr,
@@ -1213,7 +1088,7 @@ class ChunkEngine:
             self.chunk_set.add(chunk.name)
             self._stats_init(chunk.name)
             self._stats_observe(chunk.name, tile)
-            self._emit_chunk(chunk)
+            self._pending_chunks[chunk.name] = chunk
             chunk_ids.append(ChunkIdEncoder.id_from_name(chunk.name))
         index = self.enc.num_samples
         self.enc.register_tiled_sample(chunk_ids)
@@ -1246,10 +1121,16 @@ class ChunkEngine:
         self.commit_diff.add(1)
         self._dirty = True
 
-    # -- WritePlan: stage (fallible, parallel) then commit (atomic) ------ #
+    # -- WritePlan: stage (fallible) then commit (atomic) ---------------- #
 
     def _stage_payloads(self, items: List) -> List[Tuple]:
-        """Serialize *items* in order, fanning out over the worker pool.
+        """Serialize *items* in order.
+
+        Staging an item of a sample-compressed tensor is a codec call, the
+        one piece of engine work that profits from threads whoever the
+        caller is, so those batches map over :func:`_encode_pool`; every
+        other tensor stages inline (a scalar ``extend`` would pay one
+        future per sample for a ``tobytes``).
 
         The first sample(s) are serialized synchronously until the
         tensor's dtype is pinned — ``_serialize_sample`` infers
@@ -1266,13 +1147,8 @@ class ChunkEngine:
             payloads.append(self._serialize_sample(items[idx]))
             idx += 1
         rest = items[idx:]
-        workers = int(_WRITE_PIPELINE["workers"])
-        if _WRITE_PIPELINE["enabled"] and workers > 1 and len(rest) >= 4:
-            with ThreadPoolExecutor(
-                max_workers=min(workers, len(rest)),
-                thread_name_prefix="sample-serialize",
-            ) as pool:
-                payloads.extend(pool.map(self._serialize_sample, rest))
+        if self.meta.sample_compression and len(rest) >= 4:
+            payloads.extend(_encode_pool().map(self._serialize_sample, rest))
         else:
             payloads.extend(self._serialize_sample(it) for it in rest)
         return payloads
@@ -1351,32 +1227,14 @@ class ChunkEngine:
 
         *touched* maps each chunk the batch appended into to its
         ``(data length, sample count)`` at first touch; those chunk
-        objects are truncated back.  A chunk the serial (pipeline-off)
-        path already wrote through is rewritten truncated, so a later
-        resume of that chunk from storage can never see rolled-back
-        samples.
+        objects are truncated back.  Uploads never happen mid-commit, so
+        every touched chunk is still in memory (active or buffered).
         """
         for name, (dlen, nsamp) in touched.items():
             chunk = self._mem_chunk(name)
-            written = False
-            if chunk is None:
-                # not buffered => the serial path wrote it through
-                key = self._chunk_storage_key(name)
-                chunk = self._cache_peek(key)
-                written = chunk is not None
-                if chunk is None:
-                    try:
-                        blob = self.storage[key]
-                    except KeyError:
-                        continue
-                    chunk = Chunk.frombytes(blob, name=name)
-                    written = True
-            if len(chunk.data) > dlen:
-                del chunk.data[dlen:]
-                del chunk.byte_positions[nsamp:]
-                del chunk.shapes[nsamp:]
-                if written:
-                    self._write_chunk(chunk)
+            del chunk.data[dlen:]
+            del chunk.byte_positions[nsamp:]
+            del chunk.shapes[nsamp:]
         # encoders are append-only: truncate
         del self.enc._ids[snap["enc_rows"]:]
         del self.enc._cum[snap["enc_rows"]:]
@@ -1450,8 +1308,8 @@ class ChunkEngine:
         self.commit_appends(self.stage_appends([value]))
 
     def extend(self, values) -> None:
-        """Batched, exception-safe append: stage every sample (parallel
-        serialization + compression), then commit all-or-nothing; chunks
+        """Batched, exception-safe append: stage every sample
+        (serialization + compression), then commit all-or-nothing; chunks
         finalized along the way upload in batched ``set_many`` calls."""
         self.commit_appends(self.stage_appends(values))
 
@@ -1489,7 +1347,7 @@ class ChunkEngine:
             [max(0, b - a) for a, b in zip(starts, stops)], dtype=dtype
         )
         # each intersecting tile is the one sample of its own chunk: one
-        # plan over them, so they arrive in one fetch and decode in parallel
+        # plan over them, so they arrive in one fetch
         plan = ReadPlan(self.tensor)
         with self._lock:
             for pos, (flat, _gidx) in enumerate(hits):
@@ -1640,27 +1498,12 @@ class ChunkEngine:
         chunks: Dict[str, Chunk],
     ) -> None:
         """Decode fetched blobs into *chunks* (and the decoded-chunk
-        cache), fanning the per-chunk decompression out over the shared
-        decode pool when the read pipeline allows it."""
-        entries = []
+        cache)."""
         for key, name in to_fetch.items():
             blob = blobs.get(key)
             if blob is None:
                 raise KeyNotFound(key)
-            entries.append((key, name, blob))
-        workers = _read_parallelism()
-        if workers > 1 and len(entries) > 1:
-            t0 = time.perf_counter()
-            decoded = list(
-                _decode_pool().map(
-                    lambda e: self._decode_chunk(e[2], e[1]), entries
-                )
-            )
-            self._h_decode_pool.observe(time.perf_counter() - t0)
-            self._m_parallel_chunks.inc(len(entries))
-        else:
-            decoded = [self._decode_chunk(b, n) for _k, n, b in entries]
-        for (key, name, _blob), chunk in zip(entries, decoded):
+            chunk = self._decode_chunk(blob, name)
             self._cache_put(key, chunk)
             chunks[name] = chunk
 
@@ -1695,65 +1538,6 @@ class ChunkEngine:
             return raw
         return self._deserialize_sample(raw, chunk.read_shape(local))
 
-    def _plan_item_values(self, plan: ReadPlan, chunks: Dict[str, Chunk],
-                          decode: bool) -> List:
-        """One value per plan item, in plan order.
-
-        With the read pipeline on, item slicing (per-sample decompression
-        for sample-compressed tensors) fans out over the shared decode
-        pool, partitioned by owning chunk for locality; results land back
-        at their item positions so order and byte-identity are preserved
-        exactly.  Worker exceptions propagate to the caller.
-        """
-        items = plan.items
-        workers = _read_parallelism()
-        if workers <= 1 or len(items) <= 1 or not chunks:
-            return [self._item_value(spec, chunks, decode) for spec in items]
-        # partition positions by primary chunk; free items (pad/pruned)
-        # are answered inline — they touch no chunk data
-        values: List = [None] * len(items)
-        by_chunk: Dict[str, List[int]] = {}
-        for pos, spec in enumerate(items):
-            kind = spec[0]
-            if kind == "sample":
-                by_chunk.setdefault(spec[1], []).append(pos)
-            elif kind == "tiled":
-                by_chunk.setdefault(spec[2][0], []).append(pos)
-            else:
-                values[pos] = self._item_value(spec, chunks, decode)
-        n_parallel = sum(len(p) for p in by_chunk.values())
-        if n_parallel <= 1:
-            for positions in by_chunk.values():
-                for pos in positions:
-                    values[pos] = self._item_value(items[pos], chunks, decode)
-            return values
-        # keep every worker busy even when one chunk holds most items
-        stride = max(1, -(-n_parallel // (workers * 2)))
-        tasks: List[List[int]] = []
-        for positions in by_chunk.values():
-            for i in range(0, len(positions), stride):
-                tasks.append(positions[i : i + stride])
-
-        def run(positions: List[int]) -> List[Tuple[int, object]]:
-            return [
-                (pos, self._item_value(items[pos], chunks, decode))
-                for pos in positions
-            ]
-
-        t0 = time.perf_counter()
-        pool = _decode_pool()
-        futures = [pool.submit(run, task) for task in tasks]
-        try:
-            for fut in futures:
-                for pos, value in fut.result():
-                    values[pos] = value
-        finally:
-            for fut in futures:
-                fut.cancel()
-        self._h_decode_pool.observe(time.perf_counter() - t0)
-        self._m_parallel_chunks.inc(len(by_chunk))
-        return values
-
     def execute_plan(self, plan: ReadPlan, aslist: bool = False,
                      decode: bool = True,
                      _chunks: Optional[Dict[str, Chunk]] = None) -> List:
@@ -1772,7 +1556,9 @@ class ChunkEngine:
                 _chunks if _chunks is not None
                 else FusedReadPlan().add(self, plan)._fetch_all()[0]
             )
-            values = self._plan_item_values(plan, chunks, decode)
+            values = [
+                self._item_value(spec, chunks, decode) for spec in plan.items
+            ]
         if plan.seq_spans is None:
             return values
         out = []
@@ -1959,11 +1745,12 @@ class ChunkEngine:
             # widen-only (count=0): the replaced value may still define the
             # recorded min/max, so the range stays a safe superset
             self._stats_observe(name, arr, count=0)
-            self._write_chunk(chunk)
+            self._buffer_modified(chunk)
         self.meta.update_shape_interval(shape)
         self.commit_diff.update(index)
         self.pad_enc.unpad(index)
         self._dirty = True
+        self._maybe_flush_pending()
 
     def _update_tiled(self, index, value, raw, shape, arr) -> None:
         sample_shape, tile_shape = self.tile_enc.layout(index)
@@ -1988,7 +1775,7 @@ class ChunkEngine:
             )
             chunk.update(0, payload, tile.shape)
             self._stats_observe(name, tile, count=0)
-            self._write_chunk(chunk)
+            self._buffer_modified(chunk)
 
     def pad_to(self, length: int) -> None:
         """Sparse support: grow with empty padded samples up to *length*."""
@@ -2023,7 +1810,7 @@ class ChunkEngine:
 
         # unwritten in-memory chunks (active + upload buffer) are held by
         # *chunks* above; the rewrite below re-emits every surviving
-        # sample into fresh chunks
+        # sample into fresh chunks, which ride the flush that ends it
         self._active_chunk = None
         self._pending_chunks.clear()
         old_owned = set(self.chunk_set)
@@ -2035,7 +1822,7 @@ class ChunkEngine:
         def finish_active():
             nonlocal active
             if active is not None and active.num_samples:
-                self._write_chunk(active)
+                self._pending_chunks[active.name] = active
             active = None
 
         for i, spec in enumerate(plan.items):
@@ -2055,7 +1842,7 @@ class ChunkEngine:
                     chunk = Chunk(dtype=self.meta.dtype)
                     chunk.append(buf, tile.shape)
                     self.chunk_set.add(chunk.name)
-                    self._write_chunk(chunk)
+                    self._pending_chunks[chunk.name] = chunk
                     ids.append(ChunkIdEncoder.id_from_name(chunk.name))
                 new_enc.register_tiled_sample(ids)
                 new_tiles.register(i, arr.shape, tile_shape)
@@ -2154,10 +1941,9 @@ class FusedReadPlan:
     merges every plan's missing chunks into a single ``get_many`` per
     distinct storage provider (normally exactly one — all engines of a
     dataset share the provider), so a group touching images+labels+boxes
-    costs one round trip instead of three.  Decoding fans out over the
-    shared decode pool, and each plan then slices its samples exactly as
-    serial :meth:`ChunkEngine.execute_plan` would — results are
-    byte-identical, only the round-trip count changes.
+    costs one round trip instead of three.  Each plan then slices its
+    samples exactly as its own :meth:`ChunkEngine.execute_plan` would —
+    results are byte-identical, only the round-trip count changes.
     """
 
     __slots__ = ("parts",)
@@ -2181,23 +1967,20 @@ class FusedReadPlan:
 
     def _fetch_all(self) -> List[Dict[str, Chunk]]:
         """Resident chunks per part, every miss fetched and decoded — the
-        one routine through which missing chunks reach memory.  With the
-        read pipeline on, the misses of all parts go out in one
-        ``get_many`` per distinct storage provider; with it off (the
-        ablation) each part pays its own ``get_many``."""
-        fuse = read_pipeline_enabled()
+        one routine through which missing chunks reach memory: the
+        misses of all parts go out in one ``get_many`` per distinct
+        storage provider."""
         resident: List[Dict[str, Chunk]] = []
         part_fetches: List[Dict[str, str]] = []  # per part: key -> name
         batches: Dict[int, Tuple[StorageProvider, Set[str]]] = {}
-        for pos, (engine, plan) in enumerate(self.parts):
+        for engine, plan in self.parts:
             chunks, to_fetch = engine._plan_resident_chunks(plan)
             resident.append(chunks)
             part_fetches.append(to_fetch)
             if to_fetch:
-                batch = id(engine.storage) if fuse else pos
-                batches.setdefault(batch, (engine.storage, set()))[1].update(
-                    to_fetch
-                )
+                batches.setdefault(
+                    id(engine.storage), (engine.storage, set())
+                )[1].update(to_fetch)
         if batches:
             blobs: Dict[str, bytes] = {}
             with _tracing.span(

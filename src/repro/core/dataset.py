@@ -14,11 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.chunk_engine import (
-    ChunkEngine,
-    FusedReadPlan,
-    _WRITE_PIPELINE,
-)
+from repro.core.chunk_engine import ChunkEngine, FusedReadPlan
 from repro.core.htypes import UNSPECIFIED
 from repro.core.index import Index
 from repro.core.meta import DatasetMeta, TensorMeta
@@ -524,11 +520,11 @@ class Dataset:
         """Columnar batch append: ``{tensor: [v0, v1, ...]}``, all columns
         the same length.
 
-        Every column is *staged* (serialized on worker threads) before any
+        Every column is *staged* (serialized and compressed) before any
         tensor is touched, so a bad sample anywhere in the batch raises
         with the dataset unchanged.  Commits then run per tensor; finalized
         chunks are buffered and uploaded in batched ``set_many`` calls by
-        the engines' write pipeline.
+        the engines.
         """
         self._check_writable()
         prefix = f"{self.group_index}/" if self.group_index else ""
@@ -589,8 +585,8 @@ class Dataset:
         chunk is fetched whole and decompressed once no matter how many of
         the requested rows it holds, and the misses of all tensors reach
         storage in ONE ``get_many`` — a worker group touching
-        images+labels+boxes pays one round trip, not three (one per tensor
-        under ``read_pipeline(enabled=False)``).  This is the streaming
+        images+labels+boxes pays one round trip, not three.  This is the
+        streaming
         entry point — the dataloader's worker groups call it, TQL scan
         windows and the streaming server's ``read_batch`` op build the
         same fused plan — so even a single row pulls its whole chunk into
@@ -827,26 +823,19 @@ class Dataset:
     def flush(self) -> None:
         """Persist every engine's buffered state.
 
-        With the write pipeline on and several tensors dirty, the flush
-        is *coordinated*: pending chunks, encoders and meta are collected
-        from all engines and written as one ``set_many`` per key class
-        (chunks across all tensors, then encoders, then meta) instead of
-        three per engine — the same crash-consistency order, a third of
-        the round trips on object storage.  Pipeline off keeps the
-        per-engine serial flushes (the benchmark ablation).
+        The flush is *coordinated*: pending chunks, encoders and meta are
+        collected from all engines and written as one ``set_many`` per key
+        class (chunks across all tensors, then encoders, then meta)
+        instead of three per engine — the same crash-consistency order, a
+        third of the round trips on object storage.
         """
-        engines = list(self._engines.values())
-        if _WRITE_PIPELINE["enabled"] and len(engines) > 1:
-            merged: Tuple[Dict[str, bytes], ...] = ({}, {}, {})
-            for engine in engines:
-                for acc, items in zip(merged, engine.drain_flush_items()):
-                    acc.update(items)
-            for items in merged:  # chunks -> encoders -> meta
-                if items:
-                    self.storage.set_many(items)
-        else:
-            for engine in engines:
-                engine.flush()
+        merged: Tuple[Dict[str, bytes], ...] = ({}, {}, {})
+        for engine in list(self._engines.values()):
+            for acc, items in zip(merged, engine.drain_flush_items()):
+                acc.update(items)
+        for items in merged:  # chunks -> encoders -> meta
+            if items:
+                self.storage.set_many(items)
         if not self.read_only and not self._commit_read_only \
                 and not self.storage.read_only:
             self._write_dataset_meta()

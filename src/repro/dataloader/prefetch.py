@@ -39,8 +39,7 @@ class PriorityWorkerPool:
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._shutdown = False
-        # named so nested layers (e.g. the chunk engine's decode pool)
-        # and trace/debug output can tell loader workers apart
+        # named so trace/debug output can tell loader workers apart
         self._threads = [
             threading.Thread(
                 target=self._worker, daemon=True,

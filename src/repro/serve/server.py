@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.exceptions import (
@@ -267,6 +268,9 @@ class DatasetServer:
         self._prefetch_lock = threading.Lock()
         self._prefetch_trackers: Dict[Tuple[str, str, Tuple[str, ...]], dict] = {}
         self._prefetch_futures: List[object] = []
+        # speculation runs on the server's own threads, never a tenant's
+        # request thread; created on first use, shut down in stop()
+        self._prefetch_pool: Optional[ThreadPoolExecutor] = None
         reg = _metrics.REGISTRY
         self._prefetch_exact = {
             f: _metrics.Counter(reg) for f in ("issued", "hits", "wasted")
@@ -355,6 +359,10 @@ class DatasetServer:
         if self._transport is not None:
             self._transport.close()
             self._transport = None
+        with self._prefetch_lock:
+            pool, self._prefetch_pool = self._prefetch_pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     def __enter__(self) -> "DatasetServer":
         return self.start()
@@ -555,8 +563,7 @@ class DatasetServer:
         ReadPlan's chunk fetches land once per chunk server-wide; the
         engine's decoded-chunk hit/miss delta is surfaced per tenant.
         The tensors' plans are fused so every column's misses reach the
-        backend in ONE ``get_many`` (one per tensor under
-        ``read_pipeline(enabled=False)``); each request also feeds the
+        backend in ONE ``get_many``; each request also feeds the
         per-tenant stride tracker that drives server-push prefetch of the
         next sequential window.
         """
@@ -633,16 +640,11 @@ class DatasetServer:
 
         A tenant reading contiguous ascending windows back to back is
         *sequential*: the second consecutive window triggers speculative
-        execution of the next one on the decode pool.  Chunks the tracker
+        execution of the next one on the prefetch pool.  Chunks the tracker
         fetched ahead count as *hits* when a later request plans them and
         as *wasted* when the stride breaks with them still unclaimed.
         """
-        from repro.core.chunk_engine import (
-            _decode_pool,
-            read_pipeline_enabled,
-        )
-
-        if self.cache is None or not rows or not read_pipeline_enabled():
+        if self.cache is None or not rows:
             return
         start, end = rows[0], rows[-1] + 1
         sequential = rows == list(range(start, end))
@@ -674,7 +676,12 @@ class DatasetServer:
                 tr["outstanding"].clear()
             tr["last_end"] = end if sequential else None
             if schedule:
-                fut = _decode_pool().submit(
+                if self._prefetch_pool is None:
+                    self._prefetch_pool = ThreadPoolExecutor(
+                        max_workers=2,
+                        thread_name_prefix=f"{self.name}-prefetch",
+                    )
+                fut = self._prefetch_pool.submit(
                     self._prefetch_window, key, ds, names, end, len(rows)
                 )
                 self._prefetch_futures = [
@@ -687,9 +694,8 @@ class DatasetServer:
     def _prefetch_window(self, key, ds, names: Tuple[str, ...],
                          start: int, count: int) -> None:
         """Speculatively fetch+decode rows ``[start, start+count)`` for
-        every tensor of *key* into the shared cache (runs on the decode
-        pool; nested decode parallelism degrades to inline there).
-        Speculative work must never surface errors to tenants."""
+        every tensor of *key* into the shared cache (runs on the prefetch
+        pool).  Speculative work must never surface errors to tenants."""
         from repro.core.chunk_engine import FusedReadPlan
 
         issued: Set[str] = set()

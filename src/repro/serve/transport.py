@@ -87,7 +87,7 @@ class ThreadedTransport(Transport):
             ))
         try:
             future = self._pool.submit(0.0, self.server.handle, req)
-        except Exception as e:  # pool shut down under us
+        except DataLoaderError as e:  # pool shut down under us
             return error_response(ServeError(str(e)))
         try:
             return future.result(timeout=self.timeout_s)

@@ -233,10 +233,9 @@ class Pipeline:
         else:
             # Append path: stream finished batches (pool.map yields them in
             # input order as they complete) into columnar buffers and flush
-            # each buffer as one staged ``ds_out.extend`` — the engines'
-            # write pipeline then serializes chunks on worker threads and
-            # uploads them in batched set_many calls, overlapping writes
-            # with the compute still running.
+            # each buffer as one staged ``ds_out.extend`` — the engines
+            # upload finished chunks in batched set_many calls on this
+            # thread while the pool's workers keep computing.
             buf: Dict[str, List] = {t: [] for t in out_tensors}
             buffered = 0
 
@@ -270,9 +269,6 @@ class Pipeline:
             flush_buf()
         ds_out.flush()
         return written
-
-    def eval_with(self, **_ignored):  # pragma: no cover - reserved
-        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"Pipeline({[s.name for s in self.steps]})"

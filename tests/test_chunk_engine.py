@@ -268,13 +268,18 @@ class TestRechunk:
                                                                layout):
         """rechunk() reads through one plan: a cold sample-compressed
         tensor costs one GET per chunk, not a header probe plus a ranged
-        GET per sample, and every sample survives byte for byte."""
+        GET per sample, the rewritten chunks ride the closing flush's
+        batch instead of one PUT each, and every sample survives byte for
+        byte."""
         from repro.compression import compress_array, decompress_array
+        from repro.sim import SimClock
+        from repro.storage import make_object_store
         from repro.workloads import smooth_image
 
+        s3 = make_object_store("s3", clock=SimClock())
         if layout == "flat":
             engine, storage = make_engine(
-                htype="image", sample_compression="jpeg",
+                s3, htype="image", sample_compression="jpeg",
                 max_chunk_size=1 << 20,
             )
             values = [smooth_image(rng, 24, 24) for _ in range(200)]
@@ -283,7 +288,9 @@ class TestRechunk:
                 for v in values
             ]
         elif layout == "tiled":
-            engine, storage = make_engine(dtype="uint8", max_chunk_size=4096)
+            engine, storage = make_engine(
+                s3, dtype="uint8", max_chunk_size=4096
+            )
             values = [
                 rng.integers(0, 255, (8, 8, 3), dtype=np.uint8),
                 rng.integers(0, 255, (100, 100, 3), dtype=np.uint8),
@@ -292,7 +299,8 @@ class TestRechunk:
             model = values
         elif layout == "sequence":
             engine, storage = make_engine(
-                htype="sequence[generic]", dtype="int32", max_chunk_size=256
+                s3, htype="sequence[generic]", dtype="int32",
+                max_chunk_size=256,
             )
             values = [
                 [np.arange(i, i + 5, dtype=np.int32)] * (i % 4)
@@ -300,7 +308,9 @@ class TestRechunk:
             ]
             model = values
         else:
-            engine, storage = make_engine(dtype="float64", max_chunk_size=256)
+            engine, storage = make_engine(
+                s3, dtype="float64", max_chunk_size=256
+            )
             values = [np.full(3, float(i)) for i in range(20)]
             model = values + [np.zeros((0,))] * 5
         engine.extend(values)
@@ -313,8 +323,11 @@ class TestRechunk:
         cold = ChunkEngine("t", storage, VersionState())
         n_chunks = len({name for name, _s, _e in cold.chunk_layout()})
         storage.stats.reset()
+        single_puts = storage.requests_by_op.get("upload", 0)
         cold.rechunk()
         assert storage.stats.get_requests <= n_chunks + 2
+        assert storage.requests_by_op.get("upload", 0) == single_puts
+        assert storage.stats.put_requests >= cold.enc.num_chunks  # batched
 
         after = ChunkEngine("t", storage, VersionState())
         assert after.read_batch(rows, decode=False) == raw_before

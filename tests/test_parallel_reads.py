@@ -1,25 +1,15 @@
-"""Parallel plan execution, cross-tensor fusion, and server-push prefetch:
-byte-identity of the decode pool and of serial execution with the
-appended values across every compression/layout, fused-plan round-trip
-accounting, exception
-propagation from decode workers, coordinated multi-tensor flush, and the
-serving tier's sequential-stride prefetcher."""
-
-import sys
-import threading
+"""Plan execution, cross-tensor fusion, and server-push prefetch:
+byte-identity of plan reads with the appended values across every
+compression/layout, fused-plan round-trip accounting against a
+one-call-per-tensor yardstick, error propagation out of plan execution,
+coordinated multi-tensor flush, and the serving tier's sequential-stride
+prefetcher."""
 
 import numpy as np
 import pytest
 
 import repro
-from repro.core.chunk_engine import (
-    ChunkEngine,
-    FusedReadPlan,
-    _decode_pool,
-    _read_parallelism,
-    read_pipeline,
-    read_pipeline_enabled,
-)
+from repro.core.chunk_engine import PRUNED, ChunkEngine, FusedReadPlan
 from repro.core.meta import TensorMeta
 from repro.core.version_state import VersionState
 from repro.serve.server import DatasetServer
@@ -44,9 +34,9 @@ def fresh_reader(storage) -> ChunkEngine:
     return ChunkEngine("t", storage, VersionState())
 
 
-def assert_identical(parallel, serial):
-    assert len(parallel) == len(serial)
-    for a, b in zip(parallel, serial):
+def assert_identical(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
         if isinstance(b, list):
             assert isinstance(a, list) and len(a) == len(b)
             for x, y in zip(a, b):
@@ -61,18 +51,14 @@ def assert_identical(parallel, serial):
 
 
 class TestParallelByteIdentity:
-    """The decode pool must be invisible except for speed: parallel and
-    serial execution both read back exactly what was appended."""
+    """A cold multi-row read returns exactly what was appended, dtype and
+    shape included, in request order."""
 
     def check(self, storage, rows, model, **kwargs):
         """*model*: the expected value per stored row (``model[row]``)."""
         want = [model[row] for row in rows]
-        with read_pipeline(enabled=False):
-            serial = fresh_reader(storage).read_batch(rows, **kwargs)
-        with read_pipeline(enabled=True, workers=4):
-            parallel = fresh_reader(storage).read_batch(rows, **kwargs)
-        assert_identical(serial, want)
-        assert_identical(parallel, want)
+        assert_identical(fresh_reader(storage).read_batch(rows, **kwargs),
+                         want)
 
     def test_uncompressed_many_chunks_randomized(self, rng):
         engine, storage = make_engine(dtype="int64", max_chunk_size=256)
@@ -141,87 +127,18 @@ class TestParallelByteIdentity:
         self.check(storage, [3, 12, 29, 0], [v.tobytes() for v in values],
                    decode=False)
 
-
-class TestReadPipelineAblation:
-    def test_disabled_restores_serial_execution(self):
-        assert read_pipeline_enabled()
-        with read_pipeline(enabled=False):
-            assert not read_pipeline_enabled()
-            assert _read_parallelism() == 1
-        assert read_pipeline_enabled()
-
-    def test_disabled_means_no_parallel_chunk_accounting(self):
+    def test_pruned_cells(self):
         engine, storage = make_engine(dtype="int64", max_chunk_size=256)
-        for i in range(40):
-            engine.append(np.arange(i, i + 4, dtype=np.int64))
+        values = [np.arange(i, i + 4, dtype=np.int64) for i in range(40)]
+        engine.extend(values)
         engine.flush()
         reader = fresh_reader(storage)
-        base = reader._m_parallel_chunks.value  # registry series: delta
-        with read_pipeline(enabled=False):
-            reader.read_batch(list(range(40)))
-        assert reader._m_parallel_chunks.value == base
-        reader2 = fresh_reader(storage)
-        with read_pipeline(enabled=True, workers=4):
-            reader2.read_batch(list(range(40)))
-        assert reader2._m_parallel_chunks.value > base
-
-    def test_decode_pool_threads_degrade_to_inline(self):
-        """Nested submission from a decode worker must not deadlock the
-        bounded pool: on decode-pool threads parallelism degrades to 1."""
-        seen = {}
-
-        def probe():
-            seen["p"] = _read_parallelism()
-
-        t = threading.Thread(target=probe, name="decode-pool_probe")
-        t.start()
-        t.join()
-        assert seen["p"] == 1
-
-    def test_pool_resize_never_strands_a_reader(self, rng):
-        """Resizing the decode pool while another thread is mid-read must
-        not shut the pool that reader already holds out from under it."""
-        engine, storage = make_engine(
-            dtype="float32", chunk_compression="lz4", max_chunk_size=2048,
-        )
-        engine.extend([rng.random(64).astype(np.float32) for _ in range(400)])
-        engine.flush()
-        rows = list(range(400))
-        want = engine.read_batch(rows)
-        stop = threading.Event()
-        errors = []
-
-        def resize():
-            workers = 2
-            while not stop.is_set():
-                with read_pipeline(workers=workers):
-                    _decode_pool()
-                workers = 5 - workers  # 2 <-> 3
-
-        def read():
-            try:
-                for _ in range(20):
-                    got = fresh_reader(storage).read_batch(rows)
-                    assert_identical(got, want)
-            except BaseException as exc:  # noqa: BLE001 - reported below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        resizer = threading.Thread(target=resize)
-        reader = threading.Thread(target=read)
-        try:
-            with read_pipeline(enabled=True):
-                resizer.start()
-                reader.start()
-                reader.join(timeout=60)
-                stop.set()
-                resizer.join(timeout=10)
-        finally:
-            stop.set()
-            sys.setswitchinterval(interval)
-        assert not reader.is_alive() and not resizer.is_alive()
-        assert not errors, errors
+        rows = [39, 0, 17, 38, 1]
+        # value >= 35: only the chunk holding rows 32..39 can match
+        plan = reader.plan_reads(rows, bounds=[(35, None, False, False)])
+        assert len(plan.skipped_chunks) == 2
+        assert_identical(reader.execute_plan(plan),
+                         [values[39], PRUNED, PRUNED, values[38], PRUNED])
 
 
 class TestEmptySequenceDtype:
@@ -238,9 +155,6 @@ class TestEmptySequenceDtype:
         assert single.dtype == np.dtype("int32") and single.shape == (0,)
         batch = reader.read_batch([0, 1])
         assert batch[1].dtype == np.dtype("int32") and batch[1].shape == (0,)
-        with read_pipeline(enabled=False):
-            serial = fresh_reader(storage).read_batch([0, 1])
-        assert serial[1].dtype == np.dtype("int32")
 
 
 class TestFusedPlanAccounting:
@@ -273,46 +187,52 @@ class TestFusedPlanAccounting:
         assert singles == 0
 
     def test_per_tensor_round_trips_when_disabled(self):
+        """The yardstick the fused plan is measured against: the same
+        rows read one tensor per call cost one round trip per tensor."""
         store = make_object_store("s3", bucket="fused-acct-off")
         self._dataset(store)
         cold = repro.Dataset(store, read_only=True)
         for name in ("a", "b", "c"):
             cold._engine(cold._qualify(name))
         before = dict(store.requests_by_op)
-        with read_pipeline(enabled=False):
-            cold.read_rows(list(range(24)), ["a", "b", "c"])
+        for name in ("a", "b", "c"):
+            cold.read_rows(list(range(24)), [name])
         after = store.requests_by_op
         batches = after.get("download_batch", 0) - before.get(
             "download_batch", 0
         )
-        assert batches == 3  # the PR 2 one-get_many-per-tensor path
+        assert batches == 3
 
     @pytest.mark.parametrize("consumer", ["serve", "tql"])
-    @pytest.mark.parametrize("enabled, round_trips", [(True, 1), (False, 3)])
-    def test_consumers_share_the_fetch_routine(self, consumer, enabled,
+    @pytest.mark.parametrize("fused, round_trips", [(True, 1), (False, 3)])
+    def test_consumers_share_the_fetch_routine(self, consumer, fused,
                                                round_trips):
-        """The fused/serial switch lives in the one fetch routine, so a
-        served read_batch and a TQL scan window show the same 1-vs-3."""
-        store = make_object_store("s3", bucket=f"fused-{consumer}-{enabled}")
+        """A served read and a TQL scan window over three tensors are one
+        fused fetch; the unfused yardstick is the same rows asked for one
+        tensor per call, and shows the same 1-vs-3 for both consumers."""
+        store = make_object_store("s3", bucket=f"fused-{consumer}-{fused}")
         self._dataset(store)
+        groups = [["a", "b", "c"]] if fused else [["a"], ["b"], ["c"]]
         if consumer == "serve":
-            server = DatasetServer(f"fused-{enabled}", cache_bytes=0)
+            server = DatasetServer(f"fused-{fused}", cache_bytes=0)
             client = server.add_dataset("d", store).connect("d", tenant="t")
             cold = server._served_dataset("d")
 
             def read():
-                client.read_columns(["a", "b", "c"], list(range(24)))
+                for names in groups:
+                    client.read_columns(names, list(range(24)))
         else:
             cold = repro.Dataset(store, read_only=True)
+            where = {"a": "MEAN(a) >= 0", "b": "b >= 0", "c": "MEAN(c) >= 0"}
 
             def read():
-                cold.query("select * where b >= 0 and MEAN(a) >= 0 "
-                           "and MEAN(c) >= 0")
+                for names in groups:
+                    cold.query("select * where "
+                               + " and ".join(where[n] for n in names))
         for name in ("a", "b", "c"):
             cold._engine(name)
         before = dict(store.requests_by_op)
-        with read_pipeline(enabled=enabled):
-            read()
+        read()
         after = store.requests_by_op
         assert after.get("download_batch", 0) - before.get(
             "download_batch", 0
@@ -324,8 +244,6 @@ class TestFusedPlanAccounting:
         ds = self._dataset(store)
         rows = rng.permutation(40).tolist()
         fused = ds.read_rows(rows, ["a", "b", "c"])
-        with read_pipeline(enabled=False):
-            serial = ds.read_rows(rows, ["a", "b", "c"])
         model = {
             "a": [np.full((16, 16), i % 250, dtype=np.uint8) for i in rows],
             "b": [np.array(i, dtype=np.int64) for i in rows],
@@ -333,7 +251,7 @@ class TestFusedPlanAccounting:
         }
         for name in ("a", "b", "c"):
             assert_identical(fused[name], model[name])
-            assert_identical(serial[name], model[name])
+            assert_identical(ds.read_rows(rows, [name])[name], model[name])
 
     def test_duplicate_tensor_names_share_chunks(self):
         store = MemoryProvider("fused-dup")
@@ -349,19 +267,23 @@ class TestFusedPlanAccounting:
 
 class TestDecodeWorkerExceptions:
     def test_corrupt_chunk_raises_same_error_as_serial(self):
+        """A corrupt chunk fails a multi-row plan with the error a one-row
+        read of that chunk raises."""
         engine, storage = make_engine(dtype="int64", max_chunk_size=256)
         for i in range(40):
             engine.append(np.arange(i, i + 4, dtype=np.int64))
         engine.flush()
         victim = sorted(k for k in storage._all_keys() if "/chunks/" in k)[1]
+        victim_row = next(
+            start for name, start, _end in engine.chunk_layout()
+            if victim.endswith(name)
+        )
         storage[victim] = b"\x00garbage"
-        with read_pipeline(enabled=False):
-            with pytest.raises(Exception) as serial_exc:
-                fresh_reader(storage).read_batch(list(range(40)))
-        with read_pipeline(enabled=True, workers=4):
-            with pytest.raises(Exception) as parallel_exc:
-                fresh_reader(storage).read_batch(list(range(40)))
-        assert type(parallel_exc.value) is type(serial_exc.value)
+        with pytest.raises(Exception) as one_row_exc:
+            fresh_reader(storage).read_sample(victim_row)
+        with pytest.raises(Exception) as plan_exc:
+            fresh_reader(storage).read_batch(list(range(40)))
+        assert type(plan_exc.value) is type(one_row_exc.value)
 
     def test_slicing_error_propagates_from_worker(self, monkeypatch):
         engine, storage = make_engine(dtype="int64", max_chunk_size=256)
@@ -379,9 +301,8 @@ class TestDecodeWorkerExceptions:
             return original(self, spec, chunks, decode)
 
         monkeypatch.setattr(ChunkEngine, "_item_value", exploding)
-        with read_pipeline(enabled=True, workers=4):
-            with pytest.raises(RuntimeError, match="worker blew up"):
-                reader.read_batch(list(range(40)))
+        with pytest.raises(RuntimeError, match="worker blew up"):
+            reader.read_batch(list(range(40)))
 
 
 class TestCoordinatedFlush:
@@ -439,7 +360,7 @@ class TestCoordinatedFlush:
 
 
 class TestServePushPrefetch:
-    def _served(self, name, n=256, window=16):
+    def _served(self, name, n=256, window=16, **server_kwargs):
         store = MemoryProvider(f"{name}-backing")
         ds = repro.Dataset(store)
         ds.create_tensor("images", dtype="uint8", max_chunk_size=4096)
@@ -449,7 +370,7 @@ class TestServePushPrefetch:
         )
         ds.labels.extend([np.int64(i) for i in range(n)])
         ds.flush()
-        server = DatasetServer(name=name)
+        server = DatasetServer(name=name, **server_kwargs)
         server.add_dataset("d", store)
         transport = SimNetworkTransport(
             InprocTransport(server), network="s3", clock=SimClock()
@@ -495,14 +416,14 @@ class TestServePushPrefetch:
             server.drain_prefetch()
         assert server.prefetch_issued == 0
 
-    def test_prefetch_disabled_with_read_pipeline_off(self):
-        server, client, w = self._served("push-off")
-        with read_pipeline(enabled=False):
-            for i in range(6):
-                client.read_columns(["images", "labels"],
-                                    list(range(i * w, (i + 1) * w)))
-                server.drain_prefetch()
+    def test_server_without_cache_never_speculates(self):
+        server, client, w = self._served("push-off", cache_bytes=0)
+        for i in range(6):
+            client.read_columns(["images", "labels"],
+                                list(range(i * w, (i + 1) * w)))
+            server.drain_prefetch()
         assert server.prefetch_issued == 0
+        assert server._prefetch_pool is None
 
     def test_prefetched_chunks_resident_in_shared_cache(self):
         server, client, w = self._served("push-resident")

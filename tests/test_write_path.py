@@ -1,17 +1,22 @@
-"""Exception-safe, pipelined write path.
+"""Exception-safe, batched write path.
 
 Covers the `set_many` contract across every storage provider, batch
 charging on the simulated object store, crash-consistent flush ordering
 (chunks -> encoders -> meta), atomic append/extend under mid-batch
-failures, the killed-mid-flush reload guarantee, and the streaming
-ingest-while-serving scenario.
+failures, the killed-mid-flush reload guarantee, the one upload buffer
+(finalized, updated and rechunked chunks), where the write path's one
+thread pool runs, and the streaming ingest-while-serving scenario.
 """
+
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import repro
-from repro.core.chunk_engine import _WRITE_PIPELINE, write_pipeline
+from repro.compression import get_codec
+from repro.core.chunk_engine import _WATERMARK_CHUNKS
 from repro.exceptions import (
     FormatError,
     NetworkError,
@@ -29,6 +34,7 @@ from repro.storage import (
     make_object_store,
 )
 from repro.util import keys as K
+from repro.workloads import smooth_image
 
 
 @pytest.fixture(autouse=True)
@@ -70,6 +76,46 @@ class Boom:
 
     def __array__(self, dtype=None):
         raise ValueError("boom")
+
+
+class PerKeyPutStore(SimulatedObjectStore):
+    """The serial-write yardstick: the same simulated S3 store with
+    ``set_many`` issuing one PUT per key."""
+
+    def set_many(self, items):
+        for key, value in items.items():
+            self[key] = value
+
+
+def record_writes(store):
+    """Record every write reaching *store* (a SimulatedObjectStore):
+    -> (times each key was written, keys written by single PUTs,
+    key lists of the ``set_many`` batches)."""
+    writes, singles, batches = Counter(), [], []
+    backing_set, single_set, set_many = (
+        store.backing._set, store._set, store.set_many
+    )
+
+    def counting_backing_set(key, value):
+        writes[key] += 1
+        backing_set(key, value)
+
+    def recording_set(key, value):
+        singles.append(key)
+        single_set(key, value)
+
+    def recording_set_many(items):
+        batches.append(list(items))
+        set_many(items)
+
+    store.backing._set = counting_backing_set
+    store._set = recording_set
+    store.set_many = recording_set_many
+    return writes, singles, batches
+
+
+def is_chunk(key):
+    return K.key_class(key) == K.KEY_CLASS_CHUNK
 
 
 # --------------------------------------------------------------------------- #
@@ -286,22 +332,29 @@ class TestAtomicExtend:
         for i in range(6):
             assert np.array_equal(ds2.x[i].numpy(), rows[i])
 
-    def test_serial_mode_rollback_also_atomic(self):
-        with write_pipeline(enabled=False):
-            storage = MemoryProvider()
-            ds = repro.empty(storage, overwrite=True)
-            ds.create_tensor("x", dtype="int64", max_chunk_size=512)
-            rows = [np.arange(32, dtype=np.int64)] * 8
-            ds.x.extend(rows)
-            with pytest.raises(FormatError):
-                ds.x.extend(
-                    [rows[0]] * 4 + [np.zeros((2, 2), dtype=np.int64)]
-                )
-            ds.flush()
-            ds2 = repro.load(storage)
-            assert ds2.x.num_samples == 8
-            for i in range(8):
-                assert np.array_equal(ds2.x[i].numpy(), rows[i])
+    def test_encode_pool_failure_leaves_engine_and_storage_identical(
+        self, rng
+    ):
+        storage = MemoryProvider()
+        ds = repro.empty(storage, overwrite=True)
+        ds.create_tensor("img", htype="image", sample_compression="jpeg")
+        images = [smooth_image(rng, 24, 24, 3) for _ in range(8)]
+        ds.img.extend(images)
+        ds.flush()
+        engine = ds._engine("img")
+
+        def state():
+            return (_snapshot(ds, "img"), engine._encoder_items(),
+                    engine._meta_items(), engine._dirty,
+                    {k: storage[k] for k in storage._all_keys()})
+
+        before = state()
+        with pytest.raises(ValueError, match="boom"):
+            # past the 4-item gate, so Boom is serialized on a pool worker
+            ds.img.extend(images[:5] + [Boom()] + images[5:])
+        assert state() == before
+        ds.img.extend(images)
+        assert ds.img.num_samples == 16
 
     def test_sequence_extend_atomic(self):
         ds = repro.empty(MemoryProvider(), overwrite=True)
@@ -405,51 +458,23 @@ class TestKilledMidFlush:
 
 
 # --------------------------------------------------------------------------- #
-# write pipeline: ablation parity, buffered reads, batched uploads
+# the upload buffer: buffered reads, batched uploads, the watermark
 # --------------------------------------------------------------------------- #
 
 
 class TestWritePipeline:
-    def test_default_configuration(self):
-        assert _WRITE_PIPELINE["enabled"] is True
-        assert _WRITE_PIPELINE["workers"] >= 1
-
-    def test_context_restores_config(self):
-        prev = dict(_WRITE_PIPELINE)
-        with write_pipeline(enabled=False, workers=1, watermark_chunks=2):
-            assert _WRITE_PIPELINE["enabled"] is False
-        assert _WRITE_PIPELINE == prev
-
-    def test_pipelined_and_serial_produce_same_reads(self, rng):
+    def test_buffered_chunks_readable_before_flush(self, rng):
+        ds = repro.empty(MemoryProvider(), overwrite=True)
+        ds.create_tensor("x", dtype="uint8", max_chunk_size=1024)
         rows = [
             rng.integers(0, 255, (12, 12), dtype=np.uint8)
             for _ in range(16)
         ]
-        datasets = {}
-        for mode in (True, False):
-            with write_pipeline(enabled=mode, watermark_chunks=3):
-                storage = MemoryProvider()
-                ds = repro.empty(storage, overwrite=True)
-                ds.create_tensor("x", dtype="uint8", max_chunk_size=1024)
-                ds.x.extend(rows)
-                ds.flush()
-            datasets[mode] = repro.load(storage)
-        for i in range(len(rows)):
-            assert np.array_equal(
-                datasets[True].x[i].numpy(), datasets[False].x[i].numpy()
-            )
-
-    def test_buffered_chunks_readable_before_flush(self, rng):
-        with write_pipeline(watermark_chunks=10**6):  # never auto-flush
-            ds = repro.empty(MemoryProvider(), overwrite=True)
-            ds.create_tensor("x", dtype="uint8", max_chunk_size=1024)
-            rows = [
-                rng.integers(0, 255, (12, 12), dtype=np.uint8)
-                for _ in range(16)
-            ]
-            ds.x.extend(rows)
-            for i in (0, 7, 15):  # spans finalized-but-unflushed chunks
-                assert np.array_equal(ds.x[i].numpy(), rows[i])
+        ds.x.extend(rows)
+        pending = ds._engine("x")._pending_chunks
+        assert 0 < len(pending) < _WATERMARK_CHUNKS  # nothing uploaded yet
+        for i in (0, 7, 15):  # spans finalized-but-unflushed chunks
+            assert np.array_equal(ds.x[i].numpy(), rows[i])
 
     def test_pipelined_writes_batch_object_store_puts(self, rng):
         rows = [
@@ -457,24 +482,155 @@ class TestWritePipeline:
             for _ in range(24)
         ]
 
-        def ingest(enabled):
-            store = make_object_store("s3", clock=SimClock())
-            with write_pipeline(enabled=enabled, watermark_chunks=8):
-                ds = repro.empty(store, overwrite=True)
-                ds.create_tensor(
-                    "x", dtype="uint8", max_chunk_size=512,
-                    create_shape_tensor=False, create_id_tensor=False,
-                )
-                ds.x.extend(rows)
-                ds.flush()
+        def ingest(store):
+            ds = repro.empty(store, overwrite=True)
+            ds.create_tensor(
+                "x", dtype="uint8", max_chunk_size=512,
+                create_shape_tensor=False, create_id_tensor=False,
+            )
+            ds.x.extend(rows)
+            ds.flush()
             return store
 
-        serial = ingest(False)
-        pipelined = ingest(True)
+        serial = ingest(PerKeyPutStore("s3", clock=SimClock()))
+        pipelined = ingest(make_object_store("s3", clock=SimClock()))
         chunk_uploads = serial.requests_by_op["upload"]
         batches = pipelined.requests_by_op["upload_batch"]
         assert batches < chunk_uploads / 2
         assert pipelined.clock.now() < serial.clock.now()
+
+    def test_crossing_the_watermark_uploads_one_batch_before_flush(self):
+        store = make_object_store("s3", clock=SimClock())
+        ds = repro.empty(store, overwrite=True)
+        ds.create_tensor(
+            "x", dtype="int64", max_chunk_size=256,
+            create_shape_tensor=False, create_id_tensor=False,
+        )
+        _writes, singles, batches = record_writes(store)
+        # 32 bytes a row: 8 rows fill a chunk, so 80 rows finalize 10
+        ds.x.extend([np.arange(i, i + 4, dtype=np.int64) for i in range(80)])
+        assert len(batches) == 1 and len(batches[0]) >= _WATERMARK_CHUNKS
+        assert all(is_chunk(k) for k in batches[0])
+        assert not any(is_chunk(k) for k in singles)
+        assert not ds._engine("x")._pending_chunks
+
+
+class TestModifiedChunksAreBuffered:
+    """A chunk modified by ``update`` or an in-place transform joins the
+    same buffer a finalized chunk does: it is uploaded by the next
+    watermark/flush batch, once, however many of its rows changed."""
+
+    def _one_chunk_dataset(self, rows=100, **tensor_kwargs):
+        store = make_object_store("s3", clock=SimClock())
+        ds = repro.empty(store, overwrite=True)
+        ds.create_tensor("x", dtype="int64", create_shape_tensor=False,
+                         create_id_tensor=False, **tensor_kwargs)
+        ds.x.extend([np.full(128, i, dtype=np.int64) for i in range(rows)])
+        ds.flush()
+        return store, ds
+
+    def test_updates_to_one_chunk_upload_it_once(self):
+        store, ds = self._one_chunk_dataset()  # one ~100 kB chunk
+        (chunk_key,) = [k for k in store.backing._all_keys() if is_chunk(k)]
+        written_before = store.stats.bytes_written
+        writes, singles, batches = record_writes(store)
+        updated = list(range(0, 100, 2)) * 2  # 100 updates, odd rows untouched
+        for i in updated:
+            ds.x[i] = np.full(128, -i, dtype=np.int64)
+        ds.flush()
+        assert writes[chunk_key] == 1
+        assert not any(is_chunk(k) for k in singles)
+        (chunk_batch,) = [b for b in batches if chunk_key in b]
+        assert all(is_chunk(k) for k in chunk_batch)
+        # about one chunk's worth of bytes, not one chunk per update
+        assert store.stats.bytes_written - written_before < 2 * 100 * 1024
+        fresh = repro.load(store)
+        for i in range(100):
+            want = -i if i % 2 == 0 else i
+            assert np.array_equal(fresh.x[i].numpy(),
+                                  np.full(128, want, dtype=np.int64))
+
+    def test_updates_keep_the_buffer_bounded(self):
+        # 1 kB rows in 2 kB chunks: every second update opens a new chunk
+        store, ds = self._one_chunk_dataset(rows=40, max_chunk_size=2048)
+        engine = ds._engine("x")
+        assert engine.enc.num_chunks > 2 * _WATERMARK_CHUNKS
+        before = store.requests_by_op.get("upload_batch", 0)
+        for i in range(40):
+            ds.x[i] = np.full(128, -i, dtype=np.int64)
+            assert len(engine._pending_chunks) < _WATERMARK_CHUNKS
+        assert store.requests_by_op["upload_batch"] > before  # pre-flush
+        ds.flush()
+        fresh = repro.load(store)
+        assert np.array_equal(fresh.x[39].numpy(), np.full(128, -39))
+
+    def test_inplace_compute_uploads_each_chunk_once(self):
+        store, ds = self._one_chunk_dataset(rows=10, max_chunk_size=2048)
+        chunk_keys = {k for k in store.backing._all_keys() if is_chunk(k)}
+        assert 1 < len(chunk_keys) < _WATERMARK_CHUNKS
+        writes, singles, _batches = record_writes(store)
+
+        @repro.compute
+        def negate(sample_in, sample_out):
+            sample_out.append({"x": -sample_in["x"]})
+
+        assert negate().eval(ds) == 10
+        assert {k: writes[k] for k in chunk_keys} == dict.fromkeys(
+            chunk_keys, 1
+        )
+        assert not any(is_chunk(k) for k in singles)
+        fresh = repro.load(store)
+        assert np.array_equal(fresh.x[7].numpy(), np.full(128, -7))
+
+
+class TestWhereParallelismLives:
+    """The rule: the chunk engine runs on its caller's thread; the one
+    pool underneath is the encode pool, taken only when staging a batch
+    of a sample-compressed tensor."""
+
+    def test_only_sample_compressed_staging_leaves_the_calling_thread(
+        self, rng, monkeypatch
+    ):
+        codec = get_codec("jpeg")
+        encode_threads, decode_threads = [], []
+        encode, decode = codec.compress, codec.decompress
+
+        def recording_encode(*args, **kwargs):
+            encode_threads.append(threading.current_thread().name)
+            return encode(*args, **kwargs)
+
+        def recording_decode(*args, **kwargs):
+            decode_threads.append(threading.current_thread().name)
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(codec, "compress", recording_encode)
+        monkeypatch.setattr(codec, "decompress", recording_decode)
+        here = threading.current_thread().name
+        ds = repro.empty(MemoryProvider(), overwrite=True)
+        ds.create_tensor("img", htype="image", sample_compression="jpeg",
+                         create_shape_tensor=False, create_id_tensor=False)
+        ds.create_tensor("label", dtype="int64", create_shape_tensor=False,
+                         create_id_tensor=False)
+        images = [smooth_image(rng, 24, 24, 3) for _ in range(11)]
+
+        ds.img.extend(images[:8])
+        assert len(encode_threads) == 8
+        assert all(t.startswith("sample-encode") for t in encode_threads)
+
+        del encode_threads[:]
+        ds.img.extend(images[8:])  # under the 4-item gate: inline
+        assert encode_threads == [here] * 3
+
+        # everything else stays on the caller, and starts no thread
+        threads_before = threading.active_count()
+        ds.label.extend([np.int64(i % 3) for i in range(11)])
+        values = ds.read_rows(list(range(11)), ["img"])["img"]
+        assert len(values) == 11 and decode_threads == [here] * 11
+        groups = ds.query("select label, COUNT() as n group by label")
+        assert len(groups) == 3
+        ds.flush()
+        assert threading.active_count() == threads_before
+        assert encode_threads == [here] * 3
 
 
 # --------------------------------------------------------------------------- #
