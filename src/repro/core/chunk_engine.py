@@ -204,16 +204,14 @@ class ReadPlan:
     per-row sequences.
     """
 
-    __slots__ = ("tensor", "rows", "items", "chunk_keys", "chunk_items",
-                 "active_chunks", "seq_spans", "skipped_chunks")
+    __slots__ = ("tensor", "rows", "items", "chunk_keys", "active_chunks",
+                 "seq_spans", "skipped_chunks")
 
     def __init__(self, tensor: str):
         self.tensor = tensor
         self.rows: List[int] = []            # normalized requested rows
         self.items: List[Tuple] = []         # per-flat-item specs
         self.chunk_keys: Dict[str, str] = {}  # chunk -> resolved storage key
-        #: chunk -> [(item position, local index)] for grouping/tests
-        self.chunk_items: Dict[str, List[Tuple[int, int]]] = {}
         self.active_chunks: Set[str] = set()  # in-memory write-back chunks
         self.seq_spans: Optional[List[Tuple[int, int]]] = None
         #: chunks proven irrelevant by statistics pushdown (never fetched)
@@ -226,18 +224,12 @@ class ReadPlan:
     @property
     def num_chunks(self) -> int:
         """Distinct chunks the plan touches (fetchable + active)."""
-        return len(self.chunk_items)
-
-    @property
-    def num_fetches(self) -> int:
-        """Upper bound on storage GETs this plan can issue."""
-        return len(self.chunk_keys)
+        return len(self.chunk_keys) + len(self.active_chunks)
 
     def __repr__(self) -> str:
         return (
             f"ReadPlan(tensor={self.tensor!r}, rows={len(self.rows)}, "
-            f"items={self.num_items}, chunks={self.num_chunks}, "
-            f"fetches={self.num_fetches})"
+            f"items={self.num_items}, chunks={self.num_chunks})"
         )
 
 
@@ -444,8 +436,14 @@ class ChunkEngine:
         self._dirty = False
 
     def _encoder_items(self) -> Dict[str, bytes]:
+        # the chunk set travels with the encoders: a reader finds every
+        # chunk the encoder names through it, so an encoder must never be
+        # durable ahead of the chunk set that places its chunks
         items = {
-            self._state_key(K.chunk_id_encoder_key): self.enc.tobytes()
+            self._state_key(K.chunk_set_key): json_dumps(
+                sorted(self.chunk_set)
+            ),
+            self._state_key(K.chunk_id_encoder_key): self.enc.tobytes(),
         }
         if self.tile_enc.num_tiled:
             items[self._state_key(K.tile_encoder_key)] = self.tile_enc.tobytes()
@@ -460,9 +458,6 @@ class ChunkEngine:
     def _meta_items(self) -> Dict[str, bytes]:
         items = {
             self._state_key(K.tensor_meta_key): self.meta.to_json(),
-            self._state_key(K.chunk_set_key): json_dumps(
-                sorted(self.chunk_set)
-            ),
         }
         if self.chunk_stats:
             items[self._state_key(K.chunk_stats_key)] = json_dumps(
@@ -486,21 +481,14 @@ class ChunkEngine:
                 if items:
                     self.storage.set_many(items)
 
-    def reload(self) -> None:
-        """Drop in-memory state and reread from storage (after checkout)."""
-        with self._lock:
-            self.flush()
-            self._ancestor_chunk_sets.clear()
-            self._chunk_cache.clear()
-            self._chunk_cache_bytes = 0
-            self._header_cache.clear()
-            self._load_state()
-
     def begin_new_commit(self) -> None:
         """Reset per-commit bookkeeping after the head moved to a child.
 
         Must be called *after* the old state was flushed and the shared
-        :class:`VersionState` points at the new head commit.
+        :class:`VersionState` points at the new head commit.  Touches no
+        storage: the engine is left dirty, and the caller's coordinated
+        ``Dataset.flush`` writes the child's state for every tensor at
+        once, before the version tree that makes the child reachable.
         """
         with self._lock:
             self._active_chunk = None
@@ -509,7 +497,6 @@ class ChunkEngine:
             self.commit_diff = CommitDiff(self.num_samples)
             self._ancestor_chunk_sets.clear()
             self._dirty = True
-            self.flush()
 
     @property
     def has_changes(self) -> bool:
@@ -765,7 +752,7 @@ class ChunkEngine:
                 entry["shape_max"] = [max(c) for c in zip(*shapes)]
             self.chunk_stats[name] = entry
 
-    def backfill_chunk_stats(self, persist: bool = True) -> int:
+    def backfill_chunk_stats(self) -> int:
         """Compute statistics for every chunk that predates the sidecar.
 
         Decodes each missing chunk once (any codec) and records full
@@ -791,7 +778,7 @@ class ChunkEngine:
                 continue
             self.chunk_stats[name] = self._stats_from_chunk(chunk)
             done += 1
-        if done and persist:
+        if done:
             self._dirty = True
             self.flush()
         return done
@@ -1057,12 +1044,6 @@ class ChunkEngine:
         self.meta.length += 1
         self.commit_diff.add(1)
         self._dirty = True
-
-    def _append_flat(self, value) -> None:
-        # single-sample internal path (pad_to): serialization — the only
-        # fallible phase — completes before any engine state is mutated
-        raw, shape, arr = self._serialize_sample(value)
-        self._commit_flat(value, raw, shape, arr)
 
     def _append_tiled(self, value, raw, shape, arr) -> None:
         # a tiled sample owns dedicated chunks; close the active one first
@@ -1350,10 +1331,10 @@ class ChunkEngine:
         # plan over them, so they arrive in one fetch
         plan = ReadPlan(self.tensor)
         with self._lock:
-            for pos, (flat, _gidx) in enumerate(hits):
+            for flat, _gidx in hits:
                 name = ChunkIdEncoder.name_from_id(chunk_ids[flat])
                 plan.items.append(("sample", name, 0))
-                self._plan_note_chunk(plan, name, pos, 0)
+                self._plan_note_chunk(plan, name)
         for (_flat, gidx), tile in zip(hits, self.execute_plan(plan)):
             tile_region = tiling.tile_slices(gidx, tile_shape, sample_shape)
             # intersection of tile extent and requested region
@@ -1389,10 +1370,7 @@ class ChunkEngine:
             out.append(i)
         return out
 
-    def _plan_note_chunk(
-        self, plan: ReadPlan, name: str, pos: int, local: int
-    ) -> None:
-        plan.chunk_items.setdefault(name, []).append((pos, local))
+    def _plan_note_chunk(self, plan: ReadPlan, name: str) -> None:
         if name in plan.chunk_keys or name in plan.active_chunks:
             return
         if self._mem_chunk(name) is not None:
@@ -1404,7 +1382,6 @@ class ChunkEngine:
                          bounds=None) -> None:
         verdicts: Dict[str, bool] = {}  # chunk name -> prunable
         for idx in indices:
-            pos = len(plan.items)
             if self.pad_enc.is_padded(idx):
                 plan.items.append(("pad",))
                 continue
@@ -1415,7 +1392,7 @@ class ChunkEngine:
                 )
                 plan.items.append(("tiled", idx, names))
                 for name in names:
-                    self._plan_note_chunk(plan, name, pos, 0)
+                    self._plan_note_chunk(plan, name)
                 continue
             chunk_id, local = self.enc.translate(idx)
             name = ChunkIdEncoder.name_from_id(chunk_id)
@@ -1432,7 +1409,7 @@ class ChunkEngine:
                     plan.skipped_chunks.add(name)
                     continue
             plan.items.append(("sample", name, local))
-            self._plan_note_chunk(plan, name, pos, local)
+            self._plan_note_chunk(plan, name)
 
     def plan_reads(self, rows: Sequence[int], bounds=None) -> ReadPlan:
         """Group *rows* by owning chunk into an executable :class:`ReadPlan`.
@@ -1779,9 +1756,9 @@ class ChunkEngine:
 
     def pad_to(self, length: int) -> None:
         """Sparse support: grow with empty padded samples up to *length*."""
-        while self.num_samples < length:
-            idx = self.num_samples
-            self._append_flat(self._pad_value())
+        start = self.num_samples
+        self.extend([self._pad_value()] * (length - start))
+        for idx in range(start, length):
             self.pad_enc.pad(idx)
 
     def _pad_value(self):
@@ -1866,20 +1843,25 @@ class ChunkEngine:
             new_enc.register_samples(1)
         finish_active()
 
-        # delete replaced chunks owned by this commit (sequence tensors:
-        # only the flat encoder is rebuilt, item ranges are unchanged)
-        for name in old_owned - self.chunk_set:
+        # sequence tensors: only the flat encoder is rebuilt, item ranges
+        # are unchanged
+        replaced = old_owned - self.chunk_set
+        for name in replaced:
+            self.chunk_stats.pop(name, None)
+        self.enc = new_enc
+        self.tile_enc = new_tiles
+        self._dirty = True
+        self.flush()
+        # the replaced chunks owned by this commit go only now: until the
+        # flush above lands, the encoders in storage still name them, and a
+        # failed flush must leave them readable
+        for name in replaced:
             key = K.chunk_key(self.commit_id, self.tensor, name)
             try:
                 del self.storage[key]
             except KeyError:
                 pass
             self._cache_drop(key)
-            self.chunk_stats.pop(name, None)
-        self.enc = new_enc
-        self.tile_enc = new_tiles
-        self._dirty = True
-        self.flush()
         return self.enc.num_chunks
 
     # ------------------------------------------------------------------ #

@@ -18,6 +18,7 @@ from repro.core.chunk_engine import ChunkEngine, FusedReadPlan
 from repro.core.htypes import UNSPECIFIED
 from repro.core.index import Index
 from repro.core.meta import DatasetMeta, TensorMeta
+from repro.core.sample import Sample
 from repro.core.tensor import Tensor
 from repro.core.version_state import VersionState
 from repro.exceptions import (
@@ -35,6 +36,12 @@ from repro.version_control import operations as vc_ops
 from repro.version_control.tree import VersionTree
 
 _RESERVED = {"queries", "versions", "locks"}
+
+#: One window of :meth:`Dataset._extend_from` (copy / merge) holds at most
+#: this many rows and about this many decoded bytes, sized from the source
+#: tensor's largest sample.
+_MOVE_WINDOW_ROWS = 1024
+_MOVE_WINDOW_BYTES = 64 * 1024 * 1024
 
 
 class Dataset:
@@ -249,10 +256,11 @@ class Dataset:
         self._engines[name] = engine
         self._meta.add_tensor(name, hidden=True)
 
-    def _create_tensor_from_meta(self, name: str, src: TensorMeta) -> Tensor:
+    def _create_tensor_from_meta(
+        self, name: str, src: TensorMeta, **overrides
+    ) -> Tensor:
         """Create a tensor mirroring another's configuration (merge/copy)."""
-        return self.create_tensor(
-            name,
+        kwargs = dict(
             htype=src.full_htype,
             dtype=src.dtype,
             sample_compression=src.sample_compression,
@@ -261,6 +269,8 @@ class Dataset:
             create_shape_tensor="shape" in src.links,
             create_id_tensor="id" in src.links,
         )
+        kwargs.update(overrides)
+        return self.create_tensor(name, **kwargs)
 
     def create_group(self, name: str) -> "Dataset":
         self._check_writable()
@@ -294,29 +304,6 @@ class Dataset:
 
     def _downsample(self, arr: np.ndarray, factor: int) -> np.ndarray:
         return np.ascontiguousarray(arr[::factor, ::factor])
-
-    def _append_with_id(self, name: str, value, sample_id: Optional[int] = None) -> None:
-        """Append to *name* and mirror into its hidden companions."""
-        self._check_writable()
-        engine = self._engine(name)
-        engine.append(value)
-        new_index = engine.num_samples - 1
-        links = engine.meta.links
-        if "shape" in links:
-            if engine.meta.is_link:
-                shape = np.array([], dtype=np.int64)
-            else:
-                shape = np.asarray(engine.read_shape(new_index), dtype=np.int64)
-            self._engine(links["shape"]).append(shape)
-        if "id" in links:
-            sid = sample_id if sample_id is not None else new_sample_id()
-            self._engine(links["id"]).append(np.uint64(sid))
-        if "downsampled" in links:
-            factor = int(engine.meta.info.get("downsampling_factor", 2))
-            arr = engine.read_sample(new_index)
-            self._engine(links["downsampled"]).append(
-                self._downsample(arr, factor)
-            )
 
     def _sync_companions(
         self,
@@ -374,12 +361,63 @@ class Dataset:
         whole batch with the tensor and its companions untouched.
         """
         self._check_writable()
-        values = list(values)
-        if not values:
-            return
         engine = self._engine(name)
         plan = engine.stage_appends(values)
         self._commit_extend(name, engine, plan, sample_ids)
+
+    def _extend_from(
+        self,
+        name: str,
+        src: ChunkEngine,
+        rows: Sequence[int],
+        sample_ids: Optional[Sequence[int]] = None,
+    ) -> None:
+        """Append *rows* of the tensor behind *src* (an engine of another
+        dataset or commit) to tensor *name*, keeping *sample_ids*.
+
+        Rows move in windows: one ``read_batch`` — so one fetch and one
+        decompress per source chunk — then one :meth:`_extend_with_id`.
+        When both sides store a plain tensor under the same sample codec
+        the encoded payloads are copied verbatim (no decode/re-encode
+        generation loss for lossy codecs); tiled and padded rows have no
+        single payload and are re-read decoded.
+        """
+        meta = src.meta
+        sc = meta.sample_compression
+        verbatim = (
+            sc
+            and sc == self._engine(name).meta.sample_compression
+            and not meta.is_sequence
+            and not meta.is_link
+        )
+        row_nbytes = meta.max_sample_nbytes
+        if meta.is_sequence:  # the shape interval describes one item
+            row_nbytes *= -(-src.enc.num_samples // max(1, src.num_samples))
+        window = max(
+            1, min(_MOVE_WINDOW_ROWS, _MOVE_WINDOW_BYTES // max(1, row_nbytes))
+        )
+        for at in range(0, len(rows), window):
+            part = rows[at:at + window]
+            if verbatim:
+                values = [
+                    Sample(buffer=raw, compression=sc)
+                    for raw in src.read_batch(part, decode=False)
+                ]
+                redo = [
+                    i for i, row in enumerate(part)
+                    if row in src.tile_enc or src.pad_enc.is_padded(row)
+                ]
+                if redo:
+                    for i, value in zip(
+                        redo, src.read_batch([part[i] for i in redo])
+                    ):
+                        values[i] = value
+            else:
+                values = src.read_batch(part, aslist=True)
+            self._extend_with_id(
+                name, values,
+                sample_ids[at:at + window] if sample_ids else None,
+            )
 
     def _update_with_sync(self, name: str, index: int, value) -> None:
         self._check_writable()
@@ -405,12 +443,16 @@ class Dataset:
         links = engine.meta.links
         if "shape" in links:
             shape_engine = self._engine(links["shape"])
-            while shape_engine.num_samples < length:
-                shape_engine.append(np.array([], dtype=np.int64))
+            shape_engine.extend(
+                [np.array([], dtype=np.int64)]
+                * (length - shape_engine.num_samples)
+            )
         if "id" in links:
             id_engine = self._engine(links["id"])
-            while id_engine.num_samples < length:
-                id_engine.append(np.uint64(new_sample_id()))
+            id_engine.extend([
+                np.uint64(new_sample_id())
+                for _ in range(length - id_engine.num_samples)
+            ])
         if "downsampled" in links:
             down_engine = self._engine(links["downsampled"])
             down_engine.pad_to(length)
@@ -489,28 +531,16 @@ class Dataset:
         return self.num_samples
 
     def append(self, sample: Dict[str, object], append_empty: bool = False) -> None:
-        """Row-wise append across tensors (a *sample* of the dataset, §3.1)."""
-        self._check_writable()
-        prefix = f"{self.group_index}/" if self.group_index else ""
-        visible = {
-            n for n in self._meta.visible_tensors if n.startswith(prefix)
-        }
-        qualified = {key: self._qualify(key) for key in sample}
-        unknown = [k for k, q in qualified.items() if q not in visible]
-        if unknown:
-            raise TensorDoesNotExistError(", ".join(sorted(unknown)))
-        missing = visible - set(qualified.values())
-        if missing and not append_empty:
-            raise FormatError(
-                f"append is missing tensors {sorted(missing)}; pass "
-                "append_empty=True to pad them"
-            )
-        for key in sorted(sample):
-            self._append_with_id(qualified[key], sample[key])
-        for name in sorted(missing):
-            engine = self._engine(name)
-            self._append_with_id(name, engine.empty_sample())
-            engine.pad_enc.pad(engine.num_samples - 1)
+        """Row-wise append across tensors (a *sample* of the dataset, §3.1).
+
+        An :meth:`extend` of one row, so it is all-or-nothing as well: a
+        bad value for any tensor raises with every tensor, hidden
+        companions included, at its old length.
+        """
+        self._extend_rows(
+            {key: [value] for key, value in sample.items()},
+            1, append_empty, "append",
+        )
 
     def extend(
         self,
@@ -526,29 +556,36 @@ class Dataset:
         chunks are buffered and uploaded in batched ``set_many`` calls by
         the engines.
         """
+        columns = {key: list(values) for key, values in samples.items()}
+        count = len(next(iter(columns.values()), ()))
+        self._extend_rows(columns, count, append_empty, "extend")
+
+    def _extend_rows(
+        self, columns: Dict[str, List], count: int, append_empty: bool,
+        op: str,
+    ) -> None:
+        """Add *count* rows from equal-length *columns*; *op* is the call
+        the user made, for error text."""
         self._check_writable()
         prefix = f"{self.group_index}/" if self.group_index else ""
         visible = {
             n for n in self._meta.visible_tensors if n.startswith(prefix)
         }
-        qualified = {key: self._qualify(key) for key in samples}
+        qualified = {key: self._qualify(key) for key in columns}
         unknown = [k for k, q in qualified.items() if q not in visible]
         if unknown:
             raise TensorDoesNotExistError(", ".join(sorted(unknown)))
         missing = visible - set(qualified.values())
         if missing and not append_empty:
             raise FormatError(
-                f"extend is missing tensors {sorted(missing)}; pass "
+                f"{op} is missing tensors {sorted(missing)}; pass "
                 "append_empty=True to pad them"
             )
-        columns = {key: list(values) for key, values in samples.items()}
-        lengths = {len(col) for col in columns.values()}
-        if len(lengths) > 1:
+        if any(len(col) != count for col in columns.values()):
             raise FormatError(
                 "extend requires equal-length columns, got lengths "
                 f"{ {k: len(v) for k, v in sorted(columns.items())} }"
             )
-        count = lengths.pop() if lengths else 0
         if not count:
             return
         # Stage everything first: serialization is the fallible phase, and
@@ -730,64 +767,33 @@ class Dataset:
         into real payloads.  This is the "materialization" step that turns
         sparse query views and link-backed datasets into stream-optimal
         datasets with full lineage (the source query string is recorded).
+        Rows stream tensor by tensor through :meth:`_extend_from`: source
+        round trips grow with the chunks the view touches, not its rows.
         """
         dest = Dataset(dest_storage, strict=self.strict, path=path)
         names = [
             self._qualify(t) for t in (tensors or list(self.tensors))
         ]
+        rows_by_tensor = {
+            name: self.index.row_indices(self._engine(name).num_samples)
+            for name in names
+        }
+        n_rows = min(len(r) for r in rows_by_tensor.values()) if names else 0
         for name in names:
             src_meta = self._engine(name).meta
-            htype = src_meta.full_htype
-            sample_compression = src_meta.sample_compression
+            unlinked = {}
             if src_meta.is_link and unlink:
-                htype = src_meta.htype  # drop link[]
+                unlinked["htype"] = src_meta.htype  # drop link[]
                 if src_meta.htype == "image":
-                    sample_compression = sample_compression or "jpeg"
-            dest.create_tensor(
-                name,
-                htype=htype,
-                dtype=src_meta.dtype,
-                sample_compression=sample_compression,
-                chunk_compression=src_meta.chunk_compression,
-                max_chunk_size=src_meta.max_chunk_size,
-                create_shape_tensor="shape" in src_meta.links,
-                create_id_tensor="id" in src_meta.links,
+                    unlinked["sample_compression"] = (
+                        src_meta.sample_compression or "jpeg"
+                    )
+            dest._create_tensor_from_meta(name, src_meta, **unlinked)
+            ids = Tensor(self, name).sample_ids()
+            dest._extend_from(
+                name, self._engine(name), rows_by_tensor[name][:n_rows],
+                ids[:n_rows] if ids else None,
             )
-        rows_by_tensor = {}
-        for name in names:
-            engine = self._engine(name)
-            rows_by_tensor[name] = self.index.row_indices(engine.num_samples)
-        n_rows = min(len(r) for r in rows_by_tensor.values()) if names else 0
-        src_ids = {
-            name: Tensor(self, name, Index()).sample_ids() for name in names
-        }
-        from repro.core.sample import Sample
-
-        for row in range(n_rows):
-            for name in names:
-                engine = self._engine(name)
-                dest_engine = dest._engine(name)
-                src_row = rows_by_tensor[name][row]
-                sc = engine.meta.sample_compression
-                if (
-                    sc
-                    and sc == dest_engine.meta.sample_compression
-                    and not engine.meta.is_sequence
-                    and not engine.meta.is_link
-                    and src_row not in engine.tile_enc
-                    and not engine.pad_enc.is_padded(src_row)
-                ):
-                    # matching codecs: copy the encoded payload verbatim —
-                    # no decode/re-encode generation loss for lossy codecs
-                    raw = engine.read_batch([src_row], decode=False)[0]
-                    value = Sample(buffer=raw, compression=sc)
-                elif engine.meta.is_sequence:
-                    value = engine.read_sample(src_row, aslist=True)
-                else:
-                    value = engine.read_sample(src_row)
-                sid_list = src_ids[name]
-                sid = sid_list[src_row] if sid_list else None
-                dest._append_with_id(name, value, sample_id=sid)
         if self.query_string:
             dest._meta.info["source_query"] = self.query_string
             dest._meta.info["source_commit"] = self.commit_id

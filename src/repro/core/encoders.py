@@ -99,14 +99,6 @@ class ChunkIdEncoder:
         cum = self._cum_array()
         return int(np.searchsorted(cum, sample_index + 1, side="left"))
 
-    def chunk_id_for(self, sample_index: int) -> int:
-        return self._ids[self._row_for(sample_index)]
-
-    def local_index_for(self, sample_index: int) -> int:
-        row = self._row_for(sample_index)
-        base = self._cum[row - 1] if row > 0 else 0
-        return sample_index - int(base)
-
     def translate(self, sample_index: int) -> Tuple[int, int]:
         """(chunk_id, local index within chunk) for a sample."""
         row = self._row_for(sample_index)

@@ -84,7 +84,7 @@ class Tensor:
     def append(self, value) -> None:
         """Append one sample (array, Sample, LinkedSample, str for text...)."""
         self._check_full_view("append")
-        self.dataset._append_with_id(self.name, value)
+        self.dataset._extend_with_id(self.name, [value])
 
     def extend(self, values) -> None:
         """Append many samples as one staged batch: all values serialize

@@ -25,7 +25,6 @@ import numpy as np
 from repro.dataloader.collate import default_collate
 from repro.dataloader.order import (
     chunk_aware_shuffle,
-    naive_shuffle,
     sequential_order,
     shard_for_rank,
 )
@@ -103,7 +102,6 @@ class DeepLakeLoader:
         dataset,
         batch_size: int = 1,
         shuffle: bool = False,
-        shuffle_mode: str = "chunk",  # 'chunk' | 'naive' | 'none'
         window_chunks: int = 8,
         num_workers: int = 0,
         prefetch_factor: int = 2,
@@ -122,7 +120,6 @@ class DeepLakeLoader:
         if self.batch_size < 1:
             raise DataLoaderError("batch_size must be >= 1")
         self.shuffle = shuffle
-        self.shuffle_mode = shuffle_mode if shuffle else "none"
         self.window_chunks = window_chunks
         self.num_workers = int(num_workers)
         self.prefetch_factor = int(prefetch_factor)
@@ -188,9 +185,7 @@ class DeepLakeLoader:
         ]
         length = min(lengths)
         rows = ds.index.row_indices(length)
-        if self.shuffle_mode == "naive":
-            rows = naive_shuffle(rows, self.seed)
-        elif self.shuffle_mode == "chunk":
+        if self.shuffle:
             dominant = self._dominant_engine()
             rows = chunk_aware_shuffle(
                 rows,

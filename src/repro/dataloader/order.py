@@ -4,10 +4,12 @@
 training machine learning models."  Three strategies with different
 randomness/locality trade-offs (ablation A3 measures them):
 
-- ``sequential`` — storage order; maximal chunk locality, zero randomness;
+- ``sequential`` — storage order; maximal chunk locality, zero randomness
+  (the loader's ``shuffle=False``);
 - ``naive`` — a full uniform permutation; maximal randomness, worst
-  locality (every sample is a random chunk hit);
-- ``chunk`` (default when shuffling) — shuffle *chunk order*, then shuffle
+  locality (every sample is a random chunk hit).  Not a loader mode: the
+  yardstick the tests and ablation A3 compare the chunk-aware order with;
+- ``chunk`` (the loader's ``shuffle=True``) — shuffle *chunk order*, then shuffle
   sample order inside a window of several chunks.  Chunks are still
   fetched whole and sequentially-ish while the model sees a well-mixed
   stream — this is how the format avoids "a separate compute cluster for

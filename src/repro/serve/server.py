@@ -10,9 +10,11 @@ behind a shared front door):
   from memory to tenants B..Z.  Keys are namespaced ``dataset\\x00key``
   through a mux provider so the existing :class:`LRUCache` (now
   thread-safe) does the bookkeeping.
-- **Single-flight dedup** — concurrent requests for the same chunk join
-  one in-flight backend GET instead of issuing N; followers are counted
-  as *coalesced*.
+- **Single-flight dedup** — every backend blob read, one key or many,
+  goes through :meth:`DatasetServer._batched_blobs`: a request leads the
+  fetch of the keys nobody is fetching (ONE backend ``get_many`` for all
+  of them) and joins the in-flight fetch of the rest instead of issuing
+  its own; followers are counted as *coalesced*.
 - **Request coalescing** — byte-range requests are served by caching the
   *full* chunk once and slicing in memory, so a storm of sub-range reads
   against an 8 MB chunk costs one backend GET (blobs larger than the
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -131,29 +134,17 @@ class _ServeView(StorageProvider):
 
     def _get(self, key, start, end):
         server = self.server
-        mkey = _mux_key(self.dataset, key)
+        cache = server.cache
         ranged = start is not None or end is not None
-        if server.cache is None or mkey in server._oversize:
+        if ranged and cache is not None and not cache.is_cached(
+            _mux_key(self.dataset, key)
+        ):
+            # a header probe must not pull a whole chunk into the cache
             return server._backend(self.dataset).get_bytes(key, start, end)
-        if ranged and not server.cache.is_cached(mkey):
-            return server._backend(self.dataset).get_bytes(key, start, end)
-        blob, _outcome = server._full_blob(mkey)
-        if not ranged:
-            return blob
-        s, e = clamp_range(len(blob), start, end)
-        return blob[s:e]
+        return server._read_key(self.dataset, key, start, end)[0]
 
     def get_many(self, keys: Sequence[str]):
-        server = self.server
-        if server.cache is None:
-            blobs = server._backend(self.dataset).get_many(keys)
-        else:
-            mux = server._batched_blobs(
-                [_mux_key(self.dataset, k) for k in keys]
-            )
-            blobs = {
-                key.partition(_SEP)[2]: blob for key, blob in mux.items()
-            }
+        blobs, _outcomes = self.server._batched_blobs(self.dataset, keys)
         for blob in blobs.values():
             self.stats.record_get(len(blob))
         return blobs
@@ -442,14 +433,9 @@ class DatasetServer:
         if req.op == "get":
             return Response(data=self._serve_get(req, tenant))
         if req.op == "get_many":
-            blobs = {}
-            for key in req.keys:
-                sub = Request(op="get", tenant=req.tenant,
-                              dataset=req.dataset, key=key)
-                try:
-                    blobs[key] = self._serve_get(sub, tenant)
-                except KeyNotFound:
-                    continue  # batch semantics: return the keys that exist
+            # batch semantics: missing keys are left out of the reply
+            blobs, outcomes = self._batched_blobs(req.dataset, req.keys)
+            self._count_outcomes(tenant, outcomes.values())
             return Response(blobs=blobs)
         if req.op == "read_batch":
             return self._serve_read_batch(req, tenant)
@@ -489,72 +475,45 @@ class DatasetServer:
     # -- GET path ---------------------------------------------------------
 
     def _serve_get(self, req: Request, tenant: TenantStats) -> bytes:
-        backend = self._backend(req.dataset)
-        mkey = _mux_key(req.dataset, req.key)
-        ranged = req.start is not None or req.end is not None
-        if self.cache is None or (ranged and mkey in self._oversize):
-            # no cache tier / known-oversize blob: direct (ranged) read
-            data = backend.get_bytes(req.key, req.start, req.end)
-            tenant.inc("cache_misses")
-            return data
-        blob, outcome = self._full_blob(mkey)
-        if outcome == "hit":
-            tenant.inc("cache_hits")
-        elif outcome == "coalesced":
-            tenant.inc("cache_hits")
-            tenant.inc("coalesced")
-        else:
-            tenant.inc("cache_misses")
-        if not ranged:
-            return blob
-        s, e = clamp_range(len(blob), req.start, req.end)
-        return blob[s:e]
+        """The ``get`` op: :meth:`_read_key` plus tenant accounting.  A
+        ranged request for an uncached blob fills the cache with the whole
+        blob, so a storm of sub-range reads costs one backend GET."""
+        data, outcome = self._read_key(
+            req.dataset, req.key, req.start, req.end
+        )
+        self._count_outcomes(tenant, [outcome])
+        return data
 
-    def _full_blob(self, mkey: str) -> tuple:
-        """Whole blob for *mkey* with single-flight miss deduplication.
+    @staticmethod
+    def _count_outcomes(tenant: TenantStats, outcomes) -> None:
+        """Per-key cache accounting, the same for one key or a batch: a
+        follower of someone else's fetch counts as a hit and as
+        *coalesced*."""
+        counts = Counter(outcomes)
+        tenant.inc("cache_hits", counts["hit"] + counts["coalesced"])
+        tenant.inc("coalesced", counts["coalesced"])
+        tenant.inc("cache_misses", counts["miss"])
 
-        Returns ``(blob, outcome)`` where outcome is ``"hit"`` (cache),
-        ``"coalesced"`` (joined another request's in-flight fetch) or
-        ``"miss"`` (this request paid the backend GET).
-        """
-        cache = self.cache
-        if cache.is_cached(mkey):
-            try:
-                return cache[mkey], "hit"
-            except KeyNotFound:
-                pass  # raced an eviction + backend delete; refetch below
-        with self._flight_lock:
-            flight = self._flights.get(mkey)
-            leader = flight is None
-            if leader:
-                flight = self._flights[mkey] = _Flight()
-        if not leader:
-            flight.event.wait()
-            if flight.stale:
-                # a write completed while that fetch was in flight; a get
-                # issued after the write ack must not see the old bytes
-                return self._full_blob(mkey)
-            if flight.exc is not None:
-                raise flight.exc
-            return flight.value, "coalesced"
-        try:
-            value = cache[mkey]  # miss path fetches from the backend mux
-            if len(value) > cache.cache_size:
-                self._oversize.add(mkey)
-            flight.value = value
-            return value, "miss"
-        except BaseException as e:
-            flight.exc = e
-            raise
-        finally:
-            with self._flight_lock:
-                self._flights.pop(mkey, None)
-                stale = flight.stale
-            if stale:
-                # a put/delete raced this fetch: the blob we just cached
-                # predates the write, so it must not be served again
-                cache.invalidate(mkey)
-            flight.event.set()
+    def _read_key(
+        self, dataset: str, key: str,
+        start: Optional[int] = None, end: Optional[int] = None,
+    ) -> Tuple[bytes, str]:
+        """``(bytes, outcome)`` for one key, or the ``[start, end)`` range
+        of it: the one-key case of :meth:`_batched_blobs`, the range sliced
+        from the whole blob in memory.  With no cache tier, or for a blob
+        known to be larger than the cache, the (ranged) read goes straight
+        to the backend.  A missing key raises ``KeyNotFound``."""
+        if self.cache is None or _mux_key(dataset, key) in self._oversize:
+            data = self._backend(dataset).get_bytes(key, start, end)
+            return data, "miss"
+        blobs, outcomes = self._batched_blobs(dataset, [key])
+        if key not in blobs:
+            raise KeyNotFound(key)
+        blob = blobs[key]
+        if start is not None or end is not None:
+            s, e = clamp_range(len(blob), start, end)
+            blob = blob[s:e]
+        return blob, outcomes[key]
 
     def _serve_read_batch(self, req: Request, tenant: TenantStats) -> Response:
         """Decoded samples for many rows in one round trip.
@@ -740,84 +699,90 @@ class DatasetServer:
                 except BaseException:  # noqa: BLE001 - already swallowed
                     pass
 
-    def _batched_blobs(self, mkeys: Sequence[str]) -> Dict[str, bytes]:
-        """Whole blobs for many mux keys, with single-flight dedup.
+    def _batched_blobs(
+        self, dataset: str, keys: Sequence[str]
+    ) -> Tuple[Dict[str, bytes], Dict[str, str]]:
+        """Whole blobs of *dataset* for many keys, with single-flight
+        dedup — the only routine through which the server reads a backend
+        blob.  Returns ``(blobs, outcomes)``, both keyed by key.
 
-        Cache hits come from memory; this request becomes the leader for
-        every key with no fetch in flight and pays ONE downstream
-        ``get_many`` for all of them, while keys another request is
-        already fetching are joined as a follower — so N concurrent
-        ``read_batch`` storms over the same cold chunks still cost one
-        backend GET per chunk, exactly like the blob-level ``get`` path.
-        Missing keys are omitted (``get_many`` semantics).
+        Cache hits come from memory (outcome ``"hit"``); this request
+        becomes the leader for every key with no fetch in flight and pays
+        ONE downstream ``get_many`` for all of them (``"miss"``), while
+        keys another request is already fetching are joined as a follower
+        (``"coalesced"``) — so N concurrent requests over the same cold
+        chunks, ``get`` / ``get_many`` / ``read_batch`` alike, cost one
+        backend GET per chunk.  A follower whose flight a put / delete made
+        stale fetches again through this routine.  Missing keys are
+        omitted from both dicts (``get_many`` semantics).  Without a cache
+        tier the batch is one ``backend.get_many``.
         """
+        backend = self._backend(dataset)  # unknown dataset: raise, even on a hit
         cache = self.cache
+        if cache is None:
+            blobs = backend.get_many(keys)
+            return blobs, dict.fromkeys(blobs, "miss")
         out: Dict[str, bytes] = {}
-        need: List[str] = []
-        for mkey in dict.fromkeys(mkeys):
+        outcomes: Dict[str, str] = {}
+        leaders: Dict[str, Tuple[str, _Flight]] = {}  # mux key -> (key, flight)
+        followers: Dict[str, _Flight] = {}
+        for key in dict.fromkeys(keys):
+            mkey = _mux_key(dataset, key)
             if cache.is_cached(mkey):
                 try:
-                    out[mkey] = cache[mkey]
+                    out[key] = cache[mkey]
+                    outcomes[key] = "hit"
                     continue
                 except KeyNotFound:
                     pass  # raced an eviction; fetch below
-            need.append(mkey)
-        leaders: Dict[str, _Flight] = {}
-        followers: Dict[str, _Flight] = {}
-        with self._flight_lock:
-            for mkey in need:
+            with self._flight_lock:
                 flight = self._flights.get(mkey)
                 if flight is None:
                     flight = self._flights[mkey] = _Flight()
-                    leaders[mkey] = flight
+                    leaders[mkey] = (key, flight)
                 else:
-                    followers[mkey] = flight
+                    followers[key] = flight
         if leaders:
-            stale: List[str] = []
             try:
                 blobs = cache.get_many(list(leaders))
-                for mkey, flight in leaders.items():
+                for mkey, (key, flight) in leaders.items():
                     blob = blobs.get(mkey)
                     if blob is None:
-                        flight.exc = KeyNotFound(mkey)
+                        flight.exc = KeyNotFound(key)
                         continue
                     if len(blob) > cache.cache_size:
                         self._oversize.add(mkey)
-                    flight.value = blob
+                    flight.value = out[key] = blob
+                    outcomes[key] = "miss"
             except BaseException as e:  # noqa: BLE001 - settle followers
-                for flight in leaders.values():
+                for _key, flight in leaders.values():
                     if flight.value is None and flight.exc is None:
                         flight.exc = e
                 raise
             finally:
                 with self._flight_lock:
-                    for mkey, flight in leaders.items():
+                    for mkey in leaders:
                         self._flights.pop(mkey, None)
-                        if flight.stale:
-                            stale.append(mkey)
-                for mkey in stale:
-                    # a put/delete raced the fetch; the cached bytes
-                    # predate the write and must not be served again
-                    cache.invalidate(mkey)
-                for flight in leaders.values():
+                for mkey, (_key, flight) in leaders.items():
+                    if flight.stale:
+                        # a put/delete raced the fetch; the cached bytes
+                        # predate the write and must not be served again
+                        cache.invalidate(mkey)
                     flight.event.set()
-            for mkey, flight in leaders.items():
-                if flight.value is not None:
-                    out[mkey] = flight.value
-        for mkey, flight in followers.items():
+        for key, flight in followers.items():
             flight.event.wait()
             if flight.stale:
-                try:
-                    out[mkey], _ = self._full_blob(mkey)
-                except KeyNotFound:
-                    continue
-            elif flight.exc is not None:
-                if isinstance(flight.exc, KeyNotFound):
-                    continue
+                # a write completed while that fetch was in flight; a read
+                # issued after the write ack must not see the old bytes
+                blobs, again = self._batched_blobs(dataset, [key])
+                out.update(blobs)
+                outcomes.update(again)
+            elif flight.exc is None:
+                out[key] = flight.value
+                outcomes[key] = "coalesced"
+            elif not isinstance(flight.exc, KeyNotFound):
                 raise flight.exc
-            else:
-                out[mkey] = flight.value
-        return out
+        return out, outcomes
 
     def _invalidate(self, dataset: str, key: str) -> None:
         # a write makes any opened Dataset view's encoders/meta stale;

@@ -69,8 +69,7 @@ SCAN_BATCH_ROWS = 1024
 
 
 class Executor:
-    def __init__(self, ds, plan: Plan, seed: int = 0,
-                 scan_batch_rows: int = SCAN_BATCH_ROWS):
+    def __init__(self, ds, plan: Plan, seed: int = 0):
         self.ds = ds
         self.plan = plan
         self.rng = np.random.default_rng(seed)
@@ -84,7 +83,6 @@ class Executor:
         self.prefetch_fallbacks = 0
         #: chunks proven irrelevant by statistics pushdown (zero GETs)
         self.chunks_skipped = 0
-        self.scan_batch_rows = max(1, int(scan_batch_rows))
         #: tensor -> {row: raw engine value} filled by batched scans
         self._scan_cache: Dict[str, Dict[int, object]] = {}
         ds_label = str(getattr(ds, "path", "") or "dataset")
@@ -188,9 +186,8 @@ class Executor:
         self._scan_cache.clear()
 
     def _scan_batches(self, rows: List[int]):
-        step = self.scan_batch_rows
-        for i in range(0, len(rows), step):
-            yield rows[i : i + step]
+        for i in range(0, len(rows), SCAN_BATCH_ROWS):
+            yield rows[i : i + SCAN_BATCH_ROWS]
 
     # ------------------------------------------------------------------ #
     # graph evaluation (row-at-a-time: the optimize=False ablation path,
@@ -467,13 +464,27 @@ class Executor:
                 create_id_tensor=False,
             )
 
+    def _extend_output(self, out, cols: Dict[str, List],
+                       create: bool) -> None:
+        """One columnar ``extend`` of result dataset *out*; *create* first
+        declares its tensors from these values."""
+        if create:
+            for name, values in cols.items():
+                self._infer_and_create(out, name, values)
+        out.extend({
+            name: [
+                v if isinstance(v, (str, dict, list)) else np.asarray(v)
+                for v in values
+            ]
+            for name, values in cols.items()
+        })
+
     def _materialize_projections(self, rows: List[int], query_string: str):
         import repro as _api
 
         plan = self.plan
         out = _api.empty(f"mem://tql-{id(self)}", overwrite=True)
         out.query_string = query_string
-        created = False
         columns = plan.projection_columns() if plan.optimize else []
         for batch in self._scan_batches(list(rows)):
             self._m_scan_windows.inc()
@@ -488,32 +499,15 @@ class Executor:
                     for name, node in plan.projections
                 }
                 self._h_kernel.observe(time.perf_counter() - t0)
-                batch_rows = [
-                    {name: cols[name][i] for name in cols}
-                    for i in range(len(batch))
-                ]
             else:
-                batch_rows = []
+                cols = {name: [] for name, _node in plan.projections}
                 for row in batch:
                     memo: Dict[int, object] = {}
-                    batch_rows.append({
-                        name: self.eval_node(node, row, memo)
-                        for name, node in plan.projections
-                    })
-            if not created and batch_rows:
-                for name, _node in plan.projections:
-                    self._infer_and_create(
-                        out, name, [r[name] for r in batch_rows]
-                    )
-                created = True
-            for values in batch_rows:
-                out.append(
-                    {k: (np.asarray(v) if not isinstance(v, (str, dict, list))
-                         else v)
-                     for k, v in values.items()}
-                )
+                    for name, node in plan.projections:
+                        cols[name].append(self.eval_node(node, row, memo))
+            self._extend_output(out, cols, create=not out._meta.tensors)
             self._clear_prefetched()
-        if not created:
+        if not out._meta.tensors:  # no row survived: empty columns
             for name, _node in plan.projections:
                 out.create_tensor(name, dtype="float64",
                                   create_shape_tensor=False,
@@ -583,18 +577,12 @@ class Executor:
 
         out = _api.empty(f"mem://tql-{id(self)}", overwrite=True)
         out.query_string = query_string
-        created = False
-        for values in group_rows:
-            if not created:
-                for name in values:
-                    self._infer_and_create(
-                        out, name, [g[name] for g in group_rows]
-                    )
-                created = True
-            out.append(
-                {k: (np.asarray(v) if not isinstance(v, (str, dict, list))
-                     else v)
-                 for k, v in values.items()}
+        if group_rows:
+            self._extend_output(
+                out,
+                {name: [g[name] for g in group_rows]
+                 for name in group_rows[0]},
+                create=True,
             )
         out._meta.info["source_query"] = query_string
         out._meta.info["source_commit"] = self.ds.commit_id

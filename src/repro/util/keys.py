@@ -44,7 +44,9 @@ QUERIES_FOLDER = "queries"
 #: durable before the encoders that index them, and encoders before the
 #: meta/bookkeeping files that declare samples visible.  A crash between
 #: classes leaves unreferenced chunks (harmless garbage), never meta that
-#: points at missing chunks.
+#: points at missing chunks.  The chunk set is an index file too: a reader
+#: resolves each chunk the encoder names to a commit's folder through it,
+#: so the two go down in the same batch.
 KEY_CLASS_CHUNK = 0
 KEY_CLASS_ENCODER = 1
 KEY_CLASS_META = 2
@@ -54,6 +56,7 @@ _ENCODER_FILENAMES = (
     TILE_ENCODER_FILENAME,
     SEQUENCE_ENCODER_FILENAME,
     PAD_ENCODER_FILENAME,
+    CHUNK_SET_FILENAME,
 )
 
 

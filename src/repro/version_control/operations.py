@@ -18,6 +18,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.chunk_engine import CommitDiff
+from repro.core.index import Index
+from repro.core.tensor import Tensor
 from repro.exceptions import (
     CheckoutError,
     MergeConflictError,
@@ -31,7 +33,14 @@ ConflictPolicy = Union[None, str, Callable]
 
 
 def commit(ds, message: str = "") -> str:
-    """Seal the current head as an immutable snapshot; returns its id."""
+    """Seal the current head as an immutable snapshot; returns its id.
+
+    Two coordinated ``ds.flush()`` calls and nothing else touch storage:
+    the first makes the head being sealed durable, the second writes the
+    fresh child — every tensor's state in one batch per key class, then
+    the dataset meta, then the version tree, so the child stays
+    unreachable until everything it names is durable.
+    """
     ds._check_writable()
     ds.flush()
     tree = ds._tree
@@ -42,8 +51,7 @@ def commit(ds, message: str = "") -> str:
     vs.commit_id = child.commit_id
     for engine in ds._engines.values():
         engine.begin_new_commit()
-    ds._write_dataset_meta()
-    tree.save(ds.storage)
+    ds.flush()
     return sealed
 
 
@@ -66,9 +74,10 @@ def checkout(ds, address: str, create: bool = False) -> str:
         vs.commit_id = node.commit_id
         for engine in ds._engines.values():
             engine.begin_new_commit()
-        ds._write_dataset_meta()
-        tree.save(ds.storage)
+        # writable first: Dataset.flush skips the dataset meta and the
+        # version tree while the dataset sits on a sealed commit
         ds._set_commit_read_only(False)
+        ds.flush()
         return node.commit_id
 
     node = tree.resolve(address)
@@ -164,14 +173,9 @@ def diff(ds, target: Optional[str] = None) -> Dict:
 # ---------------------------------------------------------------------------
 
 
-def _sample_ids(ds, tensor: str) -> Optional[List[int]]:
-    """Stored sample ids of *tensor* (None when the id tensor is absent)."""
-    engine = ds._engine(tensor)
-    id_name = engine.meta.links.get("id")
-    if not id_name or id_name not in ds._all_tensor_names(include_hidden=True):
-        return None
-    id_engine = ds._engine(id_name)
-    return [int(id_engine.read_sample(i)[()]) for i in range(id_engine.num_samples)]
+def _all_rows(ds, tensor: str) -> Tensor:
+    """*tensor* of *ds* over every row, whatever view *ds* is."""
+    return Tensor(ds, tensor, Index())
 
 
 def merge(
@@ -210,14 +214,18 @@ def merge(
     )
 
     conflicts = []
-    plan = []  # (tensor, action, payload...)
+    # what to apply, per tensor of theirs: rows only they have (their
+    # index, sample id) and rows they updated (their index, our index,
+    # whether the policy callable combines both sides)
+    appends: Dict[str, List[Tuple[int, int]]] = {}
+    updates: Dict[str, List[Tuple[int, int, bool]]] = {}
+    ours_tensors = ds._all_tensor_names(include_hidden=False)
     for tensor in theirs_tensors:
+        if tensor not in ours_tensors:
+            continue  # created on their side: copied whole below
         change = theirs_changes[tensor]
-        if tensor not in ds._all_tensor_names(include_hidden=False):
-            plan.append(("create_and_copy", tensor))
-            continue
-        ours_ids = _sample_ids(ds, tensor)
-        theirs_ids = _sample_ids(target_ds, tensor)
+        ours_ids = _all_rows(ds, tensor).sample_ids()
+        theirs_ids = _all_rows(target_ds, tensor).sample_ids()
         if ours_ids is None or theirs_ids is None:
             ours_ids = list(range(ds._engine(tensor).num_samples))
             theirs_ids = list(range(target_ds._engine(tensor).num_samples))
@@ -228,14 +236,14 @@ def merge(
             if i < len(ours_ids)
         }
         # new rows on their side
-        for start, end in change["added_ranges"]:
-            for idx in range(start, end):
-                if idx >= len(theirs_ids):
-                    continue
-                sid = theirs_ids[idx]
-                if sid not in ours_index:
-                    plan.append(("append", tensor, idx, sid))
+        appends[tensor] = [
+            (idx, theirs_ids[idx])
+            for start, end in change["added_ranges"]
+            for idx in range(start, min(end, len(theirs_ids)))
+            if theirs_ids[idx] not in ours_index
+        ]
         # their updates
+        updates[tensor] = []
         for idx in change["updated"]:
             if idx >= len(theirs_ids):
                 continue
@@ -243,48 +251,43 @@ def merge(
             if sid not in ours_index:
                 continue
             ours_idx = ours_index[sid]
+            resolve = False
             if sid in ours_updated_ids:
                 if conflict_resolution is None:
                     conflicts.append((tensor, sid, ours_idx, idx))
                     continue
                 if conflict_resolution == "ours":
                     continue
-                if conflict_resolution == "theirs":
-                    plan.append(("update", tensor, idx, ours_idx))
-                    continue
-                plan.append(("resolve", tensor, idx, ours_idx))
-            else:
-                plan.append(("update", tensor, idx, ours_idx))
+                resolve = conflict_resolution != "theirs"
+            updates[tensor].append((idx, ours_idx, resolve))
 
     if conflicts:
         raise MergeConflictError(conflicts)
 
-    for entry in plan:
-        action, tensor = entry[0], entry[1]
-        if action == "create_and_copy":
-            src_engine = target_ds._engine(tensor)
-            ds._create_tensor_from_meta(tensor, src_engine.meta)
-            src_ids = _sample_ids(target_ds, tensor)
-            for i in range(src_engine.num_samples):
-                value = src_engine.read_sample(i, aslist=True) \
-                    if src_engine.meta.is_sequence else src_engine.read_sample(i)
-                sid = src_ids[i] if src_ids else None
-                ds._append_with_id(tensor, value, sample_id=sid)
-        elif action == "append":
-            _action, tensor, theirs_idx, sid = entry
-            value = target_ds._engine(tensor).read_sample(theirs_idx)
-            ds._append_with_id(tensor, value, sample_id=sid)
-        elif action == "update":
-            _action, tensor, theirs_idx, ours_idx = entry
-            value = target_ds._engine(tensor).read_sample(theirs_idx)
-            ds._update_with_sync(tensor, ours_idx, value)
-        elif action == "resolve":
-            _action, tensor, theirs_idx, ours_idx = entry
-            ours_val = ds._engine(tensor).read_sample(ours_idx)
-            theirs_val = target_ds._engine(tensor).read_sample(theirs_idx)
-            ds._update_with_sync(
-                tensor, ours_idx, conflict_resolution(ours_val, theirs_val)
+    for tensor in theirs_tensors:
+        theirs = target_ds._engine(tensor)
+        if tensor not in ours_tensors:
+            ds._create_tensor_from_meta(tensor, theirs.meta)
+            ds._extend_from(
+                tensor, theirs, range(theirs.num_samples),
+                _all_rows(target_ds, tensor).sample_ids(),
             )
+            continue
+        if appends[tensor]:
+            rows, ids = zip(*appends[tensor])
+            ds._extend_from(tensor, theirs, rows, ids)
+        edits = updates[tensor]
+        if edits:
+            # each side's rows in one batched read, then applied in order
+            theirs_values = theirs.read_batch([idx for idx, _o, _r in edits])
+            contested = [ours for _idx, ours, resolve in edits if resolve]
+            ours_values = dict(
+                zip(contested, ds._engine(tensor).read_batch(contested))
+            )
+            for (_idx, ours_idx, resolve), value in zip(edits, theirs_values):
+                if resolve:
+                    value = conflict_resolution(ours_values[ours_idx], value)
+                ds._update_with_sync(tensor, ours_idx, value)
 
     message = commit_message or f"merge {target!r} into {vs.branch!r}"
     merged = commit(ds, message)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.compression import compress_array, decompress_array
 from repro.exceptions import (
     FormatError,
     GroupError,
@@ -14,7 +15,13 @@ from repro.exceptions import (
     TensorAlreadyExistsError,
     TensorDoesNotExistError,
 )
-from repro.storage import LocalProvider, MemoryProvider
+from repro.sim import SimClock
+from repro.storage import (
+    LocalProvider,
+    MemoryProvider,
+    SimulatedObjectStore,
+    storage_from_url,
+)
 
 
 class TestSchema:
@@ -124,6 +131,50 @@ class TestAppendAndRead:
         with pytest.raises(TensorDoesNotExistError):
             image_ds.append({"imagez": np.zeros(1)})
 
+    def test_append_is_all_or_nothing_across_tensors(self, mem_ds):
+        """A bad value for a later tensor leaves every tensor, hidden
+        companions included, at its old length — as ``extend`` of the same
+        row does."""
+        mem_ds.create_tensor("a", dtype="int64")
+        mem_ds.create_tensor("b", dtype="int64")
+        mem_ds.append({"a": np.int64(1), "b": np.int64(2)})
+        lengths = {
+            name: mem_ds._engine(name).num_samples
+            for name in mem_ds._all_tensor_names()
+        }
+        assert set(lengths) >= {"a", "_a_shape", "_a_id", "b"}
+
+        class Bad:
+            def __array__(self, dtype=None):
+                raise ValueError("unserializable")
+
+        with pytest.raises(ValueError):
+            mem_ds.append({"a": np.int64(3), "b": Bad()})
+        assert {
+            name: mem_ds._engine(name).num_samples
+            for name in mem_ds._all_tensor_names()
+        } == lengths
+        mem_ds.append({"a": np.int64(3), "b": np.int64(4)})
+        assert [int(v) for v in mem_ds.a.numpy()] == [1, 3]
+
+    def test_append_names_the_call_in_its_error(self, mem_ds):
+        mem_ds.create_tensor("a", dtype="int64")
+        mem_ds.create_tensor("b", dtype="int64")
+        with pytest.raises(FormatError, match="^append is missing"):
+            mem_ds.append({"a": np.int64(1)})
+
+    def test_append_of_no_columns_adds_one_empty_row(self, mem_ds):
+        mem_ds.create_tensor("a", dtype="int64")
+        mem_ds.create_tensor("b", dtype="float32")
+        mem_ds.append({"a": np.int64(1), "b": np.ones(2, dtype=np.float32)})
+        mem_ds.append({}, append_empty=True)
+        assert len(mem_ds) == 2
+        for name in mem_ds._all_tensor_names():
+            assert mem_ds._engine(name).num_samples == 2
+        for name in ("a", "b"):
+            assert mem_ds._engine(name).pad_enc.is_padded(1)
+        assert mem_ds.b[1].numpy().size == 0
+
     def test_iteration(self, image_ds):
         rows = list(image_ds)
         assert len(rows) == 24
@@ -202,6 +253,30 @@ class TestSparse:
         assert len(ds._engine("_x_id").enc._cum) >= 1
         assert ds._engine("_x_id").num_samples == 5
 
+    def test_assignment_far_past_the_end_matches_model(self, rng):
+        ds = repro.empty(MemoryProvider(), overwrite=True, strict=False)
+        ds.create_tensor("x", dtype="float32", max_chunk_size=4096)
+        model = [rng.random(3).astype(np.float32) for _ in range(4)]
+        ds.x.extend(model)
+        value = rng.random(3).astype(np.float32)
+        ds.x[5000] = value
+        model += [np.zeros((0,), dtype=np.float32)] * (5000 - 4) + [value]
+        assert len(ds.x) == len(model) == 5001
+        rows = [0, 3, 4, 2500, 4999, 5000]
+        for row, got in zip(rows, ds.read_rows(rows, tensors=["x"])["x"]):
+            assert np.array_equal(got, model[row])
+        engine = ds._engine("x")
+        assert engine.pad_enc.indices() == list(range(4, 5000))
+        # companions in step, ids still unique
+        for link in engine.meta.links.values():
+            assert ds._engine(link).num_samples == 5001
+        assert len(set(ds.x.sample_ids())) == 5001
+        assert ds.x.shapes()[5000] == (3,)
+        ds.flush()
+        again = repro.load(ds.storage, strict=False)
+        assert np.array_equal(again.x[5000].numpy(), value)
+        assert again.x[4999].numpy().size == 0
+
 
 class TestDownsampled:
     def test_downsampled_maintained(self, rng):
@@ -267,6 +342,70 @@ class TestPersistence:
             ro.x.append(np.array([2], dtype=np.int64))
 
 
+def _copy_source(layout, rng):
+    """A source dataset with one tensor ``x`` in *layout* and the
+    list-of-arrays model of what reading it back must give."""
+    ds = repro.empty(MemoryProvider(), overwrite=True, strict=False)
+    if layout == "jpeg":
+        ds.create_tensor("x", htype="image", sample_compression="jpeg",
+                         max_chunk_size=4096)
+        images = [
+            rng.integers(0, 255, (16, 16, 3), dtype=np.uint8)
+            for _ in range(20)
+        ]
+        ds.x.extend(images)
+        model = [
+            decompress_array(compress_array(im, "jpeg"), "jpeg")
+            for im in images
+        ]
+    elif layout == "lz4":
+        ds.create_tensor("x", dtype="int64", chunk_compression="lz4",
+                         max_chunk_size=512)
+        model = [np.arange(i, i + 9, dtype=np.int64) for i in range(20)]
+        ds.x.extend(model)
+    elif layout == "tiled":
+        # a sample-compressed tensor, so flat rows move verbatim and the
+        # tiled ones (no single payload) take the decoded re-read
+        ds.create_tensor("x", htype="image", sample_compression="png",
+                         max_chunk_size=4096)
+        model = [
+            rng.integers(0, 255, (64, 64, 3) if i % 4 == 1 else (8, 8, 3),
+                         dtype=np.uint8)
+            for i in range(10)
+        ]
+        ds.x.extend(model)
+        assert ds._engine("x").tile_enc.num_tiled == 3
+    elif layout == "padded":
+        ds.create_tensor("x", htype="image", sample_compression="png")
+        first = rng.integers(0, 255, (8, 8, 3), dtype=np.uint8)
+        last = rng.integers(0, 255, (6, 6, 3), dtype=np.uint8)
+        ds.x.append(first)
+        ds.x[9] = last
+        model = [first] + [np.zeros((0, 0, 0), dtype=np.uint8)] * 8 + [last]
+    elif layout == "sequence":
+        ds.create_tensor("x", htype="sequence[generic]", dtype="int64")
+        model = [
+            [np.arange(n, dtype=np.int64) + i for n in range(1, 1 + i % 3)]
+            for i in range(12)
+        ]
+        assert model[0] == [] and model[3] == []
+        ds.x.extend(model)
+    else:  # link: the bucket of tests/test_links_and_failures.py
+        bucket = storage_from_url("s3-sim://linktest", cache_bytes=0)
+        ds.create_tensor("x", htype="link[image]")
+        model = []
+        for i in range(7):
+            image = rng.integers(0, 255, (12, 12, 3), dtype=np.uint8)
+            bucket[f"raw/{i}.psim"] = compress_array(image, "png")
+            ds.x.append(repro.link(f"s3-sim://linktest/raw/{i}.psim"))
+            # unlinking an image tensor stores it as JPEG
+            model.append(
+                decompress_array(compress_array(image, "jpeg"), "jpeg")
+            )
+    ds.flush()
+    return ds, model
+
+
 class TestCopyMaterialize:
     def test_copy_view_with_lineage(self, image_ds):
         view = image_ds[[1, 3, 5]]
@@ -295,6 +434,81 @@ class TestCopyMaterialize:
         out = repro.copy(ds, MemoryProvider(), unlink=True)
         assert not out._engine("pics").meta.is_link
         assert out.pics[0].numpy().shape == (10, 10, 3)
+
+    @pytest.mark.parametrize(
+        "layout", ["jpeg", "lz4", "tiled", "padded", "sequence", "link"]
+    )
+    @pytest.mark.parametrize(
+        "view", [slice(None), slice(1, None, 3)], ids=["full", "strided"]
+    )
+    def test_copy_matches_model(self, rng, layout, view):
+        """``copy`` against a list-of-arrays model of the source."""
+        src, model = _copy_source(layout, rng)
+        out = src[view].copy(MemoryProvider())
+        expected = model[view]
+        engine = out._engine("x")
+        assert engine.num_samples == len(expected)
+        got = engine.read_batch(range(len(expected)), aslist=True)
+        for have, want in zip(got, expected):
+            if isinstance(want, list):  # sequence row: item by item
+                assert len(have) == len(want)
+                for a, b in zip(have, want):
+                    assert np.array_equal(a, b)
+            else:
+                assert have.dtype == want.dtype
+                assert np.array_equal(have, want)
+        if layout == "link":
+            assert not engine.meta.is_link
+        else:
+            assert out.x.sample_ids() == src.x.sample_ids()[view]
+        if layout == "jpeg":  # the stored payloads moved verbatim
+            rows = list(range(len(model)))[view]
+            assert engine.read_batch(
+                range(len(rows)), decode=False
+            ) == src._engine("x").read_batch(rows, decode=False)
+
+    def test_copy_source_round_trips_follow_chunks_not_rows(self):
+        """Cold simulated S3: materialising a 257-row view of a 512-row
+        JPEG tensor costs O(chunks) source round trips, and the same
+        single-key GETs when the view doubles over the same chunks."""
+        rng = np.random.default_rng(0)
+        backing = MemoryProvider("src")
+        ds = repro.empty(backing, overwrite=True)
+        ds.create_tensor("images", htype="image", sample_compression="jpeg",
+                         max_chunk_size=64 * 1024)
+        images = [
+            rng.integers(0, 255, (32, 32, 3), dtype=np.uint8)
+            for _ in range(512)
+        ]
+        ds.images.extend(images)
+        ds.flush()
+        assert ds._engine("images").enc.num_chunks > 8
+
+        def materialise(rows):
+            store = SimulatedObjectStore(
+                "s3", clock=SimClock(), backing=backing
+            )
+            view = repro.load(store, read_only=True)[rows]
+            before = dict(store.requests_by_op)
+            out = view.copy(MemoryProvider())
+            spent = {
+                op: n - before.get(op, 0)
+                for op, n in store.requests_by_op.items()
+            }
+            return out, spent
+
+        half = list(range(0, 512, 2)) + [511]
+        out, spent = materialise(half)
+        assert len(out) == 257
+        assert sum(spent.values()) <= 20, spent
+        for i in (0, 100, 256):
+            assert np.array_equal(
+                out.images[i].numpy(), ds.images[half[i]].numpy()
+            )
+        full, spent_full = materialise(list(range(512)))
+        assert len(full) == 512
+        assert spent_full.get("download", 0) == spent.get("download", 0)
+        assert sum(spent_full.values()) == sum(spent.values())
 
     def test_save_and_load_view(self, image_ds):
         view = image_ds[[4, 2]]

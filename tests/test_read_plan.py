@@ -3,6 +3,8 @@ list-of-arrays model of what was appended (one row and many rows through
 the same assertions), batched shapes, cache counters, get_many providers,
 Dataset.read_rows, and the consumers riding the plan path."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -38,9 +40,9 @@ class TestPlanReads:
         plan = engine.plan_reads([0, 1, 2, 3, 9])
         assert plan.num_items == 5
         assert plan.num_chunks == 3  # rows span chunks {0,1}, {2,3}, {9}
-        assert plan.num_fetches == 3
-        sizes = sorted(len(v) for v in plan.chunk_items.values())
-        assert sizes == [1, 2, 2]
+        assert len(plan.chunk_keys) == 3  # all stored, none in memory
+        per_chunk = Counter(name for _kind, name, _local in plan.items)
+        assert sorted(per_chunk.values()) == [1, 2, 2]
 
     def test_duplicate_and_negative_rows(self):
         engine, _ = make_engine(dtype="int64", max_chunk_size=1 << 20)

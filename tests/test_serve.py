@@ -240,6 +240,130 @@ class TestSharedCache:
         tenant = server.stats_snapshot()["tenants"]["batcher"]
         assert tenant["requests"] == 1
 
+    def test_cold_get_many_is_one_backend_round_trip(self):
+        backing = MemoryProvider("bkt")
+        keys = [f"x/chunks/{i:016x}" for i in range(8)]
+        for i, key in enumerate(keys):
+            backing[key] = bytes([i]) * 500
+        server, backend = serve_backing(backing)
+        provider = server.connect("ds", tenant="batcher")
+        expected = {key: backing[key] for key in keys}
+        assert provider.get_many(keys) == expected
+        assert backend.requests_by_op == {"download_batch": 1}
+        tenant = server.stats_snapshot()["tenants"]["batcher"]
+        assert (tenant["cache_misses"], tenant["cache_hits"]) == (8, 0)
+        # warm: served from the shared cache, the backend hears nothing
+        assert provider.get_many(keys) == expected
+        assert backend.requests_by_op == {"download_batch": 1}
+        tenant = server.stats_snapshot()["tenants"]["batcher"]
+        assert (tenant["cache_misses"], tenant["cache_hits"]) == (8, 8)
+        assert tenant["requests"] == 2 and tenant["coalesced"] == 0
+
+    def test_get_many_without_a_cache_is_one_backend_batch(self):
+        backing = MemoryProvider("bkt")
+        backing["a"], backing["b"] = b"1", b"22"
+        server, backend = serve_backing(backing, cache_bytes=0)
+        provider = server.connect("ds", tenant="t")
+        for _ in range(2):
+            assert provider.get_many(["a", "b", "gone"]) == {
+                "a": b"1", "b": b"22"
+            }
+        assert backend.requests_by_op == {"download_batch": 2}
+        assert server.stats_snapshot()["tenants"]["t"]["cache_misses"] == 4
+
+    def test_single_flight_get_many_fetches_each_key_once(self):
+        """The 8-client stampede, batched: overlapping ``get_many`` calls
+        lead the keys nobody is fetching and join the rest."""
+        slow = SlowStore(0.05)
+        keys = [f"chunk{i}" for i in range(4)]
+        for key in keys:
+            slow[key] = key.encode() * 100
+        server, backend = serve_backing(slow)
+        results = []
+        errors = []
+        barrier = threading.Barrier(8)
+
+        def reader(i):
+            provider = server.connect("ds", tenant=f"t{i}")
+            mine = keys if i % 2 else keys[::-1][:3]
+            barrier.wait()
+            try:
+                results.append((mine, provider.get_many(mine)))
+            except BaseException as e:  # noqa: BLE001
+                errors.append(e)
+
+        threads = [
+            threading.Thread(target=reader, args=(i,)) for i in range(8)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not errors and len(results) == 8
+        for mine, blobs in results:
+            assert blobs == {key: slow[key] for key in mine}
+        assert backend.stats.get_requests == len(keys)
+        tenants = server.stats_snapshot()["tenants"].values()
+        assert sum(t["coalesced"] for t in tenants) > 0
+        # every key of every request is a hit (coalesced ones included)
+        # or a miss, exactly once
+        assert sum(
+            t["cache_hits"] + t["cache_misses"] for t in tenants
+        ) == sum(len(mine) for mine, _blobs in results)
+        assert sum(t["cache_misses"] for t in tenants) == len(keys)
+
+    def test_put_racing_inflight_get_many_is_never_served_stale(self):
+        """The ``_Flight.stale`` path through the batch: a ``get_many``
+        issued after a put ack joins the pre-write flight, must not get
+        its bytes, and the pre-write blob must not stay cached."""
+        backing = MemoryProvider("bkt")
+        backing["k"], backing["other"] = b"v1", b"o1"
+        in_fetch = threading.Event()
+        release = threading.Event()
+        orig_get = backing._get
+
+        def gated_get(key, start, end):
+            data = orig_get(key, start, end)
+            in_fetch.set()
+            release.wait(5)
+            return data
+
+        backing._get = gated_get
+        server = DatasetServer(name="batch-race-server")
+        server.add_dataset("ds", backing)
+        leader_result = []
+        follower_result = []
+
+        def leader():
+            leader_result.append(
+                server.connect("ds").get_many(["k", "other"])
+            )
+
+        t = threading.Thread(target=leader)
+        t.start()
+        assert in_fetch.wait(5)  # the leader's batch is in flight
+        backing._get = orig_get  # later fetches are instant
+        server.connect("ds", tenant="w")["k"] = b"v2"  # put acked
+
+        def follower():
+            follower_result.append(
+                server.connect("ds").get_many(["k", "other"])
+            )
+
+        f = threading.Thread(target=follower)
+        f.start()
+        time.sleep(0.1)  # follower joins the still-stale flight of "k"
+        release.set()
+        t.join(5)
+        f.join(5)
+        # started before the write: may see the old blob
+        assert leader_result == [{"k": b"v1", "other": b"o1"}]
+        # started after the ack: fresh, the untouched key just coalesced
+        assert follower_result == [{"k": b"v2", "other": b"o1"}]
+        reader = server.connect("ds", tenant="reader")
+        assert reader.get_many(["k"]) == {"k": b"v2"}
+        assert reader["k"] == b"v2"  # and stays fresh on the cached path
+
     def test_put_during_inflight_fetch_does_not_cache_stale(self):
         """A write racing an in-flight miss fetch must not leave the
         pre-write blob resident in the shared cache."""

@@ -3,9 +3,11 @@
 Covers the `set_many` contract across every storage provider, batch
 charging on the simulated object store, crash-consistent flush ordering
 (chunks -> encoders -> meta), atomic append/extend under mid-batch
-failures, the killed-mid-flush reload guarantee, the one upload buffer
-(finalized, updated and rechunked chunks), where the write path's one
-thread pool runs, and the streaming ingest-while-serving scenario.
+failures, the killed-mid-flush reload guarantee (a failed flush, a failed
+``rechunk``, every N-th write across extend/commit), what a ``commit``
+costs in round trips, the one upload buffer (finalized, updated and
+rechunked chunks), where the write path's one thread pool runs, and the
+streaming ingest-while-serving scenario.
 """
 
 import threading
@@ -233,6 +235,21 @@ class TestFlushOrdering:
         assert K.key_class("images/tensor_meta.json") == K.KEY_CLASS_META
         assert K.key_class("dataset_meta.json") == K.KEY_CLASS_META
 
+    def test_chunk_set_goes_down_with_the_encoders(self):
+        """A reader places each chunk the encoder names through the chunk
+        set, so no flush may leave the encoder durable without it."""
+        assert K.key_class("images/chunk_set.json") == K.KEY_CLASS_ENCODER
+        storage = RecordingProvider()
+        ds = repro.empty(storage, overwrite=True)
+        ds.create_tensor("x", dtype="int64")
+        ds.x.extend([np.arange(4, dtype=np.int64)] * 3)
+        storage.batches.clear()
+        ds.flush()
+        batch = next(b for b in storage.batches if "x/chunk_id_encoder" in b)
+        assert batch.index("x/chunk_set.json") < batch.index(
+            "x/chunk_id_encoder"
+        )
+
     def test_writeback_flush_orders_by_class(self):
         # adversarial tensor name: lexicographically *before* "chunks", so
         # the old sorted() flush would have written meta first
@@ -455,6 +472,154 @@ class TestKilledMidFlush:
         eng = ds2._engine("x")
         for row in range(eng.num_samples):
             eng.read_sample(row)
+
+
+    @pytest.mark.parametrize(
+        "layout", ["flat", "tiled", "sequence", "padded"]
+    )
+    def test_failed_rechunk_flush_leaves_storage_loadable(self, rng, layout):
+        """``rechunk()`` whose chunk batch fails must not have deleted the
+        chunks the encoders in storage still name."""
+        storage = KillableProvider()
+        ds = repro.empty(storage, overwrite=True, strict=False)
+        if layout == "sequence":
+            ds.create_tensor("x", htype="sequence[generic]", dtype="uint8",
+                             max_chunk_size=512)
+            model = [
+                [rng.integers(0, 255, (10, 10), dtype=np.uint8)
+                 for _ in range(1 + i % 3)]
+                for i in range(20)
+            ]
+        else:
+            ds.create_tensor("x", dtype="uint8", max_chunk_size=512)
+            model = [
+                rng.integers(0, 255, (10, 10), dtype=np.uint8)
+                for _ in range(40)
+            ]
+            if layout == "tiled":
+                model[7] = rng.integers(0, 255, (40, 40), dtype=np.uint8)
+        ds.x.extend(model)
+        if layout == "padded":
+            ds.x[44] = model[0]
+            model += [np.zeros((0, 0), dtype=np.uint8)] * 4 + [model[0]]
+        ds.flush()
+        assert ds._engine("x").enc.num_chunks >= 8
+
+        storage.kill_after = storage.calls  # the next set_many: the chunks
+        with pytest.raises(RuntimeError):
+            ds.x.rechunk()
+        storage.kill_after = None
+
+        engine = repro.load(storage)._engine("x")
+        got = engine.read_batch(range(len(model)), aslist=True)
+        for have, want in zip(got, model):
+            if layout == "sequence":
+                assert len(have) == len(want)
+                assert all(map(np.array_equal, have, want))
+            else:
+                assert np.array_equal(have, want)
+
+    def test_any_failed_write_reloads_to_a_prefix_of_the_commits(self, rng):
+        """A store that fails its N-th write, for every N across
+        ``extend -> commit -> extend -> commit``: a reload always sees a
+        log that is a prefix of the commits made, every commit in it
+        complete, and no reference to a missing chunk."""
+
+        class FailsNthWrite(MemoryProvider):
+            def __init__(self):
+                super().__init__("crash")
+                self.writes = 0
+                self.fail_at = None
+
+            def _tick(self):
+                self.writes += 1
+                if self.fail_at is not None and self.writes >= self.fail_at:
+                    raise RuntimeError("killed")
+
+            def _set(self, key, value):
+                self._tick()
+                super()._set(key, value)
+
+            def set_many(self, items):
+                self._tick()
+                super().set_many(items)
+
+        images = [
+            rng.integers(0, 255, (16, 16), dtype=np.uint8) for _ in range(40)
+        ]
+        labels = [np.int64(i) for i in range(40)]
+        commits = {"one": 20, "two": 40}  # message -> rows it seals
+
+        def setup():
+            storage = FailsNthWrite()
+            ds = repro.empty(storage, overwrite=True)
+            # two rows a chunk: each extend crosses the upload watermark
+            ds.create_tensor("a", dtype="uint8", max_chunk_size=512)
+            ds.create_tensor("b", dtype="int64")
+            ds.flush()
+            return storage, ds
+
+        def script(ds):
+            ds.extend({"a": images[:20], "b": labels[:20]})
+            ds.commit("one")
+            ds.extend({"a": images[20:], "b": labels[20:]})
+            ds.commit("two")
+
+        def check(ds, rows):
+            # every tensor, companions included, has the rows and can
+            # read them all: nothing names a chunk that is not there
+            for name in ds._all_tensor_names():
+                assert ds._engine(name).num_samples == rows, name
+            got = ds.read_rows(range(rows), tensors=["a", "b"])
+            assert all(map(np.array_equal, got["a"], images))
+            assert [int(v) for v in got["b"]] == list(range(rows))
+
+        storage, ds = setup()
+        start = storage.writes
+        script(ds)
+        total = storage.writes - start
+        assert total >= 10
+        for n in range(1, total + 1):
+            storage, ds = setup()
+            storage.fail_at = storage.writes + n
+            with pytest.raises(RuntimeError):
+                script(ds)
+            storage.fail_at = None
+            loaded = repro.load(storage)
+            log = [c.message for c in reversed(loaded.log())]
+            assert log == list(commits)[:len(log)], (n, log)
+            for commit in loaded.log():
+                check(loaded._at_commit(commit.commit_id),
+                      commits[commit.message])
+            head_rows = loaded._engine("a").num_samples
+            assert head_rows in (0, 20, 40), (n, head_rows)
+            assert head_rows >= (commits[log[-1]] if log else 0)
+            check(loaded, head_rows)
+
+
+class TestCommitRoundTrips:
+    @pytest.mark.parametrize("tensors", [1, 3, 6])
+    def test_commit_costs_the_same_at_any_tensor_count(self, tensors):
+        """``commit()`` is two coordinated flushes: one batch per key
+        class for all tensors together, plus the dataset meta and the
+        version tree each time — never one batch per tensor."""
+        store = make_object_store("s3", clock=SimClock())
+        ds = repro.empty(store, overwrite=True)
+        names = [f"t{i}" for i in range(tensors)]
+        for name in names:
+            ds.create_tensor(name, dtype="int64")
+        ds.extend({
+            name: [np.arange(4, dtype=np.int64)] * 16 for name in names
+        })
+        before = dict(store.requests_by_op)
+        ds.commit("c")
+        spent = {
+            op: n - before.get(op, 0)
+            for op, n in store.requests_by_op.items()
+            if n - before.get(op, 0)
+        }
+        # sealed head: chunks, encoders, meta; child: encoders, meta
+        assert spent == {"upload": 4, "upload_batch": 5}
 
 
 # --------------------------------------------------------------------------- #
