@@ -7,8 +7,6 @@ squirrel/webdataset next, one-file-per-sample "pytorch" folder loader
 last.
 """
 
-import time
-
 import numpy as np
 import pytest
 
@@ -68,18 +66,15 @@ def _epoch(iterator) -> int:
     return count
 
 
-def _run(name, benchmark, make_iter):
+def _run(name, benchmark, make_iter, rounds=3):
     def epoch():
         return _epoch(make_iter())
 
-    start = time.perf_counter()
-    count = benchmark.pedantic(epoch, rounds=1, iterations=1,
+    count = benchmark.pedantic(epoch, rounds=rounds, iterations=1,
                                warmup_rounds=1)
-    elapsed = time.perf_counter() - start  # includes warmup; use benchmark
-    secs = benchmark.stats.stats.mean
-    _RESULTS[name] = N / secs
+    # each loader's best round: one round on a shared box is a coin toss
+    _RESULTS[name] = N / benchmark.stats.stats.min
     assert count == N
-    del elapsed
 
 
 def test_loader_deeplake(benchmark, corpora):
@@ -141,8 +136,9 @@ def test_zz_fig7_report(benchmark):
         rows,
         note="paper: deeplake > ffcv > squirrel/webdataset > pytorch folder",
     )
-    # shape: deeplake beats the one-file-per-sample baseline and is
-    # competitive with the fastest binary loader
+    # shape, on each loader's best round: deeplake beats the
+    # one-file-per-sample baseline and is competitive with the fastest
+    # binary loader
     assert _RESULTS["deeplake"] > _RESULTS["pytorch"] * 0.9
     top = max(_RESULTS.values())
     assert _RESULTS["deeplake"] > 0.4 * top

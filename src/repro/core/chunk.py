@@ -113,19 +113,6 @@ class Chunk:
             offset += len(piece)
         self.shapes[local_index] = shape
 
-    def pop(self, local_index: int) -> None:
-        """Drop one sample (used by rechunking)."""
-        pieces = [self.read_bytes(i) for i in range(self.num_samples)]
-        del pieces[local_index]
-        del self.shapes[local_index]
-        self.data = bytearray()
-        self.byte_positions = []
-        offset = 0
-        for piece in pieces:
-            self.data.extend(piece)
-            self.byte_positions.append((offset, offset + len(piece)))
-            offset += len(piece)
-
     # ------------------------------------------------------------------ #
     # serialisation
     # ------------------------------------------------------------------ #

@@ -6,9 +6,11 @@ One engine owns everything between a tensor's public API and raw storage:
   compression, tiling of oversize samples, the video no-tiling exception;
 - the compressed index map (:class:`ChunkIdEncoder`) plus tile / sequence /
   pad encoders;
-- version-aware chunk resolution: reads walk the commit chain and take the
-  first commit whose chunk_set contains the chunk (§4.2), writes
-  copy-on-write chunks owned by ancestor commits;
+- version-aware chunk resolution: ``_chunk_sets`` holds the chunk set of
+  every commit of the chain, the current one included, read with the rest
+  of the tensor's state in one batch; reads take the first commit of the
+  chain whose set contains the chunk (§4.2), writes copy-on-write chunks
+  owned by ancestor commits;
 - a decoded-chunk LRU buffer ("maintaining a buffer cache of fetched and
   unutilized data", §3.5);
 - the on-the-fly :meth:`rechunk` layout optimiser;
@@ -285,6 +287,7 @@ class ChunkEngine:
         version_state: VersionState,
         meta: Optional[TensorMeta] = None,
         cache_bytes: int = _CHUNK_CACHE_BYTES,
+        state: Optional[Dict[str, bytes]] = None,
     ):
         self.tensor = tensor
         self.storage = storage
@@ -298,8 +301,9 @@ class ChunkEngine:
         self._chunk_cache_budget = cache_bytes
         self._header_cache: Dict[str, ChunkHeader] = {}
 
-        # per-ancestor-commit chunk_set cache
-        self._ancestor_chunk_sets: Dict[str, Set[str]] = {}
+        # commit id -> names of the chunks that commit owns, for every
+        # commit of the chain; ``chunk_set`` is the current commit's entry
+        self._chunk_sets: Dict[str, Set[str]] = {}
 
         # per-chunk column statistics sidecar (min/max/count/shape bounds),
         # the input to predicate pushdown: a chunk whose [min, max] cannot
@@ -366,11 +370,10 @@ class ChunkEngine:
             self.tile_enc = TileEncoder()
             self.seq_enc = SequenceEncoder()
             self.pad_enc = PadEncoder()
-            self.chunk_set: Set[str] = set()
             self.commit_diff = CommitDiff(0, created=True)
             self._dirty = True
         else:
-            self._load_state()
+            self._load_state(state)
 
     # ------------------------------------------------------------------ #
     # state load/save
@@ -383,17 +386,32 @@ class ChunkEngine:
     def _state_key(self, key_fn) -> str:
         return key_fn(self.commit_id, self.tensor)
 
-    def _read_versioned(self, key_fn) -> Optional[bytes]:
-        """First hit walking the commit chain, else None."""
-        for cid in self.version_state.commit_chain():
-            try:
-                return self.storage[key_fn(cid, self.tensor)]
-            except KeyError:
-                continue
-        return None
+    @property
+    def chunk_set(self) -> Set[str]:
+        """Names of the chunks the current commit owns."""
+        return self._chunk_sets.setdefault(self.commit_id, set())
 
-    def _load_state(self) -> None:
-        data = self._read_versioned(K.tensor_meta_key)
+    @chunk_set.setter
+    def chunk_set(self, names: Set[str]) -> None:
+        self._chunk_sets[self.commit_id] = names
+
+    def _load_state(self, blobs: Optional[Dict[str, bytes]] = None) -> None:
+        """Resolve the tensor's state from *blobs*, the stored subset of
+        ``K.state_keys`` — handed in by the owning ``Dataset``, which
+        fetches many tensors' at once; an engine built on its own fetches
+        them here, in one ``get_many``.  Meta and encoders come from the
+        nearest commit of the chain that wrote them, the stats sidecar
+        merges the whole chain, every commit keeps its own chunk set, and
+        the commit diff is the current commit's."""
+        chain = self.version_state.commit_chain()
+        if blobs is None:
+            blobs = self.storage.get_many(K.state_keys(chain, self.tensor))
+
+        def nearest(key_fn) -> Optional[bytes]:
+            found = (blobs.get(key_fn(cid, self.tensor)) for cid in chain)
+            return next((blob for blob in found if blob is not None), None)
+
+        data = nearest(K.tensor_meta_key)
         if data is None:
             raise FormatError(
                 f"tensor {self.tensor!r} has no metadata at commit "
@@ -401,38 +419,30 @@ class ChunkEngine:
             )
         self.meta = TensorMeta.from_json(data)
 
-        enc = self._read_versioned(K.chunk_id_encoder_key)
+        enc = nearest(K.chunk_id_encoder_key)
         self.enc = ChunkIdEncoder.frombytes(enc) if enc else ChunkIdEncoder()
-        tile = self._read_versioned(K.tile_encoder_key)
+        tile = nearest(K.tile_encoder_key)
         self.tile_enc = TileEncoder.frombytes(tile) if tile else TileEncoder()
-        seq = self._read_versioned(K.sequence_encoder_key)
+        seq = nearest(K.sequence_encoder_key)
         self.seq_enc = SequenceEncoder.frombytes(seq) if seq else SequenceEncoder()
-        pad = self._read_versioned(K.pad_encoder_key)
+        pad = nearest(K.pad_encoder_key)
         self.pad_enc = PadEncoder.frombytes(pad) if pad else PadEncoder()
 
         # statistics sidecar: merge the whole commit chain, nearest commit
         # wins (a rewritten chunk's fresh stats shadow the ancestor's)
         self.chunk_stats = {}
-        for cid in reversed(self.version_state.commit_chain()):
-            try:
-                blob = self.storage[K.chunk_stats_key(cid, self.tensor)]
-            except KeyError:
-                continue
-            self.chunk_stats.update(json_loads(blob))
-
-        # chunk_set / commit_diff belong strictly to the current commit
-        try:
-            self.chunk_set = set(
-                json_loads(self.storage[self._state_key(K.chunk_set_key)])
-            )
-        except KeyError:
-            self.chunk_set = set()
-        try:
-            self.commit_diff = CommitDiff.from_json(
-                self.storage[self._state_key(K.commit_diff_key)]
-            )
-        except KeyError:
-            self.commit_diff = CommitDiff(self.meta.length)
+        for cid in reversed(chain):
+            stats = blobs.get(K.chunk_stats_key(cid, self.tensor))
+            if stats is not None:
+                self.chunk_stats.update(json_loads(stats))
+            names = blobs.get(K.chunk_set_key(cid, self.tensor))
+            if names is not None:
+                self._chunk_sets[cid] = set(json_loads(names))
+        # the commit diff belongs strictly to the current commit
+        diff = blobs.get(self._state_key(K.commit_diff_key))
+        self.commit_diff = (
+            CommitDiff.from_json(diff) if diff else CommitDiff(self.meta.length)
+        )
         self._dirty = False
 
     def _encoder_items(self) -> Dict[str, bytes]:
@@ -486,16 +496,17 @@ class ChunkEngine:
 
         Must be called *after* the old state was flushed and the shared
         :class:`VersionState` points at the new head commit.  Touches no
-        storage: the engine is left dirty, and the caller's coordinated
-        ``Dataset.flush`` writes the child's state for every tensor at
-        once, before the version tree that makes the child reachable.
+        storage and no chunk set: the commit just left stays in
+        ``_chunk_sets`` as an ancestor (so the next write issues no GET)
+        and the child's own set starts empty.  The engine is left dirty,
+        and the caller's coordinated ``Dataset.flush`` writes the child's
+        state for every tensor at once, before the version tree that
+        makes the child reachable.
         """
         with self._lock:
             self._active_chunk = None
             self._pending_chunks.clear()
-            self.chunk_set = set()
             self.commit_diff = CommitDiff(self.num_samples)
-            self._ancestor_chunk_sets.clear()
             self._dirty = True
 
     @property
@@ -507,30 +518,14 @@ class ChunkEngine:
     # chunk storage resolution (version tree walk)
     # ------------------------------------------------------------------ #
 
-    def _ancestor_chunk_set(self, cid: str) -> Set[str]:
-        if cid not in self._ancestor_chunk_sets:
-            try:
-                names = set(json_loads(self.storage[K.chunk_set_key(cid, self.tensor)]))
-            except KeyError:
-                names = set()
-            self._ancestor_chunk_sets[cid] = names
-        return self._ancestor_chunk_sets[cid]
-
     def _chunk_storage_key(self, chunk_name: str) -> str:
-        chain = self.version_state.commit_chain()
-        for cid in chain:
-            owned = (
-                self.chunk_set
-                if cid == self.commit_id
-                else self._ancestor_chunk_set(cid)
-            )
-            if chunk_name in owned:
+        for cid in self.version_state.commit_chain():
+            if chunk_name in self._chunk_sets.get(cid, ()):
                 return K.chunk_key(cid, self.tensor, chunk_name)
-        # legacy fallback: unversioned dataset written at the root
-        return K.chunk_key(K.FIRST_COMMIT_ID, self.tensor, chunk_name)
-
-    def _chunk_owned_by_current(self, chunk_name: str) -> bool:
-        return chunk_name in self.chunk_set
+        raise FormatError(
+            f"tensor {self.tensor!r}: chunk {chunk_name!r} is in the chunk "
+            f"set of no commit reachable from {self.commit_id!r}"
+        )
 
     # ------------------------------------------------------------------ #
     # I/O accounting (registry-backed; ad-hoc int fields are gone)
@@ -990,7 +985,7 @@ class ChunkEngine:
             if chunk is not None and chunk.can_fit(
                 nbytes, self.meta.max_chunk_size
             ):
-                if not self._chunk_owned_by_current(name):
+                if name not in self.chunk_set:
                     self._own_chunk(chunk)
                 # a buffered (pending-upload) chunk goes back to being the
                 # active chunk — drop the buffer entry so the resumed copy
@@ -1716,7 +1711,7 @@ class ChunkEngine:
             chunk_id, local = self.enc.translate(index)
             name = ChunkIdEncoder.name_from_id(chunk_id)
             chunk = self._load_chunk(name)
-            if not self._chunk_owned_by_current(name):
+            if name not in self.chunk_set:
                 self._own_chunk(chunk)
             chunk.update(local, raw, shape)
             # widen-only (count=0): the replaced value may still define the
@@ -1743,7 +1738,7 @@ class ChunkEngine:
         for cid, tile in zip(chunk_ids, tiles):
             name = ChunkIdEncoder.name_from_id(cid)
             chunk = self._load_chunk(name)
-            if not self._chunk_owned_by_current(name):
+            if name not in self.chunk_set:
                 self._own_chunk(chunk)
             payload = (
                 compress_array(tile, self.meta.sample_compression)

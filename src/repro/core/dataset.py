@@ -10,6 +10,7 @@ that share the underlying chunk engines.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -76,6 +77,7 @@ class Dataset:
         self._commit_read_only = not node.is_head
 
         self._engines: Dict[str, ChunkEngine] = {}
+        self._open_lock = threading.Lock()  # shared with views (_spawn)
         self._meta = self._load_dataset_meta()
 
     # ------------------------------------------------------------------ #
@@ -83,13 +85,12 @@ class Dataset:
     # ------------------------------------------------------------------ #
 
     def _load_dataset_meta(self) -> DatasetMeta:
-        for cid in self.version_state.commit_chain():
-            try:
-                return DatasetMeta.from_json(
-                    self.storage[K.dataset_meta_key(cid)]
-                )
-            except KeyError:
-                continue
+        chain = self.version_state.commit_chain()
+        keys = [K.dataset_meta_key(cid) for cid in chain]
+        found = self.storage.get_many(keys)
+        for key in keys:  # nearest commit wins
+            if key in found:
+                return DatasetMeta.from_json(found[key])
         meta = DatasetMeta()
         if not self.read_only and not self.storage.read_only:
             self.storage[K.dataset_meta_key(self.version_state.commit_id)] = (
@@ -146,14 +147,31 @@ class Dataset:
     # engines & names
     # ------------------------------------------------------------------ #
 
+    def _open_engines(self, names: Sequence[str]) -> List[ChunkEngine]:
+        """Engines of tensors *names*, in order.  The state files of every
+        one not open yet are fetched in ONE ``get_many`` (``K.state_keys``
+        — the read mirror of :meth:`flush`), so a cold open costs one
+        round trip at any tensor count or history depth; the lock makes
+        concurrent first readers share one fetch and one engine."""
+        engines = self._engines
+        if any(name not in engines for name in names):
+            with self._open_lock:  # re-check: a racing reader may have won
+                missing = [n for n in dict.fromkeys(names) if n not in engines]
+                for name in missing:
+                    if name not in self._meta.tensors:
+                        raise TensorDoesNotExistError(name)
+                chain = self.version_state.commit_chain()
+                keys = [k for n in missing for k in K.state_keys(chain, n)]
+                blobs = self.storage.get_many(keys) if keys else {}
+                for name in missing:
+                    engines[name] = ChunkEngine(
+                        name, self.storage, self.version_state, state=blobs
+                    )
+        return [engines[name] for name in names]
+
     def _engine(self, name: str) -> ChunkEngine:
-        engine = self._engines.get(name)
-        if engine is None:
-            if name not in self._meta.tensors:
-                raise TensorDoesNotExistError(name)
-            engine = ChunkEngine(name, self.storage, self.version_state)
-            self._engines[name] = engine
-        return engine
+        engine = self._engines.get(name)  # open already: the per-row case
+        return engine or self._open_engines((name,))[0]
 
     def _all_tensor_names(self, include_hidden: bool = True) -> List[str]:
         return (
@@ -187,6 +205,9 @@ class Dataset:
 
         ``downsampling=k`` additionally maintains a hidden 1/k-scale copy
         of every image (used by the visualizer for instant previews).
+        Ends with one coordinated :meth:`flush`, so the tensor, its hidden
+        companions and the dataset meta that names them become durable
+        together, never the meta ahead of a companion's state.
         """
         self._check_writable()
         name = self._qualify(name)
@@ -244,8 +265,7 @@ class Dataset:
                 meta.links["downsampled"] = down_name
                 meta.info["downsampling_factor"] = factor
 
-        engine.flush()
-        self._write_dataset_meta()
+        self.flush()
         return Tensor(self, name, Index())
 
     def _create_hidden(self, name: str, dtype: str) -> None:
@@ -511,10 +531,12 @@ class Dataset:
     @property
     def num_samples(self) -> int:
         """Rows of this view (min over visible tensor lengths)."""
+        prefix = f"{self.group_index}/" if self.group_index else ""
         lengths = [
-            self._engine(n).num_samples
-            for n in self._meta.visible_tensors
-            if (not self.group_index or n.startswith(f"{self.group_index}/"))
+            engine.num_samples
+            for engine in self._open_engines(
+                [n for n in self._meta.visible_tensors if n.startswith(prefix)]
+            )
         ]
         if not lengths:
             return 0
@@ -522,10 +544,8 @@ class Dataset:
 
     @property
     def max_len(self) -> int:
-        lengths = [
-            self._engine(n).num_samples for n in self._meta.visible_tensors
-        ]
-        return max(lengths) if lengths else 0
+        engines = self._open_engines(self._meta.visible_tensors)
+        return max((engine.num_samples for engine in engines), default=0)
 
     def __len__(self) -> int:
         return self.num_samples
@@ -588,6 +608,11 @@ class Dataset:
             )
         if not count:
             return
+        # every tensor under the group, hidden companions included, is
+        # written below: open the ones still cold in one batch
+        self._open_engines(
+            [n for n in self._meta.tensors if n.startswith(prefix)]
+        )
         # Stage everything first: serialization is the fallible phase, and
         # doing it up front keeps a mid-batch bad sample from leaving some
         # tensors longer than others.
@@ -640,13 +665,13 @@ class Dataset:
         row_list = list(rows)
         bases: Dict[int, Sequence[int]] = {}  # engine length -> selection
         resolved = []  # (name, engine, engine_rows)
+        # same resolution order as __getitem__: the group-qualified name
+        # wins over a root tensor that shadows the short name
+        qualified = []
         for name in names:
-            # same resolution order as __getitem__: the group-qualified
-            # name wins over a root tensor that shadows the short name
-            qualified = self._qualify(name)
-            if qualified not in self._meta.tensors:
-                qualified = name
-            engine = self._engine(qualified)
+            full = self._qualify(name)
+            qualified.append(full if full in self._meta.tensors else name)
+        for name, engine in zip(names, self._open_engines(qualified)):
             if physical:
                 engine_rows = row_list
             else:
@@ -716,13 +741,10 @@ class Dataset:
         return sorted(self._tree.branches)
 
     def _has_uncommitted_changes(self) -> bool:
-        for name in self._meta.tensors:
-            try:
-                if self._engine(name).has_changes:
-                    return True
-            except TensorDoesNotExistError:
-                continue
-        return False
+        return any(
+            engine.has_changes
+            for engine in self._open_engines(self._meta.tensors)
+        )
 
     @property
     def has_changes(self) -> bool:
@@ -775,8 +797,8 @@ class Dataset:
             self._qualify(t) for t in (tensors or list(self.tensors))
         ]
         rows_by_tensor = {
-            name: self.index.row_indices(self._engine(name).num_samples)
-            for name in names
+            name: self.index.row_indices(engine.num_samples)
+            for name, engine in zip(names, self._open_engines(names))
         }
         n_rows = min(len(r) for r in rows_by_tensor.values()) if names else 0
         for name in names:
@@ -833,18 +855,26 @@ class Dataset:
         collected from all engines and written as one ``set_many`` per key
         class (chunks across all tensors, then encoders, then meta)
         instead of three per engine — the same crash-consistency order, a
-        third of the round trips on object storage.
+        third of the round trips on object storage.  The dataset meta
+        travels as the last key of the meta batch, after every tensor meta
+        it names (a batch keeps its order); the version tree is the last,
+        separate write, the one that makes a new commit reachable.
         """
         merged: Tuple[Dict[str, bytes], ...] = ({}, {}, {})
         for engine in list(self._engines.values()):
             for acc, items in zip(merged, engine.drain_flush_items()):
                 acc.update(items)
+        writable = not (
+            self.read_only or self._commit_read_only or self.storage.read_only
+        )
+        if writable:
+            merged[2][K.dataset_meta_key(self.version_state.commit_id)] = (
+                self._meta.to_json()
+            )
         for items in merged:  # chunks -> encoders -> meta
             if items:
                 self.storage.set_many(items)
-        if not self.read_only and not self._commit_read_only \
-                and not self.storage.read_only:
-            self._write_dataset_meta()
+        if writable:
             self._tree.save(self.storage)
         self.storage.flush()
 
@@ -856,7 +886,7 @@ class Dataset:
             if tensors
             else self._all_tensor_names(include_hidden=True)
         )
-        return {name: self._engine(name).rechunk() for name in names}
+        return {e.tensor: e.rechunk() for e in self._open_engines(names)}
 
     def summary(self) -> str:
         lines = [

@@ -273,10 +273,12 @@ class DeepLakeLoader:
         return out
 
     def _engines(self):
-        return [self.dataset._engine(n) for n in self._qualified()]
+        return self.dataset._open_engines(self._qualified())
 
     def __iter__(self):
         self.stats = LoaderStats()
+        # first, before the order plan: every cold tensor opens in one batch
+        self.stats._track_engines(self._engines())
         rows = self._plan_order()
         inflight = compute_inflight_limit(
             self.num_workers,
@@ -292,7 +294,6 @@ class DeepLakeLoader:
         priority_of = (
             self._make_priority_fn(groups) if self.num_workers else None
         )
-        self.stats._track_engines(self._engines())
         stream = prefetched(
             groups,
             self._fetch_group,

@@ -539,8 +539,7 @@ class DatasetServer:
         # counters — concurrent tenants must not claim each other's I/O
         hits = misses = 0
         plans = []
-        for name in names:
-            engine = ds._engine(name)
+        for name, engine in zip(names, ds._open_engines(names)):
             plan = engine.plan_reads(rows)
             h, m = engine.plan_residency(plan)
             hits += h

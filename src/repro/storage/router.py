@@ -89,6 +89,20 @@ class PrefixedProvider(StorageProvider):
     def _set(self, key, value):
         self.base[self._p + key] = value
 
+    def get_many(self, keys):
+        """One batch on the base provider (per-key accounting kept)."""
+        found = self.base.get_many([self._p + key for key in keys])
+        for blob in found.values():
+            self.stats.record_get(len(blob))
+        return {key[len(self._p):]: blob for key, blob in found.items()}
+
+    def set_many(self, items):
+        """One batch on the base provider, item order preserved."""
+        self.check_writable()
+        self.base.set_many({self._p + k: v for k, v in items.items()})
+        for value in items.values():
+            self.stats.record_put(len(value))
+
     def _delete(self, key):
         del self.base[self._p + key]
 

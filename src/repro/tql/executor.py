@@ -300,8 +300,8 @@ class Executor:
 
     def source_rows(self) -> List[int]:
         engine_lengths = [
-            self.ds._engine(name).num_samples
-            for name in self.ds._meta.visible_tensors
+            engine.num_samples
+            for engine in self.ds._open_engines(self.ds._meta.visible_tensors)
         ]
         length = min(engine_lengths) if engine_lengths else 0
         return self.ds.index.row_indices(length)

@@ -27,7 +27,6 @@ FIRST_COMMIT_ID = "firstcommit"
 VERSION_CONTROL_INFO = "version_control_info.json"
 DATASET_META_FILENAME = "dataset_meta.json"
 TENSOR_META_FILENAME = "tensor_meta.json"
-DATASET_INFO_FILENAME = "dataset_info.json"
 CHUNKS_FOLDER = "chunks"
 CHUNK_ID_ENCODER_FILENAME = "chunk_id_encoder"
 TILE_ENCODER_FILENAME = "tile_encoder.json"
@@ -81,10 +80,6 @@ def dataset_meta_key(commit_id: str) -> str:
     return f"{commit_root(commit_id)}{DATASET_META_FILENAME}"
 
 
-def dataset_info_key(commit_id: str) -> str:
-    return f"{commit_root(commit_id)}{DATASET_INFO_FILENAME}"
-
-
 def tensor_meta_key(commit_id: str, tensor: str) -> str:
     return f"{commit_root(commit_id)}{tensor}/{TENSOR_META_FILENAME}"
 
@@ -119,6 +114,22 @@ def chunk_set_key(commit_id: str, tensor: str) -> str:
 
 def chunk_stats_key(commit_id: str, tensor: str) -> str:
     return f"{commit_root(commit_id)}{tensor}/{CHUNK_STATS_FILENAME}"
+
+
+#: A tensor's per-commit state files — everything but its chunks — in the
+#: order a flush writes them (encoder class, then meta class).
+STATE_KEY_FNS = (
+    chunk_set_key, chunk_id_encoder_key, tile_encoder_key,
+    sequence_encoder_key, pad_encoder_key,
+    tensor_meta_key, chunk_stats_key, commit_diff_key,
+)
+
+
+def state_keys(chain, tensor: str) -> list:
+    """Every state file *tensor* can have in the commits of *chain*: the
+    read mirror of a flush, so opening a tensor is one ``get_many``
+    (commits that never touched the tensor simply have no such keys)."""
+    return [fn(cid, tensor) for cid in chain for fn in STATE_KEY_FNS]
 
 
 def version_control_info_key() -> str:

@@ -37,9 +37,9 @@ def commit(ds, message: str = "") -> str:
 
     Two coordinated ``ds.flush()`` calls and nothing else touch storage:
     the first makes the head being sealed durable, the second writes the
-    fresh child — every tensor's state in one batch per key class, then
-    the dataset meta, then the version tree, so the child stays
-    unreachable until everything it names is durable.
+    fresh child — every tensor's state in one batch per key class, the
+    dataset meta last in the meta batch, then the version tree, so the
+    child stays unreachable until everything it names is durable.
     """
     ds._check_writable()
     ds.flush()
@@ -105,27 +105,25 @@ def log(ds) -> List:
 # ---------------------------------------------------------------------------
 
 
-def _read_commit_diff(storage, commit_id: str, tensor: str) -> Optional[CommitDiff]:
-    try:
-        return CommitDiff.from_json(storage[K.commit_diff_key(commit_id, tensor)])
-    except KeyError:
-        return None
-
-
 def accumulate_changes(
     ds, head: str, ancestor: str, tensors: List[str]
 ) -> Dict[str, Dict]:
     """Union of per-tensor changes on the path head -> ancestor."""
     out: Dict[str, Dict] = {}
     path = ds._tree.path_to(head, ancestor)
+    # every commit diff on the path, all tensors, in one round trip
+    blobs = ds.storage.get_many(
+        [K.commit_diff_key(cid, t) for t in tensors for cid in path]
+    )
     for tensor in tensors:
         added: List[Tuple[int, int]] = []
         updated: Set[int] = set()
         created = False
         for cid in path:
-            diff = _read_commit_diff(ds.storage, cid, tensor)
-            if diff is None:
+            blob = blobs.get(K.commit_diff_key(cid, tensor))
+            if blob is None:
                 continue
+            diff = CommitDiff.from_json(blob)
             if diff.num_added:
                 added.append(diff.added_range)
             updated.update(diff.updated)
@@ -146,8 +144,7 @@ def diff(ds, target: Optional[str] = None) -> Dict:
     tensors = ds._all_tensor_names(include_hidden=False)
     if target is None:
         out = {}
-        for name in tensors:
-            engine = ds._engine(name)
+        for name, engine in zip(tensors, ds._open_engines(tensors)):
             d = engine.commit_diff
             out[name] = {
                 "added_ranges": [d.added_range] if d.num_added else [],
@@ -207,6 +204,10 @@ def merge(
         return vs.commit_id  # target already merged
 
     target_ds = ds._at_commit(target_id)
+    # rows are matched through the hidden id tensors and applied to every
+    # companion: each side opens all its tensors in one batch
+    for side in (ds, target_ds):
+        side._open_engines(side._all_tensor_names())
     theirs_tensors = target_ds._all_tensor_names(include_hidden=False)
     theirs_changes = accumulate_changes(ds, target_id, lca, theirs_tensors)
     ours_changes = accumulate_changes(

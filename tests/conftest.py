@@ -29,6 +29,30 @@ def rng():
     return np.random.default_rng(0)
 
 
+class _Spent(dict):
+    """Requests a SimulatedObjectStore charged inside a ``with`` block, by
+    category (``download``, ``upload_batch``, ...); zero counts left out."""
+
+    def __init__(self, store):
+        super().__init__()
+        self._store = store
+
+    def __enter__(self):
+        self._before = dict(self._store.requests_by_op)
+        return self
+
+    def __exit__(self, *exc_info):
+        for op, n in self._store.requests_by_op.items():
+            if n - self._before.get(op, 0):
+                self[op] = n - self._before.get(op, 0)
+
+
+@pytest.fixture
+def spent():
+    """``with spent(store) as reqs: ...`` then ``reqs == {"download": 2}``."""
+    return _Spent
+
+
 @pytest.fixture
 def mem_ds():
     """Empty dataset on an in-memory provider."""

@@ -1,5 +1,5 @@
 """ChunkEngine behaviour: chunking bounds, partial reads, tiling, updates,
-sequences, sparse padding, rechunking, I/O accounting."""
+sequences, sparse padding, rechunking, state loading, I/O accounting."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,9 @@ import repro
 from repro.core.chunk_engine import ChunkEngine
 from repro.core.meta import TensorMeta
 from repro.core.version_state import VersionState
-from repro.exceptions import FormatError, SampleIndexError
+from repro.exceptions import FormatError, KeyNotFound, SampleIndexError
 from repro.storage import MemoryProvider
+from repro.util import keys as K
 
 
 def make_engine(storage=None, **meta_kwargs):
@@ -354,3 +355,51 @@ class TestTextJson:
         assert json_loads(bytes(engine.read_sample(0).tobytes())) == {
             "a": [1, 2], "b": "x"
         }
+
+
+class TestStateLoad:
+    def _stored(self):
+        engine, storage = make_engine(dtype="int64", max_chunk_size=256)
+        engine.extend([np.arange(8, dtype=np.int64)] * 16)
+        engine.flush()
+        return storage
+
+    def test_a_bare_engine_fetches_its_state_in_one_batch(self):
+        storage = self._stored()
+        batches = []
+
+        def get_many(keys, _get_many=storage.get_many):
+            batches.append(list(keys))
+            return _get_many(keys)
+
+        storage.get_many = get_many
+        storage.stats.reset()
+        engine = ChunkEngine("t", storage, VersionState())
+        assert batches == [K.state_keys([K.FIRST_COMMIT_ID], "t")]
+        assert not storage.stats.latency_samples("get")  # no single read
+        assert engine.num_samples == 16 and len(engine.chunk_set) > 1
+
+    def test_handed_state_means_no_storage_call(self):
+        storage = self._stored()
+        blobs = storage.get_many(K.state_keys([K.FIRST_COMMIT_ID], "t"))
+        storage.get_many = storage._get = None  # any call would raise
+        engine = ChunkEngine("t", storage, VersionState(), state=blobs)
+        assert engine.num_samples == 16
+
+    def test_missing_tensor_meta_is_a_format_error(self):
+        storage = self._stored()
+        del storage[K.tensor_meta_key(K.FIRST_COMMIT_ID, "t")]
+        with pytest.raises(FormatError, match="has no metadata at commit"):
+            ChunkEngine("t", storage, VersionState())
+
+    def test_chunk_no_chunk_set_places_is_a_format_error(self):
+        """An encoder naming a chunk that no commit's chunk set owns is a
+        torn dataset: say so, instead of guessing a key that then fails
+        as a missing blob."""
+        storage = self._stored()
+        del storage[K.chunk_set_key(K.FIRST_COMMIT_ID, "t")]
+        engine = ChunkEngine("t", storage, VersionState())
+        with pytest.raises(FormatError, match="chunk set of no commit") as err:
+            engine.read_batch([0])
+        assert not isinstance(err.value, KeyNotFound)
+        assert "'t'" in str(err.value) and "firstcommit" in str(err.value)

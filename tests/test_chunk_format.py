@@ -70,14 +70,6 @@ class TestChunk:
         assert c.read_bytes(1) == b"bbb"
         assert c.read_shape(0) == (5,)
 
-    def test_pop(self):
-        c = Chunk(dtype="uint8")
-        for i in range(3):
-            c.append(bytes([i]), (1,))
-        c.pop(1)
-        assert c.num_samples == 2
-        assert c.read_bytes(1) == bytes([2])
-
     def test_bad_magic(self):
         with pytest.raises(ChunkCorruptedError):
             Chunk.frombytes(b"NOPE" + b"\x00" * 100)

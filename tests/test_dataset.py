@@ -1,6 +1,9 @@
 """Dataset-level behaviour: schema, groups, htypes, views, hidden tensors,
 sparse assignment, copy/materialization, persistence."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from repro.storage import (
     SimulatedObjectStore,
     storage_from_url,
 )
+from repro.util import keys as K
 
 
 class TestSchema:
@@ -340,6 +344,112 @@ class TestPersistence:
             ro.create_tensor("y")
         with pytest.raises(ReadOnlyDatasetError):
             ro.x.append(np.array([2], dtype=np.int64))
+
+
+def _history(backing, tensors, commits):
+    """*tensors* int64 columns on *backing*, 16 rows added per commit, the
+    last commit left as the flushed head -> (names, model rows)."""
+    ds = repro.empty(backing, overwrite=True)
+    names = [f"t{i}" for i in range(tensors)]
+    for name in names:
+        ds.create_tensor(name, dtype="int64")
+    model = []
+    for commit in range(commits):
+        rows = [np.arange(4, dtype=np.int64) + commit] * 16
+        ds.extend({name: rows for name in names})
+        model += rows
+        if commit < commits - 1:
+            ds.commit(f"c{commit}")
+    ds.flush()
+    return names, model
+
+
+class TestColdOpen:
+    """Per-commit state is read the way it is written: as one enumerated
+    batch, whatever the tensor count or the depth of the history."""
+
+    def test_load_to_first_rows_costs_the_same_at_any_size(self, spent):
+        costs = []
+        for tensors in (2, 6):
+            for commits in (1, 3):
+                backing = MemoryProvider("hist")
+                names, model = _history(backing, tensors, commits)
+                store = SimulatedObjectStore(
+                    "s3", clock=SimClock(), backing=backing
+                )
+                singles = []
+
+                def single_get(key, start, end, _get=store._get):
+                    singles.append(key)
+                    return _get(key, start, end)
+
+                store._get = single_get
+                with spent(store) as reqs:
+                    got = repro.load(store).read_rows(
+                        range(len(model)), names
+                    )
+                for name in names:
+                    assert all(map(np.array_equal, got[name], model))
+                # exists probe, version tree; then batches only: dataset
+                # metas, every tensor's state, the chunks
+                assert singles[-1] == K.version_control_info_key()
+                assert reqs.get("download") == len(singles) <= 2
+                assert sum(reqs.values()) <= 5, reqs
+                costs.append(reqs)
+        assert all(cost == costs[0] for cost in costs), costs
+
+    def test_cold_len_is_one_batch(self, spent):
+        backing = MemoryProvider("hist")
+        _names, model = _history(backing, tensors=6, commits=2)
+        store = SimulatedObjectStore("s3", clock=SimClock(), backing=backing)
+        ds = repro.load(store)
+        with spent(store) as reqs:
+            assert len(ds) == len(model)
+        assert reqs == {"download_batch": 1}
+
+    def test_two_first_readers_open_a_tensor_once(self):
+        """Two threads that both find a tensor unopened share one state
+        fetch and one engine (neither orphans a decoded-chunk cache)."""
+
+        class SlowStore(MemoryProvider):
+            meta_reads = 0
+            empty_batches = 0
+
+            def _get(self, key, start, end):  # single and batched reads
+                if key == "x/tensor_meta.json":
+                    time.sleep(0.02)  # both readers are inside by then
+                    self.meta_reads += 1
+                return super()._get(key, start, end)
+
+            def get_many(self, keys):
+                self.empty_batches += not keys
+                return super().get_many(keys)
+
+        store = SlowStore("slow")
+        ds = repro.empty(store, overwrite=True)
+        ds.create_tensor("x", dtype="int64")
+        ds.x.extend([np.arange(4, dtype=np.int64)] * 8)
+        ds.flush()
+        cold = repro.load(store)
+        store.meta_reads = 0
+        barrier = threading.Barrier(2)
+        engines = []
+
+        def reader():
+            barrier.wait(timeout=10)
+            engine = cold._engine("x")
+            assert int(cold.read_rows([7], ["x"])["x"][0][3]) == 3
+            engines.append(engine)
+
+        threads = [threading.Thread(target=reader) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert store.meta_reads == 1 and store.empty_batches == 0
+        assert len(engines) == 2 and engines[0] is engines[1]
+        assert cold[2:]._open_lock is cold._open_lock  # views share it
 
 
 def _copy_source(layout, rng):

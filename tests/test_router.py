@@ -4,7 +4,7 @@ wrapping policy, and the error messages for malformed/unknown URLs."""
 import pytest
 
 import repro
-from repro.exceptions import UnknownServerError
+from repro.exceptions import ReadOnlyStorageError, UnknownServerError
 from repro.serve import DatasetServer, RemoteStorageProvider, clear_servers
 from repro.storage import (
     LocalProvider,
@@ -61,6 +61,40 @@ class TestSchemeRouting:
             storage_from_url("s3-sim://bkt/ds", cache_bytes=0),
             PrefixedProvider,
         )
+
+    def test_bucket_sub_path_keeps_every_batch(self):
+        """A dataset under a bucket prefix costs the same requests as one
+        at the bucket root: the prefix view forwards ``set_many`` /
+        ``get_many`` as batches instead of unrolling them key by key."""
+        import numpy as np
+
+        spent = {}
+        for url in ("s3-sim://rootbkt", "s3-sim://subbkt/team/ds"):
+            ds = repro.empty(url, overwrite=True, cache_bytes=0)
+            ds.create_tensor("x", dtype="int64", max_chunk_size=256)
+            ds.x.extend([np.arange(8, dtype=np.int64)] * 64)
+            ds.flush()
+            cold = repro.load(url, cache_bytes=0)
+            assert int(cold.read_rows(range(64), ["x"])["x"][63][7]) == 7
+            for provider in (ds.storage, cold.storage):
+                store = getattr(provider, "base", provider)
+                for op, n in store.requests_by_op.items():
+                    spent.setdefault(url, {}).setdefault(op, 0)
+                    spent[url][op] += n
+        root, sub = spent.values()
+        assert root == sub
+        assert sub["upload_batch"] >= 3 and sub["download_batch"] >= 2
+
+    def test_prefixed_set_many_honours_read_only_and_order(self):
+        base = MemoryProvider("ordered")
+        view = PrefixedProvider(base, "team/ds")
+        seen = []
+        base.set_many = lambda items: seen.extend(items)
+        view.set_many({"b": b"1", "a": b"2"})
+        assert seen == ["team/ds/b", "team/ds/a"]
+        view.enable_readonly()
+        with pytest.raises(ReadOnlyStorageError):
+            view.set_many({"c": b"3"})
 
     def test_serve_scheme_routes_to_running_server(self):
         backing = MemoryProvider("bkt")

@@ -110,6 +110,36 @@ class TestServedReads:
             seen = sum(len(b["labels"]) for b in loader)
             assert seen == 16
 
+    def test_cold_open_of_a_served_dataset_is_batched(self, spent):
+        """The server's own first read and a tenant's ``repro.load`` both
+        open the dataset through batches: version tree, dataset metas,
+        every requested tensor's state, the chunks (+ the tenant's
+        ``exists`` probe)."""
+        backing = MemoryProvider("bkt")
+        ds = build_image_dataset(backing, n=8)
+        ds.commit("one")  # a history: state sits in two commits
+        ds.extend({
+            "images": [np.zeros((24, 24, 3), dtype=np.uint8)] * 8,
+            "labels": [np.int32(1)] * 8,
+        })
+        ds.flush()
+        server, backend = serve_backing(backing)
+        client = server.connect("ds", tenant="columns")
+        with spent(backend) as reqs:
+            columns = client.read_columns(["images", "labels"], range(16))
+        np.testing.assert_array_equal(
+            np.concatenate(columns["labels"]), ds.labels.numpy()
+        )
+        assert sum(reqs.values()) <= 4, reqs
+
+        server, _backend = serve_backing(backing)  # cold again
+        with server:
+            remote = repro.load("serve://opener@test-server/ds")
+            got = remote.read_rows(range(16), ["images", "labels"])
+            assert np.array_equal(got["images"][15], np.zeros((24, 24, 3)))
+            tenant = server.stats_snapshot()["tenants"]["opener"]
+        assert tenant["requests"] <= 5
+
     def test_ranged_reads_match(self):
         backing = MemoryProvider("bkt")
         backing["blob"] = bytes(range(256)) * 4

@@ -217,6 +217,7 @@ class TestCounters:
         q = "SELECT * WHERE score > 0"
         kds.flush()
         cold = repro.load(kds.storage)  # chunks must come from storage
+        len(cold)  # open the tensors: the outage is for the chunk fetch
         ex = _executor(cold, q)
         storage = cold._engine("score").storage
         get_many = storage.get_many

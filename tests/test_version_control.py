@@ -171,6 +171,77 @@ class TestCommitCheckout:
         assert int(vds._at_commit(cid).x[2].numpy()[0]) == 2
 
 
+class TestStateAcrossCommits:
+    """A commit's chunk sets stay in memory across ``commit`` / a new
+    branch, and a reader takes each state file from the nearest commit of
+    the chain that wrote it."""
+
+    def test_first_write_after_commit_or_branch_issues_no_get(self, spent):
+        backing = MemoryProvider("vc")
+        store = SimulatedObjectStore("s3", clock=SimClock(), backing=backing)
+        ds = repro.empty(store, overwrite=True)
+        names = ["a", "b", "c"]
+        for name in names:
+            ds.create_tensor(name, dtype="int64")
+        model = []
+
+        def extend():
+            rows = [np.arange(4, dtype=np.int64) + len(model)] * 16
+            with spent(store) as reqs:
+                ds.extend({name: rows for name in names})
+            model.extend(rows)
+            return {op: n for op, n in reqs.items() if "download" in op}
+
+        extend()
+        ds.commit("one")
+        assert extend() == {}
+        ds.checkout("from-head", create=True)  # seals the head, then forks
+        assert extend() == {}
+        sealed = ds.commit("three")
+        ds.checkout(sealed)  # time travel reopens every engine
+        ds.read_rows(range(len(model)), ds._all_tensor_names())
+        ds.checkout("from-sealed", create=True)
+        assert extend() == {}
+        ds.flush()
+
+        reloaded = repro.load(backing)
+        reloaded.checkout("from-sealed")
+        got = reloaded.read_rows(range(len(model)), names)
+        for name in names:
+            assert all(map(np.array_equal, got[name], model))
+
+    def test_untouched_tensor_reads_from_the_commit_that_wrote_it(self):
+        storage = MemoryProvider("vc")
+        ds = repro.empty(storage, overwrite=True)
+        ds.create_tensor("a", dtype="int64")
+        ds.create_tensor("b", dtype="int64")
+        a = [np.array([i], dtype=np.int64) for i in range(8)]
+        b = [np.array([10 * i], dtype=np.int64) for i in range(8)]
+        ds.extend({"a": a, "b": b})
+        ds.commit("one")
+
+        ds = repro.load(storage)  # commits 2-4 never open ``b``
+        ds.a.extend(a)
+        two = ds.commit("two")
+        ds.a[3] = np.array([333], dtype=np.int64)
+        three = ds.commit("three")
+        ds.a.extend(a)
+        four = ds.commit("four")
+        assert "b" not in ds._engines
+        for commit in (three, four, ds.commit_id):
+            assert storage.list_prefix(f"versions/{commit}/a/")
+            assert not storage.list_prefix(f"versions/{commit}/b/")
+
+        head = repro.load(storage)
+        model = a + a + a
+        model[3] = np.array([333], dtype=np.int64)
+        assert all(map(np.array_equal, head.a.numpy(aslist=True), model))
+        assert all(map(np.array_equal, head.b.numpy(aslist=True), b))
+        head.checkout(two)  # nearest commit wins: the update is not there
+        assert all(map(np.array_equal, head.a.numpy(aslist=True), a + a))
+        assert all(map(np.array_equal, head.b.numpy(aslist=True), b))
+
+
 class TestDiff:
     def test_uncommitted_diff(self, vds):
         d = vds.diff()
@@ -316,6 +387,44 @@ class TestMerge:
             return store.requests_by_op["download"] - before
 
         assert merge_cost(64) == merge_cost(256)
+
+    def test_merge_reads_state_in_batches(self, spent):
+        """Cold simulated S3: a merge reads both sides' state files and
+        commit diffs in batches — the same round trips at 64 and 256 added
+        rows, the only single GET the target's version tree."""
+
+        def merge_cost(added):
+            backing = MemoryProvider("m")
+            ds = repro.empty(backing, overwrite=True)
+            ds.create_tensor("a", dtype="int64", max_chunk_size=512)
+            ds.create_tensor("b", dtype="int64")
+            base = [np.arange(4, dtype=np.int64)] * 32
+            ds.extend({"a": base, "b": [np.int64(1)] * 32})
+            ds.commit("base")
+            ds.checkout("dev", create=True)
+            theirs = [np.arange(4, dtype=np.int64) + 9] * added
+            ds.extend({"a": theirs, "b": [np.int64(2)] * added})
+            ds.commit("dev work")
+            store = SimulatedObjectStore(
+                "s3", clock=SimClock(), backing=backing
+            )
+            cold = repro.load(store)
+            # our side read its rows before: appending resumes each
+            # tensor's last chunk from the decoded cache, not storage
+            cold.read_rows(range(32), cold._all_tensor_names())
+            with spent(store) as reqs:
+                cold.merge("dev")
+            assert all(map(
+                np.array_equal, cold.a.numpy(aslist=True), base + theirs
+            ))
+            assert [int(v) for v in cold.b.numpy()] == (
+                [1] * 32 + [2] * added
+            )
+            return {op: n for op, n in reqs.items() if "download" in op}
+
+        small, large = merge_cost(64), merge_cost(256)
+        assert small == large
+        assert small.get("download", 0) <= 2, small
 
     def test_merge_new_tensor_copied(self, vds):
         vds.commit("base")

@@ -549,6 +549,7 @@ class TestKilledMidFlush:
         ]
         labels = [np.int64(i) for i in range(40)]
         commits = {"one": 20, "two": 40}  # message -> rows it seals
+        late = {"c", "_c_shape", "_c_id"}  # created after commit "one"
 
         def setup():
             storage = FailsNthWrite()
@@ -562,14 +563,19 @@ class TestKilledMidFlush:
         def script(ds):
             ds.extend({"a": images[:20], "b": labels[:20]})
             ds.commit("one")
-            ds.extend({"a": images[20:], "b": labels[20:]})
+            ds.create_tensor("c", dtype="int64")
+            ds.extend(
+                {"a": images[20:], "b": labels[20:], "c": labels[20:]}
+            )
             ds.commit("two")
 
         def check(ds, rows):
-            # every tensor, companions included, has the rows and can
-            # read them all: nothing names a chunk that is not there
+            # every tensor the dataset meta names, companions included,
+            # opens, has the rows and can read them all: nothing names a
+            # tensor or a chunk that is not there
             for name in ds._all_tensor_names():
-                assert ds._engine(name).num_samples == rows, name
+                want = max(0, rows - 20) if name in late else rows
+                assert ds._engine(name).num_samples == want, name
             got = ds.read_rows(range(rows), tensors=["a", "b"])
             assert all(map(np.array_equal, got["a"], images))
             assert [int(v) for v in got["b"]] == list(range(rows))
@@ -597,12 +603,58 @@ class TestKilledMidFlush:
             check(loaded, head_rows)
 
 
+    def test_crash_right_after_create_tensor_leaves_an_appendable_dataset(
+        self,
+    ):
+        """``create_tensor`` makes the tensor, its hidden companions and
+        the dataset meta that names them durable together: a store
+        snapshot taken right after it reloads to a dataset that works."""
+        storage = MemoryProvider("created")
+        ds = repro.empty(storage, overwrite=True)
+        ds.create_tensor("x", dtype="int64")
+        snapshot = MemoryProvider("snapshot")
+        snapshot.set_many({key: storage[key] for key in storage})
+
+        loaded = repro.load(snapshot)
+        assert loaded._all_tensor_names() == ["x", "_x_shape", "_x_id"]
+        loaded.rechunk()
+        loaded.x.append(np.int64(7))
+        loaded.flush()
+        again = repro.load(snapshot)
+        assert [int(v) for v in again.x.numpy()] == [7]
+        assert len(again.x.sample_ids()) == 1
+
+
 class TestCommitRoundTrips:
+    def test_flush_writes_one_single_key(self):
+        """A flush is one batch per key class — the dataset meta the last
+        key of the meta batch, after every tensor meta it names — and one
+        single PUT: the version tree, last."""
+        store = make_object_store("s3", clock=SimClock())
+        ds = repro.empty(store, overwrite=True)
+        for name in ("a", "b", "c"):
+            ds.create_tensor(name, dtype="int64")
+        ds.extend({
+            name: [np.arange(4, dtype=np.int64)] * 16
+            for name in ("a", "b", "c")
+        })
+        before = dict(store.requests_by_op)
+        _writes, singles, batches = record_writes(store)
+        ds.flush()
+        assert singles == [K.version_control_info_key()]
+        assert store.requests_by_op["upload"] - before["upload"] == 1
+        assert len(batches) == 3
+        assert [{K.key_class(key) for key in batch} for batch in batches] == [
+            {K.KEY_CLASS_CHUNK}, {K.KEY_CLASS_ENCODER}, {K.KEY_CLASS_META},
+        ]
+        assert batches[-1][-1] == K.dataset_meta_key(ds.commit_id)
+
     @pytest.mark.parametrize("tensors", [1, 3, 6])
     def test_commit_costs_the_same_at_any_tensor_count(self, tensors):
         """``commit()`` is two coordinated flushes: one batch per key
-        class for all tensors together, plus the dataset meta and the
-        version tree each time — never one batch per tensor."""
+        class for all tensors together (the dataset meta rides the meta
+        batch) plus the version tree each time — never one batch per
+        tensor."""
         store = make_object_store("s3", clock=SimClock())
         ds = repro.empty(store, overwrite=True)
         names = [f"t{i}" for i in range(tensors)]
@@ -619,7 +671,7 @@ class TestCommitRoundTrips:
             if n - before.get(op, 0)
         }
         # sealed head: chunks, encoders, meta; child: encoders, meta
-        assert spent == {"upload": 4, "upload_batch": 5}
+        assert spent == {"upload": 2, "upload_batch": 5}
 
 
 # --------------------------------------------------------------------------- #
