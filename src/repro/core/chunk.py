@@ -38,9 +38,18 @@ _FIXED = struct.Struct("<4sIBB")  # magic, header_len, version, flags
 
 
 class Chunk:
-    """In-memory chunk being built or decoded."""
+    """In-memory chunk being built or decoded.
 
-    __slots__ = ("name", "dtype", "data", "byte_positions", "shapes")
+    ``data`` is a ``bytearray`` while the chunk is being written to and
+    immutable ``bytes`` once it is *sealed* — decoded from storage
+    (:meth:`frombytes`) or drained from the write buffer (:meth:`seal`).
+    Only a sealed chunk hands out the :meth:`dense` view: an array over a
+    bytearray would pin it, and the next :meth:`append` raise
+    ``BufferError`` while any reader still held the view.
+    """
+
+    __slots__ = ("name", "dtype", "data", "byte_positions", "shapes",
+                 "_dense")
 
     def __init__(self, dtype: Optional[str] = None, name: Optional[str] = None):
         self.name = name or new_chunk_name()
@@ -48,6 +57,7 @@ class Chunk:
         self.data = bytearray()
         self.byte_positions: List[Tuple[int, int]] = []
         self.shapes: List[Tuple[int, ...]] = []
+        self._dense: Optional[tuple] = None  # (data, dtype, view | None)
 
     # ------------------------------------------------------------------ #
     # building
@@ -87,10 +97,61 @@ class Chunk:
                 f"sample rank {len(shape)} differs from chunk rank "
                 f"{len(self.shapes[0])}"
             )
+        self._dense = None
+        if not isinstance(self.data, bytearray):  # a sealed chunk resumed
+            self.data = bytearray(self.data)
         start = len(self.data)
         self.data.extend(raw)
         self.byte_positions.append((start, len(self.data)))
         self.shapes.append(shape)
+
+    def truncate(self, nbytes: int, num_samples: int) -> None:
+        """Drop everything :meth:`append` added past the first
+        *num_samples* samples / *nbytes* data bytes (batch rollback)."""
+        self._dense = None
+        if len(self.data) > nbytes:  # appended to, so a bytearray by now
+            del self.data[nbytes:]
+        del self.byte_positions[num_samples:]
+        del self.shapes[num_samples:]
+
+    def seal(self) -> None:
+        """Freeze the data section: the chunk left the write buffer."""
+        self.data = bytes(self.data)
+
+    def dense(self, dtype: np.dtype) -> Optional[np.ndarray]:
+        """The read-only ``(num_samples, *shape)`` array over the data
+        section, or ``None`` when there is no such array: the chunk is
+        not sealed, samples differ in shape, or the payloads are not the
+        raw *dtype* arrays laid end to end (sample-compressed, empty).
+        Verified once per chunk and cached until the next :meth:`append` /
+        :meth:`update`.  It is a view of chunk memory: callers gather out
+        of it (``dense[locals]`` copies), never hand it on."""
+        data, cached = self.data, self._dense
+        # keyed on the data object: a view stored by a reader racing an
+        # append / update belongs to the buffer that call replaced
+        if cached is not None and cached[0] is data and cached[1] == dtype:
+            return cached[2]
+        if not isinstance(data, bytes):
+            return None
+        view = None
+        n = len(self.byte_positions)
+        shape = self.shapes[0] if n else ()
+        count = int(np.prod(shape, dtype=np.int64))
+        size = count * dtype.itemsize
+        if (
+            n and size and self.shapes.count(shape) == n
+            and len(data) >= n * size
+        ):
+            bounds = np.asarray(self.byte_positions, dtype=np.int64)
+            edges = np.arange(n + 1, dtype=np.int64) * size
+            if (bounds[:, 0] == edges[:-1]).all() and (
+                bounds[:, 1] == edges[1:]
+            ).all():
+                view = np.frombuffer(
+                    data, dtype=dtype, count=n * count
+                ).reshape((n,) + shape)
+        self._dense = (data, dtype, view)
+        return view
 
     def read_bytes(self, local_index: int) -> bytes:
         start, end = self.byte_positions[local_index]
@@ -102,6 +163,7 @@ class Chunk:
     def update(self, local_index: int, raw: bytes, shape: Sequence[int]) -> None:
         """In-place sample replacement (rebuilds the data buffer)."""
         shape = tuple(int(x) for x in shape)
+        self._dense = None
         pieces = [self.read_bytes(i) for i in range(self.num_samples)]
         pieces[local_index] = bytes(raw)
         self.data = bytearray()
@@ -195,11 +257,9 @@ class Chunk:
         data = blob[header.header_len :]
         if header.flags & FLAG_CHUNK_COMPRESSED:
             data = decompress_bytes(data, header.chunk_compression)
-        chunk.data = bytearray(data)
-        chunk.shapes = [tuple(int(x) for x in row) for row in header.shapes]
-        chunk.byte_positions = [
-            (int(s), int(e)) for s, e in header.byte_positions
-        ]
+        chunk.data = data  # sealed; append() copies it into a bytearray
+        chunk.shapes = list(map(tuple, header.shapes.tolist()))
+        chunk.byte_positions = list(map(tuple, header.byte_positions.tolist()))
         declared = chunk.byte_positions[-1][1] if chunk.byte_positions else 0
         if len(chunk.data) < declared:
             raise ChunkCorruptedError(

@@ -20,32 +20,30 @@ The one read path
 -----------------
 Chunks exist so that one fetch + one decompress amortizes over many
 samples (§3.4–3.5), so every read — one row or a million — is the same
-three steps, plan -> fetch -> slice:
-
-- :meth:`plan_reads` turns a list of sample indices into a
-  :class:`ReadPlan`: rows are resolved through :class:`ChunkIdEncoder`
-  (version-aware — each chunk's storage key is resolved against the
-  commit chain exactly once) and grouped by owning chunk, with tiled
-  samples, sequence samples, and sparse padding handled in the plan;
-- :meth:`FusedReadPlan._fetch_all` is the only routine that fetches
-  missing chunks — one ``get_many`` for the plans of every tensor in a
-  request — and each is decompressed once into the decoded-chunk cache;
-- :meth:`_item_value` is the only slicer: plan item + fetched chunks ->
-  the sample's value.
+three steps, plan -> fetch -> slice, over arrays.  The steps live in
+:mod:`repro.core.read_plan` (its header describes them); this class keeps
+the entry points: :meth:`plan_reads` (rows -> :class:`ReadPlan`, one
+binary search over :class:`ChunkIdEncoder` per request, each chunk's
+storage key resolved against the commit chain once) and
+:meth:`execute_plan` (:meth:`FusedReadPlan._fetch_all`, the only routine
+that fetches missing chunks, then :func:`read_plan.slice_plan`, the only
+slicer), plus the list-returning :meth:`read_batch` / :meth:`read_sample`
+/ :meth:`read_items` over them.
 
 The entry point, not a flag, decides the *fetch strategy*.  One-row
 entry points — :meth:`read_sample`, a one-row :meth:`read_batch`,
 ``Tensor[i].numpy()`` — may take §3.5's *ranged* strategy
-(:meth:`_fetch_ranged`: header probe + the sample's byte range, never
-cached).  Every multi-row or multi-tensor entry point — :meth:`plan_reads`
-+ :meth:`execute_plan`, :class:`FusedReadPlan`, ``Dataset.read_rows`` and
-so the dataloader, TQL's column scans and the Tensor Streaming Server's
-``read_batch`` op — fetches whole chunks: a full-column scan costs one
-storage GET per chunk, and a single row that should stream is spelled
-``execute_plan(plan_reads([i]))``.  :meth:`read_shapes_batch` answers
-shape lookups from one header (or cached chunk) per chunk; the
-``chunk_cache_hits`` / ``chunk_cache_misses`` counters make the batching
-observable from loader stats and per-tenant serve stats.
+(:func:`read_plan.fetch_ranged`: header probe + the sample's byte range,
+never cached).  Every multi-row or multi-tensor entry point —
+:meth:`plan_reads` + :meth:`execute_plan`, :class:`FusedReadPlan`,
+``Dataset.read_rows`` and so the dataloader, TQL's column scans and the
+Tensor Streaming Server's ``read_batch`` op — fetches whole chunks: a
+full-column scan costs one storage GET per chunk, and a single row that
+should stream is spelled ``execute_plan(plan_reads([i]))``.
+:meth:`read_shapes_batch` answers shape lookups from one header (or
+cached chunk) per chunk; the ``chunk_cache_hits`` / ``chunk_cache_misses``
+counters make the batching observable from loader stats and per-tenant
+serve stats.
 
 The one write path
 ------------------
@@ -82,6 +80,7 @@ from repro.compression import (
     decompress_array,
     get_codec,
 )
+from repro.core import read_plan
 from repro.core.chunk import Chunk, ChunkHeader
 from repro.core.encoders import (
     ChunkIdEncoder,
@@ -90,6 +89,15 @@ from repro.core.encoders import (
     TileEncoder,
 )
 from repro.core.meta import TensorMeta
+from repro.core.read_plan import (  # noqa: F401 - PRUNED re-exported
+    KIND_PAD,
+    KIND_SAMPLE,
+    KIND_TILED,
+    PRUNED,
+    FusedReadPlan,
+    ReadPlan,
+    column_rows,
+)
 from repro.core.sample import LinkedSample, Sample
 from repro.core.version_state import VersionState
 from repro.core import tiling
@@ -131,24 +139,6 @@ def _encode_pool() -> ThreadPoolExecutor:
         return _ENCODE_POOL
 
 
-class _PrunedCell:
-    """Sentinel returned by :meth:`ChunkEngine.execute_plan` for rows whose
-    chunk was skipped by statistics pushdown: the chunk's [min, max] proves
-    no sample in it can satisfy the predicate, so the cell was never
-    fetched.  Falsy, so predicate code treats it as a non-match."""
-
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __repr__(self) -> str:
-        return "<pruned>"
-
-
-PRUNED = _PrunedCell()
-
-
 class CommitDiff:
     """Per-tensor per-commit change record (feeds diff & merge, §4.2)."""
 
@@ -186,53 +176,6 @@ class CommitDiff:
         diff.num_added = obj.get("num_added", 0)
         diff.updated = set(obj.get("updated", []))
         return diff
-
-
-class ReadPlan:
-    """Chunk-granular execution plan for one batched read.
-
-    A plan is tensor-local and commit-resolved: every referenced chunk's
-    storage key has already been walked through the version tree, so
-    executing the plan is pure I/O + slicing.  ``items`` holds one spec
-    per *flat* item in request order:
-
-    - ``("pad",)`` — sparse padding, no storage access;
-    - ``("sample", chunk_name, local_index)`` — one sample of one chunk;
-    - ``("tiled", index, (chunk_name, ...))`` — a sample tiled across
-      dedicated chunks (all of them are in the fetch set).
-
-    For sequence tensors ``seq_spans`` records each requested row's
-    ``(start, count)`` span over ``items`` so results reassemble into
-    per-row sequences.
-    """
-
-    __slots__ = ("tensor", "rows", "items", "chunk_keys", "active_chunks",
-                 "seq_spans", "skipped_chunks")
-
-    def __init__(self, tensor: str):
-        self.tensor = tensor
-        self.rows: List[int] = []            # normalized requested rows
-        self.items: List[Tuple] = []         # per-flat-item specs
-        self.chunk_keys: Dict[str, str] = {}  # chunk -> resolved storage key
-        self.active_chunks: Set[str] = set()  # in-memory write-back chunks
-        self.seq_spans: Optional[List[Tuple[int, int]]] = None
-        #: chunks proven irrelevant by statistics pushdown (never fetched)
-        self.skipped_chunks: Set[str] = set()
-
-    @property
-    def num_items(self) -> int:
-        return len(self.items)
-
-    @property
-    def num_chunks(self) -> int:
-        """Distinct chunks the plan touches (fetchable + active)."""
-        return len(self.chunk_keys) + len(self.active_chunks)
-
-    def __repr__(self) -> str:
-        return (
-            f"ReadPlan(tensor={self.tensor!r}, rows={len(self.rows)}, "
-            f"items={self.num_items}, chunks={self.num_chunks})"
-        )
 
 
 class WritePlan:
@@ -919,6 +862,7 @@ class ChunkEngine:
         items: Dict[str, bytes] = {}
         for chunk in pending:
             key = K.chunk_key(self.commit_id, self.tensor, chunk.name)
+            chunk.seal()
             items[key] = chunk.tobytes(self.meta.chunk_compression)
             self._header_cache.pop(key, None)
             self._cache_put(key, chunk)
@@ -1207,21 +1151,19 @@ class ChunkEngine:
         every touched chunk is still in memory (active or buffered).
         """
         for name, (dlen, nsamp) in touched.items():
-            chunk = self._mem_chunk(name)
-            del chunk.data[dlen:]
-            del chunk.byte_positions[nsamp:]
-            del chunk.shapes[nsamp:]
+            self._mem_chunk(name).truncate(dlen, nsamp)
         # encoders are append-only: truncate
         del self.enc._ids[snap["enc_rows"]:]
         del self.enc._cum[snap["enc_rows"]:]
         if self.enc._cum and snap["enc_last_cum"] is not None:
             self.enc._cum[-1] = snap["enc_last_cum"]
-        self.enc._cum_arr = None
+        self.enc._base = None
         del self.seq_enc._cum[snap["seq_rows"]:]
+        self.seq_enc._base = None
         for idx in [
             i for i in self.tile_enc._layouts if i >= snap["tile_threshold"]
         ]:
-            del self.tile_enc._layouts[idx]
+            self.tile_enc.unregister(idx)
         # bookkeeping: fresh chunks leave chunk_set/stats; widened stats on
         # surviving chunks stay (a [min,max] superset can never mis-prune)
         self.chunk_set = snap["chunk_set"]
@@ -1324,12 +1266,10 @@ class ChunkEngine:
         )
         # each intersecting tile is the one sample of its own chunk: one
         # plan over them, so they arrive in one fetch
-        plan = ReadPlan(self.tensor)
-        with self._lock:
-            for flat, _gidx in hits:
-                name = ChunkIdEncoder.name_from_id(chunk_ids[flat])
-                plan.items.append(("sample", name, 0))
-                self._plan_note_chunk(plan, name)
+        plan = read_plan.plan_chunk_heads(self, [
+            ChunkIdEncoder.name_from_id(chunk_ids[flat])
+            for flat, _gidx in hits
+        ])
         for (_flat, gidx), tile in zip(hits, self.execute_plan(plan)):
             tile_region = tiling.tile_slices(gidx, tile_shape, sample_shape)
             # intersection of tile extent and requested region
@@ -1347,69 +1287,16 @@ class ChunkEngine:
         return out
 
     # ------------------------------------------------------------------ #
-    # the ReadPlan layer: plan -> fetch -> slice
+    # the ReadPlan layer: plan -> fetch -> slice (core/read_plan.py)
     # ------------------------------------------------------------------ #
-
-    def _normalize_rows(self, rows: Sequence[int]) -> List[int]:
-        n = self.num_samples
-        out = []
-        for row in rows:
-            i = int(row)
-            if i < 0:
-                i += n
-            if not 0 <= i < n:
-                raise SampleIndexError(
-                    f"index {row} out of range for tensor {self.tensor!r} "
-                    f"of length {n}"
-                )
-            out.append(i)
-        return out
-
-    def _plan_note_chunk(self, plan: ReadPlan, name: str) -> None:
-        if name in plan.chunk_keys or name in plan.active_chunks:
-            return
-        if self._mem_chunk(name) is not None:
-            plan.active_chunks.add(name)
-            return
-        plan.chunk_keys[name] = self._chunk_storage_key(name)
-
-    def _plan_flat_items(self, plan: ReadPlan, indices: Sequence[int],
-                         bounds=None) -> None:
-        verdicts: Dict[str, bool] = {}  # chunk name -> prunable
-        for idx in indices:
-            if self.pad_enc.is_padded(idx):
-                plan.items.append(("pad",))
-                continue
-            if idx in self.tile_enc:
-                names = tuple(
-                    ChunkIdEncoder.name_from_id(cid)
-                    for cid in self.enc.tile_chunk_ids(idx)
-                )
-                plan.items.append(("tiled", idx, names))
-                for name in names:
-                    self._plan_note_chunk(plan, name)
-                continue
-            chunk_id, local = self.enc.translate(idx)
-            name = ChunkIdEncoder.name_from_id(chunk_id)
-            if bounds is not None:
-                prunable = verdicts.get(name)
-                if prunable is None:
-                    prunable = (
-                        self._mem_chunk(name) is None
-                        and self._is_prunable(name, bounds)
-                    )
-                    verdicts[name] = prunable
-                if prunable:
-                    plan.items.append(("pruned",))
-                    plan.skipped_chunks.add(name)
-                    continue
-            plan.items.append(("sample", name, local))
-            self._plan_note_chunk(plan, name)
 
     def plan_reads(self, rows: Sequence[int], bounds=None) -> ReadPlan:
         """Group *rows* by owning chunk into an executable :class:`ReadPlan`.
 
-        Rows may repeat and arrive in any order; each referenced chunk's
+        Rows — Python / numpy integers or an integer array, anything else
+        raises :class:`SampleIndexError` — may repeat and arrive in any
+        order; they are resolved by one binary search over the chunk
+        encoder for the whole request, and each referenced chunk's
         storage key is resolved against the commit chain exactly once.
         Sequence rows expand to their flat item ranges, tiled samples pull
         in every tile chunk, padded rows need no storage at all.
@@ -1417,26 +1304,16 @@ class ChunkEngine:
         *bounds* (optional) is a list of necessary-condition intervals
         ``(lo, hi, lo_open, hi_open)`` on the column's values: a chunk
         whose recorded [min, max] cannot intersect one of them is skipped
-        entirely — its rows come back as the falsy :data:`PRUNED`
-        sentinel and *zero* storage GETs are issued for it.  Only whole
-        plain-sample chunks are pruned; tiled, padded, sequence and
-        active-chunk rows are always read.
+        entirely — its rows are marked in ``plan.pruned`` and *zero*
+        storage GETs are issued for it.  Only whole plain-sample chunks
+        are pruned; tiled, padded, sequence and active-chunk rows are
+        always read.
         """
-        plan = ReadPlan(self.tensor)
-        plan.rows = self._normalize_rows(rows)
+        index = read_plan.normalize_rows(rows, self.num_samples, self.tensor)
         with _tracing.span("engine.plan_reads", tensor=self.tensor,
-                           rows=len(plan.rows)) as sp:
+                           rows=len(index)) as sp:
             with self._lock:
-                if self.meta.is_sequence:
-                    plan.seq_spans = []
-                    flat: List[int] = []
-                    for i in plan.rows:
-                        start, end = self.seq_enc.item_range(i)
-                        plan.seq_spans.append((len(flat), end - start))
-                        flat.extend(range(start, end))
-                    self._plan_flat_items(plan, flat)
-                else:
-                    self._plan_flat_items(plan, plan.rows, bounds=bounds)
+                plan = read_plan.plan_rows(self, index, bounds)
             self._m_chunks_planned.inc(len(plan.chunk_keys))
             self._h_plan_chunks.observe(len(plan.chunk_keys))
             sp.set(chunks=plan.num_chunks)
@@ -1479,151 +1356,83 @@ class ChunkEngine:
             self._cache_put(key, chunk)
             chunks[name] = chunk
 
-    def _item_value(self, spec: Tuple, chunks: Dict[str, Chunk],
-                    decode: bool):
-        kind = spec[0]
-        if kind == "pruned":
-            return PRUNED
-        if kind == "pad":
-            return self.empty_sample() if decode else b""
-        if kind == "tiled":
-            _kind, idx, names = spec
-            if not decode:
-                # no single encoded payload exists; first tile, as the
-                # historical raw path returned
-                first = chunks[names[0]]
-                return first.read_bytes(0)
-            sample_shape, tile_shape = self.tile_enc.layout(idx)
-            tiles = [
-                self._deserialize_sample(
-                    chunks[name].read_bytes(0), chunks[name].read_shape(0)
-                )
-                for name in names
-            ]
-            return tiling.join(
-                tiles, sample_shape, tile_shape, np.dtype(self.meta.dtype)
-            )
-        _kind, name, local = spec
-        chunk = chunks[name]
-        raw = chunk.read_bytes(local)
-        if not decode:
-            return raw
-        return self._deserialize_sample(raw, chunk.read_shape(local))
-
     def execute_plan(self, plan: ReadPlan, aslist: bool = False,
                      decode: bool = True,
-                     _chunks: Optional[Dict[str, Chunk]] = None) -> List:
+                     _chunks: Optional[Dict[str, Chunk]] = None):
         """Run *plan*: fetch missing chunks whole, once, decompress once,
         slice every requested sample out of the decoded buffers.
 
-        Returns one value per planned row, in request order.  With
-        ``decode=False`` values are raw stored payloads (``bytes``) —
-        sequence rows become lists of payloads.  ``_chunks`` injects
-        chunks the caller already fetched: a :class:`FusedReadPlan`'s
-        cross-tensor batch, or a one-row read's ranged fetch.
+        Returns the *column* of the planned rows, in request order: ONE
+        ``(n, *shape)`` ndarray when every row came out of the dense
+        gather (fixed-shape samples stored raw — see :meth:`Chunk.dense`;
+        rows of ``plan.pruned`` hold zeros), else a list with one value
+        per row (a pruned row holds the falsy :data:`PRUNED`).
+        ``aslist=True`` always returns the list, a dense column cut into
+        per-row arrays.  With ``decode=False`` values are raw stored
+        payloads (``bytes``); sequence rows come back as a list per
+        row.  ``_chunks`` injects chunks the caller already fetched: a
+        :class:`FusedReadPlan`'s cross-tensor batch, or a one-row read's
+        ranged fetch.
         """
         with _tracing.span("engine.execute_plan", tensor=self.tensor,
-                           rows=len(plan.rows), chunks=plan.num_chunks):
+                           rows=len(plan.index),
+                           chunks=plan.num_chunks) as sp:
             chunks = (
                 _chunks if _chunks is not None
                 else FusedReadPlan().add(self, plan)._fetch_all()[0]
             )
-            values = [
-                self._item_value(spec, chunks, decode) for spec in plan.items
-            ]
-        if plan.seq_spans is None:
-            return values
-        out = []
-        for start, count in plan.seq_spans:
-            items = values[start : start + count]
-            if not decode or aslist:
-                out.append(items)
-                continue
-            if not items:
-                # an empty span stacks to zero rows of the tensor's own
-                # dtype, never numpy's float64 default
-                out.append(np.empty(
-                    (0,), dtype=np.dtype(self.meta.dtype or "float64")
-                ))
-                continue
-            shapes = {item.shape for item in items}
-            if len(shapes) == 1:
-                out.append(np.stack(items))
-            else:
-                out.append(items)
-        return out
-
-    def _fetch_ranged(self, plan: ReadPlan) -> Optional[Dict[str, Chunk]]:
-        """The §3.5 *ranged* fetch strategy of the one-row entry points: a
-        header probe plus the sample's exact byte range instead of the
-        whole chunk — right for sparse random access (one sample of an
-        8 MB chunk), wrong for streaming, where neighbours are consumed
-        next and the decoded chunk should cache.
-
-        Taken for one cold ``sample`` item of a sample-compressed, not
-        chunk-compressed, non-link tensor when the sample is under a
-        quarter of the chunk's data (above that the whole fetch costs
-        about the same and caches).  The bytes come back as a one-sample
-        stand-in chunk, never cached, and the plan's item is re-pointed at
-        its local index 0 so the one slicer :meth:`_item_value` serves it.
-        Returns ``None`` when the strategy does not apply.
-        """
-        if (
-            len(plan.items) != 1
-            or plan.items[0][0] != "sample"
-            or not plan.chunk_keys
-            or not self.meta.sample_compression
-            or self.meta.chunk_compression
-            or self.meta.is_link
-        ):
-            return None
-        _kind, name, local = plan.items[0]
-        key = plan.chunk_keys[name]
-        if self._cache_peek(key) is not None:
-            return None
-        header = self._load_header(name)
-        start, end = header.sample_range(local)
-        if (
-            header.is_chunk_compressed
-            or (end - start) * 4 >= int(header.byte_positions[-1][1])
-        ):
-            return None
-        raw = self.storage.get_bytes(key, start, end)
-        standin = Chunk(dtype=header.dtype, name=name)
-        standin.append(raw, header.sample_shape(local))
-        # a ranged read is a decoded-chunk cache miss that fetched no chunk
-        for counter in (self._c_partial, self._m_partial,
-                        self._c_misses, self._m_misses):
-            counter.inc()
-        plan.items[0] = ("sample", name, 0)
-        return {name: standin}
+            column = read_plan.slice_plan(self, plan, chunks, decode)
+            sp.set(dense=isinstance(column, np.ndarray))
+        if plan.seq_spans is not None:
+            return read_plan.assemble_sequences(
+                self, plan, column, decode, aslist
+            )
+        if not aslist or not isinstance(column, np.ndarray):
+            return column
+        values = column_rows(column)
+        for pos in np.flatnonzero(plan.pruned).tolist():
+            values[pos] = PRUNED
+        return values
 
     def read_batch(self, rows: Sequence[int], aslist: bool = False,
                    decode: bool = True) -> List:
-        """Values of *rows* through one :class:`ReadPlan`: one fetch + one
-        decompress per chunk, however many of the rows it holds.
+        """Values of *rows*, one list entry per row, through one
+        :class:`ReadPlan`: one fetch + one decompress per chunk, however
+        many of the rows it holds.
 
         A one-row call is the random-access entry point and may take the
-        ranged strategy (:meth:`_fetch_ranged`) instead of pulling a
-        whole chunk into the cache for a single sample.
+        ranged strategy (:func:`read_plan.fetch_ranged`) instead of
+        pulling a whole chunk into the cache for a single sample.
         """
         plan = self.plan_reads(rows)
-        return self.execute_plan(plan, aslist=aslist, decode=decode,
-                                 _chunks=self._fetch_ranged(plan))
+        return column_rows(self.execute_plan(
+            plan, aslist=aslist, decode=decode,
+            _chunks=read_plan.fetch_ranged(self, plan),
+        ))
 
     def read_sample(self, index: int, aslist: bool = False):
         """One row — a one-row :meth:`read_batch`."""
         return self.read_batch([index], aslist=aslist)[0]
 
+    def _plan_flat(self, indices: Sequence[int]) -> ReadPlan:
+        """Plan over *flat* items (rows of a plain tensor, single items of
+        a sequence tensor), no sequence expansion."""
+        flat = read_plan.normalize_rows(
+            indices, self.enc.num_samples, self.tensor
+        )
+        with self._lock:
+            return read_plan.plan_items(
+                self, ReadPlan(self.tensor, flat), flat
+            )
+
     def read_items(self, indices: Sequence[int], decode: bool = True) -> List:
         """Values of *flat* items: rows of a plain tensor, single items
         of a sequence tensor (one frame without decoding its whole row).
         Same plan path and one-item ranged rule as :meth:`read_batch`."""
-        plan = ReadPlan(self.tensor)
-        with self._lock:
-            self._plan_flat_items(plan, indices)
-        return self.execute_plan(plan, decode=decode,
-                                 _chunks=self._fetch_ranged(plan))
+        plan = self._plan_flat(indices)
+        return column_rows(self.execute_plan(
+            plan, decode=decode, _chunks=read_plan.fetch_ranged(self, plan),
+        ))
 
     def plan_residency(self, plan: ReadPlan) -> Tuple[int, int]:
         """Side-effect-free ``(hits, misses)`` peek for *plan* right now.
@@ -1648,40 +1457,38 @@ class ChunkEngine:
         """Per-sample shapes for many rows: at most one header fetch per
         chunk (reusing decoded chunks when resident) instead of per-row
         metadata reads — what keeps smart scheduling O(chunks)."""
-        indices = self._normalize_rows(rows)
+        indices = read_plan.normalize_rows(
+            rows, self.num_samples, self.tensor
+        )
         if not self.meta.is_sequence:
             return self._flat_shapes(indices)
-        spans = [self.seq_enc.item_range(i) for i in indices]
-        firsts = iter(self._flat_shapes([s for s, e in spans if e > s]))
-        return [(e - s, *next(firsts)) if e > s else (0,) for s, e in spans]
+        starts, ends = self.seq_enc.item_ranges(indices)
+        counts = (ends - starts).tolist()
+        firsts = iter(self._flat_shapes(starts[ends > starts]))
+        return [(n, *next(firsts)) if n else (0,) for n in counts]
 
-    def _flat_shapes(self, indices: Sequence[int]) -> List[Tuple[int, ...]]:
-        out: List[Tuple[int, ...]] = []
-        shape_src: Dict[str, object] = {}  # chunk name -> Chunk | ChunkHeader
-        for idx in indices:
-            if self.pad_enc.is_padded(idx):
-                out.append(tuple(self.empty_sample().shape))
-                continue
-            if idx in self.tile_enc:
-                out.append(self.tile_enc.layout(idx)[0])
-                continue
-            if self.meta.is_link:  # the stored shape is the pointer's
-                out.append(tuple(self.read_items([idx])[0].shape))
-                continue
-            chunk_id, local = self.enc.translate(idx)
-            name = ChunkIdEncoder.name_from_id(chunk_id)
-            src = shape_src.get(name)
+    def _flat_shapes(self, indices: np.ndarray) -> List[Tuple[int, ...]]:
+        if self.meta.is_link:  # the stored shape is the pointer's
+            return [tuple(v.shape) for v in self.read_items(indices)]
+        plan = self._plan_flat(indices)
+        out: List = [None] * plan.num_items
+        for name, pos in plan.groups():
+            src = self._mem_chunk(name)
             if src is None:
-                src = self._mem_chunk(name)
-                if src is None:
-                    src = self._cache_peek(self._chunk_storage_key(name))
-                    if src is None:
-                        src = self._load_header(name)
-                shape_src[name] = src
-            if isinstance(src, Chunk):
-                out.append(src.read_shape(local))
-            else:
-                out.append(src.sample_shape(local))
+                src = self._cache_peek(self._chunk_storage_key(name))
+            local = plan.local[pos]
+            if src is not None:
+                shapes = [src.shapes[i] for i in local.tolist()]
+            else:  # one header per chunk, its shape rows by fancy index
+                header = self._load_header(name)
+                shapes = map(tuple, header.shapes[local].tolist())
+            for p, shape in zip(pos.tolist(), shapes):
+                out[p] = shape
+        for p in np.flatnonzero(plan.kind != KIND_SAMPLE).tolist():
+            out[p] = (
+                self.tile_enc.layout(int(plan.flat[p]))[0] if p in plan.tiles
+                else tuple(self.empty_sample().shape)
+            )
         return out
 
     # ------------------------------------------------------------------ #
@@ -1708,8 +1515,8 @@ class ChunkEngine:
                     "replacement sample exceeds max_chunk_size; tiled "
                     "updates require the same shape as the original"
                 )
-            chunk_id, local = self.enc.translate(index)
-            name = ChunkIdEncoder.name_from_id(chunk_id)
+            row, local = self.enc.locate(index)
+            name = self.enc.chunk_name(row)
             chunk = self._load_chunk(name)
             if name not in self.chunk_set:
                 self._own_chunk(chunk)
@@ -1775,9 +1582,7 @@ class ChunkEngine:
         # one plan over every flat item, fetched as whole chunks in one
         # batch: payloads are copied chunk to chunk below (raw bytes +
         # stored shape), never decoded — and never probed sample by sample
-        plan = ReadPlan(self.tensor)
-        with self._lock:
-            self._plan_flat_items(plan, range(self.enc.num_samples))
+        plan = self._plan_flat(range(self.enc.num_samples))
         chunks = FusedReadPlan().add(self, plan)._fetch_all()[0]
 
         # unwritten in-memory chunks (active + upload buffer) are held by
@@ -1797,10 +1602,12 @@ class ChunkEngine:
                 self._pending_chunks[active.name] = active
             active = None
 
-        for i, spec in enumerate(plan.items):
-            if spec[0] == "tiled":  # re-append as tiles
+        items = zip(plan.kind.tolist(), plan.chunk_ord.tolist(),
+                    plan.local.tolist())
+        for i, (kind, chunk_ord, local) in enumerate(items):
+            if kind == KIND_TILED:  # re-append as tiles
                 finish_active()
-                arr = self._item_value(spec, chunks, True)
+                arr = read_plan.tiled_value(self, plan, i, chunks)
                 tile_shape = tiling.choose_tile_shape(
                     arr.shape, arr.dtype.itemsize, self.meta.max_chunk_size
                 )
@@ -1819,12 +1626,11 @@ class ChunkEngine:
                 new_enc.register_tiled_sample(ids)
                 new_tiles.register(i, arr.shape, tile_shape)
                 continue
-            if spec[0] == "pad":  # re-emitted exactly as pad_to wrote it
+            if kind == KIND_PAD:  # re-emitted exactly as pad_to wrote it
                 raw, shape, _arr = self._serialize_sample(self._pad_value())
             else:
-                _kind, name, local = spec
-                raw, shape = (chunks[name].read_bytes(local),
-                              chunks[name].read_shape(local))
+                chunk = chunks[plan.names[chunk_ord]]
+                raw, shape = chunk.read_bytes(local), chunk.read_shape(local)
             if active is None or not active.can_fit(
                 len(raw), self.meta.max_chunk_size
             ):
@@ -1900,102 +1706,3 @@ class ChunkEngine:
             if approx < self.meta.min_chunk_size:
                 small += 1
         return small / len(seen) if seen else 0.0
-
-
-# --------------------------------------------------------------------------- #
-# cross-tensor plan fusion
-# --------------------------------------------------------------------------- #
-
-
-class FusedReadPlan:
-    """Per-tensor :class:`ReadPlan`\\ s of one request, executed as ONE
-    storage round trip.
-
-    A dataloader worker group, a TQL scan window, and a served
-    ``read_batch`` all touch several tensors for the *same* rows; without
-    fusion each tensor's plan pays its own
-    :meth:`~repro.storage.provider.StorageProvider.get_many`.  Fusing
-    merges every plan's missing chunks into a single ``get_many`` per
-    distinct storage provider (normally exactly one — all engines of a
-    dataset share the provider), so a group touching images+labels+boxes
-    costs one round trip instead of three.  Each plan then slices its
-    samples exactly as its own :meth:`ChunkEngine.execute_plan` would —
-    results are byte-identical, only the round-trip count changes.
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self):
-        self.parts: List[Tuple[ChunkEngine, ReadPlan]] = []
-
-    def add(self, engine: ChunkEngine, plan: ReadPlan) -> "FusedReadPlan":
-        self.parts.append((engine, plan))
-        return self
-
-    @property
-    def num_chunks(self) -> int:
-        return sum(plan.num_chunks for _e, plan in self.parts)
-
-    def __repr__(self) -> str:
-        return (
-            f"FusedReadPlan(tensors={[p.tensor for _e, p in self.parts]}, "
-            f"chunks={self.num_chunks})"
-        )
-
-    def _fetch_all(self) -> List[Dict[str, Chunk]]:
-        """Resident chunks per part, every miss fetched and decoded — the
-        one routine through which missing chunks reach memory: the
-        misses of all parts go out in one ``get_many`` per distinct
-        storage provider."""
-        resident: List[Dict[str, Chunk]] = []
-        part_fetches: List[Dict[str, str]] = []  # per part: key -> name
-        batches: Dict[int, Tuple[StorageProvider, Set[str]]] = {}
-        for engine, plan in self.parts:
-            chunks, to_fetch = engine._plan_resident_chunks(plan)
-            resident.append(chunks)
-            part_fetches.append(to_fetch)
-            if to_fetch:
-                batches.setdefault(
-                    id(engine.storage), (engine.storage, set())
-                )[1].update(to_fetch)
-        if batches:
-            blobs: Dict[str, bytes] = {}
-            with _tracing.span(
-                "engine.fetch_chunks", tensors=len(self.parts),
-                chunks=sum(len(keys) for _s, keys in batches.values()),
-            ):
-                for storage, want in batches.values():
-                    blobs.update(storage.get_many(sorted(want)))
-            for (engine, _plan), chunks, to_fetch in zip(
-                self.parts, resident, part_fetches
-            ):
-                if not to_fetch:
-                    continue
-                # an earlier part of the same engine may have decoded a
-                # shared chunk already (duplicate tensor in the request)
-                still: Dict[str, str] = {}
-                for key, name in to_fetch.items():
-                    cached = engine._cache_peek(key)
-                    if cached is not None:
-                        chunks[name] = cached
-                    else:
-                        still[key] = name
-                if still:
-                    engine._absorb_fetched(still, blobs, chunks)
-        return resident
-
-    def execute(self, decode: bool = True, aslist: bool = False) -> List[List]:
-        """Run every part; returns one value-list per part, in
-        :meth:`add` order — each exactly what the part's own
-        ``execute_plan`` would have returned."""
-        fetched = self._fetch_all()
-        return [
-            engine.execute_plan(plan, aslist=aslist, decode=decode,
-                                _chunks=chunks)
-            for (engine, plan), chunks in zip(self.parts, fetched)
-        ]
-
-    def prefetch(self) -> None:
-        """Fetch + decode every missing chunk into the engines' caches
-        without slicing any samples — the server-push speculation path."""
-        self._fetch_all()

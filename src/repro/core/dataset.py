@@ -15,7 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.chunk_engine import ChunkEngine, FusedReadPlan
+from repro.core.chunk_engine import ChunkEngine
+from repro.core.read_plan import FusedReadPlan, as_row_array, column_rows
 from repro.core.htypes import UNSPECIFIED
 from repro.core.index import Index
 from repro.core.meta import DatasetMeta, TensorMeta
@@ -657,12 +658,18 @@ class Dataset:
 
         ``rows`` are positions of this view by default; ``physical=True``
         treats them as raw sample indices of the underlying tensors (what
-        the dataloader's chunk-aware order plan produces).  ``decode=False``
-        returns stored payload bytes instead of decoded arrays.
+        the dataloader's chunk-aware order plan produces); either way they
+        are integers — a float, string or bool row raises
+        :class:`~repro.exceptions.SampleIndexError`.  ``decode=False``
+        returns stored payload bytes instead of decoded arrays.  Every
+        value list holds one entry per row: the engine's dense columns are
+        cut into per-row arrays here (rows of one request may share one
+        buffer; each is writeable and none aliases the chunk cache).
         """
         names = list(tensors) if tensors is not None else list(self.tensors)
         out: Dict[str, List] = {}
-        row_list = list(rows)
+        row_idx = as_row_array(rows)  # integers only: no silent int(1.7)
+        view_rows = None if physical else row_idx.tolist()
         bases: Dict[int, Sequence[int]] = {}  # engine length -> selection
         resolved = []  # (name, engine, engine_rows)
         # same resolution order as __getitem__: the group-qualified name
@@ -673,20 +680,21 @@ class Dataset:
             qualified.append(full if full in self._meta.tensors else name)
         for name, engine in zip(names, self._open_engines(qualified)):
             if physical:
-                engine_rows = row_list
+                engine_rows = row_idx
             else:
                 length = engine.num_samples
                 base = bases.get(length)
                 if base is None:
                     # a range for slice views: no O(length) materialisation
                     base = bases[length] = self.index.row_sequence(length)
-                engine_rows = [base[int(r)] for r in row_list]
+                engine_rows = [base[r] for r in view_rows]
             resolved.append((name, engine, engine_rows))
         fused = FusedReadPlan()
         for _name, engine, engine_rows in resolved:
             fused.add(engine, engine.plan_reads(engine_rows))
         columns = fused.execute(decode=decode, aslist=aslist)
         for (name, _engine, _rows), values in zip(resolved, columns):
+            values = column_rows(values)
             if not physical and decode and self.index.sub_entries:
                 # view semantics match Tensor.numpy: sample sub-indexing
                 # (ds[rows, 10:20, ...]) applies to every decoded array

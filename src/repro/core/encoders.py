@@ -32,7 +32,7 @@ class ChunkIdEncoder:
     def __init__(self):
         self._ids: List[int] = []  # chunk id per row
         self._cum: List[int] = []  # cumulative sample count per row
-        self._cum_arr: Optional[np.ndarray] = None  # lazy search cache
+        self._base: Optional[np.ndarray] = None  # lazy search cache
 
     # -- construction ----------------------------------------------------
 
@@ -54,14 +54,14 @@ class ChunkIdEncoder:
         prev = self._cum[-1] if self._cum else 0
         self._ids.append(int(chunk_id))
         self._cum.append(prev + int(n_samples))
-        self._cum_arr = None
+        self._base = None
 
     def register_samples(self, count: int) -> None:
         """Attribute *count* more samples to the most recent chunk."""
         if not self._cum:
             raise FormatError("no chunk registered yet")
         self._cum[-1] += int(count)
-        self._cum_arr = None
+        self._base = None
 
     def register_tiled_sample(self, chunk_ids: List[int]) -> None:
         """One sample spanning several chunks: k rows, same cumulative."""
@@ -69,7 +69,7 @@ class ChunkIdEncoder:
         for cid in chunk_ids:
             self._ids.append(int(cid))
             self._cum.append(prev + 1)
-        self._cum_arr = None
+        self._base = None
 
     # -- lookup ----------------------------------------------------------
 
@@ -85,32 +85,50 @@ class ChunkIdEncoder:
     def num_chunks(self) -> int:
         return len(self._ids)
 
-    def _cum_array(self) -> np.ndarray:
-        if self._cum_arr is None or len(self._cum_arr) != len(self._cum):
-            self._cum_arr = np.asarray(self._cum, dtype=np.uint64)
-        return self._cum_arr
+    def chunk_name(self, row: int) -> str:
+        """Name of the chunk encoder row *row* points at."""
+        return self.name_from_id(self._ids[row])
 
-    def _row_for(self, sample_index: int) -> int:
+    def translate_many(
+        self, indices: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(encoder rows, local indices)`` of the samples *indices* — an
+        int64 array, every element in ``[0, num_samples)`` — resolved by
+        ONE binary search over the cumulative column.  A tiled sample
+        resolves to the first of its rows."""
+        base = self._base
+        if base is None:
+            # ``[0] + cum``, so ``base[row]`` is the first sample of *row*.
+            # int64 on purpose: the stored column is uint64, and int64
+            # mixed with uint64 promotes to float64 — inexact past 2**53
+            base = self._base = np.zeros(len(self._cum) + 1, dtype=np.int64)
+            base[1:] = self._cum
+        rows = np.searchsorted(base[1:], indices, side="right")
+        return rows, indices - base[rows]
+
+    def locate(self, sample_index: int) -> Tuple[int, int]:
+        """(encoder row, local index): the one-row :meth:`translate_many`."""
         n = self.num_samples
         if not 0 <= sample_index < n:
             raise SampleIndexError(
                 f"sample {sample_index} out of range (length {n})"
             )
-        cum = self._cum_array()
-        return int(np.searchsorted(cum, sample_index + 1, side="left"))
+        rows, local = self.translate_many(
+            np.asarray([sample_index], dtype=np.int64)
+        )
+        return int(rows[0]), int(local[0])
 
     def translate(self, sample_index: int) -> Tuple[int, int]:
         """(chunk_id, local index within chunk) for a sample."""
-        row = self._row_for(sample_index)
-        base = self._cum[row - 1] if row > 0 else 0
-        return self._ids[row], sample_index - int(base)
+        row, local = self.locate(sample_index)
+        return self._ids[row], local
 
     def is_tiled(self, sample_index: int) -> bool:
         return len(self.tile_chunk_ids(sample_index)) > 1
 
     def tile_chunk_ids(self, sample_index: int) -> List[int]:
         """All chunk ids of a (possibly tiled) sample, tile order."""
-        row = self._row_for(sample_index)
+        row, _local = self.locate(sample_index)
         target = self._cum[row]
         base = self._cum[row - 1] if row > 0 else 0
         if target - base != 1:
@@ -165,8 +183,8 @@ class ChunkIdEncoder:
         arr = np.frombuffer(data, dtype=np.uint64, count=n * 2, offset=8)
         arr = arr.reshape(n, 2)
         enc = cls()
-        enc._ids = [int(x) for x in arr[:, 0]]
-        enc._cum = [int(x) for x in arr[:, 1]]
+        enc._ids = arr[:, 0].tolist()
+        enc._cum = arr[:, 1].tolist()
         return enc
 
     def __repr__(self) -> str:
@@ -181,10 +199,12 @@ class SequenceEncoder:
 
     def __init__(self):
         self._cum: List[int] = []
+        self._base: Optional[np.ndarray] = None  # lazy item_ranges() cache
 
     def register(self, n_items: int) -> None:
         prev = self._cum[-1] if self._cum else 0
         self._cum.append(prev + int(n_items))
+        self._base = None
 
     @property
     def num_samples(self) -> int:
@@ -203,6 +223,17 @@ class SequenceEncoder:
         start = self._cum[sample_index - 1] if sample_index > 0 else 0
         return int(start), int(self._cum[sample_index])
 
+    def item_ranges(
+        self, indices: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(starts, ends)`` of the flat item ranges of the samples
+        *indices* (int64, every element in ``[0, num_samples)``)."""
+        base = self._base
+        if base is None:
+            base = self._base = np.zeros(len(self._cum) + 1, dtype=np.int64)
+            base[1:] = self._cum
+        return base[indices], base[indices + 1]
+
     def tobytes(self) -> bytes:
         arr = np.asarray(self._cum, dtype=np.uint64)
         return _MAGIC + struct.pack("<I", len(self._cum)) + arr.tobytes()
@@ -214,9 +245,9 @@ class SequenceEncoder:
             raise FormatError("bad sequence encoder blob")
         (n,) = struct.unpack_from("<I", data, 4)
         enc = cls()
-        enc._cum = [
-            int(x) for x in np.frombuffer(data, dtype=np.uint64, count=n, offset=8)
-        ]
+        enc._cum = np.frombuffer(
+            data, dtype=np.uint64, count=n, offset=8
+        ).tolist()
         return enc
 
 
@@ -225,15 +256,26 @@ class PadEncoder:
 
     def __init__(self):
         self._padded: set[int] = set()
+        self._arr: Optional[np.ndarray] = None  # lazy mask() operand
 
     def pad(self, index: int) -> None:
         self._padded.add(int(index))
+        self._arr = None
 
     def unpad(self, index: int) -> None:
         self._padded.discard(int(index))
+        self._arr = None
 
     def is_padded(self, index: int) -> bool:
         return int(index) in self._padded
+
+    def mask(self, indices: np.ndarray) -> np.ndarray:
+        """Which of *indices* are padded, as a bool array."""
+        if self._arr is None:
+            self._arr = np.fromiter(
+                self._padded, dtype=np.int64, count=len(self._padded)
+            )
+        return np.isin(indices, self._arr)
 
     @property
     def num_padded(self) -> int:
@@ -253,9 +295,9 @@ class PadEncoder:
             raise FormatError("bad pad encoder blob")
         (n,) = struct.unpack_from("<I", data, 4)
         enc = cls()
-        enc._padded = {
-            int(x) for x in np.frombuffer(data, dtype=np.uint64, count=n, offset=8)
-        }
+        enc._padded = set(
+            np.frombuffer(data, dtype=np.uint64, count=n, offset=8).tolist()
+        )
         return enc
 
 
@@ -264,18 +306,29 @@ class TileEncoder:
 
     def __init__(self):
         self._layouts: Dict[int, Dict] = {}
+        self._arr: Optional[np.ndarray] = None  # lazy mask() operand
 
     def register(self, sample_index: int, sample_shape, tile_shape) -> None:
         self._layouts[int(sample_index)] = {
             "sample_shape": [int(x) for x in sample_shape],
             "tile_shape": [int(x) for x in tile_shape],
         }
+        self._arr = None
 
     def unregister(self, sample_index: int) -> None:
         self._layouts.pop(int(sample_index), None)
+        self._arr = None
 
     def __contains__(self, sample_index) -> bool:
         return int(sample_index) in self._layouts
+
+    def mask(self, indices: np.ndarray) -> np.ndarray:
+        """Which of *indices* are tiled, as a bool array."""
+        if self._arr is None:
+            self._arr = np.fromiter(
+                self._layouts, dtype=np.int64, count=len(self._layouts)
+            )
+        return np.isin(indices, self._arr)
 
     def layout(self, sample_index: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         entry = self._layouts[int(sample_index)]

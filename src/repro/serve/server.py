@@ -528,7 +528,7 @@ class DatasetServer:
         """
         import numpy as np
 
-        from repro.core.chunk_engine import FusedReadPlan
+        from repro.core.read_plan import FusedReadPlan, column_rows
 
         ds = self._served_dataset(req.dataset)
         names = tuple(req.tensors)
@@ -552,7 +552,7 @@ class DatasetServer:
         columns = {}
         for (name, _engine, _plan), values in zip(plans, column_values):
             triples = []
-            for value in values:
+            for value in column_rows(values):  # the wire carries rows
                 if not isinstance(value, np.ndarray):
                     raise ServeError(
                         f"tensor {name!r} holds ragged sequence samples; "

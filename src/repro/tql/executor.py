@@ -34,7 +34,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.chunk_engine import PRUNED, FusedReadPlan
+from repro.core.read_plan import FusedReadPlan, column_rows
 from repro.exceptions import FormatError, StorageError
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
@@ -83,8 +83,9 @@ class Executor:
         self.prefetch_fallbacks = 0
         #: chunks proven irrelevant by statistics pushdown (zero GETs)
         self.chunks_skipped = 0
-        #: tensor -> {row: raw engine value} filled by batched scans
-        self._scan_cache: Dict[str, Dict[int, object]] = {}
+        #: tensor -> (the scan window's column as the engine returned it,
+        #: its pruned-row mask or None), filled by batched scans
+        self._scan_cache: Dict[str, tuple] = {}
         ds_label = str(getattr(ds, "path", "") or "dataset")
         self._m_rows_scanned = _metrics.counter(
             "tql.rows_scanned", dataset=ds_label
@@ -125,20 +126,37 @@ class Executor:
         return value
 
     def _read_cell(self, tensor: str, row: int):
+        """One cell through a one-row engine read: row-at-a-time mode, and
+        the windows whose prefetch degraded."""
         engine = self.ds._engine(tensor)
-        cached = self._scan_cache.get(tensor)
-        if cached is not None and row in cached:
-            value = cached[row]
-            if value is PRUNED:
-                return PRUNED
-            self.cache_hits += 1
-            self._m_cache_hits.inc()
-            return self._decode_cell(engine, value)
         self.cells_fetched += 1
         self._m_cells_fetched.inc()
         return self._decode_cell(engine, engine.read_sample(row))
 
-    def _prefetch_columns(self, tensors: List[str], rows: List[int],
+    def _read_column(self, tensor: str, rows, positions):
+        """Column of *tensor* for the evaluator's *rows*, which sit at
+        *positions* of the prefetched scan window (``None`` = they are the
+        window).  A dense window column is indexed as one array; a list
+        column — ragged or sample-compressed cells, and always text / json,
+        whose cells decode one by one — packs per cell."""
+        cached = self._scan_cache.get(tensor)
+        if cached is None:  # prefetch degraded: per-row reads
+            return kernels._pack([self._read_cell(tensor, r) for r in rows])
+        column = cached[0]
+        self.cache_hits += len(rows)
+        self._m_cache_hits.inc(len(rows))
+        engine = self.ds._engine(tensor)
+        coded = engine.meta.is_text or engine.meta.is_json
+        if isinstance(column, np.ndarray) and not coded:
+            return column if positions is None else column[positions]
+        cells = column_rows(column)
+        if positions is not None:
+            cells = [cells[i] for i in positions.tolist()]
+        if coded:
+            cells = [self._decode_cell(engine, v) for v in cells]
+        return kernels._pack(cells)
+
+    def _prefetch_columns(self, tensors: List[str], rows,
                           bounds: Optional[dict] = None) -> None:
         """One ReadPlan per column for this batch of rows, fused into ONE
         storage ``get_many`` across all of them: each chunk is fetched and
@@ -146,7 +164,7 @@ class Executor:
 
         *bounds* (tensor -> interval list) enables statistics pushdown:
         chunks that cannot satisfy the WHERE predicate are skipped with
-        zero GETs and their rows cached as the :data:`PRUNED` sentinel.
+        zero GETs and their rows kept as the plan's ``pruned`` mask.
         Only a storage/decode failure degrades the window to per-row
         reads (counted in ``tql.prefetch_fallbacks``) — one-row plans on
         the same path, so a transient failure is simply retried and a
@@ -169,23 +187,34 @@ class Executor:
                 self.prefetch_fallbacks += 1
                 self._m_prefetch_fallbacks.inc()
                 return
-            for (tensor, plan), values in zip(plans, columns):
-                self._absorb_scan(tensor, plan, rows, values)
+            for (tensor, plan), column in zip(plans, columns):
+                pruned = None
+                fetched = len(rows)
+                if plan.skipped_chunks:
+                    self.chunks_skipped += len(plan.skipped_chunks)
+                    self._m_chunks_skipped.inc(len(plan.skipped_chunks))
+                    pruned = plan.pruned
+                    fetched -= int(pruned.sum())
+                self.cells_fetched += fetched
+                self._m_cells_fetched.inc(fetched)
+                self._scan_cache[tensor] = (column, pruned)
 
-    def _absorb_scan(self, tensor: str, plan, rows: List[int],
-                     values: List) -> None:
-        if plan.skipped_chunks:
-            self.chunks_skipped += len(plan.skipped_chunks)
-            self._m_chunks_skipped.inc(len(plan.skipped_chunks))
-        fetched = sum(1 for v in values if v is not PRUNED)
-        self.cells_fetched += fetched
-        self._m_cells_fetched.inc(fetched)
-        self._scan_cache[tensor] = dict(zip(rows, values))
+    def _unpruned(self, bounds: dict) -> Optional[np.ndarray]:
+        """Window positions statistics pushdown could not rule out, or
+        ``None`` for all of them: a row is out when some bounded column's
+        cell sits in a chunk whose [min, max] misses the predicate's
+        necessary interval."""
+        pruned = None
+        for tensor in bounds:
+            mask = self._scan_cache.get(tensor, (None, None))[1]
+            if mask is not None:
+                pruned = mask if pruned is None else pruned | mask
+        return None if pruned is None else np.flatnonzero(~pruned)
 
     def _clear_prefetched(self) -> None:
         self._scan_cache.clear()
 
-    def _scan_batches(self, rows: List[int]):
+    def _scan_batches(self, rows):
         for i in range(0, len(rows), SCAN_BATCH_ROWS):
             yield rows[i : i + SCAN_BATCH_ROWS]
 
@@ -274,7 +303,7 @@ class Executor:
             return [self.eval_node(node, r, {}) for r in rows]
         columns = _node_columns([node])
         out: List = []
-        for batch in self._scan_batches(list(rows)):
+        for batch in self._scan_batches(np.asarray(rows, dtype=np.int64)):
             if columns:
                 self._prefetch_columns(columns, batch)
             t0 = time.perf_counter()
@@ -283,16 +312,6 @@ class Executor:
             self._h_kernel.observe(time.perf_counter() - t0)
             self._clear_prefetched()
         return out
-
-    def _row_pruned(self, row: int, bounds: dict) -> bool:
-        """True when statistics pushdown proved *row* cannot match: some
-        bounded column's cell sits in a chunk whose [min, max] misses the
-        predicate's necessary interval."""
-        for tensor in bounds:
-            cached = self._scan_cache.get(tensor)
-            if cached is not None and cached.get(row) is PRUNED:
-                return True
-        return False
 
     # ------------------------------------------------------------------ #
     # stages
@@ -329,24 +348,23 @@ class Executor:
         bounds = kernels.column_bounds(plan.where_node)
         out = []
         with _tracing.span("tql.filter_rows", rows=len(rows)) as sp:
-            for batch in self._scan_batches(list(rows)):
+            for batch in self._scan_batches(np.asarray(rows, dtype=np.int64)):
                 self._m_scan_windows.inc()
                 self._h_window_rows.observe(len(batch))
                 self.rows_scanned += len(batch)
                 self._m_rows_scanned.inc(len(batch))
                 if columns:
                     self._prefetch_columns(columns, batch, bounds=bounds)
-                survivors = batch
-                if bounds:
-                    survivors = [
-                        r for r in batch if not self._row_pruned(r, bounds)
-                    ]
-                if survivors:
+                positions = self._unpruned(bounds)
+                survivors = batch if positions is None else batch[positions]
+                if len(survivors):
                     t0 = time.perf_counter()
-                    evaluator = kernels.BatchEvaluator(self, survivors)
+                    evaluator = kernels.BatchEvaluator(
+                        self, survivors, positions
+                    )
                     mask = evaluator.mask(plan.where_node)
                     self._h_kernel.observe(time.perf_counter() - t0)
-                    out.extend(r for r, m in zip(survivors, mask) if m)
+                    out.extend(survivors[mask].tolist())
                 self._clear_prefetched()
             sp.set(kept=len(out), pruned_chunks=self.chunks_skipped)
         return out
@@ -486,7 +504,8 @@ class Executor:
         out = _api.empty(f"mem://tql-{id(self)}", overwrite=True)
         out.query_string = query_string
         columns = plan.projection_columns() if plan.optimize else []
-        for batch in self._scan_batches(list(rows)):
+        rows = np.asarray(rows, dtype=np.int64) if plan.optimize else list(rows)
+        for batch in self._scan_batches(rows):
             self._m_scan_windows.inc()
             self._h_window_rows.observe(len(batch))
             if columns:
@@ -528,7 +547,7 @@ class Executor:
         ]
         columns = _node_columns(nodes)
         accumulator = kernels.GroupAccumulator(plan.agg_projections)
-        for batch in self._scan_batches(list(rows)):
+        for batch in self._scan_batches(np.asarray(rows, dtype=np.int64)):
             self._m_scan_windows.inc()
             self._h_window_rows.observe(len(batch))
             if columns:

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.chunk_engine import PRUNED  # noqa: F401 - re-exported
+from repro.core.read_plan import PRUNED  # noqa: F401 - re-exported
 from repro.exceptions import TQLTypeError
 from repro.tql.functions import get_agg_function
 from repro.tql.planner import (
@@ -172,10 +172,13 @@ class BatchEvaluator:
 
     _REDUCERS = {"MEAN": np.mean, "SUM": np.sum, "MIN": np.min, "MAX": np.max}
 
-    def __init__(self, executor, rows: List[int]):
+    def __init__(self, executor, rows, positions=None):
         self.ex = executor
-        self.rows = list(rows)
-        self.n = len(self.rows)
+        self.rows = rows
+        #: where *rows* sit in the executor's prefetched scan window
+        #: (``None`` = they are the whole window)
+        self.positions = positions
+        self.n = len(rows)
         self._memo: Dict[int, object] = {}
         self._dispatch = {
             ConstNode: self._eval_const,
@@ -247,12 +250,12 @@ class BatchEvaluator:
         return _Const(node.value)
 
     def _eval_column(self, node: ColumnNode):
-        ex = self.ex
-        return _pack([ex._read_cell(node.tensor, r) for r in self.rows])
+        return self.ex._read_column(node.tensor, self.rows, self.positions)
 
     def _eval_shape(self, node: ShapeNode):
-        ex = self.ex
-        return _pack([ex._read_cell(node.shape_tensor, r) for r in self.rows])
+        return self.ex._read_column(
+            node.shape_tensor, self.rows, self.positions
+        )
 
     def _eval_random(self, node: RandomNode):
         return self.ex.rng.random(self.n)

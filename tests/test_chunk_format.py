@@ -109,6 +109,81 @@ class TestChunk:
         ]
 
 
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4)])
+    @pytest.mark.parametrize("cc", [None, "lz4"])
+    def test_frombytes_lists_equal_per_element_construction(self, shape, cc):
+        """``.tolist()`` decoding builds the same lists, of the same types
+        (``int``, ``tuple``), as converting element by element did."""
+        c = Chunk(dtype="uint8")
+        size = int(np.prod(shape))
+        for i in range(7):
+            c.append(bytes([i]) * size, shape)
+        blob = c.tobytes(cc)
+        header = Chunk.parse_header(blob[:Chunk.peek_header_len(blob[:8])])
+        shapes = [tuple(int(x) for x in row) for row in header.shapes]
+        positions = [(int(s), int(e)) for s, e in header.byte_positions]
+        out = Chunk.frombytes(blob)
+        assert out.shapes == shapes == [shape] * 7
+        assert out.byte_positions == positions
+        for row in out.shapes + out.byte_positions:
+            assert type(row) is tuple
+            assert all(type(x) is int for x in row)
+
+    def test_decoded_chunk_is_sealed_and_append_unseals_it(self):
+        c = Chunk(dtype="int64")
+        for i in range(4):
+            c.append(np.full(3, i, dtype=np.int64).tobytes(), (3,))
+        out = Chunk.frombytes(c.tobytes())
+        assert isinstance(out.data, bytes)
+        out.append(np.full(3, 9, dtype=np.int64).tobytes(), (3,))
+        assert isinstance(out.data, bytearray)
+        assert out.read_bytes(4) == np.full(3, 9, dtype=np.int64).tobytes()
+        assert out.read_bytes(0) == c.read_bytes(0)
+
+    def test_dense_view_of_fixed_shape_raw_samples(self):
+        dtype = np.dtype("int64")
+        c = Chunk(dtype="int64")
+        want = np.arange(12, dtype=np.int64).reshape(4, 3)
+        for row in want:
+            c.append(row.tobytes(), (3,))
+        assert c.dense(dtype) is None  # still being written: not sealed
+        out = Chunk.frombytes(c.tobytes("lz4"))
+        dense = out.dense(dtype)
+        assert np.array_equal(dense, want) and dense.dtype == dtype
+        assert not dense.flags.writeable  # a view of chunk memory
+        assert out.dense(dtype) is dense  # verified once, then cached
+        # a live view must not pin the buffer against the next append
+        out.append(np.full(3, 7, dtype=np.int64).tobytes(), (3,))
+        assert out.dense(dtype) is None
+        assert np.array_equal(dense, want)
+        out.seal()
+        assert out.dense(dtype).shape == (5, 3)
+        out.update(0, np.full(3, -1, dtype=np.int64).tobytes(), (3,))
+        out.seal()
+        assert out.dense(dtype)[0].tolist() == [-1, -1, -1]
+
+    @pytest.mark.parametrize("shapes", [
+        [(3,), (2,)],       # ragged
+        [(0,), (0,)],       # empty samples: nothing to view
+        [],                 # no samples
+    ])
+    def test_dense_is_none_without_one_shape(self, shapes):
+        c = Chunk(dtype="int64")
+        for shape in shapes:
+            c.append(b"\x00" * 8 * int(np.prod(shape)), shape)
+        c.seal()
+        assert c.dense(np.dtype("int64")) is None
+
+    def test_dense_is_none_for_encoded_payloads(self):
+        """Same shape recorded for every sample, but the payloads are not
+        the raw arrays (sample compression): byte ranges give it away."""
+        c = Chunk(dtype="uint8")
+        for n in (10, 12, 9):
+            c.append(b"\x01" * n, (4, 4))
+        c.seal()
+        assert c.dense(np.dtype("uint8")) is None
+
+
 class TestChunkIdEncoder:
     def test_register_and_translate(self):
         enc = ChunkIdEncoder()
@@ -146,6 +221,41 @@ class TestChunkIdEncoder:
         assert enc.translate(3) == (2, 0)
         assert not enc.is_tiled(0)
         assert enc.is_tiled(2)
+
+    def test_translate_many_matches_translate(self):
+        enc = ChunkIdEncoder()
+        enc.register_chunk(1, 2)
+        enc.register_tiled_sample([10, 11, 12])
+        enc.register_chunk(2, 0)  # an empty row owns no sample
+        enc.register_chunk(3, 4)
+        indices = np.asarray([6, 0, 2, 3, 3, 1], dtype=np.int64)
+        rows, local = enc.translate_many(indices)
+        assert [
+            (enc._ids[r], l) for r, l in zip(rows.tolist(), local.tolist())
+        ] == [enc.translate(i) for i in indices.tolist()]
+        assert [enc.chunk_name(r) for r in rows.tolist()] == [
+            ChunkIdEncoder.name_from_id(enc.translate(i)[0])
+            for i in indices.tolist()
+        ]
+        enc.register_samples(1)  # the search cache follows the encoder
+        assert enc.translate(7) == (3, 4)
+
+    def test_lookup_is_exact_past_2_to_53(self):
+        """The stored cumulative column is uint64; mixed with int64
+        indices numpy would promote to float64, inexact past 2**53."""
+        big = 2 ** 53
+        enc = ChunkIdEncoder()
+        enc.register_chunk(1, big + 1)
+        enc.register_chunk(2, 3)
+        enc = ChunkIdEncoder.frombytes(enc.tobytes())
+        assert all(type(x) is int for x in enc._cum + enc._ids)
+        rows, local = enc.translate_many(
+            np.asarray([big, big + 1, big + 3], dtype=np.int64)
+        )
+        assert rows.tolist() == [0, 1, 1]
+        assert local.tolist() == [big, 0, 2]
+        assert local.dtype == np.int64
+        assert enc.translate(big + 1) == (2, 0)
 
     def test_name_id_roundtrip(self):
         from repro.util.ids import new_chunk_name
@@ -213,6 +323,17 @@ class TestSequenceEncoder:
         enc.register(1)
         out = SequenceEncoder.frombytes(enc.tobytes())
         assert out.item_range(1) == (4, 5)
+        assert all(type(x) is int for x in out._cum)
+
+    def test_item_ranges_match_item_range(self):
+        enc = SequenceEncoder()
+        for n in (3, 0, 2, 0, 5):
+            enc.register(n)
+        indices = np.asarray([4, 1, 0, 2, 1], dtype=np.int64)
+        starts, ends = enc.item_ranges(indices)
+        assert list(zip(starts.tolist(), ends.tolist())) == [
+            enc.item_range(i) for i in indices.tolist()
+        ]
 
 
 class TestPadEncoder:
@@ -231,6 +352,17 @@ class TestPadEncoder:
             enc.pad(i)
         out = PadEncoder.frombytes(enc.tobytes())
         assert out.indices() == [1, 4, 9]
+        assert all(type(x) is int for x in out.indices())
+
+    def test_mask_follows_pad_and_unpad(self):
+        enc = PadEncoder()
+        indices = np.asarray([5, 3, 4, 5], dtype=np.int64)
+        assert enc.mask(indices).tolist() == [False] * 4
+        enc.pad(5)
+        enc.pad(3)
+        assert enc.mask(indices).tolist() == [True, True, False, True]
+        enc.unpad(3)
+        assert enc.mask(indices).tolist() == [True, False, False, True]
 
 
 class TestTileEncoder:
@@ -247,3 +379,11 @@ class TestTileEncoder:
         enc.register(1, (10,), (5,))
         enc.unregister(1)
         assert 1 not in enc
+
+    def test_mask_follows_register_and_unregister(self):
+        enc = TileEncoder()
+        indices = np.asarray([0, 1, 1], dtype=np.int64)
+        enc.register(1, (10,), (5,))
+        assert enc.mask(indices).tolist() == [False, True, True]
+        enc.unregister(1)
+        assert not enc.mask(indices).any()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.chunk import Chunk
 from repro.core.chunk_engine import PRUNED, ChunkEngine, FusedReadPlan
 from repro.core.meta import TensorMeta
 from repro.core.version_state import VersionState
@@ -137,7 +138,12 @@ class TestParallelByteIdentity:
         # value >= 35: only the chunk holding rows 32..39 can match
         plan = reader.plan_reads(rows, bounds=[(35, None, False, False)])
         assert len(plan.skipped_chunks) == 2
-        assert_identical(reader.execute_plan(plan),
+        assert plan.pruned.tolist() == [False, True, True, False, True]
+        # dense column: the unpruned rows' values, plan.pruned is the truth
+        column = reader.execute_plan(plan)
+        assert isinstance(column, np.ndarray) and column.shape == (5, 4)
+        assert_identical(list(column[~plan.pruned]), [values[39], values[38]])
+        assert_identical(reader.execute_plan(plan, aslist=True),
                          [values[39], PRUNED, PRUNED, values[38], PRUNED])
 
 
@@ -293,14 +299,16 @@ class TestDecodeWorkerExceptions:
         reader = fresh_reader(storage)
         boom = RuntimeError("worker blew up")
 
-        original = ChunkEngine._item_value
+        original = Chunk.dense
+        calls = []
 
-        def exploding(self, spec, chunks, decode):
-            if spec[0] == "sample" and spec[2] == 1:
+        def exploding(self, dtype):
+            calls.append(self.name)
+            if len(calls) == 2:
                 raise boom
-            return original(self, spec, chunks, decode)
+            return original(self, dtype)
 
-        monkeypatch.setattr(ChunkEngine, "_item_value", exploding)
+        monkeypatch.setattr(Chunk, "dense", exploding)
         with pytest.raises(RuntimeError, match="worker blew up"):
             reader.read_batch(list(range(40)))
 

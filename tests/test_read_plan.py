@@ -3,15 +3,21 @@ list-of-arrays model of what was appended (one row and many rows through
 the same assertions), batched shapes, cache counters, get_many providers,
 Dataset.read_rows, and the consumers riding the plan path."""
 
-from collections import Counter
+import functools
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.compression import compress_array, decompress_array
-from repro.core.chunk_engine import ChunkEngine
+from repro.core.chunk_engine import ChunkEngine, FusedReadPlan
+from repro.core.encoders import ChunkIdEncoder
 from repro.core.meta import TensorMeta
+from repro.core.read_plan import KIND_TILED
 from repro.core.version_state import VersionState
 from repro.exceptions import SampleIndexError
 from repro.storage import MemoryProvider
@@ -41,8 +47,8 @@ class TestPlanReads:
         assert plan.num_items == 5
         assert plan.num_chunks == 3  # rows span chunks {0,1}, {2,3}, {9}
         assert len(plan.chunk_keys) == 3  # all stored, none in memory
-        per_chunk = Counter(name for _kind, name, _local in plan.items)
-        assert sorted(per_chunk.values()) == [1, 2, 2]
+        per_chunk = np.bincount(plan.chunk_ord, minlength=len(plan.names))
+        assert sorted(per_chunk.tolist()) == [1, 2, 2]
 
     def test_duplicate_and_negative_rows(self):
         engine, _ = make_engine(dtype="int64", max_chunk_size=1 << 20)
@@ -64,8 +70,8 @@ class TestPlanReads:
         engine.flush()
         assert engine.tile_enc.num_tiled == 1
         plan = engine.plan_reads([0])
-        assert plan.items[0][0] == "tiled"
-        assert plan.num_chunks == len(plan.items[0][2])
+        assert plan.kind.tolist() == [KIND_TILED]
+        assert plan.num_chunks == len(plan.tiles[0])
         assert plan.num_chunks > 1
 
     def test_sequence_rows_expand_to_item_spans(self):
@@ -76,6 +82,103 @@ class TestPlanReads:
         plan = engine.plan_reads([1, 0])
         assert plan.seq_spans == [(0, 2), (2, 3)]
         assert plan.num_items == 5
+
+
+    def test_large_request_plans_without_per_row_lookups(self, monkeypatch):
+        """4096 rows over 64 chunks resolve through translate_many: the
+        one-row resolver is never reached."""
+        engine, _ = make_engine(dtype="int64", max_chunk_size=512)
+        engine.extend([np.int64(i) for i in range(4096)])  # 64 per chunk
+        engine.flush()
+        assert engine.enc.num_chunks == 64
+
+        def per_row(self, sample_index):
+            raise AssertionError(f"per-row lookup of {sample_index}")
+
+        monkeypatch.setattr(ChunkIdEncoder, "translate", per_row)
+        plan = engine.plan_reads(range(4096))
+        assert plan.num_items == 4096 and plan.num_chunks == 64
+        assert np.bincount(plan.chunk_ord).tolist() == [64] * 64
+        assert plan.local.tolist() == list(range(64)) * 64
+
+    def test_pruned_marks_exactly_the_rows_of_skipped_chunks(self, rng):
+        engine, storage = make_engine(dtype="int64", max_chunk_size=256)
+        engine.extend([np.arange(i, i + 4, dtype=np.int64)
+                       for i in range(80)])
+        engine.flush()
+        reader = fresh_reader(storage)
+        rows = rng.integers(0, 80, 300).tolist()
+        plan = reader.plan_reads(rows, bounds=[(20, 50, False, True)])
+        assert plan.skipped_chunks and plan.chunk_keys
+        assert not plan.skipped_chunks & set(plan.chunk_keys)
+        owner = {
+            row: name for name, start, end in reader.chunk_layout()
+            for row in range(start, end)
+        }
+        assert plan.pruned.tolist() == [
+            owner[row] in plan.skipped_chunks for row in rows
+        ]
+        assert not reader.plan_reads(rows).pruned.any()
+
+
+class TestRowsAreIntegers:
+    """Rows are input from outside the program: a float must not be
+    truncated, a string not parsed, a bool not read as 0 / 1."""
+
+    BAD = [1.7, True, "3", np.float32(2.9), np.bool_(False), None]
+
+    def make(self):
+        ds = repro.empty(MemoryProvider("ints"), overwrite=True)
+        ds.create_tensor("a", dtype="int64",
+                         create_shape_tensor=False, create_id_tensor=False)
+        ds.a.extend([np.int64(i) for i in range(6)])
+        ds.flush()
+        return ds
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_non_integer_rows_raise_naming_the_value(self, bad):
+        ds = self.make()
+        engine = ds._engine("a")
+        for read in (engine.plan_reads, engine.read_batch,
+                     engine.read_shapes_batch,
+                     lambda rows: ds.read_rows(rows, ["a"]),
+                     lambda rows: ds.read_rows(rows, ["a"], physical=True)):
+            with pytest.raises(SampleIndexError, match="not an integer") as e:
+                read([0, bad, 2])
+            if bad is not None:
+                assert repr(bad) in str(e.value)
+
+    def test_the_issue_request_raises_instead_of_truncating(self):
+        ds = self.make()
+        with pytest.raises(SampleIndexError):
+            ds.read_rows([1.7, True, "3", np.float32(2.9)], ["a"])
+        with pytest.raises(SampleIndexError):
+            ds._engine("a").plan_reads([2.5])
+        with pytest.raises(SampleIndexError):
+            ds._engine("a").plan_reads(np.asarray([1.0, 2.0]))
+
+    @pytest.mark.parametrize("rows", [
+        [np.int64(1), 5, np.uint8(0), -1],
+        np.asarray([1, 5, 0, -1]),
+        np.asarray([1, 5, 0, 5], dtype=np.uint16),
+        (1, 5, 0, -1),
+        range(1, 5),
+        [],
+    ], ids=lambda rows: type(rows).__name__ + str(len(rows)))
+    def test_integer_rows_resolve(self, rows):
+        ds = self.make()
+        engine = ds._engine("a")
+        want = [int(r) % 6 for r in rows]
+        assert engine.plan_reads(rows).rows == want
+        assert [int(v) for v in engine.read_batch(rows)] == want
+        assert [int(v) for v in ds.read_rows(rows, ["a"])["a"]] == want
+
+    def test_out_of_range_names_the_row_as_given(self):
+        engine = self.make()._engine("a")
+        with pytest.raises(SampleIndexError, match="index -7 out of range"):
+            engine.plan_reads([0, -7, 9])
+        with pytest.raises(SampleIndexError, match="index 6 out of range"):
+            engine.read_batch(np.asarray([5, 6]))
 
 
 def jpeg_roundtrip(image):
@@ -109,6 +212,91 @@ def assert_reads_match_model(engine, rows, model, aslist=False):
 
 LAYOUTS = ["uncompressed", "lz4_chunk", "jpeg_sample", "tiled", "sequence",
            "padded", "pending"]
+
+#: the large-request axis: every layout spans >= 8 chunks
+BIG_LAYOUTS = ["big_uncompressed", "big_lz4", "big_scalar", "big_ragged",
+               "big_jpeg", "big_fixed_then_ragged", "big_padded_tiled",
+               "big_sequence", "big_pending", "big_updated"]
+
+
+def build_big_layout(layout, rng):
+    """-> (reader, model) for one layout of the large-request axis."""
+    from repro.workloads import smooth_image
+
+    meta = {
+        "big_lz4": dict(dtype="float32", chunk_compression="lz4",
+                        max_chunk_size=512),
+        "big_scalar": dict(dtype="int32", max_chunk_size=64),
+        "big_jpeg": dict(htype="image", sample_compression="jpeg",
+                         max_chunk_size=2048),
+        "big_padded_tiled": dict(dtype="uint8", max_chunk_size=1024),
+        "big_sequence": dict(htype="sequence[generic]", dtype="int32",
+                             max_chunk_size=128),
+    }.get(layout, dict(dtype="int64", max_chunk_size=256))
+    engine, storage = make_engine(**meta)
+    if layout == "big_lz4":
+        values = [rng.random(16).astype(np.float32) for _ in range(96)]
+    elif layout == "big_scalar":
+        values = [np.int32(i * 3) for i in range(200)]
+    elif layout == "big_ragged":
+        values = [np.arange(i, i + 1 + i % 6, dtype=np.int64)
+                  for i in range(120)]
+    elif layout == "big_jpeg":
+        values = [smooth_image(rng, 16, 16 + 8 * (i % 2)) for i in range(32)]
+    elif layout == "big_fixed_then_ragged":
+        values = [np.arange(i, i + 4, dtype=np.int64) for i in range(112)]
+        values += [np.arange(i, dtype=np.int64) for i in (2, 6, 3, 5)]
+    elif layout == "big_padded_tiled":
+        values = [rng.integers(0, 255, (4, 4, 3), dtype=np.uint8)
+                  for _ in range(170)]
+        values.insert(60, rng.integers(0, 255, (64, 48, 3), dtype=np.uint8))
+    elif layout == "big_sequence":
+        values = [[np.arange(i, i + 3, dtype=np.int32)] * (i % 4)
+                  for i in range(60)]  # every fourth row is an empty span
+    else:
+        values = [np.arange(i, i + 4, dtype=np.int64) for i in range(125)]
+    # 8 samples fill a chunk of the default meta: the first extend ends
+    # over the upload watermark (its chunks go to storage), the second
+    # leaves four chunks in the upload buffer and five rows in the active one
+    engine.extend(values[:91])
+    engine.extend(values[91:])
+    model = [np.asarray(v) if not isinstance(v, list) else v for v in values]
+    if layout == "big_jpeg":
+        model = [jpeg_roundtrip(v) for v in values]
+    if layout == "big_padded_tiled":
+        assert engine.tile_enc.num_tiled == 1
+        engine.pad_to(len(model) + 9)
+        model += [np.zeros((0, 0, 0), dtype=np.uint8)] * 9
+    if layout == "big_pending":  # early chunks uploaded at the watermark,
+        # the tail still in the upload buffer and the active chunk
+        assert engine._active_chunk is not None and engine._pending_chunks
+        assert engine.enc.num_chunks >= 8
+        return engine, model
+    engine.flush()
+    reader = fresh_reader(storage)
+    assert reader.enc.num_chunks >= 8
+    if layout == "big_updated":  # cache every chunk, then update rows
+        reader.read_batch(range(len(model)))
+        for row in (3, 64, 119):
+            model[row] = np.full(4, -row, dtype=np.int64)
+            reader.update(row, model[row])
+    return reader, model
+
+
+def raw_payload(layout, want):
+    """Stored payload ``decode=False`` must return for model value *want*
+    (``None``: a tiled sample has no single payload)."""
+    if isinstance(want, list):
+        return [raw_payload(layout, item) for item in want]
+    if layout == "big_padded_tiled" and want.size > 48:
+        return None
+    return np.ascontiguousarray(want).tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def shared_big_layout(layout):
+    """One (reader, model) per layout for the property test: reads only."""
+    return build_big_layout(layout, np.random.default_rng(11))
 
 
 def build_layout(layout, rng):
@@ -195,6 +383,203 @@ class TestReadsMatchModel:
                 assert all(np.array_equal(a, b) for a, b in zip(got[0], want))
             else:
                 assert np.array_equal(got[0], want)
+
+
+@pytest.mark.parametrize("layout", BIG_LAYOUTS)
+class TestLargeRequestsMatchModel:
+    """The large-request axis of :class:`TestReadsMatchModel`: 2 000
+    unsorted rows with repeats and negatives over >= 8 chunks, through the
+    same assertions as one row."""
+
+    def rows(self, rng, model):
+        return rng.integers(-len(model), len(model), 2000).tolist()
+
+    @pytest.mark.parametrize("aslist", [False, True])
+    def test_decoded(self, rng, layout, aslist):
+        engine, model = build_big_layout(layout, rng)
+        rows = self.rows(rng, model)
+        assert_reads_match_model(engine, rows, model, aslist=aslist)
+        # the plan entry point returns the same values as a column
+        got = engine.execute_plan(engine.plan_reads(rows), aslist=aslist)
+        assert len(got) == len(rows)
+        if not isinstance(model[0], list):
+            for value, row in zip(got, rows):
+                assert np.array_equal(value, model[row])
+
+    def test_raw_payloads(self, rng, layout):
+        engine, model = build_big_layout(layout, rng)
+        rows = self.rows(rng, model)
+        raws = engine.read_batch(rows, decode=False)
+        assert len(raws) == len(rows)
+        for raw, row in zip(raws, rows):
+            want = raw_payload(layout, model[row])
+            if layout == "big_jpeg":  # lossy: compare what it decodes to
+                assert np.array_equal(decompress_array(raw, "jpeg"),
+                                      model[row])
+            elif want is None:
+                assert isinstance(raw, bytes) and raw
+            else:
+                assert raw == want
+
+    def test_one_row_at_a_time(self, rng, layout):
+        engine, model = build_big_layout(layout, rng)
+        for row in rng.permutation(len(model))[:40].tolist():
+            assert_reads_match_model(engine, [row], model)
+            assert_reads_match_model(engine, [row - len(model)], model,
+                                     aslist=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_property_random_rows_match_model(data):
+    """Any request — empty, one row, repeats, negatives — reads
+    ``model[row]`` for every row, dtype and shape included."""
+    layout = data.draw(st.sampled_from(
+        [name for name in BIG_LAYOUTS
+         if name not in ("big_pending", "big_updated")]
+    ))
+    engine, model = shared_big_layout(layout)
+    n = len(model)
+    rows = data.draw(st.lists(st.integers(-n, n - 1), max_size=48))
+    assert_reads_match_model(engine, rows, model)
+    assert_reads_match_model(engine, rows, model, aslist=True)
+
+
+class TestColumns:
+    """What the plan entry points return: one dense column when every row
+    came out of the gather, and the list contracts one layer up."""
+
+    def lz4(self, rng, n=96):
+        engine, storage = make_engine(dtype="float32", max_chunk_size=512,
+                                      chunk_compression="lz4")
+        model = [rng.random(16).astype(np.float32) for _ in range(n)]
+        engine.extend(model)
+        engine.flush()
+        return fresh_reader(storage), model
+
+    def test_fused_execute_returns_one_writeable_column(self, rng):
+        reader, model = self.lz4(rng)
+        rows = rng.integers(-96, 96, 500).tolist()
+        column = FusedReadPlan().add(
+            reader, reader.plan_reads(rows)
+        ).execute()[0]
+        assert isinstance(column, np.ndarray)
+        assert column.shape == (500, 16) and column.dtype == np.float32
+        assert np.array_equal(column, np.stack([model[r] for r in rows]))
+        assert column.flags.writeable
+        cached = list(reader._chunk_cache.values())
+        assert len(cached) == reader.enc.num_chunks >= 8
+        for chunk in cached:  # a gather copies: no view of chunk memory
+            assert not np.shares_memory(
+                column, chunk.dense(np.dtype("float32"))
+            )
+        column[:] = -1.0  # a caller's in-place write stays the caller's
+        again = reader.execute_plan(reader.plan_reads(rows))
+        assert np.array_equal(again, np.stack([model[r] for r in rows]))
+
+    def test_read_batch_is_a_list_of_ndarrays(self, rng):
+        reader, model = self.lz4(rng)
+        values = reader.read_batch([5, 5, -1])
+        assert isinstance(values, list)
+        assert all(isinstance(v, np.ndarray) for v in values)
+        values[0][:] = 0.0  # rows of one request do not alias each other
+        assert np.array_equal(values[1], model[5])
+        assert np.array_equal(reader.read_batch([5])[0], model[5])
+
+    def test_scalar_samples_split_into_0d_ndarrays(self):
+        engine, storage = make_engine(dtype="int32", max_chunk_size=64)
+        engine.extend([np.int32(i) for i in range(100)])
+        engine.flush()
+        reader = fresh_reader(storage)
+        column = reader.execute_plan(reader.plan_reads([7, 99, 0]))
+        assert isinstance(column, np.ndarray) and column.shape == (3,)
+        assert column.tolist() == [7, 99, 0]
+        for entry in (reader.read_batch([7, 99, 0]),
+                      reader.execute_plan(reader.plan_reads([7, 99, 0]),
+                                          aslist=True),
+                      [reader.read_sample(7)], reader.read_items([7])):
+            assert all(
+                isinstance(v, np.ndarray) and v.shape == () for v in entry
+            )
+            assert int(entry[0]) == 7
+
+    def test_fixed_and_ragged_chunks_in_one_request_come_back_as_a_list(self):
+        engine, storage = make_engine(dtype="int64", max_chunk_size=256)
+        model = [np.arange(i, i + 4, dtype=np.int64) for i in range(16)]
+        model += [np.arange(3, dtype=np.int64), np.arange(5, dtype=np.int64)]
+        engine.extend(model)
+        engine.flush()
+        reader = fresh_reader(storage)
+        dense = reader.execute_plan(reader.plan_reads([0, 9, 15]))
+        assert isinstance(dense, np.ndarray) and dense.shape == (3, 4)
+        mixed = reader.execute_plan(reader.plan_reads([0, 17, 15, 16]))
+        assert isinstance(mixed, list)
+        for value, row in zip(mixed, [0, 17, 15, 16]):
+            assert value.dtype == np.int64
+            assert np.array_equal(value, model[row])
+
+    def test_execute_plan_span_reports_dense(self, rng):
+        from repro import obs
+
+        reader, _model = self.lz4(rng, n=24)
+        jpeg, _ = build_layout("jpeg_sample", rng)
+        with obs.trace("columns") as root:
+            reader.execute_plan(reader.plan_reads([1, 2]))
+            jpeg.execute_plan(jpeg.plan_reads([1, 2]))
+        spans = [s for s in root.children if s.name == "engine.execute_plan"]
+        assert [s.attrs["dense"] for s in spans] == [True, False]
+        assert all({"tensor", "rows", "chunks"} <= set(s.attrs) for s in spans)
+
+
+class TestReadsWhileAppending:
+    def test_reader_of_the_tail_never_sees_a_pinned_buffer(self):
+        """A reader looping over the last 64 rows while a writer appends
+        (sealing and resuming chunks as it flushes) gets every value, and
+        the writer never meets ``BufferError`` from a live view."""
+        engine, _ = make_engine(dtype="int64", max_chunk_size=256)
+        engine.extend([np.full(4, i, dtype=np.int64) for i in range(64)])
+        engine.flush()
+        errors, reads = [], []
+        done = threading.Event()
+
+        def write():
+            try:
+                for i in range(64, 564):
+                    engine.append(np.full(4, i, dtype=np.int64))
+                    if i % 37 == 0:
+                        engine.flush()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def read():
+            try:
+                while not done.is_set() or not reads:
+                    n = engine.num_samples
+                    rows = list(range(n - 64, n))
+                    for row, value in zip(rows, engine.read_batch(rows)):
+                        assert value.tolist() == [row] * 4
+                    reads.append(n)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=write)] + [
+                threading.Thread(target=read) for _ in range(3)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert engine.num_samples == 564 and reads
+        assert engine.read_batch([0, 300, 563])[2].tolist() == [563] * 4
 
 
 class TestReadBatchIdentity:
@@ -381,6 +766,40 @@ class TestReadShapesBatch:
         assert shapes == [engine.read_shape(i) for i in range(10)]
         # header probe(s) only, never payloads
         assert storage.stats.bytes_read < 8192
+
+
+    def test_two_thousand_shuffled_rows_cold_and_warm(self, rng):
+        """Rows resolve in one call and each chunk's shapes are read by
+        fancy index: cold from headers alone, warm from cached chunks."""
+        engine, storage = make_engine(dtype="int64", max_chunk_size=256)
+        model = [np.zeros((1 + i % 5, 2), dtype=np.int64) for i in range(150)]
+        engine.extend(model)
+        engine.pad_to(153)
+        engine.flush()
+        shapes = [v.shape for v in model] + [(0, 0)] * 3
+        reader = fresh_reader(storage)
+        assert reader.enc.num_chunks >= 8
+        rows = rng.integers(-153, 153, 2000).tolist()
+        want = [shapes[row] for row in rows]
+        assert reader.read_shapes_batch(rows) == want
+        assert reader.full_chunk_reads == 0  # headers only
+        assert all(type(s) is tuple and all(type(x) is int for x in s)
+                   for s in reader.read_shapes_batch(rows))
+        reader.read_batch(range(153))  # warm: every chunk cached
+        assert reader.read_shapes_batch(rows) == want
+        assert reader.read_shape(-1) == (0, 0)
+
+    def test_sequence_shapes(self):
+        engine, storage = make_engine(htype="sequence[generic]",
+                                      dtype="int32", max_chunk_size=128)
+        engine.extend([[np.zeros((3, 2), dtype=np.int32)] * (i % 4)
+                       for i in range(40)])
+        engine.flush()
+        reader = fresh_reader(storage)
+        rows = [39, 0, 4, 17, 2, 39]
+        assert reader.read_shapes_batch(rows) == [
+            (row % 4, 3, 2) if row % 4 else (0,) for row in rows
+        ]
 
 
 class TestGetManyProviders:

@@ -171,6 +171,24 @@ class TestKernelEquivalence:
             assert np.array_equal(fast["meta"][i].numpy(),
                                   slow["meta"][i].numpy())
 
+    def test_equal_length_text_cells_still_decode_per_cell(self):
+        """Text of one length stores as fixed-shape uint8, so the engine
+        hands TQL a dense column — cells must still decode to str."""
+        ds = repro.empty(MemoryProvider("eqtext"), overwrite=True)
+        ds.create_tensor("word", htype="text")
+        for i in range(30):
+            ds.append({"word": "abc" if i % 3 else "xyz"})
+        ds.flush()
+        cold = repro.load(ds.storage)
+        engine = cold._engine("word")
+        assert isinstance(
+            engine.execute_plan(engine.plan_reads([0, 1])), np.ndarray
+        )
+        q = "SELECT * WHERE word == 'xyz'"
+        fast = _executor(cold, q).filter_rows(list(range(30)))
+        slow = _executor(cold, q, optimize=False).filter_rows(list(range(30)))
+        assert fast == slow == list(range(0, 30, 3))
+
     def test_division_by_zero_is_nonfatal(self, kds):
         # count == 0 rows divide by zero: numpy semantics (inf), not a crash
         out = kds.query("SELECT * WHERE score / count > 1000")
@@ -235,6 +253,59 @@ class TestCounters:
         assert len(out) == 19
         assert ex.prefetch_fallbacks > 0
         assert ex.cells_fetched > 0  # degraded to per-row reads
+
+    @pytest.mark.parametrize("q, counters", [
+        ("SELECT * WHERE x >= 100 AND y < 0.9", (128, 160, 64, 3)),
+        ("SELECT x, COUNT() AS c, MEAN(y) AS m WHERE x >= 64 GROUP BY x",
+         (128, 192, 192, 2)),
+        ("SELECT * WHERE x < 40 ORDER BY y DESC LIMIT 5",
+         (128, 104, 104, 2)),
+        ("SELECT y WHERE x == 31 OR x == 97", (128, 128, 128, 0)),
+    ])
+    def test_counters_advance_per_column_with_the_per_cell_totals(
+        self, q, counters
+    ):
+        """(rows_scanned, cells_fetched, cache_hits, chunks_skipped) as
+        recorded when every cell moved its own counter."""
+        cold = repro.load(_chunked_ds().storage)
+        ex = _executor(cold, q)
+        ex.run(q)
+        assert (ex.rows_scanned, ex.cells_fetched, ex.cache_hits,
+                ex.chunks_skipped) == counters
+
+    def test_dense_columns_never_take_the_per_cell_path(self, monkeypatch):
+        """Filter + GROUP BY over dense (fixed-shape, stored raw) columns
+        evaluate ``column[positions]``: no per-cell read is left, and the
+        result is the row-at-a-time one."""
+        cold = repro.load(_chunked_ds().storage)
+        q = ("SELECT x, COUNT() AS c, MEAN(y) AS m "
+             "WHERE x >= 40 AND y < 0.9 GROUP BY x")
+        slow = _executor(cold, q, optimize=False).run(q)
+
+        def per_cell(self, tensor, row):
+            raise AssertionError(f"per-cell read of {tensor}[{row}]")
+
+        monkeypatch.setattr(Executor, "_read_cell", per_cell)
+        ex = _executor(cold, q)
+        fast = ex.run(q)
+        assert ex.chunks_skipped > 0 and len(fast) == 76
+        _rows_equal(fast, slow)
+
+    def test_scan_cache_holds_columns(self):
+        cold = repro.load(_chunked_ds().storage)
+        ex = _executor(cold, "SELECT * WHERE x >= 100")
+        rows = np.arange(64, 128)
+        ex._prefetch_columns(["x", "y"], rows, bounds={
+            "x": [(100, None, False, False)],
+        })
+        column, pruned = ex._scan_cache["x"]
+        assert isinstance(column, np.ndarray) and column.shape == (64,)
+        assert pruned.tolist() == [r < 96 for r in rows]  # 32-row chunks
+        assert column[~pruned].tolist() == list(range(96, 128))
+        assert ex._unpruned({"x": None}).tolist() == list(range(32, 64))
+        column, pruned = ex._scan_cache["y"]
+        assert column.shape == (64,) and pruned is None
+        assert ex.cells_fetched == 32 + 64 and ex.cache_hits == 0
 
     def test_programming_errors_propagate(self, kds, monkeypatch):
         q = "SELECT * WHERE score > 0"
