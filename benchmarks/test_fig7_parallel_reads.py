@@ -80,10 +80,8 @@ class TestFusedParallelLoader:
     def _epoch_rate(self, ds, **kwargs):
         for name in TENSORS:  # meta/encoder reads happen outside the timer
             ds._engine(ds._qualify(name))
-        # prefetch_factor=16 keeps worker groups at 16 rows, the steady
-        # streaming window; both paths run the identical loader config
-        loader = DeepLakeLoader(ds, batch_size=16, prefetch_factor=16,
-                                **kwargs)
+        # both paths run the identical loader config
+        loader = DeepLakeLoader(ds, batch_size=16, **kwargs)
         start = time.perf_counter()
         n = 0
         for batch in loader:

@@ -1,13 +1,18 @@
 """DeepLakeLoader: the streaming dataloader of §4.6.
 
-Pipeline per group: order plan -> prefetch workers (one
-``Dataset.read_rows`` per worker group, whatever its size: one
-:class:`~repro.core.chunk_engine.ReadPlan` per tensor fused into one
-storage round trip, each chunk fetched whole, decompressed once, all
-samples sliced; codecs release the GIL) -> user transform -> collate ->
-framework handover.  The loader streams, so it never takes the ranged
-single-sample fetch: even ``batch_size=1`` costs one GET per chunk, its
-neighbours are consumed next and served from the decoded chunk.
+The pipeline counts work in one unit, the *task*: order plan -> tasks,
+each one worker's share of a batch (``ceil(batch_size / num_workers)``
+rows; a whole batch when ``num_workers=0``) -> ``num_workers × 2`` tasks
+in flight on the prefetch pool (one running, one queued per worker; both
+numbers capped by the memory budget), a task being ONE
+``Dataset.read_rows`` (one :class:`~repro.core.chunk_engine.ReadPlan`
+per tensor fused into one storage round trip, each chunk fetched whole,
+decompressed once, all samples sliced; codecs release the GIL) plus the
+user transform -> the consumer re-batches tasks in plan order (shares
+need not divide a batch) -> collate -> framework handover.  The loader
+streams, so it never takes the ranged single-sample fetch: even
+``batch_size=1`` costs one GET per chunk, its neighbours are consumed
+next and served from the decoded chunk.
 Statistics record
 wall time spent waiting on data vs total so benchmarks can report loader
 stall (the complement of GPU utilization in the training sims), plus the
@@ -33,7 +38,7 @@ from repro.dataloader.prefetch import (
     group_indices,
     prefetched,
 )
-from repro.exceptions import DataLoaderError, FormatError, StorageError
+from repro.exceptions import DataLoaderError
 from repro.integrations.frameworks import to_backend
 from repro.obs import metrics as _metrics
 
@@ -104,7 +109,6 @@ class DeepLakeLoader:
         shuffle: bool = False,
         window_chunks: int = 8,
         num_workers: int = 0,
-        prefetch_factor: int = 2,
         transform: Optional[Callable[[Dict], Dict]] = None,
         tensors: Optional[Sequence[str]] = None,
         drop_last: bool = False,
@@ -122,7 +126,6 @@ class DeepLakeLoader:
         self.shuffle = shuffle
         self.window_chunks = window_chunks
         self.num_workers = int(num_workers)
-        self.prefetch_factor = int(prefetch_factor)
         self.transform = transform
         self.tensor_names = (
             list(tensors) if tensors is not None else list(dataset.tensors)
@@ -160,30 +163,14 @@ class DeepLakeLoader:
         return self._qualified_cache
 
     def _dominant_engine(self):
-        if not hasattr(self, "_dominant_cache"):
-            best = None
-            best_bytes = -1
-            for name in self._qualified():
-                engine = self.dataset._engine(name)
-                nbytes = engine.meta.max_sample_nbytes
-                if nbytes > best_bytes:
-                    best_bytes = nbytes
-                    best = engine
-            self._dominant_cache = best
-        return self._dominant_cache
+        return max(self._engines(), key=lambda e: e.meta.max_sample_nbytes)
 
     def _sample_nbytes(self) -> int:
-        total = 0
-        for name in self._qualified():
-            total += self.dataset._engine(name).meta.max_sample_nbytes
-        return total
+        return sum(e.meta.max_sample_nbytes for e in self._engines())
 
     def _plan_order(self) -> List[int]:
         ds = self.dataset
-        lengths = [
-            ds._engine(n).num_samples for n in self._qualified()
-        ]
-        length = min(lengths)
+        length = min(e.num_samples for e in self._engines())
         rows = ds.index.row_indices(length)
         if self.shuffle:
             dominant = self._dominant_engine()
@@ -200,63 +187,51 @@ class DeepLakeLoader:
             rows = shard_for_rank(rows, rank, world)
         return rows
 
-    def _transformed(self, sample: Dict) -> Dict:
-        if self.transform is not None:
-            t0 = time.perf_counter()
-            sample = self.transform(sample)
-            self.stats.transform_s += time.perf_counter() - t0
-        return sample
-
-    def _make_priority_fn(
-        self, groups: Sequence[Tuple[int, ...]]
-    ) -> Callable[[Tuple[int, ...]], float]:
-        """CPU-cost estimate per group: bigger decoded samples cost more,
+    def _make_priority_fn(self) -> Callable[[Tuple[int, ...]], float]:
+        """CPU-cost estimate per task: bigger decoded samples cost more,
         so the smart scheduler starts them first.
 
-        Uniform tensors get a constant estimate (no I/O at all).  Ragged
-        tensors are answered from ONE
-        :meth:`~repro.core.chunk_engine.ChunkEngine.read_shapes_batch`
-        sweep over every group's lead row — its per-chunk header cache
-        keeps the whole epoch at one tiny metadata read per *chunk*, and
-        the batched call shares the chunk-name resolution across rows
-        instead of redoing it per submitted group.
+        Only the few tasks in flight are ever ranked against each other,
+        so the estimate comes from state already in memory and costs no
+        storage request: the chunk-stats sidecar's ``shape_max`` for the
+        chunk of the task's lead row, else the tensor-wide
+        ``max_sample_nbytes`` every task of a uniform tensor gets.
         """
         engine = self._dominant_engine()
-        interval = engine.meta.shape_interval
-        if interval.is_uniform or engine.meta.is_link:
-            const = float(engine.meta.max_sample_nbytes)
-            return lambda group: const
-        memo: Dict[int, float] = {}
-        lead_rows = [group[0] for group in groups if group]
-        try:
-            shapes = engine.read_shapes_batch(lead_rows)
-            for row, shape in zip(lead_rows, shapes):
-                memo[row] = float(np.prod(shape)) if shape else 0.0
-        except (StorageError, FormatError):  # priority is best-effort
-            memo.clear()
+        meta = engine.meta
+        const = float(meta.max_sample_nbytes)
+        if meta.shape_interval.is_uniform or meta.is_link or meta.is_sequence:
+            return lambda task: const
 
-        def priority(group: Tuple[int, ...]) -> float:
-            return memo.get(group[0], 0.0)
+        def priority(task: Tuple[int, ...]) -> float:
+            name = engine.enc.chunk_name(engine.enc.locate(task[0])[0])
+            shape_max = (engine.chunk_stats.get(name) or {}).get("shape_max")
+            if not isinstance(shape_max, list):  # no entry / mixed rank
+                return const
+            return float(np.prod(shape_max)) * np.dtype(meta.dtype).itemsize
 
         return priority
 
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        rows = len(self._plan_order())
+        length = min(e.num_samples for e in self._engines())
+        rows = self.dataset.index.num_rows(length)
+        if self.distributed:  # the shard of a range: its policy, no plan
+            rows = len(shard_for_rank(range(rows), *self.distributed))
         if self.drop_last:
             return rows // self.batch_size
         return -(-rows // self.batch_size)
 
-    def _fetch_group(self, rows: Tuple[int, ...]) -> List[Dict]:
-        """Fetch one worker group of samples.
+    def _fetch_group(self, rows: Tuple[int, ...]) -> Tuple[List[Dict], float]:
+        """Run one task: its samples and the seconds ``transform`` took.
 
-        One ``read_rows`` for the whole group: every chunk the group
-        touches is fetched and decompressed exactly once, then all
-        samples are sliced out — instead of ``len(rows)`` independent
-        per-sample reads.  Single-row groups (``batch_size=1`` / a tight
-        memory budget) take the same call and so still stream whole
-        chunks into the cache.
+        One ``read_rows`` for the whole task: every chunk it touches is
+        fetched and decompressed exactly once, then all samples are
+        sliced out — instead of ``len(rows)`` independent per-sample
+        reads.  Single-row tasks (``batch_size=1`` / a tight memory
+        budget) take the same call and so still stream whole chunks into
+        the cache.
         """
         columns = self.dataset.read_rows(
             rows, self.tensor_names, decode=self.decode, physical=True
@@ -269,8 +244,12 @@ class DeepLakeLoader:
                 if not self.decode and isinstance(value, (bytes, bytearray)):
                     value = np.frombuffer(value, dtype=np.uint8)
                 sample[short] = value
-            out.append(self._transformed(sample))
-        return out
+            out.append(sample)
+        if self.transform is None:
+            return out, 0.0
+        t0 = time.perf_counter()
+        out = [self.transform(sample) for sample in out]
+        return out, time.perf_counter() - t0
 
     def _engines(self):
         return self.dataset._open_engines(self._qualified())
@@ -280,26 +259,23 @@ class DeepLakeLoader:
         # first, before the order plan: every cold tensor opens in one batch
         self.stats._track_engines(self._engines())
         rows = self._plan_order()
-        inflight = compute_inflight_limit(
-            self.num_workers,
-            self.prefetch_factor,
-            self._sample_nbytes(),
-            self.memory_budget_bytes,
-        )
-        # workers fetch groups of samples, not single samples: one
-        # ReadPlan per group amortises fetch + decompress + task-dispatch
-        # overhead and keeps workers on one chunk at a time (locality)
-        group_size = max(1, min(self.batch_size, inflight, 16))
-        groups = group_indices(rows, group_size)
-        priority_of = (
-            self._make_priority_fn(groups) if self.num_workers else None
+        workers = max(1, self.num_workers)
+        nbytes = self._sample_nbytes()
+        # a task is one worker's share of a batch (one ReadPlan amortises
+        # fetch + decompress + dispatch, and every worker is on the batch
+        # the consumer waits for); two per worker are in flight, one
+        # running and one queued; the memory budget caps both
+        task_rows = compute_inflight_limit(
+            1, -(-self.batch_size // workers), nbytes, self.memory_budget_bytes
         )
         stream = prefetched(
-            groups,
+            group_indices(rows, task_rows),
             self._fetch_group,
             num_workers=self.num_workers,
-            inflight_limit=max(1, inflight // group_size),
-            priority_of=priority_of,
+            inflight_limit=compute_inflight_limit(
+                workers, 2, task_rows * nbytes, self.memory_budget_bytes
+            ),
+            priority_of=self._make_priority_fn() if self.num_workers else None,
             queue_gauge=self._g_queue,
         )
         epoch_start = time.perf_counter()
@@ -309,15 +285,16 @@ class DeepLakeLoader:
             while True:
                 wait_start = time.perf_counter()
                 try:
-                    group = next(stream)
+                    samples, transform_s = next(stream)
                 except StopIteration:
                     break
                 waited = time.perf_counter() - wait_start
                 self.stats.wait_s += waited
                 self._h_wait.observe(waited)
-                for sample in group:
-                    self.stats.samples += 1
-                    self._m_samples.inc()
+                self.stats.transform_s += transform_s  # summed per task
+                self.stats.samples += len(samples)
+                self._m_samples.inc(len(samples))
+                for sample in samples:
                     batch.append(sample)
                     if len(batch) == self.batch_size:
                         self.stats.batches += 1

@@ -9,8 +9,11 @@ same overlap.  Two properties from the paper are reproduced explicitly:
   the most CPU-intensive pending task first so decode-heavy samples start
   early and hide under lighter ones ("dynamically differentiating between
   CPU-intensive jobs prioritization over less-intensive").
-- **Efficient resource allocation**: the number of in-flight samples is
-  capped by a memory budget computed from worst-case decoded sample size
+- **Efficient resource allocation**: work is counted in *tasks* (one
+  worker's share of a batch, see ``loader.py``); a task's rows and the
+  tasks in flight (``num_workers × 2``: one running, one queued per
+  worker — what ``loader.prefetch_queue_depth`` shows) are both capped by
+  a memory budget computed from worst-case decoded sample size
   ("predicting memory consumption to avoid breaking the training process
   due to memory overfilling").
 """
@@ -161,11 +164,11 @@ class Future:
 
 
 def group_indices(rows: Sequence[int], group_size: int) -> List[tuple]:
-    """Split an order plan into contiguous worker groups.
+    """Split an order plan into contiguous tasks of *group_size* rows.
 
-    Each group becomes one prefetch task executing a single ReadPlan, so
-    with a chunk-aware order plan a group's rows land on one (or few)
-    chunks and the fetch/decompress amortizes across the whole group.
+    Each becomes one prefetch task executing a single ReadPlan, so with a
+    chunk-aware order plan a task's rows land on one (or few) chunks and
+    the fetch/decompress amortizes across the whole task.
     """
     size = max(1, int(group_size))
     rows = list(rows)
@@ -174,17 +177,18 @@ def group_indices(rows: Sequence[int], group_size: int) -> List[tuple]:
 
 def compute_inflight_limit(
     num_workers: int,
-    prefetch_factor: int,
-    sample_nbytes: int,
+    per_worker: int,
+    item_nbytes: int,
     memory_budget_bytes: Optional[int],
 ) -> int:
-    """How many samples may be in flight at once."""
-    limit = max(1, num_workers) * max(1, prefetch_factor)
-    if memory_budget_bytes is not None and sample_nbytes > 0:
-        by_memory = memory_budget_bytes // sample_nbytes
+    """How many items (rows of a task, tasks of an epoch) of *item_nbytes*
+    may be in flight at once: *per_worker* each, under the byte budget."""
+    limit = max(1, num_workers) * max(1, per_worker)
+    if memory_budget_bytes is not None and item_nbytes > 0:
+        by_memory = memory_budget_bytes // item_nbytes
         if by_memory < 1:
             raise MemoryBudgetError(
-                f"a single decoded sample (~{sample_nbytes} B) exceeds the "
+                f"a single decoded sample (~{item_nbytes} B) exceeds the "
                 f"memory budget ({memory_budget_bytes} B)"
             )
         limit = min(limit, int(by_memory))
@@ -201,8 +205,9 @@ def prefetched(
 ) -> Iterator[Dict]:
     """Yield ``fetch(i)`` results in input order with bounded lookahead.
 
-    Workers run ahead by up to *inflight_limit* samples; consumption order
-    is preserved so batches are deterministic given the order plan.
+    Workers run ahead by up to *inflight_limit* items (the loader's
+    tasks); consumption order is preserved so batches are deterministic
+    given the order plan.
 
     *queue_gauge* (an :class:`repro.obs.metrics.Gauge`, optional) tracks
     the number of in-flight prefetch tasks so a metrics snapshot shows

@@ -372,3 +372,190 @@ class TestLoader:
         assert stats["samples"] == 60
         assert stats["samples_per_s"] > 0
         assert 0 <= stats["stall_fraction"] <= 1
+
+
+# --------------------------------------------------------------------------- #
+# one unit of work: a task is a worker's share of a batch
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def wide_ds(rng):
+    """256 (images, labels) rows: 8 batches of 32."""
+    ds = repro.empty(MemoryProvider("wide"), overwrite=True)
+    ds.create_tensor("images", htype="image", sample_compression="jpeg",
+                     max_chunk_size=128 * 1024)
+    ds.create_tensor("labels", htype="class_label")
+    ds.extend({
+        "images": [rng.integers(0, 255, (32, 32, 3), dtype=np.uint8)
+                   for _ in range(256)],
+        "labels": [np.int32(i) for i in range(256)],
+    })
+    ds.flush()
+    return ds
+
+
+class _Concurrency:
+    """A ``transform`` that counts the worker tasks running at once (threads
+    inside it, around a 2 ms sleep): a count, not a timing."""
+
+    def __init__(self):
+        import threading
+
+        self._lock = threading.Lock()
+        self.running = 0
+        self.peak = 0
+
+    def __call__(self, sample):
+        import time
+
+        with self._lock:
+            self.running += 1
+            self.peak = max(self.peak, self.running)
+        time.sleep(0.002)
+        with self._lock:
+            self.running -= 1
+        return sample
+
+
+@pytest.fixture
+def read_sizes(monkeypatch):
+    """Rows per ``Dataset.read_rows`` call, in call order."""
+    from repro.core.dataset import Dataset
+
+    sizes = []
+    original = Dataset.read_rows
+
+    def recording(self, rows, *args, **kwargs):
+        sizes.append(len(rows))
+        return original(self, rows, *args, **kwargs)
+
+    monkeypatch.setattr(Dataset, "read_rows", recording)
+    return sizes
+
+
+def _cold_s3(backing):
+    from repro.sim import SimClock
+    from repro.storage import SimulatedObjectStore
+
+    store = SimulatedObjectStore("s3", clock=SimClock(), backing=backing)
+    return store, repro.load(store, read_only=True)
+
+
+class TestTasks:
+    @pytest.mark.parametrize("num_workers", [2, 4])
+    def test_every_worker_is_busy(self, wide_ds, num_workers):
+        busy = _Concurrency()
+        loader = DeepLakeLoader(wide_ds, batch_size=32, transform=busy,
+                                num_workers=num_workers)
+        assert sum(len(b["labels"]) for b in loader) == 256
+        assert busy.peak == num_workers
+
+    def test_synchronous_task_is_a_batch(self, wide_ds, read_sizes):
+        batches = list(DeepLakeLoader(wide_ds, batch_size=32, num_workers=0))
+        assert len(batches) == 8
+        assert read_sizes == [32] * 8
+
+    def test_task_is_a_workers_share_of_a_batch(self, wide_ds, read_sizes):
+        list(DeepLakeLoader(wide_ds, batch_size=32, num_workers=2))
+        assert read_sizes == [16] * 16
+        del read_sizes[:]
+        # a share need not divide the batch: the consumer re-batches
+        batches = list(DeepLakeLoader(wide_ds, batch_size=32, num_workers=3))
+        assert sorted(read_sizes) == [3] + [11] * 23
+        assert [len(b["labels"]) for b in batches] == [32] * 8
+
+    def test_first_batch_is_one_round_trip(self, rng, spent):
+        backing = MemoryProvider("small-chunks")
+        ds = repro.empty(backing, overwrite=True)
+        ds.create_tensor("images", htype="image", sample_compression="jpeg",
+                         max_chunk_size=8 * 1024)
+        ds.images.extend([rng.integers(0, 255, (32, 32, 3), dtype=np.uint8)
+                          for _ in range(64)])
+        ds.flush()
+        assert ds._engine("images").enc.num_chunks >= 16
+        store, cold = _cold_s3(backing)
+        loader = cold.dataloader(batch_size=16, num_workers=0)
+        assert len(loader) == 4  # opens the tensor
+        with spent(store) as reqs:
+            batch = next(iter(loader))
+        assert np.array_equal(batch["images"][15], ds.images[15].numpy())
+        assert reqs == {"download_batch": 1}  # every chunk in one get_many
+
+    def test_memory_budget_caps_task_rows_and_tasks(self, wide_ds, read_sizes):
+        sample_nbytes = sum(
+            wide_ds[t].meta.max_sample_nbytes for t in ("images", "labels")
+        )
+        busy = _Concurrency()
+        loader = DeepLakeLoader(wide_ds[:48], batch_size=8, num_workers=2,
+                                transform=busy,
+                                memory_budget_bytes=3 * sample_nbytes)
+        assert sum(len(b["labels"]) for b in loader) == 48
+        assert max(read_sizes) == 3  # a share would be 4 rows
+        assert busy.peak == 1  # a second task would not fit the budget
+
+    @pytest.mark.parametrize("drop_last", [False, True])
+    def test_batches_identical_at_any_num_workers(self, wide_ds, drop_last):
+        def epoch(num_workers):
+            return list(DeepLakeLoader(
+                wide_ds[:250], batch_size=32, shuffle=True, seed=5,
+                num_workers=num_workers, drop_last=drop_last,
+            ))
+
+        want = epoch(0)
+        assert len(want) == (7 if drop_last else 8)
+        seen = [i for b in want for i in b["labels"].tolist()]
+        assert len(set(seen)) == len(seen) == (224 if drop_last else 250)
+        assert seen != sorted(seen)
+        for num_workers in (2, 3):
+            got = epoch(num_workers)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a["labels"], b["labels"])
+                assert np.array_equal(a["images"], b["images"])
+
+    def test_ragged_first_batch_issues_no_single_get(self, rng, spent):
+        backing = MemoryProvider("ragged")
+        ds = repro.empty(backing, overwrite=True)
+        ds.create_tensor("images", htype="image", sample_compression="png",
+                         max_chunk_size=32 * 1024)
+        ds.images.extend([
+            rng.integers(0, 255, (16 + i % 24, 24, 3), dtype=np.uint8)
+            for i in range(128)
+        ])
+        ds.flush()
+        assert ds._engine("images").enc.num_chunks > 4
+        store, cold = _cold_s3(backing)
+        with spent(store) as reqs:
+            batch = next(iter(cold.dataloader(batch_size=16, num_workers=2)))
+        assert len(batch["images"]) == 16
+        # priorities come from the stats sidecar: no per-chunk header probe
+        assert "download" not in reqs
+
+    def test_transform_seconds_survive_overlapping_tasks(self, wide_ds):
+        loader = DeepLakeLoader(wide_ds, batch_size=32, num_workers=4,
+                                transform=_Concurrency())
+        for _ in loader:
+            pass
+        assert loader.stats.transform_s >= 0.9 * 256 * 0.002
+
+    @pytest.mark.parametrize("drop_last", [False, True])
+    @pytest.mark.parametrize("distributed", [None, (1, 3)])
+    @pytest.mark.parametrize("view", [slice(None), slice(10, 241),
+                                      [5, 9, 200, 17, 3, 88, 41]])
+    def test_len_needs_no_order_plan(self, wide_ds, monkeypatch, view,
+                                     distributed, drop_last):
+        def loader():
+            return DeepLakeLoader(wide_ds[view], batch_size=4, shuffle=True,
+                                  seed=1, distributed=distributed,
+                                  drop_last=drop_last, tensors=["labels"])
+
+        batches = sum(1 for _ in loader())
+
+        def no_plan(*args, **kwargs):
+            raise AssertionError("len(loader) planned an epoch")
+
+        monkeypatch.setattr(
+            "repro.dataloader.loader.chunk_aware_shuffle", no_plan
+        )
+        assert len(loader()) == batches

@@ -292,6 +292,24 @@ class TestInstrumentationWiring:
         after = loader.stats.chunk_cache_hits + loader.stats.chunk_cache_misses
         assert after >= before
 
+    def test_loader_counts_each_sample_once(self, image_ds):
+        from repro.dataloader import DeepLakeLoader
+
+        def reg(name):
+            return metrics.REGISTRY.value(f"loader.{name}")  # every dataset
+
+        before = (reg("samples"), reg("batches"))
+        loader = DeepLakeLoader(image_ds, batch_size=5, num_workers=3)
+        for _ in loader:  # 24 rows: tasks of 2, batches of 5 + a tail of 4
+            pass
+        assert (reg("samples") - before[0], reg("batches") - before[1]) == (24, 5)
+        assert (loader.stats.samples, loader.stats.batches) == (24, 5)
+        assert set(loader.stats.as_dict()) == {
+            "samples", "batches", "samples_per_s", "stall_fraction",
+            "total_s", "chunk_cache_hits", "chunk_cache_misses",
+        }
+        assert loader._g_queue.value == 0  # tasks in flight: none at the end
+
     def test_objectstore_exposes_latency_samples(self):
         from repro.storage.object_store import make_object_store
 

@@ -469,23 +469,29 @@ class TestServePushPrefetch:
 
 
 class TestLoaderPrioritySweep:
-    def test_one_batched_shape_lookup_per_epoch(self, monkeypatch, rng):
-        ds = repro.empty(MemoryProvider("prio"), overwrite=True)
-        ds.create_tensor("x", dtype="float64")
-        for i in range(32):  # ragged: priorities need shape lookups
-            ds.x.append(rng.random(4 + (i % 5)))
+    def test_one_batched_shape_lookup_per_epoch(self, monkeypatch, rng, spent):
+        backing = MemoryProvider("prio")
+        ds = repro.empty(backing, overwrite=True)
+        ds.create_tensor("x", dtype="float64", max_chunk_size=256)
+        for i in range(32):  # ragged: priorities differ chunk to chunk
+            ds.x.append(rng.random(4 + (i % 5) + i // 8))
         ds.flush()
-        engine = ds._engine(ds._qualify("x"))
+        store = make_object_store("s3", backing=backing)
+        cold = repro.load(store, read_only=True)
+        engine = cold._engine(cold._qualify("x"))
+        assert engine.enc.num_chunks > 2
         calls = []
-        original = type(engine).read_shapes_batch
-
-        def counting(self, rows):
-            calls.append(list(rows))
-            return original(self, rows)
-
-        monkeypatch.setattr(type(engine), "read_shapes_batch", counting)
-        loader = ds.dataloader(batch_size=4, num_workers=2)
-        for _batch in loader:
-            pass
-        sweeps = [c for c in calls if len(c) > 1]
-        assert len(sweeps) == 1  # one whole-epoch sweep, not one per group
+        monkeypatch.setattr(
+            type(engine), "read_shapes_batch",
+            lambda self, rows: calls.append(list(rows)),
+        )
+        loader = cold.dataloader(batch_size=4, num_workers=2)
+        with spent(store) as reqs:
+            priority_of = loader._make_priority_fn()
+            priorities = [priority_of((row, row + 1)) for row in range(0, 32, 2)]
+        # ranked from the stats sidecar already in memory: no request at all
+        assert reqs == {}
+        assert len(set(priorities)) > 1
+        assert priorities[-1] == 8.0 * (4 + 4 + 3)  # widest row of its chunk
+        assert sum(len(b["x"]) for b in loader) == 32
+        assert calls == []
