@@ -16,8 +16,9 @@ a time, never a row at a time:
   with ONE gather, ``dense[locals]``, into the ``(n, *shape)`` column.
   Everything else — sample compression, ragged shapes, links, unsealed
   write-buffer chunks, ``decode=False`` — decodes per sample off the
-  same arrays; padded, tiled and pruned items are exception positions,
-  valued through the ``_KIND_VALUE`` operator table.
+  same arrays; padded and tiled items are exception positions, valued
+  through the ``_KIND_VALUE`` operator table, and a pruned position is
+  what the list starts as (no per-row work for a row never fetched).
 
 A result is a *column*: one ndarray with a leading row axis when every
 requested row came out of the gather, a list of per-row values otherwise
@@ -335,7 +336,6 @@ def tiled_value(engine, plan, pos, chunks, decode=True):
 _KIND_VALUE = {
     KIND_PAD: _pad_value,
     KIND_TILED: tiled_value,
-    KIND_PRUNED: lambda engine, plan, pos, chunks, decode: PRUNED,
 }
 
 
@@ -373,7 +373,8 @@ def slice_plan(engine: "ChunkEngine", plan: ReadPlan,
         if column is not None:
             return column
     n = plan.num_items
-    values: List = [None] * n
+    # a pruned position is never visited: it is what the list starts as
+    values: List = [PRUNED if plan.skipped_chunks else None] * n
     for name, pos in groups:
         chunk = chunks[name]
         for p, local in zip(pos.tolist(), plan.local[pos].tolist()):
@@ -384,7 +385,7 @@ def slice_plan(engine: "ChunkEngine", plan: ReadPlan,
             )
     if not plan.plain:
         kinds = plan.kind
-        for p in np.flatnonzero(kinds != KIND_SAMPLE).tolist():
+        for p in np.flatnonzero(kinds > KIND_PRUNED).tolist():
             values[p] = _KIND_VALUE[kinds[p]](engine, plan, p, chunks, decode)
     return values
 

@@ -6,8 +6,11 @@ one chunk-granular :class:`~repro.core.chunk_engine.ReadPlan` per batch,
 and the node graph is evaluated by the vectorized kernels of
 :mod:`repro.tql.kernels` over whole column batches — WHERE becomes a
 boolean mask, ORDER BY / SAMPLE BY / GROUP BY key evaluation rides the
-same scan cache (no per-cell storage reads anywhere), and aggregates
-reduce per batch with partials merged across batches.  The WHERE clause
+same scan cache (no per-cell storage reads anywhere), and the stages
+after WHERE consume those columns as arrays too: GROUP BY is one
+segmented reduction per batch with partials merged across batches,
+ORDER BY one stable ``argsort`` per key, and a row set is one int64
+array from :meth:`Executor.source_rows` to the result.  The WHERE clause
 additionally compiles to per-column value intervals
 (:func:`~repro.tql.kernels.column_bounds`) that
 :meth:`~repro.core.chunk_engine.ChunkEngine.plan_reads` checks against
@@ -34,7 +37,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.read_plan import FusedReadPlan, column_rows
+from repro.core.read_plan import FusedReadPlan, as_row_array, column_rows
 from repro.exceptions import FormatError, StorageError
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
@@ -295,44 +298,59 @@ class Executor:
     # batched evaluation helpers (the vectorized path)
     # ------------------------------------------------------------------ #
 
-    def _eval_rows(self, node: Node, rows: List[int]) -> List:
-        """Per-row values of *node* for many rows, batch-prefetching the
+    def _eval_rows(self, node: Node, rows: np.ndarray):
+        """The column of *node* over many rows, batch-prefetching the
         columns it reads — ORDER BY / SAMPLE BY keys cost one GET per
-        chunk, not one per cell."""
+        chunk, not one per cell.  One ``(n, *shape)`` array when every
+        batch evaluates dense, else the per-row list."""
         if not self.plan.optimize:
             return [self.eval_node(node, r, {}) for r in rows]
         columns = _node_columns([node])
-        out: List = []
-        for batch in self._scan_batches(np.asarray(rows, dtype=np.int64)):
+        parts: List = []
+        for batch in self._scan_batches(rows):
             if columns:
                 self._prefetch_columns(columns, batch)
             t0 = time.perf_counter()
             evaluator = kernels.BatchEvaluator(self, batch)
-            out.extend(evaluator.values(node))
+            col = evaluator.eval(node)
+            parts.append(
+                col if kernels._is_dense(col) else evaluator.values(node)
+            )
             self._h_kernel.observe(time.perf_counter() - t0)
             self._clear_prefetched()
-        return out
+        if parts and all(
+            isinstance(col, np.ndarray) and col.shape[1:] == parts[0].shape[1:]
+            for col in parts
+        ):
+            return np.concatenate(parts)
+        return [value for col in parts for value in col]
 
     # ------------------------------------------------------------------ #
     # stages
     # ------------------------------------------------------------------ #
 
-    def source_rows(self) -> List[int]:
+    def source_rows(self) -> np.ndarray:
+        """The dataset's rows; from here on a row set is one int64 array."""
         engine_lengths = [
             engine.num_samples
             for engine in self.ds._open_engines(self.ds._meta.visible_tensors)
         ]
         length = min(engine_lengths) if engine_lengths else 0
-        return self.ds.index.row_indices(length)
+        return as_row_array(self.ds.index.row_sequence(length))
 
     def filter_rows(self, rows: List[int]) -> List[int]:
+        """The WHERE stage as a list, for callers outside :meth:`run`."""
+        return self._filter(rows).tolist()
+
+    def _filter(self, rows) -> np.ndarray:
+        rows = np.asarray(rows, dtype=np.int64)
         plan = self.plan
         if plan.where_node is None:
-            return list(rows)
+            return rows
         if not plan.optimize:
             out = []
             with _tracing.span("tql.filter_rows", rows=len(rows)) as sp:
-                for batch in self._scan_batches(list(rows)):
+                for batch in self._scan_batches(rows):
                     self._m_scan_windows.inc()
                     self._h_window_rows.observe(len(batch))
                     for row in batch:
@@ -342,13 +360,13 @@ class Executor:
                         if _truthy(self.eval_node(plan.where_node, row, memo)):
                             out.append(row)
                 sp.set(kept=len(out))
-            return out
+            return np.asarray(out, dtype=np.int64)
 
         columns = plan.filter_columns()
         bounds = kernels.column_bounds(plan.where_node)
-        out = []
+        kept = [np.empty(0, dtype=np.int64)]
         with _tracing.span("tql.filter_rows", rows=len(rows)) as sp:
-            for batch in self._scan_batches(np.asarray(rows, dtype=np.int64)):
+            for batch in self._scan_batches(rows):
                 self._m_scan_windows.inc()
                 self._h_window_rows.observe(len(batch))
                 self.rows_scanned += len(batch)
@@ -364,31 +382,27 @@ class Executor:
                     )
                     mask = evaluator.mask(plan.where_node)
                     self._h_kernel.observe(time.perf_counter() - t0)
-                    out.extend(survivors[mask].tolist())
+                    kept.append(survivors[mask])
                 self._clear_prefetched()
+            out = np.concatenate(kept)
             sp.set(kept=len(out), pruned_chunks=self.chunks_skipped)
         return out
 
-    def order_rows(self, rows: List[int]) -> List[int]:
+    def order_rows(self, rows: np.ndarray) -> np.ndarray:
         plan = self.plan
-        if not plan.order_nodes and not plan.arrange_nodes:
-            return rows
-        keyed = rows
-        # ORDER BY: stable sorts applied from the last key to the first
-        for node, ascending in reversed(plan.order_nodes):
-            values = self._eval_rows(node, keyed)
-            order = _stable_argsort(values, ascending)
-            keyed = [keyed[i] for i in order]
+        # ORDER BY: stable sorts applied from the last key to the first;
         # ARRANGE BY: stable grouping of the (already ordered) result
-        for node in reversed(plan.arrange_nodes):
-            values = self._eval_rows(node, keyed)
-            order = _stable_argsort(values, True)
-            keyed = [keyed[i] for i in order]
-        return keyed
+        for node, ascending in (
+            list(reversed(plan.order_nodes))
+            + [(node, True) for node in reversed(plan.arrange_nodes)]
+        ):
+            keys = self._eval_rows(node, rows)
+            rows = rows[_stable_argsort(keys, ascending)]
+        return rows
 
-    def sample_rows(self, rows: List[int]) -> List[int]:
+    def sample_rows(self, rows: np.ndarray) -> np.ndarray:
         plan = self.plan
-        if plan.sample_node is None or not rows:
+        if plan.sample_node is None or not len(rows):
             return rows
         weights = np.asarray(
             [
@@ -408,9 +422,9 @@ class Executor:
         chosen = self.rng.choice(
             len(rows), size=k, replace=plan.sample_replace, p=probs
         )
-        return [rows[int(i)] for i in chosen]
+        return rows[chosen]
 
-    def paginate(self, rows: List[int]) -> List[int]:
+    def paginate(self, rows: np.ndarray) -> np.ndarray:
         plan = self.plan
         start = plan.offset
         stop = None if plan.limit is None else start + plan.limit
@@ -433,7 +447,7 @@ class Executor:
                     self.eval_node(node, row, memo)
                 self.rows_scanned += 1
 
-        rows = self.filter_rows(rows)
+        rows = self._filter(rows)
         if plan.group_nodes:
             return self._materialize_groups(rows, query_string)
         rows = self.order_rows(rows)
@@ -447,11 +461,11 @@ class Executor:
             return self._view(rows, query_string, tensor_filter=names)
         return self._materialize_projections(rows, query_string)
 
-    def _view(self, rows: List[int], query_string: str,
+    def _view(self, rows: np.ndarray, query_string: str,
               tensor_filter: Optional[List[str]]):
         from repro.core.index import Index
 
-        view = self.ds._spawn(index=Index([list(rows)]))
+        view = self.ds._spawn(index=Index([rows.tolist()]))
         view.query_string = query_string
         if tensor_filter is not None:
             view._tensor_filter = list(tensor_filter)
@@ -497,14 +511,13 @@ class Executor:
             for name, values in cols.items()
         })
 
-    def _materialize_projections(self, rows: List[int], query_string: str):
+    def _materialize_projections(self, rows: np.ndarray, query_string: str):
         import repro as _api
 
         plan = self.plan
         out = _api.empty(f"mem://tql-{id(self)}", overwrite=True)
         out.query_string = query_string
         columns = plan.projection_columns() if plan.optimize else []
-        rows = np.asarray(rows, dtype=np.int64) if plan.optimize else list(rows)
         for batch in self._scan_batches(rows):
             self._m_scan_windows.inc()
             self._h_window_rows.observe(len(batch))
@@ -536,35 +549,32 @@ class Executor:
         out.flush()
         return out
 
-    def _vectorized_groups(self, rows: List[int]) -> List[Dict[str, object]]:
+    def _vectorized_groups(self, rows: np.ndarray) -> List[Dict[str, object]]:
         """Streaming GROUP BY: per batch, keys and aggregate inputs come
-        from one kernel pass over prefetched columns; per-group partials
-        merge across batches (O(chunks) GETs, O(groups) memory plus one
-        scalar per row for the reduced aggregates)."""
+        from one kernel pass over prefetched columns and are cut into
+        per-group partials by one segmented reduction; partials merge
+        across batches (O(chunks) GETs, O(groups) memory plus one scalar
+        per row for the reduced aggregates)."""
         plan = self.plan
         nodes = list(plan.group_nodes) + [
             node for _n, _a, node in plan.agg_projections if node is not None
         ]
         columns = _node_columns(nodes)
         accumulator = kernels.GroupAccumulator(plan.agg_projections)
-        for batch in self._scan_batches(np.asarray(rows, dtype=np.int64)):
+        for batch in self._scan_batches(rows):
             self._m_scan_windows.inc()
             self._h_window_rows.observe(len(batch))
             if columns:
                 self._prefetch_columns(columns, batch)
             t0 = time.perf_counter()
-            evaluator = kernels.BatchEvaluator(self, batch)
-            key_cols = [evaluator.values(n) for n in plan.group_nodes]
-            keys = [
-                tuple(_group_key(col[i]) for col in key_cols)
-                for i in range(len(batch))
-            ]
-            accumulator.add_batch(keys, accumulator.batch_inputs(evaluator))
+            accumulator.add_batch(
+                kernels.BatchEvaluator(self, batch), plan.group_nodes
+            )
             self._h_kernel.observe(time.perf_counter() - t0)
             self._clear_prefetched()
         return [values for _key, values in accumulator.finalize()]
 
-    def _materialize_groups(self, rows: List[int], query_string: str):
+    def _materialize_groups(self, rows: np.ndarray, query_string: str):
         import repro as _api
 
         plan = self.plan
@@ -627,21 +637,25 @@ def _sort_token(value):
     return (1, str(value))
 
 
-def _stable_argsort(values: List, ascending: bool) -> List[int]:
+def _stable_argsort(values, ascending: bool) -> np.ndarray:
+    """Positions that sort the keys *values* (a column or a per-row list),
+    equal keys staying in source order in either direction.  A numeric
+    column is one stable ``argsort`` in its own dtype (int64 keys stay
+    exact), n-d cells through their per-row mean; str / mixed keys
+    compare as ``_sort_token`` tuples."""
+    col = values if isinstance(values, np.ndarray) else kernels._pack(values)
+    if kernels._is_dense(col) and col.dtype.kind in "biuf":
+        n = len(col)
+        if col.ndim > 1:
+            flat = col.reshape(n, -1)
+            col = flat.mean(axis=1) if flat.shape[1] else np.zeros(n)
+        if ascending:
+            return np.argsort(col, kind="stable")
+        # descending: the stable sort of the reversed column, reversed
+        return (n - 1 - np.argsort(col[::-1], kind="stable"))[::-1]
     tokens = [_sort_token(v) for v in values]
-    order = sorted(range(len(tokens)), key=lambda i: tokens[i])
-    if not ascending:
-        # reverse while keeping stability within equal keys
-        out: List[int] = []
-        i = 0
-        rev: List[List[int]] = []
-        while i < len(order):
-            j = i
-            while j < len(order) and tokens[order[j]] == tokens[order[i]]:
-                j += 1
-            rev.append(order[i:j])
-            i = j
-        for block in reversed(rev):
-            out.extend(block)
-        return out
-    return order
+    return np.asarray(
+        sorted(range(len(tokens)), key=tokens.__getitem__,
+               reverse=not ascending),
+        dtype=np.intp,
+    )

@@ -19,10 +19,12 @@ The module also hosts:
 - :func:`column_bounds`, the predicate-pushdown analysis that turns a
   WHERE tree into necessary-condition value intervals per column — the
   input to :meth:`ChunkEngine.plan_reads`'s statistics pruning;
-- :class:`GroupAccumulator`, streaming GROUP BY state: each batch
-  reduces to per-row scalars with one numpy reduction, partials merge
-  across batches, and the registered aggregate functions finalise so
-  results match the row-at-a-time path exactly.
+- :class:`GroupAccumulator`, streaming GROUP BY state: a batch is
+  ordered by group with one stable ``lexsort`` over its key columns
+  (:func:`_group_segments`) and every aggregate's per-row scalar column
+  is cut at the group boundaries, partials merge per group per batch,
+  and one numpy reduction per group finalises — bit-identical to the
+  registered aggregate over the row-at-a-time path's values.
 """
 
 from __future__ import annotations
@@ -595,65 +597,131 @@ def column_bounds(node: Optional[Node]) -> Dict[str, List[Interval]]:
 # ---------------------------------------------------------------------------
 
 
-class GroupAccumulator:
-    """Merges per-batch aggregate partials into final group rows.
+def _cell(col, i: int):
+    """Row *i* of a column in any of its three representations."""
+    return col.value if isinstance(col, _Const) else col[i]
 
-    Each batch contributes per-row *scalars* (computed by
-    :meth:`BatchEvaluator.reduced` with one numpy reduction per batch);
-    the registered aggregate function then finalises over the collected
-    scalars, which reproduces the row-at-a-time semantics exactly: MEAN
-    is the mean of per-row means, SUM the sum of per-row sums, STD the
-    spread of per-row means, and so on.
+
+def _group_segments(key_cols: List, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The *n* rows of a batch ordered by group, and where each group
+    starts: ``(order, starts)`` with rows ``order[starts[g]:starts[g+1]]``
+    the members of group *g* in source order, ``order[starts[g]]`` its
+    first occurrence.
+
+    Two rows share a group when their keys are elementwise ``==`` — what
+    comparing the ``_group_key`` tuples decides on fresh values: a NaN
+    equals nothing, itself included, so every NaN row is a group of its
+    own, and ``-0.0 == 0.0`` share one.  A dense column contributes its
+    element columns as they are (int64 stays int64: no float round trip,
+    no stacking of differently-typed keys); a ragged / text / json column
+    is factorised per row through a dict of ``_group_key`` tuples into
+    one int code column.  One stable ``lexsort`` over all of them orders
+    the batch; a group boundary is wherever any of them changes.
+    """
+    subkeys = []
+    for col in key_cols:
+        if isinstance(col, _Const):
+            continue  # one value for every row splits nothing
+        if _is_dense(col):
+            subkeys.extend(col.reshape(n, -1).T)
+        else:
+            codes: Dict[object, int] = {}
+            subkeys.append(np.fromiter(
+                (codes.setdefault(_group_key(v), len(codes)) for v in col),
+                dtype=np.intp, count=n,
+            ))
+    if not subkeys:
+        return np.arange(n), np.zeros(1, dtype=np.intp)
+    order = np.lexsort(subkeys)
+    new = np.zeros(n, dtype=bool)
+    new[0] = True
+    for sub in subkeys:
+        ordered = sub[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    return order, np.flatnonzero(new)
+
+
+class GroupAccumulator:
+    """Streaming GROUP BY state: one segmented reduction per scan batch.
+
+    A batch is ordered by group once (:func:`_group_segments`) and every
+    aggregate's input column is cut at the group boundaries, so Python
+    runs per *group per batch*, never per row — the key tuple is built
+    by ``_group_key`` on each group's first row only.  What a batch
+    contributes per aggregate: ``COUNT`` the segment length, ``FIRST``
+    the first row's value, the scalarised five (:attr:`_FINALIZE`) a
+    slice of the per-row scalars :meth:`BatchEvaluator.reduced` computed
+    with one numpy reduction, any other registered aggregate its raw
+    per-row values.  :meth:`finalize` reduces the concatenated scalars
+    with the numpy reducer — the same array, in the same order and
+    dtype, the registered aggregate builds from the row-at-a-time path's
+    list, so results are bit-identical: MEAN is the mean of per-row
+    means, SUM the sum of per-row sums, STD the spread of per-row means.
     """
 
-    _SCALARIZED = ("MEAN", "SUM", "MIN", "MAX", "STD")
+    #: aggregates fed per-row scalars -> the reduction of a group's scalars
+    _FINALIZE = {
+        "MEAN": np.mean, "SUM": np.sum, "MIN": np.min, "MAX": np.max,
+        # the registered STD takes the spread of *float64* row means
+        "STD": lambda means: np.std(means.astype(np.float64)),
+    }
 
     def __init__(self, agg_projections):
         #: (output name, aggregate name, node-or-None) per projection
         self.aggs = list(agg_projections)
-        self._state: Dict[tuple, List[dict]] = {}
+        #: what each aggregate's partial is: a row count, the first row's
+        #: value, slices of per-row scalars, or the raw row values
+        self._kinds = [
+            "count" if node is None or agg == "COUNT"
+            else "first" if agg == "FIRST"
+            else "scalars" if agg in self._FINALIZE
+            else "raw"
+            for _name, agg, node in self.aggs
+        ]
+        #: key tuple -> one partial per aggregate, in first-seen order
+        self._state: Dict[tuple, List] = {}
 
-    def batch_inputs(self, ev: BatchEvaluator) -> List:
-        """Per-aggregate batch columns: scalar reductions where the
-        aggregate consumes them, raw per-row values otherwise."""
+    def _batch_inputs(self, ev: BatchEvaluator, order: np.ndarray) -> List:
+        """Per aggregate, the batch column its partials are cut from;
+        the per-row scalars already in group order."""
         out = []
-        for _name, agg, node in self.aggs:
-            if node is None or agg == "COUNT":
+        for kind, (_name, agg, node) in zip(self._kinds, self.aggs):
+            if kind == "count":
                 out.append(None)
-            elif agg in self._SCALARIZED:
-                out.append(ev.reduced(node, agg))
-            else:  # FIRST and any custom aggregate: raw row values
+            elif kind == "first":
+                out.append(ev.eval(node))
+            elif kind == "scalars":
+                out.append(np.asarray(ev.reduced(node, agg))[order])
+            else:
                 out.append(ev.values(node))
         return out
 
-    def add_batch(self, keys: List[tuple], agg_values: List) -> None:
-        by_key: Dict[tuple, List[int]] = {}
-        for i, key in enumerate(keys):
-            by_key.setdefault(key, []).append(i)
-        for key, idx in by_key.items():
+    def add_batch(self, ev: BatchEvaluator, key_nodes: List[Node]) -> None:
+        key_cols = [ev.eval(node) for node in key_nodes]
+        order, starts = _group_segments(key_cols, ev.n)
+        inputs = self._batch_inputs(ev, order)
+        firsts = order[starts].tolist()
+        bounds = starts.tolist() + [ev.n]
+        # groups enter the state in first-occurrence order, the order the
+        # row-at-a-time dict fills in (it breaks ties of the output sort)
+        for g in np.argsort(firsts).tolist():
+            first, lo, hi = firsts[g], bounds[g], bounds[g + 1]
+            key = tuple(_group_key(_cell(col, first)) for col in key_cols)
             state = self._state.get(key)
             if state is None:
-                state = [{} for _ in self.aggs]
-                self._state[key] = state
-            for part, (_name, agg, node), vals in zip(
-                state, self.aggs, agg_values
-            ):
-                self._merge(part, agg, node, idx, vals)
-
-    def _merge(self, part: dict, agg: str, node, idx: List[int],
-               vals) -> None:
-        if node is None or agg == "COUNT":
-            part["n"] = part.get("n", 0) + len(idx)
-            return
-        if agg == "FIRST":
-            if "v" not in part:
-                part["v"] = vals[idx[0]]
-            return
-        take = (
-            vals[idx] if isinstance(vals, np.ndarray)
-            else [vals[i] for i in idx]
-        )
-        part.setdefault("vals", []).extend(take)
+                state = self._state[key] = [
+                    0 if kind == "count"
+                    else _cell(vals, first) if kind == "first"
+                    else []
+                    for kind, vals in zip(self._kinds, inputs)
+                ]
+            for j, (kind, vals) in enumerate(zip(self._kinds, inputs)):
+                if kind == "count":
+                    state[j] += hi - lo
+                elif kind == "scalars":
+                    state[j].append(vals[lo:hi])
+                elif kind == "raw":
+                    state[j].extend(vals[i] for i in order[lo:hi].tolist())
 
     def finalize(self) -> List[Tuple[tuple, Dict[str, object]]]:
         """Group rows as ``(key, {output name: value})``, ordered the
@@ -663,14 +731,13 @@ class GroupAccumulator:
             self._state, key=lambda k: tuple(str(x) for x in k)
         ):
             values: Dict[str, object] = {}
-            for part, (name, agg, node) in zip(self._state[key], self.aggs):
-                if node is None or agg == "COUNT":
-                    values[name] = part.get("n", 0)
-                elif agg == "FIRST":
-                    values[name] = part.get("v")
-                else:
-                    values[name] = get_agg_function(agg)(
-                        part.get("vals", [])
-                    )
+            for part, kind, (name, agg, _node) in zip(
+                self._state[key], self._kinds, self.aggs
+            ):
+                if kind == "scalars":
+                    part = float(self._FINALIZE[agg](np.concatenate(part)))
+                elif kind == "raw":
+                    part = get_agg_function(agg)(part)
+                values[name] = part
             out.append((key, values))
         return out

@@ -17,7 +17,8 @@ from repro.compression import compress_array, decompress_array
 from repro.core.chunk_engine import ChunkEngine, FusedReadPlan
 from repro.core.encoders import ChunkIdEncoder
 from repro.core.meta import TensorMeta
-from repro.core.read_plan import KIND_TILED
+from repro.core import read_plan
+from repro.core.read_plan import KIND_PRUNED, KIND_TILED, PRUNED
 from repro.core.version_state import VersionState
 from repro.exceptions import SampleIndexError
 from repro.storage import MemoryProvider
@@ -119,6 +120,38 @@ class TestPlanReads:
             owner[row] in plan.skipped_chunks for row in rows
         ]
         assert not reader.plan_reads(rows).pruned.any()
+
+    def test_pruned_rows_make_no_per_row_call(self, monkeypatch):
+        """A row of a chunk statistics pushdown skipped is never visited:
+        a list column starts as ``PRUNED`` everywhere — also when *every*
+        chunk of the request was skipped — and nothing walks the pruned
+        items through the exception-kind operator table."""
+        engine, storage = make_engine(dtype="int64", max_chunk_size=256)
+        engine.extend([np.int64(i) for i in range(512)])
+        engine.flush()
+        reader = fresh_reader(storage)
+
+        def per_row(engine, plan, pos, chunks, decode):
+            raise AssertionError(f"per-row pruned value at {pos}")
+
+        monkeypatch.setitem(read_plan._KIND_VALUE, KIND_PRUNED, per_row)
+        rows = list(range(40, 400))
+        plan = reader.plan_reads(rows, bounds=[(1000, None, False, False)])
+        assert not plan.chunk_keys and len(plan.skipped_chunks) > 1
+        assert plan.pruned.all() and len(plan.pruned) == len(rows)
+        for aslist in (False, True):
+            column = reader.execute_plan(plan, aslist=aslist)
+            assert column == [PRUNED] * len(rows)
+        # one unpruned chunk in the request: dense column, or the list
+        mixed = reader.plan_reads(rows, bounds=[(390, None, False, False)])
+        kept = (~mixed.pruned).sum()
+        assert 0 < kept < len(rows)
+        dense = reader.execute_plan(mixed)
+        assert isinstance(dense, np.ndarray)
+        assert dense[~mixed.pruned].tolist() == rows[-kept:]
+        raw = reader.execute_plan(mixed, decode=False)
+        assert raw[:-kept] == [PRUNED] * (len(rows) - kept)
+        assert all(isinstance(v, bytes) for v in raw[-kept:])
 
 
 class TestRowsAreIntegers:

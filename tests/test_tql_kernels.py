@@ -19,6 +19,8 @@ import repro
 from repro.exceptions import TQLTypeError
 from repro.storage import MemoryProvider
 from repro.tql import Executor, build_plan, parse
+from repro.tql import executor as executor_mod
+from repro.tql import functions as tql_functions
 from repro.tql import kernels
 from repro.tql.kernels import PRUNED, column_bounds
 from repro.util import keys as K
@@ -519,3 +521,353 @@ class TestGetCounts:
                          optimize=False)
         assert len(out) > 0
         assert cold.storage.stats.get_requests >= self.N
+
+
+# --------------------------------------------------------------------------- #
+# GROUP BY / ORDER BY as array programs (ISSUE 23): differential against
+# the row-at-a-time path, which stays the oracle
+# --------------------------------------------------------------------------- #
+
+_N = 2560  # three scan batches: 1024 + 1024 + 512
+_AGGS = ("COUNT", "SUM", "MEAN", "MIN", "MAX", "STD", "FIRST")
+
+
+def _bare(ds, name, **kwargs):
+    ds.create_tensor(name, create_shape_tensor=False, create_id_tensor=False,
+                     **kwargs)
+
+
+@pytest.fixture(scope="module")
+def gds():
+    """Seeded-random rows over every key kind and aggregate input kind."""
+    gen = np.random.default_rng(23)
+    n = _N
+    ki = gen.integers(0, 5, n)
+    ki[gen.random(n) < 0.02] = 5
+    ki[1024:] = np.where(ki[1024:] == 5, 0, ki[1024:])  # 5: first batch only
+    ki[2100:][gen.random(n - 2100) < 0.1] = 6            # 6: last batch only
+    kf = gen.choice([1.5, -2.25, np.nan, -0.0, 0.0, 1e300], n,
+                    p=[0.3, 0.3, 0.02, 0.15, 0.15, 0.08])
+    k3 = gen.choice([0.0, -0.0, 1.0, np.nan], (n, 3),
+                    p=[0.4, 0.1, 0.49, 0.01]).astype(np.float32)
+    words = ["ant", "bee", "cat", "", "a longer key"]
+    cols = {
+        "pos": np.arange(n, dtype=np.int64),
+        "ki": ki.astype(np.int64),
+        "kf": kf,
+        "kb": gen.random(n) < 0.3,
+        "k1": gen.integers(-2, 3, (n, 1)).astype(np.int64),
+        "k3": k3,
+        "kbig": (2 ** 62 + gen.integers(0, 5, n)).astype(np.int64),
+        "x": gen.normal(size=n) * 1e3,
+        "c": gen.integers(-2 ** 40, 2 ** 40, n).astype(np.int64),
+        "v": gen.normal(size=(n, 3)).astype(np.float32),
+    }
+    ds = repro.empty(MemoryProvider("groupdiff"), overwrite=True)
+    for name, col in cols.items():
+        _bare(ds, name, dtype=col.dtype.name, max_chunk_size=2048)
+    _bare(ds, "kr", dtype="int64")
+    _bare(ds, "r", dtype="float32")
+    _bare(ds, "kt", htype="text")
+    rows = {name: list(col) for name, col in cols.items()}
+    rows["kr"] = [np.arange(int(k), dtype=np.int64)
+                  for k in gen.integers(0, 4, n)]
+    rows["r"] = [gen.normal(size=int(k)).astype(np.float32)
+                 for k in gen.integers(1, 5, n)]
+    rows["kt"] = [words[i] for i in gen.integers(0, len(words), n)]
+    ds.extend(rows)
+    ds.flush()
+    return ds, cols
+
+
+def _identical(fast, slow):
+    """Same tensors, same rows, bit for bit (NaN and -0.0 included)."""
+    assert len(fast) == len(slow)
+    assert fast._meta.visible_tensors == slow._meta.visible_tensors
+    for name in fast._meta.visible_tensors:
+        assert fast[name].meta.dtype == slow[name].meta.dtype, name
+        for i, (a, b) in enumerate(zip(fast[name].numpy(aslist=True),
+                                       slow[name].numpy(aslist=True))):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (
+                name, i, a, b)
+
+
+class TestGroupByArrayProgram:
+    PRUNING = "pos >= 1500"  # skips five of the ten chunks, cuts a sixth
+
+    @pytest.mark.parametrize("keys, inputs, where", [
+        ("ki", "x", None),
+        ("kf", "c", PRUNING),
+        ("kb", "v", None),
+        ("k1", "r", PRUNING),
+        ("k3", "x", None),
+        ("kt", "v", PRUNING),
+        ("kr", "c", None),
+        ("kbig, kf", "r", PRUNING),  # never one float matrix
+        ("kbig", "xc", None),
+        ("kt, k1", "vr", PRUNING),
+    ])
+    def test_every_key_kind_matches_the_row_path_exactly(
+        self, gds, keys, inputs, where
+    ):
+        ds, _cols = gds
+        aggs = ", ".join(
+            f"{agg}({col}) AS {agg.lower()}_{col}"
+            for col in inputs for agg in _AGGS
+        )
+        q = (f"SELECT {keys}, COUNT() AS n, {aggs}"
+             + (f" WHERE {where}" if where else "") + f" GROUP BY {keys}")
+        ex = _executor(ds, q)
+        fast = ex.run(q)
+        assert bool(ex.chunks_skipped) == bool(where)
+        assert len(fast) > 1
+        _identical(fast, ds.query(q, optimize=False))
+
+    def test_nan_keys_are_singleton_groups_and_signed_zeros_share_one(
+        self, monkeypatch
+    ):
+        """Hazard (a): the semantics comparing ``_group_key`` tuples gives
+        — in both modes, within a batch and across batches."""
+        k = [1.0, np.nan, 1.0, np.nan, -0.0, 0.0]
+        ds = repro.empty(MemoryProvider("nankeys"), overwrite=True)
+        _bare(ds, "k", dtype="float64")
+        ds.extend({"k": [np.float64(v) for v in k]})
+        ds.flush()
+        q = "SELECT k, COUNT() AS n GROUP BY k"
+        for batch_rows in (1024, 4, 1):
+            monkeypatch.setattr(executor_mod, "SCAN_BATCH_ROWS", batch_rows)
+            for optimize in (True, False):
+                out = ds.query(q, optimize=optimize)
+                keys = out.k.numpy().ravel()
+                assert out.n.numpy().ravel().tolist() == [2, 2, 1, 1]
+                assert keys[0] == 0 and np.signbit(keys[0])  # first seen
+                assert keys[1] == 1 and np.isnan(keys[2:]).all()
+
+    def test_vector_shaped_keys_keep_their_ravel_tuples(self, gds):
+        """Hazard (b): a ``(1,)`` / ``(d,)`` key column is factorised as
+        columns, its key is still ``tuple(ravel(cell))``."""
+        ds, cols = gds
+        for name in ("k1", "k3"):
+            q = f"SELECT {name}, COUNT() AS n GROUP BY {name}"
+            ex = _executor(ds, q)
+            rows = np.arange(1024)
+            ex._prefetch_columns([name], rows)
+            acc = kernels.GroupAccumulator(ex.plan.agg_projections)
+            acc.add_batch(kernels.BatchEvaluator(ex, rows),
+                          ex.plan.group_nodes)
+            got = {key: vals["n"] for key, vals in acc.finalize()}
+            want = {}
+            for cell in cols[name][:1024]:
+                key = (tuple(cell.tolist()),)
+                if not np.isnan(cell).any():
+                    want[key] = want.get(key, 0) + 1
+            nan_free = {k: n for k, n in got.items()
+                        if not any(np.isnan(x) for x in k[0])}
+            assert nan_free == want
+            nan_rows = int(np.isnan(cols[name][:1024]).any(axis=1).sum())
+            assert len(got) - len(nan_free) == nan_rows  # singletons
+
+    def test_partials_merge_across_batches(self, gds):
+        """Hazard (c): groups seen by one batch only, and groups whose
+        rows come from all three, against numpy over the columns."""
+        ds, cols = gds
+        out = ds.query("SELECT ki, COUNT() AS n, MEAN(x) AS m, SUM(c) AS s "
+                       "GROUP BY ki")
+        ki, x, c = cols["ki"], cols["x"], cols["c"]
+        assert not (ki[1024:] == 5).any() and not (ki[:2048] == 6).any()
+        assert out.ki.numpy().ravel().tolist() == list(range(7))
+        for k in range(7):
+            members = ki == k
+            assert out.n[k].numpy()[()] == members.sum()
+            assert out.m[k].numpy()[()] == np.mean(x[members])
+            assert out.s[k].numpy()[()] == float(np.sum(c[members]))
+
+    def test_int64_keys_above_2_53_stay_exact(self, gds):
+        """Hazard (d): neighbours 2^62 + {0..4} are one float64."""
+        ds, cols = gds
+        assert len(set(cols["kbig"].astype(np.float64))) == 1
+        out = ds.query("SELECT kbig, COUNT() AS n GROUP BY kbig")
+        values, counts = np.unique(cols["kbig"], return_counts=True)
+        assert out.kbig.numpy().ravel().tolist() == values.tolist()
+        assert out.kbig.meta.dtype == "int64"
+        assert out.n.numpy().ravel().tolist() == counts.tolist()
+
+    def test_float32_inputs_reduce_in_float32(self, gds):
+        """Hazard (e): MEAN over float32 cells is the float32 mean of the
+        float32 row means, as the registered aggregate computes it."""
+        ds, cols = gds
+        out = ds.query("SELECT kb, MEAN(v) AS m, SUM(v) AS s GROUP BY kb")
+        for i, flag in enumerate((False, True)):
+            v = cols["v"][cols["kb"] == flag]
+            means, sums = v.mean(axis=1), v.sum(axis=1)
+            assert means.dtype == np.float32
+            assert out.m[i].numpy()[()] == float(np.mean(means))
+            assert out.s[i].numpy()[()] == float(np.sum(sums))
+            assert float(np.mean(means)) != float(
+                np.mean(means.astype(np.float64)))
+
+    @pytest.mark.parametrize("q", [
+        "SELECT ki, COUNT() AS n, MEAN(x) AS m WHERE pos < 0 GROUP BY ki",
+        "SELECT * WHERE pos < 0 ORDER BY x DESC, kt",
+        "SELECT x WHERE pos < 0 ORDER BY v",
+    ])
+    def test_empty_result_is_the_empty_dataset(self, gds, q):
+        """Hazard (f): no row survives WHERE."""
+        ds, _cols = gds
+        fast, slow = ds.query(q), ds.query(q, optimize=False)
+        assert len(fast) == len(slow) == 0
+        assert fast._meta.visible_tensors == slow._meta.visible_tensors
+
+    def test_python_runs_per_group_per_batch_not_per_row(
+        self, gds, monkeypatch
+    ):
+        ds, _cols = gds
+        calls = {"key": 0, "agg": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        group_key = counted("key", kernels._group_key)
+        monkeypatch.setattr(kernels, "_group_key", group_key)
+        monkeypatch.setattr(executor_mod, "_group_key", group_key)
+        monkeypatch.setattr(kernels, "get_agg_function",
+                            counted("agg", kernels.get_agg_function))
+        row_reducers = []
+        for name in ("MEAN", "SUM", "MIN", "MAX", "STD"):
+            monkeypatch.setitem(
+                tql_functions.AGG_FUNCTIONS, name,
+                lambda values, name=name: row_reducers.append(name))
+        q = ("SELECT ki, COUNT() AS n, MEAN(x) AS m, STD(v) AS s, "
+             "MAX(c) AS hi GROUP BY ki")
+        out = ds.query(q)
+        groups, batches = 7, 3
+        assert len(out) == groups
+        assert 0 < calls["key"] <= groups * batches
+        assert calls["agg"] <= groups * batches
+        assert row_reducers == []  # the numpy reducer, once per group
+
+    def test_custom_aggregate_still_receives_raw_row_values(self, gds):
+        ds, cols = gds
+        seen = []
+
+        @tql_functions.agg_function("SPAN")
+        def _span(values):
+            seen.append(values)
+            return float(max(np.max(v) for v in values)
+                         - min(np.min(v) for v in values))
+
+        try:
+            q = "SELECT kb, SPAN(v) AS span, COUNT() AS n GROUP BY kb"
+            fast = ds.query(q)
+            raw, seen = seen, []
+            _identical(fast, ds.query(q, optimize=False))
+        finally:
+            del tql_functions.AGG_FUNCTIONS["SPAN"]
+        for flag, values, oracle in zip((False, True), raw, seen):
+            want = cols["v"][cols["kb"] == flag]
+            assert len(values) == len(oracle) == len(want)
+            assert all(isinstance(v, np.ndarray) and v.shape == (3,)
+                       for v in values)
+            assert np.array_equal(np.stack(values), want)
+
+    def test_kernel_seconds_observed_once_per_batch(self, gds):
+        ds, _cols = gds
+        q = "SELECT ki, COUNT() AS n, MEAN(x) AS m GROUP BY ki"
+        ex = _executor(ds, q)
+        before = ex._h_kernel.count
+        ex.run(q)
+        assert ex._h_kernel.count - before == 3
+
+
+def _reference_order(keys, ascending):
+    """The token sort, written as the loop it replaces: stable, and
+    stable within equal keys when descending."""
+    order = sorted(range(len(keys)), key=lambda i: keys[i])
+    if ascending:
+        return order
+    out, i = [], len(order)
+    while i > 0:  # walk runs of equal keys from the top
+        j = i
+        while j > 0 and keys[order[j - 1]] == keys[order[i - 1]]:
+            j -= 1
+        out.extend(order[j:i])
+        i = j
+    return out
+
+
+class TestOrderByArrayProgram:
+    @pytest.mark.parametrize("q", [
+        "SELECT * ORDER BY ki DESC, x",
+        "SELECT * WHERE pos >= 1500 ORDER BY kb, c DESC",
+        "SELECT * ORDER BY kbig DESC, k1",
+        "SELECT * ORDER BY v DESC",            # n-d cells: by their mean
+        "SELECT * ORDER BY k3[0:2], kt DESC",
+        "SELECT * WHERE x > 0 ORDER BY kt, ki DESC",  # token path
+        "SELECT * ORDER BY r",                 # ragged: token path
+        "SELECT * ORDER BY x DESC ARRANGE BY ki",
+        "SELECT * ORDER BY ki LIMIT 40 OFFSET 1000",
+    ])
+    def test_order_matches_the_row_path_row_for_row(self, gds, q):
+        ds, _cols = gds
+        fast = ds.query(q)
+        slow = ds.query(q, optimize=False)
+        assert len(fast) > 0
+        assert list(fast.index.entries[0]) == list(slow.index.entries[0])
+
+    def test_ties_keep_source_order_in_both_directions(self, gds):
+        ds, cols = gds
+        ki = cols["ki"].tolist()
+        for direction, ascending in (("", True), (" DESC", False)):
+            out = ds.query(f"SELECT * ORDER BY ki{direction}")
+            assert list(out.index.entries[0]) == _reference_order(
+                ki, ascending)
+
+    def test_int64_sort_keys_above_2_53_stay_exact(self, gds):
+        ds, cols = gds
+        out = ds.query("SELECT * ORDER BY kbig")
+        assert list(out.index.entries[0]) == np.argsort(
+            cols["kbig"], kind="stable").tolist()
+        assert isinstance(out.index.entries[0][0], int)
+
+    def test_numeric_keys_never_build_sort_tokens(self, gds, monkeypatch):
+        ds, _cols = gds
+
+        def token(value):
+            raise AssertionError(f"sort token for {value!r}")
+
+        monkeypatch.setattr(executor_mod, "_sort_token", token)
+        for q in ("SELECT * ORDER BY x DESC, ki", "SELECT * ORDER BY v",
+                  "SELECT * WHERE pos >= 1500 ORDER BY kb ARRANGE BY k1"):
+            assert len(ds.query(q)) > 0
+        with pytest.raises(AssertionError, match="sort token"):
+            ds.query("SELECT * ORDER BY kt")
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_stable_argsort_against_the_loop_it_replaces(self, ascending):
+        gen = np.random.default_rng(7)
+        columns = [
+            gen.integers(0, 6, 500),
+            gen.integers(0, 3, 500).astype(bool),
+            gen.choice([-0.0, 0.0, 1.5, -3.0], 500),
+            (2 ** 60 + gen.integers(0, 3, 500)).astype(np.int64),
+            gen.integers(0, 4, 500).astype(np.float32),
+        ]
+        for col in columns:
+            want = _reference_order(col.tolist(), ascending)
+            assert executor_mod._stable_argsort(
+                col, ascending).tolist() == want
+            assert executor_mod._stable_argsort(
+                list(col), ascending).tolist() == want  # row mode's list
+        words = [["b", "a", "", "b", "c"][i] for i in gen.integers(0, 5, 200)]
+        assert executor_mod._stable_argsort(
+            words, ascending).tolist() == _reference_order(words, ascending)
+        cells = gen.integers(0, 3, (300, 2, 2)).astype(np.float32)
+        means = [float(np.mean(c)) for c in cells]
+        assert executor_mod._stable_argsort(
+            cells, ascending).tolist() == _reference_order(means, ascending)
+        empty = np.zeros((4, 0))
+        assert executor_mod._stable_argsort(
+            empty, ascending).tolist() == [0, 1, 2, 3]
