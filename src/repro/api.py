@@ -19,6 +19,7 @@ from repro.exceptions import DeepLakeError
 from repro.storage.provider import StorageProvider
 from repro.storage.router import storage_from_url
 from repro.util import keys as K
+from repro.version_control.tree import VersionTree
 
 PathOrProvider = Union[str, StorageProvider]
 ServablePath = Union[str, StorageProvider, Dataset]
@@ -66,12 +67,19 @@ def load(
     strict: bool = True,
     cache_bytes: Optional[int] = None,
 ) -> Dataset:
-    """Open an existing dataset."""
+    """Open an existing dataset.
+
+    Asks once whether it exists: the version tree every dataset written by
+    this code has is read first (and handed to the dataset), and only a
+    store without one pays the :func:`exists` probe.
+    """
     storage = _provider(path, cache_bytes=cache_bytes)
-    if not exists(storage):
+    tree = VersionTree.load(storage)
+    if tree.stored is None and not exists(storage):
         raise DeepLakeError(f"no dataset found at {_path_str(path)}")
     return Dataset(
-        storage, read_only=read_only, strict=strict, path=_path_str(path)
+        storage, read_only=read_only, strict=strict, path=_path_str(path),
+        _tree=tree,
     )
 
 

@@ -51,8 +51,10 @@ Chunks fill in memory, then upload (§3.4–3.5): a finalized chunk — and a
 stored chunk modified by :meth:`update` or rewritten by :meth:`rechunk` —
 joins ``_pending_chunks``, and :meth:`_serialize_pending` turns the buffer
 into the ``set_many`` batch that is the only way a chunk reaches storage:
-when a commit or update leaves ``_WATERMARK_CHUNKS`` chunks buffered, and
-at :meth:`flush` (chunks, then encoders, then meta).
+when an update leaves ``_WATERMARK_CHUNKS`` chunks buffered or the next
+append finds that many while it stages (the upload then runs under the
+encode pool's work), and at :meth:`flush` (chunks, then encoders, then
+meta).
 
 Where parallelism lives
 -----------------------
@@ -117,8 +119,11 @@ from repro.util.json_util import json_dumps, json_loads
 _HEADER_PROBE = 4096  # first ranged request size when reading chunk headers
 _CHUNK_CACHE_BYTES = 64 * 1024 * 1024
 
-#: Finalized chunks a tensor may buffer before a commit or update uploads
-#: them as one batch: bounds write-buffer memory to ~8 * max_chunk_size.
+#: Finalized chunks a tensor may buffer before an update, or the staging
+#: of the next append, uploads them as one batch.  An append uploads what
+#: the *previous* call sealed, so the write buffer holds at most ~8 chunks
+#: + the previous extend's sealed chunks + the extend in flight; a
+#: row-at-a-time ``append`` loop never holds more than 8 between calls.
 _WATERMARK_CHUNKS = 8
 
 _ENCODE_POOL: Optional[ThreadPoolExecutor] = None
@@ -420,15 +425,10 @@ class ChunkEngine:
         return items
 
     def flush(self) -> None:
-        """Persist buffered chunks, meta, encoders and bookkeeping for the
-        current commit — in crash-consistent order.
-
-        Durability order is chunk payloads, then encoders, then
-        meta/bookkeeping: a crash between stages strands at worst
-        unreferenced chunk blobs (garbage), never an encoder or meta file
-        pointing at a chunk that was never uploaded.  Each stage goes down
-        as one batched ``set_many``.
-        """
+        """Persist this engine's buffered state for the current commit,
+        one ``set_many`` per key class in crash-consistent order: chunks,
+        then encoders, then meta (``K.KEY_CLASS_CHUNK`` says why) — what
+        ``Dataset.flush`` does for every engine at once."""
         with self._lock:
             for items in self.drain_flush_items():
                 if items:
@@ -437,14 +437,14 @@ class ChunkEngine:
     def begin_new_commit(self) -> None:
         """Reset per-commit bookkeeping after the head moved to a child.
 
-        Must be called *after* the old state was flushed and the shared
-        :class:`VersionState` points at the new head commit.  Touches no
-        storage and no chunk set: the commit just left stays in
-        ``_chunk_sets`` as an ancestor (so the next write issues no GET)
-        and the child's own set starts empty.  The engine is left dirty,
-        and the caller's coordinated ``Dataset.flush`` writes the child's
-        state for every tensor at once, before the version tree that
-        makes the child reachable.
+        Must be called *after* the old state was drained
+        (:meth:`drain_flush_items`) and the shared :class:`VersionState`
+        points at the new head commit.  Touches no storage and no chunk
+        set: the commit just left stays in ``_chunk_sets`` as an ancestor
+        (so the next write issues no GET) and the child's own set starts
+        empty.  The engine is left dirty, and the caller's coordinated
+        flush writes the child's state for every tensor at once, before
+        the version tree that makes the child reachable.
         """
         with self._lock:
             self._active_chunk = None
@@ -836,8 +836,7 @@ class ChunkEngine:
         return self.seq_enc.num_samples if self.meta.is_sequence else self.enc.num_samples
 
     def _finalize_active(self) -> None:
-        """Close the in-memory active chunk (if any) into the upload
-        buffer."""
+        """Close the active chunk (if any) into the upload buffer."""
         chunk = self._active_chunk
         if chunk is not None and chunk.num_samples:
             self._pending_chunks[chunk.name] = chunk
@@ -854,9 +853,9 @@ class ChunkEngine:
         charging the flush counters and priming the decoded-chunk cache.
         The caller *must* ``set_many`` the result before any encoder or
         meta write: :meth:`_maybe_flush_pending` at the watermark, or a
-        flush (``Dataset.flush`` merges many engines' items into one batch
-        per key class).  Never runs mid-commit, so a rolled-back batch can
-        still retract its buffered chunks."""
+        flush.  Never runs mid-commit — staging comes before it, and both
+        take the engine lock — so a rolled-back batch can still retract
+        its buffered chunks."""
         pending = list(self._pending_chunks.values())
         self._pending_chunks.clear()
         items: Dict[str, bytes] = {}
@@ -878,9 +877,8 @@ class ChunkEngine:
         without writing any of it: ``(chunk items, encoder items, meta
         items)``, each upload-ready.  The engine's buffers and dirty flag
         are drained exactly as a flush would, so the caller *must* write
-        the returned items (in key-class order) — ``Dataset.flush`` uses
-        this to coordinate one ``set_many`` per class across all engines
-        instead of one per engine."""
+        the returned items (in key-class order) — ``Dataset.flush`` and
+        ``commit`` merge many engines' into one ``set_many`` per class."""
         with self._lock:
             self._finalize_active()
             chunk_items = self._serialize_pending()
@@ -893,13 +891,14 @@ class ChunkEngine:
         """Upload the buffer as one ``set_many`` once it holds
         ``_WATERMARK_CHUNKS`` chunks — on object storage one request's
         fixed overhead per batch instead of one per chunk."""
-        if len(self._pending_chunks) < _WATERMARK_CHUNKS:
-            return
-        with _tracing.span("engine.flush_chunks", tensor=self.tensor,
-                           chunks=len(self._pending_chunks)) as sp:
-            items = self._serialize_pending()
-            self.storage.set_many(items)
-            sp.set(nbytes=sum(len(b) for b in items.values()))
+        with self._lock:
+            if len(self._pending_chunks) < _WATERMARK_CHUNKS:
+                return
+            with _tracing.span("engine.flush_chunks", tensor=self.tensor,
+                               chunks=len(self._pending_chunks)) as sp:
+                items = self._serialize_pending()
+                self.storage.set_many(items)
+                sp.set(nbytes=sum(len(b) for b in items.values()))
 
     def _get_active_chunk(self, nbytes: int) -> Chunk:
         """Chunk that will receive the next sample (resumed or fresh).
@@ -953,13 +952,24 @@ class ChunkEngine:
             K.chunk_key(self.commit_id, self.tensor, chunk.name), None
         )
 
+    def _append_payload(
+        self, raw, shape, arr, touched: Dict[str, Tuple[int, int]]
+    ) -> None:
+        """Move one serialized payload into the active chunk; *touched*
+        collects first-touch chunk states for rollback."""
+        chunk = self._get_active_chunk(len(raw))
+        touched.setdefault(chunk.name, (len(chunk.data), chunk.num_samples))
+        chunk.append(raw, shape)
+        self._stats_observe(chunk.name, arr)
+        self.enc.register_samples(1)
+        if len(chunk.data) >= self.meta.max_chunk_size:
+            self._finalize_active()
+
     def _commit_flat(
-        self, value, raw, shape, arr,
-        touched: Optional[Dict[str, Tuple[int, int]]] = None,
+        self, value, raw, shape, arr, touched: Dict[str, Tuple[int, int]]
     ) -> None:
         """Register one pre-serialized flat sample (the infallible half of
-        an append; *touched* collects first-touch chunk states for
-        rollback)."""
+        an append)."""
         is_video = self.meta.htype == "video"
         if (
             len(raw) > self.meta.max_chunk_size
@@ -968,16 +978,7 @@ class ChunkEngine:
         ):
             self._append_tiled(value, raw, shape, arr)
         else:
-            chunk = self._get_active_chunk(len(raw))
-            if touched is not None:
-                touched.setdefault(
-                    chunk.name, (len(chunk.data), chunk.num_samples)
-                )
-            chunk.append(raw, shape)
-            self._stats_observe(chunk.name, arr)
-            self.enc.register_samples(1)
-            if len(chunk.data) >= self.meta.max_chunk_size:
-                self._finalize_active()
+            self._append_payload(raw, shape, arr, touched)
         if not self.meta.is_link:
             self.meta.update_shape_interval(shape)
         self.meta.length += 1
@@ -1015,26 +1016,13 @@ class ChunkEngine:
         self.tile_enc.register(index, arr.shape, tile_shape)
 
     def _commit_sequence(
-        self, payloads,
-        touched: Optional[Dict[str, Tuple[int, int]]] = None,
+        self, payloads, touched: Dict[str, Tuple[int, int]]
     ) -> None:
         """Register one pre-serialized sequence row.  Every item was
-        serialized during staging, so — unlike the historical path, which
-        interleaved fallible ``_serialize_sample`` calls with encoder
-        mutations — a bad item can no longer leave earlier items
-        registered in ``enc`` while ``seq_enc``/``meta.length`` never
-        advance."""
+        serialized during staging, so no fallible step sits between the
+        mutations of ``enc`` and of ``seq_enc`` / ``meta.length``."""
         for raw, shape, arr in payloads:
-            chunk = self._get_active_chunk(len(raw))
-            if touched is not None:
-                touched.setdefault(
-                    chunk.name, (len(chunk.data), chunk.num_samples)
-                )
-            chunk.append(raw, shape)
-            self._stats_observe(chunk.name, arr)
-            self.enc.register_samples(1)
-            if len(chunk.data) >= self.meta.max_chunk_size:
-                self._finalize_active()
+            self._append_payload(raw, shape, arr, touched)
             self.meta.update_shape_interval(shape)
         self.seq_enc.register(len(payloads))
         self.meta.length += 1
@@ -1044,13 +1032,22 @@ class ChunkEngine:
     # -- WritePlan: stage (fallible) then commit (atomic) ---------------- #
 
     def _stage_payloads(self, items: List) -> List[Tuple]:
-        """Serialize *items* in order.
+        """Serialize *items* in order, and upload what earlier appends
+        sealed while that happens.
 
         Staging an item of a sample-compressed tensor is a codec call, the
         one piece of engine work that profits from threads whoever the
         caller is, so those batches map over :func:`_encode_pool`; every
         other tensor stages inline (a scalar ``extend`` would pay one
         future per sample for a ``tobytes``).
+
+        This is the append side's one watermark site.  ``Executor.map``
+        starts every future before it returns, so the calling thread
+        uploads the chunks the *previous* call left buffered under the
+        encode work, not after it; inline staging makes the same call at
+        the same point.  Nothing is registered yet: an upload error
+        abandons the batch, the engine as any failed watermark upload
+        leaves it.
 
         The first sample(s) are serialized synchronously until the
         tensor's dtype is pinned — ``_serialize_sample`` infers
@@ -1067,10 +1064,12 @@ class ChunkEngine:
             payloads.append(self._serialize_sample(items[idx]))
             idx += 1
         rest = items[idx:]
-        if self.meta.sample_compression and len(rest) >= 4:
-            payloads.extend(_encode_pool().map(self._serialize_sample, rest))
-        else:
-            payloads.extend(self._serialize_sample(it) for it in rest)
+        pooled = self.meta.sample_compression and len(rest) >= 4
+        staged = (_encode_pool().map if pooled else map)(
+            self._serialize_sample, rest
+        )
+        self._maybe_flush_pending()
+        payloads.extend(staged)
         return payloads
 
     def stage_appends(self, values) -> WritePlan:
@@ -1200,8 +1199,9 @@ class ChunkEngine:
         Either every row of the plan is registered (encoders, meta,
         commit diff, chunk data all agree) or — on any failure — the
         engine state is rolled back to exactly the pre-commit state and
-        the exception propagates.  After a successful commit, crossing the
-        write-buffer watermark triggers a batched chunk upload.
+        the exception propagates.  Touches no storage: the chunks it seals
+        stay buffered until the next append stages
+        (:meth:`_stage_payloads`), or a flush or commit drains them.
         """
         if not plan.entries:
             return
@@ -1220,15 +1220,14 @@ class ChunkEngine:
                 except BaseException:
                     self._restore_snapshot(snap, touched)
                     raise
-            self._maybe_flush_pending()
 
     def append(self, value) -> None:
         self.commit_appends(self.stage_appends([value]))
 
     def extend(self, values) -> None:
-        """Batched, exception-safe append: stage every sample
-        (serialization + compression), then commit all-or-nothing; chunks
-        finalized along the way upload in batched ``set_many`` calls."""
+        """Batched, exception-safe append: stage every sample, then
+        commit all-or-nothing; the chunks it seals upload in one
+        ``set_many`` under the next call's staging, or with the next flush."""
         self.commit_appends(self.stage_appends(values))
 
     # ------------------------------------------------------------------ #

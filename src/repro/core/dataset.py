@@ -11,7 +11,7 @@ that share the underlying chunk engines.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -56,6 +56,7 @@ class Dataset:
         strict: bool = True,
         path: str = "",
         _version_state: Optional[VersionState] = None,
+        _tree: Optional[VersionTree] = None,
     ):
         self.storage = storage
         self.path = path
@@ -68,7 +69,7 @@ class Dataset:
         #: TQL bare-column SELECTs narrow the visible tensor set
         self._tensor_filter: Optional[List[str]] = None
 
-        self._tree = VersionTree.load(storage)
+        self._tree = _tree or VersionTree.load(storage)
         self.version_state = _version_state or VersionState(
             self._tree.branches.get("main", K.FIRST_COMMIT_ID), "main"
         )
@@ -79,6 +80,10 @@ class Dataset:
 
         self._engines: Dict[str, ChunkEngine] = {}
         self._open_lock = threading.Lock()  # shared with views (_spawn)
+        # dataset-meta key -> the bytes this dataset (views share the
+        # dict, like _engines) last loaded or wrote there: a flush adds
+        # the dataset meta to its meta batch only when it differs
+        self._stored_metas: Dict[str, bytes] = {}
         self._meta = self._load_dataset_meta()
 
     # ------------------------------------------------------------------ #
@@ -89,21 +94,37 @@ class Dataset:
         chain = self.version_state.commit_chain()
         keys = [K.dataset_meta_key(cid) for cid in chain]
         found = self.storage.get_many(keys)
+        self._stored_metas.update(found)
         for key in keys:  # nearest commit wins
             if key in found:
                 return DatasetMeta.from_json(found[key])
         meta = DatasetMeta()
         if not self.read_only and not self.storage.read_only:
-            self.storage[K.dataset_meta_key(self.version_state.commit_id)] = (
-                meta.to_json()
-            )
+            self._write_metas({}, {keys[0]: meta.to_json()})
             self._tree.save(self.storage)
         return meta
 
+    def _dataset_meta_items(self) -> Dict[str, bytes]:
+        """The current commit's dataset meta as a one-key batch — empty
+        when storage already holds these bytes under that key."""
+        key = K.dataset_meta_key(self.version_state.commit_id)
+        blob = self._meta.to_json()
+        return {} if self._stored_metas.get(key) == blob else {key: blob}
+
+    def _write_metas(
+        self, metas: Dict[str, bytes], dataset_metas: Dict[str, bytes]
+    ) -> None:
+        """The meta batch — *dataset_metas* last, after every tensor meta
+        they name (a batch keeps its order) — and the one place a dataset
+        meta is written, so ``_stored_metas`` cannot go stale; it is
+        updated only after the ``set_many`` returned."""
+        items = {**metas, **dataset_metas}
+        if items:
+            self.storage.set_many(items)
+        self._stored_metas.update(dataset_metas)
+
     def _write_dataset_meta(self) -> None:
-        self.storage[K.dataset_meta_key(self.version_state.commit_id)] = (
-            self._meta.to_json()
-        )
+        self._write_metas({}, self._dataset_meta_items())
 
     def _spawn(self, index: Optional[Index] = None,
                group_index: Optional[str] = None) -> "Dataset":
@@ -303,21 +324,27 @@ class Dataset:
         return self._spawn(group_index=name)
 
     def delete_tensor(self, name: str) -> None:
-        """Remove a tensor (and companions) from the current head."""
+        """Remove a tensor (and companions) from the current head.
+
+        The dataset meta stops naming them *before* their keys are
+        deleted: the worst a crash in between leaves is unreferenced keys,
+        never a dataset meta naming a tensor with no state.
+        """
         self._check_writable()
         name = self._qualify(name)
         engine = self._engine(name)
         victims = [name] + [t for t in engine.meta.links.values()]
         for victim in victims:
-            self.storage.clear(
-                f"{K.commit_root(self.version_state.commit_id)}{victim}/"
-            )
             self._engines.pop(victim, None)
             if victim in self._meta.tensors:
                 self._meta.tensors.remove(victim)
             if victim in self._meta.hidden_tensors:
                 self._meta.hidden_tensors.remove(victim)
         self._write_dataset_meta()
+        for victim in victims:
+            self.storage.clear(
+                f"{K.commit_root(self.version_state.commit_id)}{victim}/"
+            )
 
     # ------------------------------------------------------------------ #
     # hidden-tensor synchronisation
@@ -857,34 +884,58 @@ class Dataset:
     # ------------------------------------------------------------------ #
 
     def flush(self) -> None:
-        """Persist every engine's buffered state.
+        """Persist every engine's buffered state — and nothing that has
+        not changed.
 
-        The flush is *coordinated*: pending chunks, encoders and meta are
-        collected from all engines and written as one ``set_many`` per key
-        class (chunks across all tensors, then encoders, then meta)
-        instead of three per engine — the same crash-consistency order, a
-        third of the round trips on object storage.  The dataset meta
-        travels as the last key of the meta batch, after every tensor meta
-        it names (a batch keeps its order); the version tree is the last,
-        separate write, the one that makes a new commit reachable.
+        The flush is *coordinated*, in two halves.
+        :meth:`_drain_flush_items` collects pending chunks, encoders and
+        meta from all engines; :meth:`_write_flush_items` writes them as
+        one ``set_many`` per key class (chunks across all tensors, then
+        encoders, then meta) instead of three per engine — the same
+        crash-consistency order, a third of the round trips on object
+        storage.  The dataset meta travels as the last key of the meta
+        batch, after every tensor meta it names, and only when its bytes
+        differ from what this dataset last loaded or wrote; the version
+        tree is the last, separate write, the one that makes a new commit
+        reachable, and is skipped when unchanged
+        (:meth:`VersionTree.save`).  A flush with nothing to say issues no
+        request at all.
         """
-        merged: Tuple[Dict[str, bytes], ...] = ({}, {}, {})
+        self._write_flush_items(self._drain_flush_items())
+
+    def _drain_flush_items(self) -> List[Dict[str, bytes]]:
+        """First half of :meth:`flush`: drain every open engine (and the
+        dataset meta, when it changed) into ``[chunks, encoders, tensor
+        metas, dataset metas]`` without writing anything.  The caller
+        *must* hand the result to :meth:`_write_flush_items`; ``commit``
+        merges two drains — the sealed head's and the child's — dict by
+        dict and writes once."""
+        drained: List[Dict[str, bytes]] = [{}, {}, {}, {}]
         for engine in list(self._engines.values()):
-            for acc, items in zip(merged, engine.drain_flush_items()):
+            for acc, items in zip(drained, engine.drain_flush_items()):
                 acc.update(items)
-        writable = not (
-            self.read_only or self._commit_read_only or self.storage.read_only
-        )
-        if writable:
-            merged[2][K.dataset_meta_key(self.version_state.commit_id)] = (
-                self._meta.to_json()
-            )
-        for items in merged:  # chunks -> encoders -> meta
+        if self._writable_head():
+            drained[3] = self._dataset_meta_items()
+        return drained
+
+    def _write_flush_items(self, drained: List[Dict[str, bytes]]) -> None:
+        """Second half of :meth:`flush`: one ``set_many`` per non-empty key
+        class, in durability order, then the version tree if it changed."""
+        chunks, encoders, metas, dataset_metas = drained
+        for items in (chunks, encoders):
             if items:
                 self.storage.set_many(items)
-        if writable:
+        self._write_metas(metas, dataset_metas)
+        if self._writable_head():
             self._tree.save(self.storage)
         self.storage.flush()
+
+    def _writable_head(self) -> bool:
+        """Whether flushes may write the dataset meta and the version
+        tree: not on a read-only dataset or store, nor on a sealed commit."""
+        return not (
+            self.read_only or self._commit_read_only or self.storage.read_only
+        )
 
     def rechunk(self, tensors: Optional[Sequence[str]] = None) -> Dict[str, int]:
         """Optimise chunk layout of the given (default: all) tensors."""

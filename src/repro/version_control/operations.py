@@ -35,23 +35,30 @@ ConflictPolicy = Union[None, str, Callable]
 def commit(ds, message: str = "") -> str:
     """Seal the current head as an immutable snapshot; returns its id.
 
-    Two coordinated ``ds.flush()`` calls and nothing else touch storage:
-    the first makes the head being sealed durable, the second writes the
-    fresh child — every tensor's state in one batch per key class, the
-    dataset meta last in the meta batch, then the version tree, so the
-    child stays unreachable until everything it names is durable.
+    ONE coordinated flush carrying two commits: the head is drained,
+    sealed, given a child the version state moves to, the child is drained,
+    and the two drains are merged class by class and written once —
+    chunks, then both commits' encoders and chunk sets, then both commits'
+    tensor metas with the two dataset metas last, then the version tree:
+    four round trips at any tensor count.  The child's keys sit under an
+    id no durable tree names until that last write, so riding the head's
+    batches weakens nothing: a crash between classes leaves what a crashed
+    flush of the head leaves, plus unreachable child files.
     """
     ds._check_writable()
-    ds.flush()
     tree = ds._tree
     vs = ds.version_state
+    head = ds._drain_flush_items()
     sealed = vs.commit_id
     tree.seal(sealed, message)
     child = tree.add_child(sealed, vs.branch)
     vs.commit_id = child.commit_id
     for engine in ds._engines.values():
         engine.begin_new_commit()
-    ds.flush()
+    ds._write_flush_items([
+        {**of_head, **of_child}
+        for of_head, of_child in zip(head, ds._drain_flush_items())
+    ])
     return sealed
 
 
@@ -290,8 +297,7 @@ def merge(
                     value = conflict_resolution(ours_values[ours_idx], value)
                 ds._update_with_sync(tensor, ours_idx, value)
 
-    message = commit_message or f"merge {target!r} into {vs.branch!r}"
-    merged = commit(ds, message)
-    ds._tree.node(merged).merge_parent = target_id
-    ds._tree.save(ds.storage)
-    return merged
+    # recorded on the head before commit seals it, so the commit's one
+    # tree write never makes a merge commit durable without it
+    tree.node(vs.commit_id).merge_parent = target_id
+    return commit(ds, commit_message or f"merge {target!r} into {vs.branch!r}")

@@ -83,6 +83,10 @@ class VersionTree:
     def __init__(self):
         self.commits: Dict[str, CommitNode] = {}
         self.branches: Dict[str, str] = {}  # branch -> head commit id
+        #: the serialisation storage holds, as last loaded or saved by
+        #: this object (``None``: the key was absent) — what makes
+        #: :meth:`save` a no-op on an unchanged tree
+        self.stored: Optional[bytes] = None
 
     # ------------------------------------------------------------------ #
 
@@ -102,18 +106,28 @@ class VersionTree:
             return cls.create_default()
         obj = json_loads(data)
         tree = cls()
+        tree.stored = bytes(data)
         tree.branches = dict(obj.get("branches", {}))
         for cid, node in obj.get("commits", {}).items():
             tree.commits[cid] = CommitNode.from_json(cid, node)
         return tree
 
     def save(self, storage: StorageProvider) -> None:
-        storage[K.version_control_info_key()] = json_dumps(
+        """Write the tree — the one PUT that makes a new commit or branch
+        reachable — unless it serialises to the bytes this object last
+        loaded or saved: an unchanged tree costs no round trip, and a
+        handle that changed nothing never overwrites another handle's
+        commit with its stale copy.  ``stored`` moves only after the PUT
+        returned, so a failed save is retried by the next one."""
+        data = json_dumps(
             {
                 "branches": self.branches,
                 "commits": {c: n.to_json() for c, n in self.commits.items()},
             }
         )
+        if data != self.stored:
+            storage[K.version_control_info_key()] = data
+            self.stored = data
 
     # ------------------------------------------------------------------ #
 

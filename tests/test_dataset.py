@@ -333,6 +333,15 @@ class TestPersistence:
         with pytest.raises(repro.DeepLakeError):
             repro.load(str(tmp_path / "nope"))
 
+    def test_load_without_a_version_tree_falls_back_to_the_probe(self):
+        storage = MemoryProvider("treeless")
+        ds = repro.empty(storage)
+        ds.create_tensor("x", dtype="int64")
+        ds.x.append(np.array([1], dtype=np.int64))
+        ds.flush()
+        del storage[K.version_control_info_key()]
+        assert len(repro.load(storage).x) == 1
+
     def test_read_only_dataset(self, tmp_path, rng):
         path = str(tmp_path / "ds4")
         ds = repro.empty(path)
@@ -390,11 +399,12 @@ class TestColdOpen:
                     )
                 for name in names:
                     assert all(map(np.array_equal, got[name], model))
-                # exists probe, version tree; then batches only: dataset
-                # metas, every tensor's state, the chunks
-                assert singles[-1] == K.version_control_info_key()
-                assert reqs.get("download") == len(singles) <= 2
-                assert sum(reqs.values()) <= 5, reqs
+                # the version tree (which also answers "is there a
+                # dataset?"); then batches only: dataset metas, every
+                # tensor's state, the chunks
+                assert singles == [K.version_control_info_key()]
+                assert reqs.get("download") == 1
+                assert sum(reqs.values()) <= 4, reqs
                 costs.append(reqs)
         assert all(cost == costs[0] for cost in costs), costs
 

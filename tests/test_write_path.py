@@ -4,12 +4,15 @@ Covers the `set_many` contract across every storage provider, batch
 charging on the simulated object store, crash-consistent flush ordering
 (chunks -> encoders -> meta), atomic append/extend under mid-batch
 failures, the killed-mid-flush reload guarantee (a failed flush, a failed
-``rechunk``, every N-th write across extend/commit), what a ``commit``
-costs in round trips, the one upload buffer (finalized, updated and
-rechunked chunks), where the write path's one thread pool runs, and the
-streaming ingest-while-serving scenario.
+``rechunk``, every N-th write across extend/commit/branch/merge and across
+``delete_tensor``), the write path's round-trip budget (a ``commit`` is one
+coordinated flush, a flush writes only what changed), the one upload
+buffer (finalized, updated and rechunked chunks; sealed chunks upload
+under the next call's staging), where the write path's one thread pool
+runs, and the streaming ingest-while-serving scenario.
 """
 
+import json
 import threading
 from collections import Counter
 
@@ -36,6 +39,7 @@ from repro.storage import (
     make_object_store,
 )
 from repro.util import keys as K
+from repro.util.ids import seed_ids
 from repro.workloads import smooth_image
 
 
@@ -71,6 +75,50 @@ class KillableProvider(MemoryProvider):
             raise RuntimeError("simulated process kill mid-flush")
         self.calls += 1
         super().set_many(items)
+
+
+class FailsNthWrite(MemoryProvider):
+    """Memory store whose writes and deletes all fail from the
+    ``fail_at``-th on — a process killed at that storage call."""
+
+    def __init__(self):
+        super().__init__("crash")
+        self.writes = 0
+        self.fail_at = None
+
+    def _tick(self):
+        self.writes += 1
+        if self.fail_at is not None and self.writes >= self.fail_at:
+            raise RuntimeError("killed")
+
+    def _set(self, key, value):
+        self._tick()
+        super()._set(key, value)
+
+    def _delete(self, key):
+        self._tick()
+        super()._delete(key)
+
+    def set_many(self, items):
+        self._tick()
+        super().set_many(items)
+
+
+def killed_at_every_write(setup, script):
+    """Run *script* on ``setup()``'s ``(storage, ds)`` once per storage
+    write it makes, the store dying at that write; yields ``(n, storage)``
+    for each reload to inspect."""
+    storage, ds = setup()
+    start = storage.writes
+    script(ds)
+    total = storage.writes - start
+    for n in range(1, total + 1):
+        storage, ds = setup()
+        storage.fail_at = storage.writes + n
+        with pytest.raises(RuntimeError, match="killed"):
+            script(ds)
+        storage.fail_at = None
+        yield n, storage
 
 
 class Boom:
@@ -603,6 +651,133 @@ class TestKilledMidFlush:
             check(loaded, head_rows)
 
 
+    def test_any_failed_write_across_branch_and_merge_reloads_to_a_prefix(
+        self, rng
+    ):
+        """The same enumeration over a script that ends ``checkout("dev",
+        create=True) -> extend -> commit -> checkout("main") ->
+        merge("dev")``: on either branch a reload sees a prefix of the
+        commits made there, every commit in it complete, and no reference
+        to a missing chunk."""
+        images = [
+            rng.integers(0, 255, (16, 16), dtype=np.uint8) for _ in range(40)
+        ]
+        labels = [np.int64(i) for i in range(40)]
+        auto = "auto commit before creating branch 'dev'"
+        merged = "merge 'dev' into 'main'"
+        commits = {"one": 20, auto: 20, "two": 40, merged: 40}
+        logs = {"main": ["one", auto, merged], "dev": ["one", auto, "two"]}
+
+        def setup():
+            storage = FailsNthWrite()
+            ds = repro.empty(storage, overwrite=True)
+            # two rows a chunk: each extend crosses the upload watermark
+            ds.create_tensor("a", dtype="uint8", max_chunk_size=512)
+            ds.create_tensor("b", dtype="int64")
+            ds.flush()
+            return storage, ds
+
+        def script(ds):
+            ds.extend({"a": images[:20], "b": labels[:20]})
+            ds.commit("one")
+            ds.checkout("dev", create=True)
+            ds.extend({"a": images[20:], "b": labels[20:]})
+            ds.commit("two")
+            ds.checkout("main")
+            ds.merge("dev")
+
+        def check(ds, rows):
+            for name in ds._all_tensor_names():
+                assert ds._engine(name).num_samples == rows, name
+            got = ds.read_rows(range(rows), tensors=["a", "b"])
+            assert all(map(np.array_equal, got["a"], images))
+            assert [int(v) for v in got["b"]] == list(range(rows))
+
+        seen = set()
+        for n, storage in killed_at_every_write(setup, script):
+            tree = repro.load(storage)._tree
+            for branch, head in tree.branches.items():
+                loaded = repro.load(storage)._at_commit(head)
+                log = [c.message for c in reversed(loaded.log())]
+                assert log == logs[branch][:len(log)], (n, branch, log)
+                for commit in loaded.log():
+                    check(loaded._at_commit(commit.commit_id),
+                          commits[commit.message])
+                    if commit.message == merged:
+                        assert commit.merge_parent is not None, n
+                head_rows = loaded._engine("a").num_samples
+                assert head_rows in (0, 20, 40), (n, branch, head_rows)
+                assert head_rows >= (commits[log[-1]] if log else 0)
+                check(loaded, head_rows)
+                seen.add((branch, tuple(log)))
+        # the kills landed on both sides of every commit but the merge,
+        # which is durable only with the script's last write
+        assert {len(log) for branch, log in seen if branch == "main"} == {
+            0, 1, 2
+        }
+        assert ("dev", ("one", auto, "two")) in seen
+
+    def test_a_merge_commit_is_never_durable_without_its_merge_parent(self):
+        """A store that fails its N-th write, for every N across a
+        ``merge``: a reload either lacks the merge commit or has it with
+        ``merge_parent`` set — the tree is written once, not once without
+        it and once with."""
+        rows = [np.arange(4, dtype=np.int64)] * 6
+        dev = []
+
+        def setup():
+            storage = FailsNthWrite()
+            ds = repro.empty(storage, overwrite=True)
+            ds.create_tensor("x", dtype="int64")
+            ds.x.extend(rows)
+            ds.commit("base")
+            ds.checkout("dev", create=True)
+            ds.x.extend(rows)
+            dev[:] = [ds.commit("dev work")]
+            ds.checkout("main")
+            return storage, ds
+
+        outcomes = set()
+        for n, storage in killed_at_every_write(
+            setup, lambda ds: ds.merge("dev")
+        ):
+            merges = [c for c in repro.load(storage).log()
+                      if c.message.startswith("merge")]
+            assert [c.merge_parent for c in merges] in ([], dev), n
+            outcomes.add(len(merges))
+        assert outcomes == {0}  # durable only with the last write, the tree
+        storage, ds = setup()
+        merged = ds.merge("dev")
+        assert repro.load(storage)._tree.node(merged).merge_parent == dev[0]
+
+    def test_delete_tensor_killed_at_any_write_leaves_a_dataset_that_opens(
+        self,
+    ):
+        """``delete_tensor`` stops naming the tensor before it deletes its
+        keys: killed after any write or delete, a reload opens, ``len()``
+        works and every tensor it names has the dataset's rows."""
+        rows = [np.arange(4, dtype=np.int64)] * 5
+
+        def setup():
+            storage = FailsNthWrite()
+            ds = repro.empty(storage, overwrite=True)
+            ds.create_tensor("a", dtype="int64")
+            ds.create_tensor("b", dtype="int64")
+            ds.extend({"a": rows, "b": rows})
+            ds.flush()
+            return storage, ds
+
+        named = set()
+        for n, storage in killed_at_every_write(
+            setup, lambda ds: ds.delete_tensor("b")
+        ):
+            loaded = repro.load(storage)
+            assert len(loaded) == 5, n
+            for name in loaded._all_tensor_names():
+                assert loaded._engine(name).num_samples == 5, (n, name)
+            named.add(tuple(sorted(loaded.tensors)))
+        assert named == {("a", "b"), ("a",)}  # killed before and after
+
     def test_crash_right_after_create_tensor_leaves_an_appendable_dataset(
         self,
     ):
@@ -625,53 +800,235 @@ class TestKilledMidFlush:
         assert len(again.x.sample_ids()) == 1
 
 
+def _int_dataset(store, names, rows=16):
+    ds = repro.empty(store, overwrite=True)
+    for name in names:
+        ds.create_tensor(name, dtype="int64")
+    ds.extend({
+        name: [np.arange(4, dtype=np.int64)] * rows for name in names
+    })
+    return ds
+
+
 class TestCommitRoundTrips:
-    def test_flush_writes_one_single_key(self):
+    """The write path's round-trip budget (docs/observability.md): a
+    request per dependency class that has something new to say, none per
+    flush *call*."""
+
+    def test_flush_writes_one_single_key(self, spent):
         """A flush is one batch per key class — the dataset meta the last
-        key of the meta batch, after every tensor meta it names — and one
-        single PUT: the version tree, last."""
+        key of the meta batch, after every tensor meta it names — and at
+        most one single PUT: the version tree, last, only when it
+        changed."""
         store = make_object_store("s3", clock=SimClock())
-        ds = repro.empty(store, overwrite=True)
-        for name in ("a", "b", "c"):
-            ds.create_tensor(name, dtype="int64")
-        ds.extend({
-            name: [np.arange(4, dtype=np.int64)] * 16
-            for name in ("a", "b", "c")
-        })
-        before = dict(store.requests_by_op)
+        ds = _int_dataset(store, ("a", "b", "c"))
+        ds._meta.info["note"] = "changed"
         _writes, singles, batches = record_writes(store)
-        ds.flush()
-        assert singles == [K.version_control_info_key()]
-        assert store.requests_by_op["upload"] - before["upload"] == 1
-        assert len(batches) == 3
+        with spent(store) as reqs:
+            ds.flush()  # rows and a dataset meta to write, the same tree
+        assert singles == [] and reqs == {"upload_batch": 3}
         assert [{K.key_class(key) for key in batch} for batch in batches] == [
             {K.KEY_CLASS_CHUNK}, {K.KEY_CLASS_ENCODER}, {K.KEY_CLASS_META},
         ]
         assert batches[-1][-1] == K.dataset_meta_key(ds.commit_id)
+        with spent(store) as reqs:
+            ds.flush()
+        assert reqs == {}  # nothing changed: nothing asked of the store
+        ds.commit("c")  # the tree changes: its one PUT, after the batches
+        assert singles == [K.version_control_info_key()]
 
     @pytest.mark.parametrize("tensors", [1, 3, 6])
-    def test_commit_costs_the_same_at_any_tensor_count(self, tensors):
-        """``commit()`` is two coordinated flushes: one batch per key
-        class for all tensors together (the dataset meta rides the meta
-        batch) plus the version tree each time — never one batch per
-        tensor."""
+    def test_commit_costs_the_same_at_any_tensor_count(self, tensors, spent):
+        """``commit()`` is ONE coordinated flush carrying the sealed head
+        and its child: one batch per key class for all tensors and both
+        commits together, then the version tree once — never a batch per
+        tensor, per commit or per flush call."""
+        store = make_object_store("s3", clock=SimClock())
+        ds = _int_dataset(store, [f"t{i}" for i in range(tensors)])
+        ds._meta.info["note"] = "changed"  # the head's dataset meta too
+        _writes, singles, batches = record_writes(store)
+        with spent(store) as reqs:
+            sealed = ds.commit("c")
+        assert reqs == {"upload": 1, "upload_batch": 3}
+        assert singles == [K.version_control_info_key()]
+        assert [{K.key_class(key) for key in batch} for batch in batches] == [
+            {K.KEY_CLASS_CHUNK}, {K.KEY_CLASS_ENCODER}, {K.KEY_CLASS_META},
+        ]
+        # both commits ride each state batch, both dataset metas last
+        child_root = K.commit_root(ds.commit_id)
+        for batch in batches[1:]:
+            assert {key.startswith(child_root) for key in batch} == {
+                True, False
+            }
+        assert batches[-1][-2:] == [
+            K.dataset_meta_key(sealed), K.dataset_meta_key(ds.commit_id),
+        ]
+        with spent(store) as reqs:
+            ds.flush()
+        assert reqs == {}
+
+    def test_create_tensor_is_two_round_trips(self, spent):
+        """Encoders, then metas (the dataset meta naming the tensor and
+        its companions last); the tree did not change."""
         store = make_object_store("s3", clock=SimClock())
         ds = repro.empty(store, overwrite=True)
-        names = [f"t{i}" for i in range(tensors)]
-        for name in names:
-            ds.create_tensor(name, dtype="int64")
+        with spent(store) as reqs:
+            ds.create_tensor("x", dtype="int64")
+        assert reqs == {"upload_batch": 2}
+
+    def test_ingest_script_round_trips(self, rng, spent):
+        """The shape of the benchmark's ``ingest_s3`` script: 3 tensors
+        with companions, 4 extends that each cross the watermark, a commit
+        every 2, a final flush."""
+        store = make_object_store("s3", clock=SimClock())
+        calls = []
+
+        def call(label, fn, *args, **kwargs):
+            with spent(store) as reqs:
+                out = fn(*args, **kwargs)
+            calls.append((label, sum(reqs.values())))
+            return out
+
+        ds = call("empty", repro.empty, store)
+        for name, kwargs in (
+            ("images", {"htype": "image", "sample_compression": "jpeg"}),
+            ("labels", {"dtype": "int32"}),
+            ("emb", {"dtype": "float32"}),
+        ):
+            call("create_tensor", ds.create_tensor, name,
+                 max_chunk_size=4096, **kwargs)
+        images = [smooth_image(rng, 32, 32, 3) for _ in range(96)]
+        for k in range(4):
+            call("extend", ds.extend, {
+                "images": images,
+                "labels": [np.int32(i) for i in range(96)],
+                "emb": [np.full(16, i, dtype=np.float32) for i in range(96)],
+            })
+            assert len(ds._engine("images")._pending_chunks) >= (
+                _WATERMARK_CHUNKS
+            )
+            if k % 2:
+                call("commit", ds.commit, f"batch {k}")
+        call("flush", ds.flush)
+        budget = {"empty": 3, "create_tensor": 2, "extend": 1, "commit": 4,
+                  "flush": 0}
+        assert all(n <= budget[label] for label, n in calls), calls
+        assert sum(n for _label, n in calls) <= 19, calls  # 32 at PR 23
+        assert len(repro.load(store)) == 4 * 96
+
+    def test_the_flush_schedule_changes_no_stored_byte(self, rng):
+        """Skipping unchanged writes, merging two commits' batches and
+        uploading sealed chunks late change *when* a key is written, never
+        what: the ingest script leaves the same keys and bytes as the same
+        script flushing after every call — which, like the schedule this
+        one replaced, writes every class at every step."""
+        images = [smooth_image(rng, 24, 24, 3) for _ in range(40)]
+
+        def ingest(eager):
+            seed_ids(7)
+            backing = MemoryProvider("bytes")
+            ds = repro.empty(backing)
+            ds.create_tensor("img", htype="image", sample_compression="jpeg",
+                             max_chunk_size=2048)
+            ds.create_tensor("label", dtype="int32")
+            for k in range(4):
+                ds.extend({"img": images,
+                           "label": [np.int32(i) for i in range(40)]})
+                if eager:
+                    ds.flush()
+                if k % 2:
+                    ds.commit(f"batch {k}")
+                    if eager:
+                        ds.flush()
+            ds.flush()
+            stored = {key: backing[key] for key in backing}
+            tree = json.loads(stored.pop(K.version_control_info_key()))
+            for node in tree["commits"].values():
+                node["commit_time"] = None  # the one wall-clock value
+            return stored, tree
+
+        assert ingest(eager=False) == ingest(eager=True)
+
+    def test_failed_writes_are_not_remembered(self):
+        """A flush or commit whose ``set_many`` / tree PUT raises must not
+        record the dataset meta or the tree as stored: the next flush
+        writes them."""
+
+        class Failing(MemoryProvider):
+            fail = None  # a predicate over a write's keys
+
+            def _set(self, key, value):
+                if self.fail and self.fail([key]):
+                    raise RuntimeError("refused")
+                super()._set(key, value)
+
+            def set_many(self, items):
+                if self.fail and self.fail(list(items)):
+                    raise RuntimeError("refused")
+                super().set_many(items)
+
+        store = Failing("failing")
+        ds = _int_dataset(store, ("a",))
+        ds.flush()
+        tree_key = K.version_control_info_key()
+        stored_tree = store[tree_key]
+
+        ds._meta.info["note"] = "first"
+        store.fail = lambda keys: any(K.key_class(k) == K.KEY_CLASS_META
+                                      for k in keys)
+        with pytest.raises(RuntimeError, match="refused"):
+            ds.flush()
+        store.fail = None
+        ds.flush()
+        assert repro.load(store)._meta.info["note"] == "first"
+
+        store.fail = lambda keys: keys == [tree_key]
+        with pytest.raises(RuntimeError, match="refused"):
+            ds.commit("c")
+        assert store[tree_key] == stored_tree
+        store.fail = None
+        ds.flush()  # the tree is still owed
+        assert [c.message for c in repro.load(store).log()] == ["c"]
+
+    def test_an_unchanged_handle_leaves_another_handles_commit_alone(self):
+        """Two handles on one store: a flush of the one whose tree did not
+        change no longer overwrites the other's commit with its stale
+        copy."""
+        store = MemoryProvider("two-handles")
+        stale = _int_dataset(store, ("a",))
+        stale.flush()
+        other = repro.load(store)
+        other.a.extend([np.arange(4, dtype=np.int64)] * 4)
+        other.commit("theirs")
+        stale.flush()
+        with stale:  # __exit__ flushes as well
+            assert len(stale.a) == 16
+        loaded = repro.load(store)
+        assert [c.message for c in loaded.log()] == ["theirs"]
+        assert len(loaded._at_commit(loaded.log()[0].commit_id).a) == 20
+
+    def test_schema_writes_keep_the_dataset_meta_memo_current(self, spent):
+        """``create_group`` and ``delete_tensor`` write the dataset meta
+        through the function a flush uses, so the flush after them has
+        nothing to add — and a deleted-then-recreated tensor is written,
+        never skipped as "already stored"."""
+        store = make_object_store("s3", clock=SimClock())
+        ds = _int_dataset(store, ("a", "b"))
+        ds.flush()
+        ds.create_group("g")
+        ds.delete_tensor("b")
+        with spent(store) as reqs:
+            ds.flush()
+        assert reqs == {}
+        assert repro.load(store).groups == ["g"]
+        ds.create_tensor("b", dtype="int64")
         ds.extend({
-            name: [np.arange(4, dtype=np.int64)] * 16 for name in names
+            name: [np.arange(4, dtype=np.int64)] * 3 for name in ("a", "b")
         })
-        before = dict(store.requests_by_op)
-        ds.commit("c")
-        spent = {
-            op: n - before.get(op, 0)
-            for op, n in store.requests_by_op.items()
-            if n - before.get(op, 0)
-        }
-        # sealed head: chunks, encoders, meta; child: encoders, meta
-        assert spent == {"upload": 2, "upload_batch": 5}
+        ds.flush()
+        loaded = repro.load(store)
+        assert (len(loaded.a), len(loaded.b)) == (19, 3)
+        assert np.array_equal(loaded.b[2].numpy(), np.arange(4))
 
 
 # --------------------------------------------------------------------------- #
@@ -716,20 +1073,127 @@ class TestWritePipeline:
         assert batches < chunk_uploads / 2
         assert pipelined.clock.now() < serial.clock.now()
 
-    def test_crossing_the_watermark_uploads_one_batch_before_flush(self):
+    def _watermark_dataset(self):
         store = make_object_store("s3", clock=SimClock())
         ds = repro.empty(store, overwrite=True)
         ds.create_tensor(
             "x", dtype="int64", max_chunk_size=256,
             create_shape_tensor=False, create_id_tensor=False,
         )
-        _writes, singles, batches = record_writes(store)
+        return store, ds, ds._engine("x")
+
+    @staticmethod
+    def _rows(n, start=0):
         # 32 bytes a row: 8 rows fill a chunk, so 80 rows finalize 10
-        ds.x.extend([np.arange(i, i + 4, dtype=np.int64) for i in range(80)])
-        assert len(batches) == 1 and len(batches[0]) >= _WATERMARK_CHUNKS
-        assert all(is_chunk(k) for k in batches[0])
-        assert not any(is_chunk(k) for k in singles)
-        assert not ds._engine("x")._pending_chunks
+        return [np.arange(i, i + 4, dtype=np.int64)
+                for i in range(start, start + n)]
+
+    def test_crossing_the_watermark_uploads_one_batch_before_flush(self):
+        """The chunks an extend seals go out while the *next* call stages
+        (or with the next flush): once, one batch of chunk keys only, and
+        nothing stays pending behind it."""
+        for drain, rows in (("next extend", 84), ("flush", 80)):
+            store, ds, engine = self._watermark_dataset()
+            writes, singles, batches = record_writes(store)
+            ds.x.extend(self._rows(80))
+            assert batches == []  # the extend itself asks nothing of the store
+            sealed = list(engine._pending_chunks)
+            assert len(sealed) >= _WATERMARK_CHUNKS
+            if drain == "next extend":
+                ds.x.extend(self._rows(4, start=80))
+                assert len(batches) == 1  # before any flush
+            else:
+                ds.flush()
+            assert sorted(batches[0]) == sorted(
+                K.chunk_key(ds.commit_id, "x", name) for name in sealed
+            )
+            assert not set(sealed) & set(engine._pending_chunks)
+            ds.flush()
+            assert not any(is_chunk(k) for k in singles)
+            assert {writes[key] for key in batches[0]} == {1}  # once
+            assert not engine._pending_chunks
+            assert len(repro.load(store).x) == rows
+
+    def test_an_append_loop_keeps_the_buffer_at_the_watermark(self):
+        """Row at a time, the buffer never holds more than
+        ``_WATERMARK_CHUNKS`` sealed chunks once a call has returned."""
+        store, ds, engine = self._watermark_dataset()
+        for row in self._rows(200):
+            ds.x.append(row)
+            assert len(engine._pending_chunks) <= _WATERMARK_CHUNKS
+        assert store.requests_by_op["upload_batch"] >= 3  # pre-flush
+        ds.flush()
+        assert len(repro.load(store).x) == 200
+
+    def test_chunks_never_upload_mid_commit(self):
+        """Staging uploads *before* the commit starts, so a batch that
+        fails half-way still rolls back over chunks that are all in
+        memory: the engine is exactly as the failed call found it."""
+        store, ds, engine = self._watermark_dataset()
+        in_commit, drained_in_commit = [], []
+        commit, drain = engine.commit_appends, engine._serialize_pending
+
+        def recording_commit(plan):
+            in_commit.append(True)
+            try:
+                return commit(plan)
+            finally:
+                in_commit.pop()
+
+        def recording_drain():
+            drained_in_commit.append(bool(in_commit))
+            return drain()
+
+        engine.commit_appends = recording_commit
+        engine._serialize_pending = recording_drain
+        ds.x.extend(self._rows(80))
+        ds.x.extend(self._rows(80, start=80))  # uploads the first 10 chunks
+        pending = list(engine._pending_chunks)
+        with pytest.raises(FormatError):  # stages, uploads, fails to commit
+            ds.x.extend(self._rows(40) + [np.zeros((2, 2), dtype=np.int64)])
+        assert drained_in_commit == [False, False]
+        assert engine.num_samples == 160
+        # nothing the failed batch sealed stays buffered
+        assert set(engine._pending_chunks) <= set(pending)
+        ds.flush()
+        got = repro.load(store).x.numpy()
+        assert np.array_equal(got, np.stack(self._rows(160)))
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_a_failed_upload_during_staging_registers_nothing(
+        self, rng, pooled
+    ):
+        """An upload error raised while staging abandons the batch — no
+        row of it is registered — and leaves the engine as a failed
+        watermark upload always has: the drained chunks are gone from the
+        buffer, the rows they hold still counted and readable."""
+        store = KillableProvider()
+        ds = repro.empty(store, overwrite=True)
+        if pooled:
+            ds.create_tensor("x", htype="image", sample_compression="jpeg",
+                             max_chunk_size=1024, create_shape_tensor=False,
+                             create_id_tensor=False)
+            rows = [smooth_image(rng, 16, 16, 3) for _ in range(40)]
+        else:
+            ds.create_tensor("x", dtype="int64", max_chunk_size=256,
+                             create_shape_tensor=False,
+                             create_id_tensor=False)
+            rows = self._rows(80)
+        engine = ds._engine("x")
+        ds.x.extend(rows)
+        assert len(engine._pending_chunks) >= _WATERMARK_CHUNKS
+        before = (engine.num_samples, engine.enc.tobytes(),
+                  engine.meta.to_json(), engine.commit_diff.to_json())
+        store.kill_after = store.calls  # the next set_many: the chunks
+        with pytest.raises(RuntimeError, match="simulated process kill"):
+            ds.x.extend(rows)
+        store.kill_after = None
+        assert before == (engine.num_samples, engine.enc.tobytes(),
+                          engine.meta.to_json(), engine.commit_diff.to_json())
+        assert len(engine._pending_chunks) < _WATERMARK_CHUNKS
+        assert len(ds.x.numpy(aslist=True)) == len(rows)  # from the cache
+        ds.x.extend(rows)  # the engine keeps working
+        assert engine.num_samples == 2 * len(rows)
 
 
 class TestModifiedChunksAreBuffered:
