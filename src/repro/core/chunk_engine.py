@@ -106,7 +106,6 @@ from repro.core import tiling
 from repro.core.htypes import validate_sample
 from repro.exceptions import (
     FormatError,
-    KeyNotFound,
     LinkError,
     SampleIndexError,
 )
@@ -114,6 +113,7 @@ from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.storage.provider import StorageProvider
 from repro.util import keys as K
+from repro.util.inflight import InFlight
 from repro.util.json_util import json_dumps, json_loads
 
 _HEADER_PROBE = 4096  # first ranged request size when reading chunk headers
@@ -248,6 +248,7 @@ class ChunkEngine:
         self._chunk_cache_bytes = 0
         self._chunk_cache_budget = cache_bytes
         self._header_cache: Dict[str, ChunkHeader] = {}
+        self._inflight = InFlight()  # chunk fetches in flight, by storage key
 
         # commit id -> names of the chunks that commit owns, for every
         # commit of the chain; ``chunk_set`` is the current commit's entry
@@ -1339,22 +1340,6 @@ class ChunkEngine:
                 to_fetch[key] = name
         return chunks, to_fetch
 
-    def _absorb_fetched(
-        self,
-        to_fetch: Dict[str, str],
-        blobs: Dict[str, bytes],
-        chunks: Dict[str, Chunk],
-    ) -> None:
-        """Decode fetched blobs into *chunks* (and the decoded-chunk
-        cache)."""
-        for key, name in to_fetch.items():
-            blob = blobs.get(key)
-            if blob is None:
-                raise KeyNotFound(key)
-            chunk = self._decode_chunk(blob, name)
-            self._cache_put(key, chunk)
-            chunks[name] = chunk
-
     def execute_plan(self, plan: ReadPlan, aslist: bool = False,
                      decode: bool = True,
                      _chunks: Optional[Dict[str, Chunk]] = None):
@@ -1432,21 +1417,6 @@ class ChunkEngine:
         return column_rows(self.execute_plan(
             plan, decode=decode, _chunks=read_plan.fetch_ranged(self, plan),
         ))
-
-    def plan_residency(self, plan: ReadPlan) -> Tuple[int, int]:
-        """Side-effect-free ``(hits, misses)`` peek for *plan* right now.
-
-        Active write-back chunks and cache-resident chunks count as hits;
-        the rest would be fetched.  Used for per-request cache attribution
-        (per-tenant serve stats) without touching the shared counters.
-        """
-        with self._lock:
-            resident = sum(
-                1 for key in plan.chunk_keys.values()
-                if key in self._chunk_cache
-            )
-        hits = resident + len(plan.active_chunks)
-        return hits, len(plan.chunk_keys) - resident
 
     def read_shape(self, index: int) -> Tuple[int, ...]:
         """Sample shape without decoding payloads where possible."""

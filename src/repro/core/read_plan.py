@@ -10,7 +10,8 @@ a time, never a row at a time:
   chunk ordinal into ``names`` and a local index.  Only the distinct
   chunks are walked in Python (storage key, prunability), once each;
 - **fetch** (:meth:`FusedReadPlan._fetch_all`): the missing chunks of
-  every tensor of a request in one ``get_many``;
+  every tensor of a request in one ``get_many``, joining (not repeating)
+  the fetches another plan has in flight;
 - **slice** (:func:`slice_plan`): a chunk whose data section is its
   samples' raw arrays laid end to end (:meth:`Chunk.dense`) is sliced
   with ONE gather, ``dense[locals]``, into the ``(n, *shape)`` column.
@@ -29,6 +30,7 @@ for the entry points whose contract is a list.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -36,7 +38,7 @@ import numpy as np
 from repro.core import tiling
 from repro.core.chunk import Chunk
 from repro.core.encoders import ChunkIdEncoder
-from repro.exceptions import SampleIndexError
+from repro.exceptions import KeyNotFound, SampleIndexError
 from repro.obs import tracing as _tracing
 from repro.storage.provider import StorageProvider
 
@@ -482,10 +484,14 @@ class FusedReadPlan:
     results are byte-identical, only the round-trip count changes.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "joined", "fetched", "row_bytes")
 
     def __init__(self):
         self.parts: List[Tuple["ChunkEngine", ReadPlan]] = []
+        #: of the last fetch: keys joined, ``{key: blob bytes}`` fetched, and
+        #: the most stored bytes per row of a fetched chunk, summed by engine
+        self.joined, self.row_bytes = 0, 0.0
+        self.fetched: Dict[str, int] = {}
 
     def add(self, engine: "ChunkEngine", plan: ReadPlan) -> "FusedReadPlan":
         self.parts.append((engine, plan))
@@ -503,45 +509,60 @@ class FusedReadPlan:
 
     def _fetch_all(self) -> List[Dict[str, Chunk]]:
         """Resident chunks per part, every miss fetched and decoded — the
-        one routine through which missing chunks reach memory: the
-        misses of all parts go out in one ``get_many`` per distinct
-        storage provider."""
-        resident: List[Dict[str, Chunk]] = []
-        part_fetches: List[Dict[str, str]] = []  # per part: key -> name
-        batches: Dict[int, Tuple[StorageProvider, Set[str]]] = {}
+        one routine through which missing chunks reach memory.  The plan
+        leads the misses nobody is fetching (ONE ``get_many`` per storage
+        provider) and joins the engines' flights of the rest."""
+        self.fetched, self.row_bytes, self.joined = {}, 0.0, 0
+        resident = []
+        wants: Dict[int, Tuple["ChunkEngine", Dict[str, str]]] = {}
         for engine, plan in self.parts:
             chunks, to_fetch = engine._plan_resident_chunks(plan)
-            resident.append(chunks)
-            part_fetches.append(to_fetch)
-            if to_fetch:
-                batches.setdefault(
-                    id(engine.storage), (engine.storage, set())
-                )[1].update(to_fetch)
-        if batches:
+            resident.append((engine, chunks, to_fetch))
+            if to_fetch:  # key -> name, merged over parts of one engine
+                wants.setdefault(id(engine), (engine, {}))[1].update(to_fetch)
+        if not wants:  # all resident: no table is touched
+            return [chunks for _engine, chunks, _to_fetch in resident]
+        claims = {i: (engine, want, *engine._inflight.claim(want))
+                  for i, (engine, want) in wants.items()}
+        batches: Dict[int, Tuple[StorageProvider, List[str]]] = {}
+        for engine, _want, led, _followed in claims.values():
+            for key, flight in led.items():
+                # a leader caches its chunk before its flight leaves the
+                # table: one that landed since the residency check is here
+                flight.value = engine._cache_peek(key)
+                if flight.value is None:
+                    batches.setdefault(
+                        id(engine.storage), (engine.storage, [])
+                    )[1].append(key)
+        self.joined = sum(len(claim[3]) for claim in claims.values())
+        with ExitStack() as landing:
+            for engine, _want, led, _followed in claims.values():
+                landing.enter_context(engine._inflight.leading(led))
             blobs: Dict[str, bytes] = {}
-            with _tracing.span(
-                "engine.fetch_chunks", tensors=len(self.parts),
-                chunks=sum(len(keys) for _s, keys in batches.values()),
-            ):
-                for storage, want in batches.values():
-                    blobs.update(storage.get_many(sorted(want)))
-            for (engine, _plan), chunks, to_fetch in zip(
-                self.parts, resident, part_fetches
-            ):
-                if not to_fetch:
-                    continue
-                # an earlier part of the same engine may have decoded a
-                # shared chunk already (duplicate tensor in the request)
-                still: Dict[str, str] = {}
-                for key, name in to_fetch.items():
-                    cached = engine._cache_peek(key)
-                    if cached is not None:
-                        chunks[name] = cached
-                    else:
-                        still[key] = name
-                if still:
-                    engine._absorb_fetched(still, blobs, chunks)
-        return resident
+            if batches:
+                with _tracing.span(
+                    "engine.fetch_chunks", tensors=len(self.parts),
+                    chunks=sum(len(keys) for _s, keys in batches.values()),
+                ):
+                    for storage, keys in batches.values():
+                        blobs.update(storage.get_many(sorted(keys)))
+            for engine, want, led, _followed in claims.values():
+                rate = 0.0
+                for key, flight in led.items():
+                    if flight.value is None:
+                        if key not in blobs:
+                            raise KeyNotFound(key)
+                        flight.value = engine._decode_chunk(blobs[key],
+                                                            want[key])
+                        engine._cache_put(key, flight.value)
+                        self.fetched[key] = n = len(blobs[key])
+                        rate = max(rate, n / max(1, flight.value.num_samples))
+                self.row_bytes += rate
+        for engine, chunks, to_fetch in resident:
+            for key, name in to_fetch.items():
+                _e, _w, led, followed = claims[id(engine)]
+                chunks[name] = (led.get(key) or followed[key]).wait()
+        return [chunks for _engine, chunks, _to_fetch in resident]
 
     def execute(self, decode: bool = True, aslist: bool = False) -> List:
         """Run every part; returns one column per part, in :meth:`add`

@@ -14,7 +14,7 @@ behind a shared front door):
   goes through :meth:`DatasetServer._batched_blobs`: a request leads the
   fetch of the keys nobody is fetching (ONE backend ``get_many`` for all
   of them) and joins the in-flight fetch of the rest instead of issuing
-  its own; followers are counted as *coalesced*.
+  its own (:mod:`repro.util.inflight`); followers count as *coalesced*.
 - **Request coalescing** — byte-range requests are served by caching the
   *full* chunk once and slicing in memory, so a storm of sub-range reads
   against an 8 MB chunk costs one backend GET (blobs larger than the
@@ -37,6 +37,7 @@ behind a shared front door):
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import Counter
@@ -62,6 +63,7 @@ from repro.serve.transport import (
 from repro.storage.lru_cache import LRUCache
 from repro.storage.memory import MemoryProvider
 from repro.storage.provider import StorageProvider, clamp_range
+from repro.util.inflight import InFlight
 
 _SEP = "\x00"  # dataset/key namespace separator inside the shared cache
 
@@ -198,22 +200,6 @@ class TenantStats:
         return {name: self._exact[name].value for name in self.FIELDS}
 
 
-class _Flight:
-    """One in-flight backend fetch that followers can join.
-
-    ``stale`` is set by a concurrent put/delete: the fetch started before
-    the write, so whatever it caches must be dropped once it lands.
-    """
-
-    __slots__ = ("event", "value", "exc", "stale")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.value: Optional[bytes] = None
-        self.exc: Optional[BaseException] = None
-        self.stale = False
-
-
 class DatasetServer:
     """Hosts datasets behind the serve protocol (thread-safe)."""
 
@@ -244,8 +230,7 @@ class DatasetServer:
         self._total_inflight = 0
         self._stats_lock = threading.Lock()
         self._tenants: Dict[str, TenantStats] = {}
-        self._flights: Dict[str, _Flight] = {}
-        self._flight_lock = threading.Lock()
+        self._inflight = InFlight()  # single-flight over the shared cache
         # lazily-opened Dataset views used by the read_batch sample op
         self._served_views: Dict[str, object] = {}
         self._views_lock = threading.Lock()
@@ -258,6 +243,8 @@ class DatasetServer:
         # trackers + speculative-fetch accounting (units are chunks)
         self._prefetch_lock = threading.Lock()
         self._prefetch_trackers: Dict[Tuple[str, str, Tuple[str, ...]], dict] = {}
+        self._ahead_bytes = 0  # unclaimed read-ahead + tasks' reservations
+        self._ticks = 0  # read_batch windows seen: a stream's pace is in these
         self._prefetch_futures: List[object] = []
         # speculation runs on the server's own threads, never a tenant's
         # request thread; created on first use, shut down in stop()
@@ -270,6 +257,7 @@ class DatasetServer:
             f: reg.counter(f"serve.prefetch_{f}", server=name)
             for f in ("issued", "hits", "wasted")
         }
+        self._prefetch_errors = reg.counter("serve.prefetch_errors", server=name)
 
     # ------------------------------------------------------------------ #
     # hosting / lifecycle
@@ -296,6 +284,11 @@ class DatasetServer:
             self._datasets.pop(name, None)
         with self._views_lock:
             self._served_views.pop(name, None)
+        with self._prefetch_lock:  # its streams' read-ahead is wasted
+            for key in [k for k in self._prefetch_trackers if k[1] == name]:
+                tr = self._prefetch_trackers.pop(key)
+                self._retire(tr, list(tr["outstanding"]), "wasted")
+                tr["ahead_end"] = 0  # a task in flight lands as wasted
 
     def _served_dataset(self, name: str):
         """Dataset view over a hosted backend, reading through the shared
@@ -520,7 +513,7 @@ class DatasetServer:
 
         The hosted dataset is read through the shared chunk cache, so the
         ReadPlan's chunk fetches land once per chunk server-wide; the
-        engine's decoded-chunk hit/miss delta is surfaced per tenant.
+        request's own decoded-chunk hits and misses are surfaced per tenant.
         The tensors' plans are fused so every column's misses reach the
         backend in ONE ``get_many``; each request also feeds the
         per-tenant stride tracker that drives server-push prefetch of the
@@ -534,21 +527,17 @@ class DatasetServer:
         names = tuple(req.tensors)
         rows = list(req.rows)
         # always plan + execute (even for one row): serving wants chunks
-        # resident in the shared cache for the tenants that come next,
-        # and residency is computed per request, not as a delta on shared
-        # counters — concurrent tenants must not claim each other's I/O
-        hits = misses = 0
-        plans = []
-        for name, engine in zip(names, ds._open_engines(names)):
-            plan = engine.plan_reads(rows)
-            h, m = engine.plan_residency(plan)
-            hits += h
-            misses += m
-            plans.append((name, engine, plan))
+        # resident in the shared cache for the tenants that come next
+        plans = [(name, engine, engine.plan_reads(rows))
+                 for name, engine in zip(names, ds._open_engines(names))]
         fused = FusedReadPlan()
         for _name, engine, plan in plans:
             fused.add(engine, plan)
         column_values = fused.execute()
+        # this request's own residency: what it fetched or joined missed,
+        # and a joined chunk (another's flight) is also a coalesced hit
+        misses = len(fused.fetched) + fused.joined
+        self._count_outcomes(tenant, ["coalesced"] * fused.joined)
         columns = {}
         for (name, _engine, _plan), values in zip(plans, column_values):
             triples = []
@@ -566,25 +555,17 @@ class DatasetServer:
             columns[name] = tuple(triples)
         tenant.inc("samples_served",
                    sum(len(t) for t in columns.values()))
-        tenant.inc("chunk_cache_hits", hits)
+        tenant.inc("chunk_cache_hits", fused.num_chunks - misses)
         tenant.inc("chunk_cache_misses", misses)
         self._note_read_window(req.tenant, req.dataset, names, rows,
-                               plans, ds)
+                               plans, ds, fused)
         return Response(columns=columns)
 
     # -- server-push prefetch ---------------------------------------------
 
-    @property
-    def prefetch_issued(self) -> int:
-        return self._prefetch_exact["issued"].value
-
-    @property
-    def prefetch_hits(self) -> int:
-        return self._prefetch_exact["hits"].value
-
-    @property
-    def prefetch_wasted(self) -> int:
-        return self._prefetch_exact["wasted"].value
+    prefetch_issued = property(lambda s: s._prefetch_exact["issued"].value)
+    prefetch_hits = property(lambda s: s._prefetch_exact["hits"].value)
+    prefetch_wasted = property(lambda s: s._prefetch_exact["wasted"].value)
 
     def _prefetch_inc(self, field: str, n: int = 1) -> None:
         if n:
@@ -593,96 +574,140 @@ class DatasetServer:
 
     def _note_read_window(self, tenant: str, dataset: str,
                           names: Tuple[str, ...], rows: List[int],
-                          plans: list, ds) -> None:
+                          plans: list, ds, fused) -> None:
         """Feed the stride tracker with one ``read_batch`` window.
 
-        A tenant reading contiguous ascending windows back to back is
-        *sequential*: the second consecutive window triggers speculative
-        execution of the next one on the prefetch pool.  Chunks the tracker
-        fetched ahead count as *hits* when a later request plans them and
-        as *wasted* when the stride breaks with them still unclaimed.
+        From a tenant's second contiguous ascending window on, its tracker
+        keeps ONE task on the prefetch pool reading ahead ``[max(end,
+        ahead_end), end + window)``.  The window starts at one request's
+        rows, doubles whenever a request claims read-ahead chunks (a
+        *hit*), resets when the stride breaks (unclaimed chunks are
+        *wasted*), and is capped so that unclaimed read-ahead bytes,
+        server-wide, stay within half the shared cache (a row costs the
+        densest chunks the stream's own *fused* fetches measured); streams
+        that stopped give theirs back (:meth:`_retire_idle`).
         """
         if self.cache is None or not rows:
             return
         start, end = rows[0], rows[-1] + 1
         sequential = rows == list(range(start, end))
-        key = (tenant, dataset, names)
-        current_keys: Set[str] = set()
-        for _name, _engine, plan in plans:
-            current_keys.update(plan.chunk_keys.values())
-        hit = wasted = 0
-        schedule = False
+        current = {key for _n, _e, plan in plans
+                   for key in plan.chunk_keys.values()}
         with self._prefetch_lock:
-            tr = self._prefetch_trackers.get(key)
-            if tr is None:
-                tr = self._prefetch_trackers[key] = {
-                    "last_end": None,
-                    "outstanding": set(),
-                    "inflight": False,
-                }
-            claimed = current_keys & tr["outstanding"]
-            hit = len(claimed)
-            tr["outstanding"] -= claimed
-            if sequential and tr["last_end"] == start:
-                schedule = not tr["inflight"]
-                if schedule:
-                    tr["inflight"] = True
-            else:
+            self._ticks += 1
+            tr = self._prefetch_trackers.setdefault((tenant, dataset, names), {
+                "last_end": None, "ahead_end": 0, "window": len(rows),
+                "span": 0, "tick": 0, "pace": 1, "row_bytes": 0.0, "slack": 0,
+                "outstanding": {},  # read-ahead chunk key -> blob bytes
+                "inflight": None,   # bytes reserved by the task in flight
+                "taken": set(),     # keys planned while the task flies
+            })
+            tr["span"], tr["pace"], tr["tick"] = (
+                len(rows), self._ticks - tr["tick"], self._ticks)
+            if fused.fetched:  # slack: its largest chunk once per tensor
+                tr["row_bytes"] = max(tr["row_bytes"], fused.row_bytes)
+                tr["slack"] = max(tr["slack"],
+                                  max(fused.fetched.values()) * len(names))
+            if tr["inflight"] is not None:
+                tr["taken"] |= current
+            claimed = current.intersection(tr["outstanding"])
+            self._retire(tr, claimed, "hits")
+            streaming = sequential and tr["last_end"] == start
+            if not streaming:
                 # stride broke: whatever is still speculatively resident
                 # was fetched for a future this tenant abandoned
-                wasted = len(tr["outstanding"])
-                tr["outstanding"].clear()
+                self._retire(tr, list(tr["outstanding"]), "wasted")
+                tr["window"], tr["ahead_end"] = len(rows), 0
+            elif claimed:
+                self._grow(tr)
             tr["last_end"] = end if sequential else None
-            if schedule:
-                if self._prefetch_pool is None:
-                    self._prefetch_pool = ThreadPoolExecutor(
-                        max_workers=2,
-                        thread_name_prefix=f"{self.name}-prefetch",
-                    )
-                fut = self._prefetch_pool.submit(
-                    self._prefetch_window, key, ds, names, end, len(rows)
+            per_row, slack = tr["row_bytes"], tr["slack"]
+            if not streaming or tr["inflight"] is not None or not per_row:
+                return
+            lo = max(end, tr["ahead_end"])
+            hi = min(end + tr["window"],
+                     max(engine.num_samples for _n, engine, _p in plans))
+            budget = self.cache.cache_size // 2 - slack
+            if lo < hi and (hi - lo) * per_row > budget - self._ahead_bytes:
+                self._retire_idle()
+            hi = min(hi, lo + int((budget - self._ahead_bytes) // per_row))
+            if hi <= lo:
+                return
+            tr["inflight"] = math.ceil((hi - lo) * per_row) + slack
+            tr["ahead_end"] = hi
+            self._ahead_bytes += tr["inflight"]
+            if self._prefetch_pool is None:
+                self._prefetch_pool = ThreadPoolExecutor(
+                    max_workers=2,
+                    thread_name_prefix=f"{self.name}-prefetch",
                 )
-                self._prefetch_futures = [
-                    f for f in self._prefetch_futures if not f.done()
-                ]
-                self._prefetch_futures.append(fut)
-        self._prefetch_inc("hits", hit)
-        self._prefetch_inc("wasted", wasted)
+            fut = self._prefetch_pool.submit(
+                self._prefetch_window, tr, ds, names, lo, hi
+            )
+            self._prefetch_futures = [
+                f for f in self._prefetch_futures if not f.done()
+            ]
+            self._prefetch_futures.append(fut)
 
-    def _prefetch_window(self, key, ds, names: Tuple[str, ...],
-                         start: int, count: int) -> None:
-        """Speculatively fetch+decode rows ``[start, start+count)`` for
-        every tensor of *key* into the shared cache (runs on the prefetch
-        pool).  Speculative work must never surface errors to tenants."""
+    def _retire(self, tr: dict, keys, field: str) -> None:
+        """Read-ahead chunks *keys* leave ``outstanding`` as *field*."""
+        for key in keys:
+            self._ahead_bytes -= tr["outstanding"].pop(key)
+        self._prefetch_inc(field, len(keys))
+
+    def _grow(self, tr: dict) -> None:
+        """Double the window, within what the budget could ever hold."""
+        most = int((self.cache.cache_size // 2 - tr["slack"])
+                   // tr["row_bytes"])
+        tr["window"] = max(tr["window"], min(2 * tr["window"], most))
+
+    def _retire_idle(self) -> None:
+        """Streams that stopped give their read-ahead back: one that has
+        missed, at its own pace, more requests than it takes to consume
+        what was read ahead for it is wasted, and starts anew."""
+        for tr in self._prefetch_trackers.values():
+            missed = (self._ticks - tr["tick"]) // tr["pace"] - 1
+            if tr["outstanding"] and tr["inflight"] is None and (
+                    missed * tr["span"] >= tr["ahead_end"] - tr["last_end"]):
+                self._retire(tr, list(tr["outstanding"]), "wasted")
+                tr["last_end"] = None
+
+    def _prefetch_window(self, tr: dict, ds, names: Tuple[str, ...],
+                         start: int, stop: int) -> None:
+        """Speculatively fetch+decode rows ``[start, stop)`` of every
+        tensor of *names* with one fused ``get_many`` (runs on the prefetch
+        pool).  Speculative work never surfaces errors to tenants: a
+        failure is counted in ``serve.prefetch_errors``."""
         from repro.core.chunk_engine import FusedReadPlan
 
-        issued: Set[str] = set()
+        fused = FusedReadPlan()
         try:
             with _tracing.span("serve.push_prefetch", server=self.name,
-                               rows=count, tensors=len(names)):
-                fused = FusedReadPlan()
+                               rows=stop - start, tensors=len(names)):
                 for name in names:
                     engine = ds._engine(name)
-                    n = engine.num_samples
-                    rows = list(range(min(start, n), min(start + count, n)))
-                    if not rows:
-                        continue
-                    plan = engine.plan_reads(rows)
-                    _resident, to_fetch = engine._plan_resident_chunks(plan)
-                    issued.update(to_fetch)
-                    fused.add(engine, plan)
-                if issued:
-                    fused.prefetch()
-        except BaseException:  # noqa: BLE001 - speculative, never propagate
-            issued = set()
+                    rows = range(start, min(stop, engine.num_samples))
+                    if rows:
+                        fused.add(engine, engine.plan_reads(rows))
+                fused.prefetch()
+        except Exception:  # noqa: BLE001 - speculative: counted, not raised
+            self._prefetch_errors.inc()
         finally:
             with self._prefetch_lock:
-                tr = self._prefetch_trackers.get(key)
-                if tr is not None:
-                    tr["inflight"] = False
-                    if issued:
-                        tr["outstanding"] |= issued
-            self._prefetch_inc("issued", len(issued))
+                issued = fused.fetched
+                # fetched again: its first copy left the cache unclaimed
+                self._retire(tr, tr["outstanding"].keys() & issued, "wasted")
+                tr["outstanding"].update(issued)
+                self._ahead_bytes += sum(issued.values()) - tr["inflight"]
+                self._prefetch_inc("issued", len(issued))
+                # what a request planned while this task flew is claimed
+                taken = tr["taken"].intersection(issued)
+                tr["inflight"], tr["taken"] = None, set()
+                self._retire(tr, taken, "hits")
+                if tr["ahead_end"] != stop:  # its stream broke meanwhile
+                    self._retire(tr, issued.keys() - taken, "wasted")
+                elif taken:
+                    self._grow(tr)
 
     def drain_prefetch(self) -> None:
         """Wait for every in-flight speculative prefetch to settle (test
@@ -693,10 +718,7 @@ class DatasetServer:
             if not futures:
                 return
             for fut in futures:
-                try:
-                    fut.result()
-                except BaseException:  # noqa: BLE001 - already swallowed
-                    pass
+                fut.result()
 
     def _batched_blobs(
         self, dataset: str, keys: Sequence[str]
@@ -723,8 +745,7 @@ class DatasetServer:
             return blobs, dict.fromkeys(blobs, "miss")
         out: Dict[str, bytes] = {}
         outcomes: Dict[str, str] = {}
-        leaders: Dict[str, Tuple[str, _Flight]] = {}  # mux key -> (key, flight)
-        followers: Dict[str, _Flight] = {}
+        cold: Dict[str, str] = {}  # mux key -> key
         for key in dict.fromkeys(keys):
             mkey = _mux_key(dataset, key)
             if cache.is_cached(mkey):
@@ -734,41 +755,24 @@ class DatasetServer:
                     continue
                 except KeyNotFound:
                     pass  # raced an eviction; fetch below
-            with self._flight_lock:
-                flight = self._flights.get(mkey)
-                if flight is None:
-                    flight = self._flights[mkey] = _Flight()
-                    leaders[mkey] = (key, flight)
-                else:
-                    followers[key] = flight
+            cold[mkey] = key
+        leaders, followers = self._inflight.claim(cold)
         if leaders:
-            try:
+            # a put/delete that raced the fetch leaves the flight stale: the
+            # cached bytes predate the write and must not be served again
+            with self._inflight.leading(leaders, on_stale=cache.invalidate):
                 blobs = cache.get_many(list(leaders))
-                for mkey, (key, flight) in leaders.items():
+                for mkey, flight in leaders.items():
                     blob = blobs.get(mkey)
                     if blob is None:
-                        flight.exc = KeyNotFound(key)
+                        flight.exc = KeyNotFound(cold[mkey])
                         continue
                     if len(blob) > cache.cache_size:
                         self._oversize.add(mkey)
-                    flight.value = out[key] = blob
-                    outcomes[key] = "miss"
-            except BaseException as e:  # noqa: BLE001 - settle followers
-                for _key, flight in leaders.values():
-                    if flight.value is None and flight.exc is None:
-                        flight.exc = e
-                raise
-            finally:
-                with self._flight_lock:
-                    for mkey in leaders:
-                        self._flights.pop(mkey, None)
-                for mkey, (_key, flight) in leaders.items():
-                    if flight.stale:
-                        # a put/delete raced the fetch; the cached bytes
-                        # predate the write and must not be served again
-                        cache.invalidate(mkey)
-                    flight.event.set()
-        for key, flight in followers.items():
+                    flight.value = out[cold[mkey]] = blob
+                    outcomes[cold[mkey]] = "miss"
+        for mkey, flight in followers.items():
+            key = cold[mkey]
             flight.event.wait()
             if flight.stale:
                 # a write completed while that fetch was in flight; a read
@@ -790,10 +794,7 @@ class DatasetServer:
             self._served_views.pop(dataset, None)
         mkey = _mux_key(dataset, key)
         self._oversize.discard(mkey)
-        with self._flight_lock:
-            flight = self._flights.get(mkey)
-            if flight is not None:
-                flight.stale = True
+        self._inflight.mark_stale(mkey)
         if self.cache is not None:
             self.cache.invalidate(mkey)
 
@@ -845,9 +846,8 @@ class DatasetServer:
                 "hit_ratio": round(self.cache.hit_ratio, 4),
             }
         info["prefetch"] = {
-            "issued": self.prefetch_issued,
-            "hits": self.prefetch_hits,
-            "wasted": self.prefetch_wasted,
+            field: counter.value
+            for field, counter in self._prefetch_exact.items()
         }
         return info
 

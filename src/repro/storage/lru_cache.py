@@ -261,17 +261,6 @@ class LRUCache(StorageProvider):
         with self._lock:
             return key in self._order
 
-    def contains_many(self, keys: Sequence[str]) -> Set[str]:
-        """The subset of *keys* resident in the cache tier.
-
-        A pure peek: no downstream I/O, no recency refresh, no hit/miss
-        accounting — so speculative layers (server-push prefetch) can
-        check what a future request would find without perturbing the
-        cache state they are trying to measure.
-        """
-        with self._lock:
-            return {key for key in keys if key in self._order}
-
     def invalidate(self, key: str) -> bool:
         """Drop *key* from the cache tier only (downstream untouched).
 

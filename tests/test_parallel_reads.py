@@ -5,6 +5,10 @@ one-call-per-tensor yardstick, error propagation out of plan execution,
 coordinated multi-tensor flush, and the serving tier's sequential-stride
 prefetcher."""
 
+import threading
+import time
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -16,7 +20,7 @@ from repro.core.version_state import VersionState
 from repro.serve.server import DatasetServer
 from repro.serve.transport import InprocTransport, SimNetworkTransport
 from repro.sim.clock import SimClock
-from repro.storage import MemoryProvider
+from repro.storage import MemoryProvider, SimulatedObjectStore
 from repro.storage.object_store import make_object_store
 from repro.util import keys as _keys
 from repro.workloads import smooth_image
@@ -271,6 +275,121 @@ class TestFusedPlanAccounting:
         assert np.array_equal(first[2], second[0])
 
 
+class TestEngineSingleFlight:
+    """Each engine's in-flight table: a chunk another plan is fetching is
+    joined, never fetched twice, and a failed fetch fails its joiners."""
+
+    def test_two_worker_epoch_gets_each_chunk_once(self):
+        backing = MemoryProvider("single-flight-epoch")
+        ds = repro.empty(backing, overwrite=True)
+        for name, dtype in (("x", "uint8"), ("y", "int64")):
+            ds.create_tensor(name, dtype=dtype, max_chunk_size=16384,
+                             create_shape_tensor=False,
+                             create_id_tensor=False)
+        ds.x.extend([np.full((32, 32), i, dtype=np.uint8) for i in range(96)])
+        ds.y.extend([np.int64(i) for i in range(96)])
+        ds.flush()
+        gets = Counter()
+        orig_get = backing._get
+
+        def counting_get(key, start, end):
+            if "/chunks/" in key:
+                gets[key] += 1
+            return orig_get(key, start, end)
+
+        backing._get = counting_get
+        # real 5 ms round trips, so the two workers' fetches overlap; the
+        # engines' decoded-chunk cache holds the whole dataset
+        store = SimulatedObjectStore("single-flight-s3", backing=backing,
+                                     clock=SimClock(time_scale=0.25))
+        cold = repro.load(store, read_only=True)
+        seen = []
+        for batch in cold.dataloader(batch_size=16, num_workers=2):
+            seen.extend(int(v) for v in np.ravel(batch["y"]))
+        assert sorted(seen) == list(range(96))
+        num_chunks = sum(cold._engine(name).enc.num_chunks
+                         for name in ("x", "y"))
+        assert len(gets) == num_chunks > 2
+        assert set(gets.values()) == {1}, gets
+
+    def test_failed_leader_hands_its_error_to_followers(self):
+        engine, storage = make_engine(dtype="int64", max_chunk_size=256)
+        engine.extend([np.arange(4, dtype=np.int64) + i for i in range(24)])
+        engine.flush()
+        reader = fresh_reader(storage)
+        rows = list(range(24))
+        in_fetch, release = threading.Event(), threading.Event()
+        boom = OSError("backend down")
+        calls = []
+
+        def failing_get_many(keys):
+            calls.append(list(keys))
+            in_fetch.set()
+            release.wait(5)
+            raise boom
+
+        orig_get_many = storage.get_many
+        storage.get_many = failing_get_many
+        errors = {}
+
+        def read(who):
+            try:
+                reader.read_batch(rows)
+            except OSError as e:
+                errors[who] = e
+
+        leader = threading.Thread(target=read, args=("leader",))
+        leader.start()
+        assert in_fetch.wait(5)
+        follower = threading.Thread(target=read, args=("follower",))
+        follower.start()
+        time.sleep(0.1)  # the follower joins every flight of the leader
+        release.set()
+        leader.join(5)
+        follower.join(5)
+        assert len(calls) == 1  # the follower fetched nothing itself
+        assert errors["leader"] is boom and errors["follower"] is boom
+        assert reader._inflight._flights == {}
+        retries = []
+
+        def recovered_get_many(keys):  # the backend is back
+            retries.append(list(keys))
+            return orig_get_many(keys)
+
+        storage.get_many = recovered_get_many
+        got = reader.read_batch(rows)
+        assert [int(v[0]) for v in got] == rows
+        assert retries == calls  # the same chunks, fetched again
+
+    def test_chunk_landed_after_the_residency_check_is_not_fetched(
+            self, monkeypatch):
+        """Another plan caches the chunks and leaves the table between this
+        plan's cache check and its claim: the claim finds them cached."""
+        engine, storage = make_engine(dtype="int64", max_chunk_size=256)
+        engine.extend([np.arange(4, dtype=np.int64) + i for i in range(24)])
+        engine.flush()
+        reader = fresh_reader(storage)
+        rows = list(range(24))
+        calls = []
+        get_many = storage.get_many
+        monkeypatch.setattr(storage, "get_many",
+                            lambda keys: calls.append(keys) or get_many(keys))
+        check, landed = reader._plan_resident_chunks, []
+
+        def check_then_land(plan):
+            out = check(plan)
+            if not landed:
+                landed.append(True)
+                reader.read_batch(rows)  # lands every chunk meanwhile
+            return out
+
+        monkeypatch.setattr(reader, "_plan_resident_chunks", check_then_land)
+        got = reader.read_batch(rows)
+        assert [int(v[0]) for v in got] == rows
+        assert len(calls) == 1
+        assert reader._inflight._flights == {}
+
+
 class TestDecodeWorkerExceptions:
     def test_corrupt_chunk_raises_same_error_as_serial(self):
         """A corrupt chunk fails a multi-row plan with the error a one-row
@@ -368,7 +487,7 @@ class TestCoordinatedFlush:
 
 
 class TestServePushPrefetch:
-    def _served(self, name, n=256, window=16, **server_kwargs):
+    def _served(self, name, n=256, window=16, labels=None, **server_kwargs):
         store = MemoryProvider(f"{name}-backing")
         ds = repro.Dataset(store)
         ds.create_tensor("images", dtype="uint8", max_chunk_size=4096)
@@ -376,7 +495,8 @@ class TestServePushPrefetch:
         ds.images.extend(
             [np.full((32, 32), i % 250, dtype=np.uint8) for i in range(n)]
         )
-        ds.labels.extend([np.int64(i) for i in range(n)])
+        ds.labels.extend([np.int64(i) for i in range(n if labels is None
+                                                     else labels)])
         ds.flush()
         server = DatasetServer(name=name, **server_kwargs)
         server.add_dataset("d", store)
@@ -445,8 +565,7 @@ class TestServePushPrefetch:
                   for t in server._prefetch_trackers.values())
             )
         assert outstanding
-        mkeys = [f"d\x00{k}" for k in outstanding]
-        assert server.cache.contains_many(mkeys) == set(mkeys)
+        assert all(server.cache.is_cached(f"d\x00{k}") for k in outstanding)
 
     def test_fused_columns_match_single_tensor_reads(self):
         server, client, w = self._served("push-identity", n=64)
@@ -466,6 +585,205 @@ class TestServePushPrefetch:
         client.read_columns(["images", "labels"], list(range(w)))
         snap = server.stats_snapshot()
         assert set(snap["prefetch"]) == {"issued", "hits", "wasted"}
+
+    # -- read-ahead window: growth, ledger, bounds ---------------------------
+
+    @staticmethod
+    def _read(client, start, count):
+        client.read_columns(["images", "labels"],
+                            list(range(start, start + count)))
+
+    @staticmethod
+    def _tracker(server, tenant="t1"):
+        (tracker,) = [t for key, t in server._prefetch_trackers.items()
+                      if key[0] == tenant]
+        return tracker
+
+    def test_window_doubles_on_hits_and_resets_on_stride_break(self):
+        server, client, w = self._served("push-grow")
+        steps = []  # (did this request claim read-ahead chunks, window)
+        for i in range(6):
+            hits = server.prefetch_hits
+            self._read(client, i * w, w)
+            server.drain_prefetch()
+            steps.append((server.prefetch_hits > hits,
+                          self._tracker(server)["window"]))
+        assert steps[0] == steps[1] == (False, w)  # nothing read ahead yet
+        for (hit, window), (_hit, before) in zip(steps[1:], steps):
+            assert window == (2 * before if hit else before)
+        assert steps[-1][1] == 16 * w
+        self._read(client, 200, 8)  # stride break: back to one request
+        assert self._tracker(server)["window"] == 8
+        self._read(client, 208, 8)  # a new run, nothing claimed yet
+        server.drain_prefetch()
+        assert self._tracker(server)["window"] == 8
+
+    def test_issued_is_hits_plus_wasted_plus_outstanding(self):
+        server, client, w = self._served("push-ledger")
+
+        def balanced() -> bool:
+            with server._prefetch_lock:
+                outstanding = sum(len(t["outstanding"])
+                                  for t in server._prefetch_trackers.values())
+                return server.prefetch_issued == (
+                    server.prefetch_hits + server.prefetch_wasted
+                    + outstanding)
+
+        for window in [0, 1, 2, 3, 4, 9, 10, 11, 12, 2, 3, 4, 15]:
+            self._read(client, window * w, w)
+            assert balanced()  # a landing task updates all three at once
+            server.drain_prefetch()
+            assert balanced()
+        assert server.prefetch_hits > 0 and server.prefetch_wasted > 0
+
+    def test_read_ahead_never_plans_past_the_tensor_end(self, monkeypatch):
+        """Nor past either tensor's end when their lengths differ."""
+        server, client, _w = self._served("push-end", n=100, labels=90)
+        planned = {}
+        plan_reads = ChunkEngine.plan_reads
+
+        def spy(engine, rows, *args, **kwargs):
+            planned[engine.tensor] = max(planned.get(engine.tensor, 0),
+                                         max(rows))
+            return plan_reads(engine, rows, *args, **kwargs)
+
+        monkeypatch.setattr(ChunkEngine, "plan_reads", spy)
+        for start in range(0, 90, 10):
+            self._read(client, start, 10)
+            server.drain_prefetch()
+        assert server.prefetch_hits > 0
+        assert planned == {"images": 99, "labels": 89}
+        assert self._tracker(server)["ahead_end"] == 100
+        assert server._prefetch_errors.value == 0
+
+    def test_read_ahead_bytes_stay_within_half_the_cache(self):
+        """Two sequential tenants share one read-ahead budget, half the
+        cache, whatever their windows would grow to unchecked."""
+        budget = 64 * 1024
+        server, client, w = self._served("push-budget", n=512,
+                                         cache_bytes=2 * budget)
+        other = server.connect("d", tenant="t2", transport=SimNetworkTransport(
+            InprocTransport(server), network="s3", clock=SimClock()))
+        backing = server._backend("d")
+
+        def outstanding_bytes() -> int:
+            with server._prefetch_lock:
+                assert server._ahead_bytes <= budget
+                keys = [key for t in server._prefetch_trackers.values()
+                        for key in t["outstanding"]]
+            return sum(len(backing[key]) for key in keys)
+
+        for i in range(14):
+            self._read(client, i * w, w)
+            self._read(other, 256 + i * w, w)
+            assert outstanding_bytes() <= budget
+            if i % 3 == 2:
+                server.drain_prefetch()
+                assert outstanding_bytes() <= budget
+        server.drain_prefetch()
+        assert 0 < outstanding_bytes() <= budget
+        assert server.prefetch_hits > 0
+        # a row costs over 1 KiB (a 32x32 uint8 image + its label)
+        for tenant in ("t1", "t2"):
+            assert w < self._tracker(server, tenant)["window"] < budget // 1024
+
+    def test_stopped_stream_frees_its_read_ahead(self):
+        """Tenant t1 streams until its read-ahead holds all the budget it
+        can and stops; tenant t2's stream then holds more than t1 left."""
+        budget = 64 * 1024
+        server, client, w = self._served("push-stopped", n=512,
+                                         cache_bytes=2 * budget)
+        other = server.connect("d", tenant="t2", transport=SimNetworkTransport(
+            InprocTransport(server), network="s3", clock=SimClock()))
+
+        def held(tenant) -> int:
+            return sum(self._tracker(server, tenant)["outstanding"].values())
+
+        for i in range(12):
+            self._read(client, i * w, w)
+            server.drain_prefetch()
+        # what t1 leaves a stream like it (a task also reserves its slack)
+        left = budget - held("t1") - self._tracker(server)["slack"]
+        hits = server.prefetch_hits
+        assert self._tracker(server)["window"] > w and left < budget // 4
+        for i in range(12):
+            self._read(other, 256 + i * w, w)
+            server.drain_prefetch()
+        assert held("t1") == 0 and server.prefetch_wasted > 0
+        assert held("t2") > left and server.prefetch_hits > hits
+        assert server._ahead_bytes == held("t2")  # the ledger, drained
+
+    def test_task_landing_after_a_stride_break_is_wasted(self):
+        server, client, w = self._served("push-late")
+        backing, gate = server._backend("d"), threading.Event()
+        get_many = backing.get_many
+
+        def held_on_prefetch_threads(keys):
+            if threading.current_thread().name.startswith("push-late-"):
+                assert gate.wait(5)
+            return get_many(keys)
+
+        backing.get_many = held_on_prefetch_threads
+        for i in range(2):  # the second window sends a task, held above
+            self._read(client, i * w, w)
+        self._read(client, 200, 8)  # the stride breaks while it flies
+        gate.set()
+        server.drain_prefetch()
+        assert self._tracker(server)["outstanding"] == {}
+        assert server._ahead_bytes == 0
+        assert server.prefetch_issued == server.prefetch_wasted > 0
+
+    def test_read_ahead_fetched_again_is_counted_once(self):
+        """A read-ahead chunk that left the engine's cache unclaimed and is
+        fetched again: its first copy counts as wasted, its bytes once."""
+        server, client, w = self._served("push-refetch")
+        for i in range(2):
+            self._read(client, i * w, w)
+            server.drain_prefetch()
+        tr, ds = self._tracker(server), server._served_dataset("d")
+        first = dict(tr["outstanding"])
+        assert first
+        for name in ("images", "labels"):
+            for key in first:
+                ds._engine(name)._cache_drop(key)
+        tr["inflight"] = 0  # what the tracker reserves, as for a new task
+        server._prefetch_window(tr, ds, ("images", "labels"), 2 * w,
+                                tr["ahead_end"])
+        assert tr["outstanding"] == first
+        assert server._ahead_bytes == sum(first.values())
+        assert server.prefetch_wasted == len(first)
+        assert server.prefetch_issued == (
+            server.prefetch_hits + server.prefetch_wasted + len(first))
+
+    def test_removed_dataset_frees_its_read_ahead(self):
+        server, client, w = self._served("push-removed")
+        for i in range(4):
+            self._read(client, i * w, w)
+            server.drain_prefetch()
+        assert self._tracker(server)["outstanding"]
+        server.remove_dataset("d")
+        assert server._prefetch_trackers == {} and server._ahead_bytes == 0
+        assert server.prefetch_wasted > 0
+        assert server.prefetch_issued == (
+            server.prefetch_hits + server.prefetch_wasted)
+
+    def test_failed_speculation_is_counted_not_raised(self):
+        server, client, w = self._served("push-error")
+        backing = server._backend("d")
+        get = backing._get
+
+        def failing_on_prefetch_threads(key, start, end):
+            if threading.current_thread().name.startswith("push-error-"):
+                raise OSError("backend hiccup")
+            return get(key, start, end)
+
+        backing._get = failing_on_prefetch_threads
+        for i in range(4):
+            self._read(client, i * w, w)
+            server.drain_prefetch()  # the error never reaches a caller
+        assert server._prefetch_errors.value == 3  # windows 2, 3 and 4
+        assert server.prefetch_issued == 0
+        assert server._ahead_bytes == 0
 
 
 class TestLoaderPrioritySweep:

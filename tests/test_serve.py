@@ -342,6 +342,54 @@ class TestSharedCache:
         ) == sum(len(mine) for mine, _blobs in results)
         assert sum(t["cache_misses"] for t in tenants) == len(keys)
 
+    def test_concurrent_read_batch_joins_count_as_coalesced(self):
+        """Two ``read_batch`` calls over one cold window: the second joins
+        every chunk fetch of the first, and each joined chunk key counts
+        for its tenant as a hit and as coalesced, the way a ``get_many``
+        join does."""
+        backing = MemoryProvider("bkt")
+        build_image_dataset(backing, n=16)
+        in_fetch = threading.Event()
+        release = threading.Event()
+        orig_get = backing._get
+        fetched = []
+
+        def gated_get(key, start, end):
+            if "/chunks/" in key:
+                fetched.append(key)
+                in_fetch.set()
+                release.wait(5)
+            return orig_get(key, start, end)
+
+        backing._get = gated_get
+        server = DatasetServer(name="join-server")
+        server.add_dataset("ds", backing)
+        rows = list(range(8))
+        results = {}
+
+        def read(tenant):
+            results[tenant] = server.connect("ds", tenant=tenant).read_columns(
+                ["images", "labels"], rows)
+
+        first = threading.Thread(target=read, args=("first",))
+        first.start()
+        assert in_fetch.wait(5)  # the first request leads the chunk fetch
+        second = threading.Thread(target=read, args=("second",))
+        second.start()
+        time.sleep(0.1)  # the second request joins the flights
+        release.set()
+        first.join(5)
+        second.join(5)
+        window_chunks = 2  # one chunk per tensor holds all 16 rows
+        assert len(fetched) == window_chunks  # one backend GET per chunk
+        for name in ("images", "labels"):
+            for a, b in zip(results["first"][name], results["second"][name]):
+                np.testing.assert_array_equal(a, b)
+        tenants = server.stats_snapshot()["tenants"]
+        assert tenants["second"]["coalesced"] == window_chunks
+        assert tenants["second"]["cache_hits"] == window_chunks
+        assert tenants["first"]["coalesced"] == 0
+
     def test_put_racing_inflight_get_many_is_never_served_stale(self):
         """The ``_Flight.stale`` path through the batch: a ``get_many``
         issued after a put ack joins the pre-write flight, must not get
