@@ -95,7 +95,9 @@ class WavCodec(Codec):
 
         try:
             _n, _d, shape, _o = unpack_array_header(bytes(data[:64]))
-        except Exception:
+        except (SampleCompressionError, struct.error, ValueError, TypeError):
+            # not a whole header: a foreign magic, cut short (struct),
+            # undecodable name (ValueError) or dtype string (TypeError)
             return None
         return shape
 

@@ -5,8 +5,9 @@ lookups are a binary search (§3.4), so a request is resolved a request at
 a time, never a row at a time:
 
 - **plan** (:func:`plan_items`): one ``searchsorted`` resolves every row
-  (:meth:`ChunkIdEncoder.translate_many`), ``unique`` groups them by
-  owning chunk, and the plan *is* arrays — per item a ``kind`` code, a
+  (:meth:`ChunkIdEncoder.translate_many`), one pass over the runs of
+  ascending rows (``unique`` for any other order) groups them by owning
+  chunk, and the plan *is* arrays — per item a ``kind`` code, a
   chunk ordinal into ``names`` and a local index.  Only the distinct
   chunks are walked in Python (storage key, prunability), once each;
 - **fetch** (:meth:`FusedReadPlan._fetch_all`): the missing chunks of
@@ -224,6 +225,24 @@ def _note_chunk(engine: "ChunkEngine", plan: ReadPlan, name: str) -> None:
     plan.chunk_keys[name] = engine._chunk_storage_key(name)
 
 
+def _chunk_runs(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, return_inverse=True)`` of a request's encoder
+    rows — the distinct ones, ascending, and each row's ordinal among
+    them — without the sort where the request's shape allows: a request
+    in one chunk (every chunk-ordered loader group) is one chunk, and
+    ascending rows (every TQL and served window) hold each chunk as one
+    run, found in O(n)."""
+    if len(rows) and not np.count_nonzero(rows != rows[0]):
+        return rows[:1], np.zeros(len(rows), dtype=np.intp)
+    step = rows[1:] - rows[:-1]
+    if not len(rows) or np.count_nonzero(step < 0):
+        return np.unique(rows, return_inverse=True)
+    cuts = np.flatnonzero(step != 0) + 1
+    starts = np.concatenate(([0], cuts))
+    runs = np.concatenate((cuts, [len(rows)])) - starts
+    return rows[starts], np.repeat(np.arange(len(starts)), runs)
+
+
 def plan_items(engine: "ChunkEngine", plan: ReadPlan, flat: np.ndarray,
                bounds=None) -> ReadPlan:
     """Fill *plan* for the flat items *flat* (int64, in range): resolve,
@@ -240,11 +259,7 @@ def plan_items(engine: "ChunkEngine", plan: ReadPlan, flat: np.ndarray,
             plan.plain = False
             live = np.flatnonzero(kind == KIND_SAMPLE)
             rows = rows[live]
-    if len(rows) and not np.count_nonzero(rows != rows[0]):
-        # the request sits in one chunk (every chunk-ordered loader group)
-        distinct, ords = rows[:1], np.zeros(len(rows), dtype=np.intp)
-    else:
-        distinct, ords = np.unique(rows, return_inverse=True)
+    distinct, ords = _chunk_runs(rows)
     plan.names = [engine.enc.chunk_name(r) for r in distinct.tolist()]
     for name in plan.names:
         if (

@@ -1,21 +1,21 @@
 """Executor of TQL plans: runs the tensor-op graph over dataset rows.
 
-With optimisation on (the default), execution is *columnar*: rows are
-walked in scan batches, every referenced column is prefetched through
-one chunk-granular :class:`~repro.core.chunk_engine.ReadPlan` per batch,
-and the node graph is evaluated by the vectorized kernels of
-:mod:`repro.tql.kernels` over whole column batches — WHERE becomes a
-boolean mask, ORDER BY / SAMPLE BY / GROUP BY key evaluation rides the
-same scan cache (no per-cell storage reads anywhere), and the stages
-after WHERE consume those columns as arrays too: GROUP BY is one
-segmented reduction per batch with partials merged across batches,
-ORDER BY one stable ``argsort`` per key, and a row set is one int64
-array from :meth:`Executor.source_rows` to the result.  The WHERE clause
-additionally compiles to per-column value intervals
-(:func:`~repro.tql.kernels.column_bounds`) that
+With optimisation on (the default), a query is *one scan*: the rows are
+walked once, in windows sized in decoded bytes, and each column a window
+needs is planned once — one chunk-granular
+:class:`~repro.core.chunk_engine.ReadPlan` per column per window, fused
+into one storage round trip.  Per window the vectorized kernels of
+:mod:`repro.tql.kernels` compute the WHERE mask, then the stage after it
+— GROUP BY partials, ORDER / ARRANGE / SAMPLE keys, or the projections —
+reads the surviving rows from the same resident columns (no per-cell
+storage reads anywhere).  GROUP BY is one segmented reduction per window
+with partials merged across windows, ORDER BY one stable ``argsort`` per
+key, and a row set is one int64 array from :meth:`Executor.source_rows`
+to the result.  The WHERE clause also compiles to per-column value
+intervals (:func:`~repro.tql.kernels.column_bounds`) that
 :meth:`~repro.core.chunk_engine.ChunkEngine.plan_reads` checks against
 the per-chunk statistics sidecar: chunks that cannot satisfy the
-predicate are skipped before any storage GET.
+predicate are skipped before any storage GET, in every column.
 
 ``optimize=False`` (the ablation mode) keeps the historical row-at-a-time
 evaluation — per-row memoised :meth:`eval_node` with per-cell engine
@@ -64,11 +64,12 @@ from repro.tql.planner import (
 )
 
 
-#: Rows per scan batch.  read_batch groups each batch by owning chunk, and
-#: the engine's decoded-chunk cache bridges chunks straddling a boundary,
-#: so the scan issues at most one storage GET per chunk while holding only
-#: one batch of decoded cells at a time.
-SCAN_BATCH_ROWS = 1024
+#: Decoded bytes one scan window holds: its rows are this over the
+#: worst-case row (dtype × max shape) of the columns it reads, at least
+#: one — ~10^6 rows of a float64 column, ~300 of 96² RGB images.  Each
+#: column is planned once per window; a chunk straddling two windows is
+#: still fetched once, through the engine's decoded-chunk cache.
+SCAN_WINDOW_BYTES = 8 << 20
 
 
 class Executor:
@@ -76,19 +77,19 @@ class Executor:
         self.ds = ds
         self.plan = plan
         self.rng = np.random.default_rng(seed)
-        self._decoders: Dict[str, tuple] = {}
         self.rows_scanned = 0
-        #: cells materialised by the engine (prefetched or read per row);
-        #: scan-cache hits are counted separately in :attr:`cache_hits`
+        #: cells materialised by the engine (fetched or read per row);
+        #: reads of resident window columns count in :attr:`cache_hits`
         self.cells_fetched = 0
         self.cache_hits = 0
-        #: prefetches that degraded to per-row reads (storage/decode errors)
+        #: window fetches that degraded to per-row reads (storage/decode
+        #: errors)
         self.prefetch_fallbacks = 0
         #: chunks proven irrelevant by statistics pushdown (zero GETs)
         self.chunks_skipped = 0
-        #: tensor -> (the scan window's column as the engine returned it,
-        #: its pruned-row mask or None), filled by batched scans
-        self._scan_cache: Dict[str, tuple] = {}
+        #: tensor -> (the current scan window's column as the engine
+        #: returned it, its pruned-row mask or None)
+        self._window: Dict[str, tuple] = {}
         ds_label = str(getattr(ds, "path", "") or "dataset")
         self._m_rows_scanned = _metrics.counter(
             "tql.rows_scanned", dataset=ds_label
@@ -130,7 +131,7 @@ class Executor:
 
     def _read_cell(self, tensor: str, row: int):
         """One cell through a one-row engine read: row-at-a-time mode, and
-        the windows whose prefetch degraded."""
+        the windows whose fetch degraded."""
         engine = self.ds._engine(tensor)
         self.cells_fetched += 1
         self._m_cells_fetched.inc()
@@ -138,14 +139,14 @@ class Executor:
 
     def _read_column(self, tensor: str, rows, positions):
         """Column of *tensor* for the evaluator's *rows*, which sit at
-        *positions* of the prefetched scan window (``None`` = they are the
-        window).  A dense window column is indexed as one array; a list
+        *positions* of the resident window column (``None`` = they are
+        all of it).  A dense window column is indexed as one array; a list
         column — ragged or sample-compressed cells, and always text / json,
         whose cells decode one by one — packs per cell."""
-        cached = self._scan_cache.get(tensor)
-        if cached is None:  # prefetch degraded: per-row reads
+        resident = self._window.get(tensor)
+        if resident is None:  # the window's fetch degraded: per-row reads
             return kernels._pack([self._read_cell(tensor, r) for r in rows])
-        column = cached[0]
+        column = resident[0]
         self.cache_hits += len(rows)
         self._m_cache_hits.inc(len(rows))
         engine = self.ds._engine(tensor)
@@ -159,11 +160,11 @@ class Executor:
             cells = [self._decode_cell(engine, v) for v in cells]
         return kernels._pack(cells)
 
-    def _prefetch_columns(self, tensors: List[str], rows,
-                          bounds: Optional[dict] = None) -> None:
-        """One ReadPlan per column for this batch of rows, fused into ONE
-        storage ``get_many`` across all of them: each chunk is fetched and
-        decompressed once, then cells come from memory.
+    def _fetch(self, tensors: List[str], rows,
+               bounds: Optional[dict] = None) -> None:
+        """Make *tensors* resident in the window over *rows*: one ReadPlan
+        per column, fused into ONE storage ``get_many`` across all of
+        them, so each chunk is fetched and decompressed once.
 
         *bounds* (tensor -> interval list) enables statistics pushdown:
         chunks that cannot satisfy the WHERE predicate are skipped with
@@ -174,7 +175,7 @@ class Executor:
         persistent one surfaces on the tensor and row that own it;
         programming errors propagate.
         """
-        with _tracing.span("tql.prefetch_columns", tensors=len(tensors),
+        with _tracing.span("tql.fetch_columns", tensors=len(tensors),
                            rows=len(rows)):
             fused = FusedReadPlan()
             plans = []
@@ -200,7 +201,7 @@ class Executor:
                     fetched -= int(pruned.sum())
                 self.cells_fetched += fetched
                 self._m_cells_fetched.inc(fetched)
-                self._scan_cache[tensor] = (column, pruned)
+                self._window[tensor] = (column, pruned)
 
     def _unpruned(self, bounds: dict) -> Optional[np.ndarray]:
         """Window positions statistics pushdown could not rule out, or
@@ -209,17 +210,66 @@ class Executor:
         necessary interval."""
         pruned = None
         for tensor in bounds:
-            mask = self._scan_cache.get(tensor, (None, None))[1]
+            mask = self._window.get(tensor, (None, None))[1]
             if mask is not None:
                 pruned = mask if pruned is None else pruned | mask
         return None if pruned is None else np.flatnonzero(~pruned)
 
-    def _clear_prefetched(self) -> None:
-        self._scan_cache.clear()
-
-    def _scan_batches(self, rows):
-        for i in range(0, len(rows), SCAN_BATCH_ROWS):
-            yield rows[i : i + SCAN_BATCH_ROWS]
+    def _scan(self, rows: np.ndarray, where: Optional[Node],
+              columns: List[str], stage=None) -> np.ndarray:
+        """The one pipeline of an optimized query: *rows* walked once, in
+        windows of :data:`SCAN_WINDOW_BYTES`, each column planned once per
+        window.  Per window the WHERE columns are fetched with the pushdown
+        bounds and the mask computed; then ``stage(evaluator)``, over the
+        rows that passed, reads *columns* while they are resident: a WHERE
+        column indexed down to those rows, any other planned over them
+        alone.  Returns the rows that passed WHERE."""
+        if where is None and stage is None:
+            return rows
+        filter_cols = [] if where is None else _node_columns([where])
+        bounds = kernels.column_bounds(where)
+        row_bytes = sum(self.ds._engine(t).meta.max_sample_nbytes
+                        for t in set(filter_cols) | set(columns))
+        step = max(1, SCAN_WINDOW_BYTES // max(1, row_bytes))
+        kept_parts = [np.empty(0, dtype=np.int64)]
+        with _tracing.span("tql.scan", rows=len(rows)) as sp:
+            for start in range(0, len(rows), step):
+                window = kept = rows[start : start + step]
+                self._m_scan_windows.inc()
+                self._h_window_rows.observe(len(window))
+                self.rows_scanned += len(window)
+                self._m_rows_scanned.inc(len(window))
+                self._window, positions = {}, None
+                kernel_s = 0.0
+                if where is not None:
+                    self._fetch(filter_cols, window, bounds=bounds)
+                    t0 = time.perf_counter()
+                    positions = self._unpruned(bounds)
+                    kept = window if positions is None else window[positions]
+                    if len(kept):
+                        mask = kernels.BatchEvaluator(
+                            self, kept, positions
+                        ).mask(where)
+                        kept = kept[mask]
+                        positions = (np.flatnonzero(mask) if positions is None
+                                     else positions[mask])
+                    kernel_s = time.perf_counter() - t0
+                kept_parts.append(kept)
+                if stage is not None and len(kept):
+                    self._window = {
+                        t: (_take(self._window[t][0], positions), None)
+                        for t in columns if t in self._window
+                    }
+                    self._fetch([t for t in columns if t not in self._window],
+                                kept)
+                    t0 = time.perf_counter()
+                    stage(kernels.BatchEvaluator(self, kept))
+                    kernel_s += time.perf_counter() - t0
+                self._h_kernel.observe(kernel_s)
+            self._window = {}
+            out = np.concatenate(kept_parts)
+            sp.set(kept=len(out), pruned_chunks=self.chunks_skipped)
+        return out
 
     # ------------------------------------------------------------------ #
     # graph evaluation (row-at-a-time: the optimize=False ablation path,
@@ -295,37 +345,6 @@ class Executor:
         return result
 
     # ------------------------------------------------------------------ #
-    # batched evaluation helpers (the vectorized path)
-    # ------------------------------------------------------------------ #
-
-    def _eval_rows(self, node: Node, rows: np.ndarray):
-        """The column of *node* over many rows, batch-prefetching the
-        columns it reads — ORDER BY / SAMPLE BY keys cost one GET per
-        chunk, not one per cell.  One ``(n, *shape)`` array when every
-        batch evaluates dense, else the per-row list."""
-        if not self.plan.optimize:
-            return [self.eval_node(node, r, {}) for r in rows]
-        columns = _node_columns([node])
-        parts: List = []
-        for batch in self._scan_batches(rows):
-            if columns:
-                self._prefetch_columns(columns, batch)
-            t0 = time.perf_counter()
-            evaluator = kernels.BatchEvaluator(self, batch)
-            col = evaluator.eval(node)
-            parts.append(
-                col if kernels._is_dense(col) else evaluator.values(node)
-            )
-            self._h_kernel.observe(time.perf_counter() - t0)
-            self._clear_prefetched()
-        if parts and all(
-            isinstance(col, np.ndarray) and col.shape[1:] == parts[0].shape[1:]
-            for col in parts
-        ):
-            return np.concatenate(parts)
-        return [value for col in parts for value in col]
-
-    # ------------------------------------------------------------------ #
     # stages
     # ------------------------------------------------------------------ #
 
@@ -339,96 +358,54 @@ class Executor:
         return as_row_array(self.ds.index.row_sequence(length))
 
     def filter_rows(self, rows: List[int]) -> List[int]:
-        """The WHERE stage as a list, for callers outside :meth:`run`."""
-        return self._filter(rows).tolist()
+        """The WHERE stage as a list: the one scan, or one row at a time
+        (``optimize=False``)."""
+        rows, where = as_row_array(rows), self.plan.where_node
+        if self.plan.optimize or where is None:
+            return self._scan(rows, where, []).tolist()
+        self.rows_scanned += len(rows)
+        self._m_rows_scanned.inc(len(rows))
+        return [r for r in rows.tolist()
+                if _truthy(self.eval_node(where, r, {}))]
 
-    def _filter(self, rows) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
+    def _key_nodes(self) -> Dict[int, Node]:
+        """The per-row keys after WHERE, by node id: ORDER BY, ARRANGE BY
+        and SAMPLE BY nodes."""
         plan = self.plan
-        if plan.where_node is None:
-            return rows
-        if not plan.optimize:
-            out = []
-            with _tracing.span("tql.filter_rows", rows=len(rows)) as sp:
-                for batch in self._scan_batches(rows):
-                    self._m_scan_windows.inc()
-                    self._h_window_rows.observe(len(batch))
-                    for row in batch:
-                        memo: Dict[int, object] = {}
-                        self.rows_scanned += 1
-                        self._m_rows_scanned.inc()
-                        if _truthy(self.eval_node(plan.where_node, row, memo)):
-                            out.append(row)
-                sp.set(kept=len(out))
-            return np.asarray(out, dtype=np.int64)
+        nodes = ([node for node, _asc in plan.order_nodes]
+                 + plan.arrange_nodes + [plan.sample_node])
+        return {node.id: node for node in nodes if node is not None}
 
-        columns = plan.filter_columns()
-        bounds = kernels.column_bounds(plan.where_node)
-        kept = [np.empty(0, dtype=np.int64)]
-        with _tracing.span("tql.filter_rows", rows=len(rows)) as sp:
-            for batch in self._scan_batches(rows):
-                self._m_scan_windows.inc()
-                self._h_window_rows.observe(len(batch))
-                self.rows_scanned += len(batch)
-                self._m_rows_scanned.inc(len(batch))
-                if columns:
-                    self._prefetch_columns(columns, batch, bounds=bounds)
-                positions = self._unpruned(bounds)
-                survivors = batch if positions is None else batch[positions]
-                if len(survivors):
-                    t0 = time.perf_counter()
-                    evaluator = kernels.BatchEvaluator(
-                        self, survivors, positions
-                    )
-                    mask = evaluator.mask(plan.where_node)
-                    self._h_kernel.observe(time.perf_counter() - t0)
-                    kept.append(survivors[mask])
-                self._clear_prefetched()
-            out = np.concatenate(kept)
-            sp.set(kept=len(out), pruned_chunks=self.chunks_skipped)
-        return out
-
-    def order_rows(self, rows: np.ndarray) -> np.ndarray:
+    def _reorder(self, rows: np.ndarray, keys: Dict[int, object]) -> np.ndarray:
+        """ORDER BY, ARRANGE BY, SAMPLE BY, then OFFSET / LIMIT over *rows*,
+        given each key node's column over them (node id -> column)."""
         plan = self.plan
+        perm = np.arange(len(rows))
         # ORDER BY: stable sorts applied from the last key to the first;
         # ARRANGE BY: stable grouping of the (already ordered) result
         for node, ascending in (
             list(reversed(plan.order_nodes))
             + [(node, True) for node in reversed(plan.arrange_nodes)]
         ):
-            keys = self._eval_rows(node, rows)
-            rows = rows[_stable_argsort(keys, ascending)]
-        return rows
-
-    def sample_rows(self, rows: np.ndarray) -> np.ndarray:
-        plan = self.plan
-        if plan.sample_node is None or not len(rows):
-            return rows
-        weights = np.asarray(
-            [
-                max(0.0, float(np.mean(v)))
-                for v in self._eval_rows(plan.sample_node, rows)
-            ],
-            dtype=np.float64,
-        )
-        total = weights.sum()
-        k = plan.sample_limit if plan.sample_limit is not None else len(rows)
-        if total <= 0:
-            probs = None
-        else:
-            probs = weights / total
-        if not plan.sample_replace:
-            k = min(k, int((weights > 0).sum()) if probs is not None else len(rows))
-        chosen = self.rng.choice(
-            len(rows), size=k, replace=plan.sample_replace, p=probs
-        )
-        return rows[chosen]
-
-    def paginate(self, rows: np.ndarray) -> np.ndarray:
-        plan = self.plan
-        start = plan.offset
-        stop = None if plan.limit is None else start + plan.limit
-        return rows[start:stop]
+            perm = perm[_stable_argsort(_take(keys[node.id], perm), ascending)]
+        rows = rows[perm]
+        if plan.sample_node is not None and len(rows):
+            # each row weighs the mean of its key (a negative mean, 0)
+            weights = np.asarray(
+                [max(0.0, float(np.mean(v)))
+                 for v in _take(keys[plan.sample_node.id], perm)],
+                dtype=np.float64,
+            )
+            n = len(rows)
+            k = plan.sample_limit if plan.sample_limit is not None else n
+            total = weights.sum()
+            probs = None if total <= 0 else weights / total
+            if not plan.sample_replace:
+                k = min(k, int((weights > 0).sum()) if probs is not None else n)
+            rows = rows[self.rng.choice(n, size=k, replace=plan.sample_replace,
+                                        p=probs)]
+        stop = None if plan.limit is None else plan.offset + plan.limit
+        return rows[plan.offset:stop]
 
     # ------------------------------------------------------------------ #
     # result construction
@@ -437,29 +414,71 @@ class Executor:
     def run(self, query_string: str):
         plan = self.plan
         rows = self.source_rows()
-
         if not plan.optimize:
-            # ablation mode: no pushdown — evaluate every projection for
-            # every source row before filtering
-            for row in rows:
-                memo: Dict[int, object] = {}
-                for _name, node in plan.projections:
-                    self.eval_node(node, row, memo)
-                self.rows_scanned += 1
-
-        rows = self._filter(rows)
+            return self._run_rows(rows, query_string)
         if plan.group_nodes:
-            return self._materialize_groups(rows, query_string)
-        rows = self.order_rows(rows)
-        rows = self.sample_rows(rows)
-        rows = self.paginate(rows)
+            accumulator = kernels.GroupAccumulator(plan.agg_projections)
+            inputs = [n for _n, _a, n in plan.agg_projections if n is not None]
+            self._scan(
+                rows, plan.where_node, _node_columns(plan.group_nodes + inputs),
+                lambda ev: accumulator.add_batch(ev, plan.group_nodes),
+            )
+            groups = [values for _key, values in accumulator.finalize()]
+            return self._materialize_groups(groups, query_string)
+        key_nodes = self._key_nodes()
+        if (self._projects() and not key_nodes and not plan.offset
+                and plan.limit is None):
+            # the result keeps the scan's row order: project in the scan
+            return self._materialize_projections(rows, query_string,
+                                                 where=plan.where_node)
+        parts: Dict[int, List] = {i: [] for i in key_nodes}
 
-        if plan.select_star and not plan.projections:
-            return self._view(rows, query_string, tensor_filter=None)
-        if plan.bare_columns_only and not plan.select_star:
-            names = [node.tensor for _n, node in plan.projections]
-            return self._view(rows, query_string, tensor_filter=names)
-        return self._materialize_projections(rows, query_string)
+        def keys_of(ev):
+            for i, node in key_nodes.items():
+                col = ev.eval(node)
+                parts[i].append(col if kernels._is_dense(col)
+                                else ev.values(node))
+
+        rows = self._scan(rows, plan.where_node,
+                          _node_columns(list(key_nodes.values())),
+                          keys_of if key_nodes else None)
+        keys = {i: _concat(part) for i, part in parts.items()}
+        return self._result(self._reorder(rows, keys), query_string)
+
+    def _run_rows(self, rows: np.ndarray, query_string: str):
+        """The ``optimize=False`` ablation: no pushdown — every projection
+        is evaluated for every source row before filtering — and then
+        every stage one row at a time."""
+        plan = self.plan
+        for row in rows.tolist():
+            memo: Dict[int, object] = {}
+            for _name, node in plan.projections:
+                self.eval_node(node, row, memo)
+            self.rows_scanned += 1
+        rows = as_row_array(self.filter_rows(rows))
+        if plan.group_nodes:
+            return self._materialize_groups(self._row_groups(rows),
+                                            query_string)
+        keys = {
+            i: [self.eval_node(node, r, {}) for r in rows.tolist()]
+            for i, node in self._key_nodes().items()
+        }
+        return self._result(self._reorder(rows, keys), query_string)
+
+    def _projects(self) -> bool:
+        """Whether the result is materialised from the projections rather
+        than a view of the source rows."""
+        plan = self.plan
+        return (bool(plan.projections) if plan.select_star
+                else not plan.bare_columns_only)
+
+    def _result(self, rows: np.ndarray, query_string: str):
+        plan = self.plan
+        if self._projects():
+            return self._materialize_projections(rows, query_string)
+        names = (None if plan.select_star
+                 else [node.tensor for _n, node in plan.projections])
+        return self._view(rows, query_string, tensor_filter=names)
 
     def _view(self, rows: np.ndarray, query_string: str,
               tensor_filter: Optional[List[str]]):
@@ -471,38 +490,24 @@ class Executor:
             view._tensor_filter = list(tensor_filter)
         return view
 
-    def _infer_and_create(self, out, name: str, values: List) -> None:
-        """Create output tensor *name* from the first batch of values.
-
-        Numeric dtypes widen over the whole batch via ``np.result_type``
-        so a first-row int no longer downcasts the floats that follow;
-        text/json are decided by the first value, as before.
-        """
-        first = values[0]
-        if isinstance(first, str):
-            out.create_tensor(name, htype="text",
-                              create_shape_tensor=False, create_id_tensor=False)
-        elif isinstance(first, (dict, list)):
-            out.create_tensor(name, htype="json",
-                              create_shape_tensor=False, create_id_tensor=False)
-        else:
-            dtypes = {np.asarray(v).dtype for v in values
-                      if not isinstance(v, (str, dict, list))}
-            dtype = np.result_type(*dtypes)
-            out.create_tensor(
-                name,
-                dtype=dtype.name,
-                create_shape_tensor=False,
-                create_id_tensor=False,
-            )
-
-    def _extend_output(self, out, cols: Dict[str, List],
-                       create: bool) -> None:
-        """One columnar ``extend`` of result dataset *out*; *create* first
-        declares its tensors from these values."""
-        if create:
-            for name, values in cols.items():
-                self._infer_and_create(out, name, values)
+    def _extend_output(self, out, cols: Dict[str, List]) -> None:
+        """One columnar ``extend`` of result dataset *out*.  The first one
+        declares its tensors from these values: text / json by the first
+        value, numeric dtypes widened over all of them (``np.result_type``,
+        so a first-row int does not downcast the floats that follow)."""
+        declare = {} if out._meta.tensors else cols
+        for name, values in declare.items():
+            if isinstance(values[0], str):
+                kind = {"htype": "text"}
+            elif isinstance(values[0], (dict, list)):
+                kind = {"htype": "json"}
+            else:
+                kind = {"dtype": np.result_type(*{
+                    np.asarray(v).dtype for v in values
+                    if not isinstance(v, (str, dict, list))
+                }).name}
+            out.create_tensor(name, create_shape_tensor=False,
+                              create_id_tensor=False, **kind)
         out.extend({
             name: [
                 v if isinstance(v, (str, dict, list)) else np.asarray(v)
@@ -511,112 +516,83 @@ class Executor:
             for name, values in cols.items()
         })
 
-    def _materialize_projections(self, rows: np.ndarray, query_string: str):
+    def _new_output(self, query_string: str):
         import repro as _api
 
-        plan = self.plan
         out = _api.empty(f"mem://tql-{id(self)}", overwrite=True)
         out.query_string = query_string
-        columns = plan.projection_columns() if plan.optimize else []
-        for batch in self._scan_batches(rows):
-            self._m_scan_windows.inc()
-            self._h_window_rows.observe(len(batch))
-            if columns:
-                self._prefetch_columns(columns, batch)
-            if plan.optimize:
-                t0 = time.perf_counter()
-                evaluator = kernels.BatchEvaluator(self, batch)
-                cols = {
-                    name: evaluator.values(node)
-                    for name, node in plan.projections
-                }
-                self._h_kernel.observe(time.perf_counter() - t0)
-            else:
-                cols = {name: [] for name, _node in plan.projections}
-                for row in batch:
-                    memo: Dict[int, object] = {}
-                    for name, node in plan.projections:
-                        cols[name].append(self.eval_node(node, row, memo))
-            self._extend_output(out, cols, create=not out._meta.tensors)
-            self._clear_prefetched()
+        return out
+
+    def _seal_output(self, out, query_string: str):
+        out._meta.info["source_query"] = query_string
+        out._meta.info["source_commit"] = self.ds.commit_id
+        out.flush()
+        return out
+
+    def _materialize_projections(self, rows: np.ndarray, query_string: str,
+                                 where: Optional[Node] = None):
+        """The projections over *rows* as a new dataset.  Optimized, they
+        ride a scan: the query's one scan with its *where*, or — for a
+        reordered or paginated result — one pass over the final rows."""
+        plan = self.plan
+        out = self._new_output(query_string)
+        if plan.optimize:
+            self._scan(
+                rows, where, plan.projection_columns(),
+                lambda ev: self._extend_output(out, {
+                    name: ev.values(node) for name, node in plan.projections
+                }),
+            )
+        elif len(rows):
+            cols = {name: [] for name, _node in plan.projections}
+            for row in rows.tolist():
+                memo: Dict[int, object] = {}
+                for name, node in plan.projections:
+                    cols[name].append(self.eval_node(node, row, memo))
+            self._extend_output(out, cols)
         if not out._meta.tensors:  # no row survived: empty columns
             for name, _node in plan.projections:
                 out.create_tensor(name, dtype="float64",
                                   create_shape_tensor=False,
                                   create_id_tensor=False)
-        out._meta.info["source_query"] = query_string
-        out._meta.info["source_commit"] = self.ds.commit_id
-        out.flush()
-        return out
+        return self._seal_output(out, query_string)
 
-    def _vectorized_groups(self, rows: np.ndarray) -> List[Dict[str, object]]:
-        """Streaming GROUP BY: per batch, keys and aggregate inputs come
-        from one kernel pass over prefetched columns and are cut into
-        per-group partials by one segmented reduction; partials merge
-        across batches (O(chunks) GETs, O(groups) memory plus one scalar
-        per row for the reduced aggregates)."""
+    def _row_groups(self, rows: np.ndarray) -> List[Dict[str, object]]:
+        """GROUP BY one row at a time (the ablation): one dict of output
+        values per group, in output order."""
+        from repro.tql.functions import get_agg_function
+
         plan = self.plan
-        nodes = list(plan.group_nodes) + [
-            node for _n, _a, node in plan.agg_projections if node is not None
-        ]
-        columns = _node_columns(nodes)
-        accumulator = kernels.GroupAccumulator(plan.agg_projections)
-        for batch in self._scan_batches(rows):
-            self._m_scan_windows.inc()
-            self._h_window_rows.observe(len(batch))
-            if columns:
-                self._prefetch_columns(columns, batch)
-            t0 = time.perf_counter()
-            accumulator.add_batch(
-                kernels.BatchEvaluator(self, batch), plan.group_nodes
+        groups: Dict[tuple, List[int]] = {}
+        for row in rows.tolist():
+            memo: Dict[int, object] = {}
+            key = tuple(
+                _group_key(self.eval_node(node, row, memo))
+                for node in plan.group_nodes
             )
-            self._h_kernel.observe(time.perf_counter() - t0)
-            self._clear_prefetched()
-        return [values for _key, values in accumulator.finalize()]
+            groups.setdefault(key, []).append(row)
+        group_rows = []
+        for key in sorted(groups, key=lambda k: tuple(str(x) for x in k)):
+            members = groups[key]
+            values = {}
+            for name, agg_name, node in plan.agg_projections:
+                fn = get_agg_function(agg_name)
+                if node is None:  # COUNT()
+                    values[name] = fn(members)
+                else:
+                    per_row = [self.eval_node(node, r, {}) for r in members]
+                    values[name] = fn(per_row)
+            group_rows.append(values)
+        return group_rows
 
-    def _materialize_groups(self, rows: np.ndarray, query_string: str):
-        import repro as _api
-
-        plan = self.plan
-        if plan.optimize:
-            group_rows = self._vectorized_groups(rows)
-        else:
-            from repro.tql.functions import get_agg_function
-
-            groups: Dict[tuple, List[int]] = {}
-            for row in rows:
-                memo: Dict[int, object] = {}
-                key = tuple(
-                    _group_key(self.eval_node(node, row, memo))
-                    for node in plan.group_nodes
-                )
-                groups.setdefault(key, []).append(row)
-            group_rows = []
-            for key in sorted(groups, key=lambda k: tuple(str(x) for x in k)):
-                members = groups[key]
-                values = {}
-                for name, agg_name, node in plan.agg_projections:
-                    fn = get_agg_function(agg_name)
-                    if node is None:  # COUNT()
-                        values[name] = fn(members)
-                    else:
-                        per_row = [self.eval_node(node, r, {}) for r in members]
-                        values[name] = fn(per_row)
-                group_rows.append(values)
-
-        out = _api.empty(f"mem://tql-{id(self)}", overwrite=True)
-        out.query_string = query_string
+    def _materialize_groups(self, group_rows: List[Dict[str, object]],
+                            query_string: str):
+        out = self._new_output(query_string)
         if group_rows:
-            self._extend_output(
-                out,
-                {name: [g[name] for g in group_rows]
-                 for name in group_rows[0]},
-                create=True,
-            )
-        out._meta.info["source_query"] = query_string
-        out._meta.info["source_commit"] = self.ds.commit_id
-        out.flush()
-        return out
+            self._extend_output(out, {
+                name: [g[name] for g in group_rows] for name in group_rows[0]
+            })
+        return self._seal_output(out, query_string)
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +601,24 @@ class Executor:
 # ---------------------------------------------------------------------------
 
 from repro.exceptions import TQLTypeError  # noqa: E402
+
+
+def _take(column, positions: np.ndarray):
+    """The rows *positions* of a column, dense or a per-row list."""
+    if isinstance(column, np.ndarray):
+        return column[positions]
+    return [column[i] for i in positions.tolist()]
+
+
+def _concat(parts: List):
+    """One column out of per-window parts: an ``(n, *shape)`` array when
+    every part is one with the same cell shape, else the per-row list."""
+    if parts and all(
+        isinstance(col, np.ndarray) and col.shape[1:] == parts[0].shape[1:]
+        for col in parts
+    ):
+        return np.concatenate(parts)
+    return [value for col in parts for value in col]
 
 
 def _sort_token(value):

@@ -161,9 +161,10 @@ def _align_trailing(x: np.ndarray, rank: int) -> np.ndarray:
 class BatchEvaluator:
     """One batch of rows through the node graph, column at a time.
 
-    Reads cells via the executor's scan cache (filled by its chunk-
-    granular prefetch), memoises per node id, and dispatches each node
-    class through an operator table.  Results come back as:
+    Reads cells from the executor's scan window (the columns its
+    chunk-granular fetch made resident), memoises per node id, and
+    dispatches each node class through an operator table.  Results come
+    back as:
 
     - :meth:`mask` — boolean row mask (the WHERE path), applying the
       same all-elements/empty-is-false reduction as the scalar kernels;
@@ -177,8 +178,8 @@ class BatchEvaluator:
     def __init__(self, executor, rows, positions=None):
         self.ex = executor
         self.rows = rows
-        #: where *rows* sit in the executor's prefetched scan window
-        #: (``None`` = they are the whole window)
+        #: where *rows* sit in the executor's resident window columns
+        #: (``None`` = they are all of them)
         self.positions = positions
         self.n = len(rows)
         self._memo: Dict[int, object] = {}

@@ -219,6 +219,19 @@ class TestAudio:
         out = decompress_array(compress_array(sig, "wav"), "wav")
         assert np.array_equal(out, sig)
 
+    def test_wav_peek_shape_of_a_truncated_or_foreign_payload_is_none(
+        self, rng
+    ):
+        blob = compress_array(rng.random((100, 2)).astype(np.float32), "wav")
+        assert peek_shape(blob, "wav") == (100, 2)
+        header = len(blob) - 100 * 2 * 4
+        for cut in range(header):
+            assert peek_shape(blob[:cut], "wav") is None, cut
+        for foreign in (b"\x00" * 64,
+                        compress_array(np.zeros(4, np.int16), "flac"),
+                        blob[:4] + b"\xff" * 60):  # its magic, then garbage
+            assert peek_shape(foreign, "wav") is None
+
     def test_flac_requires_int16(self, rng):
         with pytest.raises(SampleCompressionError):
             compress_array(rng.random(10).astype(np.float32), "flac")

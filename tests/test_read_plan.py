@@ -154,6 +154,43 @@ class TestPlanReads:
         assert all(isinstance(v, bytes) for v in raw[-kept:])
 
 
+@pytest.mark.parametrize("layout", ["big_uncompressed", "big_scalar",
+                                    "big_padded_tiled", "big_sequence",
+                                    "big_pending"])
+@pytest.mark.parametrize("order", ["ascending", "shuffled"])
+def test_run_planning_matches_the_unique_path(rng, monkeypatch, layout, order):
+    """Ascending rows find their chunks as runs, without a sort; any other
+    order goes through ``np.unique``.  Both plan the same items — plain,
+    pruned (``big_scalar`` under bounds), padded, tiled, sequence and
+    pending (unflushed) layouts alike."""
+    reader, model = build_big_layout(layout, rng)
+    rows = np.sort(rng.choice(len(model), 2 * len(model) // 3, replace=False))
+    if order == "shuffled":
+        rng.shuffle(rows)
+    bounds = [(150, 420, False, False)] if layout == "big_scalar" else None
+
+    def unsorted(*args, **kwargs):
+        raise AssertionError("ascending rows were sorted")
+
+    with monkeypatch.context() as patch:
+        if order == "ascending":
+            patch.setattr(np, "unique", unsorted)
+        plan = reader.plan_reads(rows, bounds=bounds)
+    with monkeypatch.context() as patch:
+        patch.setattr(read_plan, "_chunk_runs",
+                      lambda r: np.unique(r, return_inverse=True))
+        want = reader.plan_reads(rows, bounds=bounds)
+    assert plan.names == want.names and len(plan.names) > 1
+    for field in ("flat", "chunk_ord", "local", "kind"):
+        got, ref = getattr(plan, field), getattr(want, field)
+        assert got.dtype == ref.dtype and got.tolist() == ref.tolist(), field
+    assert plan.skipped_chunks == want.skipped_chunks
+    assert bool(plan.skipped_chunks) == (layout == "big_scalar")
+    assert plan.tiles == want.tiles
+    assert plan.chunk_keys == want.chunk_keys
+    assert plan.active_chunks == want.active_chunks
+
+
 class TestRowsAreIntegers:
     """Rows are input from outside the program: a float must not be
     truncated, a string not parsed, a bool not read as 0 / 1."""

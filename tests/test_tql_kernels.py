@@ -8,14 +8,16 @@ Three contracts of the columnar engine (ISSUE 7):
 - chunk-statistics pushdown never changes results — boundary predicates
   (``==`` at a chunk's exact min/max) keep the chunk — and skipped
   chunks cost *zero* storage GETs;
-- ORDER BY / SAMPLE BY / GROUP BY ride the scan cache: a cold
-  simulated-S3 query issues O(chunks) GETs, not O(rows).
+- ORDER BY / SAMPLE BY / GROUP BY ride the query's one scan: a cold
+  simulated-S3 query issues O(chunks) GETs, not O(rows), and plans each
+  column once per scan window.
 """
 
 import numpy as np
 import pytest
 
 import repro
+from repro.core.chunk_engine import ChunkEngine
 from repro.exceptions import TQLTypeError
 from repro.storage import MemoryProvider
 from repro.tql import Executor, build_plan, parse
@@ -258,8 +260,9 @@ class TestCounters:
 
     @pytest.mark.parametrize("q, counters", [
         ("SELECT * WHERE x >= 100 AND y < 0.9", (128, 160, 64, 3)),
+        # x is fetched once, by WHERE; y over the 64 rows that passed it
         ("SELECT x, COUNT() AS c, MEAN(y) AS m WHERE x >= 64 GROUP BY x",
-         (128, 192, 192, 2)),
+         (128, 128, 192, 2)),
         ("SELECT * WHERE x < 40 ORDER BY y DESC LIMIT 5",
          (128, 104, 104, 2)),
         ("SELECT y WHERE x == 31 OR x == 97", (128, 128, 128, 0)),
@@ -293,19 +296,19 @@ class TestCounters:
         assert ex.chunks_skipped > 0 and len(fast) == 76
         _rows_equal(fast, slow)
 
-    def test_scan_cache_holds_columns(self):
+    def test_scan_window_holds_columns(self):
         cold = repro.load(_chunked_ds().storage)
         ex = _executor(cold, "SELECT * WHERE x >= 100")
         rows = np.arange(64, 128)
-        ex._prefetch_columns(["x", "y"], rows, bounds={
+        ex._fetch(["x", "y"], rows, bounds={
             "x": [(100, None, False, False)],
         })
-        column, pruned = ex._scan_cache["x"]
+        column, pruned = ex._window["x"]
         assert isinstance(column, np.ndarray) and column.shape == (64,)
         assert pruned.tolist() == [r < 96 for r in rows]  # 32-row chunks
         assert column[~pruned].tolist() == list(range(96, 128))
         assert ex._unpruned({"x": None}).tolist() == list(range(32, 64))
-        column, pruned = ex._scan_cache["y"]
+        column, pruned = ex._window["y"]
         assert column.shape == (64,) and pruned is None
         assert ex.cells_fetched == 32 + 64 and ex.cache_hits == 0
 
@@ -320,6 +323,101 @@ class TestCounters:
         monkeypatch.setattr(engine, "plan_reads", bug)
         with pytest.raises(AttributeError):
             ex.run(q)
+
+
+# --------------------------------------------------------------------------- #
+# one scan per query: windows sized in bytes, each column planned once
+# --------------------------------------------------------------------------- #
+
+WARM_QUERIES = [
+    "SELECT labels, COUNT() AS cnt, MEAN(score) AS mean_score "
+    "WHERE labels < 12 GROUP BY labels",
+    "SELECT labels, COUNT() AS cnt, MEAN(score) AS mean_score "
+    "WHERE score > 0.9 GROUP BY labels",
+    "SELECT * WHERE labels == 3 ORDER BY score DESC LIMIT 100",
+    "SELECT emb WHERE labels == 3 AND score < 0.5",
+]
+
+
+@pytest.fixture(scope="module")
+def warm_ds():
+    """Shaped like the tql_warm benchmark: 16 384 rows of a rising f64
+    score, i64 labels in 0..15 and f32[32] embeddings, in lz4 chunks of
+    8 KiB (scalars) and 64 KiB (embeddings)."""
+    gen = np.random.default_rng(0)
+    n = 16384
+    ds = repro.empty(MemoryProvider("warmshape"), overwrite=True)
+    for name, dtype, chunk in (("score", "float64", 8 << 10),
+                               ("labels", "int64", 8 << 10),
+                               ("emb", "float32", 64 << 10)):
+        _bare(ds, name, dtype=dtype, chunk_compression="lz4",
+              max_chunk_size=chunk)
+    ds.extend({
+        "score": list(np.arange(n) / n + gen.normal(0, 0.02, n)),
+        "labels": list(gen.integers(0, 16, n).astype(np.int64)),
+        "emb": list(gen.normal(size=(n, 32)).astype(np.float32)),
+    })
+    ds.flush()
+    return ds
+
+
+def _nbytes(column) -> int:
+    if isinstance(column, np.ndarray):
+        return column.nbytes
+    return sum(np.asarray(cell).nbytes for cell in column)
+
+
+class TestOneScan:
+    @pytest.mark.parametrize("q", WARM_QUERIES)
+    def test_each_column_is_planned_once_per_window(self, warm_ds, q,
+                                                    monkeypatch):
+        """WHERE and the stage after it share one scan: no column is
+        planned twice for one window, the stage reads the WHERE columns
+        where they lie, and the scalar window is the whole dataset."""
+        planned = []
+        plan_reads = ChunkEngine.plan_reads
+
+        def counted(engine, rows, bounds=None):
+            planned.append(engine.tensor)
+            return plan_reads(engine, rows, bounds=bounds)
+
+        monkeypatch.setattr(ChunkEngine, "plan_reads", counted)
+        ex = _executor(warm_ds, q)
+        before = ex._m_scan_windows.value
+        assert len(ex.run(q)) > 0
+        windows = ex._m_scan_windows.value - before
+        assert windows == 1
+        assert len(planned) <= 3
+        assert all(planned.count(t) <= windows for t in planned)
+
+    def test_an_image_window_holds_at_most_the_budget(self, monkeypatch):
+        gen = np.random.default_rng(3)
+        ds = repro.empty(MemoryProvider("imagewindow"), overwrite=True)
+        _bare(ds, "images", dtype="uint8")
+        _bare(ds, "labels", dtype="int64")
+        ds.extend({
+            "images": list(gen.integers(0, 255, (64, 32, 32, 3),
+                                        dtype=np.uint8)),
+            "labels": list(np.arange(64, dtype=np.int64) % 4),
+        })
+        ds.flush()
+        budget = 10 * 32 * 32 * 3
+        monkeypatch.setattr(executor_mod, "SCAN_WINDOW_BYTES", budget)
+        held = []
+        fetch = Executor._fetch
+
+        def measured(ex, tensors, rows, bounds=None):
+            fetch(ex, tensors, rows, bounds=bounds)
+            held.append(sum(_nbytes(col) for col, _p in ex._window.values()))
+
+        monkeypatch.setattr(Executor, "_fetch", measured)
+        q = "SELECT MEAN(images) AS m WHERE labels < 2"
+        _rows_equal(ds.query(q), ds.query(q, optimize=False))
+        q = "SELECT labels ORDER BY MEAN(images) DESC"
+        assert (list(ds.query(q).index.entries[0])
+                == list(ds.query(q, optimize=False).index.entries[0]))
+        assert len(held) >= 2 * 64 // 10
+        assert 0 < max(held) <= budget
 
 
 # --------------------------------------------------------------------------- #
@@ -528,13 +626,33 @@ class TestGetCounts:
 # the row-at-a-time path, which stays the oracle
 # --------------------------------------------------------------------------- #
 
-_N = 2560  # three scan batches: 1024 + 1024 + 512
+_N = 2560  # one scan window by default; 1024 + 1024 + 512 at 1024-row ones
 _AGGS = ("COUNT", "SUM", "MEAN", "MIN", "MAX", "STD", "FIRST")
 
 
 def _bare(ds, name, **kwargs):
     ds.create_tensor(name, create_shape_tensor=False, create_id_tensor=False,
                      **kwargs)
+
+
+def _window_rows(monkeypatch, ds, q, rows):
+    """Cut the scan-window budget so *q*'s windows hold *rows* rows: the
+    budget is priced at the worst-case row of every column it reads."""
+    plan = build_plan(ds, parse(q))
+    row_bytes = sum(ds._engine(t).meta.max_sample_nbytes
+                    for t in plan.graph.columns())
+    monkeypatch.setattr(executor_mod, "SCAN_WINDOW_BYTES", rows * row_bytes)
+
+
+def _windowed(monkeypatch, ds, q, rows=1000):
+    """*q*'s optimized result at *rows*-row scan windows; asserts the scan
+    really walked three windows or more."""
+    _window_rows(monkeypatch, ds, q, rows)
+    ex = _executor(ds, q)
+    before = ex._m_scan_windows.value
+    out = ex.run(q)
+    assert ex._m_scan_windows.value - before >= 3
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -608,8 +726,10 @@ class TestGroupByArrayProgram:
         ("kt, k1", "vr", PRUNING),
     ])
     def test_every_key_kind_matches_the_row_path_exactly(
-        self, gds, keys, inputs, where
+        self, gds, keys, inputs, where, monkeypatch
     ):
+        """At the default budget (one window) and at 1000-row windows,
+        whose partials merge across three."""
         ds, _cols = gds
         aggs = ", ".join(
             f"{agg}({col}) AS {agg.lower()}_{col}"
@@ -621,7 +741,9 @@ class TestGroupByArrayProgram:
         fast = ex.run(q)
         assert bool(ex.chunks_skipped) == bool(where)
         assert len(fast) > 1
-        _identical(fast, ds.query(q, optimize=False))
+        slow = ds.query(q, optimize=False)
+        _identical(fast, slow)
+        _identical(_windowed(monkeypatch, ds, q), slow)
 
     def test_nan_keys_are_singleton_groups_and_signed_zeros_share_one(
         self, monkeypatch
@@ -634,8 +756,8 @@ class TestGroupByArrayProgram:
         ds.extend({"k": [np.float64(v) for v in k]})
         ds.flush()
         q = "SELECT k, COUNT() AS n GROUP BY k"
-        for batch_rows in (1024, 4, 1):
-            monkeypatch.setattr(executor_mod, "SCAN_BATCH_ROWS", batch_rows)
+        for window_rows in (1024, 4, 1):
+            _window_rows(monkeypatch, ds, q, window_rows)
             for optimize in (True, False):
                 out = ds.query(q, optimize=optimize)
                 keys = out.k.numpy().ravel()
@@ -651,7 +773,7 @@ class TestGroupByArrayProgram:
             q = f"SELECT {name}, COUNT() AS n GROUP BY {name}"
             ex = _executor(ds, q)
             rows = np.arange(1024)
-            ex._prefetch_columns([name], rows)
+            ex._fetch([name], rows)
             acc = kernels.GroupAccumulator(ex.plan.agg_projections)
             acc.add_batch(kernels.BatchEvaluator(ex, rows),
                           ex.plan.group_nodes)
@@ -667,12 +789,13 @@ class TestGroupByArrayProgram:
             nan_rows = int(np.isnan(cols[name][:1024]).any(axis=1).sum())
             assert len(got) - len(nan_free) == nan_rows  # singletons
 
-    def test_partials_merge_across_batches(self, gds):
-        """Hazard (c): groups seen by one batch only, and groups whose
+    def test_partials_merge_across_batches(self, gds, monkeypatch):
+        """Hazard (c): groups seen by one window only, and groups whose
         rows come from all three, against numpy over the columns."""
         ds, cols = gds
-        out = ds.query("SELECT ki, COUNT() AS n, MEAN(x) AS m, SUM(c) AS s "
-                       "GROUP BY ki")
+        out = _windowed(monkeypatch, ds,
+                        "SELECT ki, COUNT() AS n, MEAN(x) AS m, SUM(c) AS s "
+                        "GROUP BY ki", rows=1024)
         ki, x, c = cols["ki"], cols["x"], cols["c"]
         assert not (ki[1024:] == 5).any() and not (ki[:2048] == 6).any()
         assert out.ki.numpy().ravel().tolist() == list(range(7))
@@ -773,13 +896,18 @@ class TestGroupByArrayProgram:
                        for v in values)
             assert np.array_equal(np.stack(values), want)
 
-    def test_kernel_seconds_observed_once_per_batch(self, gds):
+    def test_kernel_seconds_observed_once_per_batch(self, gds, monkeypatch):
         ds, _cols = gds
-        q = "SELECT ki, COUNT() AS n, MEAN(x) AS m GROUP BY ki"
-        ex = _executor(ds, q)
-        before = ex._h_kernel.count
-        ex.run(q)
-        assert ex._h_kernel.count - before == 3
+        q = ("SELECT ki, COUNT() AS n, MEAN(x) AS m WHERE pos >= 0 "
+             "GROUP BY ki")
+        for window_rows, windows in ((None, 1), (1024, 3)):
+            if window_rows:
+                _window_rows(monkeypatch, ds, q, window_rows)
+            ex = _executor(ds, q)
+            before = ex._h_kernel.count
+            ex.run(q)
+            # one observation per window: its mask and its partials
+            assert ex._h_kernel.count - before == windows
 
 
 def _reference_order(keys, ascending):
@@ -810,12 +938,16 @@ class TestOrderByArrayProgram:
         "SELECT * ORDER BY x DESC ARRANGE BY ki",
         "SELECT * ORDER BY ki LIMIT 40 OFFSET 1000",
     ])
-    def test_order_matches_the_row_path_row_for_row(self, gds, q):
+    def test_order_matches_the_row_path_row_for_row(self, gds, q,
+                                                    monkeypatch):
+        """At the default budget (one window) and at 1000-row windows,
+        whose key columns concatenate across three."""
         ds, _cols = gds
         fast = ds.query(q)
-        slow = ds.query(q, optimize=False)
+        slow = list(ds.query(q, optimize=False).index.entries[0])
         assert len(fast) > 0
-        assert list(fast.index.entries[0]) == list(slow.index.entries[0])
+        assert list(fast.index.entries[0]) == slow
+        assert list(_windowed(monkeypatch, ds, q).index.entries[0]) == slow
 
     def test_ties_keep_source_order_in_both_directions(self, gds):
         ds, cols = gds
