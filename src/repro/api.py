@@ -36,11 +36,15 @@ def _path_str(path: PathOrProvider) -> str:
 
 
 def exists(path: PathOrProvider) -> bool:
-    """True when *path* contains a Deep Lake dataset."""
+    """True when *path* contains a Deep Lake dataset: its version tree,
+    or — should the tree be gone — the first commit's state (its head
+    manifest, or the dataset meta of one written before manifests)."""
     storage = _provider(path, cache_bytes=0)
-    return K.dataset_meta_key(K.FIRST_COMMIT_ID) in storage or bool(
-        storage.list_prefix("versions/")
-    )
+    return any(key in storage for key in (
+        K.version_control_info_key(),
+        K.head_manifest_key(K.FIRST_COMMIT_ID),
+        K.dataset_meta_key(K.FIRST_COMMIT_ID),
+    ))
 
 
 def empty(
@@ -49,7 +53,8 @@ def empty(
     strict: bool = True,
     cache_bytes: Optional[int] = None,
 ) -> Dataset:
-    """Create a new empty dataset at *path* (see Fig 4's starting point)."""
+    """Create a new empty dataset at *path* (see Fig 4's starting point):
+    one write, its version tree."""
     storage = _provider(path, cache_bytes=cache_bytes)
     if exists(storage):
         if not overwrite:
@@ -58,7 +63,8 @@ def empty(
                 "overwrite=True to replace it"
             )
         storage.clear()
-    return Dataset(storage, strict=strict, path=_path_str(path))
+    return Dataset(storage, strict=strict, path=_path_str(path),
+                   _tree=VersionTree.create_default())
 
 
 def load(

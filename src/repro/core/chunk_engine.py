@@ -53,8 +53,9 @@ joins ``_pending_chunks``, and :meth:`_serialize_pending` turns the buffer
 into the ``set_many`` batch that is the only way a chunk reaches storage:
 when an update leaves ``_WATERMARK_CHUNKS`` chunks buffered or the next
 append finds that many while it stages (the upload then runs under the
-encode pool's work), and at :meth:`flush` (chunks, then encoders, then
-meta).
+encode pool's work), and at a flush, which hands the engine's state
+files to the owning ``Dataset``'s commit manifest (chunks go first, the
+manifest publishes them).
 
 Where parallelism lives
 -----------------------
@@ -73,7 +74,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -236,10 +237,14 @@ class ChunkEngine:
         meta: Optional[TensorMeta] = None,
         cache_bytes: int = _CHUNK_CACHE_BYTES,
         state: Optional[Dict[str, bytes]] = None,
+        flush_via: Optional[Callable[[], None]] = None,
     ):
         self.tensor = tensor
         self.storage = storage
         self.version_state = version_state
+        # the owning Dataset's flush, which publishes this engine's state
+        # in its commit manifest; a bare engine writes enumerated keys
+        self._flush_via = flush_via
         self._lock = threading.RLock()
 
         # decoded-chunk buffer cache + header cache (shared across commits;
@@ -345,11 +350,11 @@ class ChunkEngine:
         self._chunk_sets[self.commit_id] = names
 
     def _load_state(self, blobs: Optional[Dict[str, bytes]] = None) -> None:
-        """Resolve the tensor's state from *blobs*, the stored subset of
-        ``K.state_keys`` — handed in by the owning ``Dataset``, which
-        fetches many tensors' at once; an engine built on its own fetches
-        them here, in one ``get_many``.  Meta and encoders come from the
-        nearest commit of the chain that wrote them, the stats sidecar
+        """Resolve the tensor's state from *blobs*, ``{state key: blob}``
+        over the chain — handed in by the owning ``Dataset``, from its
+        commits' manifests; a bare engine fetches the stored subset of
+        ``K.state_keys`` in one ``get_many``.  Meta and encoders come from
+        the nearest commit of the chain that wrote them, the stats sidecar
         merges the whole chain, every commit keeps its own chunk set, and
         the commit diff is the current commit's."""
         chain = self.version_state.commit_chain()
@@ -426,10 +431,14 @@ class ChunkEngine:
         return items
 
     def flush(self) -> None:
-        """Persist this engine's buffered state for the current commit,
-        one ``set_many`` per key class in crash-consistent order: chunks,
-        then encoders, then meta (``K.KEY_CLASS_CHUNK`` says why) — what
-        ``Dataset.flush`` does for every engine at once."""
+        """Persist this engine's buffered state for the current commit:
+        through the owning ``Dataset.flush`` (every engine's chunks in one
+        batch, then the manifest that publishes them), or — for a bare
+        engine — its chunks, then its state files at their enumerated
+        keys."""
+        if self._flush_via is not None:
+            self._flush_via()
+            return
         with self._lock:
             for items in self.drain_flush_items():
                 if items:
@@ -443,15 +452,15 @@ class ChunkEngine:
         points at the new head commit.  Touches no storage and no chunk
         set: the commit just left stays in ``_chunk_sets`` as an ancestor
         (so the next write issues no GET) and the child's own set starts
-        empty.  The engine is left dirty, and the caller's coordinated
-        flush writes the child's state for every tensor at once, before
-        the version tree that makes the child reachable.
+        empty.  The engine is left clean: until it changes, the child's
+        state *is* the sealed commit's, which a reader finds down the
+        chain, so the child's manifest need not repeat it.
         """
         with self._lock:
             self._active_chunk = None
             self._pending_chunks.clear()
             self.commit_diff = CommitDiff(self.num_samples)
-            self._dirty = True
+            self._dirty = False
 
     @property
     def has_changes(self) -> bool:
@@ -871,22 +880,22 @@ class ChunkEngine:
             self._h_flush_batch.observe(len(pending))
         return items
 
-    def drain_flush_items(
-        self,
-    ) -> Tuple[Dict[str, bytes], Dict[str, bytes], Dict[str, bytes]]:
+    def drain_flush_items(self) -> Tuple[Dict[str, bytes], Dict[str, bytes]]:
         """Collect everything this engine would persist on :meth:`flush`
-        without writing any of it: ``(chunk items, encoder items, meta
-        items)``, each upload-ready.  The engine's buffers and dirty flag
-        are drained exactly as a flush would, so the caller *must* write
-        the returned items (in key-class order) — ``Dataset.flush`` and
-        ``commit`` merge many engines' into one ``set_many`` per class."""
+        without writing any of it: ``(chunk items, state items)``, the
+        state being every state file of the current commit when the
+        engine is dirty.  The engine's buffers and dirty flag are drained
+        exactly as a flush would, so the caller *must* write the chunks
+        before anything that names them — ``Dataset.flush`` and ``commit``
+        put every engine's chunks in one ``set_many`` and the state in the
+        commit's manifest."""
         with self._lock:
             self._finalize_active()
             chunk_items = self._serialize_pending()
             if not self._dirty:
-                return chunk_items, {}, {}
+                return chunk_items, {}
             self._dirty = False
-            return chunk_items, self._encoder_items(), self._meta_items()
+            return chunk_items, {**self._encoder_items(), **self._meta_items()}
 
     def _maybe_flush_pending(self) -> None:
         """Upload the buffer as one ``set_many`` once it holds
@@ -900,6 +909,26 @@ class ChunkEngine:
                 items = self._serialize_pending()
                 self.storage.set_many(items)
                 sp.set(nbytes=sum(len(b) for b in items.values()))
+
+    def _resume_name(self) -> Optional[str]:
+        """The stored chunk the next append would resume — the last one,
+        unless it holds a tile — or ``None``."""
+        last_id = self.enc.last_chunk_id()
+        if last_id is None or (self.enc.num_samples - 1) in self.tile_enc:
+            return None
+        return ChunkIdEncoder.name_from_id(last_id)
+
+    def plan_resume(self) -> Optional[ReadPlan]:
+        """A plan over the last flat item when the next append will
+        resume a chunk that is not in memory — for the caller to fetch in
+        one batch with other tensors' (``Dataset`` before an extend)."""
+        with self._lock:
+            name = self._resume_name()
+            if (self._active_chunk is not None or name is None
+                    or not self.enc.num_samples
+                    or self._mem_chunk(name) is not None):
+                return None
+            return self._plan_flat([self.enc.num_samples - 1])
 
     def _get_active_chunk(self, nbytes: int) -> Chunk:
         """Chunk that will receive the next sample (resumed or fresh).
@@ -915,13 +944,8 @@ class ChunkEngine:
             self._finalize_active()
         # resume the last stored chunk when it still has room (this is the
         # copy-on-write extension path after checkout/commit)
-        last_id = self.enc.last_chunk_id()
-        last_is_tiled = (
-            self.enc.num_samples > 0
-            and (self.enc.num_samples - 1) in self.tile_enc
-        )
-        if last_id is not None and not last_is_tiled:
-            name = ChunkIdEncoder.name_from_id(last_id)
+        name = self._resume_name()
+        if name is not None:
             try:
                 chunk = self._load_chunk(name)
             except KeyError:
@@ -1644,34 +1668,3 @@ class ChunkEngine:
             (ChunkIdEncoder.name_from_id(cid), start, end)
             for cid, start, end in self.enc.chunk_ranges()
         ]
-
-    def fragmentation(self) -> float:
-        """Fraction of chunks below the lower size bound (rechunk signal)."""
-        self._finalize_active()
-        names = [
-            ChunkIdEncoder.name_from_id(cid)
-            for cid, _s, _e in self.enc.chunk_ranges()
-        ]
-        if not names:
-            return 0.0
-        small = 0
-        seen = set()
-        for name in names:
-            if name in seen:
-                continue
-            seen.add(name)
-            mem = self._mem_chunk(name)
-            if mem is not None:
-                approx = len(mem.data)
-            else:
-                try:
-                    header = self._load_header(name)
-                except KeyError:
-                    continue
-                approx = (
-                    int(header.byte_positions[-1][1])
-                    if len(header.byte_positions) else 0
-                )
-            if approx < self.meta.min_chunk_size:
-                small += 1
-        return small / len(seen) if seen else 0.0

@@ -11,7 +11,9 @@ that share the underlying chunk engines.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Union
+import weakref
+from collections import ChainMap
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -24,8 +26,10 @@ from repro.core.sample import Sample
 from repro.core.tensor import Tensor
 from repro.core.version_state import VersionState
 from repro.exceptions import (
+    DeepLakeError,
     FormatError,
     GroupError,
+    KeyNotFound,
     ReadOnlyDatasetError,
     TensorAlreadyExistsError,
     TensorDoesNotExistError,
@@ -35,7 +39,11 @@ from repro.util import keys as K
 from repro.util.ids import new_sample_id, new_view_id
 from repro.util.json_util import json_dumps, json_loads
 from repro.version_control import operations as vc_ops
-from repro.version_control.tree import VersionTree
+from repro.version_control.tree import (
+    VersionTree,
+    pack_manifest,
+    unpack_manifest,
+)
 
 _RESERVED = {"queries", "versions", "locks"}
 
@@ -80,57 +88,118 @@ class Dataset:
 
         self._engines: Dict[str, ChunkEngine] = {}
         self._open_lock = threading.Lock()  # shared with views (_spawn)
-        # dataset-meta key -> the bytes this dataset (views share the
-        # dict, like _engines) last loaded or wrote there: a flush adds
-        # the dataset meta to its meta batch only when it differs
-        self._stored_metas: Dict[str, bytes] = {}
-        self._meta = self._load_dataset_meta()
+        # commit id -> {state key: blob}, every commit of the chain as its
+        # manifest holds it (views share the dict, like _engines); a
+        # flush merges what the engines drain into the head's entry, and
+        # _unpublished names the heads whose entry is ahead of storage
+        self._state: Dict[str, Dict[str, bytes]] = {}
+        self._unpublished: Set[str] = set()
+        self._meta = self._load_state()
+        if self._tree.stored is None and self._writable_head():
+            self._tree.save(self.storage)  # a dataset exists with its tree
 
     # ------------------------------------------------------------------ #
     # construction / persistence plumbing
     # ------------------------------------------------------------------ #
 
-    def _load_dataset_meta(self) -> DatasetMeta:
+    def _load_state(self) -> DatasetMeta:
+        """Read the state of every commit of the chain not in memory yet
+        and return the dataset meta nearest the current commit.
+
+        ONE ``get_many`` of the manifests the tree names, so a cold open
+        is the tree, this batch, then chunks, at any tensor count or
+        history depth; a head never flushed has no manifest and shows its
+        parent's state.  A commit written before manifests is read at its
+        enumerated keys: its dataset meta rides the same batch, every
+        tensor's state files (``K.state_keys``) one more."""
         chain = self.version_state.commit_chain()
-        keys = [K.dataset_meta_key(cid) for cid in chain]
-        found = self.storage.get_many(keys)
-        self._stored_metas.update(found)
-        for key in keys:  # nearest commit wins
-            if key in found:
-                return DatasetMeta.from_json(found[key])
-        meta = DatasetMeta()
-        if not self.read_only and not self.storage.read_only:
-            self._write_metas({}, {keys[0]: meta.to_json()})
-            self._tree.save(self.storage)
+        nodes = [self._tree.node(c) for c in chain if c not in self._state]
+        found = self.storage.get_many([
+            node.manifest or K.dataset_meta_key(node.commit_id)
+            for node in nodes
+        ]) if nodes else {}
+        legacy = []
+        for node in nodes:
+            cid, key = node.commit_id, node.manifest
+            if key is None:
+                legacy.append(cid)
+                key = K.dataset_meta_key(cid)
+                self._state[cid] = {key: found[key]} if key in found else {}
+            elif key in found:
+                self._state[cid] = unpack_manifest(
+                    found[key], K.commit_root(cid)
+                )
+            elif node.is_head:
+                self._state[cid] = {}
+            else:
+                raise FormatError(
+                    f"commit {cid!r}: the version tree names manifest "
+                    f"{key!r}, which is not in storage"
+                )
+        blob = self._stored_meta_blob()
+        meta = DatasetMeta.from_json(blob) if blob else DatasetMeta()
+        if legacy and meta.tensors:
+            found = self.storage.get_many([
+                key for name in meta.tensors
+                for key in K.state_keys(legacy, name)
+            ])
+            for cid in legacy:
+                self._state[cid].update(
+                    (k, found[k]) for name in meta.tensors
+                    for k in K.state_keys([cid], name) if k in found
+                )
         return meta
 
+    def _chain_state(self) -> ChainMap:
+        """Every state blob of the current chain as one mapping (keys
+        carry their commit's root, so commits never collide) — what
+        ``ChunkEngine._load_state`` and the commit diffs read."""
+        return ChainMap(*(
+            self._state.get(cid, {})
+            for cid in self.version_state.commit_chain()
+        ))
+
+    def _stored_meta_blob(self) -> Optional[bytes]:
+        """The dataset meta the chain's state holds, nearest commit first."""
+        for cid in self.version_state.commit_chain():
+            blob = self._state.get(cid, {}).get(K.dataset_meta_key(cid))
+            if blob is not None:
+                return blob
+        return None
+
     def _dataset_meta_items(self) -> Dict[str, bytes]:
-        """The current commit's dataset meta as a one-key batch — empty
-        when storage already holds these bytes under that key."""
-        key = K.dataset_meta_key(self.version_state.commit_id)
+        """The current commit's dataset meta as a one-key dict — empty
+        when the chain's state already holds these bytes."""
         blob = self._meta.to_json()
-        return {} if self._stored_metas.get(key) == blob else {key: blob}
+        if blob == self._stored_meta_blob():
+            return {}
+        return {K.dataset_meta_key(self.version_state.commit_id): blob}
 
-    def _write_metas(
-        self, metas: Dict[str, bytes], dataset_metas: Dict[str, bytes]
-    ) -> None:
-        """The meta batch — *dataset_metas* last, after every tensor meta
-        they name (a batch keeps its order) — and the one place a dataset
-        meta is written, so ``_stored_metas`` cannot go stale; it is
-        updated only after the ``set_many`` returned."""
-        items = {**metas, **dataset_metas}
-        if items:
-            self.storage.set_many(items)
-        self._stored_metas.update(dataset_metas)
+    def _new_engine(self, name: str, **kwargs) -> ChunkEngine:
+        """An engine of this dataset; its own flushes (rechunk, stats
+        backfill) go through :meth:`flush`.  It holds the dataset weakly
+        — every view holds it strongly (:meth:`_spawn`) — so no cycle
+        keeps the engines' decoded caches alive."""
+        owner = weakref.ref(self.__dict__.get("_owner", self))
 
-    def _write_dataset_meta(self) -> None:
-        self._write_metas({}, self._dataset_meta_items())
+        def flush() -> None:
+            ds = owner()
+            if ds is None:
+                raise DeepLakeError(
+                    f"tensor {name!r}: its dataset is gone; flush the "
+                    "dataset the tensor was opened from"
+                )
+            ds.flush()
+
+        return ChunkEngine(name, self.storage, self.version_state,
+                           flush_via=flush, **kwargs)
 
     def _spawn(self, index: Optional[Index] = None,
                group_index: Optional[str] = None) -> "Dataset":
         """Shallow view sharing engines/tree/version state with self."""
         view = object.__new__(Dataset)
         view.__dict__.update(self.__dict__)
+        view._owner = self.__dict__.get("_owner", self)
         view.index = index if index is not None else self.index
         view.group_index = (
             group_index if group_index is not None else self.group_index
@@ -163,18 +232,19 @@ class Dataset:
 
     def _reload_version_view(self) -> None:
         self._engines.clear()
-        self._meta = self._load_dataset_meta()
+        for cid in [c for c in self._state if self._tree.node(c).is_head
+                    and c not in self._unpublished]:
+            del self._state[cid]  # another handle may have flushed it
+        self._meta = self._load_state()
 
     # ------------------------------------------------------------------ #
     # engines & names
     # ------------------------------------------------------------------ #
 
     def _open_engines(self, names: Sequence[str]) -> List[ChunkEngine]:
-        """Engines of tensors *names*, in order.  The state files of every
-        one not open yet are fetched in ONE ``get_many`` (``K.state_keys``
-        — the read mirror of :meth:`flush`), so a cold open costs one
-        round trip at any tensor count or history depth; the lock makes
-        concurrent first readers share one fetch and one engine."""
+        """Engines of tensors *names*, in order, built from the chain's
+        state the open already read (:meth:`_load_state`): no storage
+        call; the lock makes concurrent first readers share one engine."""
         engines = self._engines
         if any(name not in engines for name in names):
             with self._open_lock:  # re-check: a racing reader may have won
@@ -182,13 +252,9 @@ class Dataset:
                 for name in missing:
                     if name not in self._meta.tensors:
                         raise TensorDoesNotExistError(name)
-                chain = self.version_state.commit_chain()
-                keys = [k for n in missing for k in K.state_keys(chain, n)]
-                blobs = self.storage.get_many(keys) if keys else {}
+                blobs = self._chain_state()
                 for name in missing:
-                    engines[name] = ChunkEngine(
-                        name, self.storage, self.version_state, state=blobs
-                    )
+                    engines[name] = self._new_engine(name, state=blobs)
         return [engines[name] for name in names]
 
     def _engine(self, name: str) -> ChunkEngine:
@@ -227,9 +293,9 @@ class Dataset:
 
         ``downsampling=k`` additionally maintains a hidden 1/k-scale copy
         of every image (used by the visualizer for instant previews).
-        Ends with one coordinated :meth:`flush`, so the tensor, its hidden
-        companions and the dataset meta that names them become durable
-        together, never the meta ahead of a companion's state.
+        Ends with one :meth:`flush` — one manifest PUT — so the tensor,
+        its hidden companions and the dataset meta that names them become
+        durable together, never the meta ahead of a companion's state.
         """
         self._check_writable()
         name = self._qualify(name)
@@ -256,7 +322,7 @@ class Dataset:
             hidden=hidden,
             **kwargs,
         )
-        engine = ChunkEngine(name, self.storage, self.version_state, meta=meta)
+        engine = self._new_engine(name, meta=meta)
         self._engines[name] = engine
         self._meta.add_tensor(name, hidden=hidden or meta.hidden)
 
@@ -279,10 +345,9 @@ class Dataset:
                     sample_compression=meta.sample_compression or "jpeg",
                     hidden=True,
                 )
-                down_engine = ChunkEngine(
-                    down_name, self.storage, self.version_state, meta=down
+                self._engines[down_name] = self._new_engine(
+                    down_name, meta=down
                 )
-                self._engines[down_name] = down_engine
                 self._meta.add_tensor(down_name, hidden=True)
                 meta.links["downsampled"] = down_name
                 meta.info["downsampling_factor"] = factor
@@ -294,8 +359,7 @@ class Dataset:
         meta = TensorMeta(
             htype="generic", dtype=dtype, chunk_compression="lz4", hidden=True
         )
-        engine = ChunkEngine(name, self.storage, self.version_state, meta=meta)
-        self._engines[name] = engine
+        self._engines[name] = self._new_engine(name, meta=meta)
         self._meta.add_tensor(name, hidden=True)
 
     def _create_tensor_from_meta(
@@ -320,31 +384,36 @@ class Dataset:
         if name in self._meta.tensors:
             raise GroupError(f"{name!r} is a tensor, cannot be a group")
         self._meta.add_group(name)
-        self._write_dataset_meta()
+        self.flush()
         return self._spawn(group_index=name)
 
     def delete_tensor(self, name: str) -> None:
         """Remove a tensor (and companions) from the current head.
 
-        The dataset meta stops naming them *before* their keys are
-        deleted: the worst a crash in between leaves is unreferenced keys,
-        never a dataset meta naming a tensor with no state.
+        The head's manifest stops naming them — one flush — *before*
+        their chunks are deleted: the worst a crash in between leaves is
+        unreferenced keys, never a dataset meta naming a tensor with no
+        state.
         """
         self._check_writable()
         name = self._qualify(name)
         engine = self._engine(name)
         victims = [name] + [t for t in engine.meta.links.values()]
+        head = self.version_state.commit_id
+        state = self._state.setdefault(head, {})
+        folders = [f"{K.commit_root(head)}{victim}/" for victim in victims]
         for victim in victims:
             self._engines.pop(victim, None)
             if victim in self._meta.tensors:
                 self._meta.tensors.remove(victim)
             if victim in self._meta.hidden_tensors:
                 self._meta.hidden_tensors.remove(victim)
-        self._write_dataset_meta()
-        for victim in victims:
-            self.storage.clear(
-                f"{K.commit_root(self.version_state.commit_id)}{victim}/"
-            )
+        for key in [k for k in state if k.startswith(tuple(folders))]:
+            del state[key]
+            self._unpublished.add(head)
+        self.flush()
+        for folder in folders:
+            self.storage.clear(folder)
 
     # ------------------------------------------------------------------ #
     # hidden-tensor synchronisation
@@ -410,8 +479,26 @@ class Dataset:
         """
         self._check_writable()
         engine = self._engine(name)
+        self._resume_last_chunks(
+            [engine, *self._open_engines(list(engine.meta.links.values()))]
+        )
         plan = engine.stage_appends(values)
         self._commit_extend(name, engine, plan, sample_ids)
+
+    def _resume_last_chunks(self, engines: Sequence[ChunkEngine]) -> None:
+        """Fetch the stored last chunk of every engine whose next append
+        resumes one not in memory (a cold handle's first extend) in ONE
+        ``get_many``, instead of a GET per tensor as each resumes it."""
+        fused = FusedReadPlan()
+        for engine in engines:
+            plan = engine.plan_resume()
+            if plan is not None:
+                fused.add(engine, plan)
+        if fused.parts:
+            try:
+                fused.prefetch()
+            except KeyNotFound:
+                pass  # a lost last chunk is not resumed: a fresh one starts
 
     def _extend_from(
         self,
@@ -637,10 +724,10 @@ class Dataset:
         if not count:
             return
         # every tensor under the group, hidden companions included, is
-        # written below: open the ones still cold in one batch
-        self._open_engines(
+        # written below: their last chunks, where cold, come in one batch
+        self._resume_last_chunks(self._open_engines(
             [n for n in self._meta.tensors if n.startswith(prefix)]
-        )
+        ))
         # Stage everything first: serialization is the fallible phase, and
         # doing it up front keeps a mid-batch bad sample from leaving some
         # tensors longer than others.
@@ -885,50 +972,77 @@ class Dataset:
 
     def flush(self) -> None:
         """Persist every engine's buffered state — and nothing that has
-        not changed.
-
-        The flush is *coordinated*, in two halves.
-        :meth:`_drain_flush_items` collects pending chunks, encoders and
-        meta from all engines; :meth:`_write_flush_items` writes them as
-        one ``set_many`` per key class (chunks across all tensors, then
-        encoders, then meta) instead of three per engine — the same
-        crash-consistency order, a third of the round trips on object
-        storage.  The dataset meta travels as the last key of the meta
-        batch, after every tensor meta it names, and only when its bytes
-        differ from what this dataset last loaded or wrote; the version
-        tree is the last, separate write, the one that makes a new commit
-        reachable, and is skipped when unchanged
-        (:meth:`VersionTree.save`).  A flush with nothing to say issues no
-        request at all.
+        not changed — in two writes at most: every engine's chunks in ONE
+        ``set_many``, then ONE PUT of the head's manifest, which publishes
+        them.  The manifest holds every state file of the head commit
+        (meta, encoders, chunk set, stats, diff of each tensor, and the
+        dataset meta when it changed), so a crash anywhere leaves the last
+        published head whole: chunks that landed without it are new keys
+        no manifest names, or the head's last chunk with rows appended
+        past those its manifest names (an in-place ``update`` of a chunk
+        the head already stored is the exception: it shows early, never
+        in a sealed commit).  The version tree is not rewritten — it
+        already names the head's manifest; :meth:`VersionTree.save` is a
+        no-op unless an earlier commit's tree PUT is still owed.  A flush
+        with nothing to say issues no request at all.
         """
-        self._write_flush_items(self._drain_flush_items())
+        self._publish(*self._drain_flush_items())
 
-    def _drain_flush_items(self) -> List[Dict[str, bytes]]:
-        """First half of :meth:`flush`: drain every open engine (and the
-        dataset meta, when it changed) into ``[chunks, encoders, tensor
-        metas, dataset metas]`` without writing anything.  The caller
-        *must* hand the result to :meth:`_write_flush_items`; ``commit``
-        merges two drains — the sealed head's and the child's — dict by
-        dict and writes once."""
-        drained: List[Dict[str, bytes]] = [{}, {}, {}, {}]
+    def _drain_flush_items(self) -> Tuple[Dict[str, bytes], Dict[str, bytes]]:
+        """Drain every open engine (and the dataset meta, when it
+        changed) into ``(chunks, state)`` without writing anything.  The
+        caller *must* write both: :meth:`_publish` for a head,
+        :meth:`_write_sealed` for a commit."""
+        chunks: Dict[str, bytes] = {}
+        state: Dict[str, bytes] = {}
         for engine in list(self._engines.values()):
-            for acc, items in zip(drained, engine.drain_flush_items()):
-                acc.update(items)
+            engine_chunks, engine_state = engine.drain_flush_items()
+            chunks.update(engine_chunks)
+            state.update(engine_state)
         if self._writable_head():
-            drained[3] = self._dataset_meta_items()
-        return drained
+            state.update(self._dataset_meta_items())
+        return chunks, state
 
-    def _write_flush_items(self, drained: List[Dict[str, bytes]]) -> None:
-        """Second half of :meth:`flush`: one ``set_many`` per non-empty key
-        class, in durability order, then the version tree if it changed."""
-        chunks, encoders, metas, dataset_metas = drained
-        for items in (chunks, encoders):
-            if items:
-                self.storage.set_many(items)
-        self._write_metas(metas, dataset_metas)
+    def _publish(self, chunks: Dict[str, bytes],
+                 state: Dict[str, bytes]) -> None:
+        """The chunks in one batch, then the head's manifest if its state
+        changed (or an earlier PUT of it failed), then the tree if it
+        changed.  A head written before manifests gets one here, and the
+        tree, which then names it, is written once more."""
+        if chunks:
+            self.storage.set_many(chunks)
+        head = self.version_state.commit_id
+        if state:  # only once the chunks it names are durable
+            self._state.setdefault(head, {}).update(state)
+            self._unpublished.add(head)
         if self._writable_head():
+            node = self._tree.node(head)
+            if head in self._unpublished:
+                node.manifest = node.manifest or K.head_manifest_key(head)
+                self.storage[node.manifest] = pack_manifest(
+                    self._state[head], K.commit_root(head)
+                )
+                self._unpublished.discard(head)
             self._tree.save(self.storage)
         self.storage.flush()
+
+    def _write_sealed(self, chunks: Dict[str, bytes],
+                      state: Dict[str, bytes]) -> None:
+        """A commit's one batch: the chunks and the head's whole state as
+        the manifest its sealed node will name
+        (``K.commit_manifest_key``) — keys no durable object names yet,
+        so any part of the batch landing publishes nothing.  The tree PUT
+        that names it follows (``version_control.operations.commit``)."""
+        head = self.version_state.commit_id
+        sealed = {**self._state.get(head, {}), **state}
+        self.storage.set_many({
+            **chunks,
+            K.commit_manifest_key(head): pack_manifest(
+                sealed, K.commit_root(head)
+            ),
+        })
+        self._state[head] = sealed
+        self._unpublished.discard(head)
 
     def _writable_head(self) -> bool:
         """Whether flushes may write the dataset meta and the version

@@ -75,8 +75,10 @@ class PriorityWorkerPool:
                 _prio, _seq, fn, args, future = heapq.heappop(self._heap)
             try:
                 future.set_result(fn(*args))
-            except BaseException as exc:  # noqa: BLE001 - propagate to consumer
+            except BaseException as exc:  # noqa: BLE001 - consumer sees it too
                 future.set_exception(exc)
+                if not isinstance(exc, Exception):
+                    raise  # an exit or interrupt also ends this worker
 
     def pending(self) -> int:
         """Tasks queued but not yet picked up by a worker."""

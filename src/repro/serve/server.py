@@ -396,7 +396,7 @@ class DatasetServer:
         try:
             tenant.inc("requests")
             resp = self._dispatch(req, tenant)
-        except BaseException as e:  # noqa: BLE001 - errors go on the wire
+        except Exception as e:  # noqa: BLE001 - errors go on the wire
             resp = error_response(e)
         finally:
             self._release(req.tenant)

@@ -85,7 +85,7 @@ def run_concurrent_clients(
         t0 = time.perf_counter()
         try:
             result.samples = int(client_fn(result.client_id))
-        except BaseException as e:  # noqa: BLE001 - reported per client
+        except Exception as e:  # noqa: BLE001 - reported per client
             result.error = e
         result.elapsed_s = time.perf_counter() - t0
 

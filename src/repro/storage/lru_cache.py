@@ -13,7 +13,10 @@ Policies
   streaming sub-ranges of multi-MB chunks must not thrash the cache.
 - Writes go to the cache and are tracked dirty; ``write_through=True``
   (default) also pushes downstream immediately, otherwise :meth:`flush`
-  pushes all dirty keys (write-back).
+  pushes all dirty keys (write-back): what arrived in batches as one
+  batch, then each single-key write in the order it was made — a
+  dataset's commit point (a manifest or the version tree) is a single
+  PUT after the batch it publishes, and stays so downstream.
 
 Concurrency
 -----------
@@ -43,7 +46,6 @@ from repro.exceptions import KeyNotFound
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.storage.provider import StorageProvider, clamp_range
-from repro.util import keys as _keys
 
 
 class LRUCache(StorageProvider):
@@ -74,7 +76,9 @@ class LRUCache(StorageProvider):
         self._m_misses = _metrics.counter("cache.misses", cache=name)
         self._m_evictions = _metrics.counter("cache.evictions", cache=name)
         self._order: "OrderedDict[str, int]" = OrderedDict()  # key -> nbytes
-        self._dirty: Set[str] = set()
+        # dirty key -> whether a single-key write (not a batch) made it,
+        # in the order the writes were made
+        self._dirty: Dict[str, bool] = {}
         self._lock = threading.RLock()
         # serializes downstream writers (write-through set, delete) with
         # each other — a set/delete interleaving must not leave the cache
@@ -104,13 +108,14 @@ class LRUCache(StorageProvider):
                 self.next_storage[old_key] = self.cache_storage._get(
                     old_key, None, None
                 )
-                self._dirty.discard(old_key)
+                del self._dirty[old_key]
             self.cache_storage._delete(old_key)
             self.cache_used -= old_size
             self.evictions += 1
             self._m_evictions.inc()
 
-    def _insert(self, key: str, value: bytes, dirty: bool) -> None:
+    def _insert(self, key: str, value: bytes, dirty: bool,
+                single: bool = False) -> None:
         if len(value) > self.cache_size:
             # Oversized blobs bypass the cache entirely.
             if dirty:
@@ -119,13 +124,13 @@ class LRUCache(StorageProvider):
         if key in self._order:
             self.cache_used -= self._order.pop(key)
             self.cache_storage._delete(key)
-            self._dirty.discard(key)
+            self._dirty.pop(key, None)
         self._evict_until_fits(len(value))
         self.cache_storage._set(key, value)
         self._order[key] = len(value)
         self.cache_used += len(value)
         if dirty:
-            self._dirty.add(key)
+            self._dirty[key] = single
 
     # ------------------------------------------------------------------ #
     # provider interface
@@ -167,7 +172,7 @@ class LRUCache(StorageProvider):
         else:
             with self._lock:
                 self._gen += 1
-                self._insert(key, value, dirty=True)
+                self._insert(key, value, dirty=True, single=True)
 
     def set_many(self, items: Dict[str, bytes]) -> None:
         """Batched write: one downstream ``set_many`` when write-through,
@@ -207,7 +212,7 @@ class LRUCache(StorageProvider):
                 if found:
                     self.cache_used -= self._order.pop(key)
                     self.cache_storage._delete(key)
-                    self._dirty.discard(key)
+                    self._dirty.pop(key, None)
             try:
                 del self.next_storage[key]
                 found = True
@@ -274,22 +279,18 @@ class LRUCache(StorageProvider):
                 return False
             if key in self._dirty:
                 self.next_storage[key] = self.cache_storage._get(key, None, None)
-                self._dirty.discard(key)
+                del self._dirty[key]
             self.cache_used -= self._order.pop(key)
             self.cache_storage._delete(key)
             return True
 
     def flush(self) -> None:
-        """Write back all dirty keys in crash-consistent order, then flush
-        downstream.
-
-        Write-back proceeds by key class — chunk payloads first, then
-        encoders, then meta/bookkeeping (``keys.key_class``) — each class
-        as one downstream ``set_many`` batch.  A crash between classes
-        leaves at worst unreferenced chunks; lexicographic order (the old
-        behaviour) could persist ``tensor_meta.json`` before the
-        ``.../chunks/...`` blobs it declares, because ``t`` sorts after
-        ``c``-prefixed chunk keys only by accident of tensor naming.
+        """Write back all dirty keys, then flush downstream: every key a
+        batch wrote in ONE downstream ``set_many``, then the single-key
+        writes one PUT each, in the order they were made.  A dataset
+        publishes with a single PUT after the batch it names (its
+        manifest, the version tree), so a crash mid-write-back leaves at
+        worst unreferenced keys, as it would without the cache.
 
         The dirty set is snapshotted under the lock but the downstream
         writes happen outside it, so concurrent reader hits don't stall
@@ -298,18 +299,16 @@ class LRUCache(StorageProvider):
         """
         with self._lock:
             pending = [
-                (key, self.cache_storage._get(key, None, None))
-                for key in sorted(self._dirty)
+                (key, self.cache_storage._get(key, None, None), single)
+                for key, single in self._dirty.items()
             ]
             self._dirty.clear()
-        for klass in (_keys.KEY_CLASS_CHUNK, _keys.KEY_CLASS_ENCODER,
-                      _keys.KEY_CLASS_META):
-            batch = {
-                key: value for key, value in pending
-                if _keys.key_class(key) == klass
-            }
-            if batch:
-                self.next_storage.set_many(batch)
+        batch = {key: value for key, value, single in pending if not single}
+        if batch:
+            self.next_storage.set_many(batch)
+        for key, value, single in pending:
+            if single:
+                self.next_storage[key] = value
         self.next_storage.flush()
 
     def clear_cache(self) -> None:

@@ -2,22 +2,33 @@
 
 A Deep Lake dataset is a flat key space on a storage provider.  The first
 commit lives at the dataset root; every other commit lives under
-``versions/<commit_id>/``.  Each tensor owns a sub-tree with its chunks,
-encoders and per-commit bookkeeping, mirroring the paper's "provenance file
-in JSON format and folders per tensor" layout (§3.4).
+``versions/<commit_id>/``.  Each tensor owns a sub-tree of chunks under
+its commit's folder, mirroring the paper's "provenance file in JSON format
+and folders per tensor" layout (§3.4).
 
-Example key space for a dataset with one extra commit ``abc`` and a tensor
-``images``::
+What a commit *is* — every tensor's meta, encoders, chunk set, stats
+sidecar and commit diff, plus the dataset meta — lives in ONE manifest
+object per commit (``version_control.tree.pack_manifest``: the blobs of
+those state files, keyed by the names below, side by side).  The version
+tree ``version_control_info.json`` is the commit point: a sealed commit's
+node names its immutable ``commit_manifest``; a branch head's state sits
+at its ``head_manifest``, which every flush of that head overwrites with
+one PUT.  So a write is one batch of keys no durable object names yet
+(chunks, a sealed commit's manifest) and then one single-key PUT that
+publishes them — the head manifest, or the tree.
 
-    dataset_meta.json
-    version_control_info.json
-    images/tensor_meta.json
-    images/chunk_id_encoder
+Example key space for a dataset whose first commit is sealed, with head
+``abc`` on ``main`` and a tensor ``images``::
+
+    version_control_info.json        the tree: names every manifest
+    commit_manifest                  the sealed first commit's state
     images/chunks/0f3a9c...
-    images/chunk_set.json
-    images/commit_diff.json
-    versions/abc/dataset_meta.json
-    versions/abc/images/...
+    versions/abc/head_manifest       the head's state, rewritten by flush
+    versions/abc/images/chunks/...
+
+A dataset written before manifests has a tree that names none: its state
+files sit at the enumerated keys of :data:`STATE_KEY_FNS`, read with
+:func:`state_keys` (a bare ``ChunkEngine`` still writes that layout).
 """
 
 from __future__ import annotations
@@ -35,38 +46,10 @@ PAD_ENCODER_FILENAME = "pad_encoder"
 COMMIT_DIFF_FILENAME = "commit_diff.json"
 CHUNK_SET_FILENAME = "chunk_set.json"
 CHUNK_STATS_FILENAME = "chunk_stats.json"
+HEAD_MANIFEST_FILENAME = "head_manifest"
+COMMIT_MANIFEST_FILENAME = "commit_manifest"
 LOCKS_FOLDER = "locks"
 QUERIES_FOLDER = "queries"
-
-
-#: Write-back ordering classes (crash consistency): chunk payloads must be
-#: durable before the encoders that index them, and encoders before the
-#: meta/bookkeeping files that declare samples visible.  A crash between
-#: classes leaves unreferenced chunks (harmless garbage), never meta that
-#: points at missing chunks.  The chunk set is an index file too: a reader
-#: resolves each chunk the encoder names to a commit's folder through it,
-#: so the two go down in the same batch.
-KEY_CLASS_CHUNK = 0
-KEY_CLASS_ENCODER = 1
-KEY_CLASS_META = 2
-
-_ENCODER_FILENAMES = (
-    CHUNK_ID_ENCODER_FILENAME,
-    TILE_ENCODER_FILENAME,
-    SEQUENCE_ENCODER_FILENAME,
-    PAD_ENCODER_FILENAME,
-    CHUNK_SET_FILENAME,
-)
-
-
-def key_class(key: str) -> int:
-    """Flush-ordering class of *key*: chunks < encoders < meta/bookkeeping."""
-    if f"/{CHUNKS_FOLDER}/" in key:
-        return KEY_CLASS_CHUNK
-    leaf = key.rsplit("/", 1)[-1]
-    if leaf in _ENCODER_FILENAMES:
-        return KEY_CLASS_ENCODER
-    return KEY_CLASS_META
 
 
 def commit_root(commit_id: str) -> str:
@@ -116,8 +99,20 @@ def chunk_stats_key(commit_id: str, tensor: str) -> str:
     return f"{commit_root(commit_id)}{tensor}/{CHUNK_STATS_FILENAME}"
 
 
-#: A tensor's per-commit state files — everything but its chunks — in the
-#: order a flush writes them (encoder class, then meta class).
+def head_manifest_key(commit_id: str) -> str:
+    """Where a branch head's state lives; each flush of it overwrites it."""
+    return f"{commit_root(commit_id)}{HEAD_MANIFEST_FILENAME}"
+
+
+def commit_manifest_key(commit_id: str) -> str:
+    """Where a sealed commit's state lives, written once, before the tree
+    that names it."""
+    return f"{commit_root(commit_id)}{COMMIT_MANIFEST_FILENAME}"
+
+
+#: A tensor's per-commit state files — everything but its chunks: the
+#: names its blobs carry in a manifest, and the keys a dataset written
+#: before manifests stores them at.
 STATE_KEY_FNS = (
     chunk_set_key, chunk_id_encoder_key, tile_encoder_key,
     sequence_encoder_key, pad_encoder_key,
@@ -126,9 +121,10 @@ STATE_KEY_FNS = (
 
 
 def state_keys(chain, tensor: str) -> list:
-    """Every state file *tensor* can have in the commits of *chain*: the
-    read mirror of a flush, so opening a tensor is one ``get_many``
-    (commits that never touched the tensor simply have no such keys)."""
+    """Every state file *tensor* can have in the commits of *chain*, for
+    state stored outside a manifest (a bare engine, a dataset written
+    before manifests): opening a tensor is one ``get_many`` (commits that
+    never touched the tensor simply have no such keys)."""
     return [fn(cid, tensor) for cid in chain for fn in STATE_KEY_FNS]
 
 

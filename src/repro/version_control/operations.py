@@ -21,72 +21,75 @@ from repro.core.chunk_engine import CommitDiff
 from repro.core.index import Index
 from repro.core.tensor import Tensor
 from repro.exceptions import (
+    BranchExistsError,
     CheckoutError,
     MergeConflictError,
     ReadOnlyDatasetError,
     VersionControlError,
 )
 from repro.util import keys as K
-from repro.util.json_util import json_loads
 
 ConflictPolicy = Union[None, str, Callable]
 
 
-def commit(ds, message: str = "") -> str:
+def commit(ds, message: str = "", branch: Optional[str] = None) -> str:
     """Seal the current head as an immutable snapshot; returns its id.
 
-    ONE coordinated flush carrying two commits: the head is drained,
-    sealed, given a child the version state moves to, the child is drained,
-    and the two drains are merged class by class and written once —
-    chunks, then both commits' encoders and chunk sets, then both commits'
-    tensor metas with the two dataset metas last, then the version tree:
-    four round trips at any tensor count.  The child's keys sit under an
-    id no durable tree names until that last write, so riding the head's
-    batches weakens nothing: a crash between classes leaves what a crashed
-    flush of the head leaves, plus unreachable child files.
+    ONE commit-shaped write at any tensor count: every engine's pending
+    chunks and the head's whole state — as the manifest the sealed node
+    will name — in one batch (``Dataset._write_sealed``), then the tree
+    that names it, with the child head the version state moves to and,
+    given *branch*, a new branch forked from the sealed commit, which the
+    version state moves to instead.  Two round trips, and the tree is the
+    one commit point: a crash before its PUT leaves only unreachable
+    keys.  The child writes no state until it changes
+    (``ChunkEngine.begin_new_commit``): a reader finds the sealed state
+    down the chain.
     """
     ds._check_writable()
     tree = ds._tree
     vs = ds.version_state
-    head = ds._drain_flush_items()
+    if branch is not None and branch in tree.branches:
+        raise BranchExistsError(branch)  # before anything is written
     sealed = vs.commit_id
+    ds._write_sealed(*ds._drain_flush_items())
     tree.seal(sealed, message)
-    child = tree.add_child(sealed, vs.branch)
-    vs.commit_id = child.commit_id
+    head = tree.add_child(sealed, vs.branch)
+    if branch is not None:
+        head = tree.create_branch(branch, sealed)
+        vs.branch = branch
+    vs.commit_id = head.commit_id
     for engine in ds._engines.values():
         engine.begin_new_commit()
-    ds._write_flush_items([
-        {**of_head, **of_child}
-        for of_head, of_child in zip(head, ds._drain_flush_items())
-    ])
+    ds._publish({}, {})  # nothing but the tree changed
     return sealed
 
 
 def checkout(ds, address: str, create: bool = False) -> str:
-    """Move to a branch/commit; ``create=True`` forks a new branch."""
-    ds.flush()
+    """Move to a branch/commit; ``create=True`` forks a new branch — from
+    a head, by sealing it in one :func:`commit`."""
     tree = ds._tree
     vs = ds.version_state
     if create:
         if ds.read_only:
             raise ReadOnlyDatasetError("cannot create a branch on a read-only dataset")
-        cur = tree.node(vs.commit_id)
-        if cur.is_head:
+        if tree.node(vs.commit_id).is_head:
             # seal current state so the new branch forks an immutable base
-            base = commit(ds, f"auto commit before creating branch {address!r}")
-        else:
-            base = vs.commit_id
-        node = tree.create_branch(address, base)
+            commit(ds, f"auto commit before creating branch {address!r}",
+                   branch=address)
+            return vs.commit_id
+        node = tree.create_branch(address, vs.commit_id)
         vs.branch = address
         vs.commit_id = node.commit_id
         for engine in ds._engines.values():
             engine.begin_new_commit()
-        # writable first: Dataset.flush skips the dataset meta and the
-        # version tree while the dataset sits on a sealed commit
+        # writable first: Dataset._publish skips the version tree while
+        # the dataset sits on a sealed commit
         ds._set_commit_read_only(False)
-        ds.flush()
+        ds._publish({}, {})
         return node.commit_id
 
+    ds.flush()
     node = tree.resolve(address)
     if ds._has_uncommitted_changes() and node.commit_id != vs.commit_id:
         # match the product: silently keep working state on its head; a
@@ -115,13 +118,12 @@ def log(ds) -> List:
 def accumulate_changes(
     ds, head: str, ancestor: str, tensors: List[str]
 ) -> Dict[str, Dict]:
-    """Union of per-tensor changes on the path head -> ancestor."""
+    """Union of per-tensor changes on the path head -> ancestor, read
+    from the state *ds* loaded for its chain, which holds the path: *ds*
+    is the dataset at *head*, or a descendant of it."""
     out: Dict[str, Dict] = {}
     path = ds._tree.path_to(head, ancestor)
-    # every commit diff on the path, all tensors, in one round trip
-    blobs = ds.storage.get_many(
-        [K.commit_diff_key(cid, t) for t in tensors for cid in path]
-    )
+    blobs = ds._chain_state()
     for tensor in tensors:
         added: List[Tuple[int, int]] = []
         updated: Set[int] = set()
@@ -166,7 +168,8 @@ def diff(ds, target: Optional[str] = None) -> Dict:
     return {
         "ours": accumulate_changes(ds, vs.commit_id, lca, tensors),
         "theirs": accumulate_changes(
-            ds, target_id, lca, target_ds._all_tensor_names(include_hidden=False)
+            target_ds, target_id, lca,
+            target_ds._all_tensor_names(include_hidden=False),
         ),
         "lca": lca,
     }
@@ -216,7 +219,9 @@ def merge(
     for side in (ds, target_ds):
         side._open_engines(side._all_tensor_names())
     theirs_tensors = target_ds._all_tensor_names(include_hidden=False)
-    theirs_changes = accumulate_changes(ds, target_id, lca, theirs_tensors)
+    theirs_changes = accumulate_changes(
+        target_ds, target_id, lca, theirs_tensors
+    )
     ours_changes = accumulate_changes(
         ds, vs.commit_id, lca, ds._all_tensor_names(include_hidden=False)
     )

@@ -6,16 +6,24 @@ dataset root records the commit DAG and branch heads.  Each branch has a
 seals the head and opens a fresh child head.  Reads at any commit walk the
 parent chain ("the version control tree is traversed starting from the
 current commit, heading towards the first commit").
+
+The tree is the one commit point.  Every node names the manifest that
+holds its commit's state (:func:`pack_manifest`): a sealed node its
+immutable ``commit_manifest``, a head its ``head_manifest``.  A node
+naming none belongs to a dataset written before manifests, whose state
+files sit at their enumerated keys (``keys.state_keys``).
 """
 
 from __future__ import annotations
 
+import struct
 import time
 from typing import Dict, List, Optional
 
 from repro.exceptions import (
     BranchExistsError,
     CommitNotFoundError,
+    FormatError,
     VersionControlError,
 )
 from repro.storage.provider import StorageProvider
@@ -23,13 +31,39 @@ from repro.util import keys as K
 from repro.util.ids import new_commit_id
 from repro.util.json_util import json_dumps, json_loads
 
+_MANIFEST_MAGIC = b"DLM1"
+
+
+def pack_manifest(items: Dict[str, bytes], root: str) -> bytes:
+    """One commit's state files — ``{key under *root*: blob}`` — as one
+    object: a magic, the length of a JSON index of ``[key relative to
+    root, blob length]`` pairs in key order, the index, then the blobs
+    back to back, binary encoders as they are (no text encoding)."""
+    keys = sorted(items)
+    index = json_dumps([[key[len(root):], len(items[key])] for key in keys])
+    return b"".join([_MANIFEST_MAGIC, struct.pack("<I", len(index)), index,
+                     *(bytes(items[key]) for key in keys)])
+
+
+def unpack_manifest(blob: bytes, root: str) -> Dict[str, bytes]:
+    """Inverse of :func:`pack_manifest`: ``{key under root: blob}``."""
+    if bytes(blob[:4]) != _MANIFEST_MAGIC:
+        raise FormatError(f"not a commit manifest under {root!r}")
+    (size,) = struct.unpack_from("<I", blob, 4)
+    at = 8 + size
+    out: Dict[str, bytes] = {}
+    for name, length in json_loads(blob[8:at]):
+        out[root + name] = bytes(blob[at:at + length])
+        at += length
+    return out
+
 
 class CommitNode:
     """One node of the commit DAG."""
 
     __slots__ = (
         "commit_id", "branch", "parent", "children", "message",
-        "commit_time", "is_head", "merge_parent",
+        "commit_time", "is_head", "merge_parent", "manifest",
     )
 
     def __init__(
@@ -41,6 +75,7 @@ class CommitNode:
         commit_time: Optional[float] = None,
         is_head: bool = True,
         merge_parent: Optional[str] = None,
+        manifest: Optional[str] = None,
     ):
         self.commit_id = commit_id
         self.branch = branch
@@ -50,6 +85,9 @@ class CommitNode:
         self.commit_time = commit_time
         self.is_head = is_head
         self.merge_parent = merge_parent
+        #: key of the manifest holding this commit's state (``None``: a
+        #: commit written before manifests, state at enumerated keys)
+        self.manifest = manifest
 
     def to_json(self) -> dict:
         return {
@@ -60,6 +98,7 @@ class CommitNode:
             "commit_time": self.commit_time,
             "is_head": self.is_head,
             "merge_parent": self.merge_parent,
+            "manifest": self.manifest,
         }
 
     @classmethod
@@ -72,6 +111,7 @@ class CommitNode:
             obj.get("commit_time"),
             obj.get("is_head", False),
             obj.get("merge_parent"),
+            obj.get("manifest"),
         )
         node.children = list(obj.get("children", []))
         return node
@@ -93,7 +133,8 @@ class VersionTree:
     @classmethod
     def create_default(cls) -> "VersionTree":
         tree = cls()
-        root = CommitNode(K.FIRST_COMMIT_ID, "main", None)
+        root = CommitNode(K.FIRST_COMMIT_ID, "main", None,
+                          manifest=K.head_manifest_key(K.FIRST_COMMIT_ID))
         tree.commits[root.commit_id] = root
         tree.branches["main"] = root.commit_id
         return tree
@@ -114,11 +155,12 @@ class VersionTree:
 
     def save(self, storage: StorageProvider) -> None:
         """Write the tree — the one PUT that makes a new commit or branch
-        reachable — unless it serialises to the bytes this object last
-        loaded or saved: an unchanged tree costs no round trip, and a
-        handle that changed nothing never overwrites another handle's
-        commit with its stale copy.  ``stored`` moves only after the PUT
-        returned, so a failed save is retried by the next one."""
+        reachable, after every manifest it names — unless it serialises
+        to the bytes this object last loaded or saved: an unchanged tree
+        costs no round trip, and a handle that changed nothing never
+        overwrites another handle's commit with its stale copy.
+        ``stored`` moves only after the PUT returned, so a failed save is
+        retried by the next one."""
         data = json_dumps(
             {
                 "branches": self.branches,
@@ -159,13 +201,17 @@ class VersionTree:
         return out
 
     def seal(self, commit_id: str, message: str) -> None:
+        """Make a head immutable; its state is now its commit manifest."""
         node = self.node(commit_id)
         node.message = message
         node.commit_time = time.time()
         node.is_head = False
+        node.manifest = K.commit_manifest_key(commit_id)
 
     def add_child(self, parent_id: str, branch: str) -> CommitNode:
-        child = CommitNode(new_commit_id(), branch, parent_id)
+        cid = new_commit_id()
+        child = CommitNode(cid, branch, parent_id,
+                           manifest=K.head_manifest_key(cid))
         self.commits[child.commit_id] = child
         self.node(parent_id).children.append(child.commit_id)
         self.branches[branch] = child.commit_id

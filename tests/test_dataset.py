@@ -374,8 +374,9 @@ def _history(backing, tensors, commits):
 
 
 class TestColdOpen:
-    """Per-commit state is read the way it is written: as one enumerated
-    batch, whatever the tensor count or the depth of the history."""
+    """Per-commit state is read the way it is written: one manifest per
+    commit, all of the chain's in one batch, whatever the tensor count or
+    the depth of the history."""
 
     def test_load_to_first_rows_costs_the_same_at_any_size(self, spent):
         costs = []
@@ -400,48 +401,45 @@ class TestColdOpen:
                 for name in names:
                     assert all(map(np.array_equal, got[name], model))
                 # the version tree (which also answers "is there a
-                # dataset?"); then batches only: dataset metas, every
-                # tensor's state, the chunks
+                # dataset?"); then batches only: the chain's manifests,
+                # the chunks
                 assert singles == [K.version_control_info_key()]
                 assert reqs.get("download") == 1
-                assert sum(reqs.values()) <= 4, reqs
+                assert sum(reqs.values()) <= 3, reqs
                 costs.append(reqs)
         assert all(cost == costs[0] for cost in costs), costs
 
-    def test_cold_len_is_one_batch(self, spent):
+    def test_cold_len_asks_nothing_more_of_the_store(self, spent):
+        """Every tensor's state came with the manifests the open read."""
         backing = MemoryProvider("hist")
         _names, model = _history(backing, tensors=6, commits=2)
         store = SimulatedObjectStore("s3", clock=SimClock(), backing=backing)
         ds = repro.load(store)
         with spent(store) as reqs:
             assert len(ds) == len(model)
-        assert reqs == {"download_batch": 1}
+        assert reqs == {}
 
-    def test_two_first_readers_open_a_tensor_once(self):
+    def test_two_first_readers_open_a_tensor_once(self, monkeypatch):
         """Two threads that both find a tensor unopened share one state
-        fetch and one engine (neither orphans a decoded-chunk cache)."""
+        load and one engine (neither orphans a decoded-chunk cache)."""
+        from repro.core.chunk_engine import ChunkEngine
 
-        class SlowStore(MemoryProvider):
-            meta_reads = 0
-            empty_batches = 0
+        loads = []
+        load_state = ChunkEngine._load_state
 
-            def _get(self, key, start, end):  # single and batched reads
-                if key == "x/tensor_meta.json":
-                    time.sleep(0.02)  # both readers are inside by then
-                    self.meta_reads += 1
-                return super()._get(key, start, end)
+        def slow_load(engine, blobs=None):
+            if engine.tensor == "x":
+                time.sleep(0.02)  # both readers are inside by then
+                loads.append(engine)
+            return load_state(engine, blobs)
 
-            def get_many(self, keys):
-                self.empty_batches += not keys
-                return super().get_many(keys)
-
-        store = SlowStore("slow")
+        store = MemoryProvider("slow")
         ds = repro.empty(store, overwrite=True)
         ds.create_tensor("x", dtype="int64")
         ds.x.extend([np.arange(4, dtype=np.int64)] * 8)
         ds.flush()
         cold = repro.load(store)
-        store.meta_reads = 0
+        monkeypatch.setattr(ChunkEngine, "_load_state", slow_load)
         barrier = threading.Barrier(2)
         engines = []
 
@@ -457,7 +455,7 @@ class TestColdOpen:
         for thread in threads:
             thread.join(timeout=30)
             assert not thread.is_alive()
-        assert store.meta_reads == 1 and store.empty_batches == 0
+        assert len(loads) == 1
         assert len(engines) == 2 and engines[0] is engines[1]
         assert cold[2:]._open_lock is cold._open_lock  # views share it
 

@@ -26,6 +26,7 @@ from repro.tql import functions as tql_functions
 from repro.tql import kernels
 from repro.tql.kernels import PRUNED, column_bounds
 from repro.util import keys as K
+from repro.version_control.tree import pack_manifest, unpack_manifest
 
 
 def _executor(ds, q, optimize=True, seed=0):
@@ -521,17 +522,31 @@ class TestStatsPushdown:
                          optimize=False)
         assert list(fast.index.entries[0]) == list(slow.index.entries[0])
 
+    @staticmethod
+    def _drop_sidecar(ds):
+        """Rewrite *ds*'s head manifest without ``x``'s stats sidecar, as
+        a dataset written before the sidecar existed stores it; returns
+        the sidecar's key and a reader of the stored head state."""
+        cid = ds.commit_id
+        key, manifest = K.chunk_stats_key(cid, "x"), K.head_manifest_key(cid)
+
+        def stored(storage):
+            return unpack_manifest(storage[manifest], K.commit_root(cid))
+
+        state = stored(ds.storage)
+        del state[key]
+        ds.storage[manifest] = pack_manifest(state, K.commit_root(cid))
+        return key, stored
+
     def test_backfill_on_pre_stats_dataset(self):
         ds = _chunked_ds("mem://tqlbackfill")
-        # simulate a dataset written before this PR: drop the sidecar
-        key = K.chunk_stats_key(ds.commit_id, "x")
-        del ds.storage[key]
+        key, stored = self._drop_sidecar(ds)
         cold = repro.load("mem://tqlbackfill")
         engine = cold._engine("x")
         assert not engine.chunk_stats
         done = engine.backfill_chunk_stats()
         assert done == len(engine.enc.chunk_ranges())
-        assert key in cold.storage  # persisted for the next reader
+        assert key in stored(cold.storage)  # persisted for the next reader
         q = "SELECT * WHERE x >= 96"
         ex = _executor(cold, q)
         out = ex.run(q)
@@ -539,7 +554,7 @@ class TestStatsPushdown:
 
     def test_lazy_stats_from_decoded_chunks(self):
         ds = _chunked_ds("mem://tqllazy")
-        del ds.storage[K.chunk_stats_key(ds.commit_id, "x")]
+        self._drop_sidecar(ds)
         cold = repro.load("mem://tqllazy")
         engine = cold._engine("x")
         assert not engine.chunk_stats

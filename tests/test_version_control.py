@@ -15,7 +15,8 @@ from repro.exceptions import (
 from repro.sim import SimClock
 from repro.storage import MemoryProvider, SimulatedObjectStore
 from repro.version_control import BranchLock
-from repro.version_control.tree import VersionTree
+from repro.util import keys as K
+from repro.version_control.tree import VersionTree, unpack_manifest
 
 
 @pytest.fixture
@@ -228,9 +229,14 @@ class TestStateAcrossCommits:
         ds.a.extend(a)
         four = ds.commit("four")
         assert "b" not in ds._engines
-        for commit in (three, four, ds.commit_id):
+        for commit in (three, four):  # a's chunks, a's state, none of b
             assert storage.list_prefix(f"versions/{commit}/a/")
-            assert not storage.list_prefix(f"versions/{commit}/b/")
+            state = unpack_manifest(
+                storage[K.commit_manifest_key(commit)], K.commit_root(commit)
+            )
+            assert K.tensor_meta_key(commit, "a") in state
+            assert not any(key.startswith(f"versions/{commit}/b/")
+                           for key in [*state, *storage])
 
         head = repro.load(storage)
         model = a + a + a

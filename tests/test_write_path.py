@@ -1,12 +1,13 @@
 """Exception-safe, batched write path.
 
 Covers the `set_many` contract across every storage provider, batch
-charging on the simulated object store, crash-consistent flush ordering
-(chunks -> encoders -> meta), atomic append/extend under mid-batch
-failures, the killed-mid-flush reload guarantee (a failed flush, a failed
-``rechunk``, every N-th write across extend/commit/branch/merge and across
-``delete_tensor``), the write path's round-trip budget (a ``commit`` is one
-coordinated flush, a flush writes only what changed), the one upload
+charging on the simulated object store, the commit point (a batch of keys
+nothing durable names, then the one PUT that publishes them), atomic
+append/extend under mid-batch failures, the killed-mid-flush reload
+guarantee (a failed flush, a failed ``rechunk``, every N-th write across
+extend/commit/branch/merge and across ``delete_tensor``, and every torn
+batch), the write path's round-trip budget (a ``commit`` is a batch and
+the tree, a flush writes only what changed), the one upload
 buffer (finalized, updated and rechunked chunks; sealed chunks upload
 under the next call's staging), where the write path's one thread pool
 runs, and the streaming ingest-while-serving scenario.
@@ -40,6 +41,7 @@ from repro.storage import (
 )
 from repro.util import keys as K
 from repro.util.ids import seed_ids
+from repro.version_control.tree import unpack_manifest
 from repro.workloads import smooth_image
 
 
@@ -51,29 +53,43 @@ def _no_leftover_servers():
 
 
 class RecordingProvider(MemoryProvider):
-    """Memory store that records every set_many batch's key list."""
+    """Memory store that records every set_many batch's key list and
+    every single-key write."""
 
     def __init__(self):
         super().__init__("recording")
         self.batches = []
+        self.singles = []
 
     def set_many(self, items):
         self.batches.append(list(items))
         super().set_many(items)
 
+    def _set(self, key, value):
+        self.singles.append(key)
+        super()._set(key, value)
+
 
 class KillableProvider(MemoryProvider):
-    """Memory store that 'dies' after a budget of set_many calls."""
+    """Memory store that 'dies' after a budget of writes (set_many batches
+    and single-key PUTs)."""
 
     def __init__(self):
         super().__init__("killable")
         self.calls = 0
-        self.kill_after = None  # allowed set_many calls before the "kill"
+        self.kill_after = None  # allowed writes before the "kill"
 
-    def set_many(self, items):
+    def _write(self):
         if self.kill_after is not None and self.calls >= self.kill_after:
             raise RuntimeError("simulated process kill mid-flush")
         self.calls += 1
+
+    def _set(self, key, value):
+        self._write()
+        super()._set(key, value)
+
+    def set_many(self, items):
+        self._write()
         super().set_many(items)
 
 
@@ -121,6 +137,57 @@ def killed_at_every_write(setup, script):
         yield n, storage
 
 
+class TearsBatches(FailsNthWrite):
+    """A store that *tears* a batch: its fatal write, when a ``set_many``,
+    installs the items at positions ``tear`` of the batch and then dies."""
+
+    def __init__(self):
+        super().__init__()
+        self.tear = ()
+        self.fatal = 0  # size of the batch it died in
+
+    def set_many(self, items):
+        try:
+            self._tick()
+        except RuntimeError:
+            keys = list(items)
+            self.fatal = len(keys)
+            MemoryProvider.set_many(
+                self, {keys[i]: items[keys[i]] for i in self.tear}
+            )
+            raise
+        MemoryProvider.set_many(self, items)
+
+
+def torn_subsets(size, rng):
+    """What a torn batch of *size* keys may install, beyond nothing, as
+    positions: every subset of a batch of up to 8 keys; every prefix of a
+    larger one, plus a seeded sample of its subsets."""
+    if size <= 8:
+        return [[i for i in range(size) if mask >> i & 1]
+                for mask in range(1, 1 << size)]
+    return [list(range(i)) for i in range(1, size + 1)] + [
+        [i for i in range(size) if rng.random() < 0.5] for _ in range(8)
+    ]
+
+
+def torn_at_every_write(setup, script, seed=0):
+    """:func:`killed_at_every_write` over a :class:`TearsBatches` store,
+    then — where the fatal write is a batch — once more per subset of it
+    the store installs before dying; yields ``(n, storage)``."""
+    rng = np.random.default_rng(seed)
+    for n, storage in killed_at_every_write(setup, script):
+        yield n, storage
+        for subset in torn_subsets(storage.fatal, rng):
+            storage, ds = setup()
+            storage.fail_at = storage.writes + n
+            storage.tear = subset
+            with pytest.raises(RuntimeError, match="killed"):
+                script(ds)
+            storage.fail_at = None
+            yield n, storage
+
+
 class Boom:
     """A sample whose serialization always fails."""
 
@@ -165,7 +232,7 @@ def record_writes(store):
 
 
 def is_chunk(key):
-    return K.key_class(key) == K.KEY_CLASS_CHUNK
+    return f"/{K.CHUNKS_FOLDER}/" in key
 
 
 # --------------------------------------------------------------------------- #
@@ -271,71 +338,58 @@ class TestObjectStoreBatching:
 
 
 # --------------------------------------------------------------------------- #
-# crash-consistent flush ordering (satellite: key classes, not lexicographic)
+# the commit point: a batch of what nothing durable names, then the one
+# single-key PUT that publishes it
 # --------------------------------------------------------------------------- #
 
 
 class TestFlushOrdering:
-    def test_key_class(self):
-        assert K.key_class("images/chunks/0fa3") == K.KEY_CLASS_CHUNK
-        assert K.key_class("images/chunk_id_encoder") == K.KEY_CLASS_ENCODER
-        assert K.key_class("images/tile_encoder.json") == K.KEY_CLASS_ENCODER
-        assert K.key_class("images/tensor_meta.json") == K.KEY_CLASS_META
-        assert K.key_class("dataset_meta.json") == K.KEY_CLASS_META
-
     def test_chunk_set_goes_down_with_the_encoders(self):
         """A reader places each chunk the encoder names through the chunk
-        set, so no flush may leave the encoder durable without it."""
-        assert K.key_class("images/chunk_set.json") == K.KEY_CLASS_ENCODER
+        set, so no flush may publish the encoder without it: both ride
+        the head's one manifest, after a batch of chunks only."""
         storage = RecordingProvider()
         ds = repro.empty(storage, overwrite=True)
         ds.create_tensor("x", dtype="int64")
         ds.x.extend([np.arange(4, dtype=np.int64)] * 3)
         storage.batches.clear()
+        storage.singles.clear()
         ds.flush()
-        batch = next(b for b in storage.batches if "x/chunk_id_encoder" in b)
-        assert batch.index("x/chunk_set.json") < batch.index(
-            "x/chunk_id_encoder"
-        )
+        assert all(is_chunk(key) for batch in storage.batches for key in batch)
+        manifest = K.head_manifest_key(ds.commit_id)
+        assert storage.singles == [manifest]
+        state = unpack_manifest(storage[manifest], "")
+        assert {"x/chunk_set.json", "x/chunk_id_encoder"} <= set(state)
 
     def test_writeback_flush_orders_by_class(self):
-        # adversarial tensor name: lexicographically *before* "chunks", so
-        # the old sorted() flush would have written meta first
+        """A write-back cache keeps the commit point downstream: two
+        classes of write — the keys that arrived in batches go down as ONE
+        batch, then the single-key writes that publish them (a manifest,
+        the version tree), in the order they were made."""
         nxt = RecordingProvider()
         cache = LRUCache(MemoryProvider(), nxt, 10**6, write_through=False)
-        cache["aaa/tensor_meta.json"] = b"meta"
-        cache["aaa/chunk_id_encoder"] = b"enc"
-        cache["aaa/chunks/deadbeef"] = b"chunk"
-        cache["dataset_meta.json"] = b"dsmeta"
+        cache.set_many({"zz/chunks/c1": b"chunk", "aa/chunks/c2": b"chunk"})
+        cache["head_manifest"] = b"manifest"
+        cache[K.version_control_info_key()] = b"tree"
+        cache.set_many({"zz/chunks/c3": b"chunk"})
         cache.flush()
-        classes = [
-            [K.key_class(k) for k in batch] for batch in nxt.batches if batch
+        assert [sorted(batch) for batch in nxt.batches] == [
+            ["aa/chunks/c2", "zz/chunks/c1", "zz/chunks/c3"]
         ]
-        flat = [c for batch in classes for c in batch]
-        assert flat == sorted(flat), f"unordered flush: {nxt.batches}"
-        assert flat[0] == K.KEY_CLASS_CHUNK
-        assert flat[-1] == K.KEY_CLASS_META
+        assert nxt.singles == ["head_manifest", K.version_control_info_key()]
 
     def test_crash_between_classes_leaves_only_chunks(self):
-        class DiesOnSecondBatch(MemoryProvider):
-            def __init__(self):
-                super().__init__("dies")
-                self.calls = 0
+        class DiesOnSinglePut(MemoryProvider):
+            def _set(self, key, value):
+                raise RuntimeError("killed")
 
-            def set_many(self, items):
-                self.calls += 1
-                if self.calls > 1:
-                    raise RuntimeError("killed")
-                super().set_many(items)
-
-        nxt = DiesOnSecondBatch()
+        nxt = DiesOnSinglePut("dies")
         cache = LRUCache(MemoryProvider(), nxt, 10**6, write_through=False)
-        cache["t/chunks/c1"] = b"chunk"
-        cache["t/chunk_id_encoder"] = b"enc"
-        cache["t/tensor_meta.json"] = b"meta"
+        cache.set_many({"t/chunks/c1": b"chunk"})
+        cache["head_manifest"] = b"manifest"
         with pytest.raises(RuntimeError):
             cache.flush()
-        # the chunk blob is durable, the encoder/meta that reference it
+        # the chunk blob is durable, the manifest that references it
         # never made it -- no dangling references downstream
         assert nxt._all_keys() == {"t/chunks/c1"}
 
@@ -501,8 +555,8 @@ class TestKilledMidFlush:
             [rng.integers(0, 255, (16, 16), dtype=np.uint8)
              for _ in range(8)]
         )
-        # allow exactly one more set_many (the chunk batch), then "die"
-        # before the encoder/meta batches land
+        # allow exactly one more write (the chunk batch), then "die"
+        # before the manifest that publishes it lands
         storage.kill_after = storage.calls + 1
         with pytest.raises(RuntimeError):
             ds.flush()
@@ -510,7 +564,7 @@ class TestKilledMidFlush:
 
         new_keys = set(storage._all_keys()) - committed_keys
         assert new_keys, "the chunk batch should have landed before the kill"
-        assert all(K.key_class(k) == K.KEY_CLASS_CHUNK for k in new_keys)
+        assert all(is_chunk(k) for k in new_keys)
 
         ds2 = repro.load(storage)
         assert ds2.x.num_samples == len(first)
@@ -632,7 +686,7 @@ class TestKilledMidFlush:
         start = storage.writes
         script(ds)
         total = storage.writes - start
-        assert total >= 10
+        assert total >= 5  # a batch and a publishing PUT per flush/commit
         for n in range(1, total + 1):
             storage, ds = setup()
             storage.fail_at = storage.writes + n
@@ -800,6 +854,77 @@ class TestKilledMidFlush:
         assert len(again.x.sample_ids()) == 1
 
 
+    def test_a_torn_batch_never_publishes_anything(self, rng):
+        """A store that installs any subset of a batch and then dies, at
+        every write of a script that commits, forks a branch, creates a
+        tensor there, commits, and merges it back: every reload opens,
+        shows a prefix of the commits on both branches, each of them
+        complete, and a head whose every tensor reads."""
+        images = [
+            rng.integers(0, 255, (16, 16), dtype=np.uint8) for _ in range(40)
+        ]
+        labels = [np.int64(i) for i in range(40)]
+        auto = "auto commit before creating branch 'dev'"
+        merged = "merge 'dev' into 'main'"
+        rows = {"one": 20, auto: 20, "two": 40, merged: 40}
+        logs = {"main": ["one", auto, merged], "dev": ["one", auto, "two"]}
+
+        def setup():
+            storage = TearsBatches()
+            ds = repro.empty(storage, overwrite=True)
+            # two rows a chunk: each extend crosses the upload watermark
+            ds.create_tensor("a", dtype="uint8", max_chunk_size=512)
+            ds.create_tensor("b", dtype="int64")
+            ds.flush()
+            return storage, ds
+
+        def script(ds):
+            ds.extend({"a": images[:20], "b": labels[:20]})
+            ds.commit("one")
+            ds.checkout("dev", create=True)
+            ds.create_tensor("c", dtype="int64")
+            ds.extend({"a": images[20:], "b": labels[20:],
+                       "c": labels[20:]})
+            ds.commit("two")
+            ds.checkout("main")
+            ds.merge("dev")
+
+        def check(ds, exact=None):
+            """Every tensor named opens and reads; *exact* rows of a/b
+            (and of c, made 20 rows before the end) for a commit."""
+            n = ds._engine("a").num_samples
+            assert n == exact if exact is not None else n in (0, 20, 40)
+            for name in ds._all_tensor_names():
+                have = ds._engine(name).num_samples
+                if name.lstrip("_").startswith("c"):
+                    assert have <= 20 and (exact is None
+                                           or have == exact - 20), name
+                else:
+                    assert have == n, name
+            got = ds.read_rows(range(n), tensors=["a", "b"])
+            assert all(map(np.array_equal, got["a"], images))
+            assert [int(v) for v in got["b"]] == list(range(n))
+
+        seen, runs, writes = set(), 0, set()
+        for n, storage in torn_at_every_write(setup, script):
+            runs += 1
+            writes.add(n)
+            tree = repro.load(storage)._tree
+            for branch, head in tree.branches.items():
+                loaded = repro.load(storage)._at_commit(head)
+                log = [c.message for c in reversed(loaded.log())]
+                assert log == logs[branch][:len(log)], (n, branch, log)
+                for commit in loaded.log():
+                    check(loaded._at_commit(commit.commit_id),
+                          rows[commit.message])
+                check(loaded)
+                seen.add((branch, tuple(log)))
+        assert runs > 2 * len(writes)  # batches were torn, not only refused
+        # the merge is durable only with the script's last write, the tree
+        assert ("main", ("one", auto, merged)) not in seen
+        assert ("dev", ("one", auto, "two")) in seen
+
+
 def _int_dataset(store, names, rows=16):
     ds = repro.empty(store, overwrite=True)
     for name in names:
@@ -812,69 +937,63 @@ def _int_dataset(store, names, rows=16):
 
 class TestCommitRoundTrips:
     """The write path's round-trip budget (docs/observability.md): a
-    request per dependency class that has something new to say, none per
-    flush *call*."""
+    batch of what no durable object names yet, then one single-key PUT
+    that publishes it — none per flush *call*."""
 
     def test_flush_writes_one_single_key(self, spent):
-        """A flush is one batch per key class — the dataset meta the last
-        key of the meta batch, after every tensor meta it names — and at
-        most one single PUT: the version tree, last, only when it
-        changed."""
+        """A flush is one batch of chunks and one single PUT: the head's
+        manifest, carrying every tensor's state and the dataset meta —
+        never the version tree, which already names it."""
         store = make_object_store("s3", clock=SimClock())
         ds = _int_dataset(store, ("a", "b", "c"))
         ds._meta.info["note"] = "changed"
         _writes, singles, batches = record_writes(store)
         with spent(store) as reqs:
             ds.flush()  # rows and a dataset meta to write, the same tree
-        assert singles == [] and reqs == {"upload_batch": 3}
-        assert [{K.key_class(key) for key in batch} for batch in batches] == [
-            {K.KEY_CLASS_CHUNK}, {K.KEY_CLASS_ENCODER}, {K.KEY_CLASS_META},
-        ]
-        assert batches[-1][-1] == K.dataset_meta_key(ds.commit_id)
+        assert reqs == {"upload_batch": 1, "upload": 1}
+        assert all(is_chunk(key) for key in batches[0])
+        assert singles == [K.head_manifest_key(ds.commit_id)]
+        state = unpack_manifest(store[singles[0]], "")
+        assert K.dataset_meta_key(ds.commit_id) in state
         with spent(store) as reqs:
             ds.flush()
         assert reqs == {}  # nothing changed: nothing asked of the store
-        ds.commit("c")  # the tree changes: its one PUT, after the batches
-        assert singles == [K.version_control_info_key()]
+        ds.commit("c")  # the tree changes: its one PUT, after the batch
+        assert singles[-1] == K.version_control_info_key()
 
     @pytest.mark.parametrize("tensors", [1, 3, 6])
     def test_commit_costs_the_same_at_any_tensor_count(self, tensors, spent):
-        """``commit()`` is ONE coordinated flush carrying the sealed head
-        and its child: one batch per key class for all tensors and both
-        commits together, then the version tree once — never a batch per
-        tensor, per commit or per flush call."""
+        """``commit()`` is ONE batch — every tensor's chunks and the sealed
+        head's manifest, under a key no durable object names yet — then
+        the version tree that names it: two round trips at any tensor
+        count, never a batch per tensor, per commit or per flush call."""
         store = make_object_store("s3", clock=SimClock())
         ds = _int_dataset(store, [f"t{i}" for i in range(tensors)])
         ds._meta.info["note"] = "changed"  # the head's dataset meta too
         _writes, singles, batches = record_writes(store)
         with spent(store) as reqs:
             sealed = ds.commit("c")
-        assert reqs == {"upload": 1, "upload_batch": 3}
+        assert reqs == {"upload": 1, "upload_batch": 1}
         assert singles == [K.version_control_info_key()]
-        assert [{K.key_class(key) for key in batch} for batch in batches] == [
-            {K.KEY_CLASS_CHUNK}, {K.KEY_CLASS_ENCODER}, {K.KEY_CLASS_META},
-        ]
-        # both commits ride each state batch, both dataset metas last
-        child_root = K.commit_root(ds.commit_id)
-        for batch in batches[1:]:
-            assert {key.startswith(child_root) for key in batch} == {
-                True, False
-            }
-        assert batches[-1][-2:] == [
-            K.dataset_meta_key(sealed), K.dataset_meta_key(ds.commit_id),
-        ]
+        (batch,) = batches
+        manifest = K.commit_manifest_key(sealed)
+        assert [key for key in batch if not is_chunk(key)] == [manifest]
+        state = unpack_manifest(store[manifest], K.commit_root(sealed))
+        assert K.dataset_meta_key(sealed) in state
+        assert all(K.tensor_meta_key(sealed, f"t{i}") in state
+                   for i in range(tensors))
         with spent(store) as reqs:
             ds.flush()
         assert reqs == {}
 
-    def test_create_tensor_is_two_round_trips(self, spent):
-        """Encoders, then metas (the dataset meta naming the tensor and
-        its companions last); the tree did not change."""
+    def test_create_tensor_is_one_round_trip(self, spent):
+        """The tensor, its companions and the dataset meta naming them
+        ride one PUT of the head's manifest: no chunk, the same tree."""
         store = make_object_store("s3", clock=SimClock())
         ds = repro.empty(store, overwrite=True)
         with spent(store) as reqs:
             ds.create_tensor("x", dtype="int64")
-        assert reqs == {"upload_batch": 2}
+        assert reqs == {"upload": 1}
 
     def test_ingest_script_round_trips(self, rng, spent):
         """The shape of the benchmark's ``ingest_s3`` script: 3 tensors
@@ -910,18 +1029,59 @@ class TestCommitRoundTrips:
             if k % 2:
                 call("commit", ds.commit, f"batch {k}")
         call("flush", ds.flush)
-        budget = {"empty": 3, "create_tensor": 2, "extend": 1, "commit": 4,
+        budget = {"empty": 2, "create_tensor": 1, "extend": 1, "commit": 2,
                   "flush": 0}
         assert all(n <= budget[label] for label, n in calls), calls
-        assert sum(n for _label, n in calls) <= 19, calls  # 32 at PR 23
+        assert sum(n for _label, n in calls) <= 11, calls
         assert len(repro.load(store)) == 4 * 96
 
+    def test_checkout_create_on_a_dirty_head_is_one_commit(self, spent):
+        """Forking a branch off a head with unflushed rows seals the head
+        and opens both heads in one commit-shaped write: the batch, then
+        the tree — not a flush, a commit and another flush."""
+        store = make_object_store("s3", clock=SimClock())
+        ds = _int_dataset(store, ("a", "b"))
+        with spent(store) as reqs:
+            ds.checkout("dev", create=True)
+        assert sum(reqs.values()) <= 2, reqs
+        assert ds.branch_name == "dev" and len(ds) == 16
+        loaded = repro.load(store)
+        assert sorted(loaded.branches) == ["dev", "main"]
+        (base,) = loaded.log()
+        assert len(loaded._at_commit(base.commit_id)) == 16
+        ds.extend({name: [np.arange(4, dtype=np.int64)] for name in "ab"})
+        ds.flush()
+        dev = repro.load(store)
+        dev.checkout("dev")
+        assert len(dev) == 17
+
+    def test_a_cold_handles_first_extend_resumes_last_chunks_in_one_batch(
+        self, spent
+    ):
+        """A freshly opened handle's first ``extend`` of N tensors resumes
+        each one's (and each companion's) last stored chunk: ONE
+        ``get_many`` for all of them, no single GET."""
+        backing = MemoryProvider("resume")
+        names = [f"t{i}" for i in range(4)]
+        _int_dataset(backing, names, rows=5).flush()
+        store = SimulatedObjectStore("s3", clock=SimClock(), backing=backing)
+        ds = repro.load(store)
+        with spent(store) as reqs:
+            ds.extend({name: [np.arange(4, dtype=np.int64)] for name in names})
+        assert reqs.get("download", 0) == 0
+        assert reqs.get("download_batch", 0) <= 1, reqs
+        ds.flush()
+        again = repro.load(backing)
+        for name in names:  # the resumed chunks kept their rows
+            assert len(again[name]) == 6
+            assert again._engine(name).enc.num_chunks == 1
+
     def test_the_flush_schedule_changes_no_stored_byte(self, rng):
-        """Skipping unchanged writes, merging two commits' batches and
+        """Skipping unchanged writes, sealing a head in one batch and
         uploading sealed chunks late change *when* a key is written, never
         what: the ingest script leaves the same keys and bytes as the same
-        script flushing after every call — which, like the schedule this
-        one replaced, writes every class at every step."""
+        script flushing after every call — save the head manifests that
+        a later commit superseded, which the tree no longer names."""
         images = [smooth_image(rng, 24, 24, 3) for _ in range(40)]
 
         def ingest(eager):
@@ -943,15 +1103,17 @@ class TestCommitRoundTrips:
             ds.flush()
             stored = {key: backing[key] for key in backing}
             tree = json.loads(stored.pop(K.version_control_info_key()))
+            named = {node["manifest"] for node in tree["commits"].values()}
             for node in tree["commits"].values():
                 node["commit_time"] = None  # the one wall-clock value
-            return stored, tree
+            return {key: blob for key, blob in stored.items() if key in named
+                    or not key.endswith(K.HEAD_MANIFEST_FILENAME)}, tree
 
         assert ingest(eager=False) == ingest(eager=True)
 
     def test_failed_writes_are_not_remembered(self):
-        """A flush or commit whose ``set_many`` / tree PUT raises must not
-        record the dataset meta or the tree as stored: the next flush
+        """A flush or commit whose manifest / tree PUT raises must not
+        record the head's state or the tree as stored: the next flush
         writes them."""
 
         class Failing(MemoryProvider):
@@ -974,8 +1136,8 @@ class TestCommitRoundTrips:
         stored_tree = store[tree_key]
 
         ds._meta.info["note"] = "first"
-        store.fail = lambda keys: any(K.key_class(k) == K.KEY_CLASS_META
-                                      for k in keys)
+        manifest = K.head_manifest_key(ds.commit_id)
+        store.fail = lambda keys: keys == [manifest]
         with pytest.raises(RuntimeError, match="refused"):
             ds.flush()
         store.fail = None
@@ -1007,6 +1169,30 @@ class TestCommitRoundTrips:
         assert [c.message for c in loaded.log()] == ["theirs"]
         assert len(loaded._at_commit(loaded.log()[0].commit_id).a) == 20
 
+    def test_a_head_flush_never_rewrites_the_tree(self):
+        """Two handles on one store: one extends and flushes on ``main``
+        while the other commits on ``dev``.  The flushes publish main's
+        manifest and never the version tree, so they cannot drop the
+        commit the other handle made."""
+        backing = MemoryProvider("two-branches")
+        dev = _int_dataset(backing, ("a",))
+        dev.commit("base")
+        dev.checkout("dev", create=True)
+        store = SimulatedObjectStore("s3", clock=SimClock(), backing=backing)
+        main = repro.load(store)
+        dev.a.extend([np.arange(4, dtype=np.int64)] * 4)
+        dev.commit("dev work")
+        _writes, singles, _batches = record_writes(store)
+        for _ in range(3):
+            main.a.extend([np.arange(4, dtype=np.int64)] * 2)
+            main.flush()
+        assert singles == [K.head_manifest_key(main.commit_id)] * 3
+        loaded = repro.load(backing)
+        assert len(loaded) == 22
+        on_dev = loaded._at_commit(loaded._tree.branches["dev"])
+        assert [c.message for c in on_dev.log()][:1] == ["dev work"]
+        assert len(on_dev) == 20
+
     def test_schema_writes_keep_the_dataset_meta_memo_current(self, spent):
         """``create_group`` and ``delete_tensor`` write the dataset meta
         through the function a flush uses, so the flush after them has
@@ -1029,6 +1215,61 @@ class TestCommitRoundTrips:
         loaded = repro.load(store)
         assert (len(loaded.a), len(loaded.b)) == (19, 3)
         assert np.array_equal(loaded.b[2].numpy(), np.arange(4))
+
+
+def legacy_copy(storage):
+    """*storage*'s dataset in the layout written before manifests: every
+    state file at its enumerated key, and a tree that names no manifest."""
+    tree = json.loads(storage[K.version_control_info_key()])
+    out = MemoryProvider("legacy")
+    out.set_many({key: storage[key] for key in storage if is_chunk(key)})
+    for cid, node in tree["commits"].items():
+        key = node.pop("manifest")
+        if key in storage:
+            out.set_many(unpack_manifest(storage[key], K.commit_root(cid)))
+    out[K.version_control_info_key()] = json.dumps(tree).encode()
+    return out
+
+
+class TestLegacyLayout:
+    def test_a_dataset_written_before_manifests_opens_extends_commits(
+        self, rng
+    ):
+        """State files at the enumerated keys and a tree naming no
+        manifest: the dataset opens, reads byte for byte what the same
+        dataset in manifests reads, extends and commits — the new commit
+        in a manifest, the old ones left as they were."""
+        backing = MemoryProvider("manifests")
+        ds = repro.empty(backing)
+        ds.create_tensor("img", htype="image", sample_compression="jpeg",
+                         max_chunk_size=2048)
+        ds.create_tensor("x", dtype="float32", chunk_compression="lz4")
+        images = [smooth_image(rng, 16, 16, 3) for _ in range(30)]
+        xs = [rng.random(5).astype(np.float32) for _ in range(30)]
+        ds.extend({"img": images[:20], "x": xs[:20]})
+        one = ds.commit("one")
+        ds.extend({"img": images[20:], "x": xs[20:]})
+        ds.flush()
+        legacy = legacy_copy(backing)
+        assert not any(K.HEAD_MANIFEST_FILENAME in key
+                       or K.COMMIT_MANIFEST_FILENAME in key for key in legacy)
+
+        old, new = repro.load(legacy), repro.load(backing)
+        for commit in (None, one):
+            a = old if commit is None else old._at_commit(commit)
+            b = new if commit is None else new._at_commit(commit)
+            rows = range(len(b))
+            assert a.read_rows(rows, ["img", "x"], decode=False) == (
+                b.read_rows(rows, ["img", "x"], decode=False)
+            )
+        old.extend({"img": images[:4], "x": xs[:4]})
+        two = old.commit("two")
+        again = repro.load(legacy)
+        assert [c.message for c in again.log()] == ["two", "one"]
+        assert len(again) == 34
+        assert np.array_equal(again.x[33].numpy(), xs[3])
+        assert again._tree.node(one).manifest is None
+        assert again._tree.node(two).manifest == K.commit_manifest_key(two)
 
 
 # --------------------------------------------------------------------------- #
