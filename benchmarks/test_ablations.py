@@ -14,6 +14,7 @@ import pytest
 
 import repro
 from benchmarks.conftest import print_table, scaled
+from repro.core import chunk_cache
 from repro.dataloader import chunk_aware_shuffle, chunk_locality, \
     naive_shuffle, shuffle_quality
 from repro.sim import SimClock
@@ -123,7 +124,7 @@ def test_a2_cache_ablation(benchmark):
 # --------------------------------------------------------------------- #
 
 
-def test_a3_shuffle_strategies(benchmark):
+def test_a3_shuffle_strategies(benchmark, monkeypatch):
     ds = build_image_classification_dataset(
         "mem://a3", N, seed=0, base=RES, ragged=False,
         max_chunk_size=64 << 10,
@@ -141,6 +142,9 @@ def test_a3_shuffle_strategies(benchmark):
         }
 
     orders = benchmark.pedantic(build_orders, rounds=1, iterations=1)
+    # a buffer cache smaller than the dataset: chunk-order matters, like
+    # training sets that dwarf RAM
+    monkeypatch.setattr(chunk_cache, "CACHE_BYTES", 3 * (64 << 10))
     rows = []
     for name, order in orders.items():
         from repro.core.chunk_engine import ChunkEngine
@@ -150,10 +154,7 @@ def test_a3_shuffle_strategies(benchmark):
         store = make_object_store("s3", clock=clock)
         for key in ds.storage._all_keys():
             store.backing[key] = ds.storage[key]
-        # a buffer cache smaller than the dataset: chunk-order matters,
-        # like training sets that dwarf RAM
         fresh_engine = ChunkEngine("images", store, VersionState(),
-                                   cache_bytes=3 * (64 << 10),
                                    state=ds._chain_state())
         clock.reset()
         store.stats.reset()

@@ -11,7 +11,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 from repro.core.dataset import Dataset
 from repro.core.sample import link, read  # noqa: F401  (re-exported)
@@ -25,10 +25,10 @@ PathOrProvider = Union[str, StorageProvider]
 ServablePath = Union[str, StorageProvider, Dataset]
 
 
-def _provider(path: PathOrProvider, cache_bytes: Optional[int] = None) -> StorageProvider:
+def _provider(path: PathOrProvider) -> StorageProvider:
     if isinstance(path, StorageProvider):
         return path
-    return storage_from_url(path, cache_bytes=cache_bytes)
+    return storage_from_url(path)
 
 
 def _path_str(path: PathOrProvider) -> str:
@@ -39,7 +39,7 @@ def exists(path: PathOrProvider) -> bool:
     """True when *path* contains a Deep Lake dataset: its version tree,
     or — should the tree be gone — the first commit's state (its head
     manifest, or the dataset meta of one written before manifests)."""
-    storage = _provider(path, cache_bytes=0)
+    storage = _provider(path)
     return any(key in storage for key in (
         K.version_control_info_key(),
         K.head_manifest_key(K.FIRST_COMMIT_ID),
@@ -51,11 +51,10 @@ def empty(
     path: PathOrProvider,
     overwrite: bool = False,
     strict: bool = True,
-    cache_bytes: Optional[int] = None,
 ) -> Dataset:
     """Create a new empty dataset at *path* (see Fig 4's starting point):
     one write, its version tree."""
-    storage = _provider(path, cache_bytes=cache_bytes)
+    storage = _provider(path)
     if exists(storage):
         if not overwrite:
             raise DeepLakeError(
@@ -71,7 +70,6 @@ def load(
     path: PathOrProvider,
     read_only: bool = False,
     strict: bool = True,
-    cache_bytes: Optional[int] = None,
 ) -> Dataset:
     """Open an existing dataset.
 
@@ -79,7 +77,7 @@ def load(
     this code has is read first (and handed to the dataset), and only a
     store without one pays the :func:`exists` probe.
     """
-    storage = _provider(path, cache_bytes=cache_bytes)
+    storage = _provider(path)
     tree = VersionTree.load(storage)
     if tree.stored is None and not exists(storage):
         raise DeepLakeError(f"no dataset found at {_path_str(path)}")
@@ -94,10 +92,9 @@ def dataset(
     read_only: bool = False,
     strict: bool = True,
     overwrite: bool = False,
-    cache_bytes: Optional[int] = None,
 ) -> Dataset:
     """Open-or-create convenience wrapper."""
-    storage = _provider(path, cache_bytes=cache_bytes)
+    storage = _provider(path)
     if exists(storage) and not overwrite:
         return load(storage, read_only=read_only, strict=strict)
     return empty(storage, overwrite=overwrite, strict=strict)
@@ -105,7 +102,7 @@ def dataset(
 
 def delete(path: PathOrProvider) -> None:
     """Remove a dataset and all its versions."""
-    storage = _provider(path, cache_bytes=0)
+    storage = _provider(path)
     storage.clear()
 
 
@@ -148,20 +145,18 @@ def connect(
     url: str,
     read_only: bool = True,
     strict: bool = True,
-    cache_bytes: Optional[int] = None,
 ) -> Dataset:
     """Open a dataset hosted by a running server (``serve://srv/name``).
 
     Serving is a shared, read-mostly tier, so connections default to
     read-only; pass ``read_only=False`` to write through the server.
-    Requests are served from the server's shared cache; pass
-    ``cache_bytes`` to add a client-side LRU as well (faster re-reads,
-    but stale after another tenant writes).
+    Blobs come from the server's shared cache; like any handle, the
+    connection caches decoded chunks but no blobs, which would go stale
+    after another tenant writes.
     """
     if not url.startswith("serve://"):
         raise DeepLakeError(
             f"connect() expects a serve:// URL, got {url!r}; "
             "use repro.load() for direct storage access"
         )
-    return load(url, read_only=read_only, strict=strict,
-                cache_bytes=cache_bytes)
+    return load(url, read_only=read_only, strict=strict)

@@ -11,8 +11,8 @@ One engine owns everything between a tensor's public API and raw storage:
   of the tensor's state in one batch; reads take the first commit of the
   chain whose set contains the chunk (§4.2), writes copy-on-write chunks
   owned by ancestor commits;
-- a decoded-chunk LRU buffer ("maintaining a buffer cache of fetched and
-  unutilized data", §3.5);
+- reads through its dataset handle's :class:`ChunkCache`, §3.5's "buffer
+  cache of fetched and unutilized data" (a bare engine builds its own);
 - the on-the-fly :meth:`rechunk` layout optimiser;
 - sparse out-of-bounds assignment via padding (strict mode off).
 
@@ -85,6 +85,7 @@ from repro.compression import (
 )
 from repro.core import read_plan
 from repro.core.chunk import Chunk, ChunkHeader
+from repro.core.chunk_cache import ChunkCache
 from repro.core.encoders import (
     ChunkIdEncoder,
     PadEncoder,
@@ -114,11 +115,9 @@ from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.storage.provider import StorageProvider
 from repro.util import keys as K
-from repro.util.inflight import InFlight
 from repro.util.json_util import json_dumps, json_loads
 
 _HEADER_PROBE = 4096  # first ranged request size when reading chunk headers
-_CHUNK_CACHE_BYTES = 64 * 1024 * 1024
 
 #: Finalized chunks a tensor may buffer before an update, or the staging
 #: of the next append, uploads them as one batch.  An append uploads what
@@ -235,9 +234,9 @@ class ChunkEngine:
         storage: StorageProvider,
         version_state: VersionState,
         meta: Optional[TensorMeta] = None,
-        cache_bytes: int = _CHUNK_CACHE_BYTES,
         state: Optional[Dict[str, bytes]] = None,
         flush_via: Optional[Callable[[], None]] = None,
+        cache: Optional[ChunkCache] = None,
     ):
         self.tensor = tensor
         self.storage = storage
@@ -247,13 +246,8 @@ class ChunkEngine:
         self._flush_via = flush_via
         self._lock = threading.RLock()
 
-        # decoded-chunk buffer cache + header cache (shared across commits;
-        # keys are full storage keys so versions never alias)
-        self._chunk_cache: "OrderedDict[str, Chunk]" = OrderedDict()
-        self._chunk_cache_bytes = 0
-        self._chunk_cache_budget = cache_bytes
-        self._header_cache: Dict[str, ChunkHeader] = {}
-        self._inflight = InFlight()  # chunk fetches in flight, by storage key
+        # the handle's decoded chunks, headers and fetches in flight
+        self.cache = cache if cache is not None else ChunkCache()
 
         # commit id -> names of the chunks that commit owns, for every
         # commit of the chain; ``chunk_set`` is the current commit's entry
@@ -515,54 +509,14 @@ class ChunkEngine:
         self._lazy_stats(name, chunk)
         return chunk
 
-    # ------------------------------------------------------------------ #
-    # chunk cache
-    # ------------------------------------------------------------------ #
-
-    def _cache_put(self, key: str, chunk: Chunk) -> None:
-        size = len(chunk.data)
-        if size > self._chunk_cache_budget:
-            return
-        with self._lock:
-            if key in self._chunk_cache:
-                self._chunk_cache_bytes -= len(self._chunk_cache.pop(key).data)
-            while (
-                self._chunk_cache
-                and self._chunk_cache_bytes + size > self._chunk_cache_budget
-            ):
-                _, old = self._chunk_cache.popitem(last=False)
-                self._chunk_cache_bytes -= len(old.data)
-            self._chunk_cache[key] = chunk
-            self._chunk_cache_bytes += size
-
-    def _cache_get(self, key: str) -> Optional[Chunk]:
-        with self._lock:
-            chunk = self._chunk_cache.get(key)
-            if chunk is not None:
-                self._chunk_cache.move_to_end(key)
-                self._c_hits.inc()
-                self._m_hits.inc()
-            else:
-                self._c_misses.inc()
-                self._m_misses.inc()
-            return chunk
-
-    def _cache_peek(self, key: str) -> Optional[Chunk]:
-        """Like :meth:`_cache_get` but without touching the hit/miss
-        counters — for metadata lookups (shapes) that fall back to cheap
-        header reads and must not distort payload-cache accounting."""
-        with self._lock:
-            chunk = self._chunk_cache.get(key)
-            if chunk is not None:
-                self._chunk_cache.move_to_end(key)
-            return chunk
-
-    def _cache_drop(self, key: str) -> None:
-        with self._lock:
-            chunk = self._chunk_cache.pop(key, None)
-            if chunk is not None:
-                self._chunk_cache_bytes -= len(chunk.data)
-            self._header_cache.pop(key, None)
+    def _cached(self, key: str) -> Optional[Chunk]:
+        """The cache's chunk at *key*, counted as a hit or a miss of this
+        engine (a shape lookup reads ``self.cache`` uncounted)."""
+        chunk = self.cache.get(key)
+        for counter in ((self._c_hits, self._m_hits) if chunk is not None
+                        else (self._c_misses, self._m_misses)):
+            counter.inc()
+        return chunk
 
     def _mem_chunk(self, name: str) -> Optional[Chunk]:
         """The in-memory authoritative copy of chunk *name*, if any: the
@@ -579,25 +533,22 @@ class ChunkEngine:
         if mem is not None:
             return mem
         key = self._chunk_storage_key(chunk_name)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
-        blob = self.storage[key]
-        chunk = self._decode_chunk(blob, chunk_name)
-        self._cache_put(key, chunk)
+        chunk = self._cached(key)
+        if chunk is None:
+            chunk = self._decode_chunk(self.storage[key], chunk_name)
+            self.cache.put(key, chunk)
         return chunk
 
     def _load_header(self, chunk_name: str) -> ChunkHeader:
         key = self._chunk_storage_key(chunk_name)
-        header = self._header_cache.get(key)
+        header = self.cache.headers.get(key)
         if header is None:
             prefix = self.storage.get_bytes(key, 0, _HEADER_PROBE)
             hlen = Chunk.peek_header_len(prefix)
             if hlen > len(prefix):
                 prefix = self.storage.get_bytes(key, 0, hlen)
             header = Chunk.parse_header(prefix[:hlen])
-            with self._lock:
-                self._header_cache[key] = header
+            self.cache.headers[key] = header
         return header
 
     # ------------------------------------------------------------------ #
@@ -865,16 +816,17 @@ class ChunkEngine:
         meta write: :meth:`_maybe_flush_pending` at the watermark, or a
         flush.  Never runs mid-commit — staging comes before it, and both
         take the engine lock — so a rolled-back batch can still retract
-        its buffered chunks."""
+        its buffered chunks.  A chunk leaves the buffer only once the cache
+        holds it: a reader that misses one finds the other."""
         pending = list(self._pending_chunks.values())
-        self._pending_chunks.clear()
         items: Dict[str, bytes] = {}
         for chunk in pending:
             key = K.chunk_key(self.commit_id, self.tensor, chunk.name)
             chunk.seal()
             items[key] = chunk.tobytes(self.meta.chunk_compression)
-            self._header_cache.pop(key, None)
-            self._cache_put(key, chunk)
+            self.cache.drop(key)  # its header too: the bytes are new
+            self.cache.put(key, chunk)
+        self._pending_chunks.clear()
         if pending:
             self._m_chunks_flushed.inc(len(pending))
             self._h_flush_batch.observe(len(pending))
@@ -971,11 +923,8 @@ class ChunkEngine:
     def _own_chunk(self, chunk: Chunk) -> None:
         """Copy-on-write: claim an ancestor's chunk for the current commit."""
         self.chunk_set.add(chunk.name)
-        # the blob will be (re)uploaded under the current commit's key;
-        # drop stale cache entries pointing at the ancestor
-        self._header_cache.pop(
-            K.chunk_key(self.commit_id, self.tensor, chunk.name), None
-        )
+        # the blob will be (re)uploaded under the current commit's key
+        self.cache.drop(K.chunk_key(self.commit_id, self.tensor, chunk.name))
 
     def _append_payload(
         self, raw, shape, arr, touched: Dict[str, Tuple[int, int]]
@@ -1162,7 +1111,7 @@ class ChunkEngine:
         mem = self._mem_chunk(name)
         if mem is not None:
             return mem
-        return self._cache_peek(self._chunk_storage_key(name))
+        return self.cache.get(self._chunk_storage_key(name))
 
     def _restore_snapshot(
         self, snap: dict, touched: Dict[str, Tuple[int, int]]
@@ -1348,16 +1297,11 @@ class ChunkEngine:
     ) -> Tuple[Dict[str, Chunk], Dict[str, str]]:
         """Split a plan's chunks into already-resident ones and the
         ``{storage key: chunk name}`` set that must be fetched."""
-        chunks: Dict[str, Chunk] = {}
-        for name in plan.active_chunks:
-            mem = self._mem_chunk(name)
-            if mem is not None:
-                chunks[name] = mem
-            else:  # in-memory chunk was uploaded since planning: re-resolve
-                chunks[name] = self._load_chunk(name)
+        # in memory at planning, or uploaded since: _load_chunk re-resolves
+        chunks = {name: self._load_chunk(name) for name in plan.active_chunks}
         to_fetch: Dict[str, str] = {}  # storage key -> chunk name
         for name, key in plan.chunk_keys.items():
-            cached = self._cache_get(key)
+            cached = self._cached(key)
             if cached is not None:
                 chunks[name] = cached
             else:
@@ -1466,9 +1410,7 @@ class ChunkEngine:
         plan = self._plan_flat(indices)
         out: List = [None] * plan.num_items
         for name, pos in plan.groups():
-            src = self._mem_chunk(name)
-            if src is None:
-                src = self._cache_peek(self._chunk_storage_key(name))
+            src = self._locate_chunk(name)
             local = plan.local[pos]
             if src is not None:
                 shapes = [src.shapes[i] for i in local.tolist()]
@@ -1655,7 +1597,7 @@ class ChunkEngine:
                 del self.storage[key]
             except KeyError:
                 pass
-            self._cache_drop(key)
+            self.cache.drop(key)
         return self.enc.num_chunks
 
     # ------------------------------------------------------------------ #

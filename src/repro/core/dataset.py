@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from repro.core.chunk_cache import ChunkCache
 from repro.core.chunk_engine import ChunkEngine
 from repro.core.read_plan import FusedReadPlan, as_row_array, column_rows
 from repro.core.htypes import UNSPECIFIED
@@ -87,6 +88,8 @@ class Dataset:
         self._commit_read_only = not node.is_head
 
         self._engines: Dict[str, ChunkEngine] = {}
+        # every engine's decoded chunks under one budget (views share it)
+        self._chunk_cache = ChunkCache()
         self._open_lock = threading.Lock()  # shared with views (_spawn)
         # commit id -> {state key: blob}, every commit of the chain as its
         # manifest holds it (views share the dict, like _engines); a
@@ -176,10 +179,10 @@ class Dataset:
         return {K.dataset_meta_key(self.version_state.commit_id): blob}
 
     def _new_engine(self, name: str, **kwargs) -> ChunkEngine:
-        """An engine of this dataset; its own flushes (rechunk, stats
-        backfill) go through :meth:`flush`.  It holds the dataset weakly
-        — every view holds it strongly (:meth:`_spawn`) — so no cycle
-        keeps the engines' decoded caches alive."""
+        """An engine of this dataset, reading through its one chunk cache;
+        its own flushes (rechunk, stats backfill) go through :meth:`flush`.
+        It holds the dataset weakly — every view holds it strongly
+        (:meth:`_spawn`) — so no cycle keeps the engines alive."""
         owner = weakref.ref(self.__dict__.get("_owner", self))
 
         def flush() -> None:
@@ -192,11 +195,11 @@ class Dataset:
             ds.flush()
 
         return ChunkEngine(name, self.storage, self.version_state,
-                           flush_via=flush, **kwargs)
+                           flush_via=flush, cache=self._chunk_cache, **kwargs)
 
     def _spawn(self, index: Optional[Index] = None,
                group_index: Optional[str] = None) -> "Dataset":
-        """Shallow view sharing engines/tree/version state with self."""
+        """Shallow view sharing engines/chunk cache/tree/version state."""
         view = object.__new__(Dataset)
         view.__dict__.update(self.__dict__)
         view._owner = self.__dict__.get("_owner", self)
@@ -232,6 +235,7 @@ class Dataset:
 
     def _reload_version_view(self) -> None:
         self._engines.clear()
+        self._chunk_cache.clear()  # another handle may have rewritten it
         for cid in [c for c in self._state if self._tree.node(c).is_head
                     and c not in self._unpublished]:
             del self._state[cid]  # another handle may have flushed it

@@ -50,8 +50,7 @@ def _default_fetch(url: str) -> bytes:
         if url.startswith(scheme):
             rest = url[len(scheme):]
             container, _, key = rest.partition("/")
-            provider = storage_from_url(f"{scheme}{container}", cache_bytes=0)
-            return provider[key]
+            return storage_from_url(f"{scheme}{container}")[key]
     if url.startswith("file://"):
         url = url[len("file://"):]
     if os.path.exists(url):

@@ -12,7 +12,9 @@ a time, never a row at a time:
   chunks are walked in Python (storage key, prunability), once each;
 - **fetch** (:meth:`FusedReadPlan._fetch_all`): the missing chunks of
   every tensor of a request in one ``get_many``, joining (not repeating)
-  the fetches another plan has in flight;
+  the fetches another plan of the same dataset handle has in flight
+  (the handle's :class:`~repro.core.chunk_cache.ChunkCache` owns the
+  table);
 - **slice** (:func:`slice_plan`): a chunk whose data section is its
   samples' raw arrays laid end to end (:meth:`Chunk.dense`) is sliced
   with ONE gather, ``dense[locals]``, into the ``(n, *shape)`` column.
@@ -458,7 +460,7 @@ def fetch_ranged(engine: "ChunkEngine",
         return None
     name, local = plan.names[0], int(plan.local[0])
     key = plan.chunk_keys[name]
-    if engine._cache_peek(key) is not None:
+    if engine.cache.get(key) is not None:
         return None
     header = engine._load_header(name)
     start, end = header.sample_range(local)
@@ -525,34 +527,38 @@ class FusedReadPlan:
     def _fetch_all(self) -> List[Dict[str, Chunk]]:
         """Resident chunks per part, every miss fetched and decoded — the
         one routine through which missing chunks reach memory.  The plan
-        leads the misses nobody is fetching (ONE ``get_many`` per storage
-        provider) and joins the engines' flights of the rest."""
+        claims its misses once per chunk cache (normally one: every
+        engine of a dataset handle shares it), leads the ones nobody is
+        fetching (ONE ``get_many`` per storage provider) and joins the
+        cache's flights of the rest."""
         self.fetched, self.row_bytes, self.joined = {}, 0.0, 0
         resident = []
-        wants: Dict[int, Tuple["ChunkEngine", Dict[str, str]]] = {}
+        # id(cache) -> (cache, {storage key: (engine, chunk name)})
+        wants: Dict[int, tuple] = {}
         for engine, plan in self.parts:
             chunks, to_fetch = engine._plan_resident_chunks(plan)
             resident.append((engine, chunks, to_fetch))
-            if to_fetch:  # key -> name, merged over parts of one engine
-                wants.setdefault(id(engine), (engine, {}))[1].update(to_fetch)
+            if to_fetch:
+                want = wants.setdefault(id(engine.cache), (engine.cache, {}))
+                want[1].update((key, (engine, name))
+                               for key, name in to_fetch.items())
         if not wants:  # all resident: no table is touched
             return [chunks for _engine, chunks, _to_fetch in resident]
-        claims = {i: (engine, want, *engine._inflight.claim(want))
-                  for i, (engine, want) in wants.items()}
+        claims = {i: (cache, want, *cache.inflight.claim(want))
+                  for i, (cache, want) in wants.items()}
         batches: Dict[int, Tuple[StorageProvider, List[str]]] = {}
-        for engine, _want, led, _followed in claims.values():
+        for cache, want, led, _followed in claims.values():
             for key, flight in led.items():
                 # a leader caches its chunk before its flight leaves the
                 # table: one that landed since the residency check is here
-                flight.value = engine._cache_peek(key)
+                flight.value = cache.get(key)
                 if flight.value is None:
-                    batches.setdefault(
-                        id(engine.storage), (engine.storage, [])
-                    )[1].append(key)
+                    store = want[key][0].storage
+                    batches.setdefault(id(store), (store, []))[1].append(key)
         self.joined = sum(len(claim[3]) for claim in claims.values())
         with ExitStack() as landing:
-            for engine, _want, led, _followed in claims.values():
-                landing.enter_context(engine._inflight.leading(led))
+            for cache, _want, led, _followed in claims.values():
+                landing.enter_context(cache.inflight.leading(led))
             blobs: Dict[str, bytes] = {}
             if batches:
                 with _tracing.span(
@@ -561,21 +567,22 @@ class FusedReadPlan:
                 ):
                     for storage, keys in batches.values():
                         blobs.update(storage.get_many(sorted(keys)))
-            for engine, want, led, _followed in claims.values():
-                rate = 0.0
+            rates: Dict["ChunkEngine", float] = {}  # the densest row each
+            for cache, want, led, _followed in claims.values():
                 for key, flight in led.items():
                     if flight.value is None:
                         if key not in blobs:
                             raise KeyNotFound(key)
-                        flight.value = engine._decode_chunk(blobs[key],
-                                                            want[key])
-                        engine._cache_put(key, flight.value)
+                        engine, name = want[key]
+                        flight.value = engine._decode_chunk(blobs[key], name)
+                        cache.put(key, flight.value)
                         self.fetched[key] = n = len(blobs[key])
-                        rate = max(rate, n / max(1, flight.value.num_samples))
-                self.row_bytes += rate
+                        rate = n / max(1, flight.value.num_samples)
+                        rates[engine] = max(rates.get(engine, 0.0), rate)
+            self.row_bytes = sum(rates.values())
         for engine, chunks, to_fetch in resident:
+            _c, _w, led, followed = claims[id(engine.cache)]
             for key, name in to_fetch.items():
-                _e, _w, led, followed = claims[id(engine)]
                 chunks[name] = (led.get(key) or followed[key]).wait()
         return [chunks for _engine, chunks, _to_fetch in resident]
 
@@ -591,6 +598,6 @@ class FusedReadPlan:
         ]
 
     def prefetch(self) -> None:
-        """Fetch + decode every missing chunk into the engines' caches
+        """Fetch + decode every missing chunk into the engines' cache
         without slicing any samples — the server-push speculation path."""
         self._fetch_all()

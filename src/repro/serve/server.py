@@ -270,9 +270,7 @@ class DatasetServer:
         if isinstance(storage, str):
             from repro.storage.router import storage_from_url
 
-            # the shared server cache is the caching tier; talk to the
-            # backend raw so request accounting stays truthful
-            storage = storage_from_url(storage, cache_bytes=0)
+            storage = storage_from_url(storage)
         with self._datasets_lock:
             if name in self._datasets:
                 raise ServeError(f"dataset {name!r} is already being served")

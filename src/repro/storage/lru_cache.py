@@ -229,9 +229,7 @@ class LRUCache(StorageProvider):
         missing = []
         with self._lock:
             gen = self._gen
-            for key in keys:
-                if key in out:
-                    continue
+            for key in dict.fromkeys(keys):  # a repeat is one hit or miss
                 if key in self._order:
                     self.hits += 1
                     self._m_hits.inc()

@@ -128,7 +128,7 @@ class SimulatedObjectStore(StorageProvider):
         total = 0
         with _tracing.span("objectstore.get_many", store=self.name,
                            keys=len(keys)) as sp:
-            for key in keys:
+            for key in dict.fromkeys(keys):  # a repeat is one GET
                 try:
                     data = self.backing._get(key, None, None)
                 except KeyError:

@@ -239,7 +239,7 @@ class StorageProvider(ABC, MutableMapping):
         out: Dict[str, bytes] = {}
         with _tracing.span("storage.get_many", provider=type(self).__name__,
                            keys=len(keys)) as sp:
-            for key in keys:
+            for key in dict.fromkeys(keys):  # a repeat is one GET
                 try:
                     t0 = time.perf_counter()
                     data = self._get(key, None, None)

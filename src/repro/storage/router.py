@@ -11,6 +11,10 @@ Supported schemes::
 
 Simulated buckets are process-global so that "remote" datasets persist
 across dataset open/close within one process (like a real bucket would).
+A URL resolves to its provider bare: the decoded chunks a dataset handle
+reads are cached by the handle (:mod:`repro.core.chunk_cache`), and a
+blob tier is a provider the caller chains on purpose (§3.6,
+:mod:`repro.storage.lru_cache`).
 A URL with an unrecognised ``scheme://`` raises ``ValueError`` instead of
 being silently treated as a local path.
 """
@@ -22,7 +26,6 @@ import threading
 from typing import Dict, Tuple
 
 from repro.sim.clock import SimClock
-from repro.storage.lru_cache import LRUCache
 from repro.storage.local import LocalProvider
 from repro.storage.memory import MemoryProvider
 from repro.storage.object_store import SimulatedObjectStore, make_object_store
@@ -31,8 +34,6 @@ from repro.storage.provider import StorageProvider
 _BUCKETS: Dict[Tuple[str, str], MemoryProvider] = {}
 _MEM: Dict[str, MemoryProvider] = {}
 _LOCK = threading.Lock()
-
-DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
 
 SUPPORTED_SCHEMES = (
     "mem://", "file://", "s3-sim://", "gcs-sim://", "minio-sim://",
@@ -114,17 +115,9 @@ class PrefixedProvider(StorageProvider):
         self.base.flush()
 
 
-def storage_from_url(
-    url: str,
-    clock: SimClock | None = None,
-    cache_bytes: int | None = None,
-) -> StorageProvider:
-    """Resolve *url* to a provider; remote schemes get an LRU memory cache.
-
-    ``cache_bytes=0`` disables caching for remote stores.  ``serve://``
-    resolves uncached by default (the server holds the shared cache);
-    pass ``cache_bytes`` explicitly to add a client-side LRU.
-    """
+def storage_from_url(url: str, clock: SimClock | None = None
+                     ) -> StorageProvider:
+    """Resolve *url* to its provider, with no cache tier in front."""
     if url.startswith("mem://"):
         name = url[len("mem://"):]
         with _LOCK:
@@ -132,36 +125,19 @@ def storage_from_url(
                 _MEM[name] = MemoryProvider(name)
             return _MEM[name]
     if url.startswith("serve://"):
-        remote = _serve_provider(url)
-        # no client cache by default: the serving tier IS the shared
-        # cache, and a client-side LRU would serve stale blobs after
-        # another tenant writes (no invalidation protocol).  Callers that
-        # accept staleness can opt in with cache_bytes.
-        if cache_bytes:
-            remote = LRUCache(MemoryProvider("cache"), remote, cache_bytes,
-                              name="serve-client")
-        return remote
+        return _serve_provider(url)
     for scheme, kind in (("s3-sim://", "s3"), ("gcs-sim://", "gcs"),
                          ("minio-sim://", "minio")):
         if url.startswith(scheme):
-            rest = url[len(scheme):]
-            bucket, _, prefix = rest.partition("/")
+            bucket, _, prefix = url[len(scheme):].partition("/")
             if not bucket:
                 raise ValueError(
                     f"bad object-store URL {url!r}: expected "
                     f"{scheme}<bucket>[/prefix]"
                 )
-            backing = _global_bucket(kind, bucket)
-            store: StorageProvider = make_object_store(
-                kind, clock=clock, backing=backing
-            )
-            if prefix:
-                store = PrefixedProvider(store, prefix)
-            budget = DEFAULT_CACHE_BYTES if cache_bytes is None else cache_bytes
-            if budget:
-                store = LRUCache(MemoryProvider("cache"), store, budget,
-                             name=f"{kind}-client")
-            return store
+            store = make_object_store(kind, clock=clock,
+                                      backing=_global_bucket(kind, bucket))
+            return PrefixedProvider(store, prefix) if prefix else store
     if url.startswith("file://"):
         return LocalProvider(url[len("file://"):])
     m = _SCHEME_RE.match(url)

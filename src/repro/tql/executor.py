@@ -68,7 +68,7 @@ from repro.tql.planner import (
 #: worst-case row (dtype × max shape) of the columns it reads, at least
 #: one — ~10^6 rows of a float64 column, ~300 of 96² RGB images.  Each
 #: column is planned once per window; a chunk straddling two windows is
-#: still fetched once, through the engine's decoded-chunk cache.
+#: still fetched once, through the handle's decoded-chunk cache.
 SCAN_WINDOW_BYTES = 8 << 20
 
 

@@ -1,7 +1,7 @@
 """Single-flight: a caller *leads* the fetch of the keys nobody is
 fetching and *follows* the rest, waiting for the leader's result.  Each
-chunk engine keeps a table (settled with decoded chunks), the dataset
-server one (with blobs); no lock is held across a fetch."""
+dataset handle's chunk cache keeps a table (settled with decoded chunks),
+the dataset server one (with blobs); no lock is held across a fetch."""
 
 from __future__ import annotations
 

@@ -509,7 +509,7 @@ def _copy_source(layout, rng):
         assert model[0] == [] and model[3] == []
         ds.x.extend(model)
     else:  # link: the bucket of tests/test_links_and_failures.py
-        bucket = storage_from_url("s3-sim://linktest", cache_bytes=0)
+        bucket = storage_from_url("s3-sim://linktest")
         ds.create_tensor("x", htype="link[image]")
         model = []
         for i in range(7):
@@ -543,7 +543,7 @@ class TestCopyMaterialize:
         from repro.compression import compress_array
         from repro.storage import storage_from_url
 
-        bucket = storage_from_url("s3-sim://raw-copy", cache_bytes=0)
+        bucket = storage_from_url("s3-sim://raw-copy")
         img = rng.integers(0, 255, (10, 10, 3), dtype=np.uint8)
         bucket["a.psim"] = compress_array(img, "png")
         ds = repro.empty(MemoryProvider(), overwrite=True)

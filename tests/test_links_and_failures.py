@@ -26,7 +26,7 @@ from repro.storage import (
 
 class TestLinks:
     def make_bucket(self, rng):
-        bucket = storage_from_url("s3-sim://linktest", cache_bytes=0)
+        bucket = storage_from_url("s3-sim://linktest")
         img = rng.integers(0, 255, (12, 12, 3), dtype=np.uint8)
         bucket["raw/a.psim"] = compress_array(img, "png")
         return bucket, img
@@ -100,8 +100,8 @@ class TestLinks:
 
     def test_multiple_providers_one_tensor(self, rng):
         """§4.5: pointers within one tensor span storage providers."""
-        a = storage_from_url("s3-sim://bucket-a", cache_bytes=0)
-        b = storage_from_url("minio-sim://bucket-b", cache_bytes=0)
+        a = storage_from_url("s3-sim://bucket-a")
+        b = storage_from_url("minio-sim://bucket-b")
         img_a = rng.integers(0, 255, (4, 4, 3), dtype=np.uint8)
         img_b = rng.integers(0, 255, (5, 5, 3), dtype=np.uint8)
         a["x.psim"] = compress_array(img_a, "png")

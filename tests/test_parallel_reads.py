@@ -299,7 +299,7 @@ class TestEngineSingleFlight:
 
         backing._get = counting_get
         # real 5 ms round trips, so the two workers' fetches overlap; the
-        # engines' decoded-chunk cache holds the whole dataset
+        # handle's decoded-chunk cache holds the whole dataset
         store = SimulatedObjectStore("single-flight-s3", backing=backing,
                                      clock=SimClock(time_scale=0.25))
         cold = repro.load(store, read_only=True)
@@ -349,7 +349,7 @@ class TestEngineSingleFlight:
         follower.join(5)
         assert len(calls) == 1  # the follower fetched nothing itself
         assert errors["leader"] is boom and errors["follower"] is boom
-        assert reader._inflight._flights == {}
+        assert reader.cache.inflight._flights == {}
         retries = []
 
         def recovered_get_many(keys):  # the backend is back
@@ -387,7 +387,7 @@ class TestEngineSingleFlight:
         got = reader.read_batch(rows)
         assert [int(v[0]) for v in got] == rows
         assert len(calls) == 1
-        assert reader._inflight._flights == {}
+        assert reader.cache.inflight._flights == {}
 
 
 class TestDecodeWorkerExceptions:
@@ -725,7 +725,7 @@ class TestServePushPrefetch:
         assert server.prefetch_issued == server.prefetch_wasted > 0
 
     def test_read_ahead_fetched_again_is_counted_once(self):
-        """A read-ahead chunk that left the engine's cache unclaimed and is
+        """A read-ahead chunk that left the handle's cache unclaimed and is
         fetched again: its first copy counts as wasted, its bytes once."""
         server, client, w = self._served("push-refetch")
         for i in range(2):
@@ -734,9 +734,8 @@ class TestServePushPrefetch:
         tr, ds = self._tracker(server), server._served_dataset("d")
         first = dict(tr["outstanding"])
         assert first
-        for name in ("images", "labels"):
-            for key in first:
-                ds._engine(name)._cache_drop(key)
+        for key in first:
+            ds._chunk_cache.drop(key)
         tr["inflight"] = 0  # what the tracker reserves, as for a new task
         server._prefetch_window(tr, ds, ("images", "labels"), 2 * w,
                                 tr["ahead_end"])

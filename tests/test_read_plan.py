@@ -537,7 +537,7 @@ class TestColumns:
         assert column.shape == (500, 16) and column.dtype == np.float32
         assert np.array_equal(column, np.stack([model[r] for r in rows]))
         assert column.flags.writeable
-        cached = list(reader._chunk_cache.values())
+        cached = [chunk for chunk, _size in reader.cache._chunks.values()]
         assert len(cached) == reader.enc.num_chunks >= 8
         for chunk in cached:  # a gather copies: no view of chunk memory
             assert not np.shares_memory(

@@ -1,5 +1,5 @@
-"""storage_from_url scheme routing: every supported scheme, cache
-wrapping policy, and the error messages for malformed/unknown URLs."""
+"""storage_from_url scheme routing: every supported scheme, resolved to
+its bare provider, and the error messages for malformed/unknown URLs."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.exceptions import ReadOnlyStorageError, UnknownServerError
 from repro.serve import DatasetServer, RemoteStorageProvider, clear_servers
 from repro.storage import (
     LocalProvider,
-    LRUCache,
     MemoryProvider,
     PrefixedProvider,
     SimulatedObjectStore,
@@ -22,13 +21,6 @@ def _no_leftover_servers():
     clear_servers()
     yield
     clear_servers()
-
-
-def unwrap(provider):
-    """Peel LRU cache tiers off a routed provider."""
-    while isinstance(provider, LRUCache):
-        provider = provider.next_storage
-    return provider
 
 
 class TestSchemeRouting:
@@ -46,21 +38,14 @@ class TestSchemeRouting:
         ("s3-sim", "s3"), ("gcs-sim", "gcs"), ("minio-sim", "minio"),
     ])
     def test_object_store_schemes(self, scheme, kind):
-        p = unwrap(storage_from_url(f"{scheme}://bkt/pfx"))
+        p = storage_from_url(f"{scheme}://bkt/pfx")
         assert isinstance(p, PrefixedProvider)
         assert isinstance(p.base, SimulatedObjectStore)
         assert p.base.name == kind
 
     def test_bucket_root_has_no_prefix_wrapper(self):
-        p = unwrap(storage_from_url("s3-sim://bkt"))
+        p = storage_from_url("s3-sim://bkt")
         assert isinstance(p, SimulatedObjectStore)
-
-    def test_remote_schemes_cached_by_default(self):
-        assert isinstance(storage_from_url("s3-sim://bkt/ds"), LRUCache)
-        assert isinstance(
-            storage_from_url("s3-sim://bkt/ds", cache_bytes=0),
-            PrefixedProvider,
-        )
 
     def test_bucket_sub_path_keeps_every_batch(self):
         """A dataset under a bucket prefix costs the same requests as one
@@ -70,11 +55,11 @@ class TestSchemeRouting:
 
         spent = {}
         for url in ("s3-sim://rootbkt", "s3-sim://subbkt/team/ds"):
-            ds = repro.empty(url, overwrite=True, cache_bytes=0)
+            ds = repro.empty(url, overwrite=True)
             ds.create_tensor("x", dtype="int64", max_chunk_size=256)
             ds.x.extend([np.arange(8, dtype=np.int64)] * 64)
             ds.flush()
-            cold = repro.load(url, cache_bytes=0)
+            cold = repro.load(url)
             assert int(cold.read_rows(range(64), ["x"])["x"][63][7]) == 7
             for provider in (ds.storage, cold.storage):
                 store = getattr(provider, "base", provider)
@@ -103,22 +88,17 @@ class TestSchemeRouting:
         server.add_dataset("ds", backing)
         with server:
             p = storage_from_url("serve://router-srv/ds")
-            # uncached by default: the serving tier is the shared cache,
-            # and a client LRU would go stale on other tenants' writes
+            # uncached: the serving tier is the shared cache, and a client
+            # LRU would go stale on other tenants' writes
             assert isinstance(p, RemoteStorageProvider)
             assert p.tenant == "default"
             assert p["k"] == b"v"
-            cached = storage_from_url("serve://router-srv/ds",
-                                      cache_bytes=1 << 20)
-            assert isinstance(cached, LRUCache)
-            assert isinstance(cached.next_storage, RemoteStorageProvider)
 
     def test_serve_scheme_parses_tenant(self):
         server = DatasetServer(name="router-srv")
         server.add_dataset("ds", MemoryProvider("bkt"))
         with server:
-            p = storage_from_url("serve://alice@router-srv/ds",
-                                 cache_bytes=0)
+            p = storage_from_url("serve://alice@router-srv/ds")
             assert p.tenant == "alice"
             assert p.dataset == "ds"
 

@@ -745,8 +745,7 @@ class TestTransports:
 
 class TestServeApi:
     def test_serve_and_connect_roundtrip(self):
-        ds = build_image_dataset(storage_from_url("s3-sim://svbkt/ds",
-                                                  cache_bytes=0), n=8)
+        ds = build_image_dataset(storage_from_url("s3-sim://svbkt/ds"), n=8)
         server = repro.serve({"ds": "s3-sim://svbkt/ds"}, name="api-srv")
         try:
             remote = repro.connect("serve://api-srv/ds")
@@ -834,7 +833,6 @@ class TestServeApi:
         backing["k"] = b"v"
         server, _ = serve_backing(backing)
         with server:
-            provider = storage_from_url("serve://carol@test-server/ds",
-                                        cache_bytes=0)
+            provider = storage_from_url("serve://carol@test-server/ds")
             assert provider["k"] == b"v"
             assert "carol" in server.stats_snapshot()["tenants"]

@@ -10,6 +10,7 @@ from repro.exceptions import (
 )
 from repro.sim import FlakyNetwork, NETWORK_PRESETS, SimClock
 from repro.storage import (
+    LRUCache,
     LocalProvider,
     MemoryProvider,
     PrefixedProvider,
@@ -183,14 +184,14 @@ class TestRouter:
         assert storage_from_url("mem://shared1")["k"] == b"v"
 
     def test_bucket_persists_across_opens(self):
-        p1 = storage_from_url("s3-sim://bkt/ds", cache_bytes=0)
+        p1 = storage_from_url("s3-sim://bkt/ds")
         p1["k"] = b"v"
-        p2 = storage_from_url("s3-sim://bkt/ds", cache_bytes=0)
+        p2 = storage_from_url("s3-sim://bkt/ds")
         assert p2["k"] == b"v"
 
     def test_prefix_isolation(self):
-        a = storage_from_url("s3-sim://bkt/a", cache_bytes=0)
-        b = storage_from_url("s3-sim://bkt/b", cache_bytes=0)
+        a = storage_from_url("s3-sim://bkt/a")
+        b = storage_from_url("s3-sim://bkt/b")
         a["k"] = b"va"
         assert "k" not in b
 
@@ -203,12 +204,28 @@ class TestRouter:
         view["y"] = b"3"
         assert base["p/y"] == b"3"
 
-    def test_remote_gets_cache_by_default(self):
-        from repro.storage import LRUCache
-
-        p = storage_from_url("s3-sim://bkt2/ds")
-        assert isinstance(p, LRUCache)
-
     def test_local_path_fallback(self, tmp_path):
         p = storage_from_url(str(tmp_path / "x"))
         assert isinstance(p, LocalProvider)
+
+
+@pytest.mark.parametrize("kind", ["memory", "s3", "lru"])
+def test_get_many_fetches_a_repeated_key_once(kind):
+    """A key named twice in one ``get_many`` is one GET of its bytes, on
+    the store that holds it."""
+    backing = MemoryProvider()
+    backing["a"], backing["b"] = b"0123456789", b"xyz"
+    if kind == "memory":
+        provider = counted = backing
+    elif kind == "s3":
+        provider = counted = SimulatedObjectStore(
+            "s3", clock=SimClock(), backing=backing)
+    else:
+        provider = LRUCache(MemoryProvider("cache"), backing, 1 << 10)
+        counted = backing
+    got = provider.get_many(["a", "b", "a", "a", "b"])
+    assert got == {"a": b"0123456789", "b": b"xyz"}
+    assert counted.stats.get_requests == 2
+    assert counted.stats.bytes_read == 13
+    if kind == "lru":
+        assert (provider.misses, provider.hits) == (2, 0)

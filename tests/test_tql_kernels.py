@@ -486,7 +486,7 @@ class TestStatsPushdown:
     def test_skipped_chunks_cost_zero_gets(self):
         ds = _chunked_ds("s3-sim://tqlskip")
         ds.flush()
-        cold = repro.load("s3-sim://tqlskip", cache_bytes=0)
+        cold = repro.load("s3-sim://tqlskip")
         store = cold.storage
         len(cold)  # force meta/encoder loads before measuring
         store.stats.reset()
@@ -594,7 +594,7 @@ class TestGetCounts:
     N = 96
 
     def _cold(self, url):
-        cold = repro.load(url, cache_bytes=0)
+        cold = repro.load(url)
         len(cold)  # force meta/encoder loads
         cold.storage.stats.reset()
         return cold
