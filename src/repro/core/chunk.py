@@ -91,22 +91,31 @@ class Chunk:
         return len(self.data) + nbytes <= max_chunk_size
 
     def append(self, raw: bytes, shape: Sequence[int]) -> None:
-        shape = tuple(int(x) for x in shape)
-        if self.shapes and len(shape) != len(self.shapes[0]):
+        self.extend(raw, (len(raw),), [tuple(int(x) for x in shape)])
+
+    def extend(self, raw, ends: Sequence[int],
+               shapes: Sequence[Tuple[int, ...]]) -> None:
+        """Append ``len(ends)`` samples in one step: their payloads lie
+        back to back in *raw* (any bytes-like), sample ``i`` ending at
+        ``ends[i]``, and ``shapes[i]`` is its shape, a tuple of ints.  One
+        copy of the data, one growth of each index list."""
+        rank = len((self.shapes or shapes)[0])
+        odd = set(map(len, shapes)) - {rank}
+        if odd:
             raise ChunkCorruptedError(
-                f"sample rank {len(shape)} differs from chunk rank "
-                f"{len(self.shapes[0])}"
+                f"sample rank {min(odd)} differs from chunk rank {rank}"
             )
         self._dense = None
         if not isinstance(self.data, bytearray):  # a sealed chunk resumed
             self.data = bytearray(self.data)
         start = len(self.data)
-        self.data.extend(raw)
-        self.byte_positions.append((start, len(self.data)))
-        self.shapes.append(shape)
+        self.data += raw
+        stops = (np.asarray(ends, dtype=np.int64) + start).tolist()
+        self.byte_positions.extend(zip([start] + stops[:-1], stops))
+        self.shapes.extend(shapes)
 
     def truncate(self, nbytes: int, num_samples: int) -> None:
-        """Drop everything :meth:`append` added past the first
+        """Drop everything :meth:`extend` added past the first
         *num_samples* samples / *nbytes* data bytes (batch rollback)."""
         self._dense = None
         if len(self.data) > nbytes:  # appended to, so a bytearray by now

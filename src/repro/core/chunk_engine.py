@@ -47,6 +47,9 @@ serve stats.
 
 The one write path
 ------------------
+An append stages a :class:`~repro.core.write_plan.WritePlan`, one column
+of payloads (a dense batch is one array), and commits it one chunk run at
+a time (:meth:`ChunkEngine.commit_appends`), never a row at a time.
 Chunks fill in memory, then upload (§3.4–3.5): a finalized chunk — and a
 stored chunk modified by :meth:`update` or rewritten by :meth:`rechunk` —
 joins ``_pending_chunks``, and :meth:`_serialize_pending` turns the buffer
@@ -104,6 +107,7 @@ from repro.core.read_plan import (  # noqa: F401 - PRUNED re-exported
 )
 from repro.core.sample import LinkedSample, Sample
 from repro.core.version_state import VersionState
+from repro.core.write_plan import WritePlan, dense_column, value_bounds
 from repro.core import tiling
 from repro.core.htypes import validate_sample
 from repro.exceptions import (
@@ -181,48 +185,6 @@ class CommitDiff:
         diff.num_added = obj.get("num_added", 0)
         diff.updated = set(obj.get("updated", []))
         return diff
-
-
-class WritePlan:
-    """Staged samples awaiting an atomic commit — the write mirror of
-    :class:`ReadPlan`.
-
-    Staging (:meth:`ChunkEngine.stage_appends`) runs every fallible step —
-    coercion, validation, sample compression — *without touching engine
-    state*.
-    Committing (:meth:`ChunkEngine.commit_appends`) then only moves
-    already-serialized payloads into chunks and registers them, under the
-    engine lock, with a cheap truncation snapshot so a failure anywhere in
-    the batch rolls the engine back to the pre-commit state.
-
-    ``entries`` holds one spec per appended row, in request order:
-    ``("flat", value, [(raw, shape, arr)])`` for plain samples (one
-    payload) and ``("seq", value, [(raw, shape, arr), ...])`` for sequence
-    rows (one payload per item).
-    """
-
-    __slots__ = ("tensor", "entries")
-
-    def __init__(self, tensor: str):
-        self.tensor = tensor
-        self.entries: List[Tuple] = []
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def num_bytes(self) -> int:
-        return sum(
-            len(raw) for _k, _v, payloads in self.entries
-            for raw, _shape, _arr in payloads
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"WritePlan(tensor={self.tensor!r}, rows={self.num_rows}, "
-            f"bytes={self.num_bytes})"
-        )
 
 
 class ChunkEngine:
@@ -575,8 +537,11 @@ class ChunkEngine:
         }
 
     def _stats_observe(self, name: str, arr: Optional[np.ndarray],
-                       count: int = 1) -> None:
-        """Widen chunk *name*'s stats with one observed sample.
+                       count: int = 1, bounds=None) -> None:
+        """Widen chunk *name*'s stats with *count* observed samples: *arr*
+        holds their elements (or, at least, their extremes), *bounds*
+        their per-dimension ``(lower, upper)`` shapes (one sample's
+        ``arr.shape`` by default).
 
         No-op when the chunk has no entry (stats were never initialised
         for it, e.g. pre-PR chunks); poisons the entry when the sample is
@@ -589,18 +554,19 @@ class ChunkEngine:
             self.chunk_stats[name] = None
             return
         entry["count"] += count
-        if arr.size:
-            lo = arr.min().item()
-            hi = arr.max().item()
+        found = value_bounds(arr)
+        if found is not None:
+            lo, hi = found
             entry["min"] = lo if entry["min"] is None else min(entry["min"], lo)
             entry["max"] = hi if entry["max"] is None else max(entry["max"], hi)
-        shape = list(arr.shape)
-        for key, fn in (("shape_min", min), ("shape_max", max)):
+        low, high = bounds or (arr.shape, arr.shape)
+        for key, fn, shape in (("shape_min", min, low),
+                               ("shape_max", max, high)):
             prev = entry[key]
             if prev == "n/a":
                 continue
             if prev is None:
-                entry[key] = shape
+                entry[key] = list(shape)
             elif len(prev) == len(shape):
                 entry[key] = [fn(a, b) for a, b in zip(prev, shape)]
             else:  # mixed rank: no usable bound, permanently
@@ -638,9 +604,10 @@ class ChunkEngine:
                 flat = np.frombuffer(chunk.data, dtype=np.dtype(self.meta.dtype))
             except ValueError:
                 return
+            lo, hi = value_bounds(flat) or (None, None)
             entry = {
-                "min": flat.min().item() if flat.size else None,
-                "max": flat.max().item() if flat.size else None,
+                "min": lo,
+                "max": hi,
                 "count": chunk.num_samples,
                 "shape_min": None,
                 "shape_max": None,
@@ -754,18 +721,24 @@ class ChunkEngine:
             value = value.array
 
         arr = self._coerce_array(value)
-        validate_sample(self.meta.spec, arr)
+        self._validate(arr, arr)
+        if self.meta.sample_compression:
+            raw = compress_array(arr, self.meta.sample_compression)
+        else:
+            raw = np.ascontiguousarray(arr).tobytes()
+        return raw, tuple(arr.shape), arr
+
+    def _validate(self, arr: np.ndarray, cell: np.ndarray) -> None:
+        """Check coerced *arr* against the htype by one of its samples,
+        *cell* (the checks see dtype and shape only), and pin or check the
+        tensor's dtype."""
+        validate_sample(self.meta.spec, cell)
         self.meta.set_dtype_if_unset(arr.dtype)
         if np.dtype(self.meta.dtype) != arr.dtype:
             raise FormatError(
                 f"tensor {self.tensor!r} holds dtype {self.meta.dtype}, "
                 f"sample has {arr.dtype}"
             )
-        if self.meta.sample_compression:
-            raw = compress_array(arr, self.meta.sample_compression)
-        else:
-            raw = np.ascontiguousarray(arr).tobytes()
-        return raw, tuple(arr.shape), arr
 
     def _deserialize_sample(
         self, raw: bytes, shape: Tuple[int, ...]
@@ -926,48 +899,58 @@ class ChunkEngine:
         # the blob will be (re)uploaded under the current commit's key
         self.cache.drop(K.chunk_key(self.commit_id, self.tensor, chunk.name))
 
-    def _append_payload(
-        self, raw, shape, arr, touched: Dict[str, Tuple[int, int]]
-    ) -> None:
-        """Move one serialized payload into the active chunk; *touched*
-        collects first-touch chunk states for rollback."""
-        chunk = self._get_active_chunk(len(raw))
-        touched.setdefault(chunk.name, (len(chunk.data), chunk.num_samples))
-        chunk.append(raw, shape)
-        self._stats_observe(chunk.name, arr)
-        self.enc.register_samples(1)
-        if len(chunk.data) >= self.meta.max_chunk_size:
-            self._finalize_active()
+    def _commit_runs(self, plan: WritePlan,
+                     touched: Dict[str, Tuple[int, int]]) -> None:
+        """Move the payloads of *plan* into chunks (the infallible half of
+        an append); *touched* collects first-touch chunk states for
+        rollback.
 
-    def _commit_flat(
-        self, value, raw, shape, arr, touched: Dict[str, Tuple[int, int]]
-    ) -> None:
-        """Register one pre-serialized flat sample (the infallible half of
-        an append)."""
-        is_video = self.meta.htype == "video"
-        if (
-            len(raw) > self.meta.max_chunk_size
-            and not is_video
-            and not self.meta.is_link
-        ):
-            self._append_tiled(value, raw, shape, arr)
-        else:
-            self._append_payload(raw, shape, arr, touched)
-        if not self.meta.is_link:
-            self.meta.update_shape_interval(shape)
-        self.meta.length += 1
-        self.commit_diff.add(1)
-        self._dirty = True
+        One step per run (:meth:`WritePlan.run_end`), the payloads the
+        chunk-filling rule puts in the chunk :meth:`_get_active_chunk`
+        picks for the first: one :meth:`Chunk.extend`, one stats widening,
+        one encoder registration, one shape-interval update.  A row over
+        ``max_chunk_size`` (not video, not a link, not a sequence item)
+        is tiled on its own."""
+        meta = self.meta
+        flat = plan.lengths is None
+        tiled = plan.oversize(meta.max_chunk_size) & (
+            flat and meta.htype != "video" and not meta.is_link
+        )
+        stops = plan.stops(tiled)
+        eligible = self._stats_eligible()
+        i = 0
+        while i < len(tiled):
+            if tiled[i]:
+                self._append_tiled(plan.sample(i))
+                j, bounds = i + 1, (plan.shapes[i],)
+            else:
+                chunk = self._get_active_chunk(
+                    plan.start(i + 1) - plan.start(i)
+                )
+                touched.setdefault(
+                    chunk.name, (len(chunk.data), chunk.num_samples)
+                )
+                j = plan.run_end(
+                    i, meta.max_chunk_size - len(chunk.data), stops
+                )
+                chunk.extend(*plan.payloads(i, j))
+                bounds = plan.shape_bounds(i, j)
+                self._stats_observe(
+                    chunk.name, plan.extremes(i, j) if eligible else None,
+                    j - i, bounds,
+                )
+                self.enc.register_samples(j - i)
+                if len(chunk.data) >= meta.max_chunk_size:
+                    self._finalize_active()
+            if not (flat and meta.is_link):
+                for shape in bounds:
+                    meta.update_shape_interval(shape)
+            i = j
 
-    def _append_tiled(self, value, raw, shape, arr) -> None:
+    def _append_tiled(self, arr: np.ndarray) -> None:
         # a tiled sample owns dedicated chunks; close the active one first
         # so encoder rows stay in storage order
         self._finalize_active()
-        if arr is None:
-            if isinstance(value, Sample):
-                arr = value.array
-            else:
-                arr = self._coerce_array(value)
         tile_shape = tiling.choose_tile_shape(
             arr.shape, arr.dtype.itemsize, self.meta.max_chunk_size
         )
@@ -989,39 +972,25 @@ class ChunkEngine:
         self.enc.register_tiled_sample(chunk_ids)
         self.tile_enc.register(index, arr.shape, tile_shape)
 
-    def _commit_sequence(
-        self, payloads, touched: Dict[str, Tuple[int, int]]
-    ) -> None:
-        """Register one pre-serialized sequence row.  Every item was
-        serialized during staging, so no fallible step sits between the
-        mutations of ``enc`` and of ``seq_enc`` / ``meta.length``."""
-        for raw, shape, arr in payloads:
-            self._append_payload(raw, shape, arr, touched)
-            self.meta.update_shape_interval(shape)
-        self.seq_enc.register(len(payloads))
-        self.meta.length += 1
-        self.commit_diff.add(1)
-        self._dirty = True
-
     # -- WritePlan: stage (fallible) then commit (atomic) ---------------- #
 
-    def _stage_payloads(self, items: List) -> List[Tuple]:
-        """Serialize *items* in order, and upload what earlier appends
-        sealed while that happens.
+    def _stage_payloads(self, plan: WritePlan, items: List) -> None:
+        """Serialize *items* in order into *plan*, and upload what earlier
+        appends sealed while that happens.
 
         Staging an item of a sample-compressed tensor is a codec call, the
         one piece of engine work that profits from threads whoever the
         caller is, so those batches map over :func:`_encode_pool`; every
-        other tensor stages inline (a scalar ``extend`` would pay one
+        other tensor stages inline (a ragged ``extend`` would pay one
         future per sample for a ``tobytes``).
 
-        This is the append side's one watermark site.  ``Executor.map``
-        starts every future before it returns, so the calling thread
-        uploads the chunks the *previous* call left buffered under the
-        encode work, not after it; inline staging makes the same call at
-        the same point.  Nothing is registered yet: an upload error
-        abandons the batch, the engine as any failed watermark upload
-        leaves it.
+        This and the staging of a dense column are the append side's
+        watermark sites.  ``Executor.map`` starts every future before it
+        returns, so the calling thread uploads the chunks the *previous*
+        call left buffered under the encode work, not after it; inline
+        staging makes the same call at the same point.  Nothing is
+        registered yet: an upload error abandons the batch, the engine as
+        any failed watermark upload leaves it.
 
         The first sample(s) are serialized synchronously until the
         tensor's dtype is pinned — ``_serialize_sample`` infers
@@ -1044,15 +1013,21 @@ class ChunkEngine:
         )
         self._maybe_flush_pending()
         payloads.extend(staged)
-        return payloads
+        plan.set_payloads(payloads)
 
     def stage_appends(self, values) -> WritePlan:
         """Serialize + compress *values* into a :class:`WritePlan` without
         mutating engine state (exception-safe: a staging failure leaves
-        nothing to undo).  Sequence rows stage every item."""
-        values = list(values)
+        nothing to undo).
+
+        A dense batch (:func:`write_plan.dense_column`; an ndarray column is
+        taken as it is) is staged as ONE array; a ragged or sample-compressed
+        one value by value, codec calls on the encode pool.  Sequence rows
+        stage every item."""
+        if not isinstance(values, np.ndarray):
+            values = list(values)
         plan = WritePlan(self.tensor)
-        if not values:
+        if not len(values):
             return plan
         dtype_was_none = self.meta.dtype is None
         with _tracing.span("engine.stage_appends", tensor=self.tensor,
@@ -1060,18 +1035,18 @@ class ChunkEngine:
             try:
                 if self.meta.is_sequence:
                     rows = [list(v) for v in values]
-                    flat = [item for row in rows for item in row]
-                    payloads = self._stage_payloads(flat)
-                    pos = 0
-                    for value, row in zip(values, rows):
-                        plan.entries.append(
-                            ("seq", value, payloads[pos:pos + len(row)])
-                        )
-                        pos += len(row)
-                else:
-                    payloads = self._stage_payloads(values)
-                    for value, payload in zip(values, payloads):
-                        plan.entries.append(("flat", value, [payload]))
+                    plan.lengths = [len(row) for row in rows]
+                    self._stage_payloads(
+                        plan, [item for row in rows for item in row]
+                    )
+                elif (column := dense_column(self.meta, values)) is None:
+                    plan.values = list(values)
+                    self._stage_payloads(plan, plan.values)
+                else:  # one coercion, one validation, one tobytes
+                    self._maybe_flush_pending()
+                    column = self._coerce_array(column)
+                    self._validate(column, column[0, ...])
+                    plan.set_column(column)
             except BaseException:
                 # the one piece of state staging can touch is the dtype
                 # inferred from the first sample — revert it so a failed
@@ -1168,7 +1143,9 @@ class ChunkEngine:
         self._dirty = snap["dirty"]
 
     def commit_appends(self, plan: WritePlan) -> None:
-        """Apply a staged :class:`WritePlan` atomically.
+        """Apply a staged :class:`WritePlan` atomically, one chunk run at
+        a time (:meth:`_commit_runs`) — one step per chunk the batch
+        fills, whatever its row count.
 
         Either every row of the plan is registered (encoders, meta,
         commit diff, chunk data all agree) or — on any failure — the
@@ -1177,20 +1154,21 @@ class ChunkEngine:
         stay buffered until the next append stages
         (:meth:`_stage_payloads`), or a flush or commit drains them.
         """
-        if not plan.entries:
+        rows = plan.num_rows
+        if not rows:
             return
         with self._lock:
             snap = self._write_snapshot()
             touched: Dict[str, Tuple[int, int]] = {}
             with _tracing.span("engine.commit_appends", tensor=self.tensor,
-                               rows=plan.num_rows):
+                               rows=rows):
                 try:
-                    for kind, value, payloads in plan.entries:
-                        if kind == "seq":
-                            self._commit_sequence(payloads, touched)
-                        else:
-                            raw, shape, arr = payloads[0]
-                            self._commit_flat(value, raw, shape, arr, touched)
+                    self._commit_runs(plan, touched)
+                    for count in plan.lengths or ():
+                        self.seq_enc.register(count)
+                    self.meta.length += rows
+                    self.commit_diff.add(rows)
+                    self._dirty = True
                 except BaseException:
                     self._restore_snapshot(snap, touched)
                     raise
@@ -1473,9 +1451,7 @@ class ChunkEngine:
                 f"tiled sample {index} has shape {sample_shape}; in-place "
                 f"update requires the same shape, got {shape}"
             )
-        if arr is None:
-            arr = value.array if isinstance(value, Sample) else self._coerce_array(value)
-        tiles = tiling.split(arr, tile_shape)
+        tiles = tiling.split(value.array if arr is None else arr, tile_shape)
         chunk_ids = self.enc.tile_chunk_ids(index)
         for cid, tile in zip(chunk_ids, tiles):
             name = ChunkIdEncoder.name_from_id(cid)

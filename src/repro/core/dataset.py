@@ -37,7 +37,7 @@ from repro.exceptions import (
 )
 from repro.storage.provider import StorageProvider
 from repro.util import keys as K
-from repro.util.ids import new_sample_id, new_view_id
+from repro.util.ids import new_sample_ids, new_view_id
 from repro.util.json_util import json_dumps, json_loads
 from repro.version_control import operations as vc_ops
 from repro.version_control.tree import (
@@ -301,6 +301,30 @@ class Dataset:
         its hidden companions and the dataset meta that names them become
         durable together, never the meta ahead of a companion's state.
         """
+        tensor = self._declare_tensor(
+            name, htype, dtype, sample_compression, chunk_compression,
+            max_chunk_size, hidden, create_shape_tensor, create_id_tensor,
+            downsampling, **meta_kwargs,
+        )
+        self.flush()
+        return tensor
+
+    def _declare_tensor(
+        self,
+        name: str,
+        htype: str = UNSPECIFIED,
+        dtype: Optional[str] = None,
+        sample_compression=UNSPECIFIED,
+        chunk_compression=UNSPECIFIED,
+        max_chunk_size: Optional[int] = None,
+        hidden: bool = False,
+        create_shape_tensor: bool = True,
+        create_id_tensor: bool = True,
+        downsampling: Optional[int] = None,
+        **meta_kwargs,
+    ) -> Tensor:
+        """:meth:`create_tensor` without its flush: the tensor exists in
+        this handle, and the caller's next flush publishes it."""
         self._check_writable()
         name = self._qualify(name)
         parts = name.split("/")
@@ -355,8 +379,6 @@ class Dataset:
                 self._meta.add_tensor(down_name, hidden=True)
                 meta.links["downsampled"] = down_name
                 meta.info["downsampling_factor"] = factor
-
-        self.flush()
         return Tensor(self, name, Index())
 
     def _create_hidden(self, name: str, dtype: str) -> None:
@@ -435,25 +457,30 @@ class Dataset:
         sample_ids: Optional[Sequence[int]] = None,
     ) -> None:
         """Mirror rows ``[start, start+count)`` of *name* into its hidden
-        companion tensors (shape / id / downsampled), batched."""
+        companion tensors (shape / id / downsampled), batched: the shape
+        and id companions each get ONE column, an ``(n, ndim)`` int64
+        array and a uint64 array."""
         links = engine.meta.links
         if not links or not count:
             return
         rows = list(range(start, start + count))
         if "shape" in links:
             if engine.meta.is_link:
-                shapes = [np.array([], dtype=np.int64)] * count
+                shapes = np.zeros((count, 0), dtype=np.int64)
             else:
-                shapes = [
-                    np.asarray(s, dtype=np.int64)
-                    for s in engine.read_shapes_batch(rows)
-                ]
+                shapes = engine.read_shapes_batch(rows)
+                ranks = set(map(len, shapes))
+                if len(ranks) == 1:
+                    shapes = np.array(shapes, dtype=np.int64).reshape(
+                        count, ranks.pop()
+                    )
+                else:  # a sequence's empty rows are rank 1
+                    shapes = [np.asarray(s, dtype=np.int64) for s in shapes]
             self._engine(links["shape"]).extend(shapes)
         if "id" in links:
-            if sample_ids is None:
-                sample_ids = [new_sample_id() for _ in rows]
             self._engine(links["id"]).extend(
-                [np.uint64(sid) for sid in sample_ids]
+                new_sample_ids(count) if sample_ids is None
+                else np.asarray(sample_ids, dtype=np.uint64)
             )
         if "downsampled" in links:
             factor = int(engine.meta.info.get("downsampling_factor", 2))
@@ -582,16 +609,12 @@ class Dataset:
         links = engine.meta.links
         if "shape" in links:
             shape_engine = self._engine(links["shape"])
-            shape_engine.extend(
-                [np.array([], dtype=np.int64)]
-                * (length - shape_engine.num_samples)
-            )
+            shape_engine.extend(np.zeros(
+                (length - shape_engine.num_samples, 0), dtype=np.int64
+            ))
         if "id" in links:
             id_engine = self._engine(links["id"])
-            id_engine.extend([
-                np.uint64(new_sample_id())
-                for _ in range(length - id_engine.num_samples)
-            ])
+            id_engine.extend(new_sample_ids(length - id_engine.num_samples))
         if "downsampled" in links:
             down_engine = self._engine(links["downsampled"])
             down_engine.pad_to(length)
@@ -695,7 +718,10 @@ class Dataset:
         chunks are buffered and uploaded in batched ``set_many`` calls by
         the engines.
         """
-        columns = {key: list(values) for key, values in samples.items()}
+        columns = {
+            key: values if isinstance(values, np.ndarray) else list(values)
+            for key, values in samples.items()
+        }
         count = len(next(iter(columns.values()), ()))
         self._extend_rows(columns, count, append_empty, "extend")
 

@@ -41,6 +41,7 @@ from repro.core.read_plan import FusedReadPlan, as_row_array, column_rows
 from repro.exceptions import FormatError, StorageError
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
+from repro.storage.memory import MemoryProvider
 from repro.tql import kernels
 from repro.tql.kernels import (  # noqa: F401 - shared scalar kernels
     _arith,
@@ -491,35 +492,39 @@ class Executor:
         return view
 
     def _extend_output(self, out, cols: Dict[str, List]) -> None:
-        """One columnar ``extend`` of result dataset *out*.  The first one
-        declares its tensors from these values: text / json by the first
-        value, numeric dtypes widened over all of them (``np.result_type``,
-        so a first-row int does not downcast the floats that follow)."""
-        declare = {} if out._meta.tensors else cols
-        for name, values in declare.items():
-            if isinstance(values[0], str):
-                kind = {"htype": "text"}
-            elif isinstance(values[0], (dict, list)):
-                kind = {"htype": "json"}
+        """One columnar ``extend`` of result dataset *out*: a numeric
+        column as ONE array of its values' ``np.result_type`` (so a
+        first-row int does not downcast the floats that follow), text /
+        json and ragged cells value by value.  The first one declares the
+        tensors from these values (text / json by the first value) with
+        no manifest write: :meth:`_seal_output` publishes the result."""
+        declare = not out._meta.tensors
+        columns = {}
+        for name, values in cols.items():
+            objects = [isinstance(v, (str, dict, list)) for v in values]
+            cells = [v if obj else np.asarray(v)
+                     for v, obj in zip(values, objects)]
+            if objects[0]:
+                kind = {"htype": "text" if isinstance(values[0], str)
+                        else "json"}
             else:
-                kind = {"dtype": np.result_type(*{
-                    np.asarray(v).dtype for v in values
-                    if not isinstance(v, (str, dict, list))
-                }).name}
-            out.create_tensor(name, create_shape_tensor=False,
-                              create_id_tensor=False, **kind)
-        out.extend({
-            name: [
-                v if isinstance(v, (str, dict, list)) else np.asarray(v)
-                for v in values
-            ]
-            for name, values in cols.items()
-        })
+                dtype = np.result_type(*{
+                    c.dtype for c, obj in zip(cells, objects) if not obj
+                })
+                kind = {"dtype": dtype.name}
+                if not any(objects) and len({c.shape for c in cells}) == 1:
+                    cells = np.asarray(cells, dtype=dtype)
+            columns[name] = cells
+            if declare:
+                out._declare_tensor(name, create_shape_tensor=False,
+                                    create_id_tensor=False, **kind)
+        out.extend(columns)
 
     def _new_output(self, query_string: str):
         import repro as _api
 
-        out = _api.empty(f"mem://tql-{id(self)}", overwrite=True)
+        # its own store: a result lives exactly as long as its handle
+        out = _api.empty(MemoryProvider("tql-result"))
         out.query_string = query_string
         return out
 
@@ -552,9 +557,9 @@ class Executor:
             self._extend_output(out, cols)
         if not out._meta.tensors:  # no row survived: empty columns
             for name, _node in plan.projections:
-                out.create_tensor(name, dtype="float64",
-                                  create_shape_tensor=False,
-                                  create_id_tensor=False)
+                out._declare_tensor(name, dtype="float64",
+                                    create_shape_tensor=False,
+                                    create_id_tensor=False)
         return self._seal_output(out, query_string)
 
     def _row_groups(self, rows: np.ndarray) -> List[Dict[str, object]]:

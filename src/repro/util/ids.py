@@ -45,10 +45,13 @@ def new_commit_id() -> str:
     return _hex(20)
 
 
-def new_sample_id() -> int:
-    """Random uint64 sample identity (stored in a hidden id tensor)."""
+def new_sample_ids(count: int) -> np.ndarray:
+    """*count* random sample identities (stored in a hidden id tensor),
+    one uint64 array."""
     with _lock:
-        return int(_rng.integers(1, np.iinfo(np.int64).max, dtype=np.int64))
+        ids = _rng.integers(1, np.iinfo(np.int64).max, size=count,
+                            dtype=np.int64)
+    return ids.astype(np.uint64)
 
 
 def new_view_id() -> str:

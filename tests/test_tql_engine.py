@@ -225,3 +225,63 @@ class TestExecutor:
         out = qds.query("SELECT * WHERE (labels + 1) IN [1, 3]")
         labels = {int(v) for v in np.ravel(out.labels.numpy())}
         assert labels == {0, 2}
+
+
+class TestResultDatasets:
+    """A materialized result is its own in-memory dataset: declared as
+    columns, written once, alive exactly as long as the caller holds it."""
+
+    GROUPS = "SELECT labels, COUNT() AS n, MEAN(score) AS m GROUP BY labels"
+
+    def test_results_never_share_a_store(self, qds):
+        held = qds.query(self.GROUPS)
+        later = [qds.query("SELECT score * 2 AS s WHERE score > 0.5")
+                 for _ in range(20)]
+        assert len({id(r.storage) for r in [held, *later]}) == 21
+        reread = repro.load(held.storage)
+        assert len(reread) == 3
+        assert [int(v) for v in np.ravel(reread["n"].numpy())] == [10] * 3
+
+    def test_dropped_results_leave_no_store_behind(self, qds):
+        import gc
+
+        from repro.storage import router
+
+        before = set(router._MEM)
+        for _ in range(5):
+            qds.query(self.GROUPS)
+            qds.query("SELECT score * 2 AS s WHERE score > 0.5")
+        gc.collect()
+        assert not [k for k in set(router._MEM) - before
+                    if k.startswith("tql-")]
+
+    def test_group_by_result_is_one_flush(self, qds, monkeypatch):
+        flushed = []
+        flush = repro.Dataset.flush
+
+        def counting(self):
+            flushed.append(self.storage)
+            return flush(self)
+
+        monkeypatch.setattr(repro.Dataset, "flush", counting)
+        out = qds.query(self.GROUPS)
+        assert [s for s in flushed if s is out.storage] == [out.storage]
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_result_columns_keep_dtypes_and_values(self, qds, optimize):
+        out = qds.query(self.GROUPS, optimize=optimize)
+        assert out._meta.info["source_query"] == self.GROUPS
+        dtypes = {name: out._engine(name).meta.dtype
+                  for name in ("labels", "n", "m")}
+        assert dtypes == {"labels": "int32", "n": "int64", "m": "float64"}
+        assert np.ravel(out["labels"].numpy()).tolist() == [0, 1, 2]
+        assert np.ravel(out["m"].numpy()).tolist() == pytest.approx([
+            np.mean([i / 30 for i in range(k, 30, 3)]) for k in range(3)
+        ])
+        q = "SELECT labels * score AS p, caption AS c WHERE score > 0.8"
+        mixed = qds.query(q, optimize=optimize)
+        assert mixed._engine("p").meta.dtype == "float64"
+        assert mixed._engine("c").meta.htype == "text"
+        assert np.ravel(mixed["p"].numpy()).tolist() == pytest.approx([
+            (i % 3) * (i / 30) for i in range(25, 30)
+        ])

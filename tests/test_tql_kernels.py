@@ -483,6 +483,38 @@ class TestStatsPushdown:
                 f"pushdown changed results for {clause!r}"
             )
 
+    @pytest.mark.parametrize("how", ["extend", "append"])
+    def test_nan_never_widens_or_poisons_a_chunk_range(self, how):
+        """A NaN row neither widens nor poisons its chunk's [min, max]:
+        a chunk whose first row is NaN still prunes, and an all-NaN chunk
+        has no range, so it never does.  Stats do not depend on the order
+        rows arrive in, nor on how they were batched."""
+        x = np.arange(160, dtype=np.float64)
+        x[::32] = np.nan  # the first row of each 32-row chunk
+        x[128:] = np.nan  # the fifth chunk: NaN only
+        ds = repro.empty(MemoryProvider(), overwrite=True)
+        ds.create_tensor("x", dtype="float64", max_chunk_size=256,
+                         create_shape_tensor=False, create_id_tensor=False)
+        if how == "extend":
+            ds.x.extend(x)
+        else:
+            for value in x:
+                ds.x.append(value)
+        ds.flush()
+        stats = [ds._engine("x").chunk_stats[name]
+                 for name, _s, _e in ds._engine("x").chunk_layout()]
+        assert [(s["min"], s["max"]) for s in stats] == [
+            (1.0, 31.0), (33.0, 63.0), (65.0, 95.0), (97.0, 127.0),
+            (None, None),
+        ]
+        q = "SELECT * WHERE x > 100"
+        ex = _executor(ds, q)
+        fast = ex.run(q)
+        assert ex.chunks_skipped == 3
+        slow = ds.query(q, optimize=False)
+        assert list(fast.index.entries[0]) == list(slow.index.entries[0])
+        assert len(fast) == 27
+
     def test_skipped_chunks_cost_zero_gets(self):
         ds = _chunked_ds("s3-sim://tqlskip")
         ds.flush()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import DynamicShapeError
 from repro.util import keys as K
-from repro.util.ids import new_chunk_name, new_commit_id, new_sample_id, seed_ids
+from repro.util.ids import new_chunk_name, new_commit_id, new_sample_ids, seed_ids
 from repro.util.json_util import json_dumps, json_loads
 from repro.util.shape import ShapeInterval, ceildiv, nbytes_of, normalize_index
 
@@ -127,9 +127,9 @@ class TestMisc:
 
     def test_ids_seeded_deterministic(self):
         seed_ids(7)
-        a = new_chunk_name(), new_commit_id(), new_sample_id()
+        a = new_chunk_name(), new_commit_id(), new_sample_ids(3).tolist()
         seed_ids(7)
-        b = new_chunk_name(), new_commit_id(), new_sample_id()
+        b = new_chunk_name(), new_commit_id(), new_sample_ids(3).tolist()
         assert a == b
 
     def test_chunk_name_is_16_hex(self):

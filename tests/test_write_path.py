@@ -24,6 +24,8 @@ import repro
 from repro.compression import get_codec
 from repro.core.chunk_engine import _WATERMARK_CHUNKS
 from repro.exceptions import (
+    ChunkCorruptedError,
+    DynamicShapeError,
     FormatError,
     NetworkError,
     ReadOnlyStorageError,
@@ -529,6 +531,196 @@ class TestAtomicExtend:
         eng = ds_b._engine("x")
         for link_name in eng.meta.links.values():
             assert ds_b._engine(link_name).num_samples == len(rows)
+
+
+    # 32-byte rows in 200-byte chunks, the first 5 already written: a
+    # wrong-rank row that opens a chunk (rows 0 and 7) fails the tensor's
+    # shape interval, one that joins a chunk fails the chunk's rank
+    @pytest.mark.parametrize("bad, at, error", [
+        *[(np.zeros((2, 2, 2)), at, error) for at, error in (
+            (0, DynamicShapeError), (3, ChunkCorruptedError),
+            (7, DynamicShapeError))],
+        *[(np.zeros((2, 2), dtype=np.complex128), at, FormatError)
+          for at in (0, 3, 7)],  # wrong dtype kind
+        *[("text", at, FormatError) for at in (0, 3, 7)],
+    ])
+    def test_bad_row_at_any_position_leaves_everything(self, bad, at, error):
+        ds = repro.empty(MemoryProvider(), overwrite=True)
+        ds.create_tensor("x", dtype="float64", max_chunk_size=200)
+        ds.x.extend(np.ones((5, 2, 2)))
+        engine = ds._engine("x")
+        companions = [ds._engine(n) for n in engine.meta.links.values()]
+
+        def state():
+            # a failed batch may leave a surviving chunk's stats widened
+            # (a superset range never mis-prunes): compare which chunks
+            # have stats, not their ranges
+            return [(e.num_samples, e.chunk_layout(), e._encoder_items(),
+                     e.meta.to_json(), sorted(e.chunk_stats))
+                    for e in [engine, *companions]]
+
+        before = state()
+        rows = [np.full((2, 2), float(i)) for i in range(8)]
+        rows[at] = bad
+        with pytest.raises(error) as raised:
+            ds.x.extend(rows)
+        assert type(raised.value) is error
+        assert state() == before
+        ds.x.extend(rows[:at] + rows[at + 1:])
+        assert len(ds.x) == 12
+
+
+# --------------------------------------------------------------------------- #
+# a dense column is one write: extend == N appends, byte for byte
+# --------------------------------------------------------------------------- #
+
+
+def _column(rng, dtype, cell, n):
+    dt = np.dtype(dtype)
+    if dt.kind == "b":
+        return rng.random((n, *cell)) < 0.5
+    if dt.kind == "f":
+        col = rng.normal(size=(n, *cell)).astype(dt)
+        # whole-NaN rows: first, last, every 7th (the first of a chunk
+        # at the sizes below) and some between; partly NaN cells too
+        for i in [0, n - 1, *range(7, n, 7), *range(3, n, 5)]:
+            col[i] = np.nan
+        if cell:
+            col[2::4, 0] = np.nan
+        return col
+    info = np.iinfo(dt)
+    return rng.integers(info.min, info.max, size=(n, *cell), dtype=dt,
+                        endpoint=True)
+
+
+def _written(ds, name):
+    """Everything the engine of *name* persists, each chunk named by its
+    place in the layout (chunk names are random)."""
+    ds.flush()
+    engine = ds._engine(name)
+    layout = engine.chunk_layout()
+    place = {}
+    for chunk, _start, _end in layout:
+        place.setdefault(chunk, len(place))
+    return {
+        "layout": [(place[c], start, end) for c, start, end in layout],
+        "blobs": [ds.storage[engine._chunk_storage_key(c)] for c in place],
+        "tiles": engine.tile_enc._layouts,
+        "stats": {place[c]: v for c, v in engine.chunk_stats.items()},
+        "length": engine.meta.length,
+        "shape_interval": engine.meta.shape_interval.to_json(),
+        "dtype": engine.meta.dtype,
+    }
+
+
+class TestColumnWrite:
+    """One ``extend`` of N rows writes what N ``append`` calls write: the
+    same chunks (boundaries and bytes), encoders, stats, meta — for the
+    tensor and its shape companion."""
+
+    @pytest.mark.parametrize("dtype", [
+        "bool", "int8", "int64", "uint64", "float32", "float64",
+    ])
+    @pytest.mark.parametrize("cell", [(), (3,), (4, 4)])
+    def test_extend_equals_append_loop(self, dtype, cell):
+        rng = np.random.default_rng(7)
+        nbytes = np.dtype(dtype).itemsize * int(np.prod(cell, dtype=int))
+        sizes = [7 * nbytes + 3]  # splits every batch inside
+        if cell:
+            sizes.append(max(1, nbytes // 3))  # every row tiled
+        for max_size in sizes:
+            for cc in (None, "lz4"):
+                for resume in ("fresh", "reload", "commit"):
+                    first = _column(rng, dtype, cell, 10)
+                    rows = _column(rng, dtype, cell, 30)
+                    written = []
+                    for how in ("extend", "append"):
+                        store = MemoryProvider()
+                        ds = repro.empty(store, overwrite=True)
+                        ds.create_tensor("x", dtype=dtype,
+                                         max_chunk_size=max_size,
+                                         chunk_compression=cc)
+                        if resume != "fresh":
+                            ds.x.extend(list(first))
+                            ds.flush()
+                            if resume == "reload":
+                                ds = repro.load(store)
+                            else:
+                                ds.commit("first")
+                        if how == "extend":
+                            ds.x.extend(list(rows))
+                        else:
+                            for row in rows:
+                                ds.x.append(row)
+                        shape = ds._engine("x").meta.links["shape"]
+                        written.append((_written(ds, "x"),
+                                        _written(ds, shape)))
+                        got = np.stack(ds.x.numpy(aslist=True))
+                        want = rows if resume == "fresh" else np.concatenate(
+                            [first, rows])
+                        assert got.tobytes() == want.tobytes()
+                    case = (max_size, cc, resume)
+                    assert written[0] == written[1], case
+
+    def test_signed_zeros_and_nans_keep_append_stats(self):
+        # ties keep the first value seen, as N appends do: compare reprs,
+        # since -0.0 == 0.0
+        rows = np.array([np.nan, -0.0, 0.0, np.nan, 0.0, -0.0, np.nan])
+        stats = []
+        for how in ("extend", "append"):
+            ds = repro.empty(MemoryProvider(), overwrite=True)
+            ds.create_tensor("x", dtype="float64", max_chunk_size=24)
+            if how == "extend":
+                ds.x.extend(rows)
+            else:
+                for row in rows:
+                    ds.x.append(row)
+            stats.append(repr(_written(ds, "x")["stats"]))
+        assert stats[0] == stats[1]
+
+    def test_ndarray_column_equals_list_of_rows(self):
+        rng = np.random.default_rng(3)
+        col = rng.normal(size=(50, 4)).astype(np.float32)
+        written = []
+        for values in (col, list(col)):
+            ds = repro.empty(MemoryProvider(), overwrite=True)
+            ds.create_tensor("x", max_chunk_size=100)
+            ds.extend({"x": values})
+            written.append(_written(ds, "x"))
+        assert written[0] == written[1]
+
+    def test_ragged_batch_commits_by_chunk_runs(self):
+        rows = [np.arange(n, dtype=np.int32) for n in (3, 9, 1, 0, 20, 4)]
+        written = []
+        for how in ("extend", "append"):
+            ds = repro.empty(MemoryProvider(), overwrite=True)
+            ds.create_tensor("x", max_chunk_size=40)
+            if how == "extend":
+                ds.x.extend(rows)
+            else:
+                for row in rows:
+                    ds.x.append(row)
+            written.append(_written(ds, "x"))
+        assert written[0] == written[1]
+        assert len(written[0]["tiles"]) == 1  # the 80-byte row
+
+    def test_sequence_rows_commit_by_chunk_runs(self):
+        rows = [[np.arange(k, dtype=np.int64) for k in (2, 5)], [],
+                [np.arange(3, dtype=np.int64)] * 4, [np.zeros(9, np.int64)]]
+        written = []
+        for how in ("extend", "append"):
+            ds = repro.empty(MemoryProvider(), overwrite=True)
+            ds.create_tensor("s", htype="sequence[generic]", dtype="int64",
+                             max_chunk_size=48)
+            if how == "extend":
+                ds.s.extend(rows)
+            else:
+                for row in rows:
+                    ds.s.append(row)
+            engine = ds._engine("s")
+            written.append((_written(ds, "s"), engine.seq_enc._cum))
+        assert written[0] == written[1]
+        assert written[0][1] == [2, 2, 6, 7]
 
 
 # --------------------------------------------------------------------------- #
