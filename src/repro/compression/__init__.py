@@ -2,7 +2,8 @@
 
 Public helpers:
 
-- :func:`compress_array` / :func:`decompress_array` — sample compression
+- :func:`compress_array` / :func:`decompress_array` — sample compression,
+  and :func:`decompress_arrays`, a column of samples in one codec call
 - :func:`compress_bytes` / :func:`decompress_bytes` — chunk compression
 - :func:`peek_shape` — read a payload's sample shape without decoding
 
@@ -14,7 +15,7 @@ substitution rationale): byte codecs ``none``/``lz4``/``zstd``/``gzip``/
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,8 +40,14 @@ def compress_array(array: np.ndarray, compression: Optional[str]) -> bytes:
 
 
 def decompress_array(data: bytes, compression: Optional[str]) -> np.ndarray:
-    name = compression or "none"
-    return get_codec(name).decompress(data)
+    return decompress_arrays([data], compression)[0]
+
+
+def decompress_arrays(payloads: Sequence[bytes],
+                      compression: Optional[str]) -> list:
+    """Decode a column of sample payloads with ONE codec call
+    (:meth:`Codec.decompress_many`), in order; the codec meters it."""
+    return get_codec(compression or "none").decompress_many(payloads)
 
 
 def compress_bytes(data: bytes, compression: Optional[str]) -> bytes:
@@ -83,6 +90,7 @@ __all__ = [
     "codecs_of_kind",
     "compress_array",
     "decompress_array",
+    "decompress_arrays",
     "compress_bytes",
     "decompress_bytes",
     "peek_shape",

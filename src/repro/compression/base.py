@@ -10,12 +10,17 @@ roles; image/video/audio codecs are sample codecs only.
 from __future__ import annotations
 
 import struct
+import time
 from abc import ABC, abstractmethod
-from typing import Dict, Optional, Tuple
+from contextlib import contextmanager
+from functools import cached_property
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import SampleCompressionError
+from repro.obs import metrics as _metrics
+from repro.obs import tracing as _tracing
 
 _MAGIC = b"RPC1"  # framing magic for codec payloads
 
@@ -38,12 +43,50 @@ class Codec(ABC):
     def decompress(self, data: bytes) -> np.ndarray:
         """Decode a payload produced by :meth:`compress`."""
 
+    def decompress_many(self, payloads: Sequence[bytes]) -> list:
+        """Decode *payloads* (any bytes-like objects), in order:
+        ``[decompress(p) for p in payloads]``, which is what this default
+        runs, metered as one batch.  A codec with a batched kernel
+        overrides it to decode a column in a few kernel calls."""
+        with self.meter.batch(len(payloads)):
+            return [self.decompress(bytes(data)) for data in payloads]
+
+    @cached_property
+    def meter(self) -> "DecodeMeter":
+        return DecodeMeter(self.name)
+
     def peek_shape(self, data: bytes) -> Optional[Tuple[int, ...]]:
         """Read the sample shape from the header without decoding (or None)."""
         return None
 
     def __repr__(self) -> str:
         return f"<Codec {self.name} kind={self.kind} lossy={self.lossy}>"
+
+
+class DecodeMeter:
+    """The sample-decode series of one codec, labeled ``codec``:
+    ``compression.samples_decoded`` and ``compression.decode_batches``
+    (counters) and ``compression.decode_seconds`` (a histogram, one
+    observation per :meth:`batch` block, each also a
+    ``compression.decode_batch`` span).  A block that raises counts
+    nothing."""
+
+    def __init__(self, codec: str):
+        reg = _metrics.REGISTRY
+        self.codec = codec
+        self._samples = reg.counter("compression.samples_decoded", codec=codec)
+        self._batches = reg.counter("compression.decode_batches", codec=codec)
+        self._seconds = reg.histogram("compression.decode_seconds", codec=codec)
+
+    @contextmanager
+    def batch(self, samples: int):
+        with _tracing.span("compression.decode_batch", codec=self.codec,
+                           samples=samples):
+            t0 = time.perf_counter()
+            yield
+            self._seconds.observe(time.perf_counter() - t0)
+        self._samples.inc(samples)
+        self._batches.inc()
 
 
 _REGISTRY: Dict[str, Codec] = {}

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import struct
 import zlib
+from functools import lru_cache
+from typing import Dict, List, Sequence
 
 import numpy as np
 from scipy.fft import dctn, idctn
@@ -37,13 +39,25 @@ _Q_LUMA = np.array(
 
 _JPEG_MAGIC = b"JSIM"
 _PNG_MAGIC = b"PSIM"
+#: after the magic: height, width, channels, quality
+_HEADER = struct.Struct("<IIHB")
+_HEADER_LEN = len(_JPEG_MAGIC) + _HEADER.size
+
+#: Decoded bytes (8x8-padded pixels) one JPEG kernel call covers at most.
+#: The call's int16 and float32 temporaries are a few times this, however
+#: many payloads a read hands :meth:`JpegSim.decompress_many`.
+DECODE_BATCH_BYTES = 256 * 1024
 
 
+@lru_cache(maxsize=256)
 def _quality_table(quality: int) -> np.ndarray:
+    """The quantisation table of *quality* (read-only, built once)."""
     quality = int(np.clip(quality, 1, 100))
     scale = 5000 / quality if quality < 50 else 200 - 2 * quality
     table = np.floor((_Q_LUMA * scale + 50) / 100)
-    return np.clip(table, 1, 255).astype(np.float32)
+    table = np.clip(table, 1, 255).astype(np.float32)
+    table.flags.writeable = False
+    return table
 
 
 class JpegSim(Codec):
@@ -87,39 +101,83 @@ class JpegSim(Codec):
         dc = planar[0, 0].reshape(c, -1)
         dc[:, 1:] = dc[:, 1:] - dc[:, :-1].copy()
         payload = zlib.compress(planar.tobytes(), 6)
-        header = _JPEG_MAGIC + struct.pack("<IIHB", h, w, c, self.quality & 0xFF)
+        header = _JPEG_MAGIC + _HEADER.pack(h, w, c, self.quality & 0xFF)
         return header + payload
 
     def decompress(self, data: bytes) -> np.ndarray:
-        data = bytes(data)
-        if data[:4] != _JPEG_MAGIC:
-            raise SampleCompressionError(f"not a {self.name} payload")
-        h, w, c, quality = struct.unpack_from("<IIHB", data, 4)
-        off = 4 + struct.calcsize("<IIHB")
-        try:
-            raw = zlib.decompress(data[off:])
-        except zlib.error as exc:
-            raise SampleCompressionError(f"{self.name}: {exc}") from exc
-        hb = -(-h // 8)
-        wb = -(-w // 8)
-        planar = np.frombuffer(raw, dtype=np.int16).reshape(
-            8, 8, c, hb, wb
-        ).copy()
-        dc = planar[0, 0].reshape(c, -1)
-        np.add.accumulate(dc, axis=1, dtype=np.int16, out=dc)
-        quant = np.ascontiguousarray(planar.transpose(3, 0, 4, 1, 2))
-        qt = _quality_table(quality or self.quality)
-        coeffs = quant.astype(np.float32) * qt[None, :, None, :, None]
-        blocks = idctn(coeffs, axes=(1, 3), norm="ortho")
-        x = blocks.reshape(hb * 8, wb * 8, c) + 128.0
-        out = np.clip(np.round(x), 0, 255).astype(np.uint8)[:h, :w]
-        return out[:, :, 0] if c == 1 else out
+        return self.decompress_many([data])[0]
+
+    def decompress_many(self, payloads: Sequence[bytes]) -> list:
+        """Decode *payloads*, in order, one kernel call per batch: the
+        payloads of one header (size, channels, quality), cut at
+        :data:`DECODE_BATCH_BYTES` of decoded pixels.  Each image is a
+        view of its batch's array."""
+        out: list = [None] * len(payloads)
+        groups: Dict[bytes, List[int]] = {}
+        for i, data in enumerate(payloads):
+            head = bytes(data[:_HEADER_LEN])
+            if len(head) < _HEADER_LEN or head[:4] != _JPEG_MAGIC:
+                raise SampleCompressionError(f"not a {self.name} payload")
+            groups.setdefault(head, []).append(i)
+        for head, where in groups.items():
+            h, w, c, quality = _HEADER.unpack_from(head, 4)
+            hb, wb = -(-h // 8), -(-w // 8)
+            step = max(1, DECODE_BATCH_BYTES // max(1, 64 * hb * wb * c))
+            for lo in range(0, len(where), step):
+                rows = where[lo : lo + step]
+                with self.meter.batch(len(rows)):
+                    images = self._decode_batch(
+                        [payloads[i] for i in rows], h, w, c,
+                        quality or self.quality,
+                    )
+                for i, image in zip(rows, images):
+                    out[i] = image
+        return out
+
+    def _decode_batch(self, payloads: List[bytes], h: int, w: int, c: int,
+                      quality: int) -> np.ndarray:
+        """The ``(n, h, w[, c])`` images of *payloads*, all of one header:
+        inflate into one int16 block laid out frequency-first, ``(u, v,
+        image, channel, block row, block col)``, so the DC prefix sum,
+        the dequantize, the IDCT and the rounding are one call each.
+        Each temporary is dropped once the next step has used it."""
+        n, hb, wb = len(payloads), -(-h // 8), -(-w // 8)
+        quant = np.empty((8, 8, n, c, hb, wb), dtype=np.int16)
+        size = quant[:, :, 0].nbytes
+        for i, data in enumerate(payloads):
+            try:
+                raw = zlib.decompress(data[_HEADER_LEN:])
+            except zlib.error as exc:
+                raise SampleCompressionError(f"{self.name}: {exc}") from exc
+            if len(raw) != size:
+                raise SampleCompressionError(
+                    f"{self.name}: payload inflates to {len(raw)} bytes, "
+                    f"its header says {size}"
+                )
+            quant[:, :, i] = np.frombuffer(raw, dtype=np.int16).reshape(
+                8, 8, c, hb, wb
+            )
+        dc = quant[0, 0].reshape(n, c, hb * wb)
+        np.add.accumulate(dc, axis=2, dtype=np.int16, out=dc)
+        qt = _quality_table(quality)[:, :, None, None, None, None]
+        coeffs = np.multiply(quant, qt, dtype=np.float32)
+        del quant, dc
+        pixels = idctn(coeffs, axes=(0, 1), norm="ortho", overwrite_x=True)
+        del coeffs
+        pixels += 128.0
+        np.round(pixels, out=pixels)
+        np.clip(pixels, 0, 255, out=pixels)
+        out = np.empty((n, hb * 8, wb * 8, c), dtype=np.uint8)
+        np.copyto(out.reshape(n, hb, 8, wb, 8, c),
+                  pixels.transpose(2, 4, 0, 5, 1, 3), casting="unsafe")
+        out = out[:, :h, :w]
+        return out[..., 0] if c == 1 else out
 
     def peek_shape(self, data: bytes):
-        data = bytes(data[:20])
+        data = bytes(data[:_HEADER_LEN])
         if data[:4] != _JPEG_MAGIC:
             return None
-        h, w, c, _q = struct.unpack_from("<IIHB", data, 4)
+        h, w, c, _q = _HEADER.unpack_from(data, 4)
         return (h, w) if c == 1 else (h, w, c)
 
 

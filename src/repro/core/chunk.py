@@ -166,6 +166,16 @@ class Chunk:
         start, end = self.byte_positions[local_index]
         return bytes(self.data[start:end])
 
+    def payloads(self, local_indices: Sequence[int]) -> List:
+        """The stored bytes of samples *local_indices*, in order: zero-copy
+        views of a sealed chunk's immutable data section, copies of a
+        write buffer (a view would pin a ``bytearray`` an append grows)."""
+        data = self.data
+        if isinstance(data, bytes):
+            data = memoryview(data)
+        positions = self.byte_positions
+        return [data[slice(*positions[i])] for i in local_indices]
+
     def read_shape(self, local_index: int) -> Tuple[int, ...]:
         return self.shapes[local_index]
 

@@ -18,11 +18,14 @@ a time, never a row at a time:
 - **slice** (:func:`slice_plan`): a chunk whose data section is its
   samples' raw arrays laid end to end (:meth:`Chunk.dense`) is sliced
   with ONE gather, ``dense[locals]``, into the ``(n, *shape)`` column.
-  Everything else — sample compression, ragged shapes, links, unsealed
-  write-buffer chunks, ``decode=False`` — decodes per sample off the
-  same arrays; padded and tiled items are exception positions, valued
-  through the ``_KIND_VALUE`` operator table, and a pruned position is
-  what the list starts as (no per-row work for a row never fetched).
+  A sample-compressed column is ONE :func:`decompress_arrays` call over
+  every payload of the plan, whichever chunks hold them (the codec
+  batches them: one JPEG kernel per same-shape run).  Ragged raw
+  shapes, raw samples still in a write buffer, links and
+  ``decode=False`` are valued per sample off the same arrays; padded
+  and tiled items are exception positions, valued through the
+  ``_KIND_VALUE`` operator table, and a pruned position is what the list
+  starts as (no per-row work for a row never fetched).
 
 A result is a *column*: one ndarray with a leading row axis when every
 requested row came out of the gather, a list of per-row values otherwise
@@ -38,6 +41,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.compression import decompress_arrays
 from repro.core import tiling
 from repro.core.chunk import Chunk
 from repro.core.encoders import ChunkIdEncoder
@@ -391,17 +395,29 @@ def slice_plan(engine: "ChunkEngine", plan: ReadPlan,
         column = _gather(engine, plan, groups, chunks)
         if column is not None:
             return column
-    n = plan.num_items
-    # a pruned position is never visited: it is what the list starts as
-    values: List = [PRUNED if plan.skipped_chunks else None] * n
+    # a sample-compressed column is ONE codec call over every payload the
+    # plan reads, across chunks (the codec batches by its own headers);
+    # links and ragged raw samples are valued one by one
+    batch = bool(decode and meta.sample_compression and not meta.is_link)
+    where: List[int] = []
+    items: List = []
     for name, pos in groups:
-        chunk = chunks[name]
-        for p, local in zip(pos.tolist(), plan.local[pos].tolist()):
-            raw = chunk.read_bytes(local)
-            values[p] = (
-                engine._deserialize_sample(raw, chunk.read_shape(local))
-                if decode else raw
-            )
+        chunk, locals_ = chunks[name], plan.local[pos].tolist()
+        where += pos.tolist()
+        if batch:
+            items += chunk.payloads(locals_)
+        elif decode:
+            items += [engine._deserialize_sample(chunk.read_bytes(i),
+                                                 chunk.read_shape(i))
+                      for i in locals_]
+        else:
+            items += [chunk.read_bytes(i) for i in locals_]
+    if batch:
+        items = decompress_arrays(items, meta.sample_compression)
+    # a pruned position is never visited: it is what the list starts as
+    values: List = [PRUNED if plan.skipped_chunks else None] * plan.num_items
+    for p, value in zip(where, items):
+        values[p] = value
     if not plan.plain:
         kinds = plan.kind
         for p in np.flatnonzero(kinds > KIND_PRUNED).tolist():

@@ -1706,19 +1706,22 @@ class TestWhereParallelismLives:
         self, rng, monkeypatch
     ):
         codec = get_codec("jpeg")
-        encode_threads, decode_threads = [], []
-        encode, decode = codec.compress, codec.decompress
+        # decode: (thread, payloads) per call of the batched entry point
+        encode_threads, decode_calls = [], []
+        encode, decode = codec.compress, codec.decompress_many
 
         def recording_encode(*args, **kwargs):
             encode_threads.append(threading.current_thread().name)
             return encode(*args, **kwargs)
 
-        def recording_decode(*args, **kwargs):
-            decode_threads.append(threading.current_thread().name)
-            return decode(*args, **kwargs)
+        def recording_decode(payloads):
+            decode_calls.append(
+                (threading.current_thread().name, len(payloads))
+            )
+            return decode(payloads)
 
         monkeypatch.setattr(codec, "compress", recording_encode)
-        monkeypatch.setattr(codec, "decompress", recording_decode)
+        monkeypatch.setattr(codec, "decompress_many", recording_decode)
         here = threading.current_thread().name
         ds = repro.empty(MemoryProvider(), overwrite=True)
         ds.create_tensor("img", htype="image", sample_compression="jpeg",
@@ -1739,7 +1742,8 @@ class TestWhereParallelismLives:
         threads_before = threading.active_count()
         ds.label.extend([np.int64(i % 3) for i in range(11)])
         values = ds.read_rows(list(range(11)), ["img"])["img"]
-        assert len(values) == 11 and decode_threads == [here] * 11
+        # one plan, one codec call: all 11 rows, on the caller's thread
+        assert len(values) == 11 and decode_calls == [(here, 11)]
         groups = ds.query("select label, COUNT() as n group by label")
         assert len(groups) == 3
         ds.flush()
