@@ -15,6 +15,7 @@ import pytest
 import repro
 from benchmarks.conftest import print_table, scaled
 from repro.core import chunk_cache
+from repro.core.read_plan import column_rows
 from repro.dataloader import chunk_aware_shuffle, chunk_locality, \
     naive_shuffle, shuffle_quality
 from repro.sim import SimClock
@@ -284,6 +285,6 @@ def test_a5_rechunk(benchmark, rng):
         note="fewer, right-sized chunks -> fewer storage requests per scan",
     )
     for i, v in enumerate(values):
-        assert np.array_equal(engine.read_sample(i), v)
+        assert np.array_equal(column_rows(engine.read([i]))[0], v)
     assert after_chunks < before_chunks
     assert gets_after < gets_before

@@ -11,7 +11,7 @@ shared ReadPlan layer:
   samples/s on the same simulated-S3 workload (it wins by paying
   per-request network overhead per chunk batch, not per sample).  The
   loader has no per-sample mode, so the yardstick is built here: one
-  one-row ``read_batch`` per sample in loader order — the random-access
+  one-row ``engine.read`` per sample in loader order — the random-access
   entry point, a header probe + ranged GET each.
 """
 
@@ -70,7 +70,7 @@ class TestTQLColumnScanGets:
         engine = baseline._engine("images")
         storage.stats.reset()
         for i in range(n):
-            engine.read_sample(i)
+            engine.read([i])
         per_sample_gets = storage.stats.get_requests
         assert per_sample_gets >= n
 
@@ -102,7 +102,7 @@ class TestLoaderBatchedThroughput:
         engine = ds._engine("images")
         start = time.perf_counter()
         for row in range(engine.num_samples):
-            raw = engine.read_batch([row], decode=False)[0]
+            raw = engine.read([row], decode=False)[0]
             np.frombuffer(raw, dtype=np.uint8)  # what the loader hands on
         return engine.num_samples / (time.perf_counter() - start)
 

@@ -143,7 +143,9 @@ class Chunk:
         if not isinstance(data, bytes):
             return None
         view = None
-        n = len(self.byte_positions)
+        # one snapshot: a resumed append may extend the list meanwhile
+        positions = list(self.byte_positions)
+        n = len(positions)
         shape = self.shapes[0] if n else ()
         count = int(np.prod(shape, dtype=np.int64))
         size = count * dtype.itemsize
@@ -151,7 +153,7 @@ class Chunk:
             n and size and self.shapes.count(shape) == n
             and len(data) >= n * size
         ):
-            bounds = np.asarray(self.byte_positions, dtype=np.int64)
+            bounds = np.asarray(positions, dtype=np.int64)
             edges = np.arange(n + 1, dtype=np.int64) * size
             if (bounds[:, 0] == edges[:-1]).all() and (
                 bounds[:, 1] == edges[1:]

@@ -22,28 +22,28 @@ Chunks exist so that one fetch + one decompress amortizes over many
 samples (§3.4–3.5), so every read — one row or a million — is the same
 three steps, plan -> fetch -> slice, over arrays.  The steps live in
 :mod:`repro.core.read_plan` (its header describes them); this class keeps
-the entry points: :meth:`plan_reads` (rows -> :class:`ReadPlan`, one
-binary search over :class:`ChunkIdEncoder` per request, each chunk's
-storage key resolved against the commit chain once) and
-:meth:`execute_plan` (:meth:`FusedReadPlan._fetch_all`, the only routine
-that fetches missing chunks, then :func:`read_plan.slice_plan`, the only
-slicer), plus the list-returning :meth:`read_batch` / :meth:`read_sample`
-/ :meth:`read_items` over them.
+four entry points: :meth:`plan_reads` (rows, or flat items with
+``items=True`` -> :class:`ReadPlan`, one binary search over
+:class:`ChunkIdEncoder` per request, each chunk's storage key resolved
+against the commit chain once), :meth:`execute_plan`
+(:meth:`FusedReadPlan._fetch_all`, the only routine that fetches missing
+chunks, then :func:`read_plan.slice_plan`, the only slicer), :meth:`read`
+(the two in one call) and :meth:`shapes`, which answers shape lookups
+from one header (or cached chunk) per chunk.  A read returns the
+*column*; callers that want rows cut it with :func:`column_rows`.
 
-The entry point, not a flag, decides the *fetch strategy*.  One-row
-entry points — :meth:`read_sample`, a one-row :meth:`read_batch`,
-``Tensor[i].numpy()`` — may take §3.5's *ranged* strategy
-(:func:`read_plan.fetch_ranged`: header probe + the sample's byte range,
-never cached).  Every multi-row or multi-tensor entry point —
-:meth:`plan_reads` + :meth:`execute_plan`, :class:`FusedReadPlan`,
-``Dataset.read_rows`` and so the dataloader, TQL's column scans and the
-Tensor Streaming Server's ``read_batch`` op — fetches whole chunks: a
-full-column scan costs one storage GET per chunk, and a single row that
-should stream is spelled ``execute_plan(plan_reads([i]))``.
-:meth:`read_shapes_batch` answers shape lookups from one header (or
-cached chunk) per chunk; the ``chunk_cache_hits`` / ``chunk_cache_misses``
-counters make the batching observable from loader stats and per-tenant
-serve stats.
+The entry point, not a flag, decides the *fetch strategy*.  A one-item
+:meth:`read` — ``Tensor[i].numpy()`` among others — may take §3.5's
+*ranged* strategy (:func:`read_plan.fetch_ranged`: header probe + the
+sample's byte range, never cached).  A :meth:`read` of many rows and every
+planned entry point — :meth:`plan_reads` + :meth:`execute_plan`,
+:class:`FusedReadPlan`, ``Dataset.read_rows`` and so the dataloader, TQL's
+column scans and the Tensor Streaming Server's ``read_batch`` op —
+fetches whole chunks: a full-column scan costs one storage GET per chunk,
+and a single row that should stream is spelled
+``execute_plan(plan_reads([i]))``.  The ``chunk_cache_hits`` /
+``chunk_cache_misses`` counters make the batching observable from loader
+stats and per-tenant serve stats.
 
 The one write path
 ------------------
@@ -853,7 +853,7 @@ class ChunkEngine:
                     or not self.enc.num_samples
                     or self._mem_chunk(name) is not None):
                 return None
-            return self._plan_flat([self.enc.num_samples - 1])
+            return self.plan_reads([self.enc.num_samples - 1], items=True)
 
     def _get_active_chunk(self, nbytes: int) -> Chunk:
         """Chunk that will receive the next sample (resumed or fresh).
@@ -1195,53 +1195,12 @@ class ChunkEngine:
             return np.zeros((0,), dtype=dtype)
         return np.zeros((0,) * len(si.lower), dtype=dtype)
 
-    def read_tiled_region(self, index: int, region: Sequence[slice]) -> np.ndarray:
-        """Read only the tiles of sample *index* intersecting *region*,
-        then crop — the visualizer's viewport streaming path."""
-        if index not in self.tile_enc:
-            return self.read_sample(index)[tuple(region)]
-        sample_shape, tile_shape = self.tile_enc.layout(index)
-        chunk_ids = self.enc.tile_chunk_ids(index)
-        hits = tiling.tiles_for_region(region, sample_shape, tile_shape)
-        dtype = np.dtype(self.meta.dtype)
-        region_slices = tuple(
-            sl if isinstance(sl, slice) else slice(sl, sl + 1)
-            for sl in region
-        ) + tuple(
-            slice(None) for _ in range(len(sample_shape) - len(region))
-        )
-        starts = [sl.indices(s)[0] for sl, s in zip(region_slices, sample_shape)]
-        stops = [sl.indices(s)[1] for sl, s in zip(region_slices, sample_shape)]
-        out = np.zeros(
-            [max(0, b - a) for a, b in zip(starts, stops)], dtype=dtype
-        )
-        # each intersecting tile is the one sample of its own chunk: one
-        # plan over them, so they arrive in one fetch
-        plan = read_plan.plan_chunk_heads(self, [
-            ChunkIdEncoder.name_from_id(chunk_ids[flat])
-            for flat, _gidx in hits
-        ])
-        for (_flat, gidx), tile in zip(hits, self.execute_plan(plan)):
-            tile_region = tiling.tile_slices(gidx, tile_shape, sample_shape)
-            # intersection of tile extent and requested region
-            dst = []
-            src = []
-            for (t_sl, a, b) in zip(tile_region, starts, stops):
-                lo = max(t_sl.start, a)
-                hi = min(t_sl.stop, b)
-                if hi <= lo:
-                    break
-                dst.append(slice(lo - a, hi - a))
-                src.append(slice(lo - t_sl.start, hi - t_sl.start))
-            else:
-                out[tuple(dst)] = tile[tuple(src)]
-        return out
-
     # ------------------------------------------------------------------ #
     # the ReadPlan layer: plan -> fetch -> slice (core/read_plan.py)
     # ------------------------------------------------------------------ #
 
-    def plan_reads(self, rows: Sequence[int], bounds=None) -> ReadPlan:
+    def plan_reads(self, rows: Sequence[int], bounds=None, *,
+                   items: bool = False) -> ReadPlan:
         """Group *rows* by owning chunk into an executable :class:`ReadPlan`.
 
         Rows — Python / numpy integers or an integer array, anything else
@@ -1249,8 +1208,11 @@ class ChunkEngine:
         order; they are resolved by one binary search over the chunk
         encoder for the whole request, and each referenced chunk's
         storage key is resolved against the commit chain exactly once.
-        Sequence rows expand to their flat item ranges, tiled samples pull
-        in every tile chunk, padded rows need no storage at all.
+        Sequence rows expand to their flat item ranges — unless
+        ``items=True``: then *rows* are flat items (rows of a plain
+        tensor, single items of a sequence tensor, one frame without its
+        whole row).  Tiled samples pull in every tile chunk, padded rows
+        need no storage at all.
 
         *bounds* (optional) is a list of necessary-condition intervals
         ``(lo, hi, lo_open, hi_open)`` on the column's values: a chunk
@@ -1260,11 +1222,12 @@ class ChunkEngine:
         are pruned; tiled, padded, sequence and active-chunk rows are
         always read.
         """
-        index = read_plan.normalize_rows(rows, self.num_samples, self.tensor)
+        length = self.enc.num_samples if items else self.num_samples
+        index = read_plan.normalize_rows(rows, length, self.tensor)
         with _tracing.span("engine.plan_reads", tensor=self.tensor,
                            rows=len(index)) as sp:
             with self._lock:
-                plan = read_plan.plan_rows(self, index, bounds)
+                plan = read_plan.plan_rows(self, index, bounds, items)
             self._m_chunks_planned.inc(len(plan.chunk_keys))
             self._h_plan_chunks.observe(len(plan.chunk_keys))
             sp.set(chunks=plan.num_chunks)
@@ -1324,57 +1287,30 @@ class ChunkEngine:
             values[pos] = PRUNED
         return values
 
-    def read_batch(self, rows: Sequence[int], aslist: bool = False,
-                   decode: bool = True) -> List:
-        """Values of *rows*, one list entry per row, through one
-        :class:`ReadPlan`: one fetch + one decompress per chunk, however
-        many of the rows it holds.
+    def read(self, rows: Sequence[int], *, items: bool = False,
+             decode: bool = True, aslist: bool = False):
+        """The column of *rows* — flat items with ``items=True`` — through
+        one :class:`ReadPlan`: one fetch + one decompress per chunk,
+        however many of the rows it holds.  Returns exactly what
+        :meth:`execute_plan` does, never cut into rows
+        (:func:`column_rows` does that for callers that want rows).
 
-        A one-row call is the random-access entry point and may take the
-        ranged strategy (:func:`read_plan.fetch_ranged`) instead of
-        pulling a whole chunk into the cache for a single sample.
+        The entry point picks the fetch strategy: a one-item read may take
+        the ranged one (:func:`read_plan.fetch_ranged`) instead of pulling
+        a whole chunk into the cache for a single sample.
         """
-        plan = self.plan_reads(rows)
-        return column_rows(self.execute_plan(
+        plan = self.plan_reads(rows, items=items)
+        return self.execute_plan(
             plan, aslist=aslist, decode=decode,
             _chunks=read_plan.fetch_ranged(self, plan),
-        ))
-
-    def read_sample(self, index: int, aslist: bool = False):
-        """One row — a one-row :meth:`read_batch`."""
-        return self.read_batch([index], aslist=aslist)[0]
-
-    def _plan_flat(self, indices: Sequence[int]) -> ReadPlan:
-        """Plan over *flat* items (rows of a plain tensor, single items of
-        a sequence tensor), no sequence expansion."""
-        flat = read_plan.normalize_rows(
-            indices, self.enc.num_samples, self.tensor
         )
-        with self._lock:
-            return read_plan.plan_items(
-                self, ReadPlan(self.tensor, flat), flat
-            )
 
-    def read_items(self, indices: Sequence[int], decode: bool = True) -> List:
-        """Values of *flat* items: rows of a plain tensor, single items
-        of a sequence tensor (one frame without decoding its whole row).
-        Same plan path and one-item ranged rule as :meth:`read_batch`."""
-        plan = self._plan_flat(indices)
-        return column_rows(self.execute_plan(
-            plan, decode=decode, _chunks=read_plan.fetch_ranged(self, plan),
-        ))
-
-    def read_shape(self, index: int) -> Tuple[int, ...]:
-        """Sample shape without decoding payloads where possible."""
-        return self.read_shapes_batch([index])[0]
-
-    def read_shapes_batch(self, rows: Sequence[int]) -> List[Tuple[int, ...]]:
-        """Per-sample shapes for many rows: at most one header fetch per
-        chunk (reusing decoded chunks when resident) instead of per-row
-        metadata reads — what keeps smart scheduling O(chunks)."""
-        indices = read_plan.normalize_rows(
-            rows, self.num_samples, self.tensor
-        )
+    def shapes(self, rows: Sequence[int]) -> List[Tuple[int, ...]]:
+        """Per-sample shapes of *rows* without decoding payloads where
+        possible: at most one header fetch per chunk (reusing decoded
+        chunks when resident) instead of per-row metadata reads — what
+        keeps smart scheduling O(chunks)."""
+        indices = read_plan.normalize_rows(rows, self.num_samples, self.tensor)
         if not self.meta.is_sequence:
             return self._flat_shapes(indices)
         starts, ends = self.seq_enc.item_ranges(indices)
@@ -1384,8 +1320,8 @@ class ChunkEngine:
 
     def _flat_shapes(self, indices: np.ndarray) -> List[Tuple[int, ...]]:
         if self.meta.is_link:  # the stored shape is the pointer's
-            return [tuple(v.shape) for v in self.read_items(indices)]
-        plan = self._plan_flat(indices)
+            return [tuple(v.shape) for v in self.read(indices, items=True)]
+        plan = self.plan_reads(indices, items=True)
         out: List = [None] * plan.num_items
         for name, pos in plan.groups():
             src = self._locate_chunk(name)
@@ -1493,7 +1429,7 @@ class ChunkEngine:
         # one plan over every flat item, fetched as whole chunks in one
         # batch: payloads are copied chunk to chunk below (raw bytes +
         # stored shape), never decoded — and never probed sample by sample
-        plan = self._plan_flat(range(self.enc.num_samples))
+        plan = self.plan_reads(range(self.enc.num_samples), items=True)
         chunks = FusedReadPlan().add(self, plan)._fetch_all()[0]
 
         # unwritten in-memory chunks (active + upload buffer) are held by

@@ -468,7 +468,7 @@ class Dataset:
             if engine.meta.is_link:
                 shapes = np.zeros((count, 0), dtype=np.int64)
             else:
-                shapes = engine.read_shapes_batch(rows)
+                shapes = engine.shapes(rows)
                 ranks = set(map(len, shapes))
                 if len(ranks) == 1:
                     shapes = np.array(shapes, dtype=np.int64).reshape(
@@ -484,7 +484,7 @@ class Dataset:
             )
         if "downsampled" in links:
             factor = int(engine.meta.info.get("downsampling_factor", 2))
-            arrs = engine.read_batch(rows, aslist=True)
+            arrs = engine.read(rows, aslist=True)
             self._engine(links["downsampled"]).extend(
                 [self._downsample(arr, factor) for arr in arrs]
             )
@@ -541,7 +541,7 @@ class Dataset:
         """Append *rows* of the tensor behind *src* (an engine of another
         dataset or commit) to tensor *name*, keeping *sample_ids*.
 
-        Rows move in windows: one ``read_batch`` — so one fetch and one
+        Rows move in windows: one ``src.read`` — so one fetch and one
         decompress per source chunk — then one :meth:`_extend_with_id`.
         When both sides store a plain tensor under the same sample codec
         the encoded payloads are copied verbatim (no decode/re-encode
@@ -567,7 +567,7 @@ class Dataset:
             if verbatim:
                 values = [
                     Sample(buffer=raw, compression=sc)
-                    for raw in src.read_batch(part, decode=False)
+                    for raw in src.read(part, decode=False)
                 ]
                 redo = [
                     i for i, row in enumerate(part)
@@ -575,11 +575,11 @@ class Dataset:
                 ]
                 if redo:
                     for i, value in zip(
-                        redo, src.read_batch([part[i] for i in redo])
+                        redo, column_rows(src.read([part[i] for i in redo]))
                     ):
                         values[i] = value
             else:
-                values = src.read_batch(part, aslist=True)
+                values = src.read(part, aslist=True)
             self._extend_with_id(
                 name, values,
                 sample_ids[at:at + window] if sample_ids else None,
@@ -591,13 +591,13 @@ class Dataset:
         engine.update(index, value)
         links = engine.meta.links
         if "shape" in links:
-            shape = np.asarray(engine.read_shape(index), dtype=np.int64)
+            shape = np.asarray(engine.shapes([index])[0], dtype=np.int64)
             shape_engine = self._engine(links["shape"])
             if index < shape_engine.num_samples:
                 shape_engine.update(index, shape)
         if "downsampled" in links:
             factor = int(engine.meta.info.get("downsampling_factor", 2))
-            arr = engine.read_sample(index)
+            arr = column_rows(engine.read([index]))[0]
             down_engine = self._engine(links["downsampled"])
             if index < down_engine.num_samples:
                 down_engine.update(index, self._downsample(arr, factor))

@@ -299,12 +299,12 @@ def plan_items(engine: "ChunkEngine", plan: ReadPlan, flat: np.ndarray,
 
 
 def plan_rows(engine: "ChunkEngine", index: np.ndarray,
-              bounds=None) -> ReadPlan:
+              bounds=None, items: bool = False) -> ReadPlan:
     """The :class:`ReadPlan` of the normalized rows *index* of the tensor
-    (sequence rows expand to their flat item ranges).  Caller holds the
-    engine lock."""
+    (sequence rows expand to their flat item ranges; with *items* they
+    are flat items already).  Caller holds the engine lock."""
     plan = ReadPlan(engine.tensor, index)
-    if not engine.meta.is_sequence:
+    if items or not engine.meta.is_sequence:
         return plan_items(engine, plan, index, bounds)
     starts, ends = engine.seq_enc.item_ranges(index)
     counts = ends - starts
@@ -450,7 +450,7 @@ def assemble_sequences(engine: "ChunkEngine", plan: ReadPlan, column,
 
 def fetch_ranged(engine: "ChunkEngine",
                  plan: ReadPlan) -> Optional[Dict[str, Chunk]]:
-    """The §3.5 *ranged* fetch strategy of the one-row entry points: a
+    """The §3.5 *ranged* fetch strategy of a one-item engine ``read``: a
     header probe plus the sample's exact byte range instead of the
     whole chunk — right for sparse random access (one sample of an
     8 MB chunk), wrong for streaming, where neighbours are consumed

@@ -12,6 +12,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.index import Index
+from repro.core.read_plan import column_rows
 from repro.exceptions import DynamicShapeError, FormatError
 from repro.util.json_util import json_loads
 
@@ -137,11 +138,17 @@ class Tensor:
         engine = self.engine
         rows = self.index.row_indices(engine.num_samples)
         # one ReadPlan for the whole view: chunks fetched/decoded once
-        samples = []
-        for sample in engine.read_batch(rows):
-            if isinstance(sample, np.ndarray):
-                sample = self.index.apply_sub(sample)
-            samples.append(sample)
+        column = engine.read(rows)
+        subs = self.index.sub_entries
+        if (isinstance(column, np.ndarray) and not aslist
+                and not self.index.is_single_sample
+                and all(isinstance(s, (int, slice)) for s in subs)):
+            # a dense column is the stacked view: sub-index it whole
+            return column[(slice(None), *subs)]
+        samples = [
+            self.index.apply_sub(s) if isinstance(s, np.ndarray) else s
+            for s in column_rows(column)
+        ]
         if self.index.is_single_sample:
             return samples[0]
         if aslist:
@@ -179,9 +186,7 @@ class Tensor:
         """Per-sample shapes of the view (no payload decode where possible,
         one header read per chunk)."""
         engine = self.engine
-        return engine.read_shapes_batch(
-            self.index.row_indices(engine.num_samples)
-        )
+        return engine.shapes(self.index.row_indices(engine.num_samples))
 
     def sample_ids(self) -> Optional[List[int]]:
         """Stable ids of the view's rows (None if id tracking is off)."""
@@ -190,7 +195,8 @@ class Tensor:
             return None
         id_engine = self.dataset._engine(id_name)
         rows = self.index.row_indices(self.engine.num_samples)
-        return [int(arr[()]) for arr in id_engine.read_batch(rows)]
+        # a dense id column as it is; a list column holds 0-d rows
+        return np.asarray(id_engine.read(rows)).tolist()
 
     # ------------------------------------------------------------------ #
 

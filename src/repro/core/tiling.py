@@ -9,11 +9,17 @@ reads only the tiles intersecting a region of interest.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import read_plan
+from repro.core.encoders import ChunkIdEncoder
+from repro.exceptions import SampleIndexError
 from repro.util.shape import ceildiv
+
+if TYPE_CHECKING:
+    from repro.core.chunk_engine import ChunkEngine
 
 
 def choose_tile_shape(
@@ -141,4 +147,41 @@ def tiles_for_region(
             for gi, gs in zip(g, grid):
                 flat = flat * gs + gi
             out.append((flat, g))
+    return out
+
+
+def read_region(engine: "ChunkEngine", index: int,
+                region: Sequence[slice]) -> np.ndarray:
+    """The *region* of sample *index*: for a tiled sample only the tiles
+    intersecting it are fetched (one plan over their chunks), then
+    cropped — the visualizer's viewport streaming path.  Every entry of
+    *region* must be a slice; missing trailing dims are whole."""
+    if not all(isinstance(sl, slice) for sl in region):
+        raise SampleIndexError(f"region entries must be slices: {region!r}")
+    if index not in engine.tile_enc:
+        return read_plan.column_rows(engine.read([index]))[0][tuple(region)]
+    sample_shape, tile_shape = engine.tile_enc.layout(index)
+    chunk_ids = engine.enc.tile_chunk_ids(index)
+    hits = tiles_for_region(region, sample_shape, tile_shape)
+    region = tuple(region) + (slice(None),) * (len(sample_shape) - len(region))
+    bounds = [sl.indices(s)[:2] for sl, s in zip(region, sample_shape)]
+    out = np.zeros([max(0, b - a) for a, b in bounds],
+                   dtype=np.dtype(engine.meta.dtype))
+    # each intersecting tile is the one sample of its own chunk: one plan
+    # over them, so they arrive in one fetch
+    plan = read_plan.plan_chunk_heads(engine, [
+        ChunkIdEncoder.name_from_id(chunk_ids[flat]) for flat, _g in hits
+    ])
+    for (_flat, gidx), tile in zip(hits, engine.execute_plan(plan)):
+        # intersection of the tile's extent and the requested region
+        dst, src = [], []
+        for t_sl, (a, b) in zip(tile_slices(gidx, tile_shape, sample_shape),
+                                bounds):
+            lo, hi = max(t_sl.start, a), min(t_sl.stop, b)
+            if hi <= lo:
+                break
+            dst.append(slice(lo - a, hi - a))
+            src.append(slice(lo - t_sl.start, hi - t_sl.start))
+        else:
+            out[tuple(dst)] = tile[tuple(src)]
     return out

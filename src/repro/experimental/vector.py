@@ -20,6 +20,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.cluster.vq import kmeans2
 
+from repro.core.read_plan import column_rows
 from repro.exceptions import DeepLakeError
 from repro.util.json_util import json_dumps, json_loads
 
@@ -97,11 +98,16 @@ def _load_embeddings(ds, tensor: str) -> np.ndarray:
     n = engine.num_samples
     if n == 0:
         raise VectorIndexError(f"tensor {tensor!r} is empty")
-    vectors = np.stack([
-        np.asarray(engine.read_sample(i), dtype=np.float32).ravel()
-        for i in range(n)
+    return _vectors(engine, range(n))
+
+
+def _vectors(engine, rows) -> np.ndarray:
+    """*rows* of an embedding tensor as one ``(n, dim)`` float32 matrix,
+    read as one column (one plan, one fetch per chunk)."""
+    return np.stack([
+        np.asarray(v, dtype=np.float32).ravel()
+        for v in column_rows(engine.read(rows))
     ])
-    return vectors
 
 
 def build_ivf_index(
@@ -183,10 +189,7 @@ def search(
         if hi <= lo:
             continue
         rows = index.order[lo:hi]  # contiguous after materialized reorder
-        vectors = np.stack([
-            np.asarray(engine.read_sample(r), dtype=np.float32).ravel()
-            for r in rows
-        ])
+        vectors = _vectors(engine, rows)
         dists = _distances(index.metric, vectors, query)
         candidates.extend(zip(rows, dists.tolist()))
     candidates.sort(key=lambda rd: rd[1])

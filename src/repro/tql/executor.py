@@ -136,7 +136,7 @@ class Executor:
         engine = self.ds._engine(tensor)
         self.cells_fetched += 1
         self._m_cells_fetched.inc()
-        return self._decode_cell(engine, engine.read_sample(row))
+        return self._decode_cell(engine, column_rows(engine.read([row]))[0])
 
     def _read_column(self, tensor: str, rows, positions):
         """Column of *tensor* for the evaluator's *rows*, which sit at

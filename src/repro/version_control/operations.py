@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.chunk_engine import CommitDiff
 from repro.core.index import Index
+from repro.core.read_plan import column_rows
 from repro.core.tensor import Tensor
 from repro.exceptions import (
     BranchExistsError,
@@ -292,11 +293,11 @@ def merge(
         edits = updates[tensor]
         if edits:
             # each side's rows in one batched read, then applied in order
-            theirs_values = theirs.read_batch([idx for idx, _o, _r in edits])
+            theirs_values = column_rows(theirs.read([e[0] for e in edits]))
             contested = [ours for _idx, ours, resolve in edits if resolve]
-            ours_values = dict(
-                zip(contested, ds._engine(tensor).read_batch(contested))
-            )
+            ours_values = dict(zip(
+                contested, column_rows(ds._engine(tensor).read(contested))
+            ))
             for (_idx, ours_idx, resolve), value in zip(edits, theirs_values):
                 if resolve:
                     value = conflict_resolution(ours_values[ours_idx], value)

@@ -22,6 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.compression import get_codec
+from repro.core.read_plan import column_rows
+from repro.core.tiling import read_region
 from repro.exceptions import VisualizerError
 from repro.visualizer.renderer import (
     FrameBuffer,
@@ -114,9 +116,9 @@ class Visualizer:
             if index < down.num_samples:
                 self._emit("fetch", tensor=links["downsampled"], index=index,
                            downsampled=True)
-                return down.read_sample(index)
+                return _row(down, index)
         self._emit("fetch", tensor=name, index=index, downsampled=False)
-        value = engine.read_sample(index)
+        value = _row(engine, index)
         if engine.meta.htype == "video":
             value = value[0]  # poster frame
         if engine.meta.htype == "audio":
@@ -126,7 +128,7 @@ class Visualizer:
     def _label_text(self, layer: Layer, index: int) -> str:
         name = self.ds._qualify(layer.tensor)
         engine = self.ds._engine(name)
-        value = engine.read_sample(index)
+        value = _row(engine, index)
         if engine.meta.is_text:
             return bytes(np.asarray(value).tobytes()).decode("utf-8")[:48]
         names = engine.meta.info.get("class_names")
@@ -164,7 +166,7 @@ class Visualizer:
 
         # annotations map through the same scale/offset as the image
         full_name = self.ds._qualify(scene.primary.tensor)
-        full_shape = self.ds._engine(full_name).read_shape(index)
+        full_shape = self.ds._engine(full_name).shapes([index])[0]
         if len(full_shape) >= 2 and full_shape[0]:
             ann_scale = out_h / full_shape[0]
         else:
@@ -183,7 +185,7 @@ class Visualizer:
                         oy: int, ox: int, scale: float, li: int) -> None:
         name = self.ds._qualify(layer.tensor)
         engine = self.ds._engine(name)
-        value = engine.read_sample(index)
+        value = _row(engine, index)
         color = color_for(li)
         if layer.htype == "bbox":
             boxes = np.atleast_2d(np.asarray(value, dtype=np.float64))
@@ -256,7 +258,7 @@ class Visualizer:
             raise VisualizerError("region view needs a primary tensor")
         name = self.ds._qualify(layer_name)
         engine = self.ds._engine(name)
-        part = engine.read_tiled_region(index, tuple(region))
+        part = read_region(engine, index, region)
         self._emit("region", tensor=layer_name,
                    region=[[s.start, s.stop] for s in region],
                    tiled=index in engine.tile_enc)
@@ -279,7 +281,7 @@ class Visualizer:
         engine = self.ds._engine(name)
         meta = engine.meta
         if meta.htype == "video" and meta.sample_compression == "mp4":
-            raw = engine.read_batch([index], decode=False)[0]
+            raw = _row(engine, index, decode=False)
             codec = get_codec("mp4")
             self._emit(
                 "seek", tensor=layer_name, frame=t,
@@ -292,8 +294,13 @@ class Visualizer:
             if not 0 <= t < end - start:
                 raise VisualizerError(f"frame {t} out of range")
             self._emit("seek", tensor=layer_name, frame=t)
-            return engine.read_items([start + t])[0]
+            return _row(engine, start + t, items=True)
         raise VisualizerError(f"{layer_name!r} is not playable")
+
+
+def _row(engine, index: int, **kw):
+    """The value of one row (a flat item with ``items=True``)."""
+    return column_rows(engine.read([index], **kw))[0]
 
 
 def _waveform_image(signal: np.ndarray, height: int = 160,

@@ -7,10 +7,13 @@ import pytest
 import repro
 from repro.core.chunk_engine import ChunkEngine
 from repro.core.meta import TensorMeta
+from repro.core.tiling import read_region
 from repro.core.version_state import VersionState
 from repro.exceptions import FormatError, KeyNotFound, SampleIndexError
 from repro.storage import MemoryProvider
 from repro.util import keys as K
+
+from engine_reads import engine_row, engine_rows
 
 
 def make_engine(storage=None, **meta_kwargs):
@@ -45,7 +48,7 @@ class TestChunkingBounds:
         clip = np.zeros((4, 32, 32, 3), dtype=np.uint8)
         engine.append(clip)
         assert engine.tile_enc.num_tiled == 0
-        assert engine.read_sample(0).shape == clip.shape
+        assert engine_row(engine, 0).shape == clip.shape
 
     def test_flush_persists_and_reloads(self):
         storage = MemoryProvider()
@@ -55,15 +58,15 @@ class TestChunkingBounds:
         fresh = ChunkEngine("t", storage, VersionState())
         assert fresh.num_samples == 5
         assert np.array_equal(
-            fresh.read_sample(4), np.ones((3, 3), dtype=np.float32) * 4
+            engine_row(fresh, 4), np.ones((3, 3), dtype=np.float32) * 4
         )
 
     def test_ragged_shapes(self):
         engine, _ = make_engine(dtype="int32")
         engine.append(np.zeros((2, 5), dtype=np.int32))
         engine.append(np.zeros((9, 1), dtype=np.int32))
-        assert engine.read_shape(0) == (2, 5)
-        assert engine.read_shape(1) == (9, 1)
+        assert engine.shapes([0])[0] == (2, 5)
+        assert engine.shapes([1])[0] == (9, 1)
         assert engine.meta.shape_interval.astuple() == (None, None)
 
     def test_dtype_mismatch_rejected(self):
@@ -91,7 +94,7 @@ class TestPartialReads:
         engine, storage = self.make_jpeg_engine(rng)
         fresh = ChunkEngine("t", storage, VersionState())
         storage.stats.reset()
-        _ = fresh.read_sample(17)
+        _ = engine_row(fresh, 17)
         assert fresh.partial_reads == 1
         # header probe + sample range, both far below chunk size
         assert storage.stats.bytes_read < 30_000
@@ -113,14 +116,14 @@ class TestPartialReads:
         engine.extend([np.arange(100, dtype=np.int64)] * 20)
         engine.flush()
         fresh = ChunkEngine("t", storage, VersionState())
-        _ = fresh.read_sample(10)
+        _ = engine_row(fresh, 10)
         assert fresh.partial_reads == 0
 
     def test_read_shape_via_header_only(self, rng):
         engine, storage = self.make_jpeg_engine(rng)
         fresh = ChunkEngine("t", storage, VersionState())
         storage.stats.reset()
-        assert fresh.read_shape(5) == (40, 40, 3)
+        assert fresh.shapes([5])[0] == (40, 40, 3)
         assert storage.stats.bytes_read < 8192  # header probe only
 
 
@@ -130,9 +133,20 @@ class TestTiledSamples:
         big = rng.integers(0, 255, (128, 96, 3), dtype=np.uint8)
         engine.append(big)
         assert engine.tile_enc.num_tiled == 1
-        assert np.array_equal(engine.read_sample(0), big)
-        region = engine.read_tiled_region(0, (slice(30, 60), slice(10, 20)))
+        assert np.array_equal(engine_row(engine, 0), big)
+        region = read_region(engine, 0, (slice(30, 60), slice(10, 20)))
         assert np.array_equal(region, big[30:60, 10:20])
+
+    @pytest.mark.parametrize("shape", [(128, 96, 3), (8, 8, 3)],
+                             ids=["tiled", "untiled"])
+    def test_region_entries_must_be_slices(self, rng, shape):
+        """One error on both paths: an int entry used to crop an untiled
+        sample but fail inside the tile intersection on a tiled one."""
+        engine, _ = make_engine(dtype="uint8", max_chunk_size=4096)
+        engine.append(rng.integers(0, 255, shape, dtype=np.uint8))
+        assert (0 in engine.tile_enc) == (shape[0] == 128)
+        with pytest.raises(SampleIndexError, match="must be slices"):
+            read_region(engine, 0, (5, slice(0, 4)))
 
     def test_tiled_between_normal_samples(self, rng):
         engine, _ = make_engine(dtype="uint8", max_chunk_size=4096)
@@ -142,9 +156,9 @@ class TestTiledSamples:
         engine.append(small1)
         engine.append(big)
         engine.append(small2)
-        assert np.array_equal(engine.read_sample(0), small1)
-        assert np.array_equal(engine.read_sample(1), big)
-        assert np.array_equal(engine.read_sample(2), small2)
+        assert np.array_equal(engine_row(engine, 0), small1)
+        assert np.array_equal(engine_row(engine, 1), big)
+        assert np.array_equal(engine_row(engine, 2), small2)
 
     def test_same_shape_update(self, rng):
         engine, _ = make_engine(dtype="uint8", max_chunk_size=4096)
@@ -152,7 +166,7 @@ class TestTiledSamples:
         engine.append(big)
         new = rng.integers(0, 255, (100, 100, 3), dtype=np.uint8)
         engine.update(0, new)
-        assert np.array_equal(engine.read_sample(0), new)
+        assert np.array_equal(engine_row(engine, 0), new)
 
     def test_shape_changing_tiled_update_rejected(self, rng):
         engine, _ = make_engine(dtype="uint8", max_chunk_size=4096)
@@ -166,8 +180,8 @@ class TestUpdates:
         engine, _ = make_engine(dtype="int64")
         engine.extend([np.array([i], dtype=np.int64) for i in range(10)])
         engine.update(4, np.array([99, 100], dtype=np.int64))
-        assert np.array_equal(engine.read_sample(4), [99, 100])
-        assert np.array_equal(engine.read_sample(5), [5])
+        assert np.array_equal(engine_row(engine, 4), [99, 100])
+        assert np.array_equal(engine_row(engine, 5), [5])
         assert engine.commit_diff.updated == set()  # still in added range
 
     def test_update_out_of_range(self):
@@ -180,8 +194,8 @@ class TestUpdates:
         engine, _ = make_engine(dtype="int64")
         engine.extend([np.array([i], dtype=np.int64) for i in range(4)])
         engine.update(-1, np.array([42], dtype=np.int64))
-        assert engine.read_sample(3)[0] == 42
-        assert np.array_equal(engine.read_sample(-1), [42])
+        assert engine_row(engine, 3)[0] == 42
+        assert np.array_equal(engine_row(engine, -1), [42])
 
 
 class TestSequences:
@@ -195,7 +209,7 @@ class TestSequences:
             engine.append(seq)
         assert engine.num_samples == 3
         for i, seq in enumerate(seqs):
-            out = engine.read_sample(i, aslist=True)
+            out = engine_row(engine, i, aslist=True)
             assert len(out) == len(seq)
             for a, b in zip(out, seq):
                 assert np.array_equal(a, b)
@@ -203,13 +217,13 @@ class TestSequences:
     def test_sequence_stacks_uniform(self, rng):
         engine, _ = make_engine(htype="sequence[generic]", dtype="int32")
         engine.append([np.zeros((2,), dtype=np.int32)] * 5)
-        out = engine.read_sample(0)
+        out = engine_row(engine, 0)
         assert out.shape == (5, 2)
 
     def test_sequence_shape(self, rng):
         engine, _ = make_engine(htype="sequence[generic]", dtype="int32")
         engine.append([np.zeros((3, 4), dtype=np.int32)] * 2)
-        assert engine.read_shape(0) == (2, 3, 4)
+        assert engine.shapes([0])[0] == (2, 3, 4)
 
     def test_sequence_update_unsupported(self, rng):
         engine, _ = make_engine(htype="sequence[generic]", dtype="int32")
@@ -224,7 +238,7 @@ class TestSparsePadding:
         engine.append(np.ones((2, 2)))
         engine.pad_to(5)
         assert engine.num_samples == 5
-        assert engine.read_sample(3).size == 0
+        assert engine_row(engine, 3).size == 0
         assert engine.pad_enc.num_padded == 4
 
     def test_update_unpads(self):
@@ -233,7 +247,7 @@ class TestSparsePadding:
         engine.pad_to(4)
         engine.update(2, np.full((2, 2), 7.0))
         assert not engine.pad_enc.is_padded(2)
-        assert engine.read_sample(2)[0, 0] == 7.0
+        assert engine_row(engine, 2)[0, 0] == 7.0
 
 
 class TestRechunk:
@@ -247,7 +261,7 @@ class TestRechunk:
         before_chunks = engine.enc.num_chunks
         engine.rechunk()
         for i, v in enumerate(values):
-            assert np.array_equal(engine.read_sample(i), v)
+            assert np.array_equal(engine_row(engine, i), v)
         assert engine.enc.num_samples == 120
         # old orphaned chunks removed from storage
         chunk_keys = [k for k in storage if "/chunks/" in k]
@@ -261,7 +275,7 @@ class TestRechunk:
         engine.append(rng.integers(0, 255, (8, 8, 3), dtype=np.uint8))
         engine.append(big)
         engine.rechunk()
-        assert np.array_equal(engine.read_sample(1), big)
+        assert np.array_equal(engine_row(engine, 1), big)
         assert engine.tile_enc.num_tiled == 1
 
     @pytest.mark.parametrize("layout", ["flat", "tiled", "sequence", "padded"])
@@ -319,7 +333,7 @@ class TestRechunk:
             engine.pad_to(25)
         engine.flush()
         rows = list(range(engine.num_samples))
-        raw_before = engine.read_batch(rows, decode=False)
+        raw_before = engine_rows(engine, rows, decode=False)
 
         cold = ChunkEngine("t", storage, VersionState())
         n_chunks = len({name for name, _s, _e in cold.chunk_layout()})
@@ -331,8 +345,8 @@ class TestRechunk:
         assert storage.stats.put_requests >= cold.enc.num_chunks  # batched
 
         after = ChunkEngine("t", storage, VersionState())
-        assert after.read_batch(rows, decode=False) == raw_before
-        for got, want in zip(after.read_batch(rows, aslist=True), model):
+        assert engine_rows(after, rows, decode=False) == raw_before
+        for got, want in zip(engine_rows(after, rows, aslist=True), model):
             if isinstance(want, list):
                 assert len(got) == len(want)
                 assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -344,7 +358,7 @@ class TestTextJson:
     def test_text_tensor(self):
         engine, _ = make_engine(htype="text")
         engine.append("hello world")
-        out = engine.read_sample(0)
+        out = engine_row(engine, 0)
         assert bytes(out.tobytes()).decode() == "hello world"
 
     def test_json_tensor(self):
@@ -352,7 +366,7 @@ class TestTextJson:
         engine.append({"a": [1, 2], "b": "x"})
         from repro.util.json_util import json_loads
 
-        assert json_loads(bytes(engine.read_sample(0).tobytes())) == {
+        assert json_loads(bytes(engine_row(engine, 0).tobytes())) == {
             "a": [1, 2], "b": "x"
         }
 
@@ -400,6 +414,6 @@ class TestStateLoad:
         del storage[K.chunk_set_key(K.FIRST_COMMIT_ID, "t")]
         engine = ChunkEngine("t", storage, VersionState())
         with pytest.raises(FormatError, match="chunk set of no commit") as err:
-            engine.read_batch([0])
+            engine_rows(engine, [0])
         assert not isinstance(err.value, KeyNotFound)
         assert "'t'" in str(err.value) and "firstcommit" in str(err.value)

@@ -162,6 +162,26 @@ class TestChunk:
         out.seal()
         assert out.dense(dtype)[0].tolist() == [-1, -1, -1]
 
+    def test_dense_of_a_sealed_chunk_races_a_resumed_append(self):
+        """A reader verifying a sealed chunk while a writer resumes it
+        (data, then byte_positions, then shapes grow) views the samples
+        it saw, never mixing the two lengths."""
+        dtype = np.dtype("int64")
+        want = np.arange(12, dtype=np.int64).reshape(4, 3)
+        c = Chunk(dtype="int64")
+        for row in want:
+            c.append(row.tobytes(), (3,))
+        c.seal()
+
+        class Resumed(list):
+            def count(self, value):  # the writer runs between two checks
+                c.data = bytearray(c.data) + bytes(24)
+                c.byte_positions.append((96, 120))
+                return super().count(value)
+
+        c.shapes = Resumed(c.shapes)
+        assert np.array_equal(c.dense(dtype), want)
+
     @pytest.mark.parametrize("shapes", [
         [(3,), (2,)],       # ragged
         [(0,), (0,)],       # empty samples: nothing to view

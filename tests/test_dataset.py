@@ -27,6 +27,8 @@ from repro.storage import (
 )
 from repro.util import keys as K
 
+from engine_reads import engine_row, engine_rows
+
 
 class TestSchema:
     def test_create_and_list_tensors(self, mem_ds):
@@ -198,7 +200,7 @@ class TestAppendAndRead:
         new = rng.integers(0, 255, (50, 60, 3), dtype=np.uint8)
         image_ds.images[2] = new
         assert image_ds.images.shapes()[2] == (50, 60, 3)
-        shape_hidden = image_ds._engine("_images_shape").read_sample(2)
+        shape_hidden = engine_row(image_ds._engine("_images_shape"), 2)
         assert list(shape_hidden) == [50, 60, 3]
 
     def test_sample_ids_stable_across_update(self, image_ds, rng):
@@ -289,7 +291,7 @@ class TestDownsampled:
                          downsampling=2)
         img = rng.integers(0, 255, (32, 32, 3), dtype=np.uint8)
         ds.img.append(img)
-        down = ds._engine("_img_downsampled_2").read_sample(0)
+        down = engine_row(ds._engine("_img_downsampled_2"), 0)
         assert down.shape == (16, 16, 3)
 
     def test_downsampled_updates(self, rng):
@@ -299,7 +301,7 @@ class TestDownsampled:
         ds.img.append(rng.integers(0, 255, (32, 32, 3), dtype=np.uint8))
         new = rng.integers(0, 255, (64, 64, 3), dtype=np.uint8)
         ds.img[0] = new
-        down = ds._engine("_img_downsampled_4").read_sample(0)
+        down = engine_row(ds._engine("_img_downsampled_4"), 0)
         assert down.shape == (16, 16, 3)
 
 
@@ -566,7 +568,7 @@ class TestCopyMaterialize:
         expected = model[view]
         engine = out._engine("x")
         assert engine.num_samples == len(expected)
-        got = engine.read_batch(range(len(expected)), aslist=True)
+        got = engine_rows(engine, range(len(expected)), aslist=True)
         for have, want in zip(got, expected):
             if isinstance(want, list):  # sequence row: item by item
                 assert len(have) == len(want)
@@ -581,9 +583,9 @@ class TestCopyMaterialize:
             assert out.x.sample_ids() == src.x.sample_ids()[view]
         if layout == "jpeg":  # the stored payloads moved verbatim
             rows = list(range(len(model)))[view]
-            assert engine.read_batch(
-                range(len(rows)), decode=False
-            ) == src._engine("x").read_batch(rows, decode=False)
+            assert engine_rows(
+                engine, range(len(rows)), decode=False
+            ) == engine_rows(src._engine("x"), rows, decode=False)
 
     def test_copy_source_round_trips_follow_chunks_not_rows(self):
         """Cold simulated S3: materialising a 257-row view of a 512-row

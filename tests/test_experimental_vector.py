@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.chunk_engine import ChunkEngine
 from repro.experimental import (
     IVFIndex,
     VectorIndexError,
@@ -12,6 +13,7 @@ from repro.experimental import (
     recall_at_k,
     search,
 )
+from repro.experimental.vector import _load_embeddings
 from repro.storage import MemoryProvider
 
 
@@ -78,6 +80,46 @@ class TestBuild:
         ds, _c, _t = emb_ds
         with pytest.raises(VectorIndexError):
             IVFIndex.load(ds.storage, "other")
+
+
+@pytest.fixture
+def planned(monkeypatch):
+    """Every ``ChunkEngine.plan_reads`` call's rows, in call order."""
+    calls = []
+    plan_reads = ChunkEngine.plan_reads
+
+    def counted(engine, rows, *args, **kwargs):
+        calls.append(list(rows))
+        return plan_reads(engine, rows, *args, **kwargs)
+
+    monkeypatch.setattr(ChunkEngine, "plan_reads", counted)
+    return calls
+
+
+class TestColumnReads:
+    def test_building_the_index_plans_the_column_once(self, emb_ds, planned):
+        ds, _c, _t = emb_ds
+        build_ivf_index(ds, "embedding", num_clusters=4, seed=0)
+        assert planned == [list(range(60))]
+
+    def test_search_plans_each_probed_cluster_once(self, emb_ds, planned):
+        ds, centers, _t = emb_ds
+        index = build_ivf_index(ds, "embedding", num_clusters=4, seed=0)
+        planned.clear()
+        search(ds, centers[1], "embedding", k=5, nprobe=2, index=index)
+        assert len(planned) == 2
+        probed = {tuple(index.order[lo:hi]) for lo, hi in index.cluster_ranges}
+        assert all(tuple(rows) in probed for rows in planned)
+
+    def test_column_equals_the_rows_read_one_by_one(self, emb_ds):
+        ds, _c, _t = emb_ds
+        rows = np.stack([
+            np.asarray(ds.embedding[i].numpy(), dtype=np.float32).ravel()
+            for i in range(60)
+        ])
+        vectors = _load_embeddings(ds, "embedding")
+        assert vectors.dtype == rows.dtype and vectors.shape == rows.shape
+        assert vectors.tobytes() == rows.tobytes()
 
 
 class TestSearch:

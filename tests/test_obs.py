@@ -16,6 +16,8 @@ from repro.serve.server import DatasetServer
 from repro.serve.transport import InprocTransport
 from repro.storage import MemoryProvider
 
+from engine_reads import engine_rows
+
 
 def fresh_registry(**kwargs) -> metrics.MetricsRegistry:
     return metrics.MetricsRegistry(**kwargs)
@@ -267,7 +269,7 @@ class TestInstrumentationWiring:
 
         reg_before = (reg("decoded_cache_hits"), reg("decoded_cache_misses"))
         eng_before = (engine.chunk_cache_hits, engine.chunk_cache_misses)
-        engine.read_batch(list(range(8)))
+        engine_rows(engine, list(range(8)))
         reg_delta = (reg("decoded_cache_hits") - reg_before[0],
                      reg("decoded_cache_misses") - reg_before[1])
         eng_delta = (engine.chunk_cache_hits - eng_before[0],
@@ -288,7 +290,7 @@ class TestInstrumentationWiring:
         # the view moves with the engine's counter: more engine traffic
         # after the epoch is visible through the same stats object
         before = loader.stats.chunk_cache_hits + loader.stats.chunk_cache_misses
-        engine.read_batch([0, 1])
+        engine_rows(engine, [0, 1])
         after = loader.stats.chunk_cache_hits + loader.stats.chunk_cache_misses
         assert after >= before
 
@@ -392,7 +394,7 @@ class TestNoopOverhead:
         which this box cannot resolve to 5 %."""
         engine = image_ds._engine("images")
         rows = list(range(24))
-        engine.read_batch(rows)  # warm decoded-chunk cache + code paths
+        engine_rows(engine, rows)  # warm decoded-chunk cache + code paths
 
         events = []  # every handle of every registry counts its calls
         with monkeypatch.context() as patch:
@@ -405,7 +407,7 @@ class TestNoopOverhead:
                     return _real(handle, *args)
 
                 patch.setattr(kind, method, counting)
-            engine.read_batch(rows)
+            engine_rows(engine, rows)
         assert 0 < len(events) < 100  # a per-row event would be a finding
 
         reg = fresh_registry(enabled=False)
@@ -420,7 +422,7 @@ class TestNoopOverhead:
 
         def read_batch_s() -> float:
             t0 = time.perf_counter()
-            engine.read_batch(rows)
+            engine_rows(engine, rows)
             return time.perf_counter() - t0
 
         event_s = min(noop_event_s() for _ in range(5))

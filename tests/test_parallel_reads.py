@@ -25,6 +25,8 @@ from repro.storage.object_store import make_object_store
 from repro.util import keys as _keys
 from repro.workloads import smooth_image
 
+from engine_reads import engine_row, engine_rows
+
 
 def make_engine(storage=None, **meta_kwargs):
     if storage is None:
@@ -62,7 +64,7 @@ class TestParallelByteIdentity:
     def check(self, storage, rows, model, **kwargs):
         """*model*: the expected value per stored row (``model[row]``)."""
         want = [model[row] for row in rows]
-        assert_identical(fresh_reader(storage).read_batch(rows, **kwargs),
+        assert_identical(engine_rows(fresh_reader(storage), rows, **kwargs),
                          want)
 
     def test_uncompressed_many_chunks_randomized(self, rng):
@@ -161,9 +163,9 @@ class TestEmptySequenceDtype:
         engine.append([])
         engine.flush()
         reader = fresh_reader(storage)
-        single = reader.read_sample(1)
+        single = engine_row(reader, 1)
         assert single.dtype == np.dtype("int32") and single.shape == (0,)
-        batch = reader.read_batch([0, 1])
+        batch = engine_rows(reader, [0, 1])
         assert batch[1].dtype == np.dtype("int32") and batch[1].shape == (0,)
 
 
@@ -334,7 +336,7 @@ class TestEngineSingleFlight:
 
         def read(who):
             try:
-                reader.read_batch(rows)
+                engine_rows(reader, rows)
             except OSError as e:
                 errors[who] = e
 
@@ -357,7 +359,7 @@ class TestEngineSingleFlight:
             return orig_get_many(keys)
 
         storage.get_many = recovered_get_many
-        got = reader.read_batch(rows)
+        got = engine_rows(reader, rows)
         assert [int(v[0]) for v in got] == rows
         assert retries == calls  # the same chunks, fetched again
 
@@ -380,11 +382,11 @@ class TestEngineSingleFlight:
             out = check(plan)
             if not landed:
                 landed.append(True)
-                reader.read_batch(rows)  # lands every chunk meanwhile
+                engine_rows(reader, rows)  # lands every chunk meanwhile
             return out
 
         monkeypatch.setattr(reader, "_plan_resident_chunks", check_then_land)
-        got = reader.read_batch(rows)
+        got = engine_rows(reader, rows)
         assert [int(v[0]) for v in got] == rows
         assert len(calls) == 1
         assert reader.cache.inflight._flights == {}
@@ -405,9 +407,9 @@ class TestDecodeWorkerExceptions:
         )
         storage[victim] = b"\x00garbage"
         with pytest.raises(Exception) as one_row_exc:
-            fresh_reader(storage).read_sample(victim_row)
+            engine_row(fresh_reader(storage), victim_row)
         with pytest.raises(Exception) as plan_exc:
-            fresh_reader(storage).read_batch(list(range(40)))
+            engine_rows(fresh_reader(storage), list(range(40)))
         assert type(plan_exc.value) is type(one_row_exc.value)
 
     def test_slicing_error_propagates_from_worker(self, monkeypatch):
@@ -429,7 +431,7 @@ class TestDecodeWorkerExceptions:
 
         monkeypatch.setattr(Chunk, "dense", exploding)
         with pytest.raises(RuntimeError, match="worker blew up"):
-            reader.read_batch(list(range(40)))
+            engine_rows(reader, list(range(40)))
 
 
 class TestCoordinatedFlush:
@@ -790,7 +792,7 @@ class TestLoaderPrioritySweep:
         assert engine.enc.num_chunks > 2
         calls = []
         monkeypatch.setattr(
-            type(engine), "read_shapes_batch",
+            type(engine), "shapes",
             lambda self, rows: calls.append(list(rows)),
         )
         loader = cold.dataloader(batch_size=4, num_workers=2)

@@ -24,6 +24,8 @@ from repro.exceptions import SampleIndexError
 from repro.storage import MemoryProvider
 from repro.storage.lru_cache import LRUCache
 
+from engine_reads import engine_row, engine_rows
+
 
 def make_engine(storage=None, **meta_kwargs):
     if storage is None:
@@ -209,8 +211,7 @@ class TestRowsAreIntegers:
     def test_non_integer_rows_raise_naming_the_value(self, bad):
         ds = self.make()
         engine = ds._engine("a")
-        for read in (engine.plan_reads, engine.read_batch,
-                     engine.read_shapes_batch,
+        for read in (engine.plan_reads, engine.read, engine.shapes,
                      lambda rows: ds.read_rows(rows, ["a"]),
                      lambda rows: ds.read_rows(rows, ["a"], physical=True)):
             with pytest.raises(SampleIndexError, match="not an integer") as e:
@@ -240,7 +241,7 @@ class TestRowsAreIntegers:
         engine = ds._engine("a")
         want = [int(r) % 6 for r in rows]
         assert engine.plan_reads(rows).rows == want
-        assert [int(v) for v in engine.read_batch(rows)] == want
+        assert [int(v) for v in engine_rows(engine, rows)] == want
         assert [int(v) for v in ds.read_rows(rows, ["a"])["a"]] == want
 
     def test_out_of_range_names_the_row_as_given(self):
@@ -248,7 +249,7 @@ class TestRowsAreIntegers:
         with pytest.raises(SampleIndexError, match="index -7 out of range"):
             engine.plan_reads([0, -7, 9])
         with pytest.raises(SampleIndexError, match="index 6 out of range"):
-            engine.read_batch(np.asarray([5, 6]))
+            engine_rows(engine, np.asarray([5, 6]))
 
 
 def jpeg_roundtrip(image):
@@ -257,12 +258,12 @@ def jpeg_roundtrip(image):
 
 
 def assert_reads_match_model(engine, rows, model, aslist=False):
-    """``read_batch(rows)`` — and, for one row, ``read_sample`` — against
+    """Row-form ``engine.read(rows)`` — read twice for one row — against
     *model*: the appended values, ``model[i]`` an array or, for a sequence
     row, the list of its item arrays.  Dtypes must match too."""
-    reads = [engine.read_batch(rows, aslist=aslist)]
+    reads = [engine_rows(engine, rows, aslist=aslist)]
     if len(rows) == 1:
-        reads.append([engine.read_sample(rows[0], aslist=aslist)])
+        reads.append([engine_row(engine, rows[0], aslist=aslist)])
     for values in reads:
         assert len(values) == len(rows)
         for value, row in zip(values, rows):
@@ -346,7 +347,7 @@ def build_big_layout(layout, rng):
     reader = fresh_reader(storage)
     assert reader.enc.num_chunks >= 8
     if layout == "big_updated":  # cache every chunk, then update rows
-        reader.read_batch(range(len(model)))
+        engine_rows(reader, range(len(model)))
         for row in (3, 64, 119):
             model[row] = np.full(4, -row, dtype=np.int64)
             reader.update(row, model[row])
@@ -436,7 +437,7 @@ class TestReadsMatchModel:
         assert_reads_match_model(engine, [2, 2, -1, 0, -2, 1, -1], model)
 
     def test_one_cold_row_through_every_entry_point(self, layout):
-        """Ranged (read_sample / one-row read_batch) and whole-chunk
+        """Ranged (a one-row ``engine.read``) and whole-chunk
         (plan + execute) single-row reads agree with the model."""
 
         def cold():
@@ -479,7 +480,7 @@ class TestLargeRequestsMatchModel:
     def test_raw_payloads(self, rng, layout):
         engine, model = build_big_layout(layout, rng)
         rows = self.rows(rng, model)
-        raws = engine.read_batch(rows, decode=False)
+        raws = engine_rows(engine, rows, decode=False)
         assert len(raws) == len(rows)
         for raw, row in zip(raws, rows):
             want = raw_payload(layout, model[row])
@@ -549,12 +550,12 @@ class TestColumns:
 
     def test_read_batch_is_a_list_of_ndarrays(self, rng):
         reader, model = self.lz4(rng)
-        values = reader.read_batch([5, 5, -1])
+        values = engine_rows(reader, [5, 5, -1])
         assert isinstance(values, list)
         assert all(isinstance(v, np.ndarray) for v in values)
         values[0][:] = 0.0  # rows of one request do not alias each other
         assert np.array_equal(values[1], model[5])
-        assert np.array_equal(reader.read_batch([5])[0], model[5])
+        assert np.array_equal(engine_rows(reader, [5])[0], model[5])
 
     def test_scalar_samples_split_into_0d_ndarrays(self):
         engine, storage = make_engine(dtype="int32", max_chunk_size=64)
@@ -564,10 +565,11 @@ class TestColumns:
         column = reader.execute_plan(reader.plan_reads([7, 99, 0]))
         assert isinstance(column, np.ndarray) and column.shape == (3,)
         assert column.tolist() == [7, 99, 0]
-        for entry in (reader.read_batch([7, 99, 0]),
+        for entry in (engine_rows(reader, [7, 99, 0]),
                       reader.execute_plan(reader.plan_reads([7, 99, 0]),
                                           aslist=True),
-                      [reader.read_sample(7)], reader.read_items([7])):
+                      [engine_row(reader, 7)],
+                      engine_rows(reader, [7], items=True)):
             assert all(
                 isinstance(v, np.ndarray) and v.shape == () for v in entry
             )
@@ -601,6 +603,78 @@ class TestColumns:
         assert all({"tensor", "rows", "chunks"} <= set(s.attrs) for s in spans)
 
 
+class TestTensorNumpyColumn:
+    """``Tensor.numpy()`` hands a dense column on as it comes out of the
+    engine (a sub-indexed view slices it whole) and ``sample_ids()``
+    reads a dense id column as one array; neither cuts the column into
+    rows to stack them again.  The list path is the reference."""
+
+    @pytest.fixture
+    def cut(self, monkeypatch):
+        """Calls of ``column_rows`` inside ``Tensor``."""
+        from repro.core import tensor as tensor_mod
+
+        calls = []
+        real = tensor_mod.column_rows
+
+        def counted(column):
+            calls.append(column)
+            return real(column)
+
+        monkeypatch.setattr(tensor_mod, "column_rows", counted)
+        return calls
+
+    def dense_ds(self, rng):
+        ds = repro.empty(MemoryProvider("numpycolumn"), overwrite=True)
+        ds.create_tensor("scalar", dtype="int32")
+        ds.create_tensor("fixed", dtype="float32", max_chunk_size=512)
+        ds.extend({
+            "scalar": [np.int32(i) for i in range(40)],
+            "fixed": list(rng.random((40, 8)).astype(np.float32)),
+        })
+        ds.flush()
+        return ds
+
+    @staticmethod
+    def assert_like_the_list_path(tensor):
+        got, again = tensor.numpy(), tensor.numpy()
+        rows = tensor.numpy(aslist=True)
+        if isinstance(got, np.ndarray):
+            want = np.stack(rows)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            got, again = [got], [again]
+        else:
+            assert len(got) == len(rows)
+            for value, want in zip(got, rows):
+                assert value.dtype == want.dtype
+                assert value.shape == want.shape
+                assert np.array_equal(value, want)
+        for value, other in zip(got, again):
+            assert value.flags.writeable
+            assert not np.shares_memory(value, other)
+
+    @pytest.mark.parametrize("view", ["scalar", "fixed", "sub"])
+    def test_dense_views_are_the_column(self, rng, cut, view):
+        ds = self.dense_ds(rng)
+        tensor = ds.fixed[:, 2:5] if view == "sub" else ds[view]
+        column = tensor.numpy()
+        assert not cut and isinstance(column, np.ndarray)
+        self.assert_like_the_list_path(tensor)
+
+    def test_ragged_jpeg_is_a_list_of_rows(self, image_ds):
+        assert isinstance(image_ds.images.numpy(), list)
+        self.assert_like_the_list_path(image_ds.images)
+
+    def test_sample_ids_read_the_dense_id_column(self, rng, cut):
+        ds = self.dense_ds(rng)
+        id_engine = ds._engine(ds.fixed.meta.links["id"])
+        ids = ds.fixed[3:30].sample_ids()
+        assert not cut
+        want = [int(v) for v in engine_rows(id_engine, range(3, 30))]
+        assert ids == want and all(type(i) is int for i in ids)
+
+
 class TestReadsWhileAppending:
     def test_reader_of_the_tail_never_sees_a_pinned_buffer(self):
         """A reader looping over the last 64 rows while a writer appends
@@ -628,7 +702,7 @@ class TestReadsWhileAppending:
                 while not done.is_set() or not reads:
                     n = engine.num_samples
                     rows = list(range(n - 64, n))
-                    for row, value in zip(rows, engine.read_batch(rows)):
+                    for row, value in zip(rows, engine_rows(engine, rows)):
                         assert value.tolist() == [row] * 4
                     reads.append(n)
             except BaseException as exc:  # noqa: BLE001 - reported below
@@ -649,7 +723,7 @@ class TestReadsWhileAppending:
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
         assert engine.num_samples == 564 and reads
-        assert engine.read_batch([0, 300, 563])[2].tolist() == [563] * 4
+        assert engine_rows(engine, [0, 300, 563])[2].tolist() == [563] * 4
 
 
 class TestReadBatchIdentity:
@@ -730,11 +804,11 @@ class TestReadBatchIdentity:
             engine.append(np.arange(i, i + 4, dtype=np.int64))
         engine.flush()
         fresh = fresh_reader(storage)
-        raws = fresh.read_batch([3, 12], decode=False)
+        raws = engine_rows(fresh, [3, 12], decode=False)
         assert raws[0] == np.arange(3, 7, dtype=np.int64).tobytes()
         assert raws[1] == np.arange(12, 16, dtype=np.int64).tobytes()
         # one row takes the same path and returns the same payload
-        assert fresh_reader(storage).read_batch([12], decode=False) == raws[1:]
+        assert engine_rows(fresh_reader(storage), [12], decode=False) == raws[1:]
 
 
 class TestCopyOnWriteAcrossCommits:
@@ -759,7 +833,7 @@ class TestCopyOnWriteAcrossCommits:
         assert_reads_match_model(engine, [0], model)
         # time travel still sees the pre-COW bytes
         old = ds._at_commit(first)
-        assert old._engine("x").read_batch([0])[0][0] == 0
+        assert engine_rows(old._engine("x"), [0])[0][0] == 0
 
     def test_plan_resolves_keys_against_owning_commit(self):
         ds = repro.empty(MemoryProvider("cow2"), overwrite=True)
@@ -783,11 +857,11 @@ class TestCacheCounters:
             engine.append(np.arange(4, dtype=np.int64))
         engine.flush()
         fresh = fresh_reader(storage)
-        fresh.read_batch(list(range(40)))
+        engine_rows(fresh, list(range(40)))
         assert fresh.chunk_cache_misses == fresh.enc.num_chunks
         assert fresh.full_chunk_reads == fresh.enc.num_chunks
         before_hits = fresh.chunk_cache_hits
-        fresh.read_batch(list(range(40)))
+        engine_rows(fresh, list(range(40)))
         assert fresh.chunk_cache_hits == before_hits + fresh.enc.num_chunks
         assert fresh.full_chunk_reads == fresh.enc.num_chunks
 
@@ -802,7 +876,7 @@ class TestCacheCounters:
         engine.flush()
         fresh = fresh_reader(storage)
         storage.stats.reset()
-        batch = fresh.read_batch([17])
+        batch = engine_rows(fresh, [17])
         assert np.array_equal(batch[0], jpeg_roundtrip(images[17]))
         # sparse random access must stay a ranged read, not a full chunk
         assert fresh.partial_reads == 1
@@ -816,7 +890,7 @@ class TestCacheCounters:
         engine.flush()
         fresh = fresh_reader(storage)
         storage.stats.reset()
-        fresh.read_batch(list(range(40)))
+        engine_rows(fresh, list(range(40)))
         assert storage.stats.get_requests == fresh.enc.num_chunks
 
 
@@ -832,8 +906,8 @@ class TestReadShapesBatch:
         engine.flush()
         fresh = fresh_reader(storage)
         storage.stats.reset()
-        shapes = fresh.read_shapes_batch(list(range(10)))
-        assert shapes == [engine.read_shape(i) for i in range(10)]
+        shapes = fresh.shapes(list(range(10)))
+        assert shapes == [engine.shapes([i])[0] for i in range(10)]
         # header probe(s) only, never payloads
         assert storage.stats.bytes_read < 8192
 
@@ -851,13 +925,13 @@ class TestReadShapesBatch:
         assert reader.enc.num_chunks >= 8
         rows = rng.integers(-153, 153, 2000).tolist()
         want = [shapes[row] for row in rows]
-        assert reader.read_shapes_batch(rows) == want
+        assert reader.shapes(rows) == want
         assert reader.full_chunk_reads == 0  # headers only
         assert all(type(s) is tuple and all(type(x) is int for x in s)
-                   for s in reader.read_shapes_batch(rows))
-        reader.read_batch(range(153))  # warm: every chunk cached
-        assert reader.read_shapes_batch(rows) == want
-        assert reader.read_shape(-1) == (0, 0)
+                   for s in reader.shapes(rows))
+        engine_rows(reader, range(153))  # warm: every chunk cached
+        assert reader.shapes(rows) == want
+        assert reader.shapes([-1])[0] == (0, 0)
 
     def test_sequence_shapes(self):
         engine, storage = make_engine(htype="sequence[generic]",
@@ -867,7 +941,7 @@ class TestReadShapesBatch:
         engine.flush()
         reader = fresh_reader(storage)
         rows = [39, 0, 4, 17, 2, 39]
-        assert reader.read_shapes_batch(rows) == [
+        assert reader.shapes(rows) == [
             (row % 4, 3, 2) if row % 4 else (0,) for row in rows
         ]
 

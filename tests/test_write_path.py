@@ -46,6 +46,8 @@ from repro.util.ids import seed_ids
 from repro.version_control.tree import unpack_manifest
 from repro.workloads import smooth_image
 
+from engine_reads import engine_row, engine_rows
+
 
 @pytest.fixture(autouse=True)
 def _no_leftover_servers():
@@ -765,7 +767,7 @@ class TestKilledMidFlush:
         # every chunk the reloaded encoder references exists in storage
         eng = ds2._engine("x")
         for row in range(eng.num_samples):
-            eng.read_sample(row)
+            engine_row(eng, row)
 
 
     @pytest.mark.parametrize(
@@ -805,7 +807,7 @@ class TestKilledMidFlush:
         storage.kill_after = None
 
         engine = repro.load(storage)._engine("x")
-        got = engine.read_batch(range(len(model)), aslist=True)
+        got = engine_rows(engine, range(len(model)), aslist=True)
         for have, want in zip(got, model):
             if layout == "sequence":
                 assert len(have) == len(want)
