@@ -42,7 +42,8 @@ class Chunk:
 
     ``data`` is a ``bytearray`` while the chunk is being written to and
     immutable ``bytes`` once it is *sealed* — decoded from storage
-    (:meth:`frombytes`) or drained from the write buffer (:meth:`seal`).
+    (:meth:`frombytes`) or drained from the write buffer (:meth:`seal`) —
+    and a sealed chunk never changes (a writer takes a :meth:`copy`).
     Only a sealed chunk hands out the :meth:`dense` view: an array over a
     bytearray would pin it, and the next :meth:`append` raise
     ``BufferError`` while any reader still held the view.
@@ -105,9 +106,6 @@ class Chunk:
             raise ChunkCorruptedError(
                 f"sample rank {min(odd)} differs from chunk rank {rank}"
             )
-        self._dense = None
-        if not isinstance(self.data, bytearray):  # a sealed chunk resumed
-            self.data = bytearray(self.data)
         start = len(self.data)
         self.data += raw
         stops = (np.asarray(ends, dtype=np.int64) + start).tolist()
@@ -117,7 +115,6 @@ class Chunk:
     def truncate(self, nbytes: int, num_samples: int) -> None:
         """Drop everything :meth:`extend` added past the first
         *num_samples* samples / *nbytes* data bytes (batch rollback)."""
-        self._dense = None
         if len(self.data) > nbytes:  # appended to, so a bytearray by now
             del self.data[nbytes:]
         del self.byte_positions[num_samples:]
@@ -132,12 +129,12 @@ class Chunk:
         section, or ``None`` when there is no such array: the chunk is
         not sealed, samples differ in shape, or the payloads are not the
         raw *dtype* arrays laid end to end (sample-compressed, empty).
-        Verified once per chunk and cached until the next :meth:`append` /
-        :meth:`update`.  It is a view of chunk memory: callers gather out
-        of it (``dense[locals]`` copies), never hand it on."""
+        Verified once per chunk and cached: a sealed chunk never changes.
+        It is a view of chunk memory: callers gather out of it
+        (``dense[locals]`` copies), never hand it on."""
         data, cached = self.data, self._dense
         # keyed on the data object: a view stored by a reader racing an
-        # append / update belongs to the buffer that call replaced
+        # append belongs to the buffer that call replaced
         if cached is not None and cached[0] is data and cached[1] == dtype:
             return cached[2]
         if not isinstance(data, bytes):
@@ -181,20 +178,27 @@ class Chunk:
     def read_shape(self, local_index: int) -> Tuple[int, ...]:
         return self.shapes[local_index]
 
-    def update(self, local_index: int, raw: bytes, shape: Sequence[int]) -> None:
-        """In-place sample replacement (rebuilds the data buffer)."""
-        shape = tuple(int(x) for x in shape)
-        self._dense = None
-        pieces = [self.read_bytes(i) for i in range(self.num_samples)]
-        pieces[local_index] = bytes(raw)
-        self.data = bytearray()
-        self.byte_positions = []
-        offset = 0
-        for piece in pieces:
-            self.data.extend(piece)
-            self.byte_positions.append((offset, offset + len(piece)))
-            offset += len(piece)
-        self.shapes[local_index] = shape
+    def copy(self, local_index: Optional[int] = None, raw: bytes = b"",
+             shape: Sequence[int] = ()) -> "Chunk":
+        """This chunk's samples in a new write buffer under a fresh name,
+        sample *local_index* (if given) replaced by *raw* of *shape*.  The
+        chunk itself is left as it is."""
+        chunk = Chunk(dtype=self.dtype)
+        chunk.data = bytearray(self.data)
+        chunk.byte_positions = list(self.byte_positions)
+        chunk.shapes = list(self.shapes)
+        if local_index is not None:
+            # samples lie back to back: the later ones move by the change
+            start, end = chunk.byte_positions[local_index]
+            chunk.data[start:end] = raw
+            shift = len(raw) - (end - start)
+            tail = chunk.byte_positions[local_index + 1:]
+            chunk.byte_positions[local_index:] = [
+                (start, start + len(raw)),
+                *((s + shift, e + shift) for s, e in tail),
+            ]
+            chunk.shapes[local_index] = tuple(int(x) for x in shape)
+        return chunk
 
     # ------------------------------------------------------------------ #
     # serialisation
@@ -278,7 +282,7 @@ class Chunk:
         data = blob[header.header_len :]
         if header.flags & FLAG_CHUNK_COMPRESSED:
             data = decompress_bytes(data, header.chunk_compression)
-        chunk.data = data  # sealed; append() copies it into a bytearray
+        chunk.data = data  # sealed
         chunk.shapes = list(map(tuple, header.shapes.tolist()))
         chunk.byte_positions = list(map(tuple, header.byte_positions.tolist()))
         declared = chunk.byte_positions[-1][1] if chunk.byte_positions else 0

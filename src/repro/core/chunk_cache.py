@@ -5,11 +5,13 @@ A :class:`~repro.core.dataset.Dataset` handle, its views and every engine
 they open share one: decoded chunks and chunk headers by storage key
 under ONE byte budget, :data:`CACHE_BYTES`, plus the one
 :class:`~repro.util.inflight.InFlight` table, so no chunk of the handle
-is fetched twice at once.  A chunk is charged its size when put; a writer
-that grows a cached chunk in place puts it again at its next upload.
-The cache is per handle, not per store, because a writer mutates its
-cached chunks before it flushes them.  Further caching is a provider the
-caller chains (§3.6, :mod:`repro.storage.lru_cache`).
+is fetched twice at once.  A chunk is charged its size when put.  A
+stored chunk key is write-once — a writer that changes a chunk writes a
+copy under a fresh name, and a key it no longer names is deleted when
+the commit is sealed, never rewritten — so what the cache holds at a key never goes stale: nothing
+is ever dropped but by eviction, and a ``checkout`` keeps the cache
+warm.  Further caching is a provider the caller chains (§3.6,
+:mod:`repro.storage.lru_cache`).
 """
 
 from __future__ import annotations
@@ -56,18 +58,6 @@ class ChunkCache:
                 self._pop(next(iter(self._chunks)))
             self._chunks[key] = (chunk, size)
             self.nbytes += size
-
-    def drop(self, key: str) -> None:
-        """Forget *key* and its header: its bytes changed or are gone."""
-        with self._lock:
-            self._pop(key)
-            self.headers.pop(key, None)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._chunks.clear()
-            self.headers.clear()
-            self.nbytes = 0
 
     def _pop(self, key: str) -> None:
         entry = self._chunks.pop(key, None)

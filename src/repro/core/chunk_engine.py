@@ -9,8 +9,8 @@ One engine owns everything between a tensor's public API and raw storage:
 - version-aware chunk resolution: ``_chunk_sets`` holds the chunk set of
   every commit of the chain, the current one included, read with the rest
   of the tensor's state in one batch; reads take the first commit of the
-  chain whose set contains the chunk (§4.2), writes copy-on-write chunks
-  owned by ancestor commits;
+  chain whose set contains the chunk (§4.2); a stored chunk is never
+  changed, a write copies it under a fresh name (:meth:`_fork`);
 - reads through its dataset handle's :class:`ChunkCache`, §3.5's "buffer
   cache of fetched and unutilized data" (a bare engine builds its own);
 - the on-the-fly :meth:`rechunk` layout optimiser;
@@ -50,15 +50,17 @@ The one write path
 An append stages a :class:`~repro.core.write_plan.WritePlan`, one column
 of payloads (a dense batch is one array), and commits it one chunk run at
 a time (:meth:`ChunkEngine.commit_appends`), never a row at a time.
-Chunks fill in memory, then upload (§3.4–3.5): a finalized chunk — and a
-stored chunk modified by :meth:`update` or rewritten by :meth:`rechunk` —
+Chunks fill in the write buffer, the only chunk memory that changes, then
+upload (§3.4–3.5): a finalized chunk — and the copy :meth:`update` or a
+resumed append makes of a stored chunk, or :meth:`rechunk`'s chunks —
 joins ``_pending_chunks``, and :meth:`_serialize_pending` turns the buffer
 into the ``set_many`` batch that is the only way a chunk reaches storage:
 when an update leaves ``_WATERMARK_CHUNKS`` chunks buffered or the next
 append finds that many while it stages (the upload then runs under the
 encode pool's work), and at a flush, which hands the engine's state
 files to the owning ``Dataset``'s commit manifest (chunks go first, the
-manifest publishes them).
+manifest publishes them; the keys the copies replaced go once the
+commit is sealed: a stored key always holds the same bytes).
 
 Where parallelism lives
 -----------------------
@@ -117,7 +119,7 @@ from repro.exceptions import (
 )
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
-from repro.storage.provider import StorageProvider
+from repro.storage.provider import StorageProvider, delete_keys
 from repro.util import keys as K
 from repro.util.json_util import json_dumps, json_loads
 
@@ -273,6 +275,9 @@ class ChunkEngine:
         # storage — every read path consults _mem_chunk() so buffered data
         # stays readable
         self._pending_chunks: "OrderedDict[str, Chunk]" = OrderedDict()
+        # storage keys of chunks this commit stored that a copy replaced,
+        # drained by the flush for its owner to delete (see _fork)
+        self._superseded: List[str] = []
 
         if meta is not None:
             self.meta = meta
@@ -390,15 +395,17 @@ class ChunkEngine:
         """Persist this engine's buffered state for the current commit:
         through the owning ``Dataset.flush`` (every engine's chunks in one
         batch, then the manifest that publishes them), or — for a bare
-        engine — its chunks, then its state files at their enumerated
-        keys."""
+        engine — its chunks, its state files at their enumerated keys,
+        then the deletes of the keys its copies replaced."""
         if self._flush_via is not None:
             self._flush_via()
             return
         with self._lock:
-            for items in self.drain_flush_items():
+            chunks, state, superseded = self.drain_flush_items()
+            for items in (chunks, state):
                 if items:
                     self.storage.set_many(items)
+            delete_keys(self.storage, superseded)
 
     def begin_new_commit(self) -> None:
         """Reset per-commit bookkeeping after the head moved to a child.
@@ -501,8 +508,7 @@ class ChunkEngine:
             self.cache.put(key, chunk)
         return chunk
 
-    def _load_header(self, chunk_name: str) -> ChunkHeader:
-        key = self._chunk_storage_key(chunk_name)
+    def _load_header(self, key: str) -> ChunkHeader:
         header = self.cache.headers.get(key)
         if header is None:
             prefix = self.storage.get_bytes(key, 0, _HEADER_PROBE)
@@ -776,12 +782,6 @@ class ChunkEngine:
             self._pending_chunks[chunk.name] = chunk
         self._active_chunk = None
 
-    def _buffer_modified(self, chunk: Chunk) -> None:
-        """A chunk modified in place joins the upload buffer a finalized
-        chunk does (the active chunk gets there when it is finalized)."""
-        if chunk is not self._active_chunk:
-            self._pending_chunks[chunk.name] = chunk
-
     def _serialize_pending(self) -> Dict[str, bytes]:
         """Drain the upload buffer into upload-ready ``{key: blob}`` items,
         charging the flush counters and priming the decoded-chunk cache.
@@ -797,7 +797,6 @@ class ChunkEngine:
             key = K.chunk_key(self.commit_id, self.tensor, chunk.name)
             chunk.seal()
             items[key] = chunk.tobytes(self.meta.chunk_compression)
-            self.cache.drop(key)  # its header too: the bytes are new
             self.cache.put(key, chunk)
         self._pending_chunks.clear()
         if pending:
@@ -805,22 +804,25 @@ class ChunkEngine:
             self._h_flush_batch.observe(len(pending))
         return items
 
-    def drain_flush_items(self) -> Tuple[Dict[str, bytes], Dict[str, bytes]]:
+    def drain_flush_items(self) -> Tuple[Dict, Dict, List[str]]:
         """Collect everything this engine would persist on :meth:`flush`
-        without writing any of it: ``(chunk items, state items)``, the
-        state being every state file of the current commit when the
-        engine is dirty.  The engine's buffers and dirty flag are drained
-        exactly as a flush would, so the caller *must* write the chunks
-        before anything that names them — ``Dataset.flush`` and ``commit``
-        put every engine's chunks in one ``set_many`` and the state in the
-        commit's manifest."""
+        without writing any of it: ``(chunk items, state items, superseded
+        keys)``, the state being every state file of the current commit
+        when the engine is dirty.  The engine's buffers and dirty flag are
+        drained exactly as a flush would, so the caller *must* write the
+        chunks before anything that names them — ``Dataset.flush`` and
+        ``commit`` put every engine's chunks in one ``set_many`` and the
+        state in the commit's manifest — and delete the superseded keys
+        only after the tree PUT that seals the head (``commit``)."""
         with self._lock:
             self._finalize_active()
             chunk_items = self._serialize_pending()
+            superseded, self._superseded = self._superseded, []
             if not self._dirty:
-                return chunk_items, {}
+                return chunk_items, {}, superseded
             self._dirty = False
-            return chunk_items, {**self._encoder_items(), **self._meta_items()}
+            state = {**self._encoder_items(), **self._meta_items()}
+            return chunk_items, state, superseded
 
     def _maybe_flush_pending(self) -> None:
         """Upload the buffer as one ``set_many`` once it holds
@@ -867,8 +869,9 @@ class ChunkEngine:
             if active.can_fit(nbytes, self.meta.max_chunk_size):
                 return active
             self._finalize_active()
-        # resume the last stored chunk when it still has room (this is the
-        # copy-on-write extension path after checkout/commit)
+        # resume the last chunk when it still has room: a buffered one goes
+        # back to being the active chunk (uploaded once, after it refills or
+        # at flush), a stored one is copied under a fresh name
         name = self._resume_name()
         if name is not None:
             try:
@@ -878,12 +881,8 @@ class ChunkEngine:
             if chunk is not None and chunk.can_fit(
                 nbytes, self.meta.max_chunk_size
             ):
-                if name not in self.chunk_set:
-                    self._own_chunk(chunk)
-                # a buffered (pending-upload) chunk goes back to being the
-                # active chunk — drop the buffer entry so the resumed copy
-                # is uploaded once, after it refills or at flush
-                self._pending_chunks.pop(name, None)
+                if self._pending_chunks.pop(name, None) is None:
+                    return self._fork(self.enc.num_rows - 1, chunk)
                 self._active_chunk = chunk
                 return chunk
         chunk = Chunk(dtype=self.meta.dtype)
@@ -893,11 +892,35 @@ class ChunkEngine:
         self._active_chunk = chunk
         return chunk
 
-    def _own_chunk(self, chunk: Chunk) -> None:
-        """Copy-on-write: claim an ancestor's chunk for the current commit."""
+    def _fork(self, row: int, old: Chunk, *replace) -> Chunk:
+        """Copy *old*, the chunk at encoder *row*, under a fresh name into
+        the write buffer — ``replace = (local, raw, shape)`` swaps one
+        sample of the copy, none makes it the active chunk — and put the
+        copy in its place: encoder row, chunk set, stats entry.  *old* is
+        left as it is: a stored chunk key is write-once, so when this
+        commit stored *old* its key is superseded, deleted once the commit
+        is sealed (a plan or a manifest of the head may still name it)."""
+        chunk = old.copy(*replace)
+        name = old.name
+        self._superseded += self._stored_keys([name])
+        if old is self._active_chunk or not replace:
+            self._active_chunk = chunk
+        else:
+            self._pending_chunks.pop(name, None)
+            self._pending_chunks[chunk.name] = chunk
+        self.chunk_set.discard(name)
         self.chunk_set.add(chunk.name)
-        # the blob will be (re)uploaded under the current commit's key
-        self.cache.drop(K.chunk_key(self.commit_id, self.tensor, chunk.name))
+        self.enc._ids[row] = ChunkIdEncoder.id_from_name(chunk.name)
+        if name in self.chunk_stats:
+            self.chunk_stats[chunk.name] = self.chunk_stats.pop(name)
+        return chunk
+
+    def _stored_keys(self, names) -> List[str]:
+        """Keys of the chunks in *names* this commit stored, the ones a
+        copy supersedes: an ancestor's key stays the ancestor's."""
+        return [K.chunk_key(self.commit_id, self.tensor, name)
+                for name in names
+                if name in self.chunk_set and self._mem_chunk(name) is None]
 
     def _commit_runs(self, plan: WritePlan,
                      touched: Dict[str, Tuple[int, int]]) -> None:
@@ -1060,33 +1083,23 @@ class ChunkEngine:
         """O(bookkeeping) pre-commit state capture for rollback — every
         mutable structure the commit path touches is either append-only
         (restored by truncation) or small enough to copy."""
-        active = self._active_chunk
         si = self.meta.shape_interval
+        ids, cum = self.enc._ids, self.enc._cum
         return {
-            "enc_rows": len(self.enc._ids),
-            "enc_last_cum": self.enc._cum[-1] if self.enc._cum else None,
+            "enc_last": (len(ids), ids[-1:], cum[-1:]),
             "seq_rows": len(self.seq_enc._cum),
             "tile_threshold": self.enc.num_samples,
             "chunk_set": set(self.chunk_set),
-            "stats_keys": set(self.chunk_stats),
+            "stats": dict(self.chunk_stats),
+            "superseded": len(self._superseded),
             "meta_length": self.meta.length,
             "meta_dtype": self.meta.dtype,
             "shape_interval": (si.lower, si.upper, si._initialized),
             "diff_added": self.commit_diff.num_added,
-            "active": (
-                (active.name, len(active.data), active.num_samples)
-                if active is not None
-                else None
-            ),
-            "pending": list(self._pending_chunks),
+            "active": self._active_chunk,
+            "pending": OrderedDict(self._pending_chunks),
             "dirty": self._dirty,
         }
-
-    def _locate_chunk(self, name: str) -> Optional[Chunk]:
-        mem = self._mem_chunk(name)
-        if mem is not None:
-            return mem
-        return self.cache.get(self._chunk_storage_key(name))
 
     def _restore_snapshot(
         self, snap: dict, touched: Dict[str, Tuple[int, int]]
@@ -1096,15 +1109,17 @@ class ChunkEngine:
         *touched* maps each chunk the batch appended into to its
         ``(data length, sample count)`` at first touch; those chunk
         objects are truncated back.  Uploads never happen mid-commit, so
-        every touched chunk is still in memory (active or buffered).
+        every touched chunk is still in memory, and the write buffer is
+        the snapshot's again (a resumed stored chunk's copy is dropped).
         """
         for name, (dlen, nsamp) in touched.items():
             self._mem_chunk(name).truncate(dlen, nsamp)
-        # encoders are append-only: truncate
-        del self.enc._ids[snap["enc_rows"]:]
-        del self.enc._cum[snap["enc_rows"]:]
-        if self.enc._cum and snap["enc_last_cum"] is not None:
-            self.enc._cum[-1] = snap["enc_last_cum"]
+        # encoders grow at the end: truncate, restore the last row (_fork)
+        rows, last_id, last_cum = snap["enc_last"]
+        del self.enc._ids[rows:]
+        del self.enc._cum[rows:]
+        self.enc._ids[rows - 1:] = last_id
+        self.enc._cum[rows - 1:] = last_cum
         self.enc._base = None
         del self.seq_enc._cum[snap["seq_rows"]:]
         self.seq_enc._base = None
@@ -1115,31 +1130,16 @@ class ChunkEngine:
         # bookkeeping: fresh chunks leave chunk_set/stats; widened stats on
         # surviving chunks stay (a [min,max] superset can never mis-prune)
         self.chunk_set = snap["chunk_set"]
-        for name in set(self.chunk_stats) - snap["stats_keys"]:
-            del self.chunk_stats[name]
+        self.chunk_stats = snap["stats"]
+        del self._superseded[snap["superseded"]:]
         self.meta.length = snap["meta_length"]
         if snap["meta_dtype"] is None:
             self.meta.dtype = None
         si = self.meta.shape_interval
         si.lower, si.upper, si._initialized = snap["shape_interval"]
         self.commit_diff.num_added = snap["diff_added"]
-        # write buffer: drop chunks the failed batch created, reinstate any
-        # pre-batch buffered chunk the batch resumed into its active slot
-        for name in [
-            n for n in self._pending_chunks if n not in snap["pending"]
-        ]:
-            del self._pending_chunks[name]
-        for name in snap["pending"]:
-            if name not in self._pending_chunks:
-                chunk = self._locate_chunk(name)
-                if chunk is not None:
-                    self._pending_chunks[name] = chunk
-        if snap["active"] is None:
-            self._active_chunk = None
-        else:
-            name = snap["active"][0]
-            self._active_chunk = self._locate_chunk(name)
-            self._pending_chunks.pop(name, None)
+        self._active_chunk = snap["active"]
+        self._pending_chunks = snap["pending"]
         self._dirty = snap["dirty"]
 
     def commit_appends(self, plan: WritePlan) -> None:
@@ -1238,8 +1238,7 @@ class ChunkEngine:
     ) -> Tuple[Dict[str, Chunk], Dict[str, str]]:
         """Split a plan's chunks into already-resident ones and the
         ``{storage key: chunk name}`` set that must be fetched."""
-        # in memory at planning, or uploaded since: _load_chunk re-resolves
-        chunks = {name: self._load_chunk(name) for name in plan.active_chunks}
+        chunks = dict(plan.active_chunks)  # in memory at planning
         to_fetch: Dict[str, str] = {}  # storage key -> chunk name
         for name, key in plan.chunk_keys.items():
             cached = self._cached(key)
@@ -1324,12 +1323,13 @@ class ChunkEngine:
         plan = self.plan_reads(indices, items=True)
         out: List = [None] * plan.num_items
         for name, pos in plan.groups():
-            src = self._locate_chunk(name)
+            key = plan.chunk_keys.get(name)
+            src = plan.active_chunks.get(name) or self.cache.get(key)
             local = plan.local[pos]
             if src is not None:
                 shapes = [src.shapes[i] for i in local.tolist()]
             else:  # one header per chunk, its shape rows by fancy index
-                header = self._load_header(name)
+                header = self._load_header(key)
                 shapes = map(tuple, header.shapes[local].tolist())
             for p, shape in zip(pos.tolist(), shapes):
                 out[p] = shape
@@ -1365,15 +1365,12 @@ class ChunkEngine:
                     "updates require the same shape as the original"
                 )
             row, local = self.enc.locate(index)
-            name = self.enc.chunk_name(row)
-            chunk = self._load_chunk(name)
-            if name not in self.chunk_set:
-                self._own_chunk(chunk)
-            chunk.update(local, raw, shape)
-            # widen-only (count=0): the replaced value may still define the
-            # recorded min/max, so the range stays a safe superset
-            self._stats_observe(name, arr, count=0)
-            self._buffer_modified(chunk)
+            chunk = self._load_chunk(self.enc.chunk_name(row))  # may GET
+            with self._lock:  # readers plan under it: the fork swaps names
+                chunk = self._fork(row, chunk, local, raw, shape)
+                # widen-only (count=0): the replaced value may still define
+                # the recorded min/max, so the range stays a safe superset
+                self._stats_observe(chunk.name, arr, count=0)
         self.meta.update_shape_interval(shape)
         self.commit_diff.update(index)
         self.pad_enc.unpad(index)
@@ -1388,20 +1385,18 @@ class ChunkEngine:
                 f"update requires the same shape, got {shape}"
             )
         tiles = tiling.split(value.array if arr is None else arr, tile_shape)
-        chunk_ids = self.enc.tile_chunk_ids(index)
-        for cid, tile in zip(chunk_ids, tiles):
-            name = ChunkIdEncoder.name_from_id(cid)
-            chunk = self._load_chunk(name)
-            if name not in self.chunk_set:
-                self._own_chunk(chunk)
-            payload = (
-                compress_array(tile, self.meta.sample_compression)
-                if self.meta.sample_compression
-                else tile.tobytes()
-            )
-            chunk.update(0, payload, tile.shape)
-            self._stats_observe(name, tile, count=0)
-            self._buffer_modified(chunk)
+        first, _local = self.enc.locate(index)  # tiles: consecutive rows
+        rows = range(first, first + len(tiles))
+        olds = [self._load_chunk(self.enc.chunk_name(row)) for row in rows]
+        payloads = [
+            compress_array(tile, self.meta.sample_compression)
+            if self.meta.sample_compression else tile.tobytes()
+            for tile in tiles
+        ]
+        with self._lock:
+            for row, old, tile, payload in zip(rows, olds, tiles, payloads):
+                chunk = self._fork(row, old, 0, payload, tile.shape)
+                self._stats_observe(chunk.name, tile, count=0)
 
     def pad_to(self, length: int) -> None:
         """Sparse support: grow with empty padded samples up to *length*."""
@@ -1435,9 +1430,10 @@ class ChunkEngine:
         # unwritten in-memory chunks (active + upload buffer) are held by
         # *chunks* above; the rewrite below re-emits every surviving
         # sample into fresh chunks, which ride the flush that ends it
+        old_owned = set(self.chunk_set)
+        stored = self._stored_keys(old_owned)
         self._active_chunk = None
         self._pending_chunks.clear()
-        old_owned = set(self.chunk_set)
         new_enc = ChunkIdEncoder()
         new_tiles = TileEncoder()
         self.chunk_set = set()
@@ -1493,23 +1489,14 @@ class ChunkEngine:
 
         # sequence tensors: only the flat encoder is rebuilt, item ranges
         # are unchanged
-        replaced = old_owned - self.chunk_set
-        for name in replaced:
+        for name in old_owned:
             self.chunk_stats.pop(name, None)
+        # the replaced chunks this commit stored are superseded (_fork)
+        self._superseded += stored
         self.enc = new_enc
         self.tile_enc = new_tiles
         self._dirty = True
         self.flush()
-        # the replaced chunks owned by this commit go only now: until the
-        # flush above lands, the encoders in storage still name them, and a
-        # failed flush must leave them readable
-        for name in replaced:
-            key = K.chunk_key(self.commit_id, self.tensor, name)
-            try:
-                del self.storage[key]
-            except KeyError:
-                pass
-            self.cache.drop(key)
         return self.enc.num_chunks
 
     # ------------------------------------------------------------------ #

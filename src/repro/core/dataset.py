@@ -97,6 +97,8 @@ class Dataset:
         # _unpublished names the heads whose entry is ahead of storage
         self._state: Dict[str, Dict[str, bytes]] = {}
         self._unpublished: Set[str] = set()
+        # keys copies replaced on a head: a commit seals it, then deletes
+        self._superseded: List[str] = []
         self._meta = self._load_state()
         if self._tree.stored is None and self._writable_head():
             self._tree.save(self.storage)  # a dataset exists with its tree
@@ -235,7 +237,6 @@ class Dataset:
 
     def _reload_version_view(self) -> None:
         self._engines.clear()
-        self._chunk_cache.clear()  # another handle may have rewritten it
         for cid in [c for c in self._state if self._tree.node(c).is_head
                     and c not in self._unpublished]:
             del self._state[cid]  # another handle may have flushed it
@@ -1008,13 +1009,13 @@ class Dataset:
         (meta, encoders, chunk set, stats, diff of each tensor, and the
         dataset meta when it changed), so a crash anywhere leaves the last
         published head whole: chunks that landed without it are new keys
-        no manifest names, or the head's last chunk with rows appended
-        past those its manifest names (an in-place ``update`` of a chunk
-        the head already stored is the exception: it shows early, never
-        in a sealed commit).  The version tree is not rewritten — it
-        already names the head's manifest; :meth:`VersionTree.save` is a
-        no-op unless an earlier commit's tree PUT is still owed.  A flush
-        with nothing to say issues no request at all.
+        no manifest names — an updated or resumed chunk is a copy under a
+        fresh name, and the key it replaced stays (for readers of earlier
+        manifests) until :meth:`commit` seals the head.  The version tree
+        is not rewritten — it already names the head's manifest;
+        :meth:`VersionTree.save` is a no-op unless an earlier commit's tree
+        PUT is still owed.  A flush with nothing to say issues no request
+        at all.
         """
         self._publish(*self._drain_flush_items())
 
@@ -1026,9 +1027,10 @@ class Dataset:
         chunks: Dict[str, bytes] = {}
         state: Dict[str, bytes] = {}
         for engine in list(self._engines.values()):
-            engine_chunks, engine_state = engine.drain_flush_items()
-            chunks.update(engine_chunks)
-            state.update(engine_state)
+            chunk_items, state_items, superseded = engine.drain_flush_items()
+            chunks.update(chunk_items)
+            state.update(state_items)
+            self._superseded += superseded
         if self._writable_head():
             state.update(self._dataset_meta_items())
         return chunks, state

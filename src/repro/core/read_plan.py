@@ -166,7 +166,8 @@ class ReadPlan:
         #: every item is a sample item (no pad / tiled / pruned exception)
         self.plain = True
         self.chunk_keys: Dict[str, str] = {}  # chunk -> resolved storage key
-        self.active_chunks: Set[str] = set()  # in-memory write-back chunks
+        #: write-buffer chunks as planned (a later update makes a copy)
+        self.active_chunks: Dict[str, Chunk] = {}
         self.seq_spans: Optional[List[Tuple[int, int]]] = None
         #: chunks proven irrelevant by statistics pushdown (never fetched)
         self.skipped_chunks: Set[str] = set()
@@ -225,8 +226,9 @@ class ReadPlan:
 def _note_chunk(engine: "ChunkEngine", plan: ReadPlan, name: str) -> None:
     if name in plan.chunk_keys or name in plan.active_chunks:
         return
-    if engine._mem_chunk(name) is not None:
-        plan.active_chunks.add(name)
+    mem = engine._mem_chunk(name)
+    if mem is not None:
+        plan.active_chunks[name] = mem
         return
     plan.chunk_keys[name] = engine._chunk_storage_key(name)
 
@@ -478,7 +480,7 @@ def fetch_ranged(engine: "ChunkEngine",
     key = plan.chunk_keys[name]
     if engine.cache.get(key) is not None:
         return None
-    header = engine._load_header(name)
+    header = engine._load_header(key)
     start, end = header.sample_range(local)
     if (
         header.is_chunk_compressed

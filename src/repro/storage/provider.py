@@ -328,6 +328,17 @@ class StorageProvider(ABC, MutableMapping):
         return sum(len(self._get(k, None, None)) for k in self._all_keys())
 
 
+def delete_keys(storage: StorageProvider, keys: list[str]) -> None:
+    """Delete garbage *keys*, each taken off the list once gone: a delete
+    that raises leaves it and the rest listed for the next call."""
+    while keys:
+        try:
+            del storage[keys[-1]]
+        except KeyError:
+            pass
+        keys.pop()
+
+
 def clamp_range(
     length: int, start: Optional[int], end: Optional[int]
 ) -> tuple[int, int]:

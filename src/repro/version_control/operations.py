@@ -28,6 +28,7 @@ from repro.exceptions import (
     ReadOnlyDatasetError,
     VersionControlError,
 )
+from repro.storage.provider import delete_keys
 from repro.util import keys as K
 
 ConflictPolicy = Union[None, str, Callable]
@@ -43,7 +44,9 @@ def commit(ds, message: str = "", branch: Optional[str] = None) -> str:
     given *branch*, a new branch forked from the sealed commit, which the
     version state moves to instead.  Two round trips, and the tree is the
     one commit point: a crash before its PUT leaves only unreachable
-    keys.  The child writes no state until it changes
+    keys.  Then go the chunk keys the head's copies replaced (a failed
+    delete raises with the commit made; the next commit retries it).
+    The child writes no state until it changes
     (``ChunkEngine.begin_new_commit``): a reader finds the sealed state
     down the chain.
     """
@@ -63,6 +66,7 @@ def commit(ds, message: str = "", branch: Optional[str] = None) -> str:
     for engine in ds._engines.values():
         engine.begin_new_commit()
     ds._publish({}, {})  # nothing but the tree changed
+    delete_keys(ds.storage, ds._superseded)
     return sealed
 
 

@@ -61,14 +61,19 @@ class TestChunk:
             assert blob[start:end] == p
             assert header.sample_shape(i) == (len(p),)
 
-    def test_update_in_place(self):
+    def test_copy_replaces_one_sample_and_leaves_the_chunk(self):
         c = Chunk(dtype="uint8")
-        c.append(b"aaa", (3,))
-        c.append(b"bbb", (3,))
-        c.update(0, b"XXXXX", (5,))
-        assert c.read_bytes(0) == b"XXXXX"
-        assert c.read_bytes(1) == b"bbb"
-        assert c.read_shape(0) == (5,)
+        for payload in (b"aaa", b"bbb", b"cc"):
+            c.append(payload, (len(payload),))
+        c.seal()
+        out = c.copy(1, b"XXXXX", (5,))
+        assert out.name != c.name and isinstance(out.data, bytearray)
+        got = [out.read_bytes(i) for i in range(3)]
+        assert got == [b"aaa", b"XXXXX", b"cc"]
+        assert out.shapes == [(3,), (5,), (2,)]
+        assert out.byte_positions == [(0, 3), (3, 8), (8, 10)]
+        assert [c.read_bytes(i) for i in range(3)] == [b"aaa", b"bbb", b"cc"]
+        assert c.shapes == [(3,), (3,), (2,)] and c.data == b"aaabbbcc"
 
     def test_bad_magic(self):
         with pytest.raises(ChunkCorruptedError):
@@ -129,16 +134,18 @@ class TestChunk:
             assert type(row) is tuple
             assert all(type(x) is int for x in row)
 
-    def test_decoded_chunk_is_sealed_and_append_unseals_it(self):
+    def test_decoded_chunk_is_sealed_and_its_copy_takes_appends(self):
         c = Chunk(dtype="int64")
         for i in range(4):
             c.append(np.full(3, i, dtype=np.int64).tobytes(), (3,))
         out = Chunk.frombytes(c.tobytes())
         assert isinstance(out.data, bytes)
-        out.append(np.full(3, 9, dtype=np.int64).tobytes(), (3,))
-        assert isinstance(out.data, bytearray)
-        assert out.read_bytes(4) == np.full(3, 9, dtype=np.int64).tobytes()
-        assert out.read_bytes(0) == c.read_bytes(0)
+        resumed = out.copy()
+        resumed.append(np.full(3, 9, dtype=np.int64).tobytes(), (3,))
+        assert isinstance(resumed.data, bytearray)
+        assert resumed.read_bytes(4) == np.full(3, 9, dtype=np.int64).tobytes()
+        assert resumed.read_bytes(0) == c.read_bytes(0)
+        assert out.num_samples == 4 and out.data == bytes(c.data)
 
     def test_dense_view_of_fixed_shape_raw_samples(self):
         dtype = np.dtype("int64")
@@ -152,13 +159,15 @@ class TestChunk:
         assert np.array_equal(dense, want) and dense.dtype == dtype
         assert not dense.flags.writeable  # a view of chunk memory
         assert out.dense(dtype) is dense  # verified once, then cached
-        # a live view must not pin the buffer against the next append
+        # a live view must not pin the chunk against a resumed append,
+        # which writes a copy
+        out = out.copy()
         out.append(np.full(3, 7, dtype=np.int64).tobytes(), (3,))
         assert out.dense(dtype) is None
         assert np.array_equal(dense, want)
         out.seal()
         assert out.dense(dtype).shape == (5, 3)
-        out.update(0, np.full(3, -1, dtype=np.int64).tobytes(), (3,))
+        out = out.copy(0, np.full(3, -1, dtype=np.int64).tobytes(), (3,))
         out.seal()
         assert out.dense(dtype)[0].tolist() == [-1, -1, -1]
 

@@ -736,8 +736,10 @@ class TestServePushPrefetch:
         tr, ds = self._tracker(server), server._served_dataset("d")
         first = dict(tr["outstanding"])
         assert first
-        for key in first:
-            ds._chunk_cache.drop(key)
+        cache = ds._chunk_cache
+        with cache._lock:
+            for key in first:  # evicted
+                cache._pop(key)
         tr["inflight"] = 0  # what the tracker reserves, as for a new task
         server._prefetch_window(tr, ds, ("images", "labels"), 2 * w,
                                 tr["ahead_end"])

@@ -23,6 +23,7 @@ from repro.core.version_state import VersionState
 from repro.exceptions import SampleIndexError
 from repro.storage import MemoryProvider
 from repro.storage.lru_cache import LRUCache
+from repro.util import keys as K
 
 from engine_reads import engine_row, engine_rows
 
@@ -724,6 +725,72 @@ class TestReadsWhileAppending:
         assert not errors, errors
         assert engine.num_samples == 564 and reads
         assert engine_rows(engine, [0, 300, 563])[2].tolist() == [563] * 4
+
+
+    def test_readers_of_rows_being_updated_and_flushed(self):
+        """The same readers, over the tail and over rows anywhere, while
+        the writer also updates earlier rows (each a copy of its chunk;
+        a stored one goes under a fresh key and its old key is deleted
+        after the next flush) and flushes: a reader never raises and
+        reads at each row only a value written there."""
+        engine, storage = make_engine(dtype="int64", max_chunk_size=256)
+        engine.extend([np.full(4, i, dtype=np.int64) for i in range(64)])
+        engine.flush()
+        errors, reads = [], []
+        done = threading.Event()
+
+        def write():
+            rng = np.random.default_rng(0)
+            try:
+                for i in range(64, 400):
+                    engine.append(np.full(4, i, dtype=np.int64))
+                    row = int(rng.integers(0, i))
+                    engine.update(row, np.full(4, -row, dtype=np.int64))
+                    if i % 23 == 0:
+                        engine.flush()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def read(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                while not done.is_set() or not reads:
+                    n = engine.num_samples
+                    rows = list(range(n - 32, n))
+                    rows += rng.integers(0, n, 32).tolist()
+                    for row, value in zip(rows, engine_rows(engine, rows)):
+                        assert value.tolist() in ([row] * 4, [-row] * 4)
+                    reads.append(n)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=write)] + [
+                threading.Thread(target=read, args=(seed,))
+                for seed in range(3)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert engine.num_samples == 400 and reads
+        engine.flush()
+        stored = {k for k in storage._all_keys() if "/chunks/" in k}
+        assert stored == {
+            K.chunk_key(engine.commit_id, "t", name)
+            for name in engine.chunk_set
+        }
+        fresh = fresh_reader(storage)
+        for row, value in enumerate(engine_rows(fresh, range(400))):
+            assert value.tolist() == engine_row(engine, row).tolist()
 
 
 class TestReadBatchIdentity:

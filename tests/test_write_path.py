@@ -13,6 +13,7 @@ under the next call's staging), where the write path's one thread pool
 runs, and the streaming ingest-while-serving scenario.
 """
 
+import itertools
 import json
 import threading
 from collections import Counter
@@ -22,7 +23,9 @@ import pytest
 
 import repro
 from repro.compression import get_codec
+from repro.core import chunk as chunk_module
 from repro.core.chunk_engine import _WATERMARK_CHUNKS
+from repro.core.encoders import ChunkIdEncoder
 from repro.exceptions import (
     ChunkCorruptedError,
     DynamicShapeError,
@@ -43,6 +46,7 @@ from repro.storage import (
 )
 from repro.util import keys as K
 from repro.util.ids import seed_ids
+from repro.util.json_util import json_dumps, json_loads
 from repro.version_control.tree import unpack_manifest
 from repro.workloads import smooth_image
 
@@ -1270,16 +1274,66 @@ class TestCommitRoundTrips:
             assert len(again[name]) == 6
             assert again._engine(name).enc.num_chunks == 1
 
-    def test_the_flush_schedule_changes_no_stored_byte(self, rng):
+    def test_the_flush_schedule_changes_no_stored_byte(
+        self, rng, monkeypatch
+    ):
         """Skipping unchanged writes, sealing a head in one batch and
         uploading sealed chunks late change *when* a key is written, never
         what: the ingest script leaves the same keys and bytes as the same
         script flushing after every call — save the head manifests that
-        a later commit superseded, which the tree no longer names."""
+        a later commit superseded, which the tree no longer names, and
+        chunk *names*.  After an eager flush the next append resumes a
+        stored chunk, which is a copy under a fresh name (stored keys are
+        write-once), so names come from a counter of their own here (the
+        commit ids drawn after them then match) and each is compared by
+        its place: the n-th chunk id the manifests' encoders name."""
         images = [smooth_image(rng, 24, 24, 3) for _ in range(40)]
+
+        def by_place(stored, manifests):
+            """*stored* with chunk names by place: ``(chunks, manifests,
+            others)``, each manifest as its ``{state key: blob}``."""
+            states = {key: unpack_manifest(stored[key],
+                                           key.rsplit("/", 1)[0] + "/")
+                      for key in sorted(manifests)}
+            place = {}
+            for state in states.values():
+                for key in sorted(state):
+                    if key.endswith(K.CHUNK_ID_ENCODER_FILENAME):
+                        for cid in ChunkIdEncoder.frombytes(state[key])._ids:
+                            place.setdefault(cid, len(place) + 1)
+
+            def rename(name):
+                cid = ChunkIdEncoder.id_from_name(name)
+                return ChunkIdEncoder.name_from_id(place[cid])
+
+            def rewrite(key, blob):
+                if key.endswith(K.CHUNK_ID_ENCODER_FILENAME):
+                    enc = ChunkIdEncoder.frombytes(blob)
+                    enc._ids = [place[cid] for cid in enc._ids]
+                    return enc.tobytes()
+                if key.endswith(K.CHUNK_SET_FILENAME):
+                    return json_dumps(sorted(map(rename, json_loads(blob))))
+                if key.endswith(K.CHUNK_STATS_FILENAME):
+                    return json_dumps({rename(name): stats for name, stats
+                                       in json_loads(blob).items()})
+                return blob
+
+            chunks = {}
+            for key, blob in stored.items():
+                if is_chunk(key):  # a name no encoder places: KeyError
+                    folder, name = key.rsplit("/", 1)
+                    chunks[f"{folder}/{rename(name)}"] = blob
+            states = {key: {k: rewrite(k, b) for k, b in state.items()}
+                      for key, state in states.items()}
+            others = {key: blob for key, blob in stored.items()
+                      if not is_chunk(key) and key not in manifests}
+            return chunks, states, others
 
         def ingest(eager):
             seed_ids(7)
+            names = itertools.count(1)
+            monkeypatch.setattr(chunk_module, "new_chunk_name",
+                                lambda: f"{next(names):016x}")
             backing = MemoryProvider("bytes")
             ds = repro.empty(backing)
             ds.create_tensor("img", htype="image", sample_compression="jpeg",
@@ -1300,8 +1354,13 @@ class TestCommitRoundTrips:
             named = {node["manifest"] for node in tree["commits"].values()}
             for node in tree["commits"].values():
                 node["commit_time"] = None  # the one wall-clock value
-            return {key: blob for key, blob in stored.items() if key in named
-                    or not key.endswith(K.HEAD_MANIFEST_FILENAME)}, tree
+            manifests = {key for key in stored if key in named
+                         or key.endswith(K.COMMIT_MANIFEST_FILENAME)}
+            superseded = {key for key in stored
+                          if key.endswith(K.HEAD_MANIFEST_FILENAME)} - named
+            for key in superseded:
+                del stored[key]
+            return by_place(stored, manifests), tree
 
         assert ingest(eager=False) == ingest(eager=True)
 
@@ -1632,9 +1691,11 @@ class TestWritePipeline:
 
 
 class TestModifiedChunksAreBuffered:
-    """A chunk modified by ``update`` or an in-place transform joins the
-    same buffer a finalized chunk does: it is uploaded by the next
-    watermark/flush batch, once, however many of its rows changed."""
+    """A chunk modified by ``update`` or an in-place transform is a copy
+    under a fresh key in the same buffer a finalized chunk joins: it is
+    uploaded by the next watermark/flush batch, once, however many of its
+    rows changed, and the key it replaces is gone once a commit seals
+    the head."""
 
     def _one_chunk_dataset(self, rows=100, **tensor_kwargs):
         store = make_object_store("s3", clock=SimClock())
@@ -1647,19 +1708,25 @@ class TestModifiedChunksAreBuffered:
 
     def test_updates_to_one_chunk_upload_it_once(self):
         store, ds = self._one_chunk_dataset()  # one ~100 kB chunk
-        (chunk_key,) = [k for k in store.backing._all_keys() if is_chunk(k)]
+        (old_key,) = [k for k in store.backing._all_keys() if is_chunk(k)]
         written_before = store.stats.bytes_written
         writes, singles, batches = record_writes(store)
         updated = list(range(0, 100, 2)) * 2  # 100 updates, odd rows untouched
         for i in updated:
             ds.x[i] = np.full(128, -i, dtype=np.int64)
         ds.flush()
+        (chunk_key,) = [k for k in writes if is_chunk(k)]
+        assert chunk_key != old_key  # a copy under a fresh key
         assert writes[chunk_key] == 1
         assert not any(is_chunk(k) for k in singles)
         (chunk_batch,) = [b for b in batches if chunk_key in b]
         assert all(is_chunk(k) for k in chunk_batch)
         # about one chunk's worth of bytes, not one chunk per update
         assert store.stats.bytes_written - written_before < 2 * 100 * 1024
+        ds.commit("updated")  # the seal deletes the key the copy replaced
+        assert [k for k in store.backing._all_keys() if is_chunk(k)] == [
+            chunk_key
+        ]
         fresh = repro.load(store)
         for i in range(100):
             want = -i if i % 2 == 0 else i
@@ -1682,8 +1749,8 @@ class TestModifiedChunksAreBuffered:
 
     def test_inplace_compute_uploads_each_chunk_once(self):
         store, ds = self._one_chunk_dataset(rows=10, max_chunk_size=2048)
-        chunk_keys = {k for k in store.backing._all_keys() if is_chunk(k)}
-        assert 1 < len(chunk_keys) < _WATERMARK_CHUNKS
+        old_keys = {k for k in store.backing._all_keys() if is_chunk(k)}
+        assert 1 < len(old_keys) < _WATERMARK_CHUNKS
         writes, singles, _batches = record_writes(store)
 
         @repro.compute
@@ -1691,12 +1758,259 @@ class TestModifiedChunksAreBuffered:
             sample_out.append({"x": -sample_in["x"]})
 
         assert negate().eval(ds) == 10
-        assert {k: writes[k] for k in chunk_keys} == dict.fromkeys(
-            chunk_keys, 1
+        chunk_keys = {k for k in writes if is_chunk(k)}
+        assert len(chunk_keys) == len(old_keys)
+        assert not chunk_keys & old_keys  # every chunk is a copy
+        assert {k: n for k, n in writes.items() if is_chunk(k)} == (
+            dict.fromkeys(chunk_keys, 1)
         )
         assert not any(is_chunk(k) for k in singles)
+        ds.commit("negated")  # every old key goes with the seal
+        assert {k for k in store.backing._all_keys() if is_chunk(k)} == (
+            chunk_keys
+        )
         fresh = repro.load(store)
         assert np.array_equal(fresh.x[7].numpy(), np.full(128, -7))
+
+
+class TestStoredChunksAreWriteOnce:
+    """Only the write buffer changes: ``update`` and a resumed append
+    write a copy of a stored chunk under a fresh key, a key is never PUT
+    twice, and the key a copy replaced is deleted only after the commit
+    that seals the head: a reader holding an earlier manifest of the
+    head keeps reading it."""
+
+    def test_an_update_killed_after_its_chunk_batch_reads_as_published(self):
+        storage = KillableProvider()
+        ds = repro.empty(storage, overwrite=True)
+        ds.create_tensor("x", dtype="int64")
+        ds.x.extend(np.arange(10, dtype=np.int64))
+        ds.flush()
+        ds.x[0] = np.int64(99)
+        storage.kill_after = storage.calls + 1  # the chunks, not the manifest
+        with pytest.raises(RuntimeError, match="simulated process kill"):
+            ds.flush()
+        storage.kill_after = None
+        assert int(repro.load(storage).x[0].numpy()) == 0
+        ds.flush()  # the retry publishes it
+        assert int(repro.load(storage).x[0].numpy()) == 99
+
+    @pytest.mark.parametrize("crash", ["killed", "torn"])
+    def test_updates_killed_at_any_write_read_wholly_old_or_new(self, crash):
+        """Updates of flat rows in three chunks and of a tiled row, then
+        a flush and a commit, killed at every write (the chunk batch, the
+        manifest, the commit's batch and tree, each delete of a
+        superseded key) and, for ``torn``, with every subset of a batch
+        installed: each reload opens and reads either every old value or
+        every new one."""
+        rng = np.random.default_rng(5)
+        old = [rng.integers(0, 255, (10, 10), dtype=np.uint8)
+               for _ in range(20)]
+        old[7] = rng.integers(0, 255, (40, 40), dtype=np.uint8)  # tiled
+        new = list(old)
+        for i in (0, 5, 7, 19):
+            new[i] = rng.integers(0, 255, old[i].shape, dtype=np.uint8)
+        labels = np.arange(20, dtype=np.int64)
+
+        def setup():
+            storage = TearsBatches() if crash == "torn" else FailsNthWrite()
+            ds = repro.empty(storage, overwrite=True)
+            ds.create_tensor("a", dtype="uint8", max_chunk_size=512)
+            ds.create_tensor("b", dtype="int64")
+            ds.extend({"a": old, "b": labels})
+            ds.flush()
+            return storage, ds
+
+        def script(ds):
+            for i in (0, 5, 7, 19):
+                ds.a[i] = new[i]
+                ds.b[i] = -labels[i]
+            ds.flush()
+            ds.commit("updated")
+
+        walk = torn_at_every_write if crash == "torn" else (
+            killed_at_every_write
+        )
+        deletes = set()
+        for n, storage in walk(setup, script):
+            loaded = repro.load(storage)
+            got = loaded.read_rows(range(20), tensors=["a", "b"])
+            shapes = [tuple(s) for s in loaded._engine("_a_shape").read(
+                range(20), aslist=True)]
+            # write 1 is the chunk batch, write 2 the manifest that
+            # publishes it, writes 3 and 4 the commit's batch and tree,
+            # and the deletes of superseded keys follow
+            want, sign = (new, -1) if n > 2 else (old, 1)
+            assert all(map(np.array_equal, got["a"], want)), n
+            assert [int(v) for v in got["b"]] == [
+                sign * i if i in (0, 5, 7, 19) else i for i in range(20)
+            ], n
+            assert shapes == [w.shape for w in want], n
+            deletes.add(n)
+        assert max(deletes) > 5  # a kill landed between two deletes
+
+    def test_no_key_is_put_twice_and_the_cache_never_changes(self):
+        """One script through every write path — extend, flush, a
+        resumed append, a flat and a tiled update, commit, branch, merge,
+        rechunk and an in-place ``@compute``: no chunk key is PUT twice,
+        no chunk the handle's cache holds changes, and after the last
+        commit every chunk key in the store is named by a commit's chunk
+        set."""
+        store = RecordingProvider()
+        rng = np.random.default_rng(3)
+        rows = [rng.integers(0, 255, (10, 10), dtype=np.uint8)
+                for _ in range(12)]
+        rows[3] = rng.integers(0, 255, (40, 40), dtype=np.uint8)  # tiled
+        ds = repro.empty(store, overwrite=True)
+        ds.create_tensor("a", dtype="uint8", max_chunk_size=512)
+        ds.create_tensor("b", dtype="int64")
+
+        @repro.compute
+        def negate(sample_in, sample_out):
+            sample_out.append({"a": sample_in["a"], "b": -sample_in["b"]})
+
+        def merge():
+            ds.checkout("dev", create=True)
+            ds.extend({"a": rows[:2], "b": np.arange(2, dtype=np.int64)})
+            ds.b[0] = np.int64(5)
+            ds.commit("dev")
+            ds.checkout("main")
+            ds.merge("dev")
+
+        steps = [
+            lambda: ds.extend({"a": rows[:6],
+                               "b": np.arange(6, dtype=np.int64)}),
+            ds.flush,
+            lambda: ds.extend({"a": rows[6:],
+                               "b": np.arange(6, 12, dtype=np.int64)}),
+            ds.flush,
+            lambda: ds.a.__setitem__(1, rows[0]),
+            lambda: ds.a.__setitem__(3, rows[3][::-1].copy()),
+            ds.flush,
+            lambda: ds.commit("one"),
+            lambda: ds.a.__setitem__(2, rows[0]),
+            lambda: ds.extend({"a": rows[:1], "b": [np.int64(12)]}),
+            merge,
+            ds.rechunk,
+            lambda: negate().eval(ds),
+            ds.flush,
+            lambda: ds.commit("last"),
+        ]
+        for step in steps:
+            before = {
+                key: (chunk, bytes(chunk.data), list(chunk.byte_positions),
+                      list(chunk.shapes))
+                for key, (chunk, _size) in ds._chunk_cache._chunks.items()
+            }
+            step()
+            for key, (chunk, data, positions, shapes) in before.items():
+                assert isinstance(chunk.data, bytes), key
+                assert (bytes(chunk.data), chunk.byte_positions,
+                        chunk.shapes) == (data, positions, shapes), key
+        puts = Counter(
+            key for batch in store.batches for key in batch if is_chunk(key)
+        ) + Counter(key for key in store.singles if is_chunk(key))
+        assert puts and max(puts.values()) == 1
+        loaded = repro.load(store)
+        named = set()
+        for cid in loaded._tree.commits:
+            view = loaded._at_commit(cid)
+            for name in view._all_tensor_names():
+                named |= {
+                    K.chunk_key(cid, name, chunk) for chunk in
+                    view._engine(name)._chunk_sets.get(cid, ())
+                }
+        stored = {key for key in store._all_keys() if is_chunk(key)}
+        assert stored and stored <= named
+        assert stored & set(puts) == stored
+
+    def test_a_failed_batch_that_resumed_a_stored_chunk_replaces_nothing(
+        self,
+    ):
+        """A batch that copies the stored last chunk to resume it and then
+        fails rolls the copy back: the chunk keeps its key, nothing is
+        deleted, and the next append resumes it as if nothing happened."""
+        store = MemoryProvider("resume")
+        ds = repro.empty(store, overwrite=True)
+        ds.create_tensor("x", dtype="int64", create_shape_tensor=False,
+                         create_id_tensor=False)
+        ds.x.extend([np.arange(4, dtype=np.int64)] * 3)
+        ds.flush()
+        (key,) = [k for k in store._all_keys() if is_chunk(k)]
+        engine = ds._engine("x")
+        before = (engine.enc.tobytes(), set(engine.chunk_set),
+                  dict(engine.chunk_stats))
+        with pytest.raises(ChunkCorruptedError):  # rank 2 in a rank-1 chunk
+            ds.x.extend([np.arange(4, dtype=np.int64),
+                         np.zeros((2, 2), dtype=np.int64)])
+        assert (engine.enc.tobytes(), engine.chunk_set,
+                engine.chunk_stats) == before
+        assert engine._active_chunk is None and not engine._pending_chunks
+        ds.flush()
+        assert [k for k in store._all_keys() if is_chunk(k)] == [key]
+        ds.x.extend([np.arange(4, dtype=np.int64)])
+        ds.commit("resumed")
+        (resumed,) = [k for k in store._all_keys() if is_chunk(k)]
+        assert resumed != key
+        assert repro.load(store).x.numpy().tolist() == [[0, 1, 2, 3]] * 4
+
+    def _priced(self, ds, store, fn):
+        before = dict(store.requests_by_op)
+        fn()
+        return {op: n - before.get(op, 0)
+                for op, n in store.requests_by_op.items()
+                if n != before.get(op, 0)}
+
+    def test_an_update_costs_the_batch_the_manifest_and_one_delete(self):
+        """An update + flush is the chunk batch and the manifest PUT; the
+        key the copy replaced costs one delete at the commit that seals
+        the head, none when an ancestor stored it."""
+        store = make_object_store("s3", clock=SimClock())
+        ds = repro.empty(store, overwrite=True)
+        ds.create_tensor("x", dtype="int64", create_shape_tensor=False,
+                         create_id_tensor=False)
+        ds.x.extend([np.full(8, i, dtype=np.int64) for i in range(20)])
+        ds.flush()
+
+        def update():
+            ds.x[3] = np.full(8, -3, dtype=np.int64)
+            ds.flush()
+
+        batch_put = {"upload_batch": 1, "upload": 1}  # then the publish
+        # a chunk this head stored: its key goes after the commit's tree PUT
+        assert self._priced(ds, store, update) == batch_put
+        assert self._priced(ds, store, lambda: ds.commit("one")) == {
+            **batch_put, "delete": 1,
+        }
+        # an ancestor's chunk: its key stays the ancestor's
+        assert self._priced(ds, store, update) == batch_put
+        assert self._priced(ds, store, lambda: ds.commit("two")) == batch_put
+
+    def test_a_checkout_away_and_back_keeps_the_cache_warm(self):
+        store = make_object_store("s3", clock=SimClock())
+        ds = repro.empty(store, overwrite=True)
+        ds.create_tensor("x", dtype="int64")
+        ds.x.extend([np.full(8, i, dtype=np.int64) for i in range(20)])
+        ds.commit("one")
+        ds.checkout("dev", create=True)
+        ds.x.extend([np.full(8, i, dtype=np.int64) for i in range(5)])
+        ds.commit("two")
+        want = {"dev": ds.x.numpy()}
+        ds.checkout("main")
+        want["main"] = ds.x.numpy()
+        chunk_gets = []
+        backing_get = store.backing._get
+
+        def recording_get(key, start, end):
+            if is_chunk(key):
+                chunk_gets.append(key)
+            return backing_get(key, start, end)
+
+        store.backing._get = recording_get
+        for branch in ("dev", "main", "dev"):
+            ds.checkout(branch)
+            assert np.array_equal(ds.x.numpy(), want[branch])
+        assert chunk_gets == []
 
 
 class TestWhereParallelismLives:
@@ -1806,6 +2120,31 @@ class TestStreamingIngest:
             assert reader.a.num_samples == count
             assert int(reader.a[count - 1].numpy()) == count - 1
         assert counts == [5, 10, 15, 20, 23]
+
+    def test_a_reader_holding_an_earlier_batch_reads_it(self, tmp_path):
+        """Each batch resumes the last stored chunk as a copy under a
+        fresh key; the key it replaced stays until a commit seals the
+        head, so a handle opened at an earlier batch, its cache cold,
+        still reads every row that batch published."""
+        path = self._write_jsonl(tmp_path, 23)
+        storage = MemoryProvider()
+        ds = repro.empty(storage, overwrite=True)
+        stream = ingest_stream(JSONLSource(path), ds, batch_size=5)
+        assert next(stream) == 5
+        reader = repro.load(storage, read_only=True)
+        assert [next(stream), next(stream)] == [10, 15]
+        assert reader.a.numpy().tolist() == list(range(5))
+        assert [reader.b[i].data() for i in range(5)] == [
+            f"row{i}" for i in range(5)
+        ]
+        assert list(stream) == [20, 23]
+        sealed = repro.load(storage)._at_commit(ds.commit("ingested"))
+        assert sealed.a.numpy().tolist() == list(range(23))
+        named = {K.chunk_key(sealed.version_state.commit_id, name, chunk)
+                 for name in sealed._all_tensor_names()
+                 for chunk in sealed._engine(name).chunk_set}
+        # the seal deleted every key a batch's copy replaced
+        assert {k for k in storage._all_keys() if is_chunk(k)} == named
 
     def test_ingest_stream_limit(self, tmp_path):
         path = self._write_jsonl(tmp_path, 23)
