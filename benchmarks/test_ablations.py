@@ -269,7 +269,9 @@ def test_a5_rechunk(benchmark, rng):
     def retune():
         engine.meta.max_chunk_size = 64 << 10
         engine.meta.min_chunk_size = 32 << 10
-        return engine.rechunk()
+        chunks = engine.rechunk()
+        engine.flush()
+        return chunks
 
     after_chunks = benchmark.pedantic(retune, rounds=1, iterations=1)
     gets_after = epoch_gets(engine)

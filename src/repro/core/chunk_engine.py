@@ -49,10 +49,11 @@ The one write path
 ------------------
 An append stages a :class:`~repro.core.write_plan.WritePlan`, one column
 of payloads (a dense batch is one array), and commits it one chunk run at
-a time (:meth:`ChunkEngine.commit_appends`), never a row at a time.
-Chunks fill in the write buffer, the only chunk memory that changes, then
-upload (§3.4–3.5): a finalized chunk — and the copy :meth:`update` or a
-resumed append makes of a stored chunk, or :meth:`rechunk`'s chunks —
+a time (:meth:`ChunkEngine.commit_appends`), never a row at a time;
+:meth:`_commit_runs` is the one chunk filler, and :meth:`rechunk` is a
+re-append through it.  Chunks fill in the write buffer, the only chunk
+memory that changes, then upload (§3.4–3.5): a finalized chunk — and the
+copy :meth:`update` or a resumed append makes of a stored chunk —
 joins ``_pending_chunks``, and :meth:`_serialize_pending` turns the buffer
 into the ``set_many`` batch that is the only way a chunk reaches storage:
 when an update leaves ``_WATERMARK_CHUNKS`` chunks buffered or the next
@@ -83,11 +84,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.compression import (
-    compress_array,
-    decompress_array,
-    get_codec,
-)
+from repro.compression import compress_array, decompress_array
 from repro.core import read_plan
 from repro.core.chunk import Chunk, ChunkHeader
 from repro.core.chunk_cache import ChunkCache
@@ -101,7 +98,6 @@ from repro.core.meta import TensorMeta
 from repro.core.read_plan import (  # noqa: F401 - PRUNED re-exported
     KIND_PAD,
     KIND_SAMPLE,
-    KIND_TILED,
     PRUNED,
     FusedReadPlan,
     ReadPlan,
@@ -625,24 +621,20 @@ class ChunkEngine:
             self.chunk_stats[name] = entry
 
     def backfill_chunk_stats(self) -> int:
-        """Compute statistics for every chunk that predates the sidecar.
+        """Compute statistics for every chunk without a usable entry: one
+        that predates the sidecar, or one recorded ``None`` because its
+        samples were not observable when written (pre-encoded Samples, a
+        rechunk of such chunks) — decoding makes them observable.
 
-        Decodes each missing chunk once (any codec) and records full
-        stats, so old datasets gain pushdown without a rewrite.  Returns
-        the number of chunks backfilled.
+        Decodes each such chunk once (any codec) and records full stats,
+        so old datasets gain pushdown without a rewrite.  Returns the
+        number of chunks backfilled.
         """
         if not self._stats_eligible():
             return 0
-        names: List[str] = []
-        seen: Set[str] = set()
-        for cid, _s, _e in self.enc.chunk_ranges():
-            name = ChunkIdEncoder.name_from_id(cid)
-            if name not in seen:
-                seen.add(name)
-                names.append(name)
         done = 0
-        for name in names:
-            if name in self.chunk_stats:
+        for name in dict.fromkeys(name for name, _s, _e in self.chunk_layout()):
+            if self.chunk_stats.get(name) is not None:
                 continue
             try:
                 chunk = self._load_chunk(name)
@@ -922,6 +914,12 @@ class ChunkEngine:
                 for name in names
                 if name in self.chunk_set and self._mem_chunk(name) is None]
 
+    def _tiles_oversize(self) -> bool:
+        """Whether a row over ``max_chunk_size`` is tiled: it is not when
+        it is a video clip, a link or a sequence item."""
+        m = self.meta
+        return not (m.is_sequence or m.htype == "video" or m.is_link)
+
     def _commit_runs(self, plan: WritePlan,
                      touched: Dict[str, Tuple[int, int]]) -> None:
         """Move the payloads of *plan* into chunks (the infallible half of
@@ -932,13 +930,10 @@ class ChunkEngine:
         chunk-filling rule puts in the chunk :meth:`_get_active_chunk`
         picks for the first: one :meth:`Chunk.extend`, one stats widening,
         one encoder registration, one shape-interval update.  A row over
-        ``max_chunk_size`` (not video, not a link, not a sequence item)
-        is tiled on its own."""
+        ``max_chunk_size`` is tiled on its own (:meth:`_tiles_oversize`)."""
         meta = self.meta
-        flat = plan.lengths is None
-        tiled = plan.oversize(meta.max_chunk_size) & (
-            flat and meta.htype != "video" and not meta.is_link
-        )
+        flat = not meta.is_sequence
+        tiled = plan.oversize(meta.max_chunk_size) & self._tiles_oversize()
         stops = plan.stops(tiled)
         eligible = self._stats_eligible()
         i = 0
@@ -1413,90 +1408,51 @@ class ChunkEngine:
     # ------------------------------------------------------------------ #
 
     def rechunk(self) -> int:
-        """Rewrite all chunks into the optimal [min, max] layout (§3.5).
+        """Re-append every flat item (a sequence keeps its item ranges)
+        through the one chunk filler (:meth:`_commit_runs`), so the layout
+        is the one an ``extend`` of the same rows writes (§3.5); returns
+        the number of chunks.
 
-        Returns the number of chunks after optimisation.  Random updates
-        and sparse writes fragment chunks over time; rechunking restores
-        streaming-friendly sizes.  Chunks owned by ancestor commits are
-        left untouched (immutable history); only the current commit's view
-        is rewritten.
+        Payloads are copied verbatim, their extremes their source chunk's
+        recorded ``[min, max]``: a new chunk's range is the hull of its
+        sources' (``None`` when one has none).  Padded and tiled rows, and
+        a copied row an append would tile, are re-staged from their values.
+        Ancestors' chunks stay; the keys this commit stored are superseded
+        (:meth:`_fork`).  The chunks publish with the owner's next flush,
+        like an append's.
         """
-        # one plan over every flat item, fetched as whole chunks in one
-        # batch: payloads are copied chunk to chunk below (raw bytes +
-        # stored shape), never decoded — and never probed sample by sample
         plan = self.plan_reads(range(self.enc.num_samples), items=True)
         chunks = FusedReadPlan().add(self, plan)._fetch_all()[0]
-
-        # unwritten in-memory chunks (active + upload buffer) are held by
-        # *chunks* above; the rewrite below re-emits every surviving
-        # sample into fresh chunks, which ride the flush that ends it
-        old_owned = set(self.chunk_set)
-        stored = self._stored_keys(old_owned)
-        self._active_chunk = None
-        self._pending_chunks.clear()
-        new_enc = ChunkIdEncoder()
-        new_tiles = TileEncoder()
-        self.chunk_set = set()
-        active: Optional[Chunk] = None
-
-        def finish_active():
-            nonlocal active
-            if active is not None and active.num_samples:
-                self._pending_chunks[active.name] = active
-            active = None
-
+        hulls = [
+            np.array([v for v in (e["min"], e["max"]) if v is not None],
+                     self.meta.dtype) if e else None
+            for e in map(self.chunk_stats.get, plan.names)
+        ]
+        payloads = []
         items = zip(plan.kind.tolist(), plan.chunk_ord.tolist(),
                     plan.local.tolist())
         for i, (kind, chunk_ord, local) in enumerate(items):
-            if kind == KIND_TILED:  # re-append as tiles
-                finish_active()
-                arr = read_plan.tiled_value(self, plan, i, chunks)
-                tile_shape = tiling.choose_tile_shape(
-                    arr.shape, arr.dtype.itemsize, self.meta.max_chunk_size
-                )
-                ids = []
-                for tile in tiling.split(arr, tile_shape):
-                    buf = (
-                        compress_array(tile, self.meta.sample_compression)
-                        if self.meta.sample_compression
-                        else tile.tobytes()
-                    )
-                    chunk = Chunk(dtype=self.meta.dtype)
-                    chunk.append(buf, tile.shape)
-                    self.chunk_set.add(chunk.name)
-                    self._pending_chunks[chunk.name] = chunk
-                    ids.append(ChunkIdEncoder.id_from_name(chunk.name))
-                new_enc.register_tiled_sample(ids)
-                new_tiles.register(i, arr.shape, tile_shape)
-                continue
-            if kind == KIND_PAD:  # re-emitted exactly as pad_to wrote it
-                raw, shape, _arr = self._serialize_sample(self._pad_value())
-            else:
+            if kind == KIND_SAMPLE:
                 chunk = chunks[plan.names[chunk_ord]]
                 raw, shape = chunk.read_bytes(local), chunk.read_shape(local)
-            if active is None or not active.can_fit(
-                len(raw), self.meta.max_chunk_size
-            ):
-                finish_active()
-                active = Chunk(dtype=self.meta.dtype)
-                new_enc.register_chunk(
-                    ChunkIdEncoder.id_from_name(active.name), 0
-                )
-                self.chunk_set.add(active.name)
-            active.append(raw, shape)
-            new_enc.register_samples(1)
-        finish_active()
-
-        # sequence tensors: only the flat encoder is rebuilt, item ranges
-        # are unchanged
-        for name in old_owned:
-            self.chunk_stats.pop(name, None)
-        # the replaced chunks this commit stored are superseded (_fork)
-        self._superseded += stored
-        self.enc = new_enc
-        self.tile_enc = new_tiles
-        self._dirty = True
-        self.flush()
+                oversize = len(raw) > self.meta.max_chunk_size
+                payloads.append((raw, shape, self._deserialize_sample(
+                    raw, shape) if oversize and self._tiles_oversize()
+                    else hulls[chunk_ord]))
+            else:
+                payloads.append(self._serialize_sample(
+                    self._pad_value() if kind == KIND_PAD
+                    else read_plan.tiled_value(self, plan, i, chunks)))
+        staged = WritePlan(self.tensor)
+        staged.set_payloads(payloads)
+        with self._lock:
+            self._superseded += self._stored_keys(self.chunk_set)
+            self._active_chunk = None
+            self._pending_chunks.clear()
+            self.enc, self.tile_enc = ChunkIdEncoder(), TileEncoder()
+            self.chunk_set, self.chunk_stats = set(), {}
+            self._commit_runs(staged, {})
+            self._dirty = True
         return self.enc.num_chunks
 
     # ------------------------------------------------------------------ #

@@ -182,7 +182,7 @@ class Dataset:
 
     def _new_engine(self, name: str, **kwargs) -> ChunkEngine:
         """An engine of this dataset, reading through its one chunk cache;
-        its own flushes (rechunk, stats backfill) go through :meth:`flush`.
+        its own flush (a stats backfill) goes through :meth:`flush`.
         It holds the dataset weakly — every view holds it strongly
         (:meth:`_spawn`) — so no cycle keeps the engines alive."""
         owner = weakref.ref(self.__dict__.get("_owner", self))
@@ -1084,14 +1084,17 @@ class Dataset:
         )
 
     def rechunk(self, tensors: Optional[Sequence[str]] = None) -> Dict[str, int]:
-        """Optimise chunk layout of the given (default: all) tensors."""
+        """Optimise chunk layout of the given (default: all) tensors, and
+        publish every rewritten chunk with one flush."""
         self._check_writable()
         names = (
             [self._qualify(t) for t in tensors]
             if tensors
             else self._all_tensor_names(include_hidden=True)
         )
-        return {e.tensor: e.rechunk() for e in self._open_engines(names)}
+        chunks = {e.tensor: e.rechunk() for e in self._open_engines(names)}
+        self.flush()
+        return chunks
 
     def summary(self) -> str:
         lines = [

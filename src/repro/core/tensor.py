@@ -201,8 +201,12 @@ class Tensor:
     # ------------------------------------------------------------------ #
 
     def rechunk(self) -> int:
+        """Rewrite the tensor's chunks as one append of its rows would lay
+        them out, and publish them with one flush."""
         self.dataset._check_writable()
-        return self.engine.rechunk()
+        chunks = self.engine.rechunk()
+        self.engine.flush()
+        return chunks
 
     def summary(self) -> str:
         meta = self.meta

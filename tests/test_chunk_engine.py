@@ -260,6 +260,7 @@ class TestRechunk:
             engine.update(i, values[i])
         before_chunks = engine.enc.num_chunks
         engine.rechunk()
+        engine.flush()
         for i, v in enumerate(values):
             assert np.array_equal(engine_row(engine, i), v)
         assert engine.enc.num_samples == 120
@@ -277,6 +278,116 @@ class TestRechunk:
         engine.rechunk()
         assert np.array_equal(engine_row(engine, 1), big)
         assert engine.tile_enc.num_tiled == 1
+
+    @pytest.mark.parametrize(
+        "layout", ["ragged", "lz4", "tiled", "sequence", "padded", "jpeg"]
+    )
+    def test_rechunk_writes_what_one_extend_of_the_rows_writes(self, rng,
+                                                               layout):
+        """After fragmenting appends and updates, ``rechunk()`` lays the
+        rows out as one ``extend`` of them into a fresh tensor does — the
+        same rows per chunk, the same tile encoder — and every raw
+        payload reads back byte for byte, before and after a reload."""
+        from repro.compression import compress_array
+        from repro.core.sample import Sample
+        from repro.workloads import smooth_image
+
+        def jpeg(size):
+            image = smooth_image(rng, size, size)
+            return Sample(buffer=compress_array(image, "jpeg"),
+                          compression="jpeg")
+
+        def ints(n):
+            return np.arange(n, dtype=np.int64)
+
+        if layout in ("ragged", "lz4"):
+            kwargs = {"dtype": "int64", "max_chunk_size": 512,
+                      "sample_compression": "lz4" if layout == "lz4" else None}
+            rows = [ints(i % 13) for i in range(60)]
+        elif layout == "tiled":
+            kwargs = {"dtype": "uint8", "max_chunk_size": 4096}
+            rows = [rng.integers(0, 255, (8, 8, 3), dtype=np.uint8)
+                    for _ in range(40)]
+            rows[5] = rng.integers(0, 255, (100, 100, 3), dtype=np.uint8)
+        elif layout == "sequence":  # no update: rechunk at a wider bound
+            kwargs = {"htype": "sequence[generic]", "dtype": "int32",
+                      "max_chunk_size": 256}
+            rows = [[np.arange(i, i + 5, dtype=np.int32)] * (i % 4)
+                    for i in range(30)]
+        elif layout == "padded":
+            kwargs = {"dtype": "float64", "max_chunk_size": 256}
+            rows = [np.full(3, float(i)) for i in range(20)]
+        else:  # pre-encoded samples, copied into chunks verbatim
+            kwargs = {"htype": "image", "sample_compression": "jpeg",
+                      "max_chunk_size": 8192}
+            rows = [jpeg(24) for _ in range(30)]
+
+        def update(i):  # a row grown past its chunk's room, or shrunk
+            big = i % 8
+            if layout in ("ragged", "lz4"):
+                return ints(40 if big else 1)
+            if layout == "tiled":
+                return rng.integers(0, 255, (20 if big else 2, 8, 3),
+                                    dtype=np.uint8)
+            if layout == "padded":
+                return np.full(9 if big else 1, -1.0)
+            return jpeg(48 if big else 8)
+
+        engine, storage = make_engine(**kwargs)
+        third = len(rows) // 3
+        for start in (0, third, 2 * third):  # each batch sealed by a flush
+            engine.extend(rows[start:start + third])
+            engine.flush()
+        if layout == "padded":
+            engine.pad_to(25)
+        if layout == "sequence":
+            engine.meta.max_chunk_size *= 4
+        else:
+            for i in range(0, engine.num_samples, 4):
+                engine.update(i, update(i))
+        every = range(engine.num_samples)
+        raw = engine_rows(engine, every, decode=False)
+
+        fresh, _ = make_engine(
+            **{**kwargs, "max_chunk_size": engine.meta.max_chunk_size}
+        )
+        fresh.extend(
+            [Sample(buffer=b, compression="jpeg") for b in raw]
+            if layout == "jpeg" else engine_rows(engine, every, aslist=True)
+        )
+
+        def runs(e):
+            return [end - start for _name, start, end in e.chunk_layout()]
+
+        fragmented = runs(engine)
+        engine.rechunk()
+        assert runs(engine) == runs(fresh) != fragmented
+        assert engine.tile_enc.tobytes() == fresh.tile_enc.tobytes()
+        assert engine_rows(engine, every, decode=False) == raw
+        engine.flush()
+        cold = ChunkEngine("t", storage, VersionState())
+        assert runs(cold) == runs(fresh)
+        assert engine_rows(cold, every, decode=False) == raw
+
+    def test_rechunk_tiles_a_row_over_a_lowered_bound(self):
+        """A stored row over a lowered ``max_chunk_size`` is tiled by the
+        rechunk, as an append at that bound tiles it."""
+        values = [np.arange(i * 8, dtype=np.int64) for i in range(1, 9)]
+        engine, _ = make_engine(dtype="int64", max_chunk_size=4096)
+        engine.extend(values)
+        engine.flush()
+        engine.meta.max_chunk_size = 256
+        engine.rechunk()
+        fresh, _ = make_engine(dtype="int64", max_chunk_size=256)
+        fresh.extend(values)
+        assert engine.tile_enc.num_tiled == 4  # the rows over 256 bytes
+        assert engine.tile_enc.tobytes() == fresh.tile_enc.tobytes()
+        assert engine.chunk_layout() != fresh.chunk_layout()  # fresh names
+        assert [(s, e) for _n, s, e in engine.chunk_layout()] == [
+            (s, e) for _n, s, e in fresh.chunk_layout()
+        ]
+        for got, want in zip(engine_rows(engine, range(8)), values):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("layout", ["flat", "tiled", "sequence", "padded"])
     def test_cold_rechunk_fetches_whole_chunks_and_round_trips(self, rng,
@@ -340,6 +451,7 @@ class TestRechunk:
         storage.stats.reset()
         single_puts = storage.requests_by_op.get("upload", 0)
         cold.rechunk()
+        cold.flush()
         assert storage.stats.get_requests <= n_chunks + 2
         assert storage.requests_by_op.get("upload", 0) == single_puts
         assert storage.stats.put_requests >= cold.enc.num_chunks  # batched

@@ -13,11 +13,15 @@ Three contracts of the columnar engine (ISSUE 7):
   column once per scan window.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 import repro
+from repro.compression import compress_array
 from repro.core.chunk_engine import ChunkEngine
+from repro.core.sample import Sample
 from repro.exceptions import TQLTypeError
 from repro.storage import MemoryProvider
 from repro.tql import Executor, build_plan, parse
@@ -583,6 +587,65 @@ class TestStatsPushdown:
         ex = _executor(cold, q)
         out = ex.run(q)
         assert len(out) == 32 and ex.chunks_skipped > 0
+
+    @staticmethod
+    def _rows_ds(sample_compression=None, encoded=False):
+        """256 rows ``full(5, i)`` of int64 in chunks of 2048 bytes, as
+        arrays or as pre-encoded lz4 Samples; ``x >= 200`` prunes 3."""
+        store = MemoryProvider()
+        ds = repro.empty(store, overwrite=True)
+        ds.create_tensor("x", dtype="int64", max_chunk_size=2048,
+                         sample_compression=sample_compression,
+                         create_shape_tensor=False, create_id_tensor=False)
+        rows = [np.full(5, i, dtype=np.int64) for i in range(256)]
+        if encoded:
+            rows = [Sample(buffer=compress_array(row, "lz4"),
+                           compression="lz4") for row in rows]
+        ds.x.extend(rows)
+        ds.flush()
+        return store, ds
+
+    @staticmethod
+    def _skipped(ds, q="SELECT * WHERE x >= 200"):
+        ex = _executor(ds, q)
+        assert len(ex.run(q)) == 56
+        return ex.chunks_skipped
+
+    @pytest.mark.parametrize("compression", [None, "lz4"])
+    def test_a_rechunked_tensor_prunes_as_before(self, compression):
+        """A rechunk re-appends every row with its source chunk's range as
+        its extremes, so a reload prunes as many chunks as before it."""
+        store, ds = self._rows_ds(compression)
+        before = self._skipped(repro.load(store))
+        ds.rechunk()
+        assert self._skipped(repro.load(store)) == before == 3
+
+    def test_a_rechunk_sidecar_names_only_live_chunks(self):
+        """After a rechunk of a committed tensor, the head's stats sidecar
+        names exactly the chunks its encoder does."""
+        store, ds = self._rows_ds()
+        ds.commit("rows")
+        ds.rechunk()
+        cid = ds.commit_id
+        state = unpack_manifest(store[K.head_manifest_key(cid)],
+                                K.commit_root(cid))
+        sidecar = json.loads(state[K.chunk_stats_key(cid, "x")])
+        live = {name for name, _s, _e in ds._engine("x").chunk_layout()}
+        assert set(sidecar) == live and len(live) == 6
+
+    def test_backfill_recomputes_unobservable_chunks(self):
+        """Pre-encoded Samples leave every chunk's stats ``None``, and a
+        rechunk keeps them so; a backfill decodes those chunks, after
+        which pushdown skips them like any other."""
+        _store, ds = self._rows_ds("lz4", encoded=True)
+        engine = ds._engine("x")
+        assert list(engine.chunk_stats.values()) == [None] * 5
+        assert self._skipped(ds) == 0
+        ds.rechunk()
+        assert list(engine.chunk_stats.values()) == [None] * 5
+        assert engine.backfill_chunk_stats() == 5
+        assert self._skipped(ds) == 3
+        assert engine.backfill_chunk_stats() == 0
 
     def test_lazy_stats_from_decoded_chunks(self):
         ds = _chunked_ds("mem://tqllazy")

@@ -5,8 +5,8 @@ charging on the simulated object store, the commit point (a batch of keys
 nothing durable names, then the one PUT that publishes them), atomic
 append/extend under mid-batch failures, the killed-mid-flush reload
 guarantee (a failed flush, a failed ``rechunk``, every N-th write across
-extend/commit/branch/merge and across ``delete_tensor``, and every torn
-batch), the write path's round-trip budget (a ``commit`` is a batch and
+extend/commit/branch/merge, across ``delete_tensor`` and across
+``rechunk`` + commit, and every torn batch), the write path's round-trip budget (a ``commit`` is a batch and
 the tree, a flush writes only what changed), the one upload
 buffer (finalized, updated and rechunked chunks; sealed chunks upload
 under the next call's staging), where the write path's one thread pool
@@ -819,6 +819,74 @@ class TestKilledMidFlush:
             else:
                 assert np.array_equal(have, want)
 
+    @pytest.mark.parametrize("crash", ["killed", "torn"])
+    def test_a_rechunk_and_commit_killed_at_any_write_reads_the_model(
+        self, crash
+    ):
+        """``ds.rechunk(); ds.commit()`` over a fragmented layout — flat
+        rows, a tiled row, padding and updates in three tensors, one of
+        them a sequence — killed at every write (the rechunk's chunk batch
+        and manifest, the commit's batch and tree, each delete of a
+        replaced key) and, for ``torn``, with every subset of a batch
+        installed: each reload opens and reads every row as the model
+        has it."""
+        rng = np.random.default_rng(11)
+        images = [rng.integers(0, 255, (10, 10), dtype=np.uint8)
+                  for _ in range(20)]
+        images[7] = rng.integers(0, 255, (40, 40), dtype=np.uint8)  # tiled
+        labels = [np.int64(i) for i in range(20)]
+        seqs = [[np.full(6, i, dtype=np.int32)] * (i % 3) for i in range(20)]
+        updated = (0, 5, 7, 19)
+        new = {i: rng.integers(0, 255, images[i].shape, dtype=np.uint8)
+               for i in updated}
+        model = {
+            "a": [new.get(i, row) for i, row in enumerate(images)]
+            + [np.zeros((0, 0), dtype=np.uint8)] * 4 + [images[0]],
+            "b": [np.int64(-i) if i in new else v
+                  for i, v in enumerate(labels)],
+            "s": seqs,
+        }
+
+        def setup():
+            storage = TearsBatches() if crash == "torn" else FailsNthWrite()
+            ds = repro.empty(storage, overwrite=True, strict=False)
+            ds.create_tensor("a", dtype="uint8", max_chunk_size=512)
+            ds.create_tensor("b", dtype="int64", max_chunk_size=64)
+            ds.create_tensor("s", htype="sequence[generic]", dtype="int32",
+                             max_chunk_size=64)
+            for start in (0, 10):  # two batches, each sealed by a flush
+                ds.extend({name: rows[start:start + 10]
+                           for name, rows in (("a", images), ("b", labels),
+                                              ("s", seqs))})
+                ds.flush()
+            ds.a[24] = images[0]  # pads rows 20..23
+            for i in updated:
+                ds.a[i], ds.b[i] = new[i], np.int64(-i)
+            ds.flush()
+            return storage, ds
+
+        def script(ds):
+            ds.rechunk()
+            ds.commit("rechunked")
+
+        walk = torn_at_every_write if crash == "torn" else (
+            killed_at_every_write
+        )
+        runs = 0
+        for n, storage in walk(setup, script):
+            runs += 1
+            loaded = repro.load(storage)
+            for name, rows in model.items():
+                got = loaded[name].numpy(aslist=True)
+                assert len(got) == len(rows), (n, name)
+                for have, want in zip(got, rows):
+                    if name == "s":
+                        assert len(have) == len(want), n
+                        assert all(map(np.array_equal, have, want)), n
+                    else:
+                        assert np.array_equal(have, want), (n, name)
+        assert runs > 6  # the batches, the publishing PUTs and deletes
+
     def test_any_failed_write_reloads_to_a_prefix_of_the_commits(self, rng):
         """A store that fails its N-th write, for every N across
         ``extend -> commit -> extend -> commit``: a reload always sees a
@@ -1183,6 +1251,20 @@ class TestCommitRoundTrips:
         with spent(store) as reqs:
             ds.flush()
         assert reqs == {}
+
+    def test_a_rechunk_is_one_batch_and_the_manifest(self, spent):
+        """``ds.rechunk()`` of two tensors — six with their companions —
+        buffers every rewritten chunk like an append and publishes them
+        with ONE flush: one batch and the manifest, not a pair per
+        tensor."""
+        store = make_object_store("s3", clock=SimClock())
+        ds = _int_dataset(store, ("a", "b"))
+        ds.flush()
+        _writes, singles, _batches = record_writes(store)
+        with spent(store) as reqs:
+            ds.rechunk()
+        assert reqs == {"upload_batch": 1, "upload": 1}
+        assert singles == [K.head_manifest_key(ds.commit_id)]
 
     def test_create_tensor_is_one_round_trip(self, spent):
         """The tensor, its companions and the dataset meta naming them
