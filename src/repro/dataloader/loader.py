@@ -9,15 +9,19 @@ numbers capped by the memory budget), a task being ONE
 per tensor fused into one storage round trip, each chunk fetched whole,
 decompressed once, all samples sliced; codecs release the GIL) plus the
 user transform -> the consumer re-batches tasks in plan order (shares
-need not divide a batch) -> collate -> framework handover.  The loader
-streams, so it never takes the ranged single-sample fetch: even
-``batch_size=1`` costs one GET per chunk, its neighbours are consumed
-next and served from the decoded chunk.
-Statistics record
-wall time spent waiting on data vs total so benchmarks can report loader
-stall (the complement of GPU utilization in the training sims), plus the
-decoded-chunk cache hit/miss counts that make chunk-granular batching
-observable.
+need not divide a batch) -> collate -> framework handover.  With
+workers, fetching runs one window ahead of them: while ``L`` tasks are
+in flight, the chunks of the next ``L`` are fetched or being fetched, in
+ONE fused ``get_many`` per ``L`` tasks (the first covers the first two
+windows), on the prefetch stage's ``loader-fetch-ahead`` thread; a task
+joins that fetch or finds its chunks resident.  ``num_workers=0`` starts
+no thread.  The loader streams, so it never takes the ranged
+single-sample fetch: even ``batch_size=1`` costs one GET per chunk, its
+neighbours are consumed next and served from the decoded chunk.
+Statistics record wall time spent waiting on data vs total so benchmarks
+can report loader stall (the complement of GPU utilization in the
+training sims), plus the decoded-chunk cache hit/miss counts that make
+chunk-granular batching observable.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import chunk_cache
+from repro.core.read_plan import FusedReadPlan
 from repro.dataloader.collate import default_collate
 from repro.dataloader.order import (
     chunk_aware_shuffle,
@@ -254,10 +260,33 @@ class DeepLakeLoader:
     def _engines(self):
         return self.dataset._open_engines(self._qualified())
 
+    @staticmethod
+    def _warm_chunks(engines, tasks: List[Tuple[int, ...]]) -> None:
+        """A fetch-ahead batch: the chunks *tasks* will read, every
+        tensor's, in ONE fused ``get_many`` (their ``read_rows`` then join
+        its flights or find the chunks resident).  Three batches' chunks
+        are live at once — the tasks in flight's, the next tasks', and the
+        batch being fetched — so a batch whose missing chunks, at
+        ``max_chunk_size`` each, would take over a third of the handle's
+        cache is left to its tasks: it would evict chunks they need."""
+        rows = [row for task in tasks for row in task]
+        fused = FusedReadPlan()
+        nbytes = 0
+        for engine in engines:
+            plan = engine.plan_reads(rows)
+            missing = sum(engine.cache.get(key) is None
+                          for key in plan.chunk_keys.values())
+            if missing:
+                fused.add(engine, plan)
+                nbytes += missing * engine.meta.max_chunk_size
+        if fused.parts and nbytes <= chunk_cache.CACHE_BYTES // 3:
+            fused.prefetch()
+
     def __iter__(self):
         self.stats = LoaderStats()
         # first, before the order plan: every cold tensor opens in one batch
-        self.stats._track_engines(self._engines())
+        engines = self._engines()
+        self.stats._track_engines(engines)
         rows = self._plan_order()
         workers = max(1, self.num_workers)
         nbytes = self._sample_nbytes()
@@ -277,6 +306,7 @@ class DeepLakeLoader:
             ),
             priority_of=self._make_priority_fn() if self.num_workers else None,
             queue_gauge=self._g_queue,
+            warm=lambda tasks: self._warm_chunks(engines, tasks),
         )
         epoch_start = time.perf_counter()
         batch_start = epoch_start
@@ -311,5 +341,6 @@ class DeepLakeLoader:
                 self._h_batch.observe(time.perf_counter() - batch_start)
                 yield to_backend(self.collate(batch), self.backend)
         finally:
+            stream.close()  # an abandoned epoch stops its threads now
             self.stats.total_s = time.perf_counter() - epoch_start
             self._g_queue.set(0)

@@ -21,6 +21,7 @@ of samples from their storage positions (1.0 ≈ perfectly mixed).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,18 +47,19 @@ def chunk_aware_shuffle(
     """Shuffle chunk order, then samples within windows of chunks.
 
     *chunk_ranges* is ``engine.chunk_layout()`` of the dominant tensor:
-    (chunk_name, start_sample, end_sample) rows in storage order.
+    (chunk_name, start_sample, end_sample) rows in storage order.  The
+    result is a permutation of *rows* as a multiset: a row a view names
+    twice goes into its chunk's group twice.
     """
     rng = np.random.default_rng(seed)
-    rowset = set(rows)
+    counts = Counter(rows)
     groups: List[List[int]] = []
-    covered = set()
     for _name, start, end in chunk_ranges:
-        group = [i for i in range(start, end) if i in rowset]
-        covered.update(group)
+        group = [i for i in range(start, end) if i in counts
+                 for _ in range(counts.pop(i))]
         if group:
             groups.append(group)
-    stray = [i for i in rows if i not in covered]
+    stray = [i for i in rows if i in counts]  # in no chunk range
     if stray:
         groups.append(list(stray))
     order = rng.permutation(len(groups))

@@ -3,7 +3,7 @@
 "Deep Lake dataloader delegates highly parallel fetching and in-place
 decompressing in C++ per process to avoid global interpreter lock" — here
 the decoders (zlib/scipy) release the GIL, so a thread pool achieves the
-same overlap.  Two properties from the paper are reproduced explicitly:
+same overlap.  Three properties from the paper are reproduced explicitly:
 
 - **Smart scheduler**: tasks carry an estimated CPU cost; workers pull
   the most CPU-intensive pending task first so decode-heavy samples start
@@ -16,6 +16,12 @@ same overlap.  Two properties from the paper are reproduced explicitly:
   a memory budget computed from worst-case decoded sample size
   ("predicting memory consumption to avoid breaking the training process
   due to memory overfilling").
+- **Highly parallel fetching**: while tasks ``[p, p + L)`` are in
+  flight (``L`` the in-flight limit), the chunks of the next ``L`` are
+  fetched or being fetched — by one ``loader-fetch-ahead`` thread, in ONE
+  fused ``get_many`` per ``L`` tasks, woken once per ``L`` submitted
+  tasks — so storage round trips overlap the workers' decode instead of
+  alternating with it.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from repro.exceptions import (
     MemoryBudgetError,
     TaskCancelledError,
 )
+from repro.obs import tracing as _tracing
 
 
 class PriorityWorkerPool:
@@ -197,6 +204,53 @@ def compute_inflight_limit(
     return max(1, limit)
 
 
+class _Ahead:
+    """The fetch-ahead stage of :func:`prefetched`: one thread running
+    ``warm(items)`` on the latest items it was handed, under the
+    consumer's span.  Items it falls behind on are left to their tasks."""
+
+    def __init__(self, warm: Callable[[List], None], parent):
+        self._warm = warm
+        self._parent = parent
+        self._cond = threading.Condition()
+        self._items: Optional[List] = None
+        self._stopped = False
+        self._thread = threading.Thread(
+            target=self._run, daemon=True, name="loader-fetch-ahead"
+        )
+        self._thread.start()
+
+    def hand(self, items: List) -> None:
+        with self._cond:
+            self._items = items
+            self._cond.notify()
+
+    def _run(self) -> None:
+        while True:
+            with self._cond:
+                while self._items is None and not self._stopped:
+                    self._cond.wait()
+                if self._stopped:
+                    return
+                items, self._items = self._items, None
+            try:
+                with _tracing.attached(self._parent):
+                    self._warm(items)
+            except Exception:  # noqa: BLE001 - the items' tasks raise it:
+                pass  # from the flights it led, or fetching again themselves
+
+    def stop(self) -> None:
+        with self._cond:
+            self._stopped = True
+            self._cond.notify()
+        self._thread.join(timeout=5)
+
+
+def _under(parent, fn: Callable, item):
+    with _tracing.attached(parent):
+        return fn(item)
+
+
 def prefetched(
     indices: Sequence,
     fetch: Callable[..., Dict],
@@ -204,12 +258,24 @@ def prefetched(
     inflight_limit: int,
     priority_of: Optional[Callable[..., float]] = None,
     queue_gauge=None,
+    warm: Optional[Callable[[List], None]] = None,
 ) -> Iterator[Dict]:
-    """Yield ``fetch(i)`` results in input order with bounded lookahead.
+    """Yield ``fetch(i)`` results in input order, the workers at most
+    *inflight_limit* items ahead of the consumer.
 
-    Workers run ahead by up to *inflight_limit* items (the loader's
-    tasks); consumption order is preserved so batches are deterministic
-    given the order plan.
+    Consumption order is preserved so batches are deterministic given
+    the order plan.  Each ``fetch`` runs under the consumer's current
+    span (:func:`repro.obs.tracing.attached`), so a traced epoch's tree
+    holds its workers' spans.
+
+    *warm* (optional) is the fetch-ahead stage: ``warm(items)`` brings
+    what the ``fetch`` of *items* will read close, so that while items
+    ``[p, p + L)`` are in flight (``L = inflight_limit``) the next ``L``
+    are already warm or warming.  The first call covers ``[0, 2L)``
+    before anything is submitted; then, each time ``kL`` items have been
+    submitted, a ``loader-fetch-ahead`` thread is handed ``[(k+1)L,
+    (k+2)L)``.  An error of the first call is raised here; the thread's
+    reach the consumer through those items' ``fetch`` calls.
 
     *queue_gauge* (an :class:`repro.obs.metrics.Gauge`, optional) tracks
     the number of in-flight prefetch tasks so a metrics snapshot shows
@@ -219,19 +285,31 @@ def prefetched(
         for i in indices:
             yield fetch(i)
         return
+    indices = list(indices)
+    parent = _tracing.current_span()
     pool = PriorityWorkerPool(num_workers)
+    ahead = _Ahead(warm, parent) if warm is not None else None
     try:
-        indices = list(indices)
         futures: Dict[int, Future] = {}
         next_submit = 0
+        warmed = 0  # items [0, warmed) were warmed or handed to the thread
+        if ahead is not None:
+            warmed = 2 * inflight_limit
+            warm(indices[:warmed])
 
         def submit_upto(target: int) -> None:
-            nonlocal next_submit
+            nonlocal next_submit, warmed
             while next_submit < min(target, len(indices)):
                 i = indices[next_submit]
                 prio = priority_of(i) if priority_of else 0.0
-                futures[next_submit] = pool.submit(prio, fetch, i)
+                futures[next_submit] = pool.submit(
+                    prio, _under, parent, fetch, i
+                )
                 next_submit += 1
+                if ahead is not None and (
+                        next_submit + inflight_limit == warmed < len(indices)):
+                    ahead.hand(indices[warmed:warmed + inflight_limit])
+                    warmed += inflight_limit
             if queue_gauge is not None:
                 queue_gauge.set(len(futures))
 
@@ -242,4 +320,6 @@ def prefetched(
             submit_upto(pos + 1 + inflight_limit)
             yield value
     finally:
+        if ahead is not None:
+            ahead.stop()
         pool.shutdown()

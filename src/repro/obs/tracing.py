@@ -187,6 +187,32 @@ def current_span() -> Optional[Span]:
     return stack[-1] if stack else None
 
 
+class _Attached:
+    """See :func:`attached`."""
+
+    __slots__ = ("parent", "prev")
+
+    def __init__(self, parent: Span):
+        self.parent = parent
+        self.prev = None
+
+    def __enter__(self) -> Span:
+        self.prev = getattr(_tls, "stack", None)
+        _tls.stack = [self.parent]
+        return self.parent
+
+    def __exit__(self, *exc_info) -> None:
+        _tls.stack = self.prev
+
+
+def attached(parent: Optional[Span]):
+    """``with attached(parent):`` runs its body under *parent*, a span
+    captured (:func:`current_span`) on the thread that handed the work
+    over: *parent* is the base of this thread's span stack for the body,
+    so the body's spans are its children.  A no-op for ``None``."""
+    return _NOOP_SPAN if parent is None else _Attached(parent)
+
+
 def trace_context() -> Optional[Tuple[str, str]]:
     """``(trace_id, span_id)`` of the active span, for propagation."""
     active = current_span()

@@ -1,6 +1,10 @@
 """Streaming dataloader: order planning, prefetch, collate, budgets,
 framework handover, statistics."""
 
+import sys
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -50,6 +54,15 @@ class TestOrderPlanning:
         ranges = [(f"c{i}", i * 10, (i + 1) * 10) for i in range(5)]
         out = chunk_aware_shuffle(rows, ranges, seed=1)
         assert sorted(out) == rows
+
+    def test_chunk_shuffle_keeps_repeated_rows(self):
+        # a view may name a row more than once: each occurrence is a sample
+        rows = [5, 5, 9, 30, 30, 30, 47, 60, 60]  # 60: past every range
+        ranges = [(f"c{i}", i * 10, (i + 1) * 10) for i in range(5)]
+        for seed in range(4):
+            out = chunk_aware_shuffle(rows, ranges, seed=seed,
+                                      window_chunks=2)
+            assert sorted(out) == sorted(rows)
 
     def test_buffer_shuffle_yields_everything(self):
         out = list(buffer_shuffle_iter(iter(range(40)), 8, seed=0))
@@ -343,6 +356,16 @@ class TestLoader:
                 all_labels.extend(batch["labels"].tolist())
         assert len(all_labels) == 60
 
+    @pytest.mark.parametrize("num_workers", [0, 2])
+    def test_shuffled_view_keeps_repeated_rows(self, wide_ds, num_workers):
+        rows = [5, 5, 9, 30, 30, 30, 200, 17, 200]
+        loader = DeepLakeLoader(wide_ds[rows], batch_size=4, shuffle=True,
+                                seed=3, num_workers=num_workers)
+        batches = list(loader)
+        assert len(batches) == len(loader) == 3
+        labels = [i for b in batches for i in b["labels"].tolist()]
+        assert sorted(labels) == sorted(rows)
+
     def test_memory_budget_enforced(self, loader_ds):
         with pytest.raises(MemoryBudgetError):
             list(DeepLakeLoader(loader_ds, batch_size=4, num_workers=2,
@@ -440,6 +463,51 @@ def _cold_s3(backing):
 
     store = SimulatedObjectStore("s3", clock=SimClock(), backing=backing)
     return store, repro.load(store, read_only=True)
+
+
+@pytest.fixture
+def pairs(rng):
+    """The backing of 192 (images, labels) rows in 18 image chunks of 11
+    rows and 3 label chunks of 64: at ``batch_size=16, num_workers=2`` a
+    task is 8 rows and 4 tasks are in flight, so a fetch-ahead batch is
+    32 rows."""
+    backing = MemoryProvider("pairs")
+    ds = repro.empty(backing, overwrite=True)
+    ds.create_tensor("images", htype="image", sample_compression="jpeg",
+                     max_chunk_size=8 * 1024)
+    ds.create_tensor("labels", htype="class_label", max_chunk_size=256)
+    ds.extend({
+        "images": [rng.integers(0, 255, (16, 16, 3), dtype=np.uint8)
+                   for _ in range(192)],
+        "labels": [np.int32(i) for i in range(192)],
+    })
+    ds.flush()
+    assert [ds[t].engine.enc.num_chunks for t in ("images", "labels")] == [
+        18, 3]
+    return backing
+
+
+AHEAD = "loader-fetch-ahead"
+
+
+class _Gets:
+    """The ``get_many`` calls a store serves, ``(thread name, keys)`` in
+    call order; ``hook()`` (optional) then runs on the calling thread."""
+
+    def __init__(self, store, hook=None):
+        self.calls = []
+        original = store.get_many
+
+        def get_many(keys):
+            self.calls.append((threading.current_thread().name, list(keys)))
+            if hook is not None:
+                hook()
+            return original(keys)
+
+        store.get_many = get_many
+
+    def per_key(self) -> Counter:
+        return Counter(key for _name, keys in self.calls for key in keys)
 
 
 class TestTasks:
@@ -559,3 +627,150 @@ class TestTasks:
             "repro.dataloader.loader.chunk_aware_shuffle", no_plan
         )
         assert len(loader()) == batches
+
+    @pytest.mark.parametrize("num_workers", [2, 4])
+    def test_fetch_ahead_gets_every_chunk_once(self, pairs, num_workers):
+        def epoch(num_workers):
+            store, cold = _cold_s3(pairs)
+            loader = cold.dataloader(batch_size=16, shuffle=True, seed=2,
+                                     num_workers=num_workers)
+            assert len(loader) == 12  # opens both tensors
+            gets = _Gets(store)
+            return list(loader), gets
+
+        want, _gets = epoch(0)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more threads than cores, switching
+        try:
+            got, gets = epoch(num_workers)
+        finally:
+            sys.setswitchinterval(switch)
+        per_key = gets.per_key()
+        assert len(per_key) == 18 + 3 and set(per_key.values()) == {1}
+        assert AHEAD in {name for name, _keys in gets.calls}
+        assert len(got) == len(want) == 12
+        for a, b in zip(got, want):
+            assert np.array_equal(a["labels"], b["labels"])
+            assert np.array_equal(a["images"], b["images"])
+
+    def test_fetch_ahead_get_precedes_its_tasks(self, pairs, monkeypatch):
+        from repro.core.dataset import Dataset
+
+        # in order, task t is rows [8t, 8t + 8); with 4 tasks in flight the
+        # first GET covers tasks [0, 8), the fetch-ahead's first [8, 12)
+        store, cold = _cold_s3(pairs)
+        loader = cold.dataloader(batch_size=16, num_workers=2)
+        assert len(loader) == 12
+        events = []
+        entered, release = threading.Event(), threading.Event()
+
+        def hold():  # the fetch-ahead's GET stays in flight: tasks join it
+            if threading.current_thread().name == AHEAD:
+                events.append("ahead GET")
+                entered.set()
+                release.wait(10)
+
+        gets = _Gets(store, hold)
+        original = Dataset.read_rows
+
+        def read_rows(self, rows, *args, **kwargs):
+            events.append(rows[0] // 8)
+            if rows[0] >= 64:
+                release.set()
+            return original(self, rows, *args, **kwargs)
+
+        monkeypatch.setattr(Dataset, "read_rows", read_rows)
+        batches = iter(loader)
+        labels = next(batches)["labels"].tolist()
+        # tasks [8, 12) are not submitted yet: only the hand-over can GET
+        assert entered.wait(10)
+        labels += [i for b in batches for i in b["labels"].tolist()]
+        assert labels == list(range(192))
+        first_task_of_batch = min(i for i, e in enumerate(events)
+                                  if e != "ahead GET" and e >= 8)
+        assert events.index("ahead GET") < first_task_of_batch
+        assert set(gets.per_key().values()) == {1}  # its tasks joined it
+
+    def test_fetch_ahead_leaves_a_batch_over_the_cache_cap(self, pairs,
+                                                           monkeypatch):
+        from repro.core import chunk_cache
+
+        # a fetch-ahead batch counts 3-4 image chunks at 8 KiB: the cache
+        # holds less than two, the first GET (tasks [0, 8)) seven chunks
+        monkeypatch.setattr(chunk_cache, "CACHE_BYTES", 40 * 1024)
+        store, cold = _cold_s3(pairs)
+        loader = cold.dataloader(batch_size=16, num_workers=2)
+        assert len(loader) == 12
+        gets = _Gets(store)
+        labels = [i for b in loader for i in b["labels"].tolist()]
+        assert labels == list(range(192))
+        per_key = gets.per_key()
+        assert len(per_key) == 18 + 3 and set(per_key.values()) == {1}
+
+    def test_abandoned_epoch_stops_the_fetch_ahead(self, pairs):
+        before = set(threading.enumerate())
+        _store, cold = _cold_s3(pairs)
+        batches = iter(cold.dataloader(batch_size=16, shuffle=True, seed=0,
+                                       num_workers=2))
+        for _batch in batches:
+            break
+        started = {t.name for t in set(threading.enumerate()) - before}
+        assert AHEAD in started
+        batches.close()
+        left = {t.name for t in set(threading.enumerate()) - before}
+        assert AHEAD not in left
+        assert not any(name.startswith("loader-") for name in left)
+
+    def test_a_fetch_ahead_error_reaches_the_consumer(self, pairs):
+        from repro.exceptions import NetworkError
+
+        store, cold = _cold_s3(pairs)
+        loader = cold.dataloader(batch_size=16, num_workers=2)
+        assert len(loader) == 12
+        failed = threading.Event()
+
+        def fail_from_the_second():
+            if len(gets.calls) == 1:
+                return  # the first window, before any task is submitted
+            if threading.current_thread().name == AHEAD:
+                failed.set()
+            else:  # a task's own GET waits for the fetch-ahead's to fail
+                failed.wait(10)
+            raise NetworkError("injected")
+
+        gets = _Gets(store, fail_from_the_second)
+        raised = []
+
+        def consume():
+            try:
+                for _batch in loader:
+                    pass
+            except NetworkError as e:
+                raised.append(e)
+
+        consumer = threading.Thread(target=consume, daemon=True)
+        consumer.start()
+        consumer.join(timeout=30)
+        assert not consumer.is_alive()
+        assert [str(e) for e in raised] == ["injected"]
+        assert gets.calls[1][0] == AHEAD
+
+    def test_traced_epoch_holds_every_threads_spans(self, pairs):
+        from repro import obs
+
+        store, cold = _cold_s3(pairs)
+        loader = cold.dataloader(batch_size=16, shuffle=True, seed=2,
+                                 num_workers=2)
+        assert len(loader) == 12
+        gets = _Gets(store)
+        with obs.trace("epoch") as root:
+            for _batch in loader:
+                pass
+        spans = obs.flatten(root)
+        assert {s["trace_id"] for s in spans} == {root.trace_id}
+        names = [s["name"] for s in spans]
+        assert names.count("engine.execute_plan") == 24 * 2  # tasks x tensors
+        # one per GET of the epoch: the first window's, the fetch-ahead's
+        # and any a task led
+        assert names.count("engine.fetch_chunks") == len(gets.calls)
+        assert AHEAD in {name for name, _keys in gets.calls}
