@@ -1200,8 +1200,8 @@ class ChunkEngine:
 
         Rows — Python / numpy integers or an integer array, anything else
         raises :class:`SampleIndexError` — may repeat and arrive in any
-        order; they are resolved by one binary search over the chunk
-        encoder for the whole request, and each referenced chunk's
+        order (ascending ones are cut at chunk boundaries, others binary
+        searched: :func:`read_plan.plan_items`); each referenced chunk's
         storage key is resolved against the commit chain exactly once.
         Sequence rows expand to their flat item ranges — unless
         ``items=True``: then *rows* are flat items (rows of a plain
@@ -1218,7 +1218,8 @@ class ChunkEngine:
         always read.
         """
         length = self.enc.num_samples if items else self.num_samples
-        index = read_plan.normalize_rows(rows, length, self.tensor)
+        index = read_plan.normalize_rows(rows, length,
+                                         f"tensor {self.tensor!r}")
         with _tracing.span("engine.plan_reads", tensor=self.tensor,
                            rows=len(index)) as sp:
             with self._lock:
@@ -1304,7 +1305,8 @@ class ChunkEngine:
         possible: at most one header fetch per chunk (reusing decoded
         chunks when resident) instead of per-row metadata reads — what
         keeps smart scheduling O(chunks)."""
-        indices = read_plan.normalize_rows(rows, self.num_samples, self.tensor)
+        indices = read_plan.normalize_rows(rows, self.num_samples,
+                                           f"tensor {self.tensor!r}")
         if not self.meta.is_sequence:
             return self._flat_shapes(indices)
         starts, ends = self.seq_enc.item_ranges(indices)
@@ -1317,17 +1319,15 @@ class ChunkEngine:
             return [tuple(v.shape) for v in self.read(indices, items=True)]
         plan = self.plan_reads(indices, items=True)
         out: List = [None] * plan.num_items
-        for name, pos in plan.groups():
+        for name, pos, local in plan.groups():
             key = plan.chunk_keys.get(name)
             src = plan.active_chunks.get(name) or self.cache.get(key)
-            local = plan.local[pos]
             if src is not None:
-                shapes = [src.shapes[i] for i in local.tolist()]
+                shapes = [src.shapes[i] for i in read_plan.as_indices(local)]
             else:  # one header per chunk, its shape rows by fancy index
-                header = self._load_header(key)
-                shapes = map(tuple, header.shapes[local].tolist())
-            for p, shape in zip(pos.tolist(), shapes):
-                out[p] = shape
+                shapes = self._load_header(key).shapes[local].tolist()
+            for p, shape in zip(read_plan.as_indices(pos), shapes):
+                out[p] = tuple(shape)
         for p in np.flatnonzero(plan.kind != KIND_SAMPLE).tolist():
             out[p] = (
                 self.tile_enc.layout(int(plan.flat[p]))[0] if p in plan.tiles

@@ -19,7 +19,8 @@ import numpy as np
 
 from repro.core.chunk_cache import ChunkCache
 from repro.core.chunk_engine import ChunkEngine
-from repro.core.read_plan import FusedReadPlan, as_row_array, column_rows
+from repro.core.read_plan import (FusedReadPlan, as_row_array, column_rows,
+                                  normalize_rows)
 from repro.core.htypes import UNSPECIFIED
 from repro.core.index import Index
 from repro.core.meta import DatasetMeta, TensorMeta
@@ -814,8 +815,7 @@ class Dataset:
         names = list(tensors) if tensors is not None else list(self.tensors)
         out: Dict[str, List] = {}
         row_idx = as_row_array(rows)  # integers only: no silent int(1.7)
-        view_rows = None if physical else row_idx.tolist()
-        bases: Dict[int, Sequence[int]] = {}  # engine length -> selection
+        mapped: Dict[int, np.ndarray] = {}  # engine length -> engine rows
         resolved = []  # (name, engine, engine_rows)
         # same resolution order as __getitem__: the group-qualified name
         # wins over a root tensor that shadows the short name
@@ -828,11 +828,11 @@ class Dataset:
                 engine_rows = row_idx
             else:
                 length = engine.num_samples
-                base = bases.get(length)
-                if base is None:
-                    # a range for slice views: no O(length) materialisation
-                    base = bases[length] = self.index.row_sequence(length)
-                engine_rows = [base[r] for r in view_rows]
+                engine_rows = mapped.get(length)
+                if engine_rows is None:
+                    engine_rows = mapped[length] = self._engine_rows(
+                        row_idx, length
+                    )
             resolved.append((name, engine, engine_rows))
         fused = FusedReadPlan()
         for _name, engine, engine_rows in resolved:
@@ -850,6 +850,17 @@ class Dataset:
                 ]
             out[name] = values
         return out
+
+    def _engine_rows(self, rows: np.ndarray, length: int) -> np.ndarray:
+        """The view positions *rows* (a negative one wraps once) as rows
+        of a tensor of *length*, by one array op: a slice view maps by
+        arithmetic, with no O(length) materialisation, and keeps ascending
+        rows ascending."""
+        base = self.index.row_sequence(length)
+        pos = normalize_rows(rows, len(base), "a view")
+        if isinstance(base, range):
+            return base.start + pos * base.step
+        return np.asarray(base, dtype=np.int64)[pos]
 
     def __iter__(self):
         for i in range(len(self)):

@@ -15,6 +15,7 @@ writes, and ``TileEncoder`` stores tiled samples' layouts.
 
 from __future__ import annotations
 
+import bisect
 import struct
 from typing import Dict, List, Optional, Tuple
 
@@ -89,22 +90,51 @@ class ChunkIdEncoder:
         """Name of the chunk encoder row *row* points at."""
         return self.name_from_id(self._ids[row])
 
+    def _bases(self) -> np.ndarray:
+        """``[0] + cum``, so ``base[row]`` is the first sample of *row*.
+        int64 on purpose: the stored column is uint64, and int64 mixed
+        with uint64 promotes to float64 — inexact past 2**53."""
+        if self._base is None:
+            self._base = np.zeros(len(self._cum) + 1, dtype=np.int64)
+            self._base[1:] = self._cum
+        return self._base
+
     def translate_many(
         self, indices: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(encoder rows, local indices)`` of the samples *indices* — an
-        int64 array, every element in ``[0, num_samples)`` — resolved by
-        ONE binary search over the cumulative column.  A tiled sample
-        resolves to the first of its rows."""
-        base = self._base
-        if base is None:
-            # ``[0] + cum``, so ``base[row]`` is the first sample of *row*.
-            # int64 on purpose: the stored column is uint64, and int64
-            # mixed with uint64 promotes to float64 — inexact past 2**53
-            base = self._base = np.zeros(len(self._cum) + 1, dtype=np.int64)
-            base[1:] = self._cum
+        int64 array in any order, every element in ``[0, num_samples)`` —
+        resolved by ONE binary search per sample over the cumulative
+        column.  A tiled sample resolves to the first of its rows."""
+        base = self._bases()
         rows = np.searchsorted(base[1:], indices, side="right")
         return rows, indices - base[rows]
+
+    def cut_runs(
+        self, indices: np.ndarray
+    ) -> Tuple[List[int], List[int], List[int]]:
+        """``(encoder rows, run bounds, first samples)`` of the
+        *non-decreasing* samples *indices* (int64, in range, non-empty):
+        the samples of ``rows[i]`` are the positions ``[bounds[i],
+        bounds[i + 1])`` of *indices*, their local indices those samples
+        minus ``firsts[i]``.  The request is cut at the chunk boundaries
+        it crosses — ONE binary search of those boundaries into
+        *indices* — so the cost grows with the chunks touched, not with
+        the samples.  A tiled sample resolves to the first of its rows."""
+        cum, n = self._cum, len(indices)
+        lo = bisect.bisect_right(cum, indices.item(0))
+        hi = bisect.bisect_right(cum, indices.item(n - 1), lo)
+        bounds = [0, n]
+        if hi > lo:
+            cuts = np.searchsorted(indices, self._bases()[lo + 1 : hi + 1])
+            bounds[1:1] = cuts.tolist()
+        rows, starts = [], []
+        for row, start, end in zip(range(lo, hi + 1), bounds, bounds[1:]):
+            if end > start:  # else no sample of *indices* is in *row*
+                rows.append(row)
+                starts.append(start)
+        firsts = [cum[row - 1] if row else 0 for row in rows]
+        return rows, starts + [n], firsts
 
     def locate(self, sample_index: int) -> Tuple[int, int]:
         """(encoder row, local index): the one-row :meth:`translate_many`."""

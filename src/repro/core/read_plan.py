@@ -4,20 +4,25 @@ The chunk encoder *is* a sorted ``(chunk id, last index)`` column whose
 lookups are a binary search (§3.4), so a request is resolved a request at
 a time, never a row at a time:
 
-- **plan** (:func:`plan_items`): one ``searchsorted`` resolves every row
-  (:meth:`ChunkIdEncoder.translate_many`), one pass over the runs of
-  ascending rows (``unique`` for any other order) groups them by owning
-  chunk, and the plan *is* arrays — per item a ``kind`` code, a
-  chunk ordinal into ``names`` and a local index.  Only the distinct
-  chunks are walked in Python (storage key, prunability), once each;
+- **plan** (:func:`plan_items`): ascending rows are cut at the chunk
+  boundaries they cross — one ``searchsorted`` of those boundaries into
+  the rows (:meth:`ChunkIdEncoder.cut_runs`) — so the plan holds one
+  run of positions per chunk, never a per-row lookup.  Any other order
+  takes one ``searchsorted`` of every row over the encoder
+  (:meth:`ChunkIdEncoder.translate_many`) and groups by ``unique``.
+  Either way the plan *is* arrays — per item a ``kind`` code, a chunk
+  ordinal into ``names`` and a local index (a run plan builds the last
+  two only if read).  Only the distinct chunks are walked in Python
+  (storage key, prunability), once each;
 - **fetch** (:meth:`FusedReadPlan._fetch_all`): the missing chunks of
   every tensor of a request in one ``get_many``, joining (not repeating)
   the fetches another plan of the same dataset handle has in flight
   (the handle's :class:`~repro.core.chunk_cache.ChunkCache` owns the
   table);
 - **slice** (:func:`slice_plan`): a chunk whose data section is its
-  samples' raw arrays laid end to end (:meth:`Chunk.dense`) is sliced
-  with ONE gather, ``dense[locals]``, into the ``(n, *shape)`` column.
+  samples' raw arrays laid end to end (:meth:`Chunk.dense`) is copied
+  into the ``(n, *shape)`` column with ONE slice (a run of consecutive
+  rows) or ONE gather, ``dense[locals]``.
   A sample-compressed column is ONE :func:`decompress_arrays` call over
   every payload of the plan, whichever chunks hold them (the codec
   batches them: one JPEG kernel per same-shape run).  Ragged raw
@@ -37,7 +42,8 @@ for the entry points whose contract is a list.
 from __future__ import annotations
 
 from contextlib import ExitStack
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -78,13 +84,16 @@ PRUNED = _PrunedCell()
 
 _NO_ITEMS = np.empty(0, dtype=np.intp)
 _BOOLS = frozenset((bool, np.bool_))
+_INT64 = np.iinfo(np.int64)
 
 
 def as_row_array(rows: Sequence[int]) -> np.ndarray:
     """*rows* as a 1-D int64 array.  Rows are input from outside the
     program: Python / numpy integers and integer arrays are rows, anything
     else — a float ``int()`` would truncate, a string it would parse, a
-    bool — raises :class:`SampleIndexError` naming the value."""
+    bool — raises :class:`SampleIndexError` naming the value, and so does
+    an integer past int64 (it is out of range of any tensor) rather than
+    wrap to a negative row."""
     if isinstance(rows, range):
         return np.arange(rows.start, rows.stop, rows.step, dtype=np.int64)
     if not isinstance(rows, (np.ndarray, list, tuple)):
@@ -102,13 +111,21 @@ def as_row_array(rows: Sequence[int]) -> np.ndarray:
              if type(r) in _BOOLS or not isinstance(r, (int, np.integer))),
             rows,
         )
+        if bad is rows and arr.ndim == 1:  # integers past int64
+            bad = next(r for r in rows if not _INT64.min <= r <= _INT64.max)
+            raise SampleIndexError(f"index {bad} out of range")
         raise SampleIndexError(f"row index {bad!r} is not an integer")
+    if arr.dtype == np.uint64 and arr.size and arr.max() > _INT64.max:
+        raise SampleIndexError(
+            f"index {arr[np.argmax(arr > _INT64.max)]} out of range"
+        )
     return arr if arr.dtype == np.int64 else arr.astype(np.int64)
 
 
-def normalize_rows(rows: Sequence[int], length: int, tensor: str) -> np.ndarray:
+def normalize_rows(rows: Sequence[int], length: int, owner: str) -> np.ndarray:
     """:func:`as_row_array` with negative rows wrapped and every row
-    checked against *length*; the error names the first offender."""
+    checked against *length*; the error names the first offender as
+    given, and *owner* (``"tensor 'x'"``, ``"a view"``)."""
     given = idx = as_row_array(rows)
     # one unsigned compare finds both exceptions: a negative int64 reads
     # as >= 2**63
@@ -117,7 +134,7 @@ def normalize_rows(rows: Sequence[int], length: int, tensor: str) -> np.ndarray:
         bad = np.flatnonzero((idx < 0) | (idx >= length))
         if bad.size:
             raise SampleIndexError(
-                f"index {given[bad[0]]} out of range for tensor {tensor!r} "
+                f"index {given[bad[0]]} out of range for {owner} "
                 f"of length {length}"
             )
     return idx
@@ -147,20 +164,31 @@ class ReadPlan:
     ``tiles`` maps the position of each tiled item to its tile chunks
     (all of them are in the fetch set).
 
+    A *run plan* (non-decreasing items, none tiled or padded) keeps the
+    items of ``names[i]`` as the positions ``[runs[i], runs[i + 1])``,
+    with ``firsts[i]`` the chunk's first flat item; ``chunk_ord`` and
+    ``local`` are built from them when first read.
+
     For sequence tensors ``seq_spans`` records each requested row's
     ``(start, count)`` span over the items so results reassemble into
     per-row sequences.
     """
 
-    __slots__ = ("tensor", "index", "flat", "kind", "chunk_ord", "local",
-                 "names", "tiles", "plain", "chunk_keys", "active_chunks",
-                 "seq_spans", "skipped_chunks")
+    __slots__ = ("tensor", "index", "flat", "kind", "_chunk_ord", "_local",
+                 "runs", "firsts", "repeats", "names", "tiles", "plain",
+                 "chunk_keys", "active_chunks", "seq_spans", "skipped_chunks")
 
     def __init__(self, tensor: str, index: np.ndarray):
         self.tensor = tensor
         self.index = index                   # normalized requested rows
         self.flat = index
-        self.kind = self.chunk_ord = self.local = _NO_ITEMS
+        self.kind = self._chunk_ord = self._local = _NO_ITEMS
+        #: of a run plan (else ``None``): position bounds per chunk of
+        #: ``names``, each chunk's first flat item, and whether an item
+        #: repeats (else a run as long as its span of items is consecutive)
+        self.runs: Optional[List[int]] = None
+        self.firsts: Optional[List[int]] = None
+        self.repeats = False
         self.names: List[str] = []           # distinct chunks of the items
         self.tiles: Dict[int, Tuple[str, ...]] = {}
         #: every item is a sample item (no pad / tiled / pruned exception)
@@ -171,6 +199,20 @@ class ReadPlan:
         self.seq_spans: Optional[List[Tuple[int, int]]] = None
         #: chunks proven irrelevant by statistics pushdown (never fetched)
         self.skipped_chunks: Set[str] = set()
+
+    @property
+    def local(self) -> np.ndarray:
+        if self._local is None:
+            self._local = self.flat - np.repeat(self.firsts,
+                                                np.diff(self.runs))
+        return self._local
+
+    @property
+    def chunk_ord(self) -> np.ndarray:
+        if self._chunk_ord is None:
+            self._chunk_ord = np.repeat(np.arange(len(self.names)),
+                                        np.diff(self.runs))
+        return self._chunk_ord
 
     @property
     def rows(self) -> List[int]:
@@ -190,12 +232,19 @@ class ReadPlan:
         """Distinct chunks the plan touches (fetchable + active)."""
         return len(self.chunk_keys) + len(self.active_chunks)
 
-    def groups(self) -> List[Tuple[str, np.ndarray]]:
-        """``(chunk name, positions of its sample items)`` for every chunk
-        with a sample item to slice; positions index the item arrays."""
+    def groups(self) -> List[Tuple[str, Union[slice, np.ndarray],
+                                   Union[slice, np.ndarray]]]:
+        """``(chunk name, positions, local indices)`` of every chunk with a
+        sample item to slice: the positions index the item arrays, the
+        locals the chunk.  A run plan's positions are its runs as they
+        are, slices, and so are a run's locals where they are
+        consecutive; other plans group by one stable sort."""
+        if self.runs is not None:
+            return self._run_groups()
         if self.plain:
             if len(self.names) == 1:
-                return [(self.names[0], np.arange(self.num_items))]
+                return [(self.names[0], slice(0, self.num_items),
+                         self.local)]
             live, ords = None, self.chunk_ord
         else:
             live = np.flatnonzero(self.kind == KIND_SAMPLE)
@@ -207,8 +256,25 @@ class ReadPlan:
         out, start = [], 0
         for name, end in zip(self.names, ends.tolist()):
             if end > start:
-                out.append((name, order[start:end]))
+                pos = order[start:end]
+                out.append((name, pos, self.local[pos]))
             start = end
+        return out
+
+    def _run_groups(self):
+        flat, runs, out = self.flat, self.runs, []
+        for i, (name, first) in enumerate(zip(self.names, self.firsts)):
+            if name in self.skipped_chunks:
+                continue
+            a, b = runs[i], runs[i + 1]
+            head, tail = flat.item(a) - first, flat.item(b - 1) - first
+            if self._local is not None:  # built (a ranged fetch re-points)
+                local = self._local[a:b]
+            elif not self.repeats and tail - head == b - a - 1:
+                local = slice(head, tail + 1)  # consecutive
+            else:
+                local = flat[a:b] - first
+            out.append((name, slice(a, b), local))
         return out
 
     def __repr__(self) -> str:
@@ -236,39 +302,48 @@ def _note_chunk(engine: "ChunkEngine", plan: ReadPlan, name: str) -> None:
 def _chunk_runs(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``np.unique(rows, return_inverse=True)`` of a request's encoder
     rows — the distinct ones, ascending, and each row's ordinal among
-    them — without the sort where the request's shape allows: a request
-    in one chunk (every chunk-ordered loader group) is one chunk, and
-    ascending rows (every TQL and served window) hold each chunk as one
-    run, found in O(n)."""
+    them — without the sort for a request in one chunk (every
+    chunk-ordered loader group)."""
     if len(rows) and not np.count_nonzero(rows != rows[0]):
         return rows[:1], np.zeros(len(rows), dtype=np.intp)
-    step = rows[1:] - rows[:-1]
-    if not len(rows) or np.count_nonzero(step < 0):
-        return np.unique(rows, return_inverse=True)
-    cuts = np.flatnonzero(step != 0) + 1
-    starts = np.concatenate(([0], cuts))
-    runs = np.concatenate((cuts, [len(rows)])) - starts
-    return rows[starts], np.repeat(np.arange(len(starts)), runs)
+    return np.unique(rows, return_inverse=True)
 
 
 def plan_items(engine: "ChunkEngine", plan: ReadPlan, flat: np.ndarray,
                bounds=None) -> ReadPlan:
     """Fill *plan* for the flat items *flat* (int64, in range): resolve,
-    group by chunk, and walk each distinct chunk once.  Caller holds the
-    engine lock."""
+    group by chunk, and walk each distinct chunk once.
+
+    Non-decreasing items with none tiled or padded (every TQL scan window
+    and row set, every served window) make a run plan: the request is
+    cut at the chunk boundaries it crosses
+    (:meth:`ChunkIdEncoder.cut_runs`), one run of positions per chunk,
+    and no item is resolved on its own (``local`` and ``chunk_ord`` are
+    built only if read).  Any other order resolves every item
+    (:meth:`ChunkIdEncoder.translate_many`) and groups them with
+    ``unique``.  Caller holds the engine lock."""
     n = len(flat)
     kind = np.zeros(n, dtype=np.uint8)
-    rows, plan.local = engine.enc.translate_many(flat)
-    live = None
+    plan.flat, plan.kind = flat, kind
     if engine.tile_enc.num_tiled or engine.pad_enc.num_padded:
         kind[engine.tile_enc.mask(flat)] = KIND_TILED
         kind[engine.pad_enc.mask(flat)] = KIND_PAD
-        if kind.any():
-            plan.plain = False
-            live = np.flatnonzero(kind == KIND_SAMPLE)
-            rows = rows[live]
-    distinct, ords = _chunk_runs(rows)
-    plan.names = [engine.enc.chunk_name(r) for r in distinct.tolist()]
+        plan.plain = not kind.any()
+    if plan.plain and n and not np.count_nonzero(flat[1:] < flat[:-1]):
+        distinct, plan.runs, plan.firsts = engine.enc.cut_runs(flat)
+        plan.repeats = bool(np.count_nonzero(flat[1:] == flat[:-1]))
+        plan._local = plan._chunk_ord = None  # built when first read
+    else:
+        rows, plan._local = engine.enc.translate_many(flat)
+        live = None if plan.plain else np.flatnonzero(kind == KIND_SAMPLE)
+        distinct, ords = _chunk_runs(rows if live is None else rows[live])
+        distinct = distinct.tolist()
+        if live is None:
+            plan._chunk_ord = ords
+        else:
+            plan._chunk_ord = np.full(n, -1, dtype=np.intp)
+            plan._chunk_ord[live] = ords
+    plan.names = [engine.enc.chunk_name(r) for r in distinct]
     for name in plan.names:
         if (
             bounds is not None
@@ -278,11 +353,7 @@ def plan_items(engine: "ChunkEngine", plan: ReadPlan, flat: np.ndarray,
             plan.skipped_chunks.add(name)
         else:
             _note_chunk(engine, plan, name)
-    if live is None:
-        plan.chunk_ord = ords
-    else:
-        plan.chunk_ord = np.full(n, -1, dtype=np.intp)
-        plan.chunk_ord[live] = ords
+    if not plan.plain:  # a tiled item pulls in every tile chunk
         for pos in np.flatnonzero(kind == KIND_TILED).tolist():
             plan.tiles[pos] = tuple(
                 ChunkIdEncoder.name_from_id(cid)
@@ -291,12 +362,14 @@ def plan_items(engine: "ChunkEngine", plan: ReadPlan, flat: np.ndarray,
             for name in plan.tiles[pos]:
                 _note_chunk(engine, plan, name)
     if plan.skipped_chunks:
-        skipped = np.asarray(
-            [name in plan.skipped_chunks for name in plan.names]
-        )
-        kind[skipped[plan.chunk_ord] & (plan.chunk_ord >= 0)] = KIND_PRUNED
+        skipped = [name in plan.skipped_chunks for name in plan.names]
+        if plan.runs is not None:  # a skipped chunk's run, as a slice
+            for i in np.flatnonzero(skipped).tolist():
+                kind[plan.runs[i] : plan.runs[i + 1]] = KIND_PRUNED
+        else:
+            skipped = np.asarray(skipped)
+            kind[skipped[plan.chunk_ord] & (plan.chunk_ord >= 0)] = KIND_PRUNED
         plan.plain = False
-    plan.flat, plan.kind = flat, kind
     return plan
 
 
@@ -321,9 +394,9 @@ def plan_chunk_heads(engine: "ChunkEngine", names: Sequence[str]) -> ReadPlan:
     of a tiled sample, each the one sample of its own chunk."""
     plan = ReadPlan(engine.tensor, np.empty(0, dtype=np.int64))
     plan.names = list(names)
-    plan.chunk_ord = np.arange(len(plan.names))
+    plan._chunk_ord = np.arange(len(plan.names))
     plan.kind = np.zeros(len(plan.names), dtype=np.uint8)
-    plan.local = np.zeros(len(plan.names), dtype=np.int64)
+    plan._local = np.zeros(len(plan.names), dtype=np.int64)
     with engine._lock:
         for name in plan.names:
             _note_chunk(engine, plan, name)
@@ -365,23 +438,32 @@ _KIND_VALUE = {
 
 
 def _gather(engine, plan: ReadPlan, groups, chunks) -> Optional[np.ndarray]:
-    """The dense ``(n, *shape)`` column of *plan*, one gather per chunk —
-    or ``None`` unless every touched chunk is dense with one trailing
-    shape.  ``dense[locals]`` copies, so the column never aliases chunk
-    memory; pruned positions hold zeros."""
+    """The dense ``(n, *shape)`` column of *plan*, one slice or gather per
+    chunk — or ``None`` unless every touched chunk is dense with one
+    trailing shape.  The column is always a copy, so it never aliases
+    chunk memory; pruned positions hold zeros."""
     dtype = np.dtype(engine.meta.dtype)
-    views = [chunks[name].dense(dtype) for name, _pos in groups]
+    views = [chunks[name].dense(dtype) for name, _pos, _local in groups]
     if not views or any(
         v is None or v.shape[1:] != views[0].shape[1:] for v in views
     ):
         return None
     if len(views) == 1 and plan.plain:
-        return views[0][plan.local]
+        local = groups[0][2]
+        column = views[0][local]
+        return column.copy() if isinstance(local, slice) else column
     alloc = np.empty if plan.plain else np.zeros
     column = alloc((plan.num_items,) + views[0].shape[1:], dtype=dtype)
-    for (_name, pos), view in zip(groups, views):
-        column[pos] = view[plan.local[pos]]
+    for (_name, pos, local), view in zip(groups, views):
+        column[pos] = view[local]
     return column
+
+
+def as_indices(index: Union[slice, np.ndarray]) -> Sequence[int]:
+    """The ints of a group's positions or locals (a slice or an array)."""
+    if isinstance(index, slice):
+        return range(index.start, index.stop)
+    return index.tolist()
 
 
 def slice_plan(engine: "ChunkEngine", plan: ReadPlan,
@@ -403,9 +485,9 @@ def slice_plan(engine: "ChunkEngine", plan: ReadPlan,
     batch = bool(decode and meta.sample_compression and not meta.is_link)
     where: List[int] = []
     items: List = []
-    for name, pos in groups:
-        chunk, locals_ = chunks[name], plan.local[pos].tolist()
-        where += pos.tolist()
+    for name, pos, local in groups:
+        chunk, locals_ = chunks[name], as_indices(local)
+        where += as_indices(pos)
         if batch:
             items += chunk.payloads(locals_)
         elif decode:

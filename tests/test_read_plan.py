@@ -162,36 +162,98 @@ class TestPlanReads:
                                     "big_pending"])
 @pytest.mark.parametrize("order", ["ascending", "shuffled"])
 def test_run_planning_matches_the_unique_path(rng, monkeypatch, layout, order):
-    """Ascending rows find their chunks as runs, without a sort; any other
-    order goes through ``np.unique``.  Both plan the same items — plain,
-    pruned (``big_scalar`` under bounds), padded, tiled, sequence and
-    pending (unflushed) layouts alike."""
+    """Ascending rows are cut into runs at chunk boundaries, without a
+    sort or a per-item array; any other order — and a request holding a
+    tiled or padded row — resolves per item through ``np.unique``.  Both
+    plan the same items: the plan of the rows in *order* equals the plan
+    of the other order un-permuted — plain, pruned (``big_scalar`` under
+    bounds), padded, tiled, sequence and pending (unflushed) layouts
+    alike."""
     reader, model = build_big_layout(layout, rng)
     rows = np.sort(rng.choice(len(model), 2 * len(model) // 3, replace=False))
-    if order == "shuffled":
-        rng.shuffle(rows)
+    perm = rng.permutation(len(rows))
+    if order == "shuffled":  # *rows* in order; the reference ascending
+        rows, perm = rows[perm], np.argsort(perm)
     bounds = [(150, 420, False, False)] if layout == "big_scalar" else None
+    exceptions = layout == "big_padded_tiled"
+    ascending = order == "ascending" and not exceptions
 
     def unsorted(*args, **kwargs):
         raise AssertionError("ascending rows were sorted")
 
     with monkeypatch.context() as patch:
-        if order == "ascending":
+        if ascending:
             patch.setattr(np, "unique", unsorted)
         plan = reader.plan_reads(rows, bounds=bounds)
-    with monkeypatch.context() as patch:
-        patch.setattr(read_plan, "_chunk_runs",
-                      lambda r: np.unique(r, return_inverse=True))
-        want = reader.plan_reads(rows, bounds=bounds)
+    want = reader.plan_reads(rows[perm], bounds=bounds)
+    assert (plan.runs is not None) == ascending
+    assert (want.runs is not None) == (order == "shuffled" and not exceptions)
     assert plan.names == want.names and len(plan.names) > 1
+    inv = np.argsort(perm)
+    if plan.seq_spans is not None:  # items follow the rows' spans
+        spans = [range(s, s + c) for s, c in want.seq_spans]
+        inv = np.asarray([i for r in inv.tolist() for i in spans[r]],
+                         dtype=np.intp)
     for field in ("flat", "chunk_ord", "local", "kind"):
-        got, ref = getattr(plan, field), getattr(want, field)
+        got, ref = getattr(plan, field), getattr(want, field)[inv]
         assert got.dtype == ref.dtype and got.tolist() == ref.tolist(), field
     assert plan.skipped_chunks == want.skipped_chunks
     assert bool(plan.skipped_chunks) == (layout == "big_scalar")
-    assert plan.tiles == want.tiles
+    assert {int(plan.flat[p]): t for p, t in plan.tiles.items()} == {
+        int(want.flat[p]): t for p, t in want.tiles.items()}
     assert plan.chunk_keys == want.chunk_keys
     assert plan.active_chunks == want.active_chunks
+
+
+def test_ascending_plan_groups_into_one_run_per_chunk():
+    """The representation: an ascending plan over c chunks is c runs of
+    positions, each a slice, and a consecutive run's locals a slice too;
+    a gappy run gathers its locals, a shuffled plan its positions."""
+    engine, _ = make_engine(dtype="int64", max_chunk_size=512)
+    engine.extend([np.int64(i) for i in range(4096)])  # 64 per chunk
+    engine.flush()
+    groups = engine.plan_reads(range(4096)).groups()
+    assert len(groups) == engine.enc.num_chunks == 64
+    for i, (name, pos, local) in enumerate(groups):
+        assert name == engine.enc.chunk_name(i)
+        assert pos == slice(64 * i, 64 * (i + 1))
+        assert local == slice(0, 64)
+    gappy = engine.plan_reads(range(10, 4096, 3)).groups()
+    assert len(gappy) == 64
+    assert all(isinstance(pos, slice) for _name, pos, _local in gappy)
+    assert gappy[0][2].tolist() == list(range(10, 64, 3))
+    again = engine.plan_reads([5, 5, 6, 7]).groups()  # a repeat gathers
+    assert again[0][1] == slice(0, 4) and again[0][2].tolist() == [5, 5, 6, 7]
+    shuffled = engine.plan_reads([70, 3, 65]).groups()
+    assert [pos.tolist() for _name, pos, _local in shuffled] == [[1], [0, 2]]
+
+
+def test_pushdown_on_an_ascending_plan_matches_the_shuffled_one(rng):
+    """``bounds=`` on a run plan skips the same chunks, marks the same
+    rows pruned and reads the same column as the per-item plan of the
+    same rows shuffled, un-permuted."""
+    engine, storage = make_engine(dtype="int64", max_chunk_size=256)
+    engine.extend([np.int64(i * 3) for i in range(600)])  # 32 per chunk
+    engine.flush()
+    rows = np.sort(rng.choice(600, 400, replace=False))
+    perm = rng.permutation(len(rows))
+    inv = np.argsort(perm)
+    bounds = [(300, 1200, False, True)]
+    reader = fresh_reader(storage)
+    plan = reader.plan_reads(rows, bounds=bounds)
+    want = reader.plan_reads(rows[perm], bounds=bounds)
+    assert plan.runs is not None and want.runs is None
+    assert plan.skipped_chunks and plan.skipped_chunks == want.skipped_chunks
+    assert plan.pruned.tolist() == want.pruned[inv].tolist()
+    assert not ((rows[plan.pruned] * 3 >= 300)
+                & (rows[plan.pruned] * 3 < 1200)).any()
+    column = reader.execute_plan(plan)
+    ref = reader.execute_plan(want)
+    assert column.dtype == ref.dtype == np.int64
+    assert column.tolist() == ref[inv].tolist()
+    assert not column[plan.pruned].any()  # pruned rows hold zeros
+    kept = ~plan.pruned
+    assert column[kept].tolist() == (rows[kept] * 3).tolist()
 
 
 class TestRowsAreIntegers:
@@ -246,11 +308,35 @@ class TestRowsAreIntegers:
         assert [int(v) for v in ds.read_rows(rows, ["a"])["a"]] == want
 
     def test_out_of_range_names_the_row_as_given(self):
-        engine = self.make()._engine("a")
+        ds = self.make()
+        engine = ds._engine("a")
         with pytest.raises(SampleIndexError, match="index -7 out of range"):
             engine.plan_reads([0, -7, 9])
         with pytest.raises(SampleIndexError, match="index 6 out of range"):
             engine_rows(engine, np.asarray([5, 6]))
+        # an unsigned row past int64 must not wrap to a negative one
+        for read, rows in [
+            (engine.plan_reads, np.array([2**64 - 1], dtype=np.uint64)),
+            (engine.plan_reads, [2**64 - 1]),
+            (lambda r: ds.read_rows(r, ["a"]), [2**64 - 1]),
+            (engine.plan_reads, [2**63]),
+            (engine.plan_reads, np.array([1, 2**63], dtype=np.uint64)),
+        ]:
+            with pytest.raises(SampleIndexError,
+                               match=f"index {rows[-1]} out of range"):
+                read(rows)
+        # a view's rows: attributed to the view, a negative row wraps once
+        for view, row, length in [(ds, 6, 6), (ds[1:], 5, 5),
+                                  (ds[[0, 2, 4]], 3, 3), (ds[1:], -6, 5)]:
+            with pytest.raises(
+                SampleIndexError,
+                match=f"index {row} out of range for a view of length "
+                      f"{length}",
+            ):
+                view.read_rows([row], ["a"])
+        assert [int(v) for v in ds[1:].read_rows([-1, 0], ["a"])["a"]] == [5, 1]
+        assert [int(v) for v in ds[[0, 2, 4]].read_rows([-3, 2], ["a"])[
+            "a"]] == [0, 4]
 
 
 def jpeg_roundtrip(image):
@@ -457,19 +543,26 @@ class TestReadsMatchModel:
                 assert np.array_equal(got[0], want)
 
 
+def ascending_rows(rng, n, order):
+    """Non-decreasing rows of *n* — the inputs of the run plan."""
+    if order == "contiguous":
+        return list(range(3, n - 2))
+    if order == "gappy":
+        return np.sort(rng.choice(n, n // 3, replace=False)).tolist()
+    return np.sort(rng.integers(0, n, 2 * n)).tolist()  # with repeats
+
+
 @pytest.mark.parametrize("layout", BIG_LAYOUTS)
 class TestLargeRequestsMatchModel:
     """The large-request axis of :class:`TestReadsMatchModel`: 2 000
-    unsorted rows with repeats and negatives over >= 8 chunks, through the
-    same assertions as one row."""
+    unsorted rows with repeats and negatives over >= 8 chunks, and
+    ascending rows (the run plan) contiguous, gappy and with repeats,
+    through the same assertions as one row."""
 
     def rows(self, rng, model):
         return rng.integers(-len(model), len(model), 2000).tolist()
 
-    @pytest.mark.parametrize("aslist", [False, True])
-    def test_decoded(self, rng, layout, aslist):
-        engine, model = build_big_layout(layout, rng)
-        rows = self.rows(rng, model)
+    def check_decoded(self, engine, model, rows, aslist):
         assert_reads_match_model(engine, rows, model, aslist=aslist)
         # the plan entry point returns the same values as a column
         got = engine.execute_plan(engine.plan_reads(rows), aslist=aslist)
@@ -478,9 +571,7 @@ class TestLargeRequestsMatchModel:
             for value, row in zip(got, rows):
                 assert np.array_equal(value, model[row])
 
-    def test_raw_payloads(self, rng, layout):
-        engine, model = build_big_layout(layout, rng)
-        rows = self.rows(rng, model)
+    def check_raw_payloads(self, engine, model, rows, layout):
         raws = engine_rows(engine, rows, decode=False)
         assert len(raws) == len(rows)
         for raw, row in zip(raws, rows):
@@ -492,6 +583,23 @@ class TestLargeRequestsMatchModel:
                 assert isinstance(raw, bytes) and raw
             else:
                 assert raw == want
+
+    @pytest.mark.parametrize("aslist", [False, True])
+    def test_decoded(self, rng, layout, aslist):
+        engine, model = build_big_layout(layout, rng)
+        self.check_decoded(engine, model, self.rows(rng, model), aslist)
+
+    def test_raw_payloads(self, rng, layout):
+        engine, model = build_big_layout(layout, rng)
+        self.check_raw_payloads(engine, model, self.rows(rng, model), layout)
+
+    @pytest.mark.parametrize("order", ["contiguous", "gappy", "repeats"])
+    def test_ascending_rows(self, rng, layout, order):
+        engine, model = build_big_layout(layout, rng)
+        rows = ascending_rows(rng, len(model), order)
+        for aslist in (False, True):
+            self.check_decoded(engine, model, rows, aslist)
+        self.check_raw_payloads(engine, model, rows, layout)
 
     def test_one_row_at_a_time(self, rng, layout):
         engine, model = build_big_layout(layout, rng)
