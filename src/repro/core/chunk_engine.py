@@ -188,6 +188,29 @@ class CommitDiff:
 class ChunkEngine:
     """Reads and writes one tensor's chunks against a storage provider."""
 
+    # the tensor-labeled aggregate series (see __init__), each resolved
+    # in the registry when the engine first records into it
+    _m_partial = _metrics.labeled(
+        _metrics.Counter, "chunk_engine.partial_reads", tensor="tensor")
+    _m_full = _metrics.labeled(
+        _metrics.Counter, "chunk_engine.full_chunk_reads", tensor="tensor")
+    _m_hits = _metrics.labeled(
+        _metrics.Counter, "chunk_engine.decoded_cache_hits", tensor="tensor")
+    _m_misses = _metrics.labeled(
+        _metrics.Counter, "chunk_engine.decoded_cache_misses", tensor="tensor")
+    _m_chunks_planned = _metrics.labeled(
+        _metrics.Counter, "chunk_engine.chunks_planned", tensor="tensor")
+    _m_bytes_decoded = _metrics.labeled(
+        _metrics.Counter, "chunk_engine.bytes_decoded", tensor="tensor")
+    _h_decode = _metrics.labeled(
+        _metrics.Histogram, "chunk_engine.decode_seconds", tensor="tensor")
+    _h_plan_chunks = _metrics.labeled(
+        _metrics.Histogram, "chunk_engine.plan_chunks", tensor="tensor")
+    _m_chunks_flushed = _metrics.labeled(
+        _metrics.Counter, "chunk_engine.chunks_flushed", tensor="tensor")
+    _h_flush_batch = _metrics.labeled(
+        _metrics.Histogram, "chunk_engine.flush_batch_chunks", tensor="tensor")
+
     def __init__(
         self,
         tensor: str,
@@ -225,44 +248,14 @@ class ChunkEngine:
         # engine keeps *standalone* Counter handles (exact per-engine
         # views, exposed through the read-only properties below — the one
         # source the loader's and serve tier's stats read from) and
-        # mirrors every event into the tensor-labeled aggregate series so
-        # one registry snapshot explains I/O across all engines.
+        # mirrors every event into the tensor-labeled aggregate series
+        # (the ``labeled`` attributes of the class, resolved on first
+        # use) so one registry snapshot explains I/O across all engines.
         reg = _metrics.REGISTRY
         self._c_partial = _metrics.Counter(reg)
         self._c_full = _metrics.Counter(reg)
         self._c_hits = _metrics.Counter(reg)
         self._c_misses = _metrics.Counter(reg)
-        self._m_partial = reg.counter(
-            "chunk_engine.partial_reads", tensor=tensor
-        )
-        self._m_full = reg.counter(
-            "chunk_engine.full_chunk_reads", tensor=tensor
-        )
-        self._m_hits = reg.counter(
-            "chunk_engine.decoded_cache_hits", tensor=tensor
-        )
-        self._m_misses = reg.counter(
-            "chunk_engine.decoded_cache_misses", tensor=tensor
-        )
-        self._m_chunks_planned = reg.counter(
-            "chunk_engine.chunks_planned", tensor=tensor
-        )
-        self._m_bytes_decoded = reg.counter(
-            "chunk_engine.bytes_decoded", tensor=tensor
-        )
-        self._h_decode = reg.histogram(
-            "chunk_engine.decode_seconds", tensor=tensor
-        )
-        self._h_plan_chunks = reg.histogram(
-            "chunk_engine.plan_chunks", tensor=tensor
-        )
-
-        self._m_chunks_flushed = reg.counter(
-            "chunk_engine.chunks_flushed", tensor=tensor
-        )
-        self._h_flush_batch = reg.histogram(
-            "chunk_engine.flush_batch_chunks", tensor=tensor
-        )
 
         # write-back chunk being filled by appends (not yet in storage)
         self._active_chunk: Optional[Chunk] = None
@@ -933,12 +926,13 @@ class ChunkEngine:
         ``max_chunk_size`` is tiled on its own (:meth:`_tiles_oversize`)."""
         meta = self.meta
         flat = not meta.is_sequence
-        tiled = plan.oversize(meta.max_chunk_size) & self._tiles_oversize()
+        tiled = (plan.oversize(meta.max_chunk_size)
+                 if self._tiles_oversize() else set())
         stops = plan.stops(tiled)
         eligible = self._stats_eligible()
         i = 0
-        while i < len(tiled):
-            if tiled[i]:
+        while i < len(plan.ends):
+            if i in tiled:
                 self._append_tiled(plan.sample(i))
                 j, bounds = i + 1, (plan.shapes[i],)
             else:

@@ -17,7 +17,8 @@ encoder registration per chunk.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import bisect
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -25,11 +26,17 @@ import numpy as np
 def dense_column(meta, values) -> Optional[np.ndarray]:
     """*values* as one ``(n, *cell)`` array when the tensor of *meta*
     stores raw arrays (no sample codec, not a link, text or json) and
-    every value is an array or a number of one dtype and one shape — so
-    that coercing the column is coercing each value.  ``None`` when they
-    are not: the batch stages value by value."""
+    :func:`uniform_column` finds one.  ``None`` when they are not: the
+    batch stages value by value."""
     if meta.sample_compression or meta.is_link or meta.is_text or meta.is_json:
         return None
+    return uniform_column(values)
+
+
+def uniform_column(values) -> Optional[np.ndarray]:
+    """*values* as one ``(n, *cell)`` numeric array when every value is an
+    array or a number of one dtype and one shape — so that converting the
+    column is converting each value — else ``None``."""
     if isinstance(values, np.ndarray):  # its rows would be native
         dtype = values.dtype
         ok = values.ndim and dtype.kind in "biuf" and dtype.isnative
@@ -118,29 +125,43 @@ class WritePlan:
     def start(self, i: int) -> int:
         return int(self.ends[i - 1]) if i else 0
 
-    def oversize(self, max_size: int) -> np.ndarray:
-        """Which payloads are larger than *max_size* bytes."""
-        return np.diff(self.ends, prepend=0) > max_size
+    def _size(self) -> int:
+        """The one payload size of a dense plan."""
+        return len(self.raw) // len(self.ends)
 
-    def stops(self, tiled: np.ndarray) -> np.ndarray:
-        """The payloads a run ends before, whatever room is left: a tiled
-        one, the one after it, and a change of rank."""
-        stops = tiled.copy()
-        stops[1:] |= tiled[:-1]
+    def oversize(self, max_size: int) -> Set[int]:
+        """Which payloads are larger than *max_size* bytes (all or none
+        of a dense plan's)."""
+        if self.cell is not None:
+            big = self._size() > max_size
+            return set(range(len(self.ends))) if big else set()
+        sizes = np.diff(self.ends, prepend=0)
+        return set(np.flatnonzero(sizes > max_size).tolist())
+
+    def stops(self, tiled: Set[int]) -> List[int]:
+        """The payloads a run ends before, whatever room is left,
+        ascending: a tiled one, the one after it, and a change of rank
+        (a dense plan has one rank)."""
+        stops = tiled.union(i + 1 for i in tiled)
         if self.cell is None:
             ranks = np.fromiter(map(len, self.shapes), np.int64,
                                 len(self.shapes))
-            stops[1:] |= ranks[1:] != ranks[:-1]
-        return np.flatnonzero(stops)
+            changes = np.flatnonzero(ranks[1:] != ranks[:-1]) + 1
+            stops.update(changes.tolist())
+        return sorted(stops)
 
-    def run_end(self, i: int, room: int, stops: np.ndarray) -> int:
+    def run_end(self, i: int, room: int, stops: List[int]) -> int:
         """The end of the run from payload *i* into a chunk with *room*
         bytes left: the payloads that fit, up to the next stop — and
         payload *i* whatever its size (a chunk it opens takes it)."""
-        fit = int(np.searchsorted(self.ends, room + self.start(i),
-                                  side="right"))
-        at = np.searchsorted(stops, i, side="right")
-        stop = int(stops[at]) if at < len(stops) else len(self.ends)
+        size = self._size() if self.cell is not None else 0
+        if size:  # payload k ends at (k + 1) * size
+            fit = i + room // size
+        else:
+            fit = int(np.searchsorted(self.ends, room + self.start(i),
+                                      side="right"))
+        at = bisect.bisect_right(stops, i)
+        stop = stops[at] if at < len(stops) else len(self.ends)
         return min(max(i + 1, fit), stop)
 
     def payloads(self, i: int, j: int):

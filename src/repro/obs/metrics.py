@@ -29,6 +29,7 @@ Design constraints, in order:
 
 from __future__ import annotations
 
+import functools
 import random
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -363,6 +364,22 @@ def gauge(name: str, **labels) -> Gauge:
 
 def histogram(name: str, **labels) -> Histogram:
     return REGISTRY.histogram(name, **labels)
+
+
+class labeled(functools.cached_property):
+    """A labeled series of :data:`REGISTRY` as an attribute resolved on
+    first use.  In a class body, ``_m_hits = labeled(Counter,
+    "chunk_engine.decoded_cache_hits", tensor="tensor")`` gives every
+    instance the series whose label ``tensor`` is that instance's
+    ``tensor`` attribute: looked up the first time the attribute is read,
+    then kept on the instance (a :class:`functools.cached_property`).
+    Building an object resolves none of its series, so a series joins a
+    snapshot when its owner first records into it."""
+
+    def __init__(self, kind: type, name: str, **labels: str):
+        super().__init__(lambda obj: REGISTRY._series(name, kind, {
+            label: getattr(obj, attr) for label, attr in labels.items()
+        }))
 
 
 def percentiles(samples: Sequence[float]) -> dict:

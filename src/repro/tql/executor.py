@@ -33,11 +33,14 @@ which can be visualized or directly streamed"):
 from __future__ import annotations
 
 import time
+from functools import cached_property
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.dataset import Dataset
 from repro.core.read_plan import FusedReadPlan, as_row_array, column_rows
+from repro.core.write_plan import uniform_column
 from repro.exceptions import FormatError, StorageError
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
@@ -63,6 +66,7 @@ from repro.tql.planner import (
     UnaryNode,
     _node_columns,
 )
+from repro.version_control.tree import VersionTree
 
 
 #: Decoded bytes one scan window holds: its rows are this over the
@@ -74,10 +78,30 @@ SCAN_WINDOW_BYTES = 8 << 20
 
 
 class Executor:
+    # the dataset-labeled series, each resolved in the registry when the
+    # executor first records into it
+    _m_rows_scanned = _metrics.labeled(
+        _metrics.Counter, "tql.rows_scanned", dataset="dataset_label")
+    _m_scan_windows = _metrics.labeled(
+        _metrics.Counter, "tql.scan_windows", dataset="dataset_label")
+    _h_window_rows = _metrics.labeled(
+        _metrics.Histogram, "tql.scan_window_rows", dataset="dataset_label")
+    _m_cells_fetched = _metrics.labeled(
+        _metrics.Counter, "tql.cells_fetched", dataset="dataset_label")
+    _m_cache_hits = _metrics.labeled(
+        _metrics.Counter, "tql.cache_hits", dataset="dataset_label")
+    _m_prefetch_fallbacks = _metrics.labeled(
+        _metrics.Counter, "tql.prefetch_fallbacks", dataset="dataset_label")
+    _m_chunks_skipped = _metrics.labeled(
+        _metrics.Counter, "tql.chunks_skipped", dataset="dataset_label")
+    _h_kernel = _metrics.labeled(
+        _metrics.Histogram, "tql.kernel_seconds", dataset="dataset_label")
+
     def __init__(self, ds, plan: Plan, seed: int = 0):
         self.ds = ds
         self.plan = plan
-        self.rng = np.random.default_rng(seed)
+        self.seed = seed
+        self.dataset_label = str(getattr(ds, "path", "") or "dataset")
         self.rows_scanned = 0
         #: cells materialised by the engine (fetched or read per row);
         #: reads of resident window columns count in :attr:`cache_hits`
@@ -91,31 +115,12 @@ class Executor:
         #: tensor -> (the current scan window's column as the engine
         #: returned it, its pruned-row mask or None)
         self._window: Dict[str, tuple] = {}
-        ds_label = str(getattr(ds, "path", "") or "dataset")
-        self._m_rows_scanned = _metrics.counter(
-            "tql.rows_scanned", dataset=ds_label
-        )
-        self._m_scan_windows = _metrics.counter(
-            "tql.scan_windows", dataset=ds_label
-        )
-        self._h_window_rows = _metrics.histogram(
-            "tql.scan_window_rows", dataset=ds_label
-        )
-        self._m_cells_fetched = _metrics.counter(
-            "tql.cells_fetched", dataset=ds_label
-        )
-        self._m_cache_hits = _metrics.counter(
-            "tql.cache_hits", dataset=ds_label
-        )
-        self._m_prefetch_fallbacks = _metrics.counter(
-            "tql.prefetch_fallbacks", dataset=ds_label
-        )
-        self._m_chunks_skipped = _metrics.counter(
-            "tql.chunks_skipped", dataset=ds_label
-        )
-        self._h_kernel = _metrics.histogram(
-            "tql.kernel_seconds", dataset=ds_label
-        )
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        """RANDOM() and SAMPLE BY draws, seeded by the query's seed; built
+        by the first query that draws."""
+        return np.random.default_rng(self.seed)
 
     # ------------------------------------------------------------------ #
     # value access
@@ -494,26 +499,32 @@ class Executor:
     def _extend_output(self, out, cols: Dict[str, List]) -> None:
         """One columnar ``extend`` of result dataset *out*: a numeric
         column as ONE array of its values' ``np.result_type`` (so a
-        first-row int does not downcast the floats that follow), text /
-        json and ragged cells value by value.  The first one declares the
-        tensors from these values (text / json by the first value) with
-        no manifest write: :meth:`_seal_output` publishes the result."""
+        first-row int does not downcast the floats that follow; values of
+        one type and shape are one ``np.asarray``), text / json and
+        ragged cells value by value.  The first one declares the tensors
+        from these values (text / json by the first value) with no
+        manifest write: :meth:`_seal_output` publishes the result."""
         declare = not out._meta.tensors
         columns = {}
         for name, values in cols.items():
-            objects = [isinstance(v, (str, dict, list)) for v in values]
-            cells = [v if obj else np.asarray(v)
-                     for v, obj in zip(values, objects)]
-            if objects[0]:
-                kind = {"htype": "text" if isinstance(values[0], str)
-                        else "json"}
+            cells = uniform_column(values)
+            if cells is not None:
+                kind = {"dtype": cells.dtype.name}
             else:
-                dtype = np.result_type(*{
-                    c.dtype for c, obj in zip(cells, objects) if not obj
-                })
-                kind = {"dtype": dtype.name}
-                if not any(objects) and len({c.shape for c in cells}) == 1:
-                    cells = np.asarray(cells, dtype=dtype)
+                objects = [isinstance(v, (str, dict, list)) for v in values]
+                cells = [v if obj else np.asarray(v)
+                         for v, obj in zip(values, objects)]
+                if objects[0]:
+                    kind = {"htype": "text" if isinstance(values[0], str)
+                            else "json"}
+                else:
+                    dtype = np.result_type(*{
+                        c.dtype for c, obj in zip(cells, objects) if not obj
+                    })
+                    kind = {"dtype": dtype.name}
+                    if (not any(objects)
+                            and len({c.shape for c in cells}) == 1):
+                        cells = np.asarray(cells, dtype=dtype)
             columns[name] = cells
             if declare:
                 out._declare_tensor(name, create_shape_tensor=False,
@@ -521,14 +532,22 @@ class Executor:
         out.extend(columns)
 
     def _new_output(self, query_string: str):
-        import repro as _api
-
-        # its own store: a result lives exactly as long as its handle
-        out = _api.empty(MemoryProvider("tql-result"))
+        # its own store, just made, so no dataset to probe for: a result
+        # lives exactly as long as its handle
+        storage = MemoryProvider("tql-result")
+        out = Dataset(storage, path=repr(storage),
+                      _tree=VersionTree.create_default())
         out.query_string = query_string
         return out
 
-    def _seal_output(self, out, query_string: str):
+    def _seal_output(self, out, query_string: str, names: List[str]):
+        """Publish result *out* with ONE flush; with no row, its columns
+        *names* are declared empty (float64)."""
+        if not out._meta.tensors:
+            for name in names:
+                out._declare_tensor(name, dtype="float64",
+                                    create_shape_tensor=False,
+                                    create_id_tensor=False)
         out._meta.info["source_query"] = query_string
         out._meta.info["source_commit"] = self.ds.commit_id
         out.flush()
@@ -555,12 +574,9 @@ class Executor:
                 for name, node in plan.projections:
                     cols[name].append(self.eval_node(node, row, memo))
             self._extend_output(out, cols)
-        if not out._meta.tensors:  # no row survived: empty columns
-            for name, _node in plan.projections:
-                out._declare_tensor(name, dtype="float64",
-                                    create_shape_tensor=False,
-                                    create_id_tensor=False)
-        return self._seal_output(out, query_string)
+        return self._seal_output(
+            out, query_string, [name for name, _node in plan.projections]
+        )
 
     def _row_groups(self, rows: np.ndarray) -> List[Dict[str, object]]:
         """GROUP BY one row at a time (the ablation): one dict of output
@@ -597,7 +613,10 @@ class Executor:
             self._extend_output(out, {
                 name: [g[name] for g in group_rows] for name in group_rows[0]
             })
-        return self._seal_output(out, query_string)
+        return self._seal_output(
+            out, query_string,
+            [name for name, _agg, _node in self.plan.agg_projections],
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -603,6 +603,26 @@ def _cell(col, i: int):
     return col.value if isinstance(col, _Const) else col[i]
 
 
+def _radix_key(sub: np.ndarray) -> np.ndarray:
+    """Group sub-key *sub* as numpy sorts it fastest: a wider-than-16-bit
+    integer column whose values span less than 2**8 (2**16) re-based at
+    its minimum into ``uint8`` (``uint16``), which ``lexsort`` radix-sorts
+    — an order-preserving one-to-one map, so the stable sort puts the
+    rows in the same order and equal keys stay equal — and a bool column
+    viewed as ``uint8``.  Any other column (float, a wide span, already
+    8 or 16 bits) is returned as it is."""
+    if sub.dtype == np.bool_:
+        return sub.view(np.uint8)
+    if sub.dtype.kind not in "iu" or sub.dtype.itemsize <= 2 or not len(sub):
+        return sub
+    lo, hi = int(sub.min()), int(sub.max())  # Python ints: no overflow
+    for narrow in (np.uint8, np.uint16):
+        if hi - lo <= np.iinfo(narrow).max:
+            # every value lies in [lo, hi]: the difference fits sub's dtype
+            return (sub - sub.dtype.type(lo)).astype(narrow)
+    return sub
+
+
 def _group_segments(key_cols: List, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """The *n* rows of a batch ordered by group, and where each group
     starts: ``(order, starts)`` with rows ``order[starts[g]:starts[g+1]]``
@@ -616,15 +636,17 @@ def _group_segments(key_cols: List, n: int) -> Tuple[np.ndarray, np.ndarray]:
     element columns as they are (int64 stays int64: no float round trip,
     no stacking of differently-typed keys); a ragged / text / json column
     is factorised per row through a dict of ``_group_key`` tuples into
-    one int code column.  One stable ``lexsort`` over all of them orders
-    the batch; a group boundary is wherever any of them changes.
+    one int code column.  A dense integer or bool element column is first
+    narrowed (:func:`_radix_key`).  One stable ``lexsort`` over all of
+    them orders the batch; a group boundary is wherever any of them
+    changes.
     """
     subkeys = []
     for col in key_cols:
         if isinstance(col, _Const):
             continue  # one value for every row splits nothing
         if _is_dense(col):
-            subkeys.extend(col.reshape(n, -1).T)
+            subkeys.extend(map(_radix_key, col.reshape(n, -1).T))
         else:
             codes: Dict[object, int] = {}
             subkeys.append(np.fromiter(

@@ -10,25 +10,29 @@ deterministic via :func:`seed_ids`.
 
 from __future__ import annotations
 
+import random
 import threading
 
 import numpy as np
 
 _lock = threading.Lock()
+#: sample ids come in arrays; names and ids one at a time, for which a
+#: numpy call costs ~30x what Python's generator does
 _rng = np.random.default_rng()
+_bits = random.Random()
 
 
 def seed_ids(seed: int | None) -> None:
-    """Re-seed the id generator (``None`` restores OS entropy)."""
-    global _rng
+    """Re-seed the id generators (``None`` restores OS entropy)."""
+    global _rng, _bits
     with _lock:
         _rng = np.random.default_rng(seed)
+        _bits = random.Random(seed)
 
 
 def _hex(nbytes: int) -> str:
     with _lock:
-        raw = _rng.integers(0, 256, size=nbytes, dtype=np.uint8)
-    return bytes(raw).hex()
+        return _bits.randbytes(nbytes).hex()
 
 
 def new_chunk_name() -> str:

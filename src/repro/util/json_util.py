@@ -25,11 +25,14 @@ class _NumpyEncoder(json.JSONEncoder):
         return super().default(obj)
 
 
+#: one encoder for every call: ``encode`` keeps no state between calls,
+#: so threads share it, and a call skips ``json.dumps``' set-up
+_ENCODER = _NumpyEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def json_dumps(obj: Any) -> bytes:
     """Serialise *obj* to canonical (sorted-key) utf-8 JSON bytes."""
-    return json.dumps(
-        obj, cls=_NumpyEncoder, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    return _ENCODER.encode(obj).encode("utf-8")
 
 
 def json_loads(data: bytes | str) -> Any:

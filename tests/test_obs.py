@@ -277,6 +277,41 @@ class TestInstrumentationWiring:
         assert reg_delta == eng_delta
         assert sum(eng_delta) > 0
 
+    def test_labeled_series_resolve_on_first_use(self):
+        """Building an engine or an executor adds no registry series; the
+        first read or query adds the ones it records into."""
+        from repro.tql import Executor, build_plan, parse
+
+        reg = metrics.REGISTRY
+        name, url = "first_use_probe", "mem://obs-first-use"
+        engine_series = ("chunk_engine.decoded_cache_misses",
+                         "chunk_engine.chunks_planned",
+                         "chunk_engine.plan_chunks")
+        tql_series = ("tql.rows_scanned", "tql.scan_windows",
+                      "tql.kernel_seconds")
+        ds = repro.empty(url, overwrite=True)
+        ds.create_tensor(name, dtype="int64", create_shape_tensor=False,
+                         create_id_tensor=False)
+        ds.extend({name: np.arange(10)})
+        ds.flush()
+
+        def counts(names):
+            return [reg.series_count(n) for n in names]
+
+        before = counts(engine_series)
+        ds = repro.load(url)
+        engine = ds._engine(name)
+        assert counts(engine_series) == before
+        engine_rows(engine, list(range(10)))
+        assert counts(engine_series) == [n + 1 for n in before]
+
+        q = f"SELECT {name} WHERE {name} > 4"
+        before = counts(tql_series)
+        ex = Executor(ds, build_plan(ds, parse(q)))
+        assert counts(tql_series) == before
+        assert len(ex.run(q)) == 5
+        assert counts(tql_series) == [n + 1 for n in before]
+
     def test_loader_stats_are_views_not_copies(self, image_ds):
         from repro.dataloader import DeepLakeLoader
 

@@ -1113,3 +1113,137 @@ class TestOrderByArrayProgram:
         empty = np.zeros((4, 0))
         assert executor_mod._stable_argsort(
             empty, ascending).tolist() == [0, 1, 2, 3]
+
+
+def _lexsort_segments(key_cols, n):
+    """:func:`kernels._group_segments` before narrowing: one stable
+    ``lexsort`` of the dense keys as they are (the reference)."""
+    subkeys = [sub for col in key_cols for sub in col.reshape(n, -1).T]
+    order = np.lexsort(subkeys)
+    new = np.zeros(n, dtype=bool)
+    new[0] = True
+    for sub in subkeys:
+        ordered = sub[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    return order, np.flatnonzero(new)
+
+
+def _spread(gen, lo, span, n, dtype):
+    """*n* keys in ``[lo, lo + span]``, both ends present, as *dtype*
+    (computed from Python ints, so 64-bit extremes are exact)."""
+    offsets = [0, span] + gen.integers(0, span + 1, n - 2).tolist()
+    return np.array([lo + k for k in offsets], dtype=dtype)[gen.permutation(n)]
+
+
+class TestNarrowGroupKeys:
+    """A dense integer or bool group key is radix-sorted as ``uint8`` /
+    ``uint16`` when its span allows: ``order`` and ``starts`` must be the
+    arrays one ``lexsort`` of the un-narrowed keys gives."""
+
+    N = 3000
+
+    @pytest.mark.parametrize("span, narrow", [
+        (0, np.uint8), (255, np.uint8), (256, np.uint16),
+        (65535, np.uint16), (65536, None),
+    ])
+    @pytest.mark.parametrize("lo, dtype", [
+        (-2 ** 40, np.int64),
+        (-2 ** 63, np.int64),            # the most negative int64
+        (2 ** 63 - 1 - 65536, np.int64),  # ends at the largest int64
+        (2 ** 64 - 1 - 65536, np.uint64),  # ends at the largest uint64
+        (7, np.uint64),
+        (-2 ** 31, np.int32),
+        (2 ** 32 - 1 - 65536, np.uint32),
+    ])
+    def test_spans_match_the_unnarrowed_lexsort(self, span, narrow, lo,
+                                                dtype):
+        gen = np.random.default_rng(span + 1)
+        key = _spread(gen, lo, span, self.N, dtype)
+        assert (kernels._radix_key(key).dtype
+                == np.dtype(narrow or dtype))
+        got = kernels._group_segments([key], self.N)
+        want = _lexsort_segments([key], self.N)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert len(want[1]) == len(np.unique(key))
+
+    def test_full_range_int64_is_left_as_it_is(self):
+        key = np.array([-2 ** 63, 2 ** 63 - 1, 0, -1, 2 ** 63 - 1],
+                       dtype=np.int64)
+        assert kernels._radix_key(key) is key
+        for a, b in zip(kernels._group_segments([key], 5),
+                        _lexsort_segments([key], 5)):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("make", [
+        lambda gen, n: [gen.random(n) < 0.3],
+        lambda gen, n: [gen.integers(-3, 4, n).astype(np.int64),
+                        gen.random(n) < 0.5],
+        lambda gen, n: [gen.random(n) < 0.5,
+                        np.uint64(2 ** 64 - 9)
+                        + gen.integers(0, 8, n).astype(np.uint64)],
+        lambda gen, n: [gen.integers(0, 300, (n, 2)).astype(np.int64)],
+        lambda gen, n: [gen.integers(-5, 5, n).astype(np.int8),
+                        gen.integers(0, 70000, n).astype(np.int64)],
+    ], ids=["bool", "int+bool", "bool+uint64", "int64x2", "int8+int64"])
+    def test_bool_and_multi_column_keys(self, make):
+        gen = np.random.default_rng(5)
+        cols = make(gen, self.N)
+        for a, b in zip(kernels._group_segments(cols, self.N),
+                        _lexsort_segments(cols, self.N)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_float_keys_keep_nan_and_signed_zero_semantics(self):
+        """Floats are not narrowed: each NaN row is its own group and
+        ``-0.0`` / ``0.0`` share one."""
+        gen = np.random.default_rng(9)
+        key = gen.choice([np.nan, -0.0, 0.0, 1.5, -7.0], self.N)
+        assert kernels._radix_key(key) is key
+        order, starts = kernels._group_segments([key], self.N)
+        want = _lexsort_segments([key], self.N)
+        np.testing.assert_array_equal(order, want[0])
+        np.testing.assert_array_equal(starts, want[1])
+        nans = int(np.isnan(key).sum())
+        assert len(starts) == 3 + nans  # -7, ±0, 1.5, one per NaN row
+        zeros = key[order[starts]] == 0
+        assert zeros.sum() == 1
+
+    @pytest.mark.parametrize("dtype, keys", [
+        ("int8", lambda gen, n: gen.integers(-128, 128, n)),
+        ("int64", lambda gen, n: -2 ** 63 + gen.integers(0, 300, n)),
+        ("uint64", lambda gen, n: [2 ** 64 - 1 - int(k)
+                                   for k in gen.integers(0, 70000, n)]),
+        ("bool", lambda gen, n: gen.random(n) < 0.4),
+    ])
+    def test_results_match_the_row_path(self, dtype, keys):
+        gen = np.random.default_rng(13)
+        n = 600
+        ds = repro.empty(MemoryProvider(f"narrow-{dtype}"), overwrite=True)
+        _bare(ds, "k", dtype=dtype)
+        _bare(ds, "x", dtype="float64")
+        ds.extend({"k": np.array(keys(gen, n), dtype=dtype),
+                   "x": gen.normal(size=n)})
+        ds.flush()
+        q = ("SELECT k, COUNT() AS n, MEAN(x) AS m, SUM(x) AS s, "
+             "STD(x) AS d GROUP BY k")
+        fast = ds.query(q)
+        assert len(fast) > 1
+        _identical(fast, ds.query(q, optimize=False))
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+def test_empty_group_by_result_declares_its_columns(optimize):
+    """No row survives WHERE: the result still has the GROUP BY's output
+    columns, as an empty projection has its own."""
+    ds = repro.empty(MemoryProvider("emptygroup"), overwrite=True)
+    _bare(ds, "labels", dtype="int64")
+    _bare(ds, "score", dtype="float64")
+    ds.extend({"labels": np.arange(8) % 3, "score": np.linspace(0, 1, 8)})
+    out = ds.query("SELECT labels, COUNT() AS cnt WHERE score > 5 "
+                   "GROUP BY labels", optimize=optimize)
+    assert len(out) == 0
+    assert list(out.tensors) == ["labels", "cnt"]
+    assert len(out["cnt"].numpy(aslist=True)) == 0
+    projected = ds.query("SELECT score * 2 AS s WHERE score > 5",
+                         optimize=optimize)
+    assert list(projected.tensors) == ["s"]
