@@ -1266,9 +1266,9 @@ class ChunkEngine:
             column = read_plan.slice_plan(self, plan, chunks, decode)
             sp.set(dense=isinstance(column, np.ndarray))
         if plan.seq_spans is not None:
-            return read_plan.assemble_sequences(
-                self, plan, column, decode, aslist
-            )
+            return read_plan.sequence_rows(
+                column_rows(column), [c for _s, c in plan.seq_spans],
+                self.meta.dtype, stack=decode and not aslist)
         if not aslist or not isinstance(column, np.ndarray):
             return column
         values = column_rows(column)

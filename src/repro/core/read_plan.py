@@ -509,26 +509,24 @@ def slice_plan(engine: "ChunkEngine", plan: ReadPlan,
     return values
 
 
-def assemble_sequences(engine: "ChunkEngine", plan: ReadPlan, column,
-                       decode: bool, aslist: bool) -> List:
-    """Per-row sequences out of the flat item *column* of a sequence
-    plan: uniform items stack unless ``aslist`` / ``decode=False``."""
-    values = column_rows(column)
-    out = []
-    for start, count in plan.seq_spans:
-        items = values[start : start + count]
-        if not decode or aslist:
-            out.append(items)
-        elif not items:
-            # an empty span stacks to zero rows of the tensor's own
-            # dtype, never numpy's float64 default
-            out.append(np.empty(
-                (0,), dtype=np.dtype(engine.meta.dtype or "float64")
-            ))
-        elif len({item.shape for item in items}) == 1:
-            out.append(np.stack(items))
+def sequence_rows(items: Sequence, counts: Sequence[int], dtype,
+                  stack: bool = True) -> List:
+    """Per-row sequences out of the flat *items*, ``counts[r]`` items in
+    row ``r``: a row of uniform items stacks into one ndarray unless not
+    *stack*, and an empty row stacks to zero rows of *dtype* (the
+    tensor's own, never numpy's float64 default)."""
+    out, start = [], 0
+    for count in counts:
+        row = items[start : start + count]
+        start += count
+        if not stack:
+            out.append(row)
+        elif not row:
+            out.append(np.empty((0,), dtype=np.dtype(dtype or "float64")))
+        elif len({item.shape for item in row}) == 1:
+            out.append(np.stack(row))
         else:
-            out.append(items)
+            out.append(row)
     return out
 
 

@@ -11,10 +11,14 @@ returns.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+import time
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 import numpy as np
 
+from repro.compression import decompress_arrays
+from repro.core.read_plan import sequence_rows
 from repro.obs import tracing as _tracing
 from repro.serve.protocol import Request, Response, raise_from_response
 from repro.serve.transport import Transport
@@ -33,24 +37,25 @@ class RemoteStorageProvider(StorageProvider):
 
     # ------------------------------------------------------------------ #
 
-    def _request(self, op: str, **fields) -> Response:
+    @contextmanager
+    def _exchange(self, op: str, **fields) -> Iterator[Response]:
         """One round trip, trace-stitched: when this thread is tracing,
         the request carries ``(trace_id, span_id)`` and the server's span
-        tree comes back on the response and is grafted under the call."""
+        tree comes back on the response and is grafted under the call.
+        The caller's block (a served read's decode) runs in the span."""
         with _tracing.span(f"serve.client.{op}", dataset=self.dataset,
                            tenant=self.tenant):
-            ctx = _tracing.trace_context()
-            if ctx is not None:
-                req = Request(op=op, tenant=self.tenant,
-                              dataset=self.dataset, trace_id=ctx[0],
-                              parent_span=ctx[1], **fields)
-            else:
-                req = Request(op=op, tenant=self.tenant,
-                              dataset=self.dataset, **fields)
-            resp = self.transport.request(req)
+            trace_id, parent = _tracing.trace_context() or ("", "")
+            resp = self.transport.request(Request(
+                op=op, tenant=self.tenant, dataset=self.dataset,
+                trace_id=trace_id, parent_span=parent, **fields))
             _tracing.attach_remote(resp.trace)
             raise_from_response(resp)
-        return resp
+            yield resp
+
+    def _request(self, op: str, **fields) -> Response:
+        with self._exchange(op, **fields) as resp:
+            return resp
 
     def _get(self, key: str, start: Optional[int],
              end: Optional[int]) -> bytes:
@@ -96,42 +101,39 @@ class RemoteStorageProvider(StorageProvider):
         One request/response pays the transport's per-message cost once —
         the batching analogue of the server's range→chunk coalescing.
         """
+        t0 = time.perf_counter()
         resp = self._request("get_many", keys=tuple(keys))
-        for data in resp.blobs.values():
-            self.stats.record_get(len(data))
+        self._record_reads(resp.blobs.values(), t0)
         return dict(resp.blobs)
 
     def read_batch(self, tensor: str, rows: Sequence[int]) -> List[np.ndarray]:
-        """Decoded samples for many rows of *tensor* in one round trip.
-
-        The server executes one ReadPlan (chunks fetched + decompressed
-        once, through its shared cache) and ships every sample back in a
-        single response — the sample-level analogue of :meth:`get_many`.
-        """
+        """Samples of many rows of *tensor* in one round trip, decoded on
+        the calling thread: :meth:`read_columns` of one column."""
         return self.read_columns([tensor], rows)[tensor]
 
     def read_columns(
         self, tensors: Sequence[str], rows: Sequence[int]
     ) -> Dict[str, List[np.ndarray]]:
-        """Decoded samples for many rows of *several* tensors in ONE round
-        trip.
+        """Samples of many rows of *several* tensors in ONE round trip:
+        per tensor, the list a local ``read_rows`` returns.
 
         The server fuses the per-tensor ReadPlans so all columns' chunk
-        misses reach its backend in a single ``get_many`` — a worker group
-        touching images+labels+boxes costs one message instead of three.
+        misses reach its backend in a single ``get_many``, and answers
+        each tensor with one column of framed payloads (a JPEG tensor's
+        stored bytes).  This thread, the tenant's, decodes each column
+        with ONE codec call and regroups a sequence tensor's items.
         """
-        resp = self._request(
-            "read_batch", tensors=tuple(tensors),
-            rows=tuple(int(r) for r in rows),
-        )
-        out: Dict[str, List[np.ndarray]] = {}
-        for name, triples in resp.columns.items():
-            column = []
-            for dtype, shape, payload in triples:
-                self.stats.record_get(len(payload))
-                arr = np.frombuffer(payload, dtype=np.dtype(dtype))
-                column.append(arr.reshape(tuple(shape)).copy())
-            out[name] = column
+        t0 = time.perf_counter()
+        with self._exchange("read_batch", tensors=tuple(tensors),
+                            rows=tuple(int(r) for r in rows)) as resp:
+            self._record_read(  # one read: the round trip's payloads
+                sum(len(p) for column in resp.columns.values()
+                    for p in column[1]),
+                time.perf_counter() - t0, op="get_many")
+            out: Dict[str, List[np.ndarray]] = {}
+            for name, (codec, payloads, *seq) in resp.columns.items():
+                values = decompress_arrays(payloads, codec)
+                out[name] = sequence_rows(values, *seq) if seq else values
         return out
 
     def server_stats(self) -> dict:

@@ -49,7 +49,7 @@ class Request:
     #: class-ordered keys keeps its crash-consistency guarantee remotely
     blobs: Dict[str, bytes] = field(default_factory=dict)
     #: read_batch columns: the server fuses the per-tensor plans into one
-    #: backend ``get_many`` and answers on :attr:`Response.columns`
+    #: backend ``get_many`` and answers each on :attr:`Response.columns`
     tensors: Tuple[str, ...] = ()
     rows: Tuple[int, ...] = ()          # read_batch
     #: W3C-trace-context-style propagation: when set, the server records
@@ -83,10 +83,12 @@ class Response:
     data: bytes = b""                             # get
     blobs: Dict[str, bytes] = field(default_factory=dict)  # get_many
     keys: Tuple[str, ...] = ()                    # keys
-    #: read_batch: tensor → one (dtype, shape, payload) triple per row
-    columns: Dict[str, Tuple[Tuple[str, Tuple[int, ...], bytes], ...]] = (
-        field(default_factory=dict)
-    )
+    #: read_batch: tensor → ``(codec, payloads)``, one framed sample
+    #: payload per row (its frame carries dtype and shape) that the client
+    #: decodes with ONE codec call; a sequence tensor's payloads are its
+    #: rows' flat items, ``(codec, payloads, counts, dtype)``: items per
+    #: row, and the dtype an empty row stacks to
+    columns: Dict[str, tuple] = field(default_factory=dict)
     info: Optional[dict] = None                   # stats / ping
     error_type: str = ""
     error: str = ""
@@ -100,12 +102,10 @@ class Response:
             n += len(repr(self.trace))
         n += sum(len(k) + len(v) for k, v in self.blobs.items())
         n += sum(len(k) for k in self.keys)
-        for name, triples in self.columns.items():
-            n += len(name)
-            n += sum(
-                len(dtype) + 4 * len(shape) + len(payload)
-                for dtype, shape, payload in triples
-            )
+        for name, (codec, payloads, *seq) in self.columns.items():
+            n += len(name) + len(codec) + sum(map(len, payloads))
+            if seq:
+                n += 4 * len(seq[0]) + len(seq[1])
         if self.info is not None:
             n += len(repr(self.info))  # stats/ping payloads cost bytes too
         return n

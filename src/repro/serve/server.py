@@ -24,15 +24,15 @@ behind a shared front door):
   tenant and globally; rejected requests fail fast with
   :class:`~repro.exceptions.AdmissionError` rather than queueing without
   bound.
-- **Sample batching** — the ``read_batch`` op serves whole decoded
-  samples: the server opens the hosted dataset once, plans every
-  requested tensor through
-  :meth:`~repro.core.chunk_engine.ChunkEngine.plan_reads` and executes
-  the plans as one :class:`~repro.core.chunk_engine.FusedReadPlan`
+- **Sample batching** — the ``read_batch`` op serves samples as stored:
+  the server opens the hosted dataset once, plans every requested tensor
+  through :meth:`~repro.core.chunk_engine.ChunkEngine.plan_reads`,
+  executes the plans as one :class:`~repro.core.chunk_engine.FusedReadPlan`
   (one fetch + one decompress per chunk, reading through the shared
-  cache), and ships all rows back in a single response — so a remote
-  client gets chunk-granular amortization over the wire instead of one
-  round trip per sample.
+  cache), and ships all rows back in a single response: per tensor one
+  column of sample payloads (a JPEG tensor's stored bytes, not pixels),
+  which the tenant decodes with one codec call on its own thread (§4.6)
+  — so each tenant pays for its own decode CPU.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.compression import compress_array
+from repro.core.read_plan import FusedReadPlan
 from repro.exceptions import (
     AdmissionError,
     KeyNotFound,
@@ -146,9 +148,9 @@ class _ServeView(StorageProvider):
         return server._read_key(self.dataset, key, start, end)[0]
 
     def get_many(self, keys: Sequence[str]):
+        t0 = time.perf_counter()
         blobs, _outcomes = self.server._batched_blobs(self.dataset, keys)
-        for blob in blobs.values():
-            self.stats.record_get(len(blob))
+        self._record_reads(blobs.values(), t0)
         return blobs
 
     def _set(self, key, value):
@@ -507,7 +509,7 @@ class DatasetServer:
         return blob, outcomes[key]
 
     def _serve_read_batch(self, req: Request, tenant: TenantStats) -> Response:
-        """Decoded samples for many rows in one round trip.
+        """Samples for many rows in one round trip, as stored.
 
         The hosted dataset is read through the shared chunk cache, so the
         ReadPlan's chunk fetches land once per chunk server-wide; the
@@ -515,12 +517,10 @@ class DatasetServer:
         The tensors' plans are fused so every column's misses reach the
         backend in ONE ``get_many``; each request also feeds the
         per-tenant stride tracker that drives server-push prefetch of the
-        next sequential window.
+        next sequential window.  A plain plan of a sample-compressed
+        tensor ships its stored payloads undecoded; any other plan the
+        values it yields (tiled, padded, linked rows) framed by ``none``.
         """
-        import numpy as np
-
-        from repro.core.read_plan import FusedReadPlan, column_rows
-
         ds = self._served_dataset(req.dataset)
         names = tuple(req.tensors)
         rows = list(req.rows)
@@ -531,28 +531,26 @@ class DatasetServer:
         fused = FusedReadPlan()
         for _name, engine, plan in plans:
             fused.add(engine, plan)
-        column_values = fused.execute()
         # this request's own residency: what it fetched or joined missed,
         # and a joined chunk (another's flight) is also a coalesced hit
+        resident = fused._fetch_all()
         misses = len(fused.fetched) + fused.joined
         self._count_outcomes(tenant, ["coalesced"] * fused.joined)
         columns = {}
-        for (name, _engine, _plan), values in zip(plans, column_values):
-            triples = []
-            for value in column_rows(values):  # the wire carries rows
-                if not isinstance(value, np.ndarray):
-                    raise ServeError(
-                        f"tensor {name!r} holds ragged sequence samples; "
-                        "read_batch serves fixed ndarray samples only"
-                    )
-                arr = np.ascontiguousarray(value)
-                triples.append(
-                    (arr.dtype.str, tuple(int(x) for x in arr.shape),
-                     arr.tobytes())
-                )
-            columns[name] = tuple(triples)
-        tenant.inc("samples_served",
-                   sum(len(t) for t in columns.values()))
+        for (name, engine, plan), chunks in zip(plans, resident):
+            meta = engine.meta
+            codec = (plan.plain and not meta.is_link
+                     and meta.sample_compression) or None
+            values = engine.execute_plan(plan, aslist=True,
+                                         decode=codec is None, _chunks=chunks)
+            seq = ()
+            if plan.seq_spans is not None:  # a row is the list of its items
+                seq = ([len(v) for v in values], meta.dtype or "float64")
+                values = [item for v in values for item in v]
+            if codec is None:
+                values = [compress_array(v, None) for v in values]
+            columns[name] = (codec or "none", values, *seq)
+        tenant.inc("samples_served", len(rows) * len(names))
         tenant.inc("chunk_cache_hits", fused.num_chunks - misses)
         tenant.inc("chunk_cache_misses", misses)
         self._note_read_window(req.tenant, req.dataset, names, rows,
@@ -676,8 +674,6 @@ class DatasetServer:
         tensor of *names* with one fused ``get_many`` (runs on the prefetch
         pool).  Speculative work never surfaces errors to tenants: a
         failure is counted in ``serve.prefetch_errors``."""
-        from repro.core.chunk_engine import FusedReadPlan
-
         fused = FusedReadPlan()
         try:
             with _tracing.span("serve.push_prefetch", server=self.name,

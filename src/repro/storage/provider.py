@@ -24,7 +24,8 @@ import time
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, MutableMapping, Optional, Sequence, Set
+from typing import (Dict, Iterable, Iterator, MutableMapping, Optional,
+                    Sequence, Set)
 
 from repro.exceptions import ReadOnlyStorageError
 from repro.obs import metrics as _metrics
@@ -132,30 +133,35 @@ class StorageProvider(ABC, MutableMapping):
     store.
     """
 
+    # the provider-labeled series, each resolved in the registry when the
+    # provider first records into it (every TQL result builds a provider)
+    _m_gets = _metrics.labeled(
+        _metrics.Counter, "storage.get_requests", provider="_kind")
+    _m_puts = _metrics.labeled(
+        _metrics.Counter, "storage.put_requests", provider="_kind")
+    _m_bytes_read = _metrics.labeled(
+        _metrics.Counter, "storage.bytes_read", provider="_kind")
+    _m_bytes_written = _metrics.labeled(
+        _metrics.Counter, "storage.bytes_written", provider="_kind")
+    _h_get = _metrics.labeled(_metrics.Histogram, "storage.op_seconds",
+                              provider="_kind", op="_GET")
+    _h_get_many = _metrics.labeled(_metrics.Histogram, "storage.op_seconds",
+                                   provider="_kind", op="_GET_MANY")
+    _h_put = _metrics.labeled(_metrics.Histogram, "storage.op_seconds",
+                              provider="_kind", op="_PUT")
+    _h_set_many = _metrics.labeled(_metrics.Histogram, "storage.op_seconds",
+                                   provider="_kind", op="_SET_MANY")
+    #: the ``op`` label values of ``storage.op_seconds``
+    _GET, _GET_MANY, _PUT, _SET_MANY = "get", "get_many", "put", "set_many"
+
     def __init__(self):
         self.read_only = False
         self.stats = StorageStats()
-        kind = type(self).__name__
-        self._m_gets = _metrics.counter("storage.get_requests", provider=kind)
-        self._m_puts = _metrics.counter("storage.put_requests", provider=kind)
-        self._m_bytes_read = _metrics.counter(
-            "storage.bytes_read", provider=kind
-        )
-        self._m_bytes_written = _metrics.counter(
-            "storage.bytes_written", provider=kind
-        )
-        self._h_get = _metrics.histogram(
-            "storage.op_seconds", provider=kind, op="get"
-        )
-        self._h_get_many = _metrics.histogram(
-            "storage.op_seconds", provider=kind, op="get_many"
-        )
-        self._h_put = _metrics.histogram(
-            "storage.op_seconds", provider=kind, op="put"
-        )
-        self._h_set_many = _metrics.histogram(
-            "storage.op_seconds", provider=kind, op="set_many"
-        )
+
+    @property
+    def _kind(self) -> str:
+        """The ``provider`` label of this provider's series."""
+        return type(self).__name__
 
     def _record_read(self, nbytes: int, seconds: float, op: str = "get") -> None:
         """Registry + stats accounting for one read that took *seconds*."""
@@ -164,6 +170,13 @@ class StorageProvider(ABC, MutableMapping):
         self._m_gets.inc()
         self._m_bytes_read.inc(nbytes)
         (self._h_get_many if op == "get_many" else self._h_get).observe(seconds)
+
+    def _record_reads(self, blobs: Iterable[bytes], t0: float) -> None:
+        """:meth:`_record_read` of every blob of one batched read that
+        began at ``time.perf_counter()`` *t0*."""
+        seconds = time.perf_counter() - t0
+        for blob in blobs:
+            self._record_read(len(blob), seconds, op="get_many")
 
     def _record_write(self, nbytes: int, seconds: float, op: str = "put") -> None:
         """Registry + stats accounting for one write that took *seconds*."""

@@ -8,8 +8,8 @@ their case (tensor names are case-sensitive).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import List, NamedTuple
 
 from repro.exceptions import TQLSyntaxError
 
@@ -26,8 +26,7 @@ SYMBOLS = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):  # a tuple: built at a third of a dataclass's cost
     kind: str  # KEYWORD | IDENT | NUMBER | STRING | SYMBOL | EOF
     value: str
     pos: int
@@ -36,77 +35,39 @@ class Token:
         return f"{self.kind}:{self.value!r}"
 
 
+#: one alternative per token kind, tried in order at each offset: a
+#: comment before the ``-`` symbol, a number before the ``.`` one, the
+#: symbols longest first, and a quote that opens no whole string or any
+#: other character is an error
+_TOKEN = re.compile("|".join((
+    r"(?P<SPACE>\s+|--[^\n]*\n?)",
+    r"""(?P<STRING>"(?:\\.|[^"\\])*"|'(?:\\.|[^'\\])*')""",
+    r"""(?P<OPEN>["'])""",
+    r"(?P<NUMBER>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d*)?)",
+    r"(?P<IDENT>[^\W\d]\w*)",
+    "(?P<SYMBOL>" + "|".join(map(re.escape, SYMBOLS)) + ")",
+    r"(?P<BAD>.)",
+)), re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
 def tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "SPACE":
             continue
-        if ch == "-" and text[i : i + 2] == "--":  # SQL line comment
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if ch in "\"'":
-            quote = ch
-            j = i + 1
-            buf = []
-            while j < n and text[j] != quote:
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append(text[j + 1])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise TQLSyntaxError("unterminated string literal", i, text)
-            tokens.append(Token("STRING", "".join(buf), i))
-            i = j + 1
-            continue
-        if ch.isdigit() or (
-            ch == "." and i + 1 < n and text[i + 1].isdigit()
-        ):
-            j = i
-            seen_dot = False
-            seen_exp = False
-            while j < n:
-                c = text[j]
-                if c.isdigit():
-                    j += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif c in "eE" and not seen_exp and j > i:
-                    seen_exp = True
-                    j += 1
-                    if j < n and text[j] in "+-":
-                        j += 1
-                else:
-                    break
-            tokens.append(Token("NUMBER", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word.upper() in KEYWORDS:
-                tokens.append(Token("KEYWORD", word.upper(), i))
-            else:
-                tokens.append(Token("IDENT", word, i))
-            i = j
-            continue
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("SYMBOL", sym, i))
-                i += len(sym)
-                break
-        else:
-            raise TQLSyntaxError(f"unexpected character {ch!r}", i, text)
-    tokens.append(Token("EOF", "", n))
+        value, pos = m.group(), m.start()
+        if kind == "STRING":
+            value = _ESCAPE.sub(r"\1", value[1:-1])
+        elif kind == "IDENT" and value.upper() in KEYWORDS:
+            kind, value = "KEYWORD", value.upper()
+        elif kind == "OPEN":
+            raise TQLSyntaxError("unterminated string literal", pos, text)
+        elif kind == "BAD":
+            raise TQLSyntaxError(f"unexpected character {value!r}", pos, text)
+        tokens.append(Token(kind, value, pos))
+    tokens.append(Token("EOF", "", len(text)))
     return tokens
 
 

@@ -278,8 +278,9 @@ class TestInstrumentationWiring:
         assert sum(eng_delta) > 0
 
     def test_labeled_series_resolve_on_first_use(self):
-        """Building an engine or an executor adds no registry series; the
-        first read or query adds the ones it records into."""
+        """Building an engine, an executor or a storage provider adds no
+        registry series; the first read, query or write adds the ones it
+        records into."""
         from repro.tql import Executor, build_plan, parse
 
         reg = metrics.REGISTRY
@@ -311,6 +312,22 @@ class TestInstrumentationWiring:
         assert counts(tql_series) == before
         assert len(ex.run(q)) == 5
         assert counts(tql_series) == [n + 1 for n in before]
+
+        class FirstUseProbeProvider(MemoryProvider):
+            """A provider class of its own: its series are its label's."""
+
+        storage_series = ("storage.get_requests", "storage.put_requests",
+                          "storage.bytes_read", "storage.bytes_written",
+                          "storage.op_seconds")
+        before = counts(storage_series)
+        provider = FirstUseProbeProvider("first-use")
+        assert counts(storage_series) == before
+        provider["k"] = b"abc"
+        assert provider["k"] == b"abc"
+        assert counts(storage_series) == [n + 1 for n in before[:4]] + [
+            before[4] + 2]  # op_seconds: one series per op, put and get
+        assert reg.value("storage.get_requests",
+                         provider="FirstUseProbeProvider") == 1
 
     def test_loader_stats_are_views_not_copies(self, image_ds):
         from repro.dataloader import DeepLakeLoader

@@ -1281,8 +1281,7 @@ class TestConsumersMatchPerSamplePath:
         assert len(result) == 100
         assert store.stats.get_requests <= n_chunks
 
-    def test_serve_read_batch_identity_and_sequence_error(self):
-        from repro.exceptions import ServeError
+    def test_serve_read_batch_identity_and_ragged_sequence(self):
         from repro.serve.server import DatasetServer
 
         store = MemoryProvider("served")
@@ -1301,10 +1300,16 @@ class TestConsumersMatchPerSamplePath:
         client = server.connect("d", tenant="alice")
         values = client.read_batch("x", [9, 0, 4])
         assert [int(v[0]) for v in values] == [9, 0, 4]
-        with pytest.raises(ServeError):
-            client.read_batch("seq", [0, 1])
+        # a ragged sequence row is the list of its items, as read locally
+        served = client.read_batch("seq", [0, 1])
+        local = ds.read_rows([0, 1], ["seq"])["seq"]
+        assert len(served) == len(local) == 2
+        for got, want in zip(served, local):
+            assert isinstance(got, list) and len(got) == len(want) == 2
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
         stats = server.stats_snapshot()["tenants"]["alice"]
-        assert stats["samples_served"] == 3
+        assert stats["samples_served"] == 5
         assert stats["chunk_cache_hits"] + stats["chunk_cache_misses"] >= 1
 
     def test_concurrent_serve_read_batch_dedups_backend_gets(self):

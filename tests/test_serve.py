@@ -171,6 +171,147 @@ class TestServedReads:
 # --------------------------------------------------------------------------- #
 
 
+# --------------------------------------------------------------------------- #
+# a served read is the local read: stored payloads, decoded by the tenant
+# --------------------------------------------------------------------------- #
+
+
+def _served_layout(layout, n=10):
+    """-> (store, tensor name) holding one tensor of *layout*, flushed."""
+    from repro.workloads import smooth_image
+
+    rng = np.random.default_rng(5)
+    store = MemoryProvider(f"layout-{layout}")
+    ds = repro.empty(store, overwrite=True, strict=False)
+    meta = {
+        "jpeg": dict(htype="image", sample_compression="jpeg"),
+        "png": dict(htype="image", sample_compression="png"),
+        "lz4": dict(dtype="float32", chunk_compression="lz4",
+                    max_chunk_size=512),
+        "raw_fixed": dict(dtype="int64", max_chunk_size=256),
+        "raw_ragged": dict(dtype="int64", max_chunk_size=256),
+        "seq_uniform": dict(htype="sequence[generic]", dtype="int32"),
+        "seq_ragged": dict(htype="sequence[generic]", dtype="int32"),
+        "jpeg_tiled": dict(htype="image", sample_compression="jpeg",
+                           max_chunk_size=4096),
+        "padded": dict(dtype="float32", max_chunk_size=256),
+    }[layout]
+    ds.create_tensor("t", create_shape_tensor=False, create_id_tensor=False,
+                     **meta)
+    if layout in ("jpeg", "jpeg_tiled"):
+        values = [smooth_image(rng, 16, 16 + 8 * (i % 2)) for i in range(n)]
+        if layout == "jpeg_tiled":
+            values[3] = smooth_image(rng, 200, 160)
+    elif layout == "png":
+        values = [rng.integers(0, 255, (12, 12, 3), dtype=np.uint8)
+                  for _ in range(n)]
+    elif layout == "lz4":
+        values = [rng.random(16).astype(np.float32) for _ in range(n)]
+    elif layout == "raw_fixed":
+        values = [np.arange(i, i + 4, dtype=np.int64) for i in range(n)]
+    elif layout == "raw_ragged":
+        values = [np.arange(i % 5 + 1, dtype=np.int64) for i in range(n)]
+    elif layout == "seq_uniform":  # rows 0, 4, 8 are empty sequences
+        values = [[np.arange(i, i + 3, dtype=np.int32)] * (i % 4)
+                  for i in range(n)]
+    elif layout == "seq_ragged":  # items of one row differ in shape
+        values = [[np.arange(k + i, dtype=np.int32) for k in range(i % 3 + 1)]
+                  for i in range(n)]
+    else:
+        values = [np.full(3, i, dtype=np.float32) for i in range(n - 4)]
+    ds.t.extend(values)
+    if layout == "padded":
+        ds.t[n - 1] = np.full(3, -1, dtype=np.float32)  # pads 4 rows
+    ds.flush()
+    engine = ds._engine("t")
+    if layout == "jpeg_tiled":
+        assert engine.tile_enc.num_tiled == 1
+    if layout == "padded":
+        assert engine.pad_enc.num_padded == 3
+    return store
+
+
+def assert_same_row(got, want):
+    """Byte for byte, with dtype and shape; a list row item by item."""
+    if isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_row(g, w)
+        return
+    assert isinstance(got, np.ndarray)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestServedReadIsTheLocalRead:
+    @pytest.mark.parametrize("layout", [
+        "jpeg", "png", "lz4", "raw_fixed", "raw_ragged", "seq_uniform",
+        "seq_ragged", "jpeg_tiled", "padded",
+    ])
+    def test_read_columns_matches_read_rows(self, layout):
+        store = _served_layout(layout)
+        server = DatasetServer("diff").add_dataset("d", store)
+        client = server.connect("d", tenant="diff")
+        local = repro.load(store, read_only=True)
+        for rows in ([*range(10)], [9, 0, 3, 3, 7], [4]):
+            got = client.read_columns(["t"], rows)["t"]
+            want = local.read_rows(rows, ["t"])["t"]
+            assert len(got) == len(want) == len(rows)
+            for g, w in zip(got, want):
+                assert_same_row(g, w)
+
+    def test_the_tenant_decodes_a_served_read(self):
+        """The server ships stored JPEG payloads: the column's decode is
+        a span of the client's call, never of the grafted server tree."""
+        from repro.obs import tracing
+
+        server = DatasetServer("decode-side").add_dataset(
+            "d", _served_layout("jpeg"))
+        client = server.connect("d", transport=InprocTransport(server))
+        with tracing.trace("tenant") as root:
+            client.read_columns(["t"], range(10))
+        flat = tracing.flatten(root)
+        by_id = {s["span_id"]: s for s in flat}
+
+        def ancestors(span):
+            while span["parent_id"] in by_id:
+                span = by_id[span["parent_id"]]
+                yield span["name"]
+
+        decodes = [s for s in flat if s["name"] == "compression.decode_batch"]
+        assert decodes and sum(s["attrs"]["samples"] for s in decodes) == 10
+        for span in decodes:
+            above = list(ancestors(span))
+            assert "serve.client.read_batch" in above
+            assert "server.read_batch" not in above
+
+    def test_remote_reads_count_in_the_registry(self):
+        """A remote provider's reads count in its ``stats`` and in the
+        ``storage.*{provider=RemoteStorageProvider}`` series alike."""
+        from repro.obs import metrics
+
+        store = _served_layout("raw_fixed")
+        client = DatasetServer("accounting").add_dataset(
+            "d", store).connect("d")
+
+        def counts():
+            return (
+                client.stats.get_requests, client.stats.bytes_read,
+                metrics.REGISTRY.value("storage.get_requests",
+                                       provider="RemoteStorageProvider"),
+                metrics.REGISTRY.value("storage.bytes_read",
+                                       provider="RemoteStorageProvider"),
+            )
+
+        for read in (lambda: client.get_many(sorted(store._all_keys())[:5]),
+                     lambda: client.read_columns(["t"], [1, 2, 3])):
+            gets, nbytes, reg_gets, reg_bytes = counts()
+            read()
+            after = counts()
+            assert after[0] - gets == after[2] - reg_gets > 0
+            assert after[1] - nbytes == after[3] - reg_bytes > 0
+
+
 class TestSharedCache:
     def test_concurrent_clients_dedup_backend_gets(self):
         """8 concurrent clients over overlapping chunks: backend GETs are

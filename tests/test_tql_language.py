@@ -1,5 +1,7 @@
 """TQL lexer, parser, unparser, and function registry."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from repro.tql.ast_nodes import (
     Subscript,
 )
 from repro.tql.functions import get_row_function
-from repro.tql.lexer import tokenize
+from repro.tql.lexer import SYMBOLS, tokenize
 
 FIG5 = """
 SELECT
@@ -64,6 +66,122 @@ class TestLexer:
     def test_unexpected_char(self):
         with pytest.raises(TQLSyntaxError):
             tokenize("SELECT @")
+
+
+#: (text, exact tokens) pinned on the tokenizer: comments, both quote
+#: kinds and backslash escapes, number forms, every symbol longest match
+#: first, keywords of any case and identifiers that keep theirs
+TOKEN_CORPUS = [
+    ('SELECT x -- a comment\nFROM ds', [
+        ('KEYWORD', 'SELECT', 0), ('IDENT', 'x', 7), ('KEYWORD', 'FROM', 22),
+        ('IDENT', 'ds', 27), ('EOF', '', 29),
+    ]),
+    ('a--trailing comment, no newline', [
+        ('IDENT', 'a', 0), ('EOF', '', 31),
+    ]),
+    ('-- only a comment\n', [
+        ('EOF', '', 18),
+    ]),
+    ('"say \\"hi\\"" \'it\\\'s\' "back\\\\slash" \'mixed "quotes"\' "it\'s"', [
+        ('STRING', 'say "hi"', 0), ('STRING', "it's", 13),
+        ('STRING', 'back\\slash', 21), ('STRING', 'mixed "quotes"', 35),
+        ('STRING', "it's", 52), ('EOF', '', 58),
+    ]),
+    ('"line\\\nbreak" \'\'', [
+        ('STRING', 'line\nbreak', 0), ('STRING', '', 14), ('EOF', '', 16),
+    ]),
+    ('.5 1. 1e-3 1.5E+2 42 0.25e3 1.2.3 1e5e3 7.e2 3E', [
+        ('NUMBER', '.5', 0), ('NUMBER', '1.', 3), ('NUMBER', '1e-3', 6),
+        ('NUMBER', '1.5E+2', 11), ('NUMBER', '42', 18),
+        ('NUMBER', '0.25e3', 21), ('NUMBER', '1.2', 28), ('NUMBER', '.3', 31),
+        ('NUMBER', '1e5', 34), ('IDENT', 'e3', 37), ('NUMBER', '7.e2', 40),
+        ('NUMBER', '3E', 45), ('EOF', '', 47),
+    ]),
+    ('<= >= != <> == = < > ( ) [ ] , : + - * / % .', [
+        ('SYMBOL', '<=', 0), ('SYMBOL', '>=', 3), ('SYMBOL', '!=', 6),
+        ('SYMBOL', '<>', 9), ('SYMBOL', '==', 12), ('SYMBOL', '=', 15),
+        ('SYMBOL', '<', 17), ('SYMBOL', '>', 19), ('SYMBOL', '(', 21),
+        ('SYMBOL', ')', 23), ('SYMBOL', '[', 25), ('SYMBOL', ']', 27),
+        ('SYMBOL', ',', 29), ('SYMBOL', ':', 31), ('SYMBOL', '+', 33),
+        ('SYMBOL', '-', 35), ('SYMBOL', '*', 37), ('SYMBOL', '/', 39),
+        ('SYMBOL', '%', 41), ('SYMBOL', '.', 43), ('EOF', '', 44),
+    ]),
+    ('a<=b>=c!=d<>e==f=g<h>i', [
+        ('IDENT', 'a', 0), ('SYMBOL', '<=', 1), ('IDENT', 'b', 3),
+        ('SYMBOL', '>=', 4), ('IDENT', 'c', 6), ('SYMBOL', '!=', 7),
+        ('IDENT', 'd', 9), ('SYMBOL', '<>', 10), ('IDENT', 'e', 12),
+        ('SYMBOL', '==', 13), ('IDENT', 'f', 15), ('SYMBOL', '=', 16),
+        ('IDENT', 'g', 17), ('SYMBOL', '<', 18), ('IDENT', 'h', 19),
+        ('SYMBOL', '>', 20), ('IDENT', 'i', 21), ('EOF', '', 22),
+    ]),
+    ('<<= >== !== <>> === .. -+', [
+        ('SYMBOL', '<', 0), ('SYMBOL', '<=', 1), ('SYMBOL', '>=', 4),
+        ('SYMBOL', '=', 6), ('SYMBOL', '!=', 8), ('SYMBOL', '=', 10),
+        ('SYMBOL', '<>', 12), ('SYMBOL', '>', 14), ('SYMBOL', '==', 16),
+        ('SYMBOL', '=', 18), ('SYMBOL', '.', 20), ('SYMBOL', '.', 21),
+        ('SYMBOL', '-', 23), ('SYMBOL', '+', 24), ('EOF', '', 25),
+    ]),
+    ('x[1:2, ::3].y(z)*2/3%4', [
+        ('IDENT', 'x', 0), ('SYMBOL', '[', 1), ('NUMBER', '1', 2),
+        ('SYMBOL', ':', 3), ('NUMBER', '2', 4), ('SYMBOL', ',', 5),
+        ('SYMBOL', ':', 7), ('SYMBOL', ':', 8), ('NUMBER', '3', 9),
+        ('SYMBOL', ']', 10), ('SYMBOL', '.', 11), ('IDENT', 'y', 12),
+        ('SYMBOL', '(', 13), ('IDENT', 'z', 14), ('SYMBOL', ')', 15),
+        ('SYMBOL', '*', 16), ('NUMBER', '2', 17), ('SYMBOL', '/', 18),
+        ('NUMBER', '3', 19), ('SYMBOL', '%', 20), ('NUMBER', '4', 21),
+        ('EOF', '', 22),
+    ]),
+    ('SeLeCt Images, _private1, x2 FrOm Ds '
+     'wHeRe Label In (1) oRdEr bY s DESC', [
+        ('KEYWORD', 'SELECT', 0), ('IDENT', 'Images', 7), ('SYMBOL', ',', 13),
+        ('IDENT', '_private1', 15), ('SYMBOL', ',', 24), ('IDENT', 'x2', 26),
+        ('KEYWORD', 'FROM', 29), ('IDENT', 'Ds', 34),
+        ('KEYWORD', 'WHERE', 37), ('IDENT', 'Label', 43),
+        ('KEYWORD', 'IN', 49), ('SYMBOL', '(', 52), ('NUMBER', '1', 53),
+        ('SYMBOL', ')', 54), ('KEYWORD', 'ORDER', 56), ('KEYWORD', 'BY', 62),
+        ('IDENT', 's', 65), ('KEYWORD', 'DESC', 67), ('EOF', '', 71),
+    ]),
+    ('select TRUE, false, Null, notes, order_id, selected', [
+        ('KEYWORD', 'SELECT', 0), ('KEYWORD', 'TRUE', 7), ('SYMBOL', ',', 11),
+        ('KEYWORD', 'FALSE', 13), ('SYMBOL', ',', 18),
+        ('KEYWORD', 'NULL', 20), ('SYMBOL', ',', 24), ('IDENT', 'notes', 26),
+        ('SYMBOL', ',', 31), ('IDENT', 'order_id', 33), ('SYMBOL', ',', 41),
+        ('IDENT', 'selected', 43), ('EOF', '', 51),
+    ]),
+    ('\tSELECT\n  x\r\n', [
+        ('KEYWORD', 'SELECT', 1), ('IDENT', 'x', 10), ('EOF', '', 13),
+    ]),
+    ('', [
+        ('EOF', '', 0),
+    ]),
+]
+
+#: (text, error offset, message) of input the tokenizer refuses
+TOKEN_ERRORS = [
+    ('"oops', 0, 'unterminated string literal'),
+    ("SELECT 'ok' , 'open", 14, 'unterminated string literal'),
+    ('x = "ends in \\', 4, 'unterminated string literal'),
+    ('SELECT @', 7, "unexpected character '@'"),
+    ('a + b # c', 6, "unexpected character '#'"),
+    ('where x ! y', 8, "unexpected character '!'"),
+]
+
+
+class TestTokenizerCorpus:
+    @pytest.mark.parametrize("text, want", TOKEN_CORPUS)
+    def test_exact_tokens(self, text, want):
+        assert [(t.kind, t.value, t.pos) for t in tokenize(text)] == want
+
+    def test_corpus_covers_every_symbol(self):
+        seen = {value for _text, want in TOKEN_CORPUS
+                for kind, value, _pos in want if kind == "SYMBOL"}
+        assert seen == set(SYMBOLS)
+
+    @pytest.mark.parametrize("text, pos, message", TOKEN_ERRORS)
+    def test_refused_input(self, text, pos, message):
+        with pytest.raises(TQLSyntaxError, match=re.escape(message)) as err:
+            tokenize(text)
+        assert err.value.position == pos
 
 
 class TestParser:
