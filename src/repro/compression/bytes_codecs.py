@@ -12,6 +12,7 @@ from __future__ import annotations
 import bz2
 import lzma
 import zlib
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -69,6 +70,41 @@ class NoneCodec(ByteCodec):
 
     def decompress_bytes(self, data: bytes) -> bytes:
         return bytes(data)
+
+    def decompress_many(self, payloads: Sequence[bytes]) -> list:
+        """Decode *payloads*, in order: the payloads of one header (dtype,
+        shape) are copied into one fresh buffer read as one array, and
+        each row is a writable view of it (none aliases a payload)."""
+        with self.meter.batch(len(payloads)):
+            out: list = [None] * len(payloads)
+            groups: Dict[bytes, List[int]] = {}
+            head = b""
+            for i, data in enumerate(payloads):
+                # a header determines its own length, so a payload that
+                # starts with the previous header has that header
+                if not head or data[: len(head)] != head:
+                    name, _dt, _shape, off = unpack_array_header(bytes(data))
+                    if name != self.name:
+                        raise SampleCompressionError(
+                            f"payload encoded with {name!r}, decoded with "
+                            f"{self.name!r}"
+                        )
+                    head = bytes(data[:off])
+                groups.setdefault(head, []).append(i)
+            for head, rows in groups.items():
+                _name, dtype, shape, off = unpack_array_header(head)
+                size = off + dtype.itemsize * int(np.prod(shape))
+                if any(len(payloads[i]) != size for i in rows):
+                    raise SampleCompressionError(
+                        f"{self.name}: a {shape} {dtype} payload is not "
+                        f"{size} bytes"
+                    )
+                buf = bytearray().join(memoryview(payloads[i])[off:]
+                                       for i in rows)
+                column = np.frombuffer(buf, dtype).reshape(len(rows), *shape)
+                for k, i in enumerate(rows):
+                    out[i] = column[k, ...]
+            return out
 
 
 class ZlibBackedCodec(ByteCodec):

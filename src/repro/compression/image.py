@@ -5,6 +5,10 @@ filtered-deflate lossless codec (PNG stand-in).
 shift, 8×8 block DCT, quantisation, entropy coding (deflate in place of
 Huffman) — so decoding is genuinely CPU-bound and lossy, which is the
 property the dataloader experiments depend on (decode overlapping I/O).
+The encoder's forward DCT is ``scipy.fft.dctn``.  The decoder folds the
+dequantize into the 2-D inverse DCT: one ``(64, 64)`` basis per quality,
+applied by a BLAS gemm to tiles of at most 64 blocks, so each gemm runs
+on the calling thread.
 
 ``png_sim`` is up-filtering + deflate, which is essentially what PNG is.
 """
@@ -17,7 +21,7 @@ from functools import lru_cache
 from typing import Dict, List, Sequence
 
 import numpy as np
-from scipy.fft import dctn, idctn
+from scipy.fft import dctn
 
 from repro.compression.base import Codec, register_codec
 from repro.exceptions import SampleCompressionError
@@ -48,6 +52,12 @@ _HEADER_LEN = len(_JPEG_MAGIC) + _HEADER.size
 #: many payloads a read hands :meth:`JpegSim.decompress_many`.
 DECODE_BATCH_BYTES = 256 * 1024
 
+#: Blocks one inverse-transform gemm covers at most: a 64·64·64 product,
+#: which OpenBLAS runs on the calling thread.  A larger one may start
+#: BLAS threads, and two loader workers each starting them oversubscribe
+#: the cores.
+_TILE_BLOCKS = 64
+
 
 @lru_cache(maxsize=256)
 def _quality_table(quality: int) -> np.ndarray:
@@ -58,6 +68,32 @@ def _quality_table(quality: int) -> np.ndarray:
     table = np.clip(table, 1, 255).astype(np.float32)
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=256)
+def _idct_basis(quality: int) -> np.ndarray:
+    """The dequantize and the 2-D inverse DCT of *quality* as one
+    ``(64, 64)`` float32 matrix (read-only, built once): row ``y·8 + x``
+    is pixel ``(y, x)`` of a block, column ``u·8 + v`` its coefficient
+    ``(u, v)``, so ``basis @ coefficients`` is a block's pixels less
+    128."""
+    k = np.arange(8)
+    # the 8-point orthonormal inverse DCT, b[x, u]
+    b = np.sqrt(2 / 8) * np.cos((2 * k[:, None] + 1) * k * np.pi / 16)
+    b[:, 0] = np.sqrt(1 / 8)
+    basis = np.kron(b, b) * _quality_table(quality).ravel()
+    basis = basis.astype(np.float32)
+    basis.flags.writeable = False
+    return basis
+
+
+#: A block of DC ``k`` alone decodes to exactly ``128 + k · qt[0, 0] / 8``,
+#: which can be a tie ``j + .5``.  The scipy.fft decoder the basis
+#: replaced scaled DC a hair under ``1 / 8``, which rounded those ties
+#: toward mid-grey.  Scaling by this before the rounding keeps that, so
+#: stored images decode as before: it moves a value by one or two
+#: float32 steps, within the float error of the 64-term sum.
+_TIES_TO_GREY = np.float32(1 - 2 ** -23)
 
 
 class JpegSim(Codec):
@@ -136,17 +172,24 @@ class JpegSim(Codec):
 
     def _decode_batch(self, payloads: List[bytes], h: int, w: int, c: int,
                       quality: int) -> np.ndarray:
-        """The ``(n, h, w[, c])`` images of *payloads*, all of one header:
-        inflate into one int16 block laid out frequency-first, ``(u, v,
-        image, channel, block row, block col)``, so the DC prefix sum,
-        the dequantize, the IDCT and the rounding are one call each.
-        Each temporary is dropped once the next step has used it."""
+        """The ``(n, h, w[, c])`` images of *payloads*, all of one header.
+
+        Each payload inflates into its image's stored planar layout, one
+        ``(64, c·hb·wb)`` int16 plane of the batch's ``(n, 64, c·hb·wb)``
+        block: row ``u·8 + v`` holds coefficient ``(u, v)`` of every
+        block.  One DC prefix sum covers the batch.  The dequantize and
+        the 2-D inverse DCT are one product with :func:`_idct_basis`,
+        taken over column tiles of at most :data:`_TILE_BLOCKS` blocks so
+        that each gemm stays on the calling thread.  The rounding, the
+        level shift and the clip then run once over the batch, and one
+        transposed copy lays the pixels out row-major."""
         n, hb, wb = len(payloads), -(-h // 8), -(-w // 8)
-        quant = np.empty((8, 8, n, c, hb, wb), dtype=np.int16)
-        size = quant[:, :, 0].nbytes
+        m = c * hb * wb
+        coeffs = np.empty((n, 64, m), dtype=np.int16)
+        size = coeffs[0].nbytes
         for i, data in enumerate(payloads):
             try:
-                raw = zlib.decompress(data[_HEADER_LEN:])
+                raw = zlib.decompress(data[_HEADER_LEN:], bufsize=size)
             except zlib.error as exc:
                 raise SampleCompressionError(f"{self.name}: {exc}") from exc
             if len(raw) != size:
@@ -154,22 +197,24 @@ class JpegSim(Codec):
                     f"{self.name}: payload inflates to {len(raw)} bytes, "
                     f"its header says {size}"
                 )
-            quant[:, :, i] = np.frombuffer(raw, dtype=np.int16).reshape(
-                8, 8, c, hb, wb
-            )
-        dc = quant[0, 0].reshape(n, c, hb * wb)
+            coeffs[i] = np.frombuffer(raw, dtype=np.int16).reshape(64, m)
+        dc = coeffs[:, 0].reshape(n, c, hb * wb)
         np.add.accumulate(dc, axis=2, dtype=np.int16, out=dc)
-        qt = _quality_table(quality)[:, :, None, None, None, None]
-        coeffs = np.multiply(quant, qt, dtype=np.float32)
-        del quant, dc
-        pixels = idctn(coeffs, axes=(0, 1), norm="ortho", overwrite_x=True)
-        del coeffs
-        pixels += 128.0
+        basis = _idct_basis(quality)
+        pixels = np.empty((n, 64, m), dtype=np.float32)
+        for i in range(n):
+            for lo in range(0, m, _TILE_BLOCKS):
+                tile = slice(lo, lo + _TILE_BLOCKS)
+                np.matmul(basis, coeffs[i, :, tile], out=pixels[i, :, tile])
+        del coeffs, dc
+        pixels *= _TIES_TO_GREY
         np.round(pixels, out=pixels)
+        pixels += 128.0
         np.clip(pixels, 0, 255, out=pixels)
         out = np.empty((n, hb * 8, wb * 8, c), dtype=np.uint8)
+        pixels = pixels.reshape(n, 8, 8, c, hb, wb)
         np.copyto(out.reshape(n, hb, 8, wb, 8, c),
-                  pixels.transpose(2, 4, 0, 5, 1, 3), casting="unsafe")
+                  pixels.transpose(0, 4, 1, 5, 2, 3), casting="unsafe")
         out = out[:, :h, :w]
         return out[..., 0] if c == 1 else out
 

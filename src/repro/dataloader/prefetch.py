@@ -2,8 +2,8 @@
 
 "Deep Lake dataloader delegates highly parallel fetching and in-place
 decompressing in C++ per process to avoid global interpreter lock" — here
-the decoders (zlib/scipy) release the GIL, so a thread pool achieves the
-same overlap.  Three properties from the paper are reproduced explicitly:
+the decoders release the GIL inside zlib and BLAS, so a thread pool
+achieves the same overlap.  Three properties from the paper are reproduced explicitly:
 
 - **Smart scheduler**: tasks carry an estimated CPU cost; workers pull
   the most CPU-intensive pending task first so decode-heavy samples start

@@ -9,8 +9,8 @@ in place when ``ds_out`` is omitted and the function mutates samples.
 The scheduler batches sample-wise work by *chunk adjacency* ("the scheduler
 batches sample-wise transformations operating on nearby chunks") so each
 worker decodes a chunk-aligned range, and runs batches on a thread pool
-(our codecs release the GIL inside zlib/scipy, which is what the paper's
-C++ engine achieves with per-process decompression).  Results are appended
+(our codecs release the GIL inside zlib and BLAS, which is what the
+paper's C++ engine achieves with per-process decompression).  Results are appended
 strictly in input order, so eval is deterministic regardless of worker
 count.
 """

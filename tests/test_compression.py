@@ -12,6 +12,7 @@ from repro.compression import (
     compress_array,
     compress_bytes,
     decompress_array,
+    decompress_arrays,
     decompress_bytes,
     get_codec,
     peek_shape,
@@ -76,6 +77,58 @@ class TestByteCodecs:
     def test_image_codec_rejected_for_chunks(self):
         with pytest.raises(SampleCompressionError):
             compress_bytes(b"x", "jpeg")
+
+
+class TestNoneColumn:
+    """``NoneCodec.decompress_many`` reads the payloads of one header as
+    one array: it must equal ``[decompress(p) for p in payloads]``."""
+
+    @staticmethod
+    def _arrays(rng):
+        return [
+            np.int32(7), np.int32(-3), np.float64(2.5),
+            rng.integers(0, 9, size=(3, 4)).astype(np.int16),
+            rng.random(5), rng.integers(0, 9, size=(3, 4)).astype(np.int16),
+            np.zeros((0, 3), np.uint8), rng.random((2, 2, 2)) > 0.5,
+            np.int32(11), rng.random(5).astype(np.float32),
+            np.zeros((0, 3), np.uint8),
+        ]
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_a_column_equals_one_at_a_time(self, rng, wrap):
+        codec = get_codec("none")
+        payloads = [wrap(compress_array(a, "none"))
+                    for a in self._arrays(rng)]
+        want = [codec.decompress(bytes(p)) for p in payloads]
+        got = codec.decompress_many(payloads)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert isinstance(g, np.ndarray)
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
+
+    def test_rows_are_writable_and_alias_no_payload(self, rng):
+        arrays = [rng.integers(0, 9, size=4).astype(np.int64)
+                  for _ in range(3)]
+        payloads = [bytearray(compress_array(a, "none")) for a in arrays]
+        got = decompress_arrays(payloads, "none")
+        for payload in payloads:
+            payload[-8:] = b"\xff" * 8
+        for g, a in zip(got, arrays):
+            assert g.flags.writeable and np.array_equal(g, a)
+        got[0][:] = -1
+        assert np.array_equal(got[1], arrays[1])
+
+    def test_an_empty_column(self):
+        assert get_codec("none").decompress_many([]) == []
+
+    def test_a_foreign_or_short_payload_is_refused(self, rng):
+        good = compress_array(rng.random(4), "none")
+        with pytest.raises(SampleCompressionError):
+            decompress_arrays([good, compress_array(rng.random(4), "lz4")],
+                              "none")
+        with pytest.raises(SampleCompressionError):
+            decompress_arrays([good, good[:-1]], "none")
 
 
 class TestJpegSim:

@@ -5,13 +5,20 @@ tensor makes one codec call for all of its rows.
 
 The decoder is pinned byte for byte: the crc32s below are the outputs of
 the one-image-at-a-time decoder this kernel replaced, on a seeded corpus.
+A wider corpus is compared with the ``scipy.fft.idctn`` decoder the
+precomputed-basis gemm replaced (:func:`_idctn_decode`, kept here only).
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from scipy.fft import idctn
 
 import repro
 from repro import obs
@@ -22,6 +29,7 @@ from repro.compression import (
     get_codec,
     image,
 )
+from repro.compression.image import _HEADER, _HEADER_LEN, JpegSim
 from repro.exceptions import SampleCompressionError
 from repro.storage import MemoryProvider
 from repro.workloads import smooth_image
@@ -137,6 +145,82 @@ class TestByteIdentity:
                           for _ in range(10)])
         out = decompress_array(compress_array(video, "mp4"), "mp4")
         assert (out.shape, _crc(out)) == MP4_GOLDEN
+
+
+def _idctn_decode(payload):
+    """One image through the decoder the basis gemm replaced: dequantize,
+    then ``scipy.fft.idctn`` over each block's two length-8 axes."""
+    h, w, c, quality = _HEADER.unpack_from(payload, 4)
+    hb, wb = -(-h // 8), -(-w // 8)
+    quant = np.frombuffer(zlib.decompress(payload[_HEADER_LEN:]),
+                          dtype=np.int16).reshape(8, 8, c, hb, wb).copy()
+    dc = quant[0, 0].reshape(c, hb * wb)
+    np.add.accumulate(dc, axis=1, dtype=np.int16, out=dc)
+    qt = image._quality_table(quality)[:, :, None, None, None]
+    coeffs = np.multiply(quant, qt, dtype=np.float32)
+    pixels = idctn(coeffs, axes=(0, 1), norm="ortho") + 128.0
+    pixels = np.clip(np.round(pixels), 0, 255).astype(np.uint8)
+    out = pixels.transpose(3, 0, 4, 1, 2).reshape(hb * 8, wb * 8, c)
+    out = out[:h, :w]
+    return out[..., 0] if c == 1 else out
+
+
+class TestBasisDecodeMatchesIdctn:
+    QUALITIES = (1, 10, 50, 90, 100)
+    SIZES = ((1, 1), (8, 8), (37, 53), (64, 64), (96, 96), (128, 128))
+
+    def test_every_pixel_within_one_and_almost_all_equal(self):
+        rng = np.random.default_rng(39)
+        pixels = differ = 0
+        for quality in self.QUALITIES:
+            codec = JpegSim("jpeg_q", quality=quality)
+            shapes = [size + channels for size in self.SIZES
+                      for channels in ((), (3,), (4,))]
+            payloads = [codec.compress(_image(rng, shape, kind))
+                        for shape in shapes for kind in ("smooth", "noise")]
+            for got, payload in zip(codec.decompress_many(payloads),
+                                    payloads):
+                want = _idctn_decode(payload)
+                assert got.shape == want.shape and got.dtype == np.uint8
+                gap = np.abs(got.astype(np.int16) - want)
+                assert gap.max(initial=0) <= 1
+                pixels += gap.size
+                differ += int(np.count_nonzero(gap))
+        assert pixels > 2_000_000
+        assert differ <= 1e-4 * pixels
+
+
+_ONE_THREAD_PROBE = textwrap.dedent("""
+    import time
+    import numpy as np
+    from repro.compression import get_codec
+    from repro.workloads import smooth_image
+
+    codec = get_codec("jpeg")
+    rng = np.random.default_rng(0)
+    payloads = [codec.compress(smooth_image(rng, 96, 96, 3))
+                for _ in range(9)]
+    codec.decompress_many(payloads)
+    wall0, cpu0 = time.perf_counter(), time.process_time()
+    while time.perf_counter() - wall0 < 0.4:
+        codec.decompress_many(payloads)
+    print(time.process_time() - cpu0, time.perf_counter() - wall0)
+""")
+
+
+class TestDecodeStaysOnTheCallingThread:
+    def test_a_decode_loop_uses_no_more_cpu_than_wall_time(self):
+        """A decode must not start BLAS threads: two loader workers would
+        then oversubscribe the cores.  A fresh process, so that no other
+        test's threads count."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run([sys.executable, "-c", _ONE_THREAD_PROBE],
+                              env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        cpu, wall = map(float, done.stdout.split())
+        assert wall >= 0.3
+        assert cpu <= 1.3 * wall, (cpu, wall)
 
 
 class TestDecompressMany:
