@@ -188,8 +188,9 @@ class CommitDiff:
 class ChunkEngine:
     """Reads and writes one tensor's chunks against a storage provider."""
 
-    # the tensor-labeled aggregate series (see __init__), each resolved
-    # in the registry when the engine first records into it
+    # the engine's own series, each chained to its tensor-labeled family
+    # (resolved in the registry when the engine first records into it);
+    # the I/O counters are also the engine's read-only properties below
     _m_partial = _metrics.labeled(
         _metrics.Counter, "chunk_engine.partial_reads", tensor="tensor")
     _m_full = _metrics.labeled(
@@ -243,19 +244,6 @@ class ChunkEngine:
         # chunk's content is not fully observable (e.g. pre-encoded Sample
         # fast-path appends), so pruning must not trust it.
         self.chunk_stats: Dict[str, Optional[dict]] = {}
-
-        # I/O accounting: all counts are registry-backed metrics.  Each
-        # engine keeps *standalone* Counter handles (exact per-engine
-        # views, exposed through the read-only properties below — the one
-        # source the loader's and serve tier's stats read from) and
-        # mirrors every event into the tensor-labeled aggregate series
-        # (the ``labeled`` attributes of the class, resolved on first
-        # use) so one registry snapshot explains I/O across all engines.
-        reg = _metrics.REGISTRY
-        self._c_partial = _metrics.Counter(reg)
-        self._c_full = _metrics.Counter(reg)
-        self._c_hits = _metrics.Counter(reg)
-        self._c_misses = _metrics.Counter(reg)
 
         # write-back chunk being filled by appends (not yet in storage)
         self._active_chunk: Optional[Chunk] = None
@@ -433,35 +421,34 @@ class ChunkEngine:
         )
 
     # ------------------------------------------------------------------ #
-    # I/O accounting (registry-backed; ad-hoc int fields are gone)
+    # I/O accounting: views of the engine's own registry series
     # ------------------------------------------------------------------ #
 
     @property
     def partial_reads(self) -> int:
         """Ranged single-sample reads this engine issued (§3.5 path)."""
-        return self._c_partial.value
+        return self._m_partial.value
 
     @property
     def full_chunk_reads(self) -> int:
         """Whole-chunk fetch+decode operations this engine performed."""
-        return self._c_full.value
+        return self._m_full.value
 
     @property
     def chunk_cache_hits(self) -> int:
         """Decoded-chunk buffer cache hits (one source of truth; loader
         and serve stats are views over this)."""
-        return self._c_hits.value
+        return self._m_hits.value
 
     @property
     def chunk_cache_misses(self) -> int:
-        return self._c_misses.value
+        return self._m_misses.value
 
     def _decode_chunk(self, blob: bytes, name: str) -> Chunk:
         """Parse *blob* into a Chunk, charging decode accounting."""
         t0 = time.perf_counter()
         chunk = Chunk.frombytes(blob, name=name)
         self._h_decode.observe(time.perf_counter() - t0)
-        self._c_full.inc()
         self._m_full.inc()
         self._m_bytes_decoded.inc(len(blob))
         self._lazy_stats(name, chunk)
@@ -471,9 +458,7 @@ class ChunkEngine:
         """The cache's chunk at *key*, counted as a hit or a miss of this
         engine (a shape lookup reads ``self.cache`` uncounted)."""
         chunk = self.cache.get(key)
-        for counter in ((self._c_hits, self._m_hits) if chunk is not None
-                        else (self._c_misses, self._m_misses)):
-            counter.inc()
+        (self._m_hits if chunk is not None else self._m_misses).inc()
         return chunk
 
     def _mem_chunk(self, name: str) -> Optional[Chunk]:

@@ -571,9 +571,8 @@ def fetch_ranged(engine: "ChunkEngine",
     standin = Chunk(dtype=header.dtype, name=name)
     standin.append(raw, header.sample_shape(local))
     # a ranged read is a decoded-chunk cache miss that fetched no chunk
-    for counter in (engine._c_partial, engine._m_partial,
-                    engine._c_misses, engine._m_misses):
-        counter.inc()
+    engine._m_partial.inc()
+    engine._m_misses.inc()
     plan.local[0] = 0
     return {name: standin}
 

@@ -52,20 +52,30 @@ from repro.obs import metrics as _metrics
 class LoaderStats:
     """Throughput/stall accounting of one epoch.
 
-    ``chunk_cache_hits``/``chunk_cache_misses`` are *views* over the
-    engines' registry-backed counters — each reads the engine's counter
-    at call time minus its value when the epoch started — not mutable
-    field-level copies, so the numbers can never drift from the engines'
-    own accounting.
+    ``samples`` / ``batches`` / ``wait_s`` read the epoch's own series of
+    ``loader.samples`` / ``loader.batches`` / ``loader.wait_seconds``
+    (labeled by ``dataset``).  ``chunk_cache_hits``/``chunk_cache_misses``
+    are *views* over the engines' own series — each reads the engine's
+    counter at call time minus its value when the epoch started — so the
+    numbers can never drift from the engines' own accounting.
     """
 
-    def __init__(self):
-        self.samples = 0
-        self.batches = 0
-        self.wait_s = 0.0
+    _m_samples = _metrics.labeled(
+        _metrics.Counter, "loader.samples", dataset="dataset")
+    _m_batches = _metrics.labeled(
+        _metrics.Counter, "loader.batches", dataset="dataset")
+    _h_wait = _metrics.labeled(
+        _metrics.Histogram, "loader.wait_seconds", dataset="dataset")
+
+    def __init__(self, dataset: str = "dataset"):
+        self.dataset = dataset
         self.total_s = 0.0
         self.transform_s = 0.0
         self._engine_baselines: List[Tuple] = []
+
+    samples = property(lambda self: self._m_samples.value)
+    batches = property(lambda self: self._m_batches.value)
+    wait_s = property(lambda self: self._h_wait.sum)
 
     def _track_engines(self, engines) -> None:
         """Snapshot engine counters at epoch start; deltas are the view."""
@@ -145,18 +155,13 @@ class DeepLakeLoader:
         self.seed = seed
         self.distributed = distributed
         self.decode = decode
-        self.stats = LoaderStats()
-        ds_label = str(getattr(dataset, "path", "") or "dataset")
+        self._ds_label = str(getattr(dataset, "path", "") or "dataset")
+        self.stats = LoaderStats(self._ds_label)
         self._h_batch = _metrics.histogram(
-            "loader.batch_seconds", dataset=ds_label
+            "loader.batch_seconds", dataset=self._ds_label
         )
-        self._h_wait = _metrics.histogram(
-            "loader.wait_seconds", dataset=ds_label
-        )
-        self._m_samples = _metrics.counter("loader.samples", dataset=ds_label)
-        self._m_batches = _metrics.counter("loader.batches", dataset=ds_label)
         self._g_queue = _metrics.gauge(
-            "loader.prefetch_queue_depth", dataset=ds_label
+            "loader.prefetch_queue_depth", dataset=self._ds_label
         )
 
     # ------------------------------------------------------------------ #
@@ -283,10 +288,10 @@ class DeepLakeLoader:
             fused.prefetch()
 
     def __iter__(self):
-        self.stats = LoaderStats()
+        stats = self.stats = LoaderStats(self._ds_label)
         # first, before the order plan: every cold tensor opens in one batch
         engines = self._engines()
-        self.stats._track_engines(engines)
+        stats._track_engines(engines)
         rows = self._plan_order()
         workers = max(1, self.num_workers)
         nbytes = self._sample_nbytes()
@@ -318,29 +323,24 @@ class DeepLakeLoader:
                     samples, transform_s = next(stream)
                 except StopIteration:
                     break
-                waited = time.perf_counter() - wait_start
-                self.stats.wait_s += waited
-                self._h_wait.observe(waited)
-                self.stats.transform_s += transform_s  # summed per task
-                self.stats.samples += len(samples)
-                self._m_samples.inc(len(samples))
+                stats._h_wait.observe(time.perf_counter() - wait_start)
+                stats.transform_s += transform_s  # summed per task
+                stats._m_samples.inc(len(samples))
                 for sample in samples:
                     batch.append(sample)
                     if len(batch) == self.batch_size:
-                        self.stats.batches += 1
-                        self._m_batches.inc()
+                        stats._m_batches.inc()
                         now = time.perf_counter()
                         self._h_batch.observe(now - batch_start)
-                        self.stats.total_s = now - epoch_start
+                        stats.total_s = now - epoch_start
                         yield to_backend(self.collate(batch), self.backend)
                         batch = []
                         batch_start = time.perf_counter()
             if batch and not self.drop_last:
-                self.stats.batches += 1
-                self._m_batches.inc()
+                stats._m_batches.inc()
                 self._h_batch.observe(time.perf_counter() - batch_start)
                 yield to_backend(self.collate(batch), self.backend)
         finally:
             stream.close()  # an abandoned epoch stops its threads now
-            self.stats.total_s = time.perf_counter() - epoch_start
+            stats.total_s = time.perf_counter() - epoch_start
             self._g_queue.set(0)

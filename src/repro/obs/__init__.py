@@ -56,7 +56,9 @@ def snapshot() -> dict:
 
 
 def reset() -> None:
-    """Zero every series in the default registry (handles stay valid)."""
+    """Zero every family series in the default registry (handles stay
+    valid; an owner's own series, which its stats attributes read, keep
+    their counts)."""
     REGISTRY.reset()
 
 

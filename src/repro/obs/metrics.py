@@ -1,11 +1,15 @@
 """Unified metrics registry: counters, gauges and latency histograms.
 
-Every subsystem that used to keep ad-hoc counter fields (`ChunkEngine`,
-`LoaderStats`, `LRUCache`, per-tenant serve stats) now records into one
-process-global :class:`MetricsRegistry`, so a slow epoch or a cache
-stampede can be explained from a single snapshot instead of by chasing
-counters scattered across layers.  The legacy ``as_dict()``/stats
-surfaces remain as thin views over the same series.
+Every subsystem records into one process-global :class:`MetricsRegistry`,
+so a slow epoch or a cache stampede can be explained from a single
+snapshot instead of by chasing counters scattered across layers.  An
+object that reports its own numbers (a storage provider, a cache, a
+chunk engine, a tenant, a server, a loader epoch) owns one series per
+quantity, chained to the labeled family series (:func:`owned`,
+:class:`labeled`): one ``inc`` / ``observe`` updates both, the owner's
+attributes (``stats.get_requests``, ``engine.chunk_cache_hits``,
+``loader.stats.samples``) read its own series, and ``REGISTRY.value`` /
+``snapshot`` read the family.  Each event is counted once.
 
 Design constraints, in order:
 
@@ -13,8 +17,9 @@ Design constraints, in order:
   (``REGISTRY.counter("chunk_engine.decoded_cache_hits", tensor=t)``)
   and calls ``inc()``/``observe()`` per event.  A handle pins its series,
   so the per-event cost is one lock-free flag check plus one small
-  locked update — and in no-op mode (``registry.disable()``) the flag
-  check alone: no lock, no allocation.
+  locked update per series (two for an owner's) — and in no-op mode
+  (``registry.disable()``) the flag check alone: no lock, no allocation,
+  and neither the owner's series nor the family moves.
 - **Labeled series, bounded cardinality.**  A metric name fans out into
   series keyed by sorted ``(label, value)`` pairs (tenant / dataset /
   tensor / op ...).  Each family holds at most ``max_series`` distinct
@@ -47,19 +52,44 @@ def _label_key(labels: Dict[str, object]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-class Counter:
-    """Monotonic counter series."""
+class _Unresolved:
+    """An owner's family series, looked up when the owner first records:
+    building or reading an owner adds no registry series."""
 
-    __slots__ = ("_registry", "_lock", "_value")
+    __slots__ = ("owner", "name", "labels")
+
+    def __init__(self, owner, name: str, labels: Dict[str, object]):
+        self.owner, self.name, self.labels = owner, name, labels
+
+    def _add(self, value) -> None:
+        owner = self.owner
+        family = owner._family = owner._registry._series(
+            self.name, type(owner), self.labels)
+        family._add(value)
+
+
+class Counter:
+    """Monotonic counter series.
+
+    An owner's counter (:func:`owned`) adds each increment to its family
+    series too; :meth:`reset` zeroes the owner's count only."""
+
+    __slots__ = ("_registry", "_lock", "_value", "_family")
 
     def __init__(self, registry: "MetricsRegistry"):
         self._registry = registry
         self._lock = threading.Lock()
         self._value = 0
+        self._family = None
 
     def inc(self, n: int = 1) -> None:
         if not self._registry._enabled:
             return
+        self._add(n)
+        if self._family is not None:
+            self._family._add(n)
+
+    def _add(self, n: int) -> None:
         with self._lock:
             self._value += n
 
@@ -68,7 +98,7 @@ class Counter:
         with self._lock:
             return self._value
 
-    def _reset(self) -> None:
+    def reset(self) -> None:
         with self._lock:
             self._value = 0
 
@@ -103,7 +133,7 @@ class Gauge:
         with self._lock:
             return self._value
 
-    def _reset(self) -> None:
+    def reset(self) -> None:
         with self._lock:
             self._value = 0.0
 
@@ -114,11 +144,14 @@ class Histogram:
     Exact ``count``/``sum``/``min``/``max``; quantiles come from a
     fixed-size reservoir (exact until ``reservoir_size`` observations,
     uniform random replacement after — seeded, so snapshots are
-    reproducible under a fixed workload).
+    reproducible under a fixed workload; the generator is built when the
+    reservoir first overflows, so short-lived owners never pay for one).
+    An owner's histogram (:func:`owned`) adds each observation to its
+    family series too; :meth:`reset` clears the owner's only.
     """
 
     __slots__ = ("_registry", "_lock", "count", "sum", "min", "max",
-                 "_samples", "_reservoir_size", "_rng")
+                 "_samples", "_reservoir_size", "_rng", "_family")
 
     def __init__(self, registry: "MetricsRegistry",
                  reservoir_size: int = _RESERVOIR_SIZE):
@@ -130,12 +163,18 @@ class Histogram:
         self.max: Optional[float] = None
         self._samples: List[float] = []
         self._reservoir_size = int(reservoir_size)
-        self._rng = random.Random(0x5EED)
+        self._rng: Optional[random.Random] = None
+        self._family = None
 
     def observe(self, value: float) -> None:
         if not self._registry._enabled:
             return
         value = float(value)
+        self._add(value)
+        if self._family is not None:
+            self._family._add(value)
+
+    def _add(self, value: float) -> None:
         with self._lock:
             self.count += 1
             self.sum += value
@@ -146,6 +185,8 @@ class Histogram:
             if len(self._samples) < self._reservoir_size:
                 self._samples.append(value)
             else:  # reservoir sampling keeps each observation equally likely
+                if self._rng is None:
+                    self._rng = random.Random(0x5EED)
                 j = self._rng.randrange(self.count)
                 if j < self._reservoir_size:
                     self._samples[j] = value
@@ -154,10 +195,14 @@ class Histogram:
         for v in values:
             self.observe(v)
 
+    def samples(self) -> List[float]:
+        """The reservoir's observations, in arrival order until it fills."""
+        with self._lock:
+            return list(self._samples)
+
     def percentile(self, q: float) -> float:
         """Quantile ``q`` in [0, 100] over the reservoir (0.0 when empty)."""
-        with self._lock:
-            samples = sorted(self._samples)
+        samples = sorted(self.samples())
         if not samples:
             return 0.0
         if len(samples) == 1:
@@ -189,7 +234,7 @@ class Histogram:
             "p99": round(self.percentile(99), 6),
         }
 
-    def _reset(self) -> None:
+    def reset(self) -> None:
         with self._lock:
             self.count = 0
             self.sum = 0.0
@@ -277,6 +322,13 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels) -> Histogram:
         return self._series(name, Histogram, labels)
 
+    def owned(self, kind: type, name: str, **labels):
+        """A new series of its own for one owner, chained to the family
+        series of *name* / *labels* (looked up on the first record)."""
+        owner = kind(self)
+        owner._family = _Unresolved(owner, name, labels)
+        return owner
+
     # -- introspection ---------------------------------------------------
 
     def series_count(self, name: str) -> int:
@@ -338,7 +390,7 @@ class MetricsRegistry:
                 s for f in self._families.values() for s in f.series.values()
             ]
         for series in entries:
-            series._reset()
+            series.reset()
 
     def clear(self) -> None:
         """Forget every family (old handles keep working but detach)."""
@@ -366,18 +418,25 @@ def histogram(name: str, **labels) -> Histogram:
     return REGISTRY.histogram(name, **labels)
 
 
+def owned(kind: type, name: str, **labels):
+    """An owner's own :data:`REGISTRY` series of *name*, for labels known
+    only at run time (see :meth:`MetricsRegistry.owned`)."""
+    return REGISTRY.owned(kind, name, **labels)
+
+
 class labeled(functools.cached_property):
-    """A labeled series of :data:`REGISTRY` as an attribute resolved on
+    """An owner's own series (:func:`owned`) as an attribute built on
     first use.  In a class body, ``_m_hits = labeled(Counter,
     "chunk_engine.decoded_cache_hits", tensor="tensor")`` gives every
-    instance the series whose label ``tensor`` is that instance's
-    ``tensor`` attribute: looked up the first time the attribute is read,
-    then kept on the instance (a :class:`functools.cached_property`).
-    Building an object resolves none of its series, so a series joins a
-    snapshot when its owner first records into it."""
+    instance a counter of its own chained to the family series whose
+    label ``tensor`` is that instance's ``tensor`` attribute: built the
+    first time the attribute is read, then kept on the instance (a
+    :class:`functools.cached_property`).  Building an object resolves
+    none of its series, and reading one resolves no family: a series
+    joins a snapshot when its owner first records into it."""
 
     def __init__(self, kind: type, name: str, **labels: str):
-        super().__init__(lambda obj: REGISTRY._series(name, kind, {
+        super().__init__(lambda obj: owned(kind, name, **{
             label: getattr(obj, attr) for label, attr in labels.items()
         }))
 

@@ -64,7 +64,7 @@ class RemoteStorageProvider(StorageProvider):
     def _set(self, key: str, value: bytes) -> None:
         self._request("put", key=key, payload=value)
 
-    def set_many(self, items: Dict[str, bytes]) -> None:
+    def _store_many(self, items: Dict[str, bytes]) -> None:
         """Write several blobs in one round trip.
 
         The server installs the batch through its backend's ``set_many``
@@ -72,15 +72,7 @@ class RemoteStorageProvider(StorageProvider):
         served dataset pays one message per batch instead of one per key
         while keeping the chunks-before-meta ordering contract.
         """
-        self.check_writable()
-        if not items:
-            return
-        payload = {key: bytes(value) for key, value in items.items()}
-        self._request("put_many", blobs=payload)
-        for value in payload.values():
-            self.stats.record_put(len(value))
-            self._m_puts.inc()
-            self._m_bytes_written.inc(len(value))
+        self._request("put_many", blobs=items)
 
     def _delete(self, key: str) -> None:
         self._request("delete", key=key)
@@ -95,16 +87,13 @@ class RemoteStorageProvider(StorageProvider):
     # serve-specific extensions
     # ------------------------------------------------------------------ #
 
-    def get_many(self, keys: Sequence[str]) -> Dict[str, bytes]:
+    def _fetch_many(self, keys: Sequence[str]) -> Dict[str, bytes]:
         """Fetch several blobs in one round trip (missing keys omitted).
 
         One request/response pays the transport's per-message cost once —
         the batching analogue of the server's range→chunk coalescing.
         """
-        t0 = time.perf_counter()
-        resp = self._request("get_many", keys=tuple(keys))
-        self._record_reads(resp.blobs.values(), t0)
-        return dict(resp.blobs)
+        return dict(self._request("get_many", keys=tuple(keys)).blobs)
 
     def read_batch(self, tensor: str, rows: Sequence[int]) -> List[np.ndarray]:
         """Samples of many rows of *tensor* in one round trip, decoded on
@@ -127,9 +116,8 @@ class RemoteStorageProvider(StorageProvider):
         with self._exchange("read_batch", tensors=tuple(tensors),
                             rows=tuple(int(r) for r in rows)) as resp:
             self._record_read(  # one read: the round trip's payloads
-                sum(len(p) for column in resp.columns.values()
-                    for p in column[1]),
-                time.perf_counter() - t0, op="get_many")
+                1, sum(len(p) for column in resp.columns.values()
+                       for p in column[1]), t0, self._GET_MANY)
             out: Dict[str, List[np.ndarray]] = {}
             for name, (codec, payloads, *seq) in resp.columns.items():
                 values = decompress_arrays(payloads, codec)

@@ -105,7 +105,7 @@ class _BackendMux(StorageProvider):
             keys |= {_mux_key(name, k) for k in backend._all_keys()}
         return keys
 
-    def get_many(self, keys: Sequence[str]):
+    def _fetch_many(self, keys: Sequence[str]):
         """Batched misses: one backend get_many per owning dataset."""
         by_dataset: Dict[str, List[str]] = {}
         for key in keys:
@@ -115,7 +115,6 @@ class _BackendMux(StorageProvider):
         for dataset, raws in by_dataset.items():
             backend = self.server._backend(dataset)
             for raw, blob in backend.get_many(raws).items():
-                self.stats.record_get(len(blob))
                 out[_mux_key(dataset, raw)] = blob
         return out
 
@@ -147,11 +146,8 @@ class _ServeView(StorageProvider):
             return server._backend(self.dataset).get_bytes(key, start, end)
         return server._read_key(self.dataset, key, start, end)[0]
 
-    def get_many(self, keys: Sequence[str]):
-        t0 = time.perf_counter()
-        blobs, _outcomes = self.server._batched_blobs(self.dataset, keys)
-        self._record_reads(blobs.values(), t0)
-        return blobs
+    def _fetch_many(self, keys: Sequence[str]):
+        return self.server._batched_blobs(self.dataset, keys)[0]
 
     def _set(self, key, value):
         raise ReadOnlyStorageError("served dataset views are read-only")
@@ -164,46 +160,42 @@ class _ServeView(StorageProvider):
 
 
 class TenantStats:
-    """Per-tenant serving counters, registry-backed.
-
-    Exact per-tenant counts live in standalone thread-safe
-    :class:`~repro.obs.metrics.Counter` objects (one set per instance,
-    so ``snapshot()`` stays exact per server), and every event also
-    increments the global ``serve.<field>{server,tenant}`` series — the
-    per-tenant decoded-chunk hit/miss numbers are a labeled view of the
-    same accounting, not a third hand-rolled copy of the engine's.
+    """Per-tenant serving counters: each field is the tenant's own series
+    of ``serve.<field>{server,tenant}``, so ``snapshot()`` stays exact per
+    server while the registry sums every server's tenants.
     """
 
     FIELDS = ("requests", "rejected", "bytes_in", "bytes_out",
               "cache_hits", "cache_misses", "coalesced", "samples_served",
               "chunk_cache_hits", "chunk_cache_misses")
 
-    __slots__ = ("_exact", "_mirror")
+    __slots__ = ("_series",)
 
     def __init__(self, server: str = "", tenant: str = "default"):
-        reg = _metrics.REGISTRY
-        self._exact = {f: _metrics.Counter(reg) for f in self.FIELDS}
-        self._mirror = {
-            f: reg.counter(f"serve.{f}", server=server, tenant=tenant)
+        self._series = {
+            f: _metrics.owned(_metrics.Counter, f"serve.{f}",
+                              server=server, tenant=tenant)
             for f in self.FIELDS
         }
 
     def inc(self, name: str, n: int = 1) -> None:
-        self._exact[name].inc(n)
-        self._mirror[name].inc(n)
+        self._series[name].inc(n)
 
     def __getattr__(self, name: str) -> int:
-        exact = object.__getattribute__(self, "_exact")
-        if name in exact:
-            return exact[name].value
+        series = object.__getattribute__(self, "_series")
+        if name in series:
+            return series[name].value
         raise AttributeError(name)
 
     def snapshot(self) -> dict:
-        return {name: self._exact[name].value for name in self.FIELDS}
+        return {name: self._series[name].value for name in self.FIELDS}
 
 
 class DatasetServer:
     """Hosts datasets behind the serve protocol (thread-safe)."""
+
+    #: the server's ``serve.prefetch_<field>`` counters, in chunks
+    PREFETCH_FIELDS = ("issued", "hits", "wasted")
 
     def __init__(
         self,
@@ -251,15 +243,13 @@ class DatasetServer:
         # speculation runs on the server's own threads, never a tenant's
         # request thread; created on first use, shut down in stop()
         self._prefetch_pool: Optional[ThreadPoolExecutor] = None
-        reg = _metrics.REGISTRY
-        self._prefetch_exact = {
-            f: _metrics.Counter(reg) for f in ("issued", "hits", "wasted")
+        self._prefetch = {
+            f: _metrics.owned(_metrics.Counter, f"serve.prefetch_{f}",
+                              server=name)
+            for f in self.PREFETCH_FIELDS
         }
-        self._prefetch_mirror = {
-            f: reg.counter(f"serve.prefetch_{f}", server=name)
-            for f in ("issued", "hits", "wasted")
-        }
-        self._prefetch_errors = reg.counter("serve.prefetch_errors", server=name)
+        self._prefetch_errors = _metrics.counter(
+            "serve.prefetch_errors", server=name)
 
     # ------------------------------------------------------------------ #
     # hosting / lifecycle
@@ -559,14 +549,13 @@ class DatasetServer:
 
     # -- server-push prefetch ---------------------------------------------
 
-    prefetch_issued = property(lambda s: s._prefetch_exact["issued"].value)
-    prefetch_hits = property(lambda s: s._prefetch_exact["hits"].value)
-    prefetch_wasted = property(lambda s: s._prefetch_exact["wasted"].value)
+    prefetch_issued = property(lambda s: s._prefetch["issued"].value)
+    prefetch_hits = property(lambda s: s._prefetch["hits"].value)
+    prefetch_wasted = property(lambda s: s._prefetch["wasted"].value)
 
     def _prefetch_inc(self, field: str, n: int = 1) -> None:
         if n:
-            self._prefetch_exact[field].inc(n)
-            self._prefetch_mirror[field].inc(n)
+            self._prefetch[field].inc(n)
 
     def _note_read_window(self, tenant: str, dataset: str,
                           names: Tuple[str, ...], rows: List[int],
@@ -840,8 +829,7 @@ class DatasetServer:
                 "hit_ratio": round(self.cache.hit_ratio, 4),
             }
         info["prefetch"] = {
-            field: counter.value
-            for field, counter in self._prefetch_exact.items()
+            field: counter.value for field, counter in self._prefetch.items()
         }
         return info
 

@@ -54,7 +54,7 @@ class LocalProvider(StorageProvider):
             f.write(value)
         os.replace(tmp, path)  # atomic publish
 
-    def set_many(self, items) -> None:
+    def _store_many(self, items) -> None:
         """Two-phase batch write: stage every blob to a tmp file first, then
         publish with atomic renames in *items* order.
 
@@ -63,13 +63,9 @@ class LocalProvider(StorageProvider):
         class-ordered batches (chunks before encoders before meta) that is
         exactly the crash-consistency contract.
         """
-        self.check_writable()
-        if not items:
-            return
-        payload = {key: bytes(value) for key, value in items.items()}
         staged = []
         try:
-            for key, value in payload.items():
+            for key, value in items.items():
                 path = self._path(key)
                 os.makedirs(os.path.dirname(path), exist_ok=True)
                 tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
@@ -85,10 +81,6 @@ class LocalProvider(StorageProvider):
             raise
         for tmp, path in staged:
             os.replace(tmp, path)
-        for value in payload.values():
-            self.stats.record_put(len(value))
-            self._m_puts.inc()
-            self._m_bytes_written.inc(len(value))
 
     def _delete(self, key: str) -> None:
         try:

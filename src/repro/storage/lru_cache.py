@@ -20,10 +20,10 @@ Policies
 
 Concurrency
 -----------
-All bookkeeping (`_order`, `_dirty`, byte accounting, hit/miss counters)
-is guarded by one re-entrant lock, so many reader threads — dataloader
-prefetch workers, the Tensor Streaming Server's request handlers — can
-share a single cache.  A *miss* releases the lock while fetching from the
+All bookkeeping (`_order`, `_dirty`, byte accounting) is guarded by one
+re-entrant lock, so many reader threads — dataloader prefetch workers,
+the Tensor Streaming Server's request handlers — can share a single
+cache.  A *miss* releases the lock while fetching from the
 slow downstream provider so concurrent hits (and misses on other keys)
 proceed in parallel; if two threads race the same miss, both fetch and
 one insert wins (the server layer adds single-flight dedup on top when
@@ -51,12 +51,16 @@ from repro.storage.provider import StorageProvider, clamp_range
 class LRUCache(StorageProvider):
     """LRU byte-budgeted cache in front of a slower provider.
 
-    Per-instance ``hits``/``misses``/``evictions`` counters stay exact
-    object-level fields (tests and reprs rely on them); every event is
-    also recorded into the global registry under ``cache.hits`` /
-    ``cache.misses`` / ``cache.evictions`` labeled by the cache's
-    ``name``, so fleet-wide hit ratios come from one snapshot.
+    ``hits`` / ``misses`` / ``evictions`` read the cache's own series of
+    ``cache.hits`` / ``cache.misses`` / ``cache.evictions``, labeled by
+    the cache's ``name``, so fleet-wide hit ratios come from one snapshot.
     """
+
+    _m_hits = _metrics.labeled(_metrics.Counter, "cache.hits", cache="name")
+    _m_misses = _metrics.labeled(
+        _metrics.Counter, "cache.misses", cache="name")
+    _m_evictions = _metrics.labeled(
+        _metrics.Counter, "cache.evictions", cache="name")
 
     def __init__(
         self,
@@ -72,9 +76,6 @@ class LRUCache(StorageProvider):
         self.cache_size = int(cache_size)
         self.write_through = write_through
         self.name = name
-        self._m_hits = _metrics.counter("cache.hits", cache=name)
-        self._m_misses = _metrics.counter("cache.misses", cache=name)
-        self._m_evictions = _metrics.counter("cache.evictions", cache=name)
         self._order: "OrderedDict[str, int]" = OrderedDict()  # key -> nbytes
         # dirty key -> whether a single-key write (not a batch) made it,
         # in the order the writes were made
@@ -90,9 +91,10 @@ class LRUCache(StorageProvider):
         # blob, else a deleted/overwritten key can resurrect in the cache
         self._gen = 0
         self.cache_used = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+
+    hits = property(lambda self: self._m_hits.value)
+    misses = property(lambda self: self._m_misses.value)
+    evictions = property(lambda self: self._m_evictions.value)
 
     # ------------------------------------------------------------------ #
     # internals (call with self._lock held)
@@ -111,7 +113,6 @@ class LRUCache(StorageProvider):
                 del self._dirty[old_key]
             self.cache_storage._delete(old_key)
             self.cache_used -= old_size
-            self.evictions += 1
             self._m_evictions.inc()
 
     def _insert(self, key: str, value: bytes, dirty: bool,
@@ -139,7 +140,6 @@ class LRUCache(StorageProvider):
     def _get(self, key: str, start: Optional[int], end: Optional[int]) -> bytes:
         with self._lock:
             if key in self._order:
-                self.hits += 1
                 self._m_hits.inc()
                 self._touch(key)
                 blob = self.cache_storage._get(key, None, None)
@@ -147,7 +147,6 @@ class LRUCache(StorageProvider):
                     return blob
                 s, e = clamp_range(len(blob), start, end)
                 return blob[s:e]
-            self.misses += 1
             self._m_misses.inc()
             gen = self._gen
         # Miss: fetch downstream without holding the lock so hits (and
@@ -174,31 +173,25 @@ class LRUCache(StorageProvider):
                 self._gen += 1
                 self._insert(key, value, dirty=True, single=True)
 
-    def set_many(self, items: Dict[str, bytes]) -> None:
+    def _store_many(self, items: Dict[str, bytes]) -> None:
         """Batched write: one downstream ``set_many`` when write-through,
         dirty absorption when write-back (the batch is pushed downstream
         as a batch again at :meth:`flush`)."""
-        self.check_writable()
-        if not items:
-            return
-        payload = {key: bytes(value) for key, value in items.items()}
-        total = sum(len(v) for v in payload.values())
         with _tracing.span("cache.set_many", cache=self.name,
-                           keys=len(payload), nbytes=total):
+                           keys=len(items),
+                           nbytes=sum(map(len, items.values()))):
             if self.write_through:
                 with self._write_lock:
-                    self.next_storage.set_many(payload)
+                    self.next_storage.set_many(items)
                     with self._lock:
                         self._gen += 1
-                        for key, value in payload.items():
+                        for key, value in items.items():
                             self._insert(key, value, dirty=False)
             else:
                 with self._lock:
                     self._gen += 1
-                    for key, value in payload.items():
+                    for key, value in items.items():
                         self._insert(key, value, dirty=True)
-        for value in payload.values():
-            self.stats.record_put(len(value))
 
     def _delete(self, key: str) -> None:
         # bookkeeping under _lock, downstream delete outside it (readers
@@ -221,7 +214,7 @@ class LRUCache(StorageProvider):
         if not found:
             raise KeyNotFound(key)
 
-    def get_many(self, keys: Sequence[str]) -> Dict[str, bytes]:
+    def _fetch_many(self, keys: Sequence[str]) -> Dict[str, bytes]:
         """Batched read: cache hits from memory, one downstream call for
         the misses (so a ReadPlan against a cached remote dataset pays at
         most one round trip regardless of how many chunks it touches)."""
@@ -229,18 +222,14 @@ class LRUCache(StorageProvider):
         missing = []
         with self._lock:
             gen = self._gen
-            for key in dict.fromkeys(keys):  # a repeat is one hit or miss
+            for key in keys:
                 if key in self._order:
-                    self.hits += 1
-                    self._m_hits.inc()
                     self._touch(key)
                     out[key] = self.cache_storage._get(key, None, None)
                 else:
-                    self.misses += 1
-                    self._m_misses.inc()
                     missing.append(key)
-        for key, data in out.items():
-            self.stats.record_get(len(data))
+        self._m_hits.inc(len(out))
+        self._m_misses.inc(len(missing))
         if missing:
             with _tracing.span("cache.miss_fetch_many", cache=self.name,
                                keys=len(missing)):
@@ -249,9 +238,7 @@ class LRUCache(StorageProvider):
                 for key, value in fetched.items():
                     if key not in self._order and self._gen == gen:
                         self._insert(key, value, dirty=False)
-            for key, value in fetched.items():
-                self.stats.record_get(len(value))
-                out[key] = value
+            out.update(fetched)
         return out
 
     def _all_keys(self) -> Set[str]:

@@ -37,18 +37,10 @@ class MemoryProvider(StorageProvider):
         with self._lock:
             self._data[key] = value
 
-    def set_many(self, items) -> None:
+    def _store_many(self, items) -> None:
         """Install the whole batch under one lock hold (atomic for readers)."""
-        self.check_writable()
-        if not items:
-            return
-        payload = {key: bytes(value) for key, value in items.items()}
         with self._lock:
-            self._data.update(payload)
-        for value in payload.values():
-            self.stats.record_put(len(value))
-            self._m_puts.inc()
-            self._m_bytes_written.inc(len(value))
+            self._data.update(items)
 
     def _delete(self, key: str) -> None:
         with self._lock:

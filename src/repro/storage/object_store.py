@@ -32,12 +32,16 @@ class SimulatedObjectStore(StorageProvider):
     """Object store = terminal provider + network cost model + retries.
 
     Request accounting exposes **per-call latency samples**, not just
-    aggregate counts: every operation records its modelled (virtual)
-    transfer time — including retry backoff — into ``stats`` and the
-    registry histogram ``objectstore.request_seconds{store,op}``, so
-    storage latency percentiles under simulated S3 reflect the network
-    model's actual per-request distribution (jitter, batching, backoff).
+    aggregate counts: every charged request records its modelled (virtual)
+    transfer time — including retry backoff — into the store's own series
+    of ``objectstore.request_seconds{store,op}``, so storage latency
+    percentiles under simulated S3 reflect the network model's actual
+    per-request distribution (jitter, batching, backoff), and
+    :attr:`requests_by_op` is the count of each.
     """
+
+    _m_retries = _metrics.labeled(
+        _metrics.Counter, "objectstore.retries", store="name")
 
     def __init__(
         self,
@@ -55,24 +59,32 @@ class SimulatedObjectStore(StorageProvider):
         self.backing = backing if backing is not None else MemoryProvider(name)
         self.max_retries = int(max_retries)
         self.backoff_s = float(backoff_s)
-        self.retries_performed = 0
-        #: successful charged requests per category ("download", "upload",
-        #: "upload_batch", ...) — the benchmarks assert round-trip counts
-        #: from this, independent of per-key accounting.
-        self.requests_by_op: Dict[str, int] = {}
-        self._m_retries = _metrics.counter("objectstore.retries", store=name)
-        self._h_ops: dict = {}
+        # request category -> the store's own request_seconds series
+        self._h_ops: Dict[str, _metrics.Histogram] = {}
+
+    retries_performed = property(lambda self: self._m_retries.value)
+
+    @property
+    def requests_by_op(self) -> Dict[str, int]:
+        """Successful charged requests per category ("download", "upload",
+        "upload_batch", ...) — the benchmarks assert round-trip counts
+        from this, independent of per-key accounting."""
+        return {op: h.count for op, h in list(self._h_ops.items())
+                if h.count}
+
+    def _latency(self, op: str) -> Optional[_metrics.Histogram]:
+        h = self._h_ops.get(op)
+        return h if h is not None else super()._latency(op)
 
     # ------------------------------------------------------------------ #
 
     def _observe(self, op: str, seconds: float) -> None:
-        """One per-call virtual-latency sample for *op*."""
-        self.stats.record_latency(op, seconds)
+        """One charged request of *op* that took *seconds*, virtual."""
         h = self._h_ops.get(op)
         if h is None:
-            h = self._h_ops[op] = _metrics.histogram(
-                "objectstore.request_seconds", store=self.name, op=op
-            )
+            h = self._h_ops.setdefault(op, _metrics.owned(
+                _metrics.Histogram, "objectstore.request_seconds",
+                store=self.name, op=op))
         h.observe(seconds)
 
     def _charge(self, nbytes: int, category: str) -> float:
@@ -89,13 +101,9 @@ class SimulatedObjectStore(StorageProvider):
                 self.clock.charge(dt, category)
                 total += dt
                 self._observe(category, total)
-                self.requests_by_op[category] = (
-                    self.requests_by_op.get(category, 0) + 1
-                )
                 return total
             except TransientNetworkError:
                 attempt += 1
-                self.retries_performed += 1
                 self._m_retries.inc()
                 if attempt > self.max_retries:
                     raise NetworkError(
@@ -115,27 +123,25 @@ class SimulatedObjectStore(StorageProvider):
             sp.set(virtual_s=round(dt, 6))
         return data
 
-    def get_many(self, keys: Sequence[str]) -> Dict[str, bytes]:
+    def _fetch_many(self, keys: Sequence[str]) -> Dict[str, bytes]:
         """Batched GET: one request's fixed overhead for the whole batch.
 
         Real object stores expose this as parallel/pipelined GETs over a
         shared connection pool; the model's equivalent is charging the
         per-request overhead and first-byte latency once plus the payload
-        bytes at sustained bandwidth.  Per-key request accounting is kept
-        so "GETs per chunk" stays comparable across providers.
+        bytes at sustained bandwidth.  ``get_many`` still counts one GET
+        per key found, so "GETs per chunk" stays comparable across
+        providers.
         """
         out: Dict[str, bytes] = {}
         total = 0
         with _tracing.span("objectstore.get_many", store=self.name,
                            keys=len(keys)) as sp:
-            for key in dict.fromkeys(keys):  # a repeat is one GET
+            for key in keys:
                 try:
                     data = self.backing._get(key, None, None)
                 except KeyError:
                     continue
-                self.stats.record_get(len(data))
-                self._m_gets.inc()
-                self._m_bytes_read.inc(len(data))
                 out[key] = data
                 total += len(data)
             if out:
@@ -150,31 +156,24 @@ class SimulatedObjectStore(StorageProvider):
             self.backing._set(key, value)
             sp.set(virtual_s=round(dt, 6))
 
-    def set_many(self, items: Dict[str, bytes]) -> None:
+    def _store_many(self, items: Dict[str, bytes]) -> None:
         """Batched PUT: one request's fixed overhead for the whole batch.
 
-        Symmetric with :meth:`get_many` — the model charges the per-request
-        overhead and first-byte latency once plus all payload bytes at
-        sustained bandwidth.  The charge happens **before** any key is
-        installed, so a batch that exhausts its retries (``NetworkError``)
-        stores nothing: the caller sees all-or-nothing semantics, which the
-        crash-consistent flush ordering relies on.  Per-key request
-        accounting is kept so "PUTs per chunk" stays comparable across
-        providers.
+        Symmetric with :meth:`_fetch_many` — the model charges the
+        per-request overhead and first-byte latency once plus all payload
+        bytes at sustained bandwidth.  The charge happens **before** any
+        key is installed, so a batch that exhausts its retries
+        (``NetworkError``) stores nothing: the caller sees all-or-nothing
+        semantics, which the crash-consistent flush ordering relies on.
+        ``set_many`` still counts one PUT per key, so "PUTs per chunk"
+        stays comparable across providers.
         """
-        self.check_writable()
-        if not items:
-            return
-        payload = {key: bytes(value) for key, value in items.items()}
-        total = sum(len(v) for v in payload.values())
+        total = sum(map(len, items.values()))
         with _tracing.span("objectstore.set_many", store=self.name,
-                           keys=len(payload), nbytes=total) as sp:
+                           keys=len(items), nbytes=total) as sp:
             dt = self._charge(total, "upload_batch")
-            for key, value in payload.items():
+            for key, value in items.items():
                 self.backing._set(key, value)
-                self.stats.record_put(len(value))
-                self._m_puts.inc()
-                self._m_bytes_written.inc(len(value))
             sp.set(virtual_s=round(dt, 6))
 
     def latency_percentiles(self, op: str = "download") -> dict:

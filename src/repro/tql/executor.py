@@ -78,8 +78,9 @@ SCAN_WINDOW_BYTES = 8 << 20
 
 
 class Executor:
-    # the dataset-labeled series, each resolved in the registry when the
-    # executor first records into it
+    # the executor's own series, each chained to its dataset-labeled
+    # family (resolved in the registry when the executor first records
+    # into it); the counters are also its read-only attributes below
     _m_rows_scanned = _metrics.labeled(
         _metrics.Counter, "tql.rows_scanned", dataset="dataset_label")
     _m_scan_windows = _metrics.labeled(
@@ -102,19 +103,20 @@ class Executor:
         self.plan = plan
         self.seed = seed
         self.dataset_label = str(getattr(ds, "path", "") or "dataset")
-        self.rows_scanned = 0
-        #: cells materialised by the engine (fetched or read per row);
-        #: reads of resident window columns count in :attr:`cache_hits`
-        self.cells_fetched = 0
-        self.cache_hits = 0
-        #: window fetches that degraded to per-row reads (storage/decode
-        #: errors)
-        self.prefetch_fallbacks = 0
-        #: chunks proven irrelevant by statistics pushdown (zero GETs)
-        self.chunks_skipped = 0
         #: tensor -> (the current scan window's column as the engine
         #: returned it, its pruned-row mask or None)
         self._window: Dict[str, tuple] = {}
+
+    rows_scanned = property(lambda self: self._m_rows_scanned.value)
+    #: cells materialised by the engine (fetched or read per row); reads
+    #: of resident window columns count in :attr:`cache_hits`
+    cells_fetched = property(lambda self: self._m_cells_fetched.value)
+    cache_hits = property(lambda self: self._m_cache_hits.value)
+    #: window fetches that degraded to per-row reads (storage/decode errors)
+    prefetch_fallbacks = property(
+        lambda self: self._m_prefetch_fallbacks.value)
+    #: chunks proven irrelevant by statistics pushdown (zero GETs)
+    chunks_skipped = property(lambda self: self._m_chunks_skipped.value)
 
     @cached_property
     def rng(self) -> np.random.Generator:
@@ -139,7 +141,6 @@ class Executor:
         """One cell through a one-row engine read: row-at-a-time mode, and
         the windows whose fetch degraded."""
         engine = self.ds._engine(tensor)
-        self.cells_fetched += 1
         self._m_cells_fetched.inc()
         return self._decode_cell(engine, column_rows(engine.read([row]))[0])
 
@@ -153,7 +154,6 @@ class Executor:
         if resident is None:  # the window's fetch degraded: per-row reads
             return kernels._pack([self._read_cell(tensor, r) for r in rows])
         column = resident[0]
-        self.cache_hits += len(rows)
         self._m_cache_hits.inc(len(rows))
         engine = self.ds._engine(tensor)
         coded = engine.meta.is_text or engine.meta.is_json
@@ -194,18 +194,15 @@ class Executor:
                     plans.append((tensor, plan))
                 columns = fused.execute()
             except (StorageError, FormatError):
-                self.prefetch_fallbacks += 1
                 self._m_prefetch_fallbacks.inc()
                 return
             for (tensor, plan), column in zip(plans, columns):
                 pruned = None
                 fetched = len(rows)
                 if plan.skipped_chunks:
-                    self.chunks_skipped += len(plan.skipped_chunks)
                     self._m_chunks_skipped.inc(len(plan.skipped_chunks))
                     pruned = plan.pruned
                     fetched -= int(pruned.sum())
-                self.cells_fetched += fetched
                 self._m_cells_fetched.inc(fetched)
                 self._window[tensor] = (column, pruned)
 
@@ -243,7 +240,6 @@ class Executor:
                 window = kept = rows[start : start + step]
                 self._m_scan_windows.inc()
                 self._h_window_rows.observe(len(window))
-                self.rows_scanned += len(window)
                 self._m_rows_scanned.inc(len(window))
                 self._window, positions = {}, None
                 kernel_s = 0.0
@@ -369,7 +365,6 @@ class Executor:
         rows, where = as_row_array(rows), self.plan.where_node
         if self.plan.optimize or where is None:
             return self._scan(rows, where, []).tolist()
-        self.rows_scanned += len(rows)
         self._m_rows_scanned.inc(len(rows))
         return [r for r in rows.tolist()
                 if _truthy(self.eval_node(where, r, {}))]
@@ -460,7 +455,7 @@ class Executor:
             memo: Dict[int, object] = {}
             for _name, node in plan.projections:
                 self.eval_node(node, row, memo)
-            self.rows_scanned += 1
+        self._m_rows_scanned.inc(len(rows))
         rows = as_row_array(self.filter_rows(rows))
         if plan.group_nodes:
             return self._materialize_groups(self._row_groups(rows),

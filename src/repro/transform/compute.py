@@ -12,7 +12,9 @@ worker decodes a chunk-aligned range, and runs batches on a thread pool
 (our codecs release the GIL inside zlib and BLAS, which is what the
 paper's C++ engine achieves with per-process decompression).  Results are appended
 strictly in input order, so eval is deterministic regardless of worker
-count.
+count.  Each worker batch runs under the caller's current span
+(:func:`repro.obs.tracing.attached`), so a traced ``eval`` holds its
+workers' engine spans.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.exceptions import TransformError
+from repro.obs import tracing as _tracing
 from repro.transform.scheduler import plan_batches
 
 #: rows buffered per columnar ``ds_out.extend`` flush on the append path —
@@ -208,13 +211,19 @@ class Pipeline:
             return out
 
         parallel = bool(num_workers and num_workers > 1 and len(batches) > 1)
+        parent = _tracing.current_span()
+
+        def run_attached(indices: List[int]) -> List[List[Dict]]:
+            """:func:`run_batch` on a worker, under the caller's span."""
+            with _tracing.attached(parent):
+                return run_batch(indices)
 
         # deterministic, input-ordered writes
         written = 0
         if in_place:
             if parallel:
                 with ThreadPoolExecutor(max_workers=num_workers) as pool:
-                    results = list(pool.map(run_batch, batches))
+                    results = list(pool.map(run_attached, batches))
             else:
                 results = [run_batch(b) for b in batches]
             flat_indices = [i for batch in batches for i in batch]
@@ -261,7 +270,7 @@ class Pipeline:
 
             if parallel:
                 with ThreadPoolExecutor(max_workers=num_workers) as pool:
-                    for result in pool.map(run_batch, batches):
+                    for result in pool.map(run_attached, batches):
                         consume(result)
             else:
                 for b in batches:

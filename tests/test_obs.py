@@ -3,7 +3,11 @@ perf records, and the no-op overhead guarantee."""
 
 from __future__ import annotations
 
+import ast
+import fnmatch
 import json
+import pathlib
+import re
 import threading
 import time
 
@@ -146,6 +150,105 @@ class TestLabelCardinality:
         for t in threads:
             t.join()
         assert c.value == 8000
+
+
+class TestOwnedSeries:
+    """An owner's series is its own count, chained to the family series:
+    one record moves both, the owner reads its own, the registry the
+    family's."""
+
+    def test_two_owners_on_one_label_set(self):
+        reg = fresh_registry()
+        a = reg.owned(metrics.Counter, "c", tensor="x")
+        b = reg.owned(metrics.Counter, "c", tensor="x")
+        ha = reg.owned(metrics.Histogram, "h", op="get")
+        hb = reg.owned(metrics.Histogram, "h", op="get")
+        a.inc(2)
+        b.inc(3)
+        ha.observe(1.0)
+        hb.observe_many([2.0, 4.0])
+        assert (a.value, b.value) == (2, 3)
+        assert reg.value("c", tensor="x") == 5
+        assert reg.series_count("c") == 1
+        assert (ha.count, ha.sum, hb.count, hb.sum) == (1, 1.0, 2, 6.0)
+        assert hb.percentile(50) == 3.0 and hb.samples() == [2.0, 4.0]
+        assert reg.snapshot()["h"]["op=get"]["count"] == 3
+
+    def test_a_series_resolves_when_its_owner_first_records(self):
+        reg = fresh_registry()
+        owner = reg.owned(metrics.Counter, "c", tensor="x")
+        assert owner.value == 0 and reg.series_count("c") == 0
+        owner.inc()
+        assert reg.series_count("c") == 1
+        assert reg.counter("c", tensor="x").value == 1
+
+    def test_owner_reset_leaves_the_family(self):
+        reg = fresh_registry()
+        c = reg.owned(metrics.Counter, "c", tensor="x")
+        h = reg.owned(metrics.Histogram, "h")
+        c.inc(4)
+        h.observe(1.0)
+        c.reset()
+        h.reset()
+        assert (c.value, h.count, h.samples()) == (0, 0, [])
+        assert reg.value("c") == 4 and reg.value("h") == 1
+        c.inc()
+        assert (c.value, reg.value("c")) == (1, 5)
+
+    def test_a_disabled_registry_stops_both(self):
+        reg = fresh_registry(enabled=False)
+        c = reg.owned(metrics.Counter, "c")
+        h = reg.owned(metrics.Histogram, "h")
+        c.inc(3)
+        h.observe(1.0)
+        assert (c.value, h.count) == (0, 0)
+        assert reg.snapshot() == {}
+        reg.enable()
+        c.inc()
+        assert (c.value, reg.value("c")) == (1, 1)
+
+    def test_concurrent_owners_lose_no_update(self):
+        """Threads racing two owners' first records (the family lookup)
+        and every later one: each owner stays exact, the family sums."""
+        import sys
+
+        reg = fresh_registry()
+        owners = [reg.owned(metrics.Counter, "c", tensor="x")
+                  for _ in range(2)]
+        hists = [reg.owned(metrics.Histogram, "h") for _ in range(2)]
+        start = threading.Barrier(8)
+
+        def work(i):
+            start.wait(timeout=10)
+            for _ in range(500):
+                owners[i % 2].inc()
+                hists[i % 2].observe(1.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [o.value for o in owners] == [2000, 2000]
+        assert [h.count for h in hists] == [2000, 2000]
+        assert reg.value("c") == 4000 and reg.value("h") == 4000
+        assert reg.series_count("c") == 1
+
+    def test_a_histogram_seeds_its_sampler_once_its_reservoir_fills(self):
+        reg = fresh_registry()
+        h = reg.owned(metrics.Histogram, "h")
+        h.observe_many([1.0] * metrics._RESERVOIR_SIZE)
+        assert h._rng is None
+        h.observe(1.0)
+        assert h._rng is not None
+        assert len(h.samples()) == metrics._RESERVOIR_SIZE
 
 
 # --------------------------------------------------------------------------- #
@@ -394,6 +497,130 @@ class TestInstrumentationWiring:
         assert metrics.REGISTRY.value(
             "serve.samples_served", server="shape", tenant="t1"
         ) >= 3
+
+
+# --------------------------------------------------------------------------- #
+# metric names: the code and docs/observability.md agree
+# --------------------------------------------------------------------------- #
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+#: the functions that name a metric, and the position of the name
+_NAMING = {"counter": 0, "gauge": 0, "histogram": 0, "labeled": 1,
+           "owned": 1}
+
+
+def _str_tuples(tree: ast.AST) -> dict:
+    """``NAME = ("a", "b", ...)`` assignments anywhere in a module."""
+    out = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Tuple)
+                and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                        for e in node.value.elts)):
+            out[node.targets[0].id] = [e.value for e in node.value.elts]
+    return out
+
+
+def _expand(name: ast.AST, loops: dict, tuples: dict) -> list:
+    """The metric names a name argument stands for: a literal, or an
+    f-string over the loop variable of a comprehension on a field tuple."""
+    if isinstance(name, ast.Constant) and isinstance(name.value, str):
+        return [name.value]
+    if not isinstance(name, ast.JoinedStr):
+        return []
+    parts = [[]]
+    for value in name.values:
+        if isinstance(value, ast.Constant):
+            parts.append([value.value])
+            continue
+        var = value.value
+        fields = tuples.get(loops.get(getattr(var, "id", None)), [])
+        if not fields:
+            return []
+        parts.append(fields)
+    names = [""]
+    for options in parts[1:]:
+        names = [head + tail for head in names for tail in options]
+    return names
+
+
+def code_metric_names(src: pathlib.Path) -> set:
+    """Every metric name ``src/`` declares (``labeled`` / ``owned`` /
+    ``counter`` / ``gauge`` / ``histogram`` calls), or a ``?file:line``
+    entry for one this cannot read."""
+    found = set()
+
+    def visit(node: ast.AST, loops: dict, tuples: dict, where: str):
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                             ast.GeneratorExp)):
+            loops = dict(loops)  # comprehension variable -> its tuple
+            for gen in node.generators:
+                it = gen.iter
+                field = getattr(it, "attr", getattr(it, "id", None))
+                if isinstance(gen.target, ast.Name) and field in tuples:
+                    loops[gen.target.id] = field
+        if isinstance(node, ast.Call):
+            func = node.func
+            fname = getattr(func, "attr", getattr(func, "id", None))
+            if fname in _NAMING and len(node.args) > _NAMING[fname]:
+                names = _expand(node.args[_NAMING[fname]], loops, tuples)
+                found.update(names or [f"?{where}:{node.lineno}"])
+        for child in ast.iter_child_nodes(node):
+            visit(child, loops, tuples, where)
+
+    for path in sorted(src.rglob("*.py")):
+        if path.name == "metrics.py" and path.parent.name == "obs":
+            continue  # the registry's own plumbing passes names through
+        tree = ast.parse(path.read_text())
+        visit(tree, {}, _str_tuples(tree), path.name)
+    return found
+
+
+def documented_metric_patterns(doc: pathlib.Path) -> set:
+    """The names in the metric column of the "What is instrumented"
+    table: a bare name after ``a.x`` is ``a.<name>``; ``*`` matches any."""
+    text = doc.read_text().split("### What is instrumented", 1)[1]
+    patterns = set()
+    for line in text.splitlines()[1:]:
+        if not line.startswith("|"):
+            if patterns:
+                break
+            continue
+        cell = line.split("|")[1]
+        prefix = None
+        for token in re.findall(r"`([^`]+)`", cell):
+            if "." in token:
+                prefix = token.split(".", 1)[0]
+                patterns.add(token)
+            elif prefix is not None:
+                patterns.add(f"{prefix}.{token}")
+    return patterns
+
+
+def undocumented_and_unrecorded(src: pathlib.Path, doc: pathlib.Path):
+    names = code_metric_names(src)
+    patterns = documented_metric_patterns(doc)
+    undocumented = sorted(
+        n for n in names
+        if not any(fnmatch.fnmatchcase(n, p) for p in patterns))
+    unrecorded = sorted(
+        p for p in patterns
+        if not any(fnmatch.fnmatchcase(n, p) for n in names))
+    return undocumented, unrecorded
+
+
+class TestMetricNamesAreDocumented:
+    def test_every_metric_has_a_row_and_every_row_a_metric(self):
+        undocumented, unrecorded = undocumented_and_unrecorded(
+            REPO / "src", REPO / "docs" / "observability.md")
+        assert undocumented == [], "recorded, not in the table"
+        assert unrecorded == [], "in the table, recorded nowhere"
+
+    def test_the_field_families_are_expanded(self):
+        names = code_metric_names(REPO / "src")
+        assert {"serve.requests", "serve.chunk_cache_misses",
+                "serve.prefetch_wasted", "storage.list_requests"} <= names
 
 
 # --------------------------------------------------------------------------- #

@@ -70,6 +70,20 @@ class TestCompute:
                 serial.x[i].numpy(), parallel.x[i].numpy()
             )
 
+    def test_traced_eval_holds_its_workers_spans(self, src):
+        from repro import obs
+
+        with obs.trace("eval") as root:
+            double().eval(src, fresh_out(), num_workers=2)
+        spans = obs.flatten(root)
+        assert {s["trace_id"] for s in spans} == {root.trace_id}
+        # one one-row engine read per input row, each on a worker thread,
+        # each under the caller's span
+        reads = [s for s in spans if s["name"] == "engine.plan_reads"
+                 and s["attrs"]["rows"] == 1]
+        assert len(reads) == 20
+        assert {s["parent_id"] for s in reads} == {root.span_id}
+
     def test_iterable_input(self):
         out = fresh_out()
         items = [{"x": np.array([i], dtype=np.int64)} for i in range(5)]
