@@ -148,15 +148,13 @@ def test_a3_shuffle_strategies(benchmark, monkeypatch):
     monkeypatch.setattr(chunk_cache, "CACHE_BYTES", 3 * (64 << 10))
     rows = []
     for name, order in orders.items():
-        from repro.core.chunk_engine import ChunkEngine
-        from repro.core.version_state import VersionState
+        from repro.core.commit_state import open_engine
 
         clock = SimClock()
         store = make_object_store("s3", clock=clock)
         for key in ds.storage._all_keys():
             store.backing[key] = ds.storage[key]
-        fresh_engine = ChunkEngine("images", store, VersionState(),
-                                   state=ds._chain_state())
+        fresh_engine = open_engine(store, "images")
         clock.reset()
         store.stats.reset()
         for i in order:
@@ -254,11 +252,9 @@ def test_a5_rechunk(benchmark, rng):
         store = make_object_store("s3", clock=clock)
         for key in ds.storage._all_keys():
             store.backing[key] = ds.storage[key]
-        from repro.core.chunk_engine import ChunkEngine
-        from repro.core.version_state import VersionState
+        from repro.core.commit_state import open_engine
 
-        fresh = ChunkEngine("x", store, VersionState(),
-                            state=ds._chain_state())
+        fresh = open_engine(store, "x")
         store.stats.reset()
         for i in range(n):
             fresh.execute_plan(fresh.plan_reads([i]))  # whole chunks

@@ -4,8 +4,9 @@ from repro.core.dataset import Dataset
 from repro.core.tensor import Tensor
 from repro.core.index import Index
 from repro.core.meta import DatasetMeta, TensorMeta, DEFAULT_MAX_CHUNK_SIZE
+from repro.core.meta import CommitDiff
 from repro.core.chunk import Chunk
-from repro.core.chunk_engine import ChunkEngine, CommitDiff
+from repro.core.chunk_engine import ChunkEngine
 from repro.core.encoders import (
     ChunkIdEncoder,
     PadEncoder,

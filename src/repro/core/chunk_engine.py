@@ -11,8 +11,8 @@ One engine owns everything between a tensor's public API and raw storage:
   of the tensor's state in one batch; reads take the first commit of the
   chain whose set contains the chunk (§4.2); a stored chunk is never
   changed, a write copies it under a fresh name (:meth:`_fork`);
-- reads through its dataset handle's :class:`ChunkCache`, §3.5's "buffer
-  cache of fetched and unutilized data" (a bare engine builds its own);
+- reads through its handle's :class:`ChunkCache`, §3.5's "buffer cache of
+  fetched and unutilized data";
 - the on-the-fly :meth:`rechunk` layout optimiser;
 - sparse out-of-bounds assignment via padding (strict mode off).
 
@@ -59,7 +59,7 @@ into the ``set_many`` batch that is the only way a chunk reaches storage:
 when an update leaves ``_WATERMARK_CHUNKS`` chunks buffered or the next
 append finds that many while it stages (the upload then runs under the
 encode pool's work), and at a flush, which hands the engine's state
-files to the owning ``Dataset``'s commit manifest (chunks go first, the
+files to its handle's ``CommitState`` (chunks go first, the head's
 manifest publishes them; the keys the copies replaced go once the
 commit is sealed: a stored key always holds the same bytes).
 
@@ -78,23 +78,23 @@ from __future__ import annotations
 import os
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.compression import compress_array, decompress_array
 from repro.core import read_plan
 from repro.core.chunk import Chunk, ChunkHeader
-from repro.core.chunk_cache import ChunkCache
 from repro.core.encoders import (
     ChunkIdEncoder,
     PadEncoder,
     SequenceEncoder,
     TileEncoder,
 )
-from repro.core.meta import TensorMeta
+from repro.core.meta import CommitDiff, TensorMeta
 from repro.core.read_plan import (  # noqa: F401 - PRUNED re-exported
     KIND_PAD,
     KIND_SAMPLE,
@@ -104,18 +104,17 @@ from repro.core.read_plan import (  # noqa: F401 - PRUNED re-exported
     column_rows,
 )
 from repro.core.sample import LinkedSample, Sample
-from repro.core.version_state import VersionState
 from repro.core.write_plan import WritePlan, dense_column, value_bounds
 from repro.core import tiling
 from repro.core.htypes import validate_sample
 from repro.exceptions import (
+    DeepLakeError,
     FormatError,
     LinkError,
     SampleIndexError,
 )
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
-from repro.storage.provider import StorageProvider, delete_keys
 from repro.util import keys as K
 from repro.util.json_util import json_dumps, json_loads
 
@@ -146,45 +145,6 @@ def _encode_pool() -> ThreadPoolExecutor:
         return _ENCODE_POOL
 
 
-class CommitDiff:
-    """Per-tensor per-commit change record (feeds diff & merge, §4.2)."""
-
-    def __init__(self, first_index: int = 0, created: bool = False):
-        self.created = created
-        self.first_index = int(first_index)  # tensor length at commit start
-        self.num_added = 0
-        self.updated: Set[int] = set()
-
-    @property
-    def added_range(self) -> Tuple[int, int]:
-        return self.first_index, self.first_index + self.num_added
-
-    def add(self, count: int = 1) -> None:
-        self.num_added += count
-
-    def update(self, index: int) -> None:
-        if index < self.first_index or index >= self.first_index + self.num_added:
-            self.updated.add(int(index))
-
-    def to_json(self) -> bytes:
-        return json_dumps(
-            {
-                "created": self.created,
-                "first_index": self.first_index,
-                "num_added": self.num_added,
-                "updated": sorted(self.updated),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, data: bytes) -> "CommitDiff":
-        obj = json_loads(data)
-        diff = cls(obj.get("first_index", 0), obj.get("created", False))
-        diff.num_added = obj.get("num_added", 0)
-        diff.updated = set(obj.get("updated", []))
-        return diff
-
-
 class ChunkEngine:
     """Reads and writes one tensor's chunks against a storage provider."""
 
@@ -212,26 +172,22 @@ class ChunkEngine:
     _h_flush_batch = _metrics.labeled(
         _metrics.Histogram, "chunk_engine.flush_batch_chunks", tensor="tensor")
 
-    def __init__(
-        self,
-        tensor: str,
-        storage: StorageProvider,
-        version_state: VersionState,
-        meta: Optional[TensorMeta] = None,
-        state: Optional[Dict[str, bytes]] = None,
-        flush_via: Optional[Callable[[], None]] = None,
-        cache: Optional[ChunkCache] = None,
-    ):
+    def __init__(self, tensor: str, commit_state,
+                 meta: Optional[TensorMeta] = None):
         self.tensor = tensor
-        self.storage = storage
-        self.version_state = version_state
-        # the owning Dataset's flush, which publishes this engine's state
-        # in its commit manifest; a bare engine writes enumerated keys
-        self._flush_via = flush_via
+        # the handle's core.commit_state.CommitState hands this engine its
+        # state at the open and publishes what a flush drains.  It holds
+        # its engines, so an engine holds it weakly: a dropped handle frees
+        # its chunk cache and write buffers at once, not at the next cycle
+        # collection.  Reads need only the objects it shares.
+        self._commit_state = weakref.ref(commit_state)
+        self.storage = commit_state.storage
+        self.version_state = commit_state.version_state
+        self.tree = commit_state.tree
         self._lock = threading.RLock()
 
         # the handle's decoded chunks, headers and fetches in flight
-        self.cache = cache if cache is not None else ChunkCache()
+        self.cache = commit_state.cache
 
         # commit id -> names of the chunks that commit owns, for every
         # commit of the chain; ``chunk_set`` is the current commit's entry
@@ -265,18 +221,25 @@ class ChunkEngine:
             self.commit_diff = CommitDiff(0, created=True)
             self._dirty = True
         else:
-            self._load_state(state)
+            self._load_state(commit_state.tensor_state(tensor))
 
     # ------------------------------------------------------------------ #
     # state load/save
     # ------------------------------------------------------------------ #
 
     @property
+    def commit_state(self):
+        state = self._commit_state()
+        if state is None:
+            raise DeepLakeError(
+                f"tensor {self.tensor!r}: its dataset is gone; flush the "
+                "dataset the tensor was opened from"
+            )
+        return state
+
+    @property
     def commit_id(self) -> str:
         return self.version_state.commit_id
-
-    def _state_key(self, key_fn) -> str:
-        return key_fn(self.commit_id, self.tensor)
 
     @property
     def chunk_set(self) -> Set[str]:
@@ -287,23 +250,19 @@ class ChunkEngine:
     def chunk_set(self, names: Set[str]) -> None:
         self._chunk_sets[self.commit_id] = names
 
-    def _load_state(self, blobs: Optional[Dict[str, bytes]] = None) -> None:
-        """Resolve the tensor's state from *blobs*, ``{state key: blob}``
-        over the chain — handed in by the owning ``Dataset``, from its
-        commits' manifests; a bare engine fetches the stored subset of
-        ``K.state_keys`` in one ``get_many``.  Meta and encoders come from
-        the nearest commit of the chain that wrote them, the stats sidecar
-        merges the whole chain, every commit keeps its own chunk set, and
-        the commit diff is the current commit's."""
-        chain = self.version_state.commit_chain()
-        if blobs is None:
-            blobs = self.storage.get_many(K.state_keys(chain, self.tensor))
+    def _load_state(self, chain: List[Tuple[str, Dict[str, bytes]]]) -> None:
+        """Resolve the tensor's state from *chain*, ``(commit id, {file
+        name: blob})`` per commit of the chain, current commit first, as
+        the handle's commit state holds it (``CommitState.tensor_state``).
+        Meta and encoders come from the nearest commit of the chain that
+        wrote them, the stats sidecar merges the whole chain, every commit
+        keeps its own chunk set, and the commit diff is the current
+        commit's."""
+        def nearest(name: str) -> Optional[bytes]:
+            return next((files[name] for _cid, files in chain
+                         if name in files), None)
 
-        def nearest(key_fn) -> Optional[bytes]:
-            found = (blobs.get(key_fn(cid, self.tensor)) for cid in chain)
-            return next((blob for blob in found if blob is not None), None)
-
-        data = nearest(K.tensor_meta_key)
+        data = nearest("meta")
         if data is None:
             raise FormatError(
                 f"tensor {self.tensor!r} has no metadata at commit "
@@ -311,27 +270,25 @@ class ChunkEngine:
             )
         self.meta = TensorMeta.from_json(data)
 
-        enc = nearest(K.chunk_id_encoder_key)
+        enc = nearest("chunk_ids")
         self.enc = ChunkIdEncoder.frombytes(enc) if enc else ChunkIdEncoder()
-        tile = nearest(K.tile_encoder_key)
+        tile = nearest("tiles")
         self.tile_enc = TileEncoder.frombytes(tile) if tile else TileEncoder()
-        seq = nearest(K.sequence_encoder_key)
+        seq = nearest("sequence")
         self.seq_enc = SequenceEncoder.frombytes(seq) if seq else SequenceEncoder()
-        pad = nearest(K.pad_encoder_key)
+        pad = nearest("pads")
         self.pad_enc = PadEncoder.frombytes(pad) if pad else PadEncoder()
 
         # statistics sidecar: merge the whole commit chain, nearest commit
         # wins (a rewritten chunk's fresh stats shadow the ancestor's)
         self.chunk_stats = {}
-        for cid in reversed(chain):
-            stats = blobs.get(K.chunk_stats_key(cid, self.tensor))
-            if stats is not None:
-                self.chunk_stats.update(json_loads(stats))
-            names = blobs.get(K.chunk_set_key(cid, self.tensor))
-            if names is not None:
-                self._chunk_sets[cid] = set(json_loads(names))
+        for cid, files in reversed(chain):
+            if "stats" in files:
+                self.chunk_stats.update(json_loads(files["stats"]))
+            if "chunk_set" in files:
+                self._chunk_sets[cid] = set(json_loads(files["chunk_set"]))
         # the commit diff belongs strictly to the current commit
-        diff = blobs.get(self._state_key(K.commit_diff_key))
+        diff = chain[0][1].get("diff")
         self.commit_diff = (
             CommitDiff.from_json(diff) if diff else CommitDiff(self.meta.length)
         )
@@ -342,47 +299,29 @@ class ChunkEngine:
         # chunk the encoder names through it, so an encoder must never be
         # durable ahead of the chunk set that places its chunks
         items = {
-            self._state_key(K.chunk_set_key): json_dumps(
-                sorted(self.chunk_set)
-            ),
-            self._state_key(K.chunk_id_encoder_key): self.enc.tobytes(),
+            "chunk_set": json_dumps(sorted(self.chunk_set)),
+            "chunk_ids": self.enc.tobytes(),
         }
         if self.tile_enc.num_tiled:
-            items[self._state_key(K.tile_encoder_key)] = self.tile_enc.tobytes()
+            items["tiles"] = self.tile_enc.tobytes()
         if self.meta.is_sequence:
-            items[self._state_key(K.sequence_encoder_key)] = (
-                self.seq_enc.tobytes()
-            )
+            items["sequence"] = self.seq_enc.tobytes()
         if self.pad_enc.num_padded:
-            items[self._state_key(K.pad_encoder_key)] = self.pad_enc.tobytes()
+            items["pads"] = self.pad_enc.tobytes()
         return items
 
     def _meta_items(self) -> Dict[str, bytes]:
-        items = {
-            self._state_key(K.tensor_meta_key): self.meta.to_json(),
-        }
+        items = {"meta": self.meta.to_json()}
         if self.chunk_stats:
-            items[self._state_key(K.chunk_stats_key)] = json_dumps(
-                self.chunk_stats
-            )
-        items[self._state_key(K.commit_diff_key)] = self.commit_diff.to_json()
+            items["stats"] = json_dumps(self.chunk_stats)
+        items["diff"] = self.commit_diff.to_json()
         return items
 
     def flush(self) -> None:
-        """Persist this engine's buffered state for the current commit:
-        through the owning ``Dataset.flush`` (every engine's chunks in one
-        batch, then the manifest that publishes them), or — for a bare
-        engine — its chunks, its state files at their enumerated keys,
-        then the deletes of the keys its copies replaced."""
-        if self._flush_via is not None:
-            self._flush_via()
-            return
-        with self._lock:
-            chunks, state, superseded = self.drain_flush_items()
-            for items in (chunks, state):
-                if items:
-                    self.storage.set_many(items)
-            delete_keys(self.storage, superseded)
+        """Publish this engine's buffered state, and every other engine's
+        of its handle, through the handle's commit state: every chunk in
+        one batch, then the head's manifest (``CommitState.flush``)."""
+        self.commit_state.flush()
 
     def begin_new_commit(self) -> None:
         """Reset per-commit bookkeeping after the head moved to a child.
@@ -412,7 +351,7 @@ class ChunkEngine:
     # ------------------------------------------------------------------ #
 
     def _chunk_storage_key(self, chunk_name: str) -> str:
-        for cid in self.version_state.commit_chain():
+        for cid in self.tree.chain(self.commit_id):
             if chunk_name in self._chunk_sets.get(cid, ()):
                 return K.chunk_key(cid, self.tensor, chunk_name)
         raise FormatError(
@@ -776,14 +715,13 @@ class ChunkEngine:
 
     def drain_flush_items(self) -> Tuple[Dict, Dict, List[str]]:
         """Collect everything this engine would persist on :meth:`flush`
-        without writing any of it: ``(chunk items, state items, superseded
-        keys)``, the state being every state file of the current commit
-        when the engine is dirty.  The engine's buffers and dirty flag are
-        drained exactly as a flush would, so the caller *must* write the
-        chunks before anything that names them — ``Dataset.flush`` and
-        ``commit`` put every engine's chunks in one ``set_many`` and the
-        state in the commit's manifest — and delete the superseded keys
-        only after the tree PUT that seals the head (``commit``)."""
+        without writing any of it: ``(chunk items, state files, superseded
+        keys)``, the state files — ``{file name: blob}`` — every one of
+        the current commit when the engine is dirty.  The engine's buffers
+        and dirty flag are drained exactly as a flush would, so the caller,
+        the handle's ``CommitState``, *must* write the chunks before
+        anything that names them, and delete the superseded keys only
+        after the tree PUT that seals the head."""
         with self._lock:
             self._finalize_active()
             chunk_items = self._serialize_pending()

@@ -5,20 +5,18 @@ tensors (columns), groups (syntactic nesting), hidden companion tensors
 (per-sample shapes for fast queries, stable sample ids for merge,
 downsampled image pyramids for visualization), and the version-control
 tree.  Subscripting with ints/slices/lists produces zero-copy *views*
-that share the underlying chunk engines.
+that share the handle's one :class:`~repro.core.commit_state.CommitState`
+(its chunk engines, dataset meta, version tree and writability).
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
-from collections import ChainMap
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.chunk_cache import ChunkCache
 from repro.core.chunk_engine import ChunkEngine
+from repro.core.commit_state import CommitState
 from repro.core.read_plan import (FusedReadPlan, as_row_array, column_rows,
                                   normalize_rows)
 from repro.core.htypes import UNSPECIFIED
@@ -26,13 +24,10 @@ from repro.core.index import Index
 from repro.core.meta import DatasetMeta, TensorMeta
 from repro.core.sample import Sample
 from repro.core.tensor import Tensor
-from repro.core.version_state import VersionState
 from repro.exceptions import (
-    DeepLakeError,
     FormatError,
     GroupError,
     KeyNotFound,
-    ReadOnlyDatasetError,
     TensorAlreadyExistsError,
     TensorDoesNotExistError,
 )
@@ -41,11 +36,7 @@ from repro.util import keys as K
 from repro.util.ids import new_sample_ids, new_view_id
 from repro.util.json_util import json_dumps, json_loads
 from repro.version_control import operations as vc_ops
-from repro.version_control.tree import (
-    VersionTree,
-    pack_manifest,
-    unpack_manifest,
-)
+from repro.version_control.tree import VersionTree
 
 _RESERVED = {"queries", "versions", "locks"}
 
@@ -65,12 +56,11 @@ class Dataset:
         read_only: bool = False,
         strict: bool = True,
         path: str = "",
-        _version_state: Optional[VersionState] = None,
+        _commit_id: Optional[str] = None,
         _tree: Optional[VersionTree] = None,
     ):
         self.storage = storage
         self.path = path
-        self.read_only = read_only
         self.strict = strict
         self.index = Index()
         self.group_index = ""
@@ -78,134 +68,29 @@ class Dataset:
         self.query_string: Optional[str] = None
         #: TQL bare-column SELECTs narrow the visible tensor set
         self._tensor_filter: Optional[List[str]] = None
-
-        self._tree = _tree or VersionTree.load(storage)
-        self.version_state = _version_state or VersionState(
-            self._tree.branches.get("main", K.FIRST_COMMIT_ID), "main"
+        # the one commit state of this handle: views share it (_spawn)
+        self._commit_state = CommitState(
+            storage, read_only=read_only, tree=_tree, commit_id=_commit_id,
         )
-        self.version_state.chain_provider = self._tree.chain
-        node = self._tree.node(self.version_state.commit_id)
-        self.version_state.branch = node.branch
-        self._commit_read_only = not node.is_head
-
-        self._engines: Dict[str, ChunkEngine] = {}
-        # every engine's decoded chunks under one budget (views share it)
-        self._chunk_cache = ChunkCache()
-        self._open_lock = threading.Lock()  # shared with views (_spawn)
-        # commit id -> {state key: blob}, every commit of the chain as its
-        # manifest holds it (views share the dict, like _engines); a
-        # flush merges what the engines drain into the head's entry, and
-        # _unpublished names the heads whose entry is ahead of storage
-        self._state: Dict[str, Dict[str, bytes]] = {}
-        self._unpublished: Set[str] = set()
-        # keys copies replaced on a head: a commit seals it, then deletes
-        self._superseded: List[str] = []
-        self._meta = self._load_state()
-        if self._tree.stored is None and self._writable_head():
-            self._tree.save(self.storage)  # a dataset exists with its tree
 
     # ------------------------------------------------------------------ #
     # construction / persistence plumbing
     # ------------------------------------------------------------------ #
 
-    def _load_state(self) -> DatasetMeta:
-        """Read the state of every commit of the chain not in memory yet
-        and return the dataset meta nearest the current commit.
-
-        ONE ``get_many`` of the manifests the tree names, so a cold open
-        is the tree, this batch, then chunks, at any tensor count or
-        history depth; a head never flushed has no manifest and shows its
-        parent's state.  A commit written before manifests is read at its
-        enumerated keys: its dataset meta rides the same batch, every
-        tensor's state files (``K.state_keys``) one more."""
-        chain = self.version_state.commit_chain()
-        nodes = [self._tree.node(c) for c in chain if c not in self._state]
-        found = self.storage.get_many([
-            node.manifest or K.dataset_meta_key(node.commit_id)
-            for node in nodes
-        ]) if nodes else {}
-        legacy = []
-        for node in nodes:
-            cid, key = node.commit_id, node.manifest
-            if key is None:
-                legacy.append(cid)
-                key = K.dataset_meta_key(cid)
-                self._state[cid] = {key: found[key]} if key in found else {}
-            elif key in found:
-                self._state[cid] = unpack_manifest(
-                    found[key], K.commit_root(cid)
-                )
-            elif node.is_head:
-                self._state[cid] = {}
-            else:
-                raise FormatError(
-                    f"commit {cid!r}: the version tree names manifest "
-                    f"{key!r}, which is not in storage"
-                )
-        blob = self._stored_meta_blob()
-        meta = DatasetMeta.from_json(blob) if blob else DatasetMeta()
-        if legacy and meta.tensors:
-            found = self.storage.get_many([
-                key for name in meta.tensors
-                for key in K.state_keys(legacy, name)
-            ])
-            for cid in legacy:
-                self._state[cid].update(
-                    (k, found[k]) for name in meta.tensors
-                    for k in K.state_keys([cid], name) if k in found
-                )
-        return meta
-
-    def _chain_state(self) -> ChainMap:
-        """Every state blob of the current chain as one mapping (keys
-        carry their commit's root, so commits never collide) — what
-        ``ChunkEngine._load_state`` and the commit diffs read."""
-        return ChainMap(*(
-            self._state.get(cid, {})
-            for cid in self.version_state.commit_chain()
-        ))
-
-    def _stored_meta_blob(self) -> Optional[bytes]:
-        """The dataset meta the chain's state holds, nearest commit first."""
-        for cid in self.version_state.commit_chain():
-            blob = self._state.get(cid, {}).get(K.dataset_meta_key(cid))
-            if blob is not None:
-                return blob
-        return None
-
-    def _dataset_meta_items(self) -> Dict[str, bytes]:
-        """The current commit's dataset meta as a one-key dict — empty
-        when the chain's state already holds these bytes."""
-        blob = self._meta.to_json()
-        if blob == self._stored_meta_blob():
-            return {}
-        return {K.dataset_meta_key(self.version_state.commit_id): blob}
-
-    def _new_engine(self, name: str, **kwargs) -> ChunkEngine:
-        """An engine of this dataset, reading through its one chunk cache;
-        its own flush (a stats backfill) goes through :meth:`flush`.
-        It holds the dataset weakly — every view holds it strongly
-        (:meth:`_spawn`) — so no cycle keeps the engines alive."""
-        owner = weakref.ref(self.__dict__.get("_owner", self))
-
-        def flush() -> None:
-            ds = owner()
-            if ds is None:
-                raise DeepLakeError(
-                    f"tensor {name!r}: its dataset is gone; flush the "
-                    "dataset the tensor was opened from"
-                )
-            ds.flush()
-
-        return ChunkEngine(name, self.storage, self.version_state,
-                           flush_via=flush, cache=self._chunk_cache, **kwargs)
+    read_only = property(lambda self: self._commit_state.read_only)
+    version_state = property(lambda self: self._commit_state.version_state)
+    _tree = property(lambda self: self._commit_state.tree)
+    _meta = property(lambda self: self._commit_state.meta)
+    _engines = property(lambda self: self._commit_state.engines)
+    _open_lock = property(lambda self: self._commit_state.open_lock)
+    #: every engine's decoded chunks under one budget
+    _chunk_cache = property(lambda self: self._commit_state.cache)
 
     def _spawn(self, index: Optional[Index] = None,
                group_index: Optional[str] = None) -> "Dataset":
-        """Shallow view sharing engines/chunk cache/tree/version state."""
+        """Shallow view sharing the handle's commit state."""
         view = object.__new__(Dataset)
         view.__dict__.update(self.__dict__)
-        view._owner = self.__dict__.get("_owner", self)
         view.index = index if index is not None else self.index
         view.group_index = (
             group_index if group_index is not None else self.group_index
@@ -214,54 +99,24 @@ class Dataset:
 
     def _at_commit(self, commit_id: str) -> "Dataset":
         """Independent dataset object pinned at *commit_id* (time travel)."""
-        vs = VersionState(commit_id)
         return Dataset(
             self.storage,
             read_only=True,
             strict=self.strict,
             path=self.path,
-            _version_state=vs,
+            _commit_id=commit_id,
         )
 
     def _check_writable(self) -> None:
-        if self.read_only:
-            raise ReadOnlyDatasetError("dataset is opened read-only")
-        if self._commit_read_only:
-            raise ReadOnlyDatasetError(
-                f"commit {self.version_state.commit_id[:12]!r} is an "
-                "immutable snapshot; checkout a branch to write"
-            )
-        self.storage.check_writable()
-
-    def _set_commit_read_only(self, flag: bool) -> None:
-        self._commit_read_only = flag
-
-    def _reload_version_view(self) -> None:
-        self._engines.clear()
-        for cid in [c for c in self._state if self._tree.node(c).is_head
-                    and c not in self._unpublished]:
-            del self._state[cid]  # another handle may have flushed it
-        self._meta = self._load_state()
+        self._commit_state.check_writable()
 
     # ------------------------------------------------------------------ #
     # engines & names
     # ------------------------------------------------------------------ #
 
     def _open_engines(self, names: Sequence[str]) -> List[ChunkEngine]:
-        """Engines of tensors *names*, in order, built from the chain's
-        state the open already read (:meth:`_load_state`): no storage
-        call; the lock makes concurrent first readers share one engine."""
-        engines = self._engines
-        if any(name not in engines for name in names):
-            with self._open_lock:  # re-check: a racing reader may have won
-                missing = [n for n in dict.fromkeys(names) if n not in engines]
-                for name in missing:
-                    if name not in self._meta.tensors:
-                        raise TensorDoesNotExistError(name)
-                blobs = self._chain_state()
-                for name in missing:
-                    engines[name] = self._new_engine(name, state=blobs)
-        return [engines[name] for name in names]
+        """Engines of tensors *names*, in order (no storage call)."""
+        return self._commit_state.open_engines(names)
 
     def _engine(self, name: str) -> ChunkEngine:
         engine = self._engines.get(name)  # open already: the per-row case
@@ -352,9 +207,7 @@ class Dataset:
             hidden=hidden,
             **kwargs,
         )
-        engine = self._new_engine(name, meta=meta)
-        self._engines[name] = engine
-        self._meta.add_tensor(name, hidden=hidden or meta.hidden)
+        self._commit_state.add_tensor(name, meta, hidden or meta.hidden)
 
         if not hidden:
             if create_shape_tensor:
@@ -375,10 +228,7 @@ class Dataset:
                     sample_compression=meta.sample_compression or "jpeg",
                     hidden=True,
                 )
-                self._engines[down_name] = self._new_engine(
-                    down_name, meta=down
-                )
-                self._meta.add_tensor(down_name, hidden=True)
+                self._commit_state.add_tensor(down_name, down, hidden=True)
                 meta.links["downsampled"] = down_name
                 meta.info["downsampling_factor"] = factor
         return Tensor(self, name, Index())
@@ -387,8 +237,7 @@ class Dataset:
         meta = TensorMeta(
             htype="generic", dtype=dtype, chunk_compression="lz4", hidden=True
         )
-        self._engines[name] = self._new_engine(name, meta=meta)
-        self._meta.add_tensor(name, hidden=True)
+        self._commit_state.add_tensor(name, meta, hidden=True)
 
     def _create_tensor_from_meta(
         self, name: str, src: TensorMeta, **overrides
@@ -416,32 +265,12 @@ class Dataset:
         return self._spawn(group_index=name)
 
     def delete_tensor(self, name: str) -> None:
-        """Remove a tensor (and companions) from the current head.
-
-        The head's manifest stops naming them — one flush — *before*
-        their chunks are deleted: the worst a crash in between leaves is
-        unreferenced keys, never a dataset meta naming a tensor with no
-        state.
-        """
+        """Remove a tensor (and companions) from the current head
+        (``CommitState.forget_tensors``: one flush, then the deletes)."""
         self._check_writable()
         name = self._qualify(name)
         engine = self._engine(name)
-        victims = [name] + [t for t in engine.meta.links.values()]
-        head = self.version_state.commit_id
-        state = self._state.setdefault(head, {})
-        folders = [f"{K.commit_root(head)}{victim}/" for victim in victims]
-        for victim in victims:
-            self._engines.pop(victim, None)
-            if victim in self._meta.tensors:
-                self._meta.tensors.remove(victim)
-            if victim in self._meta.hidden_tensors:
-                self._meta.hidden_tensors.remove(victim)
-        for key in [k for k in state if k.startswith(tuple(folders))]:
-            del state[key]
-            self._unpublished.add(head)
-        self.flush()
-        for folder in folders:
-            self.storage.clear(folder)
+        self._commit_state.forget_tensors([name, *engine.meta.links.values()])
 
     # ------------------------------------------------------------------ #
     # hidden-tensor synchronisation
@@ -663,9 +492,9 @@ class Dataset:
     def __getattr__(self, item: str):
         if item.startswith("_") or item in self.__dict__:
             raise AttributeError(item)
-        meta = self.__dict__.get("_meta")
-        if meta is not None:
-            name = self._qualify(item)
+        state = self.__dict__.get("_commit_state")
+        if state is not None:
+            meta, name = state.meta, self._qualify(item)
             if name in meta.tensors:
                 return Tensor(self, name, self.index)
             if name in meta.groups:
@@ -904,15 +733,12 @@ class Dataset:
     def branches(self) -> List[str]:
         return sorted(self._tree.branches)
 
-    def _has_uncommitted_changes(self) -> bool:
+    @property
+    def has_changes(self) -> bool:
         return any(
             engine.has_changes
             for engine in self._open_engines(self._meta.tensors)
         )
-
-    @property
-    def has_changes(self) -> bool:
-        return self._has_uncommitted_changes()
 
     # ------------------------------------------------------------------ #
     # queries, loading, materialization
@@ -1013,86 +839,9 @@ class Dataset:
     # ------------------------------------------------------------------ #
 
     def flush(self) -> None:
-        """Persist every engine's buffered state — and nothing that has
-        not changed — in two writes at most: every engine's chunks in ONE
-        ``set_many``, then ONE PUT of the head's manifest, which publishes
-        them.  The manifest holds every state file of the head commit
-        (meta, encoders, chunk set, stats, diff of each tensor, and the
-        dataset meta when it changed), so a crash anywhere leaves the last
-        published head whole: chunks that landed without it are new keys
-        no manifest names — an updated or resumed chunk is a copy under a
-        fresh name, and the key it replaced stays (for readers of earlier
-        manifests) until :meth:`commit` seals the head.  The version tree
-        is not rewritten — it already names the head's manifest;
-        :meth:`VersionTree.save` is a no-op unless an earlier commit's tree
-        PUT is still owed.  A flush with nothing to say issues no request
-        at all.
-        """
-        self._publish(*self._drain_flush_items())
-
-    def _drain_flush_items(self) -> Tuple[Dict[str, bytes], Dict[str, bytes]]:
-        """Drain every open engine (and the dataset meta, when it
-        changed) into ``(chunks, state)`` without writing anything.  The
-        caller *must* write both: :meth:`_publish` for a head,
-        :meth:`_write_sealed` for a commit."""
-        chunks: Dict[str, bytes] = {}
-        state: Dict[str, bytes] = {}
-        for engine in list(self._engines.values()):
-            chunk_items, state_items, superseded = engine.drain_flush_items()
-            chunks.update(chunk_items)
-            state.update(state_items)
-            self._superseded += superseded
-        if self._writable_head():
-            state.update(self._dataset_meta_items())
-        return chunks, state
-
-    def _publish(self, chunks: Dict[str, bytes],
-                 state: Dict[str, bytes]) -> None:
-        """The chunks in one batch, then the head's manifest if its state
-        changed (or an earlier PUT of it failed), then the tree if it
-        changed.  A head written before manifests gets one here, and the
-        tree, which then names it, is written once more."""
-        if chunks:
-            self.storage.set_many(chunks)
-        head = self.version_state.commit_id
-        if state:  # only once the chunks it names are durable
-            self._state.setdefault(head, {}).update(state)
-            self._unpublished.add(head)
-        if self._writable_head():
-            node = self._tree.node(head)
-            if head in self._unpublished:
-                node.manifest = node.manifest or K.head_manifest_key(head)
-                self.storage[node.manifest] = pack_manifest(
-                    self._state[head], K.commit_root(head)
-                )
-                self._unpublished.discard(head)
-            self._tree.save(self.storage)
-        self.storage.flush()
-
-    def _write_sealed(self, chunks: Dict[str, bytes],
-                      state: Dict[str, bytes]) -> None:
-        """A commit's one batch: the chunks and the head's whole state as
-        the manifest its sealed node will name
-        (``K.commit_manifest_key``) — keys no durable object names yet,
-        so any part of the batch landing publishes nothing.  The tree PUT
-        that names it follows (``version_control.operations.commit``)."""
-        head = self.version_state.commit_id
-        sealed = {**self._state.get(head, {}), **state}
-        self.storage.set_many({
-            **chunks,
-            K.commit_manifest_key(head): pack_manifest(
-                sealed, K.commit_root(head)
-            ),
-        })
-        self._state[head] = sealed
-        self._unpublished.discard(head)
-
-    def _writable_head(self) -> bool:
-        """Whether flushes may write the dataset meta and the version
-        tree: not on a read-only dataset or store, nor on a sealed commit."""
-        return not (
-            self.read_only or self._commit_read_only or self.storage.read_only
-        )
+        """Publish every engine's buffered state: the chunks in one
+        batch, then the head's manifest (``CommitState.flush``)."""
+        self._commit_state.flush()
 
     def rechunk(self, tensors: Optional[Sequence[str]] = None) -> Dict[str, int]:
         """Optimise chunk layout of the given (default: all) tensors, and

@@ -1,8 +1,9 @@
-"""Tensor and dataset metadata files of the Tensor Storage Format."""
+"""Tensor and dataset metadata files of the Tensor Storage Format, and a
+tensor's per-commit change record."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -204,3 +205,42 @@ class DatasetMeta:
 
     def copy(self) -> "DatasetMeta":
         return DatasetMeta.from_json(self.to_json())
+
+
+class CommitDiff:
+    """Per-tensor per-commit change record (feeds diff & merge, §4.2)."""
+
+    def __init__(self, first_index: int = 0, created: bool = False):
+        self.created = created
+        self.first_index = int(first_index)  # tensor length at commit start
+        self.num_added = 0
+        self.updated: Set[int] = set()
+
+    @property
+    def added_range(self) -> Tuple[int, int]:
+        return self.first_index, self.first_index + self.num_added
+
+    def add(self, count: int = 1) -> None:
+        self.num_added += count
+
+    def update(self, index: int) -> None:
+        if index < self.first_index or index >= self.first_index + self.num_added:
+            self.updated.add(int(index))
+
+    def to_json(self) -> bytes:
+        return json_dumps(
+            {
+                "created": self.created,
+                "first_index": self.first_index,
+                "num_added": self.num_added,
+                "updated": sorted(self.updated),
+            }
+        )
+
+    @classmethod
+    def from_json(cls, data: bytes) -> "CommitDiff":
+        obj = json_loads(data)
+        diff = cls(obj.get("first_index", 0), obj.get("created", False))
+        diff.num_added = obj.get("num_added", 0)
+        diff.updated = set(obj.get("updated", []))
+        return diff

@@ -1,32 +1,23 @@
-"""Current version pointer shared by a dataset and its chunk engines.
+"""Current version pointer shared by a dataset handle and its chunk engines.
 
 The chunk engine only needs two things from version control: the commit it
 writes into, and the chain of ancestor commits to search when reading
 (§4.2: "the version control tree is traversed starting from the current
-commit, heading towards the first commit").  The actual tree lives in
-:mod:`repro.version_control`; it installs ``chain_provider`` here.
+commit, heading towards the first commit").  This is the first; the
+handle's ``CommitState.chain`` walks the version tree for the second.
 """
 
 from __future__ import annotations
-
-from typing import Callable, List, Optional
 
 from repro.util.keys import FIRST_COMMIT_ID
 
 
 class VersionState:
-    """Mutable pointer to (commit, branch) plus the ancestor-chain hook."""
+    """Mutable pointer to (commit, branch)."""
 
     def __init__(self, commit_id: str = FIRST_COMMIT_ID, branch: str = "main"):
         self.commit_id = commit_id
         self.branch = branch
-        #: set by version_control; returns [current, parent, ..., first]
-        self.chain_provider: Optional[Callable[[str], List[str]]] = None
-
-    def commit_chain(self) -> List[str]:
-        if self.chain_provider is None:
-            return [self.commit_id]
-        return self.chain_provider(self.commit_id)
 
     def __repr__(self) -> str:
         return (

@@ -29,7 +29,11 @@ Design constraints, in order:
 - **Quantiles without unbounded memory.**  Histograms keep exact
   count/sum/min/max plus a fixed-size reservoir of samples; p50/p95/p99
   are computed from the reservoir (exact until it fills, statistically
-  representative after).
+  representative after).  The family series holds the reservoir; an
+  owner's histogram keeps count/sum/min/max only, unless its owner reads
+  its own samples (the storage providers' ``storage.op_seconds`` and the
+  object store's ``objectstore.request_seconds``, behind
+  ``StorageStats.latency_samples``).
 """
 
 from __future__ import annotations
@@ -147,7 +151,9 @@ class Histogram:
     reproducible under a fixed workload; the generator is built when the
     reservoir first overflows, so short-lived owners never pay for one).
     An owner's histogram (:func:`owned`) adds each observation to its
-    family series too; :meth:`reset` clears the owner's only.
+    family series too, and keeps no reservoir of its own
+    (``reservoir_size=0``) unless the owner asks for one; :meth:`reset`
+    clears the owner's only.
     """
 
     __slots__ = ("_registry", "_lock", "count", "sum", "min", "max",
@@ -184,7 +190,8 @@ class Histogram:
                 self.max = value
             if len(self._samples) < self._reservoir_size:
                 self._samples.append(value)
-            else:  # reservoir sampling keeps each observation equally likely
+            elif self._reservoir_size:
+                # reservoir sampling keeps each observation equally likely
                 if self._rng is None:
                     self._rng = random.Random(0x5EED)
                 j = self._rng.randrange(self.count)
@@ -322,10 +329,14 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels) -> Histogram:
         return self._series(name, Histogram, labels)
 
-    def owned(self, kind: type, name: str, **labels):
+    def owned(self, kind: type, name: str, keep_samples: bool = False,
+              **labels):
         """A new series of its own for one owner, chained to the family
-        series of *name* / *labels* (looked up on the first record)."""
-        owner = kind(self)
+        series of *name* / *labels* (looked up on the first record).  An
+        owner's histogram keeps a reservoir only with *keep_samples*: the
+        family's answers the percentiles."""
+        owner = (kind(self, 0 if not keep_samples else _RESERVOIR_SIZE)
+                 if kind is Histogram else kind(self))
         owner._family = _Unresolved(owner, name, labels)
         return owner
 
@@ -418,10 +429,10 @@ def histogram(name: str, **labels) -> Histogram:
     return REGISTRY.histogram(name, **labels)
 
 
-def owned(kind: type, name: str, **labels):
+def owned(kind: type, name: str, keep_samples: bool = False, **labels):
     """An owner's own :data:`REGISTRY` series of *name*, for labels known
     only at run time (see :meth:`MetricsRegistry.owned`)."""
-    return REGISTRY.owned(kind, name, **labels)
+    return REGISTRY.owned(kind, name, keep_samples, **labels)
 
 
 class labeled(functools.cached_property):
@@ -435,8 +446,9 @@ class labeled(functools.cached_property):
     none of its series, and reading one resolves no family: a series
     joins a snapshot when its owner first records into it."""
 
-    def __init__(self, kind: type, name: str, **labels: str):
-        super().__init__(lambda obj: owned(kind, name, **{
+    def __init__(self, kind: type, name: str, keep_samples: bool = False,
+                 **labels: str):
+        super().__init__(lambda obj: owned(kind, name, keep_samples, **{
             label: getattr(obj, attr) for label, attr in labels.items()
         }))
 

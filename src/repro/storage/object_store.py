@@ -84,7 +84,7 @@ class SimulatedObjectStore(StorageProvider):
         if h is None:
             h = self._h_ops.setdefault(op, _metrics.owned(
                 _metrics.Histogram, "objectstore.request_seconds",
-                store=self.name, op=op))
+                keep_samples=True, store=self.name, op=op))
         h.observe(seconds)
 
     def _charge(self, nbytes: int, category: str) -> float:

@@ -116,14 +116,15 @@ class StorageProvider(ABC, MutableMapping):
         _metrics.Counter, "storage.bytes_read", provider="_kind")
     _m_bytes_written = _metrics.labeled(
         _metrics.Counter, "storage.bytes_written", provider="_kind")
+    # their samples are StorageStats.latency_samples: each keeps them
     _h_get = _metrics.labeled(_metrics.Histogram, "storage.op_seconds",
-                              provider="_kind", op="_GET")
+                              True, provider="_kind", op="_GET")
     _h_get_many = _metrics.labeled(_metrics.Histogram, "storage.op_seconds",
-                                   provider="_kind", op="_GET_MANY")
+                                   True, provider="_kind", op="_GET_MANY")
     _h_put = _metrics.labeled(_metrics.Histogram, "storage.op_seconds",
-                              provider="_kind", op="_PUT")
+                              True, provider="_kind", op="_PUT")
     _h_set_many = _metrics.labeled(_metrics.Histogram, "storage.op_seconds",
-                                   provider="_kind", op="_SET_MANY")
+                                   True, provider="_kind", op="_SET_MANY")
     #: the ``op`` label values of ``storage.op_seconds``
     _GET, _GET_MANY, _PUT, _SET_MANY = "get", "get_many", "put", "set_many"
     _OPS = (_GET, _GET_MANY, _PUT, _SET_MANY)

@@ -2,16 +2,8 @@
 
 from repro.util.keys import (
     FIRST_COMMIT_ID,
-    chunk_id_encoder_key,
     chunk_key,
-    chunk_set_key,
-    commit_diff_key,
     commit_root,
-    dataset_meta_key,
-    pad_encoder_key,
-    sequence_encoder_key,
-    tensor_meta_key,
-    tile_encoder_key,
     version_control_info_key,
 )
 from repro.util.shape import ShapeInterval, ceildiv, nbytes_of
@@ -20,15 +12,7 @@ from repro.util.json_util import json_dumps, json_loads
 __all__ = [
     "FIRST_COMMIT_ID",
     "commit_root",
-    "dataset_meta_key",
-    "tensor_meta_key",
     "chunk_key",
-    "chunk_id_encoder_key",
-    "tile_encoder_key",
-    "sequence_encoder_key",
-    "pad_encoder_key",
-    "commit_diff_key",
-    "chunk_set_key",
     "version_control_info_key",
     "ShapeInterval",
     "ceildiv",

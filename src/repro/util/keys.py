@@ -27,8 +27,9 @@ Example key space for a dataset whose first commit is sealed, with head
     versions/abc/images/chunks/...
 
 A dataset written before manifests has a tree that names none: its state
-files sit at the enumerated keys of :data:`STATE_KEY_FNS`, read with
-:func:`state_keys` (a bare ``ChunkEngine`` still writes that layout).
+files sit at the keys the functions below name.  Nothing writes that
+layout any more; the one reader and writer of state, in either layout, is
+``core.commit_state`` (its ``TENSOR_FILES`` lists a tensor's state files).
 """
 
 from __future__ import annotations
@@ -108,24 +109,6 @@ def commit_manifest_key(commit_id: str) -> str:
     """Where a sealed commit's state lives, written once, before the tree
     that names it."""
     return f"{commit_root(commit_id)}{COMMIT_MANIFEST_FILENAME}"
-
-
-#: A tensor's per-commit state files — everything but its chunks: the
-#: names its blobs carry in a manifest, and the keys a dataset written
-#: before manifests stores them at.
-STATE_KEY_FNS = (
-    chunk_set_key, chunk_id_encoder_key, tile_encoder_key,
-    sequence_encoder_key, pad_encoder_key,
-    tensor_meta_key, chunk_stats_key, commit_diff_key,
-)
-
-
-def state_keys(chain, tensor: str) -> list:
-    """Every state file *tensor* can have in the commits of *chain*, for
-    state stored outside a manifest (a bare engine, a dataset written
-    before manifests): opening a tensor is one ``get_many`` (commits that
-    never touched the tensor simply have no such keys)."""
-    return [fn(cid, tensor) for cid in chain for fn in STATE_KEY_FNS]
 
 
 def version_control_info_key() -> str:

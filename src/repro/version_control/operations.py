@@ -1,9 +1,10 @@
 """Commit / checkout / branch / diff / merge operations (§4.2).
 
 These functions operate on a :class:`~repro.core.dataset.Dataset` through a
-narrow internal surface (its engines, version tree and version state), so
-the dataset class stays thin.  Semantics follow the paper and the
-reference product:
+narrow internal surface (its engines, and its commit state,
+:class:`~repro.core.commit_state.CommitState`, which seals, branches and
+moves the handle), so the dataset class stays thin.  Semantics follow the
+paper and the reference product:
 
 - every branch has a mutable *head* commit; ``commit`` seals the head and
   opens a fresh child;
@@ -17,96 +18,38 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
-from repro.core.chunk_engine import CommitDiff
 from repro.core.index import Index
+from repro.core.meta import CommitDiff
 from repro.core.read_plan import column_rows
 from repro.core.tensor import Tensor
-from repro.exceptions import (
-    BranchExistsError,
-    CheckoutError,
-    MergeConflictError,
-    ReadOnlyDatasetError,
-    VersionControlError,
-)
-from repro.storage.provider import delete_keys
-from repro.util import keys as K
+from repro.exceptions import CheckoutError, MergeConflictError
 
 ConflictPolicy = Union[None, str, Callable]
 
 
-def commit(ds, message: str = "", branch: Optional[str] = None) -> str:
-    """Seal the current head as an immutable snapshot; returns its id.
-
-    ONE commit-shaped write at any tensor count: every engine's pending
-    chunks and the head's whole state — as the manifest the sealed node
-    will name — in one batch (``Dataset._write_sealed``), then the tree
-    that names it, with the child head the version state moves to and,
-    given *branch*, a new branch forked from the sealed commit, which the
-    version state moves to instead.  Two round trips, and the tree is the
-    one commit point: a crash before its PUT leaves only unreachable
-    keys.  Then go the chunk keys the head's copies replaced (a failed
-    delete raises with the commit made; the next commit retries it).
-    The child writes no state until it changes
-    (``ChunkEngine.begin_new_commit``): a reader finds the sealed state
-    down the chain.
-    """
-    ds._check_writable()
-    tree = ds._tree
-    vs = ds.version_state
-    if branch is not None and branch in tree.branches:
-        raise BranchExistsError(branch)  # before anything is written
-    sealed = vs.commit_id
-    ds._write_sealed(*ds._drain_flush_items())
-    tree.seal(sealed, message)
-    head = tree.add_child(sealed, vs.branch)
-    if branch is not None:
-        head = tree.create_branch(branch, sealed)
-        vs.branch = branch
-    vs.commit_id = head.commit_id
-    for engine in ds._engines.values():
-        engine.begin_new_commit()
-    ds._publish({}, {})  # nothing but the tree changed
-    delete_keys(ds.storage, ds._superseded)
-    return sealed
+def commit(ds, message: str = "") -> str:
+    """Seal the current head as an immutable snapshot; returns its id
+    (``CommitState.seal``: one batch, then the tree)."""
+    return ds._commit_state.seal(message)
 
 
 def checkout(ds, address: str, create: bool = False) -> str:
     """Move to a branch/commit; ``create=True`` forks a new branch — from
-    a head, by sealing it in one :func:`commit`."""
-    tree = ds._tree
-    vs = ds.version_state
+    a head, by sealing it (``CommitState.branch``)."""
+    state = ds._commit_state
     if create:
-        if ds.read_only:
-            raise ReadOnlyDatasetError("cannot create a branch on a read-only dataset")
-        if tree.node(vs.commit_id).is_head:
-            # seal current state so the new branch forks an immutable base
-            commit(ds, f"auto commit before creating branch {address!r}",
-                   branch=address)
-            return vs.commit_id
-        node = tree.create_branch(address, vs.commit_id)
-        vs.branch = address
-        vs.commit_id = node.commit_id
-        for engine in ds._engines.values():
-            engine.begin_new_commit()
-        # writable first: Dataset._publish skips the version tree while
-        # the dataset sits on a sealed commit
-        ds._set_commit_read_only(False)
-        ds._publish({}, {})
-        return node.commit_id
-
+        return state.branch(address)
     ds.flush()
-    node = tree.resolve(address)
-    if ds._has_uncommitted_changes() and node.commit_id != vs.commit_id:
+    node = state.tree.resolve(address)
+    at = state.version_state.commit_id
+    if ds.has_changes and node.commit_id != at:
         # match the product: silently keep working state on its head; a
         # checkout away requires commit first when the head has changes
         raise CheckoutError(
             "dataset has uncommitted changes; commit() before checkout "
-            f"(moving from {vs.commit_id[:12]} to {node.commit_id[:12]})"
+            f"(moving from {at[:12]} to {node.commit_id[:12]})"
         )
-    vs.commit_id = node.commit_id
-    vs.branch = node.branch
-    ds._set_commit_read_only(not node.is_head)
-    ds._reload_version_view()
+    state.checkout(node.commit_id)
     return node.commit_id
 
 
@@ -128,13 +71,13 @@ def accumulate_changes(
     is the dataset at *head*, or a descendant of it."""
     out: Dict[str, Dict] = {}
     path = ds._tree.path_to(head, ancestor)
-    blobs = ds._chain_state()
     for tensor in tensors:
         added: List[Tuple[int, int]] = []
         updated: Set[int] = set()
         created = False
+        files = dict(ds._commit_state.tensor_state(tensor))
         for cid in path:
-            blob = blobs.get(K.commit_diff_key(cid, tensor))
+            blob = files[cid].get("diff")
             if blob is None:
                 continue
             diff = CommitDiff.from_json(blob)
@@ -307,7 +250,9 @@ def merge(
                     value = conflict_resolution(ours_values[ours_idx], value)
                 ds._update_with_sync(tensor, ours_idx, value)
 
-    # recorded on the head before commit seals it, so the commit's one
-    # tree write never makes a merge commit durable without it
-    tree.node(vs.commit_id).merge_parent = target_id
-    return commit(ds, commit_message or f"merge {target!r} into {vs.branch!r}")
+    # recorded by the seal, so the commit's one tree write never makes a
+    # merge commit durable without it
+    return ds._commit_state.seal(
+        commit_message or f"merge {target!r} into {vs.branch!r}",
+        merge_parent=target_id,
+    )

@@ -11,7 +11,8 @@ The tree is the one commit point.  Every node names the manifest that
 holds its commit's state (:func:`pack_manifest`): a sealed node its
 immutable ``commit_manifest``, a head its ``head_manifest``.  A node
 naming none belongs to a dataset written before manifests, whose state
-files sit at their enumerated keys (``keys.state_keys``).
+files sit at their enumerated keys.  The one writer
+of the tree and of the manifests is ``core.commit_state.CommitState``.
 """
 
 from __future__ import annotations
@@ -124,9 +125,12 @@ class VersionTree:
         self.commits: Dict[str, CommitNode] = {}
         self.branches: Dict[str, str] = {}  # branch -> head commit id
         #: the serialisation storage holds, as last loaded or saved by
-        #: this object (``None``: the key was absent) — what makes
-        #: :meth:`save` a no-op on an unchanged tree
+        #: this object (``None``: the key was absent)
         self.stored: Optional[bytes] = None
+        #: whether a mutator ran since the tree was loaded or last saved:
+        #: what makes :meth:`save` a no-op, with no encode, on an
+        #: unchanged tree
+        self._dirty = False
 
     # ------------------------------------------------------------------ #
 
@@ -137,6 +141,7 @@ class VersionTree:
                           manifest=K.head_manifest_key(K.FIRST_COMMIT_ID))
         tree.commits[root.commit_id] = root
         tree.branches["main"] = root.commit_id
+        tree._dirty = True  # storage has no tree yet
         return tree
 
     @classmethod
@@ -155,21 +160,23 @@ class VersionTree:
 
     def save(self, storage: StorageProvider) -> None:
         """Write the tree — the one PUT that makes a new commit or branch
-        reachable, after every manifest it names — unless it serialises
-        to the bytes this object last loaded or saved: an unchanged tree
-        costs no round trip, and a handle that changed nothing never
-        overwrites another handle's commit with its stale copy.
-        ``stored`` moves only after the PUT returned, so a failed save is
-        retried by the next one."""
+        reachable, after every manifest it names — when a mutator changed
+        it since it was loaded or last saved (or storage has none yet): an
+        unchanged tree costs no encode and no round trip, and a handle
+        that changed nothing never overwrites another handle's commit with
+        its stale copy.  The flag clears only after the PUT returned, so a
+        failed save is retried by the next one."""
+        if not self._dirty:
+            return
         data = json_dumps(
             {
                 "branches": self.branches,
                 "commits": {c: n.to_json() for c, n in self.commits.items()},
             }
         )
-        if data != self.stored:
-            storage[K.version_control_info_key()] = data
-            self.stored = data
+        storage[K.version_control_info_key()] = data
+        self.stored = data
+        self._dirty = False
 
     # ------------------------------------------------------------------ #
 
@@ -200,13 +207,26 @@ class VersionTree:
                 raise VersionControlError("cycle detected in commit tree")
         return out
 
-    def seal(self, commit_id: str, message: str) -> None:
-        """Make a head immutable; its state is now its commit manifest."""
+    def seal(self, commit_id: str, message: str,
+             merge_parent: Optional[str] = None) -> None:
+        """Make a head immutable; its state is now its commit manifest.
+        *merge_parent* names the commit a merge brought in."""
         node = self.node(commit_id)
         node.message = message
         node.commit_time = time.time()
         node.is_head = False
         node.manifest = K.commit_manifest_key(commit_id)
+        node.merge_parent = merge_parent
+        self._dirty = True
+
+    def name_manifest(self, commit_id: str) -> str:
+        """The key of a head's manifest, which a head written before
+        manifests is given here."""
+        node = self.node(commit_id)
+        if node.manifest is None:
+            node.manifest = K.head_manifest_key(commit_id)
+            self._dirty = True
+        return node.manifest
 
     def add_child(self, parent_id: str, branch: str) -> CommitNode:
         cid = new_commit_id()
@@ -215,6 +235,7 @@ class VersionTree:
         self.commits[child.commit_id] = child
         self.node(parent_id).children.append(child.commit_id)
         self.branches[branch] = child.commit_id
+        self._dirty = True
         return child
 
     def create_branch(self, name: str, from_commit: str) -> CommitNode:

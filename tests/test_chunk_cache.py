@@ -78,15 +78,14 @@ def test_reload_reads_rows_another_handle_appended_to_a_cached_chunk():
 def test_a_bare_engine_builds_its_own_cache():
     """Engines of one handle share its cache; an engine built without a
     dataset gets one of its own."""
-    from repro.core.chunk_engine import ChunkEngine
+    from repro.core.commit_state import open_engine
     from repro.core.meta import TensorMeta
-    from repro.core.version_state import VersionState
 
     ds = repro.empty(MemoryProvider())
     ds.create_tensor("p", dtype="int64")
     ds.create_tensor("q", dtype="int64")
     view = ds[1:]
     assert ds.p.engine.cache is ds.q.engine.cache is view._chunk_cache
-    bare = ChunkEngine("t", MemoryProvider(), VersionState(),
-                       meta=TensorMeta(htype="generic", dtype="int64"))
+    bare = open_engine(MemoryProvider(), "t",
+                       TensorMeta(htype="generic", dtype="int64"))
     assert bare.cache is not ds._chunk_cache

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.chunk_engine import ChunkEngine
 from repro.core.meta import TensorMeta
 from repro.core.tiling import read_region
-from repro.core.version_state import VersionState
+from repro.core.commit_state import CommitState, open_engine
 from repro.exceptions import FormatError, KeyNotFound, SampleIndexError
 from repro.storage import MemoryProvider
 from repro.util import keys as K
+from repro.version_control.tree import pack_manifest, unpack_manifest
 
 from engine_reads import engine_row, engine_rows
 
@@ -21,8 +21,7 @@ def make_engine(storage=None, **meta_kwargs):
         storage = MemoryProvider()
     meta_kwargs.setdefault("htype", "generic")
     meta = TensorMeta(**meta_kwargs)
-    vs = VersionState()
-    return ChunkEngine("t", storage, vs, meta=meta), storage
+    return open_engine(storage, "t", meta), storage
 
 
 class TestChunkingBounds:
@@ -55,7 +54,7 @@ class TestChunkingBounds:
         engine, _ = make_engine(storage, dtype="float32")
         engine.extend([np.ones((3, 3), dtype=np.float32) * i for i in range(5)])
         engine.flush()
-        fresh = ChunkEngine("t", storage, VersionState())
+        fresh = open_engine(storage, "t")
         assert fresh.num_samples == 5
         assert np.array_equal(
             engine_row(fresh, 4), np.ones((3, 3), dtype=np.float32) * 4
@@ -92,7 +91,7 @@ class TestPartialReads:
 
     def test_random_access_uses_ranged_reads(self, rng):
         engine, storage = self.make_jpeg_engine(rng)
-        fresh = ChunkEngine("t", storage, VersionState())
+        fresh = open_engine(storage, "t")
         storage.stats.reset()
         _ = engine_row(fresh, 17)
         assert fresh.partial_reads == 1
@@ -101,7 +100,7 @@ class TestPartialReads:
 
     def test_prefer_full_caches_whole_chunk(self, rng):
         engine, storage = self.make_jpeg_engine(rng)
-        fresh = ChunkEngine("t", storage, VersionState())
+        fresh = open_engine(storage, "t")
         # a single row that should stream: the plan path fetches whole
         _ = fresh.execute_plan(fresh.plan_reads([3]))
         assert fresh.partial_reads == 0
@@ -115,13 +114,13 @@ class TestPartialReads:
                                 chunk_compression="lz4")
         engine.extend([np.arange(100, dtype=np.int64)] * 20)
         engine.flush()
-        fresh = ChunkEngine("t", storage, VersionState())
+        fresh = open_engine(storage, "t")
         _ = engine_row(fresh, 10)
         assert fresh.partial_reads == 0
 
     def test_read_shape_via_header_only(self, rng):
         engine, storage = self.make_jpeg_engine(rng)
-        fresh = ChunkEngine("t", storage, VersionState())
+        fresh = open_engine(storage, "t")
         storage.stats.reset()
         assert fresh.shapes([5])[0] == (40, 40, 3)
         assert storage.stats.bytes_read < 8192  # header probe only
@@ -260,11 +259,11 @@ class TestRechunk:
             engine.update(i, values[i])
         before_chunks = engine.enc.num_chunks
         engine.rechunk()
-        engine.flush()
+        engine.commit_state.seal("rechunk")
         for i, v in enumerate(values):
             assert np.array_equal(engine_row(engine, i), v)
         assert engine.enc.num_samples == 120
-        # old orphaned chunks removed from storage
+        # the chunks the rechunk replaced go with the commit that seals it
         chunk_keys = [k for k in storage if "/chunks/" in k]
         assert len(chunk_keys) == engine.enc.num_chunks == len(
             set(n for n, _s, _e in engine.chunk_layout())
@@ -365,7 +364,7 @@ class TestRechunk:
         assert engine.tile_enc.tobytes() == fresh.tile_enc.tobytes()
         assert engine_rows(engine, every, decode=False) == raw
         engine.flush()
-        cold = ChunkEngine("t", storage, VersionState())
+        cold = open_engine(storage, "t")
         assert runs(cold) == runs(fresh)
         assert engine_rows(cold, every, decode=False) == raw
 
@@ -446,17 +445,18 @@ class TestRechunk:
         rows = list(range(engine.num_samples))
         raw_before = engine_rows(engine, rows, decode=False)
 
-        cold = ChunkEngine("t", storage, VersionState())
+        cold = open_engine(storage, "t")
         n_chunks = len({name for name, _s, _e in cold.chunk_layout()})
         storage.stats.reset()
         single_puts = storage.requests_by_op.get("upload", 0)
         cold.rechunk()
         cold.flush()
         assert storage.stats.get_requests <= n_chunks + 2
-        assert storage.requests_by_op.get("upload", 0) == single_puts
+        # the one single PUT is the head's manifest, which publishes them
+        assert storage.requests_by_op.get("upload", 0) == single_puts + 1
         assert storage.stats.put_requests >= cold.enc.num_chunks  # batched
 
-        after = ChunkEngine("t", storage, VersionState())
+        after = open_engine(storage, "t")
         assert engine_rows(after, rows, decode=False) == raw_before
         for got, want in zip(engine_rows(after, rows, aslist=True), model):
             if isinstance(want, list):
@@ -483,6 +483,16 @@ class TestTextJson:
         }
 
 
+def rewrite_head_state(storage, drop) -> None:
+    """Rewrite the first commit's head manifest without the state files
+    whose key *drop* accepts: a torn dataset."""
+    key = K.head_manifest_key(K.FIRST_COMMIT_ID)
+    state = unpack_manifest(storage[key], "")
+    storage[key] = pack_manifest(
+        {k: v for k, v in state.items() if not drop(k)}, ""
+    )
+
+
 class TestStateLoad:
     def _stored(self):
         engine, storage = make_engine(dtype="int64", max_chunk_size=256)
@@ -490,41 +500,29 @@ class TestStateLoad:
         engine.flush()
         return storage
 
-    def test_a_bare_engine_fetches_its_state_in_one_batch(self):
-        storage = self._stored()
-        batches = []
-
-        def get_many(keys, _get_many=storage.get_many):
-            batches.append(list(keys))
-            return _get_many(keys)
-
-        storage.get_many = get_many
-        storage.stats.reset()
-        engine = ChunkEngine("t", storage, VersionState())
-        assert batches == [K.state_keys([K.FIRST_COMMIT_ID], "t")]
-        assert not storage.stats.latency_samples("get")  # no single read
-        assert engine.num_samples == 16 and len(engine.chunk_set) > 1
-
     def test_handed_state_means_no_storage_call(self):
+        """An engine opens from the state its commit state already read."""
         storage = self._stored()
-        blobs = storage.get_many(K.state_keys([K.FIRST_COMMIT_ID], "t"))
+        state = CommitState(storage)
         storage.get_many = storage._get = None  # any call would raise
-        engine = ChunkEngine("t", storage, VersionState(), state=blobs)
+        engine = state.open_engines(["t"])[0]
         assert engine.num_samples == 16
 
     def test_missing_tensor_meta_is_a_format_error(self):
         storage = self._stored()
-        del storage[K.tensor_meta_key(K.FIRST_COMMIT_ID, "t")]
+        rewrite_head_state(storage, lambda key: key.endswith(
+            K.TENSOR_META_FILENAME))
         with pytest.raises(FormatError, match="has no metadata at commit"):
-            ChunkEngine("t", storage, VersionState())
+            open_engine(storage, "t")
 
     def test_chunk_no_chunk_set_places_is_a_format_error(self):
         """An encoder naming a chunk that no commit's chunk set owns is a
         torn dataset: say so, instead of guessing a key that then fails
         as a missing blob."""
         storage = self._stored()
-        del storage[K.chunk_set_key(K.FIRST_COMMIT_ID, "t")]
-        engine = ChunkEngine("t", storage, VersionState())
+        rewrite_head_state(storage, lambda key: key.endswith(
+            K.CHUNK_SET_FILENAME))
+        engine = open_engine(storage, "t")
         with pytest.raises(FormatError, match="chunk set of no commit") as err:
             engine_rows(engine, [0])
         assert not isinstance(err.value, KeyNotFound)

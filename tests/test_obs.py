@@ -162,7 +162,7 @@ class TestOwnedSeries:
         a = reg.owned(metrics.Counter, "c", tensor="x")
         b = reg.owned(metrics.Counter, "c", tensor="x")
         ha = reg.owned(metrics.Histogram, "h", op="get")
-        hb = reg.owned(metrics.Histogram, "h", op="get")
+        hb = reg.owned(metrics.Histogram, "h", keep_samples=True, op="get")
         a.inc(2)
         b.inc(3)
         ha.observe(1.0)
@@ -172,7 +172,32 @@ class TestOwnedSeries:
         assert reg.series_count("c") == 1
         assert (ha.count, ha.sum, hb.count, hb.sum) == (1, 1.0, 2, 6.0)
         assert hb.percentile(50) == 3.0 and hb.samples() == [2.0, 4.0]
+        assert ha.samples() == []  # the family keeps the reservoir
+        assert reg.histogram("h", op="get").samples() == [1.0, 2.0, 4.0]
         assert reg.snapshot()["h"]["op=get"]["count"] == 3
+
+    def test_only_the_storage_latency_owners_keep_samples(self):
+        """An engine's ``decode_seconds`` keeps count / sum / min / max;
+        its family answers the percentiles.  A provider's
+        ``storage.op_seconds`` keeps its samples: they are
+        ``stats.latency_samples``."""
+        ds = repro.empty(MemoryProvider())
+        ds.create_tensor("reservoir_probe", dtype="int64",
+                         max_chunk_size=512)
+        ds.reservoir_probe.extend(np.arange(256).reshape(64, 4))
+        ds.flush()
+        cold = repro.load(ds.storage)
+        family = metrics.REGISTRY.histogram("chunk_engine.decode_seconds",
+                                            tensor="reservoir_probe")
+        before = family.count
+        cold.read_rows(range(64), ["reservoir_probe"])
+        decode = cold.reservoir_probe.engine._h_decode
+        assert decode.count == family.count - before == 4
+        assert decode.samples() == [] and decode.min is not None
+        assert family.samples() and family.percentile(50) > 0
+        store = cold.storage
+        assert len(store.stats.latency_samples("get_many")) == (
+            store._h_get_many.count) > 0
 
     def test_a_series_resolves_when_its_owner_first_records(self):
         reg = fresh_registry()
@@ -243,7 +268,7 @@ class TestOwnedSeries:
 
     def test_a_histogram_seeds_its_sampler_once_its_reservoir_fills(self):
         reg = fresh_registry()
-        h = reg.owned(metrics.Histogram, "h")
+        h = reg.owned(metrics.Histogram, "h", keep_samples=True)
         h.observe_many([1.0] * metrics._RESERVOIR_SIZE)
         assert h._rng is None
         h.observe(1.0)

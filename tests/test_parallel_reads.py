@@ -16,7 +16,7 @@ import repro
 from repro.core.chunk import Chunk
 from repro.core.chunk_engine import PRUNED, ChunkEngine, FusedReadPlan
 from repro.core.meta import TensorMeta
-from repro.core.version_state import VersionState
+from repro.core.commit_state import open_engine
 from repro.serve.server import DatasetServer
 from repro.serve.transport import InprocTransport, SimNetworkTransport
 from repro.sim.clock import SimClock
@@ -33,12 +33,12 @@ def make_engine(storage=None, **meta_kwargs):
         storage = MemoryProvider()
     meta_kwargs.setdefault("htype", "generic")
     meta = TensorMeta(**meta_kwargs)
-    return ChunkEngine("t", storage, VersionState(), meta=meta), storage
+    return open_engine(storage, "t", meta), storage
 
 
 def fresh_reader(storage) -> ChunkEngine:
     """Cold-cache engine over already-written storage."""
-    return ChunkEngine("t", storage, VersionState())
+    return open_engine(storage, "t")
 
 
 def assert_identical(got, want):

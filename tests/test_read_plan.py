@@ -19,7 +19,7 @@ from repro.core.encoders import ChunkIdEncoder
 from repro.core.meta import TensorMeta
 from repro.core import read_plan
 from repro.core.read_plan import KIND_PRUNED, KIND_TILED, PRUNED
-from repro.core.version_state import VersionState
+from repro.core.commit_state import open_engine
 from repro.exceptions import SampleIndexError
 from repro.storage import MemoryProvider
 from repro.storage.lru_cache import LRUCache
@@ -33,12 +33,12 @@ def make_engine(storage=None, **meta_kwargs):
         storage = MemoryProvider()
     meta_kwargs.setdefault("htype", "generic")
     meta = TensorMeta(**meta_kwargs)
-    return ChunkEngine("t", storage, VersionState(), meta=meta), storage
+    return open_engine(storage, "t", meta), storage
 
 
 def fresh_reader(storage) -> ChunkEngine:
     """Cold-cache engine over already-written storage."""
-    return ChunkEngine("t", storage, VersionState())
+    return open_engine(storage, "t")
 
 
 class TestPlanReads:
@@ -890,12 +890,10 @@ class TestReadsWhileAppending:
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
         assert engine.num_samples == 400 and reads
-        engine.flush()
+        head, names = engine.commit_id, set(engine.chunk_set)
+        engine.commit_state.seal()  # deletes the keys the copies replaced
         stored = {k for k in storage._all_keys() if "/chunks/" in k}
-        assert stored == {
-            K.chunk_key(engine.commit_id, "t", name)
-            for name in engine.chunk_set
-        }
+        assert stored == {K.chunk_key(head, "t", name) for name in names}
         fresh = fresh_reader(storage)
         for row, value in enumerate(engine_rows(fresh, range(400))):
             assert value.tolist() == engine_row(engine, row).tolist()

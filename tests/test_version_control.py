@@ -16,7 +16,11 @@ from repro.sim import SimClock
 from repro.storage import MemoryProvider, SimulatedObjectStore
 from repro.version_control import BranchLock
 from repro.util import keys as K
-from repro.version_control.tree import VersionTree, unpack_manifest
+from repro.version_control.tree import (
+    CommitNode,
+    VersionTree,
+    unpack_manifest,
+)
 
 
 @pytest.fixture
@@ -246,6 +250,88 @@ class TestStateAcrossCommits:
         head.checkout(two)  # nearest commit wins: the update is not there
         assert all(map(np.array_equal, head.a.numpy(aslist=True), a + a))
         assert all(map(np.array_equal, head.b.numpy(aslist=True), b))
+
+
+class TestOneCommitStatePerHandle:
+    """A handle's views and engines hold its one commit state: a checkout
+    through a view moves them all, and every flush is that state's."""
+
+    def test_a_checkout_through_a_view_leaves_no_writable_parent(self):
+        store = MemoryProvider()
+        ds = repro.empty(store)
+        ds.create_tensor("x", dtype="int64")
+        ds.extend({"x": [1, 2, 3]})
+        first = ds.commit("one")
+        ds.extend({"x": [4]})
+        ds.commit("two")
+        ds[0:2].checkout(first)
+        sealed = store[K.commit_manifest_key(first)]
+        with pytest.raises(ReadOnlyDatasetError):
+            ds.extend({"x": [99]})
+        ds.flush()
+        assert store[K.commit_manifest_key(first)] == sealed
+        again = repro.load(store)
+        again.checkout(first)
+        assert len(again) == 3
+
+    def test_a_checkout_through_a_view_shows_the_parent_its_tensors(self):
+        ds = repro.empty(MemoryProvider())
+        ds.create_tensor("x", dtype="int64")
+        ds.extend({"x": [1, 2]})
+        ds.checkout("dev", create=True)
+        ds.create_tensor("y", dtype="int64")
+        ds.extend({"x": [3], "y": [1]})
+        ds.commit("y on dev")
+        ds.checkout("main")
+        assert "y" not in ds.tensors
+        ds[0:1].checkout("dev")
+        assert sorted(ds.tensors) == ["x", "y"]
+        assert ds.branch_name == "dev"
+
+    def test_every_flush_is_one_manifest_put_of_the_one_state(self, spent):
+        store = SimulatedObjectStore("s3", clock=SimClock())
+        ds = repro.empty(store)
+        ds.create_tensor("x", dtype="int64")
+        view = ds[1:]
+        engine = ds.x.engine
+        assert view._commit_state is ds._commit_state is engine.commit_state
+        ds.extend({"x": np.arange(8)})
+        with spent(store) as through_view:
+            view.flush()
+        ds.extend({"x": np.arange(8)})
+        with spent(store) as through_tensor:
+            ds.x.rechunk()
+        assert through_view == through_tensor == {
+            "upload_batch": 1, "upload": 1,
+        }
+        engine.chunk_stats.clear()  # as a dataset written before stats
+        with spent(store) as through_backfill:
+            assert engine.backfill_chunk_stats() == engine.enc.num_chunks
+        assert through_backfill == {"upload": 1}
+        assert repro.load(store).x.engine.chunk_stats == engine.chunk_stats
+
+
+class TestTreeEncodes:
+    def test_a_flush_encodes_no_tree_after_a_long_history(self, monkeypatch):
+        """The tree is encoded only when a mutator changed it: neither a
+        flush with nothing to say nor an extend's flush encodes it, and a
+        commit encodes it once."""
+        ds = repro.empty(MemoryProvider())
+        ds.create_tensor("x", dtype="int64")
+        for i in range(40):
+            ds.extend({"x": [i]})
+            ds.commit(f"c{i}")
+        encoded = []
+        to_json = CommitNode.to_json
+        monkeypatch.setattr(CommitNode, "to_json",
+                            lambda node: encoded.append(node) or to_json(node))
+        ds.flush()
+        assert encoded == []
+        ds.extend({"x": [99]})
+        ds.flush()
+        assert encoded == []
+        ds.commit("last")
+        assert len(encoded) == len(ds._tree.commits) == 42
 
 
 class TestDiff:

@@ -1606,6 +1606,31 @@ class TestLegacyLayout:
         assert again._tree.node(one).manifest is None
         assert again._tree.node(two).manifest == K.commit_manifest_key(two)
 
+    def test_a_dataset_written_before_manifests_opens_in_three_requests(
+        self, spent
+    ):
+        """The tree's GET, then two batches: every commit's dataset meta
+        (where a manifest would be), then every tensor's state files at
+        their enumerated keys; opening the tensors
+        after that asks nothing more of the store."""
+        backing = MemoryProvider("manifests")
+        ds = repro.empty(backing)
+        ds.create_tensor("x", dtype="int64")
+        ds.create_tensor("y", dtype="float32")
+        rows = {"x": [np.arange(3)] * 4, "y": [np.ones(2, np.float32)] * 4}
+        ds.extend(rows)
+        ds.commit("one")
+        ds.extend(rows)
+        ds.flush()
+        store = SimulatedObjectStore(
+            "s3", clock=SimClock(), backing=legacy_copy(backing)
+        )
+        with spent(store) as reqs:
+            cold = repro.load(store)
+            cold._open_engines(cold._meta.tensors)
+        assert reqs == {"download": 1, "download_batch": 2}
+        assert len(cold) == 8
+
 
 # --------------------------------------------------------------------------- #
 # the upload buffer: buffered reads, batched uploads, the watermark
