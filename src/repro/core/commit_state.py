@@ -81,6 +81,9 @@ class CommitState:
         self._unpublished: Set[str] = set()  # heads ahead of storage
         # keys copies replaced on a head: a commit seals it, then deletes
         self._superseded: List[str] = []
+        # (chunks, state) a flush or seal drained from the engines and
+        # failed to write: the next one writes them, chunks first
+        self._owed: Tuple[Dict[str, bytes], Dict[str, bytes]] = ({}, {})
         self.meta = self._load()
         if self.tree.stored is None and self.writable:
             self.tree.save(storage)  # a dataset exists with its tree
@@ -226,11 +229,13 @@ class CommitState:
 
     def _drain(self) -> Tuple[Dict[str, bytes], Dict[str, bytes]]:
         """Every open engine's chunks and state (and the dataset meta,
-        when it changed) as ``(chunks, state)``, written by nothing yet:
-        the caller *must* write both."""
+        when it changed) as ``(chunks, state)``, written by nothing yet,
+        on top of what an earlier flush or seal drained and failed to
+        write: the caller *must* write both, and they stay owed until
+        it has.  What is owed is the current head's: a checkout flushes
+        before it moves."""
         head = self.version_state.commit_id
-        chunks: Dict[str, bytes] = {}
-        state: Dict[str, bytes] = {}
+        chunks, state = self._owed
         for engine in list(self.engines.values()):
             chunk_items, files, superseded = engine.drain_flush_items()
             chunks.update(chunk_items)
@@ -256,6 +261,8 @@ class CommitState:
         if state:  # only once the chunks it names are durable
             self._blobs.setdefault(head, {}).update(state)
             self._unpublished.add(head)
+        if chunks or state:  # what _drain returned is written
+            self._owed = ({}, {})
         if self.writable:
             if head in self._unpublished:
                 self.storage[self.tree.name_manifest(head)] = pack_manifest(
@@ -284,6 +291,7 @@ class CommitState:
                 state, K.commit_root(sealed)
             ),
         })
+        self._owed = ({}, {})
         self._blobs[sealed] = state
         self._unpublished.discard(sealed)
         tree.seal(sealed, message, merge_parent)

@@ -10,14 +10,19 @@ per tensor fused into one storage round trip, each chunk fetched whole,
 decompressed once, all samples sliced; codecs release the GIL) plus the
 user transform -> the consumer re-batches tasks in plan order (shares
 need not divide a batch) -> collate -> framework handover.  With
-workers, fetching runs one window ahead of them: while ``L`` tasks are
-in flight, the chunks of the next ``L`` are fetched or being fetched, in
-ONE fused ``get_many`` per ``L`` tasks (the first covers the first two
-windows), on the prefetch stage's ``loader-fetch-ahead`` thread; a task
-joins that fetch or finds its chunks resident.  ``num_workers=0`` starts
-no thread.  The loader streams, so it never takes the ranged
-single-sample fetch: even ``batch_size=1`` costs one GET per chunk, its
-neighbours are consumed next and served from the decoded chunk.
+workers, fetching runs ahead of them: while ``L`` tasks are in flight,
+the chunks of the next *lead* windows of ``L`` tasks are fetched or
+being fetched on the prefetch stage's ``loader-fetch-ahead`` thread,
+every window handed to it since its last fetch in ONE fused
+``get_many`` (the first, on the consumer's thread, covers the first two
+windows); a task joins that fetch or finds its chunks resident.  The
+lead starts at one window and grows by one whenever a window is handed
+over while the thread is still fetching, as far as the handle's chunk
+cache holds what it keeps live (:meth:`DeepLakeLoader._warm_chunks`).
+``num_workers=0`` starts no thread.  The loader streams, so it never
+takes the ranged single-sample fetch: even ``batch_size=1`` costs one
+GET per chunk, its neighbours are consumed next and served from the
+decoded chunk.
 Statistics record wall time spent waiting on data vs total so benchmarks
 can report loader stall (the complement of GPU utilization in the
 training sims), plus the decoded-chunk cache hit/miss counts that make
@@ -267,24 +272,34 @@ class DeepLakeLoader:
 
     @staticmethod
     def _warm_chunks(engines, tasks: List[Tuple[int, ...]]) -> None:
-        """A fetch-ahead batch: the chunks *tasks* will read, every
-        tensor's, in ONE fused ``get_many`` (their ``read_rows`` then join
-        its flights or find the chunks resident).  Three batches' chunks
-        are live at once — the tasks in flight's, the next tasks', and the
-        batch being fetched — so a batch whose missing chunks, at
-        ``max_chunk_size`` each, would take over a third of the handle's
-        cache is left to its tasks: it would evict chunks they need."""
-        rows = [row for task in tasks for row in task]
+        """Fetch ahead: the missing chunks *tasks* read, every tensor's, in
+        ONE fused ``get_many`` (their ``read_rows`` then join its flights
+        or find the chunks resident).  *tasks* run from the first one not
+        yet consumed to the last one handed to the fetch-ahead — in
+        flight, warm or warming — so their chunks are all the epoch keeps
+        live, and counted at ``max_chunk_size`` each they must fit the
+        handle's cache, or fetching them would evict chunks a task still
+        needs.  So only the longest leading run of *tasks* that fits is
+        fetched; the rest wait for a later call as the epoch moves on,
+        and a window that alone is over the cap is left to its tasks."""
+        fits, over, parts = 0, len(tasks) + 1, []  # [:fits] fit, [:over] not
+        k = len(tasks)
+        while over - fits > 1:
+            rows = [row for task in tasks[:k] for row in task]
+            trial = [(engine, engine.plan_reads(rows)) for engine in engines]
+            if sum(len(plan.chunk_keys) * engine.meta.max_chunk_size
+                   for engine, plan in trial) <= chunk_cache.CACHE_BYTES:
+                fits, parts = k, trial
+            else:
+                over = k
+            k = (fits + over) // 2
         fused = FusedReadPlan()
-        nbytes = 0
-        for engine in engines:
-            plan = engine.plan_reads(rows)
-            missing = sum(engine.cache.get(key) is None
-                          for key in plan.chunk_keys.values())
-            if missing:
+        for engine, plan in parts:
+            # every chunk is looked up: the live ones stay the most recent
+            if sum(engine.cache.get(key) is None
+                   for key in plan.chunk_keys.values()):
                 fused.add(engine, plan)
-                nbytes += missing * engine.meta.max_chunk_size
-        if fused.parts and nbytes <= chunk_cache.CACHE_BYTES // 3:
+        if fused.parts:
             fused.prefetch()
 
     def __iter__(self):

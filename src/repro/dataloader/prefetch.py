@@ -17,11 +17,14 @@ achieves the same overlap.  Three properties from the paper are reproduced expli
   ("predicting memory consumption to avoid breaking the training process
   due to memory overfilling").
 - **Highly parallel fetching**: while tasks ``[p, p + L)`` are in
-  flight (``L`` the in-flight limit), the chunks of the next ``L`` are
-  fetched or being fetched — by one ``loader-fetch-ahead`` thread, in ONE
-  fused ``get_many`` per ``L`` tasks, woken once per ``L`` submitted
-  tasks — so storage round trips overlap the workers' decode instead of
-  alternating with it.
+  flight (``L`` the in-flight limit), the chunks of the next *lead*
+  windows of ``L`` tasks are fetched or being fetched — by one
+  ``loader-fetch-ahead`` thread, in ONE fused ``get_many`` for every
+  window handed to it since its last — so storage round trips overlap
+  the workers' decode instead of alternating with it.  The lead is
+  measured, not set: it starts at one window and grows by one each time
+  a window is handed over while the thread is still fetching, so
+  fetching runs as far ahead as the network is behind.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from repro.exceptions import (
     MemoryBudgetError,
     TaskCancelledError,
 )
+from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 
 
@@ -205,39 +209,51 @@ def compute_inflight_limit(
 
 
 class _Ahead:
-    """The fetch-ahead stage of :func:`prefetched`: one thread running
-    ``warm(items)`` on the latest items it was handed, under the
-    consumer's span.  Items it falls behind on are left to their tasks."""
+    """The fetch-ahead stage of :func:`prefetched`: one thread that, each
+    time items were handed to it since its last call, runs ``warm`` once
+    on every item from the consumer's position (:attr:`first`) through
+    the last one handed, under the consumer's span."""
 
-    def __init__(self, warm: Callable[[List], None], parent):
+    def __init__(self, items: List, warm: Callable[[List], None], parent):
+        self._items = items
         self._warm = warm
         self._parent = parent
         self._cond = threading.Condition()
-        self._items: Optional[List] = None
+        self.first = 0  # items before it are consumed
+        self._handed = self._taken = self._done = 0  # item counts
         self._stopped = False
         self._thread = threading.Thread(
             target=self._run, daemon=True, name="loader-fetch-ahead"
         )
         self._thread.start()
 
-    def hand(self, items: List) -> None:
+    @property
+    def behind(self) -> bool:
+        """Whether the thread is still warming (or yet to take) items
+        handed to it."""
+        return self._done < self._handed
+
+    def hand(self, end: int) -> None:
+        """Hand over the items before *end*."""
         with self._cond:
-            self._items = items
+            self._handed = end
             self._cond.notify()
 
     def _run(self) -> None:
         while True:
             with self._cond:
-                while self._items is None and not self._stopped:
+                while self._taken == self._handed and not self._stopped:
                     self._cond.wait()
                 if self._stopped:
                     return
-                items, self._items = self._items, None
+                first, self._taken = self.first, self._handed
             try:
                 with _tracing.attached(self._parent):
-                    self._warm(items)
+                    self._warm(self._items[first:self._taken])
             except Exception:  # noqa: BLE001 - the items' tasks raise it:
                 pass  # from the flights it led, or fetching again themselves
+            with self._cond:
+                self._done = self._taken
 
     def stop(self) -> None:
         with self._cond:
@@ -270,12 +286,20 @@ def prefetched(
 
     *warm* (optional) is the fetch-ahead stage: ``warm(items)`` brings
     what the ``fetch`` of *items* will read close, so that while items
-    ``[p, p + L)`` are in flight (``L = inflight_limit``) the next ``L``
-    are already warm or warming.  The first call covers ``[0, 2L)``
-    before anything is submitted; then, each time ``kL`` items have been
-    submitted, a ``loader-fetch-ahead`` thread is handed ``[(k+1)L,
-    (k+2)L)``.  An error of the first call is raised here; the thread's
-    reach the consumer through those items' ``fetch`` calls.
+    ``[p, p + L)`` are in flight (``L = inflight_limit``) the next
+    *lead* windows of ``L`` are already warm or warming.  The first call
+    covers ``[0, 2L)`` before anything is submitted.  Then, each time
+    the submitted items come within *lead* windows of the last one
+    handed, a ``loader-fetch-ahead`` thread is handed items up to
+    *lead* + 1 windows past them; whenever it has new ones it calls
+    ``warm`` once, on every item from the consumer's position through
+    the last handed, so the ones it must fetch ride one call and
+    ``warm`` sees all it keeps live.  The lead starts at one window and
+    a hand-over that finds the thread still behind adds one: how far
+    ahead fetching runs is how far the fetches are behind the workers.
+    ``loader.lead_windows`` holds it.  An error of the first call is
+    raised here; the thread's reach the consumer through those items'
+    ``fetch`` calls.
 
     *queue_gauge* (an :class:`repro.obs.metrics.Gauge`, optional) tracks
     the number of in-flight prefetch tasks so a metrics snapshot shows
@@ -288,17 +312,20 @@ def prefetched(
     indices = list(indices)
     parent = _tracing.current_span()
     pool = PriorityWorkerPool(num_workers)
-    ahead = _Ahead(warm, parent) if warm is not None else None
+    ahead = _Ahead(indices, warm, parent) if warm is not None else None
     try:
         futures: Dict[int, Future] = {}
         next_submit = 0
         warmed = 0  # items [0, warmed) were warmed or handed to the thread
+        lead = 1  # windows of inflight_limit kept warm past the submitted
         if ahead is not None:
+            lead_gauge = _metrics.gauge("loader.lead_windows")
+            lead_gauge.set(lead)
             warmed = 2 * inflight_limit
             warm(indices[:warmed])
 
         def submit_upto(target: int) -> None:
-            nonlocal next_submit, warmed
+            nonlocal next_submit, warmed, lead
             while next_submit < min(target, len(indices)):
                 i = indices[next_submit]
                 prio = priority_of(i) if priority_of else 0.0
@@ -306,10 +333,13 @@ def prefetched(
                     prio, _under, parent, fetch, i
                 )
                 next_submit += 1
-                if ahead is not None and (
-                        next_submit + inflight_limit == warmed < len(indices)):
-                    ahead.hand(indices[warmed:warmed + inflight_limit])
-                    warmed += inflight_limit
+                if ahead is not None and warmed < len(indices) and (
+                        next_submit + lead * inflight_limit >= warmed):
+                    if ahead.behind:  # the fetches lag: one more window
+                        lead += 1
+                        lead_gauge.set(lead)
+                    warmed = next_submit + (lead + 1) * inflight_limit
+                    ahead.hand(min(warmed, len(indices)))
             if queue_gauge is not None:
                 queue_gauge.set(len(futures))
 
@@ -317,6 +347,8 @@ def prefetched(
         for pos in range(len(indices)):
             future = futures.pop(pos)
             value = future.result(timeout=300)
+            if ahead is not None:
+                ahead.first = pos + 1
             submit_upto(pos + 1 + inflight_limit)
             yield value
     finally:

@@ -755,6 +755,70 @@ class TestTasks:
         assert [str(e) for e in raised] == ["injected"]
         assert gets.calls[1][0] == AHEAD
 
+    def test_a_lagging_fetch_grows_the_lead(self, pairs):
+        from repro.obs import metrics
+
+        def lead():
+            return metrics.REGISTRY.value("loader.lead_windows")
+
+        want = list(_cold_s3(pairs)[1].dataloader(
+            batch_size=16, shuffle=True, seed=2, num_workers=0))
+        store, cold = _cold_s3(pairs)
+        loader = cold.dataloader(batch_size=16, shuffle=True, seed=2,
+                                 num_workers=2)
+        assert len(loader) == 12
+        grown = threading.Event()
+
+        def hold():
+            # tasks [0, 8) are resident, so the consumer hands windows on
+            # while the fetch-ahead's first GET (tasks [8, 12)) is held:
+            # at 8 and 12 tasks submitted, each time finding it behind
+            import time
+
+            if threading.current_thread().name == AHEAD and not grown.is_set():
+                for _ in range(1000):
+                    if lead() >= 3:
+                        grown.set()
+                        return
+                    time.sleep(0.01)
+
+        gets = _Gets(store, hold)
+        got = list(loader)
+        assert grown.is_set()
+        # windows [8, 12) .. [20, 24) were handed: after the held GET the
+        # rest ride ONE fetch, each chunk still GET once
+        ahead_gets = [keys for name, keys in gets.calls if name == AHEAD]
+        assert len(ahead_gets) == 2
+        per_key = gets.per_key()
+        assert len(per_key) == 18 + 3 and set(per_key.values()) == {1}
+        assert len(got) == len(want) == 12
+        for a, b in zip(got, want):
+            assert np.array_equal(a["labels"], b["labels"])
+            assert np.array_equal(a["images"], b["images"])
+
+    def test_a_resident_epoch_keeps_a_one_window_lead(self, pairs,
+                                                      monkeypatch):
+        from repro.core.chunk_engine import ChunkEngine
+        from repro.obs import metrics
+
+        ds = repro.load(pairs, read_only=True)
+        loader = ds.dataloader(batch_size=16, num_workers=2,
+                               transform=_Concurrency())
+        assert len(list(loader)) == 12  # every chunk is resident now
+        plans = []
+        original = ChunkEngine.plan_reads
+
+        def plan_reads(self, rows, *args, **kwargs):
+            plans.append(self.tensor)
+            return original(self, rows, *args, **kwargs)
+
+        monkeypatch.setattr(ChunkEngine, "plan_reads", plan_reads)
+        assert len(list(loader)) == 12
+        # 24 tasks, and 5 fetch-ahead calls (the first two windows, then
+        # one per window handed), each planning both tensors
+        assert len(plans) == (24 + 5) * 2
+        assert metrics.REGISTRY.value("loader.lead_windows") == 1
+
     def test_traced_epoch_holds_every_threads_spans(self, pairs):
         from repro import obs
 

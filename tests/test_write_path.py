@@ -1191,6 +1191,65 @@ class TestKilledMidFlush:
         assert ("dev", ("one", auto, "two")) in seen
 
 
+class FailsOneBatch(MemoryProvider):
+    """Memory store whose next ``fail`` batch writes raise."""
+
+    def __init__(self):
+        super().__init__("fails-one-batch")
+        self.fail = 0
+
+    def _store_many(self, items):
+        if self.fail:
+            self.fail -= 1
+            raise RuntimeError("batch refused")
+        super()._store_many(items)
+
+
+class TestAFailedBatchIsWrittenNext:
+    """A flush or commit whose chunk batch fails keeps what it drained
+    from the engines: the next flush or commit writes it, chunks before
+    the manifest that names them."""
+
+    @staticmethod
+    def _refused(first_write):
+        store = FailsOneBatch()
+        ds = repro.empty(store, overwrite=True)
+        ds.create_tensor("x", dtype="int64", create_shape_tensor=False,
+                         create_id_tensor=False)
+        ds.flush()
+        ds.x.extend([np.arange(3, dtype=np.int64) + i for i in range(5)])
+        store.fail = 1
+        with pytest.raises(RuntimeError, match="batch refused"):
+            first_write(ds)
+        assert len(ds.x) == 5
+        assert len(repro.load(store).x) == 0  # nothing was published
+        return store, ds
+
+    @staticmethod
+    def _rows(ds):
+        return [row.tolist() for row in ds.x.numpy(aslist=True)]
+
+    @pytest.mark.parametrize("first_write", ["flush", "commit"])
+    def test_a_flush_writes_it(self, first_write):
+        store, ds = self._refused(lambda ds: getattr(ds, first_write)())
+        ds.flush()
+        want = [[i, i + 1, i + 2] for i in range(5)]
+        assert self._rows(repro.load(store)) == want
+        store.fail = 1  # nothing is owed any more: no batch to refuse
+        ds.flush()
+        assert self._rows(repro.load(store)) == want
+
+    @pytest.mark.parametrize("first_write", ["flush", "commit"])
+    def test_a_commit_seals_it(self, first_write):
+        store, ds = self._refused(lambda ds: getattr(ds, first_write)())
+        sealed = ds.commit("retried")
+        loaded = repro.load(store)
+        assert loaded.log()[0].commit_id == sealed
+        assert self._rows(loaded) == [[i, i + 1, i + 2] for i in range(5)]
+        loaded.checkout(sealed)
+        assert len(loaded.x) == 5
+
+
 def _int_dataset(store, names, rows=16):
     ds = repro.empty(store, overwrite=True)
     for name in names:
