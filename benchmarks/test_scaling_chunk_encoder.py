@@ -63,7 +63,7 @@ def test_encoder_lookup_speed(benchmark):
 
     def lookups():
         for q in queries:
-            enc.translate(int(q))
+            enc.locate(int(q))
 
     benchmark.pedantic(lookups, rounds=3, iterations=1)
     per_lookup_us = benchmark.stats.stats.mean / len(queries) * 1e6

@@ -178,26 +178,33 @@ class Chunk:
     def read_shape(self, local_index: int) -> Tuple[int, ...]:
         return self.shapes[local_index]
 
-    def copy(self, local_index: Optional[int] = None, raw: bytes = b"",
-             shape: Sequence[int] = ()) -> "Chunk":
+    def copy(self, replace: Sequence[Tuple[int, bytes, Sequence[int]]] = ()
+             ) -> "Chunk":
         """This chunk's samples in a new write buffer under a fresh name,
-        sample *local_index* (if given) replaced by *raw* of *shape*.  The
-        chunk itself is left as it is."""
+        each ``(local index, raw, shape)`` of *replace* (ascending local
+        indices, none twice) swapped in, in one pass: the bytes between
+        two replaced samples move as one slice, and as samples lie back
+        to back, the byte positions follow from the new sizes.  The chunk
+        itself is left as it is."""
         chunk = Chunk(dtype=self.dtype)
-        chunk.data = bytearray(self.data)
-        chunk.byte_positions = list(self.byte_positions)
         chunk.shapes = list(self.shapes)
-        if local_index is not None:
-            # samples lie back to back: the later ones move by the change
-            start, end = chunk.byte_positions[local_index]
-            chunk.data[start:end] = raw
-            shift = len(raw) - (end - start)
-            tail = chunk.byte_positions[local_index + 1:]
-            chunk.byte_positions[local_index:] = [
-                (start, start + len(raw)),
-                *((s + shift, e + shift) for s, e in tail),
-            ]
-            chunk.shapes[local_index] = tuple(int(x) for x in shape)
+        chunk.byte_positions = list(self.byte_positions)
+        at = 0
+        with memoryview(self.data) as src:
+            for local, raw, shape in replace:
+                start, end = self.byte_positions[local]
+                chunk.data += src[at:start]
+                chunk.data += raw
+                at = end
+                chunk.shapes[local] = tuple(int(x) for x in shape)
+            chunk.data += src[at:]
+        if replace:
+            sizes = [end - start for start, end in self.byte_positions]
+            for local, raw, _shape in replace:
+                sizes[local] = len(raw)
+            ends = self.byte_positions[0][0] + np.cumsum(sizes)
+            chunk.byte_positions = list(zip((ends - sizes).tolist(),
+                                            ends.tolist()))
         return chunk
 
     # ------------------------------------------------------------------ #

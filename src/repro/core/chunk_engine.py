@@ -51,17 +51,19 @@ An append stages a :class:`~repro.core.write_plan.WritePlan`, one column
 of payloads (a dense batch is one array), and commits it one chunk run at
 a time (:meth:`ChunkEngine.commit_appends`), never a row at a time;
 :meth:`_commit_runs` is the one chunk filler, and :meth:`rechunk` is a
-re-append through it.  Chunks fill in the write buffer, the only chunk
-memory that changes, then upload (§3.4–3.5): a finalized chunk — and the
-copy :meth:`update` or a resumed append makes of a stored chunk —
-joins ``_pending_chunks``, and :meth:`_serialize_pending` turns the buffer
-into the ``set_many`` batch that is the only way a chunk reaches storage:
-when an update leaves ``_WATERMARK_CHUNKS`` chunks buffered or the next
-append finds that many while it stages (the upload then runs under the
-encode pool's work), and at a flush, which hands the engine's state
-files to its handle's ``CommitState`` (chunks go first, the head's
-manifest publishes them; the keys the copies replaced go once the
-commit is sealed: a stored key always holds the same bytes).
+re-append through it.  An update is a batch too (:meth:`update`): each
+chunk it touches is copied once, with all of its replaced rows.  Chunks
+fill in the write buffer, the only chunk memory that changes, then
+upload (§3.4–3.5): a finalized chunk — and the copy :meth:`update` or a
+resumed append makes of a stored chunk — joins ``_pending_chunks``, and
+:meth:`_serialize_pending` turns the buffer into the ``set_many`` batch
+that is the only way a chunk reaches storage: when an update leaves
+``_WATERMARK_CHUNKS`` chunks buffered or the next append finds that many
+while it stages (the upload then runs under the encode pool's work), and
+at a flush, which hands the engine's state files to its handle's
+``CommitState`` (chunks go first, the head's manifest publishes them;
+the keys the copies replaced go once the commit is sealed: a stored key
+always holds the same bytes).
 
 Where parallelism lives
 -----------------------
@@ -111,7 +113,6 @@ from repro.exceptions import (
     DeepLakeError,
     FormatError,
     LinkError,
-    SampleIndexError,
 )
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
@@ -410,16 +411,11 @@ class ChunkEngine:
             return active
         return self._pending_chunks.get(name)
 
-    def _load_chunk(self, chunk_name: str) -> Chunk:
-        mem = self._mem_chunk(chunk_name)
-        if mem is not None:
-            return mem
-        key = self._chunk_storage_key(chunk_name)
-        chunk = self._cached(key)
-        if chunk is None:
-            chunk = self._decode_chunk(self.storage[key], chunk_name)
-            self.cache.put(key, chunk)
-        return chunk
+    def _fetch_chunks(self, names) -> Dict[str, Chunk]:
+        """Chunks *names* through the one read path: resident ones as
+        they are, the misses in one ``get_many``."""
+        plan = read_plan.plan_chunk_heads(self, names)
+        return FusedReadPlan().add(self, plan)._fetch_all()[0]
 
     def _load_header(self, key: str) -> ChunkHeader:
         header = self.cache.headers.get(key)
@@ -554,7 +550,7 @@ class ChunkEngine:
             if self.chunk_stats.get(name) is not None:
                 continue
             try:
-                chunk = self._load_chunk(name)
+                chunk = self._fetch_chunks([name])[name]
             except KeyError:
                 continue
             self.chunk_stats[name] = self._stats_from_chunk(chunk)
@@ -563,26 +559,6 @@ class ChunkEngine:
             self._dirty = True
             self.flush()
         return done
-
-    def _is_prunable(self, name: str, bounds) -> bool:
-        """True iff stats prove no element of chunk *name* can fall in
-        every interval of *bounds* (``(lo, hi, lo_open, hi_open)`` each,
-        ``None`` meaning unbounded).  Conservative: missing or poisoned
-        stats, or an unknown range, keep the chunk."""
-        if not bounds:
-            return False
-        entry = self.chunk_stats.get(name)
-        if not entry:
-            return False
-        cmin, cmax = entry.get("min"), entry.get("max")
-        if cmin is None or cmax is None:
-            return False
-        for lo, hi, lo_open, hi_open in bounds:
-            if lo is not None and (cmax < lo or (cmax == lo and lo_open)):
-                return True
-            if hi is not None and (cmin > hi or (cmin == hi and hi_open)):
-                return True
-        return False
 
     # ------------------------------------------------------------------ #
     # serialisation of user samples
@@ -783,7 +759,7 @@ class ChunkEngine:
         name = self._resume_name()
         if name is not None:
             try:
-                chunk = self._load_chunk(name)
+                chunk = self._fetch_chunks([name])[name]
             except KeyError:
                 chunk = None
             if chunk is not None and chunk.can_fit(
@@ -800,15 +776,16 @@ class ChunkEngine:
         self._active_chunk = chunk
         return chunk
 
-    def _fork(self, row: int, old: Chunk, *replace) -> Chunk:
+    def _fork(self, row: int, old: Chunk, replace=()) -> Chunk:
         """Copy *old*, the chunk at encoder *row*, under a fresh name into
-        the write buffer — ``replace = (local, raw, shape)`` swaps one
-        sample of the copy, none makes it the active chunk — and put the
-        copy in its place: encoder row, chunk set, stats entry.  *old* is
-        left as it is: a stored chunk key is write-once, so when this
-        commit stored *old* its key is superseded, deleted once the commit
-        is sealed (a plan or a manifest of the head may still name it)."""
-        chunk = old.copy(*replace)
+        the write buffer — *replace*, ``(local, raw, shape)`` triples, swaps
+        those samples of the copy (:meth:`Chunk.copy`), none makes it the
+        active chunk — and put the copy in its place: encoder row, chunk
+        set, stats entry.  *old* is left as it is: a stored chunk key is
+        write-once, so when this commit stored *old* its key is
+        superseded, deleted once the commit is sealed (a plan or a
+        manifest of the head may still name it)."""
+        chunk = old.copy(replace)
         name = old.name
         self._superseded += self._stored_keys([name])
         if old is self._active_chunk or not replace:
@@ -889,13 +866,9 @@ class ChunkEngine:
         tile_shape = tiling.choose_tile_shape(
             arr.shape, arr.dtype.itemsize, self.meta.max_chunk_size
         )
-        tiles = tiling.split(arr, tile_shape)
         chunk_ids = []
-        for tile in tiles:
-            if self.meta.sample_compression:
-                payload = compress_array(tile, self.meta.sample_compression)
-            else:
-                payload = tile.tobytes()
+        for payload, tile in tiling.payloads(arr, tile_shape,
+                                             self.meta.sample_compression):
             chunk = Chunk(dtype=self.meta.dtype)
             chunk.append(payload, tile.shape)
             self.chunk_set.add(chunk.name)
@@ -1256,59 +1229,84 @@ class ChunkEngine:
     # updates & sparse writes
     # ------------------------------------------------------------------ #
 
-    def update(self, index: int, value) -> None:
-        n = self.num_samples
-        if index < 0:
-            index += n
-        if index >= n:
-            raise SampleIndexError(
-                f"update index {index} out of range (length {n}); "
-                "assign via dataset[idx] with strict=False to pad"
-            )
+    def update(self, rows: Sequence[int], values) -> None:
+        """Replace the samples at *rows* — integers, as a read takes them —
+        with *values*, one per row; a row given twice takes its last value.
+
+        A batch, like an append: every value is serialized and checked
+        before any state changes, so a bad one changes nothing; the
+        touched chunks come in through the one read path (one
+        ``get_many`` for the misses), and each is forked ONCE with all of
+        its replacements (:meth:`_fork`)."""
+        index = read_plan.normalize_rows(rows, self.num_samples,
+                                         f"tensor {self.tensor!r}")
+        values = list(values)
+        if len(values) != len(index):
+            raise FormatError(
+                f"update of {len(index)} rows got {len(values)} values")
         if self.meta.is_sequence:
             raise FormatError("in-place update of sequence samples is not supported")
-        raw, shape, arr = self._serialize_sample(value)
-        if index in self.tile_enc:
-            self._update_tiled(index, value, raw, shape, arr)
-        else:
-            if len(raw) > self.meta.max_chunk_size and self.meta.htype != "video":
-                raise FormatError(
-                    "replacement sample exceeds max_chunk_size; tiled "
-                    "updates require the same shape as the original"
-                )
-            row, local = self.enc.locate(index)
-            chunk = self._load_chunk(self.enc.chunk_name(row))  # may GET
-            with self._lock:  # readers plan under it: the fork swaps names
-                chunk = self._fork(row, chunk, local, raw, shape)
-                # widen-only (count=0): the replaced value may still define
+        if not len(index):
+            return
+        staged = [self._serialize_sample(value) for value in values]
+        # each row once, ascending, with the position of its last value
+        uniq, last = np.unique(index[::-1], return_index=True)
+        picks = len(index) - 1 - last
+        tiled = self.tile_enc.mask(uniq)
+        forks = []  # (encoder row, replacements, their arrays)
+        for row, pick in zip(uniq[tiled].tolist(), picks[tiled].tolist()):
+            forks += self._update_tiled(row, values[pick], *staged[pick])
+        flat, flat_picks = uniq[~tiled], picks[~tiled].tolist()
+        if self.meta.htype != "video" and any(
+            len(staged[p][0]) > self.meta.max_chunk_size for p in flat_picks
+        ):
+            raise FormatError(
+                "replacement sample exceeds max_chunk_size; tiled "
+                "updates require the same shape as the original"
+            )
+        if len(flat):  # one run of rows per chunk
+            enc_rows, bounds, firsts = self.enc.cut_runs(flat)
+            for row, a, b, first in zip(enc_rows, bounds, bounds[1:], firsts):
+                parts = [staged[p] for p in flat_picks[a:b]]
+                forks.append((row, [
+                    (local - first, raw, shape) for local, (raw, shape, _a)
+                    in zip(flat[a:b].tolist(), parts)
+                ], [arr for _r, _s, arr in parts]))
+        chunks = self._fetch_chunks(
+            [self.enc.chunk_name(row) for row, _r, _a in forks])
+        with self._lock:  # readers plan under it: a fork swaps names
+            for row, replace, arrs in forks:
+                chunk = self._fork(row, chunks[self.enc.chunk_name(row)],
+                                   replace)
+                # widen-only (count=0): a replaced value may still define
                 # the recorded min/max, so the range stays a safe superset
-                self._stats_observe(chunk.name, arr, count=0)
-        self.meta.update_shape_interval(shape)
-        self.commit_diff.update(index)
-        self.pad_enc.unpad(index)
+                for arr in arrs:
+                    self._stats_observe(chunk.name, arr, count=0)
+        for pick in picks.tolist():
+            self.meta.update_shape_interval(staged[pick][1])
+        for row in uniq.tolist():
+            self.commit_diff.update(row)
+            self.pad_enc.unpad(row)
         self._dirty = True
         self._maybe_flush_pending()
 
-    def _update_tiled(self, index, value, raw, shape, arr) -> None:
+    def _update_tiled(self, index, value, _raw, shape, arr) -> List[Tuple]:
+        """The forks of :meth:`update` that re-tile the tiled sample
+        *index*: one per tile chunk, its one sample replaced.  The sample
+        must keep its shape."""
         sample_shape, tile_shape = self.tile_enc.layout(index)
         if tuple(shape) != tuple(sample_shape):
             raise FormatError(
                 f"tiled sample {index} has shape {sample_shape}; in-place "
                 f"update requires the same shape, got {shape}"
             )
-        tiles = tiling.split(value.array if arr is None else arr, tile_shape)
         first, _local = self.enc.locate(index)  # tiles: consecutive rows
-        rows = range(first, first + len(tiles))
-        olds = [self._load_chunk(self.enc.chunk_name(row)) for row in rows]
-        payloads = [
-            compress_array(tile, self.meta.sample_compression)
-            if self.meta.sample_compression else tile.tobytes()
-            for tile in tiles
+        return [
+            (row, [(0, payload, tile.shape)], [tile])
+            for row, (payload, tile) in enumerate(tiling.payloads(
+                value.array if arr is None else arr, tile_shape,
+                self.meta.sample_compression), first)
         ]
-        with self._lock:
-            for row, old, tile, payload in zip(rows, olds, tiles, payloads):
-                chunk = self._fork(row, old, 0, payload, tile.shape)
-                self._stats_observe(chunk.name, tile, count=0)
 
     def pad_to(self, length: int) -> None:
         """Sparse support: grow with empty padded samples up to *length*."""

@@ -21,7 +21,7 @@ from repro.core.read_plan import (FusedReadPlan, as_row_array, column_rows,
                                   normalize_rows)
 from repro.core.htypes import UNSPECIFIED
 from repro.core.index import Index
-from repro.core.meta import DatasetMeta, TensorMeta
+from repro.core.meta import TensorMeta
 from repro.core.sample import Sample
 from repro.core.tensor import Tensor
 from repro.exceptions import (
@@ -279,6 +279,33 @@ class Dataset:
     def _downsample(self, arr: np.ndarray, factor: int) -> np.ndarray:
         return np.ascontiguousarray(arr[::factor, ::factor])
 
+    def _companion_columns(self, engine, rows) -> Dict[str, object]:
+        """``{companion tensor: column}`` of the shape and downsampled
+        companions of *engine*'s tensor at *rows*, each from one batched
+        lookup: ONE ``(n, ndim)`` int64 array of shapes (a link's are
+        empty: nothing is fetched) and the downsampled arrays."""
+        links, out = engine.meta.links, {}
+        if "shape" in links:
+            if engine.meta.is_link:
+                shapes = np.zeros((len(rows), 0), dtype=np.int64)
+            else:
+                shapes = engine.shapes(rows)
+                ranks = set(map(len, shapes))
+                if len(ranks) == 1:
+                    shapes = np.array(shapes, dtype=np.int64).reshape(
+                        len(rows), ranks.pop()
+                    )
+                else:  # a sequence's empty rows are rank 1
+                    shapes = [np.asarray(s, dtype=np.int64) for s in shapes]
+            out[links["shape"]] = shapes
+        if "downsampled" in links:
+            factor = int(engine.meta.info.get("downsampling_factor", 2))
+            out[links["downsampled"]] = [
+                self._downsample(arr, factor)
+                for arr in engine.read(rows, aslist=True)
+            ]
+        return out
+
     def _sync_companions(
         self,
         name: str,
@@ -288,36 +315,17 @@ class Dataset:
         sample_ids: Optional[Sequence[int]] = None,
     ) -> None:
         """Mirror rows ``[start, start+count)`` of *name* into its hidden
-        companion tensors (shape / id / downsampled), batched: the shape
-        and id companions each get ONE column, an ``(n, ndim)`` int64
-        array and a uint64 array."""
+        companion tensors (shape / id / downsampled), one batch each."""
         links = engine.meta.links
         if not links or not count:
             return
         rows = list(range(start, start + count))
-        if "shape" in links:
-            if engine.meta.is_link:
-                shapes = np.zeros((count, 0), dtype=np.int64)
-            else:
-                shapes = engine.shapes(rows)
-                ranks = set(map(len, shapes))
-                if len(ranks) == 1:
-                    shapes = np.array(shapes, dtype=np.int64).reshape(
-                        count, ranks.pop()
-                    )
-                else:  # a sequence's empty rows are rank 1
-                    shapes = [np.asarray(s, dtype=np.int64) for s in shapes]
-            self._engine(links["shape"]).extend(shapes)
+        for companion, column in self._companion_columns(engine, rows).items():
+            self._engine(companion).extend(column)
         if "id" in links:
             self._engine(links["id"]).extend(
                 new_sample_ids(count) if sample_ids is None
                 else np.asarray(sample_ids, dtype=np.uint64)
-            )
-        if "downsampled" in links:
-            factor = int(engine.meta.info.get("downsampling_factor", 2))
-            arrs = engine.read(rows, aslist=True)
-            self._engine(links["downsampled"]).extend(
-                [self._downsample(arr, factor) for arr in arrs]
             )
 
     def _commit_extend(
@@ -416,22 +424,18 @@ class Dataset:
                 sample_ids[at:at + window] if sample_ids else None,
             )
 
-    def _update_with_sync(self, name: str, index: int, value) -> None:
+    def _update_with_sync(self, name: str, rows, values) -> None:
+        """Replace rows *rows* of tensor *name* with *values* in one
+        batched :meth:`ChunkEngine.update`, then its shape and downsampled
+        companions from the same batch (:meth:`_companion_columns`)."""
         self._check_writable()
         engine = self._engine(name)
-        engine.update(index, value)
-        links = engine.meta.links
-        if "shape" in links:
-            shape = np.asarray(engine.shapes([index])[0], dtype=np.int64)
-            shape_engine = self._engine(links["shape"])
-            if index < shape_engine.num_samples:
-                shape_engine.update(index, shape)
-        if "downsampled" in links:
-            factor = int(engine.meta.info.get("downsampling_factor", 2))
-            arr = column_rows(engine.read([index]))[0]
-            down_engine = self._engine(links["downsampled"])
-            if index < down_engine.num_samples:
-                down_engine.update(index, self._downsample(arr, factor))
+        engine.update(rows, values)
+        rows = normalize_rows(rows, engine.num_samples, f"tensor {name!r}")
+        for companion, column in self._companion_columns(engine, rows).items():
+            target = self._engine(companion)
+            held = np.flatnonzero(rows < target.num_samples).tolist()
+            target.update(rows[held], [column[i] for i in held])
 
     def _pad_with_sync(self, name: str, length: int) -> None:
         """Sparse support: pad tensor + companions up to *length* rows."""
@@ -659,7 +663,7 @@ class Dataset:
                 length = engine.num_samples
                 engine_rows = mapped.get(length)
                 if engine_rows is None:
-                    engine_rows = mapped[length] = self._engine_rows(
+                    engine_rows = mapped[length] = self.index.engine_rows(
                         row_idx, length
                     )
             resolved.append((name, engine, engine_rows))
@@ -679,17 +683,6 @@ class Dataset:
                 ]
             out[name] = values
         return out
-
-    def _engine_rows(self, rows: np.ndarray, length: int) -> np.ndarray:
-        """The view positions *rows* (a negative one wraps once) as rows
-        of a tensor of *length*, by one array op: a slice view maps by
-        arithmetic, with no O(length) materialisation, and keeps ascending
-        rows ascending."""
-        base = self.index.row_sequence(length)
-        pos = normalize_rows(rows, len(base), "a view")
-        if isinstance(base, range):
-            return base.start + pos * base.step
-        return np.asarray(base, dtype=np.int64)[pos]
 
     def __iter__(self):
         for i in range(len(self)):

@@ -148,14 +148,6 @@ class ChunkIdEncoder:
         )
         return int(rows[0]), int(local[0])
 
-    def translate(self, sample_index: int) -> Tuple[int, int]:
-        """(chunk_id, local index within chunk) for a sample."""
-        row, local = self.locate(sample_index)
-        return self._ids[row], local
-
-    def is_tiled(self, sample_index: int) -> bool:
-        return len(self.tile_chunk_ids(sample_index)) > 1
-
     def tile_chunk_ids(self, sample_index: int) -> List[int]:
         """All chunk ids of a (possibly tiled) sample, tile order."""
         row, _local = self.locate(sample_index)

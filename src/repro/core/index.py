@@ -8,11 +8,12 @@ Indices compose: ``ds[10:20][3]`` resolves to sample 13.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-IndexEntry = Union[int, slice, List[int]]
+from repro.core.read_plan import as_row_array, normalize_rows
+from repro.exceptions import SampleIndexError
 
 
 class Index:
@@ -26,10 +27,6 @@ class Index:
     # ------------------------------------------------------------------ #
 
     @property
-    def row_entry(self) -> IndexEntry:
-        return self.entries[0]
-
-    @property
     def is_single_sample(self) -> bool:
         return isinstance(self.entries[0], int)
 
@@ -40,39 +37,35 @@ class Index:
 
     def row_indices(self, length: int) -> List[int]:
         """Materialise the sample selection against a tensor of *length*."""
-        entry = self.entries[0]
-        if isinstance(entry, int):
-            i = entry + length if entry < 0 else entry
-            if not 0 <= i < length:
-                raise IndexError(f"index {entry} out of range ({length})")
-            return [i]
-        if isinstance(entry, slice):
-            return list(range(*entry.indices(length)))
-        out = []
-        for raw in entry:
-            i = int(raw)
-            i = i + length if i < 0 else i
-            if not 0 <= i < length:
-                raise IndexError(f"index {raw} out of range ({length})")
-            out.append(i)
-        return out
+        rows = self.row_sequence(length)
+        return list(rows) if isinstance(rows, range) else rows.tolist()
 
     def row_sequence(self, length: int) -> Sequence[int]:
-        """Indexable sample selection without materialisation where
-        possible: slice entries come back as a ``range`` (O(1) lookup and
-        no allocation), so translating a handful of view rows against a
-        huge tensor stays cheap.  Other entries fall back to
-        :meth:`row_indices`."""
+        """The sample selection against a tensor of *length*, without
+        materialisation where possible: a slice entry is a ``range`` (O(1)
+        lookup and no allocation, so translating a handful of view rows
+        against a huge tensor stays cheap), any other an int64 array (a
+        negative row wraps once, one out of range raises
+        :class:`SampleIndexError`)."""
         entry = self.entries[0]
         if isinstance(entry, slice):
             return range(*entry.indices(length))
-        return self.row_indices(length)
+        return normalize_rows([entry] if isinstance(entry, int) else entry,
+                              length, "a tensor")
+
+    def engine_rows(self, positions: Sequence[int], length: int) -> np.ndarray:
+        """The view positions *positions* (a negative one wraps once) as
+        rows of a tensor of *length*, by one array op that keeps ascending
+        rows ascending; a position outside the view or not an integer
+        raises :class:`SampleIndexError`."""
+        base = self.row_sequence(length)
+        pos = normalize_rows(positions, len(base), "a view")
+        if isinstance(base, range):
+            return base.start + pos * base.step
+        return base[pos]
 
     def num_rows(self, length: int) -> int:
-        entry = self.entries[0]
-        if isinstance(entry, slice):
-            return len(range(*entry.indices(length)))
-        return len(self.row_indices(length))
+        return len(self.row_sequence(length))
 
     # ------------------------------------------------------------------ #
 
@@ -89,10 +82,14 @@ class Index:
         if parts and not isinstance(entries[0], int):
             first = parts[0]
             base = entries[0]
+            if isinstance(first, (bool, np.bool_)):
+                raise SampleIndexError(
+                    f"row index {first!r} is not an integer")
             if isinstance(first, (int, np.integer)):
                 i = int(first)
                 if isinstance(base, list):
-                    entries[0] = base[i]
+                    entries[0] = base[normalize_rows([i], len(base),
+                                                     "a view").item()]
                 elif base == slice(None):
                     entries[0] = i  # negatives resolve against length later
                 else:
@@ -103,7 +100,8 @@ class Index:
                 else:
                     entries[0] = _compose_slices(base, first)
             elif isinstance(first, (list, np.ndarray)):
-                lst = [int(x) for x in np.asarray(first).reshape(-1)]
+                lst = as_row_array(np.ravel(first) if isinstance(
+                    first, np.ndarray) else first).tolist()
                 entries[0] = _compose_rows_with_list(base, lst)
             else:
                 raise TypeError(f"bad index component: {first!r}")
@@ -157,7 +155,10 @@ def _defer(base: slice, i: int):
     start = base.start or 0
     step = base.step or 1
     if i >= 0 and start >= 0:
-        return start + i * step
+        row = start + i * step
+        if step > 0 and base.stop is not None and 0 <= base.stop <= row:
+            raise SampleIndexError(f"index {i} out of range for a view")
+        return row
     raise IndexError("negative indexing into an unbounded slice view")
 
 

@@ -309,6 +309,23 @@ def _chunk_runs(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.unique(rows, return_inverse=True)
 
 
+def prunable(entry: Optional[dict], bounds) -> bool:
+    """True iff the chunk statistics *entry* prove no element of the chunk
+    can fall in every interval of *bounds* (``(lo, hi, lo_open,
+    hi_open)`` each, ``None`` meaning unbounded).  Conservative: missing
+    or poisoned stats, or an unknown range, keep the chunk."""
+    if not bounds or not entry:
+        return False
+    cmin, cmax = entry.get("min"), entry.get("max")
+    if cmin is None or cmax is None:
+        return False
+    return any(
+        (lo is not None and (cmax < lo or (cmax == lo and lo_open)))
+        or (hi is not None and (cmin > hi or (cmin == hi and hi_open)))
+        for lo, hi, lo_open, hi_open in bounds
+    )
+
+
 def plan_items(engine: "ChunkEngine", plan: ReadPlan, flat: np.ndarray,
                bounds=None) -> ReadPlan:
     """Fill *plan* for the flat items *flat* (int64, in range): resolve,
@@ -348,7 +365,7 @@ def plan_items(engine: "ChunkEngine", plan: ReadPlan, flat: np.ndarray,
         if (
             bounds is not None
             and engine._mem_chunk(name) is None
-            and engine._is_prunable(name, bounds)
+            and prunable(engine.chunk_stats.get(name), bounds)
         ):
             plan.skipped_chunks.add(name)
         else:

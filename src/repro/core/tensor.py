@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.core.index import Index
 from repro.core.read_plan import column_rows
-from repro.exceptions import DynamicShapeError, FormatError
+from repro.exceptions import FormatError
 from repro.util.json_util import json_loads
 
 
@@ -96,26 +96,29 @@ class Tensor:
         self.dataset._extend_with_id(self.name, values)
 
     def __setitem__(self, item, value) -> None:
-        if not isinstance(item, (int, np.integer)):
-            raise FormatError(
-                "only single-sample assignment tensor[i] = value is supported"
-            )
+        """``tensor[item] = value`` for an int, a slice or an int array of
+        the view's rows, resolved as a read of ``tensor[item]`` resolves
+        them; a slice or an array takes one value per row, written as one
+        batch.  With ``strict=False`` an int past the end of a full tensor
+        pads the tensor up to it first."""
         length = self.engine.num_samples
-        rows = self.index.row_indices(length) if item < length else None
-        idx = int(item)
-        if rows is not None:
-            if idx < 0:
-                idx += len(rows)
-            if 0 <= idx < len(rows):
-                idx = rows[idx]
-        if idx >= length:
-            if self.dataset.strict:
-                raise FormatError(
-                    f"index {item} beyond length {length}; open the dataset "
-                    "with strict=False for sparse assignment"
-                )
-            self.dataset._pad_with_sync(self.name, idx + 1)
-        self.dataset._update_with_sync(self.name, idx, value)
+        if isinstance(item, slice):
+            item = range(*item.indices(self.num_samples))
+        elif not isinstance(item, (list, np.ndarray)):
+            item, value = [item], [value]
+            if (self.index.entries == [slice(None)]
+                    and type(item[0]) is not bool
+                    and isinstance(item[0], (int, np.integer))
+                    and item[0] >= length):
+                if self.dataset.strict:
+                    raise FormatError(
+                        f"index {item[0]} beyond length {length}; open the "
+                        "dataset with strict=False for sparse assignment"
+                    )
+                length = int(item[0]) + 1
+                self.dataset._pad_with_sync(self.name, length)
+        self.dataset._update_with_sync(
+            self.name, self.index.engine_rows(item, length), value)
 
     def _check_full_view(self, op: str) -> None:
         if self.index.entries != [slice(None)]:

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.compression import compress_array
 from repro.core import read_plan
 from repro.core.encoders import ChunkIdEncoder
 from repro.exceptions import SampleIndexError
@@ -99,6 +100,17 @@ def split(array: np.ndarray, tile_shape: Sequence[int]) -> List[np.ndarray]:
     return [
         np.ascontiguousarray(array[tile_slices(g, tile_shape, array.shape)])
         for g in iter_grid(grid)
+    ]
+
+
+def payloads(array: np.ndarray, tile_shape: Sequence[int],
+             compression) -> List[Tuple[bytes, np.ndarray]]:
+    """``(stored payload, tile)`` of each tile of *array* (:func:`split`),
+    the payload compressed with the sample *compression*, if any."""
+    return [
+        (compress_array(tile, compression) if compression
+         else tile.tobytes(), tile)
+        for tile in split(array, tile_shape)
     ]
 
 

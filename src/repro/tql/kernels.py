@@ -449,7 +449,7 @@ class BatchEvaluator:
 # Every interval emitted is a *necessary* condition on the column's stored
 # elements for the WHERE predicate to hold on a row, so a chunk whose
 # recorded [min, max] misses one interval cannot contain a matching row —
-# exactly the test :meth:`ChunkEngine._is_prunable` applies.  The
+# exactly the test :func:`repro.core.read_plan.prunable` applies.  The
 # reductions the row semantics use keep this sound for array cells:
 # ``col > c`` requires *all* elements > c (so the chunk max must exceed
 # c), ``col == c`` requires every element equal to c (so c must lie

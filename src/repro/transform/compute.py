@@ -10,9 +10,12 @@ The scheduler batches sample-wise work by *chunk adjacency* ("the scheduler
 batches sample-wise transformations operating on nearby chunks") so each
 worker decodes a chunk-aligned range, and runs batches on a thread pool
 (our codecs release the GIL inside zlib and BLAS, which is what the
-paper's C++ engine achieves with per-process decompression).  Results are appended
-strictly in input order, so eval is deterministic regardless of worker
-count.  Each worker batch runs under the caller's current span
+paper's C++ engine achieves with per-process decompression).  A worker
+reads its batch with ONE fused ``read_rows``.  Results are written in
+input order, so eval is deterministic regardless of worker count:
+appended in columnar ``extend`` batches, or in place as ONE batched
+update per tensor at the view's rows (one fork per touched chunk; a bad
+value changes no row).  Each worker batch runs under the caller's span
 (:func:`repro.obs.tracing.attached`), so a traced ``eval`` holds its
 workers' engine spans.
 """
@@ -20,6 +23,8 @@ workers' engine spans.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.exceptions import TransformError
@@ -53,33 +58,20 @@ class SampleOut:
     def __getattr__(self, name: str):
         rows = self.__dict__.get("_rows", {})
         if name in rows:
-            return _TensorAppender(rows[name])
+            return rows[name]  # sample_out.<tensor>.append(value)
         raise AttributeError(name)
 
-    def row_count(self) -> int:
+    def rows(self) -> List[Dict[str, object]]:
         counts = {len(v) for v in self._rows.values()}
         if len(counts) > 1:
             raise TransformError(
                 "?", ValueError(f"uneven output rows per tensor: "
                                 f"{ {k: len(v) for k, v in self._rows.items()} }")
             )
-        return counts.pop() if counts else 0
-
-    def rows(self) -> List[Dict[str, object]]:
-        n = self.row_count()
         return [
-            {t: self._rows[t][i] for t in self._tensors} for i in range(n)
+            {t: self._rows[t][i] for t in self._tensors}
+            for i in range(counts.pop() if counts else 0)
         ]
-
-
-class _TensorAppender:
-    __slots__ = ("_list",)
-
-    def __init__(self, lst: List):
-        self._list = lst
-
-    def append(self, value) -> None:
-        self._list.append(value)
 
 
 class ComputeFunction:
@@ -175,23 +167,24 @@ class Pipeline:
             ds_out = data_in
         out_tensors = list(ds_out.tensors)
 
-        # materialise the input as (index, sample_dict) work items
+        # the input as batches of positions, each read as one batch
         if isinstance(data_in, Dataset):
             names = list(read_tensors or data_in.tensors)
             length = len(data_in)
 
-            def fetch(i: int) -> Dict:
-                return {
-                    t: data_in[t][i].numpy() for t in names
-                }
+            def fetch(batch: List[int]) -> List[Dict]:
+                # ONE fused read of every tensor for the batch's rows
+                columns = data_in.read_rows(batch, names)
+                return [{t: columns[t][k] for t in names}
+                        for k in range(len(batch))]
 
             batches = plan_batches(data_in, names, length, num_workers)
         else:
             items = list(data_in)
             length = len(items)
 
-            def fetch(i: int):
-                return items[i]
+            def fetch(batch: List[int]) -> List:
+                return [items[i] for i in batch]
 
             size = max(1, length // max(1, (num_workers or 1) * 4))
             batches = [
@@ -201,9 +194,9 @@ class Pipeline:
 
         def run_batch(indices: List[int]) -> List[List[Dict]]:
             out = []
-            for i in indices:
+            for i, sample in zip(indices, fetch(indices)):
                 try:
-                    out.append(self._run_one(fetch(i), out_tensors))
+                    out.append(self._run_one(sample, out_tensors))
                 except TransformError:
                     raise
                 except Exception as exc:  # noqa: BLE001 - annotate index
@@ -220,62 +213,42 @@ class Pipeline:
 
         # deterministic, input-ordered writes
         written = 0
-        if in_place:
-            if parallel:
-                with ThreadPoolExecutor(max_workers=num_workers) as pool:
-                    results = list(pool.map(run_attached, batches))
-            else:
-                results = [run_batch(b) for b in batches]
-            flat_indices = [i for batch in batches for i in batch]
-            flat_rows = [rows for result in results for rows in result]
-            for i, rows in zip(flat_indices, flat_rows):
-                if len(rows) != 1:
-                    raise TransformError(
-                        i,
-                        ValueError(
-                            "in-place transforms must emit exactly one row"
-                        ),
+        with (ThreadPoolExecutor(max_workers=num_workers) if parallel
+              else nullcontext()) as pool:
+            # each batch's output rows, in input order as they finish
+            results = (pool.map(run_attached, batches) if parallel
+                       else map(run_batch, batches))
+            if in_place:
+                positions = [i for batch in batches for i in batch]
+                columns: Dict[str, List] = {t: [] for t in out_tensors}
+                emitted = (rows for result in results for rows in result)
+                for i, rows in zip(positions, emitted):
+                    if len(rows) != 1:
+                        raise TransformError(i, ValueError(
+                            "in-place transforms must emit exactly one row"))
+                    for tensor, value in rows[0].items():
+                        columns[tensor].append(value)
+                # one batched update per tensor, at the rows the view's
+                # positions name
+                for tensor, values in columns.items():
+                    name = ds_out._qualify(tensor)
+                    rows = ds_out.index.engine_rows(
+                        positions, ds_out._engine(name).num_samples
                     )
-                for tensor, value in rows[0].items():
-                    ds_out._update_with_sync(ds_out._qualify(tensor), i, value)
-                written += 1
-        else:
-            # Append path: stream finished batches (pool.map yields them in
-            # input order as they complete) into columnar buffers and flush
-            # each buffer as one staged ``ds_out.extend`` — the engines
-            # upload finished chunks in batched set_many calls on this
-            # thread while the pool's workers keep computing.
-            buf: Dict[str, List] = {t: [] for t in out_tensors}
-            buffered = 0
-
-            def flush_buf() -> None:
-                nonlocal buffered, written
-                if not buffered:
-                    return
-                ds_out.extend({t: buf[t] for t in out_tensors})
-                written += buffered
-                for t in out_tensors:
-                    buf[t].clear()
-                buffered = 0
-
-            def consume(result: List[List[Dict]]) -> None:
-                nonlocal buffered
-                for rows in result:
-                    for row in rows:
-                        for t in out_tensors:
-                            buf[t].append(row[t])
-                        buffered += 1
-                        if buffered >= _WRITE_BATCH_ROWS:
-                            flush_buf()
-
-            if parallel:
-                with ThreadPoolExecutor(max_workers=num_workers) as pool:
-                    for result in pool.map(run_attached, batches):
-                        consume(result)
+                    ds_out._update_with_sync(name, rows, values)
+                written = len(positions)
             else:
-                for b in batches:
-                    consume(run_batch(b))
-            flush_buf()
+                # Append path: stream finished rows into columns of
+                # _WRITE_BATCH_ROWS and write each as one staged
+                # ``ds_out.extend`` — the engines upload finished chunks
+                # in batched set_many calls on this thread while the
+                # pool's workers keep computing.
+                emitted = (row for result in results for rows in result
+                           for row in rows)
+                while batch := list(islice(emitted, _WRITE_BATCH_ROWS)):
+                    ds_out.extend({t: [row[t] for row in batch]
+                                   for t in out_tensors})
+                    written += len(batch)
         ds_out.flush()
         return written
 

@@ -239,16 +239,18 @@ def merge(
             ds._extend_from(tensor, theirs, rows, ids)
         edits = updates[tensor]
         if edits:
-            # each side's rows in one batched read, then applied in order
+            # each side's rows in one batched read, applied in one update
             theirs_values = column_rows(theirs.read([e[0] for e in edits]))
             contested = [ours for _idx, ours, resolve in edits if resolve]
             ours_values = dict(zip(
                 contested, column_rows(ds._engine(tensor).read(contested))
             ))
-            for (_idx, ours_idx, resolve), value in zip(edits, theirs_values):
-                if resolve:
-                    value = conflict_resolution(ours_values[ours_idx], value)
-                ds._update_with_sync(tensor, ours_idx, value)
+            ds._update_with_sync(tensor, [e[1] for e in edits], [
+                conflict_resolution(ours_values[ours_idx], value)
+                if resolve else value
+                for (_idx, ours_idx, resolve), value in zip(edits,
+                                                            theirs_values)
+            ])
 
     # recorded by the seal, so the commit's one tree write never makes a
     # merge commit durable without it

@@ -164,21 +164,22 @@ class TestTiledSamples:
         big = rng.integers(0, 255, (100, 100, 3), dtype=np.uint8)
         engine.append(big)
         new = rng.integers(0, 255, (100, 100, 3), dtype=np.uint8)
-        engine.update(0, new)
+        engine.update([0], [new])
         assert np.array_equal(engine_row(engine, 0), new)
 
     def test_shape_changing_tiled_update_rejected(self, rng):
         engine, _ = make_engine(dtype="uint8", max_chunk_size=4096)
         engine.append(rng.integers(0, 255, (100, 100, 3), dtype=np.uint8))
         with pytest.raises(FormatError):
-            engine.update(0, rng.integers(0, 255, (50, 50, 3), dtype=np.uint8))
+            engine.update(
+                [0], [rng.integers(0, 255, (50, 50, 3), dtype=np.uint8)])
 
 
 class TestUpdates:
     def test_update_same_chunk(self):
         engine, _ = make_engine(dtype="int64")
         engine.extend([np.array([i], dtype=np.int64) for i in range(10)])
-        engine.update(4, np.array([99, 100], dtype=np.int64))
+        engine.update([4], [np.array([99, 100], dtype=np.int64)])
         assert np.array_equal(engine_row(engine, 4), [99, 100])
         assert np.array_equal(engine_row(engine, 5), [5])
         assert engine.commit_diff.updated == set()  # still in added range
@@ -187,14 +188,85 @@ class TestUpdates:
         engine, _ = make_engine(dtype="int64")
         engine.append(np.zeros(1, dtype=np.int64))
         with pytest.raises(SampleIndexError):
-            engine.update(5, np.zeros(1, dtype=np.int64))
+            engine.update([5], [np.zeros(1, dtype=np.int64)])
 
     def test_negative_index(self):
         engine, _ = make_engine(dtype="int64")
         engine.extend([np.array([i], dtype=np.int64) for i in range(4)])
-        engine.update(-1, np.array([42], dtype=np.int64))
+        engine.update([-1], [np.array([42], dtype=np.int64)])
         assert engine_row(engine, 3)[0] == 42
         assert np.array_equal(engine_row(engine, -1), [42])
+
+
+class TestBatchedUpdates:
+    """``update(rows, values)`` is the one update path: a batch forks each
+    touched chunk once and is all-or-nothing."""
+
+    def three_chunks(self):
+        engine, storage = make_engine(dtype="int64", max_chunk_size=64)
+        engine.extend([np.full(2, i, dtype=np.int64) for i in range(12)])
+        engine.flush()  # 4 rows (64 bytes) per chunk
+        assert engine.enc.num_chunks == 3
+        return engine, storage
+
+    def test_each_touched_chunk_is_forked_once(self, monkeypatch):
+        from repro.core.chunk import Chunk
+
+        engine, _ = self.three_chunks()
+        copies = []
+        copy = Chunk.copy
+        monkeypatch.setattr(Chunk, "copy", lambda chunk, *a: copies.append(
+            chunk.name) or copy(chunk, *a))
+        before = engine_rows(engine, range(12))
+        rows = [9, 0, 3, 1, 8, 3, 10]
+        values = [np.full(2, -r, dtype=np.int64) for r in rows]
+        values[2] = np.arange(3, dtype=np.int64)  # row 3 given twice
+        engine.update(rows, values)
+        assert len(copies) == len(set(copies)) == 2  # chunks 0 and 2
+        want = [np.asarray(v) for v in before]
+        for row, value in zip(rows, values):
+            want[row] = value  # the last value of a repeated row wins
+        assert want[3].tolist() == [-3, -3]
+        got = engine_rows(engine, range(12), aslist=True)
+        assert all(map(np.array_equal, got, want))
+        assert engine.commit_diff.updated == set()  # still the added range
+
+    def test_a_bad_value_changes_nothing(self):
+        engine, storage = self.three_chunks()
+        engine.begin_new_commit()  # the rows are no longer this commit's
+        before = engine_rows(engine, range(12), aslist=True)
+        state = (set(engine.chunk_set), list(engine.enc._ids),
+                 dict(engine.chunk_stats),
+                 engine.meta.shape_interval.astuple())
+        keys = set(storage)
+        for rows, values in (
+            ([0, 5, 9],
+             [np.zeros(2, np.int64), "oops", np.zeros(2, np.int64)]),
+            ([0, 12], [np.zeros(2, np.int64)] * 2),  # a row out of range
+            ([0, 5], [np.zeros(2, np.int64)]),  # one value short
+        ):
+            with pytest.raises(FormatError):
+                engine.update(rows, values)
+        assert (set(engine.chunk_set), list(engine.enc._ids),
+                dict(engine.chunk_stats),
+                engine.meta.shape_interval.astuple()) == state
+        assert not engine._pending_chunks and not engine._superseded
+        assert engine.commit_diff.updated == set() and not engine._dirty
+        assert set(storage) == keys
+        got = engine_rows(engine, range(12), aslist=True)
+        assert all(map(np.array_equal, got, before))
+
+    def test_touched_chunks_arrive_in_one_fetch(self):
+        engine, storage = self.three_chunks()
+        cold = open_engine(storage, "t")
+        batches = []
+        get_many = storage.get_many
+        storage.get_many = lambda keys: batches.append(len(keys)) or get_many(
+            keys)
+        cold.update([0, 4, 8], [np.zeros(1, dtype=np.int64)] * 3)
+        assert batches == [3]
+        assert [v.tolist() for v in engine_rows(cold, [0, 4, 8], aslist=True)
+                ] == [[0]] * 3
 
 
 class TestSequences:
@@ -228,7 +300,7 @@ class TestSequences:
         engine, _ = make_engine(htype="sequence[generic]", dtype="int32")
         engine.append([np.zeros(1, dtype=np.int32)])
         with pytest.raises(FormatError):
-            engine.update(0, [np.zeros(1, dtype=np.int32)])
+            engine.update([0], [[np.zeros(1, dtype=np.int32)]])
 
 
 class TestSparsePadding:
@@ -244,7 +316,7 @@ class TestSparsePadding:
         engine, _ = make_engine(dtype="float64")
         engine.append(np.ones((2, 2)))
         engine.pad_to(4)
-        engine.update(2, np.full((2, 2), 7.0))
+        engine.update([2], [np.full((2, 2), 7.0)])
         assert not engine.pad_enc.is_padded(2)
         assert engine_row(engine, 2)[0, 0] == 7.0
 
@@ -256,7 +328,7 @@ class TestRechunk:
         engine.extend(values)
         for i in range(0, 120, 11):
             values[i] = np.arange(60, dtype=np.int64)
-            engine.update(i, values[i])
+            engine.update([i], [values[i]])
         before_chunks = engine.enc.num_chunks
         engine.rechunk()
         engine.commit_state.seal("rechunk")
@@ -343,7 +415,7 @@ class TestRechunk:
             engine.meta.max_chunk_size *= 4
         else:
             for i in range(0, engine.num_samples, 4):
-                engine.update(i, update(i))
+                engine.update([i], [update(i)])
         every = range(engine.num_samples)
         raw = engine_rows(engine, every, decode=False)
 

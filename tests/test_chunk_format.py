@@ -66,7 +66,7 @@ class TestChunk:
         for payload in (b"aaa", b"bbb", b"cc"):
             c.append(payload, (len(payload),))
         c.seal()
-        out = c.copy(1, b"XXXXX", (5,))
+        out = c.copy([(1, b"XXXXX", (5,))])
         assert out.name != c.name and isinstance(out.data, bytearray)
         got = [out.read_bytes(i) for i in range(3)]
         assert got == [b"aaa", b"XXXXX", b"cc"]
@@ -74,6 +74,26 @@ class TestChunk:
         assert out.byte_positions == [(0, 3), (3, 8), (8, 10)]
         assert [c.read_bytes(i) for i in range(3)] == [b"aaa", b"bbb", b"cc"]
         assert c.shapes == [(3,), (3,), (2,)] and c.data == b"aaabbbcc"
+
+    def test_copy_replaces_many_samples_in_one_pass(self):
+        """Every replacement of one fork goes into one copy: the bytes
+        between replaced samples move as they are and the later samples'
+        positions follow the size changes; no replacement is a plain copy."""
+        c = Chunk(dtype="uint8")
+        for payload in (b"aa", b"bbb", b"c", b"dddd", b"ee"):
+            c.append(payload, (len(payload),))
+        c.seal()
+        out = c.copy([(0, b"A", (1,)), (3, b"DDDDDD", (6,)), (4, b"", (0,))])
+        assert [out.read_bytes(i) for i in range(5)] == [
+            b"A", b"bbb", b"c", b"DDDDDD", b""]
+        assert out.byte_positions == [(0, 1), (1, 4), (4, 5), (5, 11),
+                                      (11, 11)]
+        assert out.shapes == [(1,), (3,), (1,), (6,), (0,)]
+        assert c.data == b"aabbbcddddee"
+        same = c.copy()
+        assert same.name != c.name and isinstance(same.data, bytearray)
+        assert (bytes(same.data), same.byte_positions, same.shapes) == (
+            c.data, c.byte_positions, c.shapes)
 
     def test_bad_magic(self):
         with pytest.raises(ChunkCorruptedError):
@@ -167,7 +187,7 @@ class TestChunk:
         assert np.array_equal(dense, want)
         out.seal()
         assert out.dense(dtype).shape == (5, 3)
-        out = out.copy(0, np.full(3, -1, dtype=np.int64).tobytes(), (3,))
+        out = out.copy([(0, np.full(3, -1, dtype=np.int64).tobytes(), (3,))])
         out.seal()
         assert out.dense(dtype)[0].tolist() == [-1, -1, -1]
 
@@ -219,10 +239,8 @@ class TestChunkIdEncoder:
         enc.register_chunk(100, 3)
         enc.register_chunk(200, 2)
         assert enc.num_samples == 5
-        assert enc.translate(0) == (100, 0)
-        assert enc.translate(2) == (100, 2)
-        assert enc.translate(3) == (200, 0)
-        assert enc.translate(4) == (200, 1)
+        assert [enc.locate(i) for i in range(5)] == [
+            (0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
 
     def test_register_samples_extends_last(self):
         enc = ChunkIdEncoder()
@@ -235,9 +253,9 @@ class TestChunkIdEncoder:
         enc = ChunkIdEncoder()
         enc.register_chunk(1, 2)
         with pytest.raises(SampleIndexError):
-            enc.translate(2)
+            enc.locate(2)
         with pytest.raises(SampleIndexError):
-            enc.translate(-1)
+            enc.locate(-1)
 
     def test_tiled_sample_rows(self):
         enc = ChunkIdEncoder()
@@ -246,10 +264,8 @@ class TestChunkIdEncoder:
         enc.register_chunk(2, 1)
         assert enc.num_samples == 4
         assert enc.tile_chunk_ids(2) == [10, 11, 12]
-        assert enc.translate(2) == (10, 0)
-        assert enc.translate(3) == (2, 0)
-        assert not enc.is_tiled(0)
-        assert enc.is_tiled(2)
+        assert enc.locate(2) == (1, 0)
+        assert enc.locate(3) == (4, 0)
 
     def test_translate_many_matches_translate(self):
         enc = ChunkIdEncoder()
@@ -259,15 +275,13 @@ class TestChunkIdEncoder:
         enc.register_chunk(3, 4)
         indices = np.asarray([6, 0, 2, 3, 3, 1], dtype=np.int64)
         rows, local = enc.translate_many(indices)
-        assert [
-            (enc._ids[r], l) for r, l in zip(rows.tolist(), local.tolist())
-        ] == [enc.translate(i) for i in indices.tolist()]
+        assert list(zip(rows.tolist(), local.tolist())) == [
+            enc.locate(i) for i in indices.tolist()]
         assert [enc.chunk_name(r) for r in rows.tolist()] == [
-            ChunkIdEncoder.name_from_id(enc.translate(i)[0])
-            for i in indices.tolist()
+            enc.chunk_name(enc.locate(i)[0]) for i in indices.tolist()
         ]
         enc.register_samples(1)  # the search cache follows the encoder
-        assert enc.translate(7) == (3, 4)
+        assert enc.locate(7) == (5, 4)
 
     def test_lookup_is_exact_past_2_to_53(self):
         """The stored cumulative column is uint64; mixed with int64
@@ -284,7 +298,7 @@ class TestChunkIdEncoder:
         assert rows.tolist() == [0, 1, 1]
         assert local.tolist() == [big, 0, 2]
         assert local.dtype == np.int64
-        assert enc.translate(big + 1) == (2, 0)
+        assert enc.locate(big + 1) == (1, 0)
 
     def test_name_id_roundtrip(self):
         from repro.util.ids import new_chunk_name
@@ -318,7 +332,7 @@ class TestChunkIdEncoder:
     @given(counts=st.lists(st.integers(1, 20), min_size=1, max_size=30))
     @settings(max_examples=40, deadline=None)
     def test_property_bisect_consistent(self, counts):
-        """translate() agrees with a naive linear scan for every index."""
+        """locate() agrees with a naive linear scan for every index."""
         enc = ChunkIdEncoder()
         mapping = []
         for ci, count in enumerate(counts):
@@ -326,7 +340,8 @@ class TestChunkIdEncoder:
             mapping.extend((ci + 1, local) for local in range(count))
         assert enc.num_samples == len(mapping)
         for i, expected in enumerate(mapping):
-            assert enc.translate(i) == expected
+            row, local = enc.locate(i)
+            assert (enc._ids[row], local) == expected
 
 
 class TestSequenceEncoder:

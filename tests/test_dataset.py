@@ -639,3 +639,125 @@ class TestCopyMaterialize:
             loaded.images[0].numpy(), image_ds.images[4].numpy()
         )
         assert loaded.query_string == "SELECT something"
+
+
+class TestTensorAssignment:
+    """``tensor[item] = value`` resolves *item* — an int, a slice or an
+    int array of the view's rows — as a read of ``tensor[item]`` does."""
+
+    def ds(self):
+        ds = repro.empty(MemoryProvider(), overwrite=True)
+        ds.create_tensor("x", dtype="int64")
+        ds.x.extend(np.arange(20, dtype=np.int64))
+        return ds
+
+    def test_a_row_outside_the_view_or_a_bool_is_rejected(self):
+        from repro.exceptions import SampleIndexError
+
+        ds = self.ds()
+        for tensor, item in ((ds[10:13]["x"], 5), (ds["x"], True),
+                             (ds["x"], [1, True]), (ds[[4, 6]]["x"], 2)):
+            with pytest.raises(SampleIndexError):
+                tensor[item] = np.int64(-1)
+            with pytest.raises(SampleIndexError):
+                tensor[item].numpy()
+        for item in (-4, 2.0, [3]):  # a view of 3 rows
+            with pytest.raises(SampleIndexError):
+                ds[10:13]["x"][item] = np.int64(-1)
+        assert ds.x.numpy().tolist() == list(range(20))
+
+    def test_rows_of_a_view_by_int_slice_and_array(self):
+        ds = self.ds()
+        want = list(range(20))
+        view = ds[10:16]
+        view.x[-1] = np.int64(-15)
+        view.x[1:5:2] = np.array([-11, -13], dtype=np.int64)
+        view.x[[0, -2, 0]] = [np.int64(-99), np.int64(-14), np.int64(-10)]
+        ds[[3, 7]].x[1] = np.int64(-7)
+        for row in (15, 11, 13, 14, 10, 7):
+            want[row] = -row
+        assert ds.x.numpy().tolist() == want
+        assert ds.x.shapes() == [()] * 20
+
+
+def _update_value(engine, row, rng, layout):
+    """A replacement for *row* of *engine*'s tensor in *layout*: a tiled
+    row keeps its shape, a padded one gets one."""
+    if layout == "link":
+        return repro.link(f"s3-sim://linktest/raw/{(row + 3) % 7}.psim")
+    if layout == "lz4":
+        return np.arange(row, row + 2 + row % 5, dtype=np.int64)
+    shape = engine.shapes([row])[0]
+    if not np.prod(shape) or row not in engine.tile_enc:
+        shape = (6 + row % 3, 8, 3)
+    return rng.integers(0, 255, shape, dtype=np.uint8)
+
+
+class TestBatchedUpdateMatchesRowUpdates:
+    """``tensor[rows] = values`` is one batched update; it leaves every
+    tensor, the shape and downsampled companions included, as assigning
+    the same rows one at a time does — before and after a reload."""
+
+    @staticmethod
+    def build(layout):
+        rng = np.random.default_rng(3)
+        if layout != "downsampled":
+            return _copy_source(layout, rng)[0]
+        ds = repro.empty(MemoryProvider(), overwrite=True)
+        ds.create_tensor("x", htype="image", sample_compression="png",
+                         downsampling=2, max_chunk_size=1024)
+        ds.x.extend([rng.integers(0, 255, (8, 8, 3), dtype=np.uint8)
+                     for _ in range(12)])
+        ds.flush()
+        return ds
+
+    @staticmethod
+    def assert_same(a, b):
+        names = sorted(n for n in a._meta.tensors if not n.endswith("_id"))
+        assert names == sorted(
+            n for n in b._meta.tensors if not n.endswith("_id"))
+        assert len(names) >= 2  # the tensor and its companions
+        for name in names:
+            ea, eb = a._engine(name), b._engine(name)
+            assert ea.num_samples == eb.num_samples, name
+            rows = range(ea.num_samples)
+            got = engine_rows(ea, rows, aslist=True)
+            want = engine_rows(eb, rows, aslist=True)
+            assert all(x.shape == y.shape and np.array_equal(x, y)
+                       for x, y in zip(got, want)), name
+            assert (ea.meta.shape_interval.astuple()
+                    == eb.meta.shape_interval.astuple()), name
+            assert ea.pad_enc.indices() == eb.pad_enc.indices(), name
+            assert ea.commit_diff.updated == eb.commit_diff.updated, name
+
+    @pytest.mark.parametrize(
+        "layout", ["jpeg", "lz4", "tiled", "padded", "link", "downsampled"]
+    )
+    def test_matches(self, layout):
+        batched, rowwise = self.build(layout), self.build(layout)
+        for ds in (batched, rowwise):  # updates of a sealed commit's rows
+            ds.commit("rows")
+        engine = batched._engine("x")
+        n = engine.num_samples
+        rows = [n - 1, 0, 3, 1, 5, 3]  # unsorted, one row twice
+        rng = np.random.default_rng(4)
+        values = [_update_value(engine, row, rng, layout) for row in rows]
+        if layout == "tiled":
+            assert {1, 5} <= set(engine.tile_enc._layouts)
+        if layout == "padded":
+            assert {1, 3, 5} <= set(engine.pad_enc.indices())
+        batched.x[rows] = values
+        for row, value in zip(rows, values):
+            rowwise.x[row] = value
+        self.assert_same(batched, rowwise)
+        assert batched._engine("x").commit_diff.updated == set(rows)
+        batched.flush()
+        rowwise.flush()
+        self.assert_same(repro.load(batched.storage),
+                         repro.load(rowwise.storage))
+
+    def test_a_sequence_row_is_refused_as_before(self):
+        ds = self.build("sequence")
+        for item, value in ((0, [np.arange(2)]), ([0, 1], [[], []])):
+            with pytest.raises(FormatError, match="sequence samples"):
+                ds.x[item] = value

@@ -99,7 +99,7 @@ class TestPlanReads:
         def per_row(self, sample_index):
             raise AssertionError(f"per-row lookup of {sample_index}")
 
-        monkeypatch.setattr(ChunkIdEncoder, "translate", per_row)
+        monkeypatch.setattr(ChunkIdEncoder, "locate", per_row)
         plan = engine.plan_reads(range(4096))
         assert plan.num_items == 4096 and plan.num_chunks == 64
         assert np.bincount(plan.chunk_ord).tolist() == [64] * 64
@@ -437,7 +437,7 @@ def build_big_layout(layout, rng):
         engine_rows(reader, range(len(model)))
         for row in (3, 64, 119):
             model[row] = np.full(4, -row, dtype=np.int64)
-            reader.update(row, model[row])
+            reader.update([row], [model[row]])
     return reader, model
 
 
@@ -853,7 +853,7 @@ class TestReadsWhileAppending:
                 for i in range(64, 400):
                     engine.append(np.full(4, i, dtype=np.int64))
                     row = int(rng.integers(0, i))
-                    engine.update(row, np.full(4, -row, dtype=np.int64))
+                    engine.update([row], [np.full(4, -row, dtype=np.int64)])
                     if i % 23 == 0:
                         engine.flush()
             except BaseException as exc:  # noqa: BLE001 - reported below

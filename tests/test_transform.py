@@ -77,11 +77,13 @@ class TestCompute:
             double().eval(src, fresh_out(), num_workers=2)
         spans = obs.flatten(root)
         assert {s["trace_id"] for s in spans} == {root.trace_id}
-        # one one-row engine read per input row, each on a worker thread,
-        # each under the caller's span
+        # one engine read per worker batch, each on a worker thread, each
+        # under the caller's span (the output's shape sync reads all 20)
         reads = [s for s in spans if s["name"] == "engine.plan_reads"
-                 and s["attrs"]["rows"] == 1]
-        assert len(reads) == 20
+                 and s["attrs"]["rows"] < 20]
+        batches = plan_batches(src, ["x"], 20, num_workers=2)
+        assert sorted(s["attrs"]["rows"] for s in reads) == sorted(
+            map(len, batches))
         assert {s["parent_id"] for s in reads} == {root.span_id}
 
     def test_iterable_input(self):
@@ -113,6 +115,79 @@ class TestCompute:
         out = fresh_out()
         with pytest.raises((KeyError, TransformError)):
             bad().eval(src, out)
+
+
+@repro.compute
+def bump(sample_in, sample_out):
+    sample_out.append({"x": sample_in["x"] + 100})
+
+
+def arange_ds(n, **kwargs):
+    ds = repro.empty(MemoryProvider(), overwrite=True)
+    ds.create_tensor("x", dtype="int64", **kwargs)
+    ds.x.extend(np.arange(n, dtype=np.int64))
+    ds.flush()
+    return ds
+
+
+class TestInPlaceIsABatch:
+    """An in-place ``eval`` reads each worker batch with one fused read
+    and writes each tensor with one batched update."""
+
+    def test_over_a_view_writes_the_views_rows(self):
+        ds = arange_ds(20)
+        bump().eval(ds[10:13])
+        want = list(range(20))
+        want[10:13] = [110, 111, 112]
+        assert ds.x.numpy().tolist() == want
+        bump().eval(ds[[15, 2]], num_workers=2)
+        want[15], want[2] = 115, 102
+        assert ds.x.numpy().tolist() == want
+        assert ds._engine("_x_shape").num_samples == 20
+
+    def test_a_failed_eval_changes_no_row(self):
+        @repro.compute
+        def bad(sample_in, sample_out):
+            x = sample_in["x"]
+            sample_out.append({"x": "oops" if int(x) == 5 else x + 100})
+
+        ds = arange_ds(10)
+        with pytest.raises(repro.exceptions.FormatError):
+            bad().eval(ds)
+        assert ds.x.numpy().tolist() == list(range(10))
+        reloaded = repro.load(ds.storage)
+        assert reloaded.x.numpy().tolist() == list(range(10))
+
+    @pytest.mark.parametrize("n, max_chunk_size", [(1024, 1 << 20),
+                                                   (256, 512)])
+    def test_forks_each_chunk_once(self, monkeypatch, n, max_chunk_size):
+        """N rows in C chunks of ``x`` and C' of its shape companion make
+        C + C' chunk copies (2 for one chunk each), not 2N."""
+        from repro.core.chunk import Chunk
+
+        ds = arange_ds(n, max_chunk_size=max_chunk_size)
+        chunks = (ds._engine("x").enc.num_chunks
+                  + ds._engine("_x_shape").enc.num_chunks)
+        copies = []
+        copy = Chunk.copy
+        monkeypatch.setattr(Chunk, "copy", lambda chunk, *a: copies.append(
+            chunk.name) or copy(chunk, *a))
+        bump().eval(ds, num_workers=2)
+        assert len(copies) == chunks
+        assert chunks == (2 if n == 1024 else 5)
+        assert ds.x.numpy().tolist() == list(range(100, 100 + n))
+
+    def test_each_worker_batch_is_one_read(self, monkeypatch):
+        ds = arange_ds(64, max_chunk_size=128)  # 16 rows per chunk
+        calls = []
+        read_rows = type(ds).read_rows
+        monkeypatch.setattr(type(ds), "read_rows", lambda self, rows, *a, **k:
+                            calls.append(list(rows)) or read_rows(
+                                self, rows, *a, **k))
+        out = fresh_out()
+        bump().eval(ds, out)
+        assert calls == plan_batches(ds, ["x"], 64, 0)
+        assert out.x.numpy().tolist() == list(range(100, 164))
 
 
 class TestPipeline:

@@ -2015,6 +2015,62 @@ class TestStoredChunksAreWriteOnce:
             deletes.add(n)
         assert max(deletes) > 5  # a kill landed between two deletes
 
+    @pytest.mark.parametrize("crash", ["killed", "torn"])
+    def test_a_batched_update_killed_at_any_write_reads_wholly_old_or_new(
+            self, crash):
+        """One batched update per tensor — rows in three chunks and a
+        tiled row, unsorted, one row twice — then a flush and a commit,
+        killed at every write and, for ``torn``, with every subset of a
+        batch installed: each reload reads every old value of both
+        tensors or every new one, and both outcomes occur."""
+        rng = np.random.default_rng(6)
+        old = [rng.integers(0, 255, (10, 10), dtype=np.uint8)
+               for _ in range(20)]
+        old[7] = rng.integers(0, 255, (40, 40), dtype=np.uint8)  # tiled
+        rows = [19, 7, 0, 5, 0]
+        values = [rng.integers(0, 255, old[i].shape, dtype=np.uint8)
+                  for i in rows]
+        new = list(old)
+        for row, value in zip(rows, values):
+            new[row] = value  # row 0 takes its last value
+        labels = np.arange(20, dtype=np.int64)
+
+        def setup():
+            storage = TearsBatches() if crash == "torn" else FailsNthWrite()
+            ds = repro.empty(storage, overwrite=True)
+            ds.create_tensor("a", dtype="uint8", max_chunk_size=512)
+            ds.create_tensor("b", dtype="int64")
+            ds.extend({"a": old, "b": labels})
+            ds.flush()
+            engine = ds._engine("a")
+            assert len({engine.enc.locate(i)[0] for i in (0, 5, 19)}) == 3
+            assert 7 in engine.tile_enc
+            return storage, ds
+
+        def script(ds):
+            ds.a[rows] = values
+            ds.b[rows] = -labels[rows]
+            ds.flush()
+            ds.commit("updated")
+
+        walk = torn_at_every_write if crash == "torn" else (
+            killed_at_every_write
+        )
+        outcomes = set()
+        for n, storage in walk(setup, script):
+            loaded = repro.load(storage)
+            got = loaded.read_rows(range(20), tensors=["a", "b"])
+            shapes = [tuple(s) for s in loaded._engine("_a_shape").read(
+                range(20), aslist=True)]
+            updated = all(map(np.array_equal, got["a"], new))
+            assert updated or all(map(np.array_equal, got["a"], old)), n
+            assert [int(v) for v in got["b"]] == [
+                -i if updated and i in rows else i for i in range(20)
+            ], n
+            assert shapes == [w.shape for w in old], n
+            outcomes.add(updated)
+        assert outcomes == {False, True}
+
     def test_no_key_is_put_twice_and_the_cache_never_changes(self):
         """One script through every write path — extend, flush, a
         resumed append, a flat and a tiled update, commit, branch, merge,
